@@ -37,7 +37,7 @@ use asv_vmem::{Backend, ViewBuffer, VALUES_PER_PAGE};
 
 use crate::column::Column;
 use crate::page::{PageRef, PageScanResult};
-use crate::simd::{self, ExclusionMasks, PageExclusionMask};
+use crate::simd::{ExclusionMasks, PageExclusionMask};
 
 /// What a scan accumulates per qualifying value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -54,14 +54,15 @@ pub enum ScanMode {
 
 /// The mergeable result of scanning a set of pages against a query range.
 ///
-/// `result` folds the per-page [`PageScanResult`]s of *all* scanned pages;
-/// `below` / `above` track the widening bounds the adaptive layer derives
-/// from *non-qualifying* pages only (paper §2.2): if a page contributes no
-/// qualifying value, everything strictly between its largest below-range
-/// value and its smallest above-range value provably lives on other pages.
+/// `result` folds the count and checksum of *all* scanned pages;
+/// `below` / `above` fold the bounds that *non-qualifying* pages report
+/// (paper §2.2): if a page contributes no qualifying value, everything
+/// strictly between its largest below-range value and its smallest
+/// above-range value provably lives on other pages.
 #[derive(Clone, Debug, Default)]
 pub struct ScanOutput {
-    /// Aggregate over all scanned pages (count, checksum, per-page bounds).
+    /// Aggregate over all scanned pages: count and checksum. Its bound
+    /// fields stay `None` — the scan-level bounds are `below` / `above`.
     pub result: PageScanResult,
     /// Global row ids of qualifying values ([`ScanMode::CollectRows`] only).
     pub rows: Option<Vec<u64>>,
@@ -191,13 +192,10 @@ impl<'a> ScanKernel<'a> {
         self.excluded_rows
     }
 
-    /// The exclusion bitmask covering `page`, if any of its slots are
-    /// excluded: the precomputed one when the kernel carries
-    /// [`ExclusionMasks`], otherwise derived from the row list.
-    fn exclusion_mask_on(&self, page: &PageRef<'_>) -> Option<PageExclusionMask> {
-        if let Some(masks) = self.excluded_masks {
-            return masks.mask_for(page.page_id()).copied();
-        }
+    /// Derives the exclusion bitmask of `page` from the excluded row list,
+    /// if any of its slots are excluded — the path of kernels that carry no
+    /// precomputed [`ExclusionMasks`].
+    fn derive_exclusion_mask(&self, page: &PageRef<'_>) -> Option<PageExclusionMask> {
         if self.excluded_rows.is_empty() {
             return None;
         }
@@ -219,21 +217,18 @@ impl<'a> ScanKernel<'a> {
     /// callers can react to per-page outcomes, e.g. feed qualifying pages to
     /// a view-creation sink in scan order).
     pub fn scan_page(&self, page: PageRef<'_>, out: &mut ScanOutput) -> PageScanResult {
-        let res = if let Some(mask) = self.exclusion_mask_on(&page) {
-            let count_only = matches!(self.mode, ScanMode::CountOnly);
-            let rows = matches!(self.mode, ScanMode::CollectRows)
-                .then(|| out.rows.get_or_insert_with(Vec::new));
-            page.scan_filter_excluding(&self.range, &mask, count_only, rows)
-        } else {
-            match self.mode {
-                ScanMode::CountOnly => page.scan_filter_count(&self.range),
-                ScanMode::Aggregate => page.scan_filter(&self.range),
-                ScanMode::CollectRows => {
-                    let rows = out.rows.get_or_insert_with(Vec::new);
-                    page.scan_filter_collect(&self.range, rows)
-                }
+        let derived;
+        let exclusion = match self.excluded_masks {
+            Some(masks) => masks.mask_for(page.page_id()),
+            None => {
+                derived = self.derive_exclusion_mask(&page);
+                derived.as_ref()
             }
         };
+        let count_only = matches!(self.mode, ScanMode::CountOnly);
+        let rows = matches!(self.mode, ScanMode::CollectRows)
+            .then(|| out.rows.get_or_insert_with(Vec::new));
+        let res = page.filter(&self.range, exclusion, count_only, rows);
         out.scanned_pages += 1;
         if res.count > 0 {
             if let Some(pages) = out.qualifying_pages.as_mut() {
@@ -265,29 +260,10 @@ impl<'a> ScanKernel<'a> {
         debug_assert!(rows
             .iter()
             .all(|&row| row / VALUES_PER_PAGE as u64 == page.page_id()));
-        let base_row = page.page_id() * VALUES_PER_PAGE as u64;
-        // Candidate slots are batched into fixed-width lanes and qualified
-        // with a branch-free mask (see `simd::probe_rows_chunked`); the
-        // slot-bounds contract of `PageRef::value` is preserved by checking
-        // the batch's largest slot against the valid count up front.
-        if let Some(&last) = rows.last() {
-            let last_slot = (last - base_row) as usize;
-            assert!(
-                last_slot < page.valid_values(),
-                "value slot {last_slot} out of bounds"
-            );
-        }
         let count_only = matches!(self.mode, ScanMode::CountOnly);
         let rows_out = matches!(self.mode, ScanMode::CollectRows)
             .then(|| out.rows.get_or_insert_with(Vec::new));
-        let res = simd::probe_rows_chunked(
-            page.values(),
-            &self.range,
-            base_row,
-            rows,
-            count_only,
-            rows_out,
-        );
+        let res = page.probe_rows(&self.range, rows, count_only, rows_out);
         out.scanned_pages += 1;
         if res.count > 0 {
             if let Some(pages) = out.qualifying_pages.as_mut() {

@@ -15,12 +15,15 @@ pub const PAGE_ID_SLOT: usize = 0;
 
 /// Result of filtering one page against a query range.
 ///
-/// Besides the aggregate of qualifying values, the scan records the largest
-/// non-qualifying value below the range and the smallest non-qualifying
-/// value above it. Those bounds drive the range-widening step of adaptive
-/// view creation (paper §2.2): if a page contains *no* qualifying value,
-/// every value strictly between its `below_max` and `above_min` is known to
-/// live on other (qualifying) pages.
+/// Besides the aggregate of qualifying values, a page **without a
+/// qualifying value** reports its largest value below the range and its
+/// smallest value above it. Those bounds drive the range-widening step of
+/// adaptive view creation (paper §2.2): if a page contains *no* qualifying
+/// value, every value strictly between its `below_max` and `above_min` is
+/// known to live on other (qualifying) pages. A page with a qualifying
+/// value says nothing of that kind, and the production filter reports no
+/// bounds for it (the `*_scalar` reference loops still do; nothing may
+/// rely on that).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PageScanResult {
     /// Number of values on the page that fall into the query range.
@@ -28,8 +31,10 @@ pub struct PageScanResult {
     /// Sum of the qualifying values (used as a result checksum).
     pub sum: u128,
     /// Largest value on the page that is strictly below the query range.
+    /// Reported only when `count == 0`.
     pub below_max: Option<u64>,
     /// Smallest value on the page that is strictly above the query range.
+    /// Reported only when `count == 0`.
     pub above_min: Option<u64>,
 }
 
@@ -39,19 +44,13 @@ impl PageScanResult {
         self.count == 0
     }
 
-    /// Folds another page's result into this one (used to accumulate a
-    /// query result over many pages).
+    /// Folds another page's aggregate (count and checksum) into this one —
+    /// how a query result accumulates over many pages. The bounds are facts
+    /// about one non-qualifying page and are not merged; a scan folds them
+    /// into [`crate::ScanOutput::below`] / [`crate::ScanOutput::above`].
     pub fn merge(&mut self, other: &PageScanResult) {
         self.count += other.count;
         self.sum += other.sum;
-        self.below_max = match (self.below_max, other.below_max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        self.above_min = match (self.above_min, other.above_min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
     }
 }
 
@@ -109,6 +108,14 @@ impl<'a> PageRef<'a> {
         self.data
     }
 
+    /// The pageID slot followed by the valid values: what the page filter
+    /// of [`crate::simd`] runs over. Sliced here, once per page, so the
+    /// filter's loops see a plain `&[u64]` and index nothing.
+    #[inline]
+    pub(crate) fn slots(&self) -> &'a [u64] {
+        &self.data[..=self.valid_values]
+    }
+
     /// The value stored at value-slot `idx` (0-based, header excluded).
     ///
     /// # Panics
@@ -126,31 +133,27 @@ impl<'a> PageRef<'a> {
         simd::min_max_chunked(self.values())
     }
 
-    /// Filters the page against `range`, producing counts, a checksum and
-    /// the non-qualifying bounds needed for range widening.
+    /// Filters the page against `range`, producing the count and checksum
+    /// of its qualifying values — or, if it has none, the bounds needed for
+    /// range widening.
     ///
     /// This is the `page.scanAndFilter(q)` primitive of Listing 1,
-    /// evaluated by the chunked branch-free kernel of [`crate::simd`]
-    /// (bit-identical to [`Self::scan_filter_scalar`]).
+    /// evaluated by the page filter of [`crate::simd`] (bit-identical to
+    /// [`Self::scan_filter_scalar`] up to the narrowed bounds contract of
+    /// [`PageScanResult`]).
     pub fn scan_filter(&self, range: &ValueRange) -> PageScanResult {
-        simd::scan_filter_chunked(self.values(), range)
+        self.filter(range, None, false, None)
     }
 
-    /// Count-only variant of [`Self::scan_filter`]: tallies qualifying
-    /// values and the non-qualifying bounds but skips the checksum
-    /// accumulation (`sum` stays 0).
-    ///
-    /// This is the hot-path fast path for `COUNT(*)`-style queries: fully
-    /// branch-free lane-mask accumulation — the widening bounds are still
-    /// tracked (adaptive view creation needs them), but neither the
-    /// checksum lanes nor any per-value branch remain.
+    /// Count-only variant of [`Self::scan_filter`]: skips the checksum
+    /// accumulation (`sum` stays 0) — the fast path for `COUNT(*)`-style
+    /// queries.
     pub fn scan_filter_count(&self, range: &ValueRange) -> PageScanResult {
-        simd::scan_filter_count_chunked(self.values(), range)
+        self.filter(range, None, true, None)
     }
 
     /// Like [`Self::scan_filter`], but additionally appends the global row
-    /// ids of qualifying values to `rows_out` (chunk-mask → index
-    /// compaction).
+    /// ids of qualifying values to `rows_out`.
     ///
     /// The global row id is reconstructed from the embedded pageID — this is
     /// exactly why the paper embeds it: a partial view maps an arbitrary
@@ -161,24 +164,20 @@ impl<'a> PageRef<'a> {
         range: &ValueRange,
         rows_out: &mut Vec<u64>,
     ) -> PageScanResult {
-        let base_row = self.page_id() * VALUES_PER_PAGE as u64;
-        simd::scan_filter_collect_chunked(self.values(), range, base_row, rows_out)
+        self.filter(range, None, false, Some(rows_out))
     }
-}
 
-impl PageRef<'_> {
     /// Filters the page against `range` while treating the slots set in
     /// `exclusion` as *absent*: excluded slots contribute neither to the
     /// aggregate nor to the widening bounds nor to the collected rows.
     ///
-    /// This is the slow path of the overlay-aware read path: while an
-    /// adaptive column holds queued (not yet aligned) writes, the scan
-    /// skips the stored values of the affected rows entirely and the query
-    /// layer substitutes the queued values afterwards — so answers reflect
-    /// every acknowledged write exactly once. `count_only` skips the
-    /// checksum accumulation (the [`Self::scan_filter_count`] equivalent);
-    /// `rows_out` enables row-id collection (the
-    /// [`Self::scan_filter_collect`] equivalent).
+    /// This is the overlay-aware read path: while an adaptive column holds
+    /// queued (not yet aligned) writes, the scan skips the stored values of
+    /// the affected rows entirely and the query layer substitutes the
+    /// queued values afterwards — so answers reflect every acknowledged
+    /// write exactly once. `count_only` skips the checksum accumulation
+    /// (the [`Self::scan_filter_count`] equivalent); `rows_out` enables
+    /// row-id collection (the [`Self::scan_filter_collect`] equivalent).
     ///
     /// Exclusion bits beyond the valid value count are ignored (the scan
     /// never reads those slots).
@@ -189,25 +188,69 @@ impl PageRef<'_> {
         count_only: bool,
         rows_out: Option<&mut Vec<u64>>,
     ) -> PageScanResult {
+        self.filter(range, Some(exclusion), count_only, rows_out)
+    }
+
+    /// All four scan entry points above, and [`crate::ScanKernel`], are
+    /// this one call into the build of the page filter selected for the
+    /// running CPU.
+    #[inline]
+    pub(crate) fn filter(
+        &self,
+        range: &ValueRange,
+        exclusion: Option<&PageExclusionMask>,
+        count_only: bool,
+        rows_out: Option<&mut Vec<u64>>,
+    ) -> PageScanResult {
+        simd::selected_variant().filter(self, range, exclusion, count_only, rows_out)
+    }
+
+    /// Qualifies the candidate rows `rows` (ascending global row ids, all
+    /// on this page) one slot at a time — the per-page step of
+    /// [`crate::ScanKernel::probe_page_rows`]. Reports no bounds: a probe
+    /// observes individual slots, not the page.
+    ///
+    /// A plain per-row loop on purpose: candidates are few and scattered
+    /// per page, and gathering them into lanes first measured slower at
+    /// every selectivity of the `filter-kernel` microbench, also when
+    /// compiled for AVX2.
+    ///
+    /// # Panics
+    /// Panics if a row's slot is not a valid value slot of this page.
+    pub fn probe_rows(
+        &self,
+        range: &ValueRange,
+        rows: &[u64],
+        count_only: bool,
+        mut rows_out: Option<&mut Vec<u64>>,
+    ) -> PageScanResult {
         let base_row = self.page_id() * VALUES_PER_PAGE as u64;
-        simd::scan_filter_excluding_chunked(
-            self.values(),
-            range,
-            exclusion,
-            count_only,
-            base_row,
-            rows_out,
-        )
+        let mut res = PageScanResult::default();
+        for &row in rows {
+            let slot = (row - base_row) as usize;
+            let v = self.value(slot);
+            if range.contains(v) {
+                res.count += 1;
+                if !count_only {
+                    res.sum += v as u128;
+                }
+                if let Some(rows) = rows_out.as_deref_mut() {
+                    rows.push(row);
+                }
+            }
+        }
+        res
     }
 }
 
 /// Scalar reference implementations.
 ///
-/// These are the original per-value loops the chunked kernels of
+/// These are the original per-value loops the page filter of
 /// [`crate::simd`] replaced. They are kept (and exercised) for two reasons:
-/// the differential property tests assert the chunked kernels match them
-/// bit-identically, and the `filter-kernel` microbench measures the chunked
-/// speedup against them.
+/// the differential property tests assert every compiled build of the
+/// filter matches them bit-identically, and the `filter-kernel` microbench
+/// measures the filter's speedup against them. They report the bounds for
+/// every page, also where the filter no longer does.
 impl PageRef<'_> {
     /// Scalar reference of [`Self::scan_filter`] (branchy per-value loop).
     pub fn scan_filter_scalar(&self, range: &ValueRange) -> PageScanResult {
@@ -297,33 +340,6 @@ impl PageRef<'_> {
         }
         res
     }
-
-    /// Scalar reference of [`crate::ScanKernel::probe_page_rows`]'s
-    /// per-candidate qualification (branchy per-row loop).
-    pub fn probe_rows_scalar(
-        &self,
-        range: &ValueRange,
-        rows: &[u64],
-        count_only: bool,
-        mut rows_out: Option<&mut Vec<u64>>,
-    ) -> PageScanResult {
-        let base_row = self.page_id() * VALUES_PER_PAGE as u64;
-        let mut res = PageScanResult::default();
-        for &row in rows {
-            let slot = (row - base_row) as usize;
-            let v = self.value(slot);
-            if range.contains(v) {
-                res.count += 1;
-                if !count_only {
-                    res.sum += v as u128;
-                }
-                if let Some(rows) = rows_out.as_deref_mut() {
-                    rows.push(row);
-                }
-            }
-        }
-        res
-    }
 }
 
 /// Writes the page header (embedded pageID) and values into a raw page
@@ -380,9 +396,12 @@ mod tests {
         let res = page.scan_filter(&ValueRange::new(10, 30));
         assert_eq!(res.count, 2);
         assert_eq!(res.sum, 15 + 25);
-        assert_eq!(res.below_max, Some(5));
-        assert_eq!(res.above_min, Some(35));
+        // A qualifying page reports no bounds; the scalar reference does.
+        assert_eq!((res.below_max, res.above_min), (None, None));
         assert!(!res.is_empty());
+        let scalar = page.scan_filter_scalar(&ValueRange::new(10, 30));
+        assert_eq!((scalar.count, scalar.sum), (res.count, res.sum));
+        assert_eq!((scalar.below_max, scalar.above_min), (Some(5), Some(35)));
     }
 
     #[test]
@@ -436,8 +455,9 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count, 3);
         assert_eq!(a.sum, 40);
-        assert_eq!(a.below_max, Some(5));
-        assert_eq!(a.above_min, Some(100));
+        // Bounds are per-page facts and do not merge.
+        assert_eq!(a.below_max, Some(3));
+        assert_eq!(a.above_min, None);
     }
 
     #[test]

@@ -1,48 +1,84 @@
-//! Branch-free, fixed-width-lane chunked filter kernels.
+//! The page filter: one safe source, compiled once per CPU level.
 //!
-//! Every page the adaptive path and the full-scan baseline touch goes
-//! through `page.scanAndFilter(q)` (Listing 1), so its inner loop is the
-//! hottest code of the whole reproduction. The scalar loops in
-//! [`crate::page`] evaluate `low <= v && v <= high` with data-dependent
-//! branches — at mid selectivities the branch predictor loses every other
-//! guess. The kernels in this module restructure the same computation into
-//! chunks of [`LANES`] independent lanes with **no data-dependent branch**
-//! anywhere on the value path, which lets LLVM auto-vectorize them on
-//! stable Rust (and, where it only partially vectorizes, still removes all
-//! branch mispredictions):
+//! Every page the adaptive path, the snapshot path and the full-scan
+//! baseline touch goes through `page.scanAndFilter(q)` (Listing 1), so this
+//! loop is the hottest code of the whole reproduction. It is built so that
+//! its cost stays below the cost of the memory access it filters.
 //!
-//! * the predicate becomes a 0/1 lane mask `q = (v >= low) & (v <= high)`;
-//! * the count accumulates `q` per lane;
-//! * the checksum accumulates the masked value `v & (0 - q)` split into
-//!   32-bit halves (`sum_lo`/`sum_hi` per lane), so the final
-//!   `lo + (hi << 32)` reduction is *exactly* the scalar `u128` sum — the
-//!   split sidesteps `u128` lane arithmetic, which LLVM does not vectorize;
-//! * the widening bounds (paper §2.2) survive vectorization as lane-wise
-//!   `max(v & below_mask)` / `min(v | !above_mask)` folds plus has-any
-//!   flags, reduced once at the end of the page;
-//! * row-id collection compresses each chunk's qualify mask into a bitmask
-//!   and converts set bits to indexes (`trailing_zeros`) — the only
-//!   remaining branch is per *qualifying chunk*, not per value;
-//! * exclusions (the overlay-aware read path) apply a precomputed per-page
-//!   bitmask ([`PageExclusionMask`]) as a second lane mask instead of
-//!   stepping a skip iterator per value.
+//! # Two passes
 //!
-//! All kernels are bit-identical to the scalar reference implementations in
-//! [`crate::page`] (`*_scalar`), which are kept for differential tests and
-//! the `filter-kernel` microbench.
+//! * The **lean pass** runs over every page. Per value it evaluates the
+//!   range predicate as a 0/1 mask and folds exactly three things: the
+//!   count, and the masked value split into two 32-bit halves (the
+//!   checksum; skipped for count-only scans). It is a plain reduction loop
+//!   over the page's slots — no lanes spelled out, no data-dependent
+//!   branch — which LLVM's loop vectorizer turns into full-width vector
+//!   code whenever the target has a 64-bit integer compare.
+//! * The **bounds pass** computes the widening bounds of the paper's §2.2
+//!   (largest value below the range, smallest value above it). The scan
+//!   consumes those only for pages *without* a qualifying value, so the
+//!   pass runs only on such pages, right after their lean pass, while the
+//!   page sits in L1; pages with a qualifying value report no bounds. On a
+//!   page where nothing qualifies both bounds fall out of one min/max fold
+//!   over `v - low` (see `bounds_pass`), again a plain vectorizable
+//!   reduction.
 //!
-//! Accumulating the 32-bit checksum halves in `u64` lanes is exact for any
-//! slice of up to 2³² values; pages hold at most
-//! [`VALUES_PER_PAGE`] (= 511) values, so per-page sums cannot overflow.
+//! Row-id collection is a third, branch-free compaction loop that runs only
+//! on pages the lean pass found a qualifying value on.
+//!
+//! # What must not count
+//!
+//! The lean pass runs over the page slice *including* its pageID slot, so a
+//! full page is one aligned 512-slot loop without a remainder. What must
+//! not count — the pageID slot, and the slots of a [`PageExclusionMask`]
+//! on the overlay-aware read path — is evaluated again one slot at a time
+//! afterwards and taken back out of the count and the checksum. Both are
+//! exact integer sums, so adding a contribution and subtracting the same
+//! contribution cancels without error. Exclusions are a handful of slots
+//! on the few pages that carry queued writes; the bounds and compaction
+//! loops, which cannot take anything back, test the mask per value.
+//!
+//! # Exactness
+//!
+//! * **Predicate.** `low <= v <= high` is evaluated as
+//!   `(v - low) mod 2^64 <= high - low`: for `v >= low` the difference does
+//!   not wrap and the comparison is `v <= high`; for `v < low` it wraps to
+//!   at least `2^64 - low`, which exceeds `high - low <= 2^64 - 1 - low`.
+//!   The unsigned comparison is carried out as a signed one on operands
+//!   with the top bit flipped (`a <= b` unsigned iff `a ^ 2^63 <= b ^ 2^63`
+//!   signed), and flipping the top bit of a difference equals flipping it
+//!   on the subtrahend — so one subtraction and one *signed* compare per
+//!   value remain, which is what AVX2 has an instruction for.
+//! * **Checksum.** The masked value is accumulated as two `u64` sums of its
+//!   32-bit halves; `lo + (hi << 32)` in `u128` is exactly the scalar
+//!   `u128` sum. A page has [`asv_vmem::SLOTS_PER_PAGE`] (= 512) slots, so
+//!   each half-sum stays below `2^41`.
+//!
+//! All answers are bit-identical to the scalar reference loops in
+//! [`crate::page`] (`*_scalar`), which stay as the differential-test oracle
+//! and the `filter-kernel` microbench baseline.
+//!
+//! # One source, one build per CPU level
+//!
+//! The crates compile for the baseline of their target; on x86-64 that is
+//! SSE2, which has no 64-bit integer compare, min or max, so the baseline
+//! build of the loops above is scalar code. The same source is therefore
+//! compiled a second time under `#[target_feature(enable = "avx2")]`: the
+//! `#[inline(always)]` core is inlined into a function that may use AVX2
+//! and the identical loops come out as 256-bit vector code
+//! ([`KernelVariant`]). Which build runs is decided once per process with
+//! `is_x86_feature_detected!`; CPUs without AVX2 and non-x86 targets run
+//! the portable build. There are no intrinsics and nothing to configure.
+
+use std::sync::OnceLock;
 
 use asv_util::ValueRange;
 use asv_vmem::VALUES_PER_PAGE;
 
-use crate::page::PageScanResult;
+use crate::page::{PageRef, PageScanResult};
 
-/// Number of values processed per chunk. Eight `u64` lanes are one 64-byte
-/// cache line — two AVX2 registers or one AVX-512 register — and divide the
-/// 64-bit words of [`PageExclusionMask`] evenly.
+/// Number of values the min/max and copy helpers below process per chunk:
+/// eight `u64` lanes are one 64-byte cache line.
 pub const LANES: usize = 8;
 
 /// Words needed to carry one exclusion bit per value slot of a page.
@@ -52,8 +88,8 @@ const MASK_WORDS: usize = VALUES_PER_PAGE.div_ceil(64);
 /// treated as absent by [`crate::PageRef::scan_filter_excluding`].
 ///
 /// This replaces the sorted-slot-list walk of the overlay-aware read path:
-/// instead of peeking a skip iterator per value, the chunked kernel loads
-/// [`LANES`] exclusion bits at once and folds them into the lane masks.
+/// the page filter scans the page as if nothing were excluded and takes the
+/// masked slots' contributions back out (see the module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PageExclusionMask {
     words: [u64; MASK_WORDS],
@@ -100,12 +136,18 @@ impl PageExclusionMask {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// The *keep* bits (1 = not excluded) of chunk `chunk` as the low
-    /// [`LANES`] bits. `LANES` divides 64, so a chunk never straddles words.
-    #[inline]
-    fn keep_bits(&self, chunk: usize) -> u64 {
-        const PER_WORD: usize = 64 / LANES;
-        !(self.words[chunk / PER_WORD] >> ((chunk % PER_WORD) * LANES)) & ((1 << LANES) - 1)
+    /// The excluded slots, ascending.
+    pub fn slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(word, &bits)| {
+            let mut bits = bits;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    word * 64 + bit
+                })
+            })
+        })
     }
 }
 
@@ -163,233 +205,307 @@ impl ExclusionMasks {
     }
 }
 
-/// Lane-wise accumulator of one page scan. Reduced once per page by
-/// [`Acc::finish`].
+/// Top bit of a `u64`: flipping it maps unsigned order onto signed order.
+const SIGN_BIT: u64 = 1 << 63;
+
+/// The range predicate in the form the hot loops evaluate it (see the
+/// module docs for the exactness argument).
 #[derive(Clone, Copy)]
-struct Acc {
-    count: [u64; LANES],
-    sum_lo: [u64; LANES],
-    sum_hi: [u64; LANES],
-    below: [u64; LANES],
-    has_below: [u64; LANES],
-    above: [u64; LANES],
-    has_above: [u64; LANES],
-}
-
-impl Acc {
-    #[inline]
-    fn new() -> Self {
-        Self {
-            count: [0; LANES],
-            sum_lo: [0; LANES],
-            sum_hi: [0; LANES],
-            below: [0; LANES],
-            has_below: [0; LANES],
-            above: [u64::MAX; LANES],
-            has_above: [0; LANES],
-        }
-    }
-
-    /// Reduces the lanes into a [`PageScanResult`]. Exactness: the checksum
-    /// halves are re-joined as `lo + (hi << 32)` in `u128`, which equals the
-    /// scalar order-independent sum; the bound folds are plain max/min, with
-    /// non-participating lanes contributing the fold identities (0 for the
-    /// below-max, `u64::MAX` for the above-min).
-    #[inline]
-    fn finish<const SUM: bool>(&self) -> PageScanResult {
-        let count: u64 = self.count.iter().sum();
-        let sum = if SUM {
-            let lo: u64 = self.sum_lo.iter().sum();
-            let hi: u64 = self.sum_hi.iter().sum();
-            lo as u128 + ((hi as u128) << 32)
-        } else {
-            0
-        };
-        let below_max = self
-            .has_below
-            .iter()
-            .any(|&m| m != 0)
-            .then(|| self.below.iter().copied().max().unwrap_or(0));
-        let above_min = self
-            .has_above
-            .iter()
-            .any(|&m| m != 0)
-            .then(|| self.above.iter().copied().min().unwrap_or(u64::MAX));
-        PageScanResult {
-            count,
-            sum,
-            below_max,
-            above_min,
-        }
-    }
-}
-
-/// One full chunk step: classifies [`LANES`] values against `[low, high]`
-/// and folds them into `acc` without any data-dependent branch. Returns the
-/// chunk's qualify bits (bit `i` set = lane `i` qualifies).
-#[inline(always)]
-fn chunk_step<const SUM: bool>(chunk: &[u64], low: u64, high: u64, acc: &mut Acc) -> u64 {
-    let mut qbits = 0u64;
-    for (i, &v) in chunk.iter().enumerate() {
-        let q = (v >= low) as u64 & (v <= high) as u64;
-        let qm = q.wrapping_neg();
-        acc.count[i] += q;
-        if SUM {
-            let masked = v & qm;
-            acc.sum_lo[i] += masked & 0xFFFF_FFFF;
-            acc.sum_hi[i] += masked >> 32;
-        }
-        let bm = ((v < low) as u64).wrapping_neg();
-        acc.has_below[i] |= bm;
-        acc.below[i] = acc.below[i].max(v & bm);
-        let am = ((v > high) as u64).wrapping_neg();
-        acc.has_above[i] |= am;
-        acc.above[i] = acc.above[i].min(v | !am);
-        qbits |= q << i;
-    }
-    qbits
-}
-
-/// Like [`chunk_step`], but additionally masked by `keep_bits` (bit `i`
-/// clear = lane `i` is treated as absent). Used for excluded slots and for
-/// the final partial chunk of a page.
-#[inline(always)]
-fn chunk_step_masked<const SUM: bool>(
-    chunk: &[u64],
-    keep_bits: u64,
+struct Predicate {
     low: u64,
     high: u64,
-    acc: &mut Acc,
-) -> u64 {
-    let mut qbits = 0u64;
-    for (i, &v) in chunk.iter().enumerate() {
-        let keep = (keep_bits >> i) & 1;
-        let km = keep.wrapping_neg();
-        let q = (v >= low) as u64 & (v <= high) as u64 & keep;
-        let qm = q.wrapping_neg();
-        acc.count[i] += q;
-        if SUM {
-            let masked = v & qm;
-            acc.sum_lo[i] += masked & 0xFFFF_FFFF;
-            acc.sum_hi[i] += masked >> 32;
+    /// `low ^ 2^63`: subtracting it yields the key of [`Self::key`].
+    biased_low: u64,
+    /// `(high - low) ^ 2^63` as a signed number: the largest qualifying key.
+    max_key: i64,
+}
+
+impl Predicate {
+    #[inline(always)]
+    fn new(range: &ValueRange) -> Self {
+        let (low, high) = (range.low(), range.high());
+        Self {
+            low,
+            high,
+            biased_low: low ^ SIGN_BIT,
+            max_key: ((high - low) ^ SIGN_BIT) as i64,
         }
-        let bm = ((v < low) as u64).wrapping_neg() & km;
-        acc.has_below[i] |= bm;
-        acc.below[i] = acc.below[i].max(v & bm);
-        let am = ((v > high) as u64).wrapping_neg() & km;
-        acc.has_above[i] |= am;
-        acc.above[i] = acc.above[i].min(v | !am);
-        qbits |= q << i;
     }
-    qbits
+
+    /// `(v - low) mod 2^64` with the top bit flipped, as a signed number:
+    /// signed order on keys is unsigned order on `v - low`.
+    #[inline(always)]
+    fn key(&self, v: u64) -> i64 {
+        v.wrapping_sub(self.biased_low) as i64
+    }
+
+    /// The value a key was computed from.
+    #[inline(always)]
+    fn value_of(&self, key: i64) -> u64 {
+        (key as u64).wrapping_add(self.biased_low)
+    }
+
+    /// 1 if `low <= v <= high`, else 0.
+    #[inline(always)]
+    fn qualifies(&self, v: u64) -> u64 {
+        (self.key(v) <= self.max_key) as u64
+    }
 }
 
-/// Converts a chunk's qualify bits into global row ids appended to
-/// `rows_out` (mask → index compaction).
+/// The lean pass: count and (with `SUM`) split-half checksum of the
+/// qualifying values among `slots`. A plain reduction without a
+/// data-dependent branch, so the loop vectorizer handles it.
 #[inline(always)]
-fn push_qualifying_rows(mut qbits: u64, first_row: u64, rows_out: &mut Vec<u64>) {
-    while qbits != 0 {
-        let lane = qbits.trailing_zeros() as u64;
-        rows_out.push(first_row + lane);
-        qbits &= qbits - 1;
+fn lean_pass<const SUM: bool>(slots: &[u64], pred: Predicate) -> (u64, u128) {
+    let (mut count, mut sum_lo, mut sum_hi) = (0u64, 0u64, 0u64);
+    for &v in slots {
+        let q = pred.qualifies(v);
+        count += q;
+        if SUM {
+            let masked = v & q.wrapping_neg();
+            sum_lo += masked & 0xFFFF_FFFF;
+            sum_hi += masked >> 32;
+        }
     }
+    (count, sum_lo as u128 + ((sum_hi as u128) << 32))
 }
 
-/// Chunked core shared by every scan entry point. `COLLECT` appends
-/// qualifying global row ids (`base_row + index`) to `rows_out`; `SUM`
-/// accumulates the checksum.
+/// The bounds pass over a page on which **no kept value qualifies**:
+/// returns (largest value below the range, smallest value above it).
+///
+/// With `w = (v - low) mod 2^64`, a value above the range has
+/// `w = v - low`, somewhere in `(high - low, 2^64 - 1 - low]`, and a value
+/// below it has `w = 2^64 - (low - v)`, somewhere in `[2^64 - low, 2^64 - 1]`.
+/// The second interval lies entirely above the first and `w` grows with `v`
+/// inside each, so — as long as nothing qualifies — the maximum of `w` is
+/// the largest below-value if there is one, and the minimum of `w` is the
+/// smallest above-value if there is one. One min/max fold over the keys
+/// therefore yields both bounds; mapping the extremes back to values and
+/// checking which side of the range they are on tells whether that side
+/// had a value at all.
 #[inline(always)]
-fn scan_core<const SUM: bool, const COLLECT: bool>(
+fn bounds_pass(
     values: &[u64],
-    range: &ValueRange,
+    pred: Predicate,
+    exclusion: Option<&PageExclusionMask>,
+) -> (Option<u64>, Option<u64>) {
+    let (mut min_key, mut max_key) = (i64::MAX, i64::MIN);
+    let mut kept = values.len();
+    match exclusion {
+        None => {
+            for &v in values {
+                let key = pred.key(v);
+                min_key = min_key.min(key);
+                max_key = max_key.max(key);
+            }
+        }
+        Some(mask) => {
+            kept = 0;
+            for (slot, &v) in values.iter().enumerate() {
+                if !mask.excluded(slot) {
+                    let key = pred.key(v);
+                    min_key = min_key.min(key);
+                    max_key = max_key.max(key);
+                    kept += 1;
+                }
+            }
+        }
+    }
+    if kept == 0 {
+        return (None, None);
+    }
+    let (smallest, largest) = (pred.value_of(min_key), pred.value_of(max_key));
+    (
+        (largest < pred.low).then_some(largest),
+        (smallest > pred.high).then_some(smallest),
+    )
+}
+
+/// Appends the global row ids (`base_row + slot`) of the qualifying kept
+/// values to `rows_out`: every slot's row id is stored unconditionally and
+/// the write position advances by the 0/1 qualify mask, so the loop has no
+/// data-dependent branch at any selectivity. `values` are the value slots
+/// of one page, at most [`VALUES_PER_PAGE`].
+#[inline(always)]
+fn collect_rows(
+    values: &[u64],
+    pred: Predicate,
     exclusion: Option<&PageExclusionMask>,
     base_row: u64,
     rows_out: &mut Vec<u64>,
-) -> PageScanResult {
-    let (low, high) = (range.low(), range.high());
-    let mut acc = Acc::new();
-    let mut chunks = values.chunks_exact(LANES);
-    let mut chunk_idx = 0usize;
-    for chunk in &mut chunks {
-        let qbits = match exclusion {
-            Some(mask) => {
-                chunk_step_masked::<SUM>(chunk, mask.keep_bits(chunk_idx), low, high, &mut acc)
+) {
+    let mut rows = [0u64; VALUES_PER_PAGE];
+    let mut found = 0usize;
+    match exclusion {
+        None => {
+            for (slot, &v) in values.iter().enumerate() {
+                rows[found] = base_row + slot as u64;
+                found += pred.qualifies(v) as usize;
             }
-            None => chunk_step::<SUM>(chunk, low, high, &mut acc),
-        };
-        if COLLECT {
-            push_qualifying_rows(qbits, base_row + (chunk_idx * LANES) as u64, rows_out);
         }
-        chunk_idx += 1;
-    }
-    let tail = chunks.remainder();
-    if !tail.is_empty() {
-        // The tail runs as a masked chunk: lanes beyond the slice are
-        // dropped by the keep mask, excluded lanes by the exclusion bits.
-        let mut keep = (1u64 << tail.len()) - 1;
-        if let Some(mask) = exclusion {
-            keep &= mask.keep_bits(chunk_idx);
-        }
-        let qbits = chunk_step_masked::<SUM>(tail, keep, low, high, &mut acc);
-        if COLLECT {
-            push_qualifying_rows(qbits, base_row + (chunk_idx * LANES) as u64, rows_out);
+        Some(mask) => {
+            for (slot, &v) in values.iter().enumerate() {
+                rows[found] = base_row + slot as u64;
+                found += (pred.qualifies(v) & !mask.excluded(slot) as u64) as usize;
+            }
         }
     }
-    acc.finish::<SUM>()
+    rows_out.extend_from_slice(&rows[..found]);
 }
 
-/// Chunked [`crate::PageRef::scan_filter`]: count + checksum + widening
-/// bounds.
-pub fn scan_filter_chunked(values: &[u64], range: &ValueRange) -> PageScanResult {
-    let mut none = Vec::new();
-    scan_core::<true, false>(values, range, None, 0, &mut none)
-}
-
-/// Chunked [`crate::PageRef::scan_filter_count`]: the fully branch-free
-/// count-only fast path (no checksum accumulation at all).
-pub fn scan_filter_count_chunked(values: &[u64], range: &ValueRange) -> PageScanResult {
-    let mut none = Vec::new();
-    scan_core::<false, false>(values, range, None, 0, &mut none)
-}
-
-/// Chunked [`crate::PageRef::scan_filter_collect`]: also appends qualifying
-/// global row ids (`base_row + slot`) via mask → index compaction.
-pub fn scan_filter_collect_chunked(
-    values: &[u64],
+/// The one page-filter core: every scan mode of every compiled build is
+/// this function. `slots` is the page slice from its pageID slot through
+/// its last valid value.
+#[inline(always)]
+fn filter_page(
+    slots: &[u64],
     range: &ValueRange,
-    base_row: u64,
-    rows_out: &mut Vec<u64>,
-) -> PageScanResult {
-    scan_core::<true, true>(values, range, None, base_row, rows_out)
-}
-
-/// Chunked [`crate::PageRef::scan_filter_excluding`]: the exclusion bits
-/// ride along as a second lane mask. `count_only` skips the checksum (the
-/// result's `sum` stays 0), matching the scalar reference bit-for-bit.
-pub fn scan_filter_excluding_chunked(
-    values: &[u64],
-    range: &ValueRange,
-    exclusion: &PageExclusionMask,
+    exclusion: Option<&PageExclusionMask>,
     count_only: bool,
-    base_row: u64,
     rows_out: Option<&mut Vec<u64>>,
 ) -> PageScanResult {
-    match (count_only, rows_out) {
-        (true, None) => {
-            let mut none = Vec::new();
-            scan_core::<false, false>(values, range, Some(exclusion), base_row, &mut none)
+    let pred = Predicate::new(range);
+    let (&page_id, values) = slots
+        .split_first()
+        .expect("a page slice starts with its pageID slot");
+    let (mut count, mut sum) = if count_only {
+        lean_pass::<false>(slots, pred)
+    } else {
+        lean_pass::<true>(slots, pred)
+    };
+    // Take back out what rode along but must not count.
+    let mut take_out = |v: u64| {
+        let q = pred.qualifies(v);
+        count -= q;
+        if !count_only {
+            sum -= (v & q.wrapping_neg()) as u128;
         }
-        (false, None) => {
-            let mut none = Vec::new();
-            scan_core::<true, false>(values, range, Some(exclusion), base_row, &mut none)
-        }
-        (false, Some(rows)) => {
-            scan_core::<true, true>(values, range, Some(exclusion), base_row, rows)
-        }
-        (true, Some(rows)) => {
-            scan_core::<false, true>(values, range, Some(exclusion), base_row, rows)
-        }
+    };
+    take_out(page_id);
+    if let Some(mask) = exclusion {
+        mask.slots()
+            .take_while(|&slot| slot < values.len())
+            .for_each(|slot| take_out(values[slot]));
     }
+    let (below_max, above_min) = if count == 0 {
+        bounds_pass(values, pred, exclusion)
+    } else {
+        if let Some(rows_out) = rows_out {
+            let base_row = page_id * VALUES_PER_PAGE as u64;
+            collect_rows(values, pred, exclusion, base_row, rows_out);
+        }
+        (None, None)
+    };
+    PageScanResult {
+        count,
+        sum,
+        below_max,
+        above_min,
+    }
+}
+
+/// Signature every compiled build of [`filter_page`] shares.
+type FilterPageFn = unsafe fn(
+    &[u64],
+    &ValueRange,
+    Option<&PageExclusionMask>,
+    bool,
+    Option<&mut Vec<u64>>,
+) -> PageScanResult;
+
+/// [`filter_page`] compiled for the crate's baseline target.
+fn filter_page_portable(
+    slots: &[u64],
+    range: &ValueRange,
+    exclusion: Option<&PageExclusionMask>,
+    count_only: bool,
+    rows_out: Option<&mut Vec<u64>>,
+) -> PageScanResult {
+    filter_page(slots, range, exclusion, count_only, rows_out)
+}
+
+/// [`filter_page`] compiled with AVX2 available: the `#[inline(always)]`
+/// core is inlined here and its loops are vectorized for 256-bit registers.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn filter_page_avx2(
+    slots: &[u64],
+    range: &ValueRange,
+    exclusion: Option<&PageExclusionMask>,
+    count_only: bool,
+    rows_out: Option<&mut Vec<u64>>,
+) -> PageScanResult {
+    filter_page(slots, range, exclusion, count_only, rows_out)
+}
+
+/// One compiled build of the page filter that the running CPU supports.
+///
+/// Values of this type exist only for builds whose CPU features were
+/// detected ([`supported_variants`] is the only constructor), which is what
+/// makes [`Self::filter`] a safe call.
+#[derive(Clone, Copy, Debug)]
+pub struct KernelVariant {
+    name: &'static str,
+    filter: FilterPageFn,
+}
+
+impl KernelVariant {
+    /// The instruction-set level this build was compiled for (`"portable"`,
+    /// `"avx2"`).
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// Filters `page` against `range` with this build. `exclusion` treats
+    /// the masked slots as absent, `count_only` skips the checksum (`sum`
+    /// stays 0) and `rows_out` collects the qualifying global row ids.
+    pub fn filter(
+        &self,
+        page: &PageRef<'_>,
+        range: &ValueRange,
+        exclusion: Option<&PageExclusionMask>,
+        count_only: bool,
+        rows_out: Option<&mut Vec<u64>>,
+    ) -> PageScanResult {
+        // SAFETY: a `KernelVariant` is only constructed by
+        // `supported_variants`, which pairs `filter_page_avx2` with a
+        // successful `is_x86_feature_detected!("avx2")`; the portable build
+        // has no requirement.
+        unsafe { (self.filter)(page.slots(), range, exclusion, count_only, rows_out) }
+    }
+}
+
+/// Every compiled build the running CPU supports, fastest last. Differential
+/// tests run all of them; production runs [`selected_variant`].
+#[doc(hidden)]
+pub fn supported_variants() -> Vec<KernelVariant> {
+    let portable = KernelVariant {
+        name: "portable",
+        filter: filter_page_portable,
+    };
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        let avx2 = KernelVariant {
+            name: "avx2",
+            filter: filter_page_avx2,
+        };
+        return vec![portable, avx2];
+    }
+    vec![portable]
+}
+
+/// The build every production scan of this process runs: the fastest one
+/// the CPU supports, detected on first use.
+pub fn selected_variant() -> &'static KernelVariant {
+    static SELECTED: OnceLock<KernelVariant> = OnceLock::new();
+    SELECTED.get_or_init(|| {
+        *supported_variants()
+            .last()
+            .expect("the portable build is always supported")
+    })
 }
 
 /// Chunked branch-free min/max fold over the valid values of a page.
@@ -458,106 +574,11 @@ pub fn copy_values_chunked(src: &[u64]) -> Vec<u64> {
     out
 }
 
-/// Chunked probe kernel: gathers the candidate slots' values in batches of
-/// [`LANES`] and qualifies them with a branch-free lane mask. The widening
-/// bounds stay untouched — a probe observes individual slots, not whole
-/// pages (see [`crate::ScanKernel::probe_page_rows`]).
-///
-/// `rows` are ascending global row ids, all located on the page whose
-/// values and base row are given.
-///
-/// # Panics
-/// Panics if a row's slot is outside `values` (same contract as
-/// [`crate::PageRef::value`]).
-pub fn probe_rows_chunked(
-    values: &[u64],
-    range: &ValueRange,
-    base_row: u64,
-    rows: &[u64],
-    count_only: bool,
-    rows_out: Option<&mut Vec<u64>>,
-) -> PageScanResult {
-    if count_only {
-        probe_core::<false>(values, range, base_row, rows, rows_out)
-    } else {
-        probe_core::<true>(values, range, base_row, rows, rows_out)
-    }
-}
-
-#[inline(always)]
-fn probe_core<const SUM: bool>(
-    values: &[u64],
-    range: &ValueRange,
-    base_row: u64,
-    rows: &[u64],
-    mut rows_out: Option<&mut Vec<u64>>,
-) -> PageScanResult {
-    let (low, high) = (range.low(), range.high());
-    let mut count = [0u64; LANES];
-    let mut sum_lo = [0u64; LANES];
-    let mut sum_hi = [0u64; LANES];
-    let mut buf = [0u64; LANES];
-    let mut chunks = rows.chunks_exact(LANES);
-    for chunk in &mut chunks {
-        // Gather: scalar loads, but the qualify/accumulate stage below is
-        // branch-free lane arithmetic over the batched candidates.
-        for (i, &row) in chunk.iter().enumerate() {
-            buf[i] = values[(row - base_row) as usize];
-        }
-        let mut qbits = 0u64;
-        for (i, &v) in buf.iter().enumerate() {
-            let q = (v >= low) as u64 & (v <= high) as u64;
-            let qm = q.wrapping_neg();
-            count[i] += q;
-            if SUM {
-                let masked = v & qm;
-                sum_lo[i] += masked & 0xFFFF_FFFF;
-                sum_hi[i] += masked >> 32;
-            }
-            qbits |= q << i;
-        }
-        if let Some(out) = rows_out.as_deref_mut() {
-            while qbits != 0 {
-                let lane = qbits.trailing_zeros() as usize;
-                out.push(chunk[lane]);
-                qbits &= qbits - 1;
-            }
-        }
-    }
-    for (i, &row) in chunks.remainder().iter().enumerate() {
-        let v = values[(row - base_row) as usize];
-        let q = (v >= low) as u64 & (v <= high) as u64;
-        let qm = q.wrapping_neg();
-        count[i] += q;
-        if SUM {
-            let masked = v & qm;
-            sum_lo[i] += masked & 0xFFFF_FFFF;
-            sum_hi[i] += masked >> 32;
-        }
-        if q == 1 {
-            if let Some(out) = rows_out.as_deref_mut() {
-                out.push(row);
-            }
-        }
-    }
-    let sum = if SUM {
-        let lo: u64 = sum_lo.iter().sum();
-        let hi: u64 = sum_hi.iter().sum();
-        lo as u128 + ((hi as u128) << 32)
-    } else {
-        0
-    };
-    PageScanResult {
-        count: count.iter().sum(),
-        sum,
-        below_max: None,
-        above_min: None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::write_page;
+    use asv_vmem::SLOTS_PER_PAGE;
 
     fn xorshift(state: &mut u64) -> u64 {
         *state ^= *state << 13;
@@ -566,8 +587,8 @@ mod tests {
         *state
     }
 
-    /// Scalar reference of the full filter, written independently of the
-    /// implementations in `page.rs`.
+    /// Scalar reference of the full filter under the narrowed bounds
+    /// contract, written independently of the implementations in `page.rs`.
     fn reference(values: &[u64], range: &ValueRange, excluded: &[usize]) -> PageScanResult {
         let mut res = PageScanResult::default();
         for (idx, &v) in values.iter().enumerate() {
@@ -583,6 +604,10 @@ mod tests {
                 res.above_min = Some(res.above_min.map_or(v, |a| a.min(v)));
             }
         }
+        if res.count > 0 {
+            res.below_max = None;
+            res.above_min = None;
+        }
         res
     }
 
@@ -596,78 +621,148 @@ mod tests {
             .collect()
     }
 
+    /// A raw page holding `values`, with stale garbage behind them.
+    fn raw_page(page_id: u64, values: &[u64]) -> Vec<u64> {
+        let mut raw = vec![0xDEAD_BEEF_u64; SLOTS_PER_PAGE];
+        write_page(&mut raw, page_id, values);
+        raw
+    }
+
     #[test]
-    fn chunked_matches_reference_across_lengths_and_ranges() {
+    fn every_variant_matches_reference_across_lengths_and_ranges() {
         let mut state = 0x1234_5678_9abc_def0u64;
-        for len in [0usize, 1, 7, 8, 9, 63, 64, 100, VALUES_PER_PAGE] {
-            let values = random_values(len, &mut state);
-            for range in [
-                ValueRange::new(100, 600),
-                ValueRange::full(),
-                ValueRange::point(0),
-                ValueRange::new(0, 0),
-                ValueRange::new(999, u64::MAX),
-            ] {
-                let expected = reference(&values, &range, &[]);
-                assert_eq!(scan_filter_chunked(&values, &range), expected, "len {len}");
-                let count_only = scan_filter_count_chunked(&values, &range);
-                assert_eq!(count_only.count, expected.count);
-                assert_eq!(count_only.sum, 0);
-                assert_eq!(count_only.below_max, expected.below_max);
-                assert_eq!(count_only.above_min, expected.above_min);
-                let mut rows = Vec::new();
-                let collected = scan_filter_collect_chunked(&values, &range, 1000, &mut rows);
-                assert_eq!(collected, expected);
-                let expected_rows: Vec<u64> = values
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, v)| range.contains(**v))
-                    .map(|(i, _)| 1000 + i as u64)
-                    .collect();
-                assert_eq!(rows, expected_rows, "len {len}");
+        for variant in supported_variants() {
+            for len in [0usize, 1, 7, 8, 9, 63, 64, 100, VALUES_PER_PAGE] {
+                let values = random_values(len, &mut state);
+                // The pageID (3) lies inside several of the ranges: the
+                // header slot must never count.
+                let raw = raw_page(3, &values);
+                let page = PageRef::new(&raw, len);
+                let base = 3 * VALUES_PER_PAGE as u64;
+                for range in [
+                    ValueRange::new(100, 600),
+                    ValueRange::full(),
+                    ValueRange::point(0),
+                    ValueRange::point(3),
+                    ValueRange::new(0, 5),
+                    ValueRange::new(999, u64::MAX),
+                    ValueRange::point(u64::MAX),
+                    ValueRange::new(2_000, 3_000),
+                ] {
+                    let what = format!("{} len {len} {range:?}", variant.name());
+                    let expected = reference(&values, &range, &[]);
+                    assert_eq!(
+                        variant.filter(&page, &range, None, false, None),
+                        expected,
+                        "{what}"
+                    );
+                    let count_only = variant.filter(&page, &range, None, true, None);
+                    assert_eq!(
+                        count_only,
+                        PageScanResult {
+                            sum: 0,
+                            ..expected.clone()
+                        },
+                        "{what}"
+                    );
+                    let mut rows = Vec::new();
+                    let collected = variant.filter(&page, &range, None, false, Some(&mut rows));
+                    assert_eq!(collected, expected, "{what}");
+                    let expected_rows: Vec<u64> = values
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, v)| range.contains(**v))
+                        .map(|(i, _)| base + i as u64)
+                        .collect();
+                    assert_eq!(rows, expected_rows, "{what}");
+                }
             }
         }
     }
 
     #[test]
     fn checksum_is_exact_at_domain_extremes() {
-        // u64::MAX values stress the 32-bit-split accumulation.
-        let values = vec![u64::MAX; VALUES_PER_PAGE];
-        let res = scan_filter_chunked(&values, &ValueRange::full());
-        assert_eq!(res.count, VALUES_PER_PAGE as u64);
-        assert_eq!(res.sum, (u64::MAX as u128) * VALUES_PER_PAGE as u128);
+        // u64::MAX values stress the 32-bit-split accumulation, and the
+        // pageID rides along with them.
+        let raw = raw_page(
+            u64::MAX / VALUES_PER_PAGE as u64,
+            &[u64::MAX; VALUES_PER_PAGE],
+        );
+        let page = PageRef::new(&raw, VALUES_PER_PAGE);
+        for variant in supported_variants() {
+            let res = variant.filter(&page, &ValueRange::full(), None, false, None);
+            assert_eq!(res.count, VALUES_PER_PAGE as u64);
+            assert_eq!(res.sum, (u64::MAX as u128) * VALUES_PER_PAGE as u128);
+        }
     }
 
     #[test]
     fn exclusion_mask_matches_reference() {
         let mut state = 0xdead_beefu64;
-        for len in [1usize, 8, 17, 200, VALUES_PER_PAGE] {
-            let values = random_values(len, &mut state);
-            let excluded: Vec<usize> = (0..len)
-                .filter(|_| xorshift(&mut state).is_multiple_of(4))
-                .collect();
-            let mask = PageExclusionMask::from_slots(excluded.iter().copied());
-            assert_eq!(mask.is_empty(), excluded.is_empty());
-            let range = ValueRange::new(50, 700);
-            let expected = reference(&values, &range, &excluded);
-            let got = scan_filter_excluding_chunked(&values, &range, &mask, false, 0, None);
-            assert_eq!(got, expected, "len {len}");
-            // Count-only zeroes the checksum but keeps everything else.
-            let count_only = scan_filter_excluding_chunked(&values, &range, &mask, true, 0, None);
-            assert_eq!(count_only.count, expected.count);
-            assert_eq!(count_only.sum, 0);
-            assert_eq!(count_only.below_max, expected.below_max);
-            // Collection honours the exclusions.
-            let mut rows = Vec::new();
-            scan_filter_excluding_chunked(&values, &range, &mask, false, 0, Some(&mut rows));
-            let expected_rows: Vec<u64> = values
-                .iter()
-                .enumerate()
-                .filter(|(i, v)| !excluded.contains(i) && range.contains(**v))
-                .map(|(i, _)| i as u64)
-                .collect();
-            assert_eq!(rows, expected_rows);
+        for variant in supported_variants() {
+            for len in [1usize, 8, 17, 200, VALUES_PER_PAGE] {
+                let values = random_values(len, &mut state);
+                let raw = raw_page(0, &values);
+                let page = PageRef::new(&raw, len);
+                // Includes bits beyond `len`, which the scan must ignore.
+                let excluded: Vec<usize> = (0..VALUES_PER_PAGE)
+                    .filter(|_| xorshift(&mut state).is_multiple_of(4))
+                    .collect();
+                let mask = PageExclusionMask::from_slots(excluded.iter().copied());
+                assert_eq!(mask.slots().collect::<Vec<_>>(), excluded);
+                for range in [ValueRange::new(50, 700), ValueRange::new(2_000, 3_000)] {
+                    let what = format!("{} len {len} {range:?}", variant.name());
+                    let expected = reference(&values, &range, &excluded);
+                    let got = variant.filter(&page, &range, Some(&mask), false, None);
+                    assert_eq!(got, expected, "{what}");
+                    // Count-only zeroes the checksum but keeps everything else.
+                    let count_only = variant.filter(&page, &range, Some(&mask), true, None);
+                    assert_eq!(
+                        count_only,
+                        PageScanResult {
+                            sum: 0,
+                            ..expected.clone()
+                        },
+                        "{what}"
+                    );
+                    // Collection honours the exclusions.
+                    let mut rows = Vec::new();
+                    variant.filter(&page, &range, Some(&mask), false, Some(&mut rows));
+                    let expected_rows: Vec<u64> = values
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, v)| !excluded.contains(i) && range.contains(**v))
+                        .map(|(i, _)| i as u64)
+                        .collect();
+                    assert_eq!(rows, expected_rows, "{what}");
+                }
+            }
         }
+    }
+
+    #[test]
+    fn fully_excluded_page_reports_nothing() {
+        let values = vec![7u64; 20];
+        let raw = raw_page(0, &values);
+        let page = PageRef::new(&raw, values.len());
+        let mask = PageExclusionMask::from_slots(0..values.len());
+        for variant in supported_variants() {
+            for range in [
+                ValueRange::point(7),
+                ValueRange::new(0, 3),
+                ValueRange::full(),
+            ] {
+                let res = variant.filter(&page, &range, Some(&mask), false, None);
+                assert_eq!(res, PageScanResult::default(), "{}", variant.name());
+            }
+        }
+    }
+
+    #[test]
+    fn selected_variant_is_the_fastest_supported_one() {
+        let supported = supported_variants();
+        assert_eq!(supported[0].name(), "portable");
+        assert_eq!(selected_variant().name(), supported.last().unwrap().name());
     }
 
     #[test]
@@ -732,37 +827,6 @@ mod tests {
             let values = random_values(len, &mut state);
             assert_eq!(copy_values_chunked(&values), values, "len {len}");
         }
-    }
-
-    #[test]
-    fn probe_matches_reference() {
-        let mut state = 7u64;
-        let values = random_values(VALUES_PER_PAGE, &mut state);
-        let base = 5 * VALUES_PER_PAGE as u64;
-        let rows: Vec<u64> = (0..VALUES_PER_PAGE as u64)
-            .filter(|_| xorshift(&mut state).is_multiple_of(3))
-            .map(|slot| base + slot)
-            .collect();
-        let range = ValueRange::new(100, 800);
-        let expected_rows: Vec<u64> = rows
-            .iter()
-            .copied()
-            .filter(|&r| range.contains(values[(r - base) as usize]))
-            .collect();
-        let expected_sum: u128 = expected_rows
-            .iter()
-            .map(|&r| values[(r - base) as usize] as u128)
-            .sum();
-        let mut got_rows = Vec::new();
-        let res = probe_rows_chunked(&values, &range, base, &rows, false, Some(&mut got_rows));
-        assert_eq!(res.count, expected_rows.len() as u64);
-        assert_eq!(res.sum, expected_sum);
-        assert_eq!(res.below_max, None);
-        assert_eq!(res.above_min, None);
-        assert_eq!(got_rows, expected_rows);
-        let count_only = probe_rows_chunked(&values, &range, base, &rows, true, None);
-        assert_eq!(count_only.count, expected_rows.len() as u64);
-        assert_eq!(count_only.sum, 0);
     }
 
     #[test]

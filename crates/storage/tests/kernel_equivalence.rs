@@ -1,6 +1,6 @@
-//! Differential property tests: the chunked branch-free kernels must match
-//! the scalar reference implementations **bit-identically** on both
-//! backends.
+//! Differential property tests: the page filter must match the scalar
+//! reference implementations **bit-identically** — every compiled build of
+//! it the host CPU can run, and the production scan path on both backends.
 //!
 //! The build environment has no crates.io access, so instead of `proptest`
 //! each test draws randomized cases from a hand-rolled xorshift generator
@@ -10,10 +10,15 @@
 //! `PageRef::*_scalar` reference loops. Cases cover all scan modes, wide
 //! and narrow selectivities, partially filled final pages, empty/dense
 //! exclusion sets and sparse/clustered probe patterns.
+//!
+//! Widening bounds are compared on pages without a qualifying value only:
+//! that is the contract the filter keeps (the scalar loops report more).
 
-use asv_storage::{Column, ExclusionMasks, PageScanResult, ScanMode, ScanOutput};
+use asv_storage::page::write_page;
+use asv_storage::simd::{supported_variants, PageExclusionMask};
+use asv_storage::{Column, ExclusionMasks, PageRef, PageScanResult, ScanMode, ScanOutput};
 use asv_util::{Parallelism, ValueRange};
-use asv_vmem::{Backend, MmapBackend, SimBackend, VALUES_PER_PAGE};
+use asv_vmem::{Backend, MmapBackend, SimBackend, SLOTS_PER_PAGE, VALUES_PER_PAGE};
 
 fn xorshift(state: &mut u64) -> u64 {
     *state ^= *state << 13;
@@ -92,8 +97,8 @@ fn scalar_full_scan<B: Backend>(
     out
 }
 
-/// The scalar model of a probe: per-page reference loop over candidate
-/// runs.
+/// The model of a probe: the per-page candidate loop over runs grouped
+/// here, independently of the production run grouping and sharding.
 fn scalar_probe<B: Backend>(
     column: &Column<B>,
     range: &ValueRange,
@@ -112,7 +117,7 @@ fn scalar_probe<B: Backend>(
         let count_only = matches!(mode, ScanMode::CountOnly);
         let rows_out =
             matches!(mode, ScanMode::CollectRows).then(|| out.rows.get_or_insert_with(Vec::new));
-        let res = page.probe_rows_scalar(range, &rows[start..end], count_only, rows_out);
+        let res = page.probe_rows(range, &rows[start..end], count_only, rows_out);
         out.scanned_pages += 1;
         out.result.merge(&res);
         start = end;
@@ -280,6 +285,157 @@ fn partial_final_page_is_scanned_exactly() {
     assert_eq!(out.rows.as_deref(), Some(&[VALUES_PER_PAGE as u64][..]));
     let scalar = scalar_full_scan(&column, &range, ScanMode::CollectRows, &[]);
     assert_outputs_match(&out, &scalar, "partial tail");
+}
+
+/// Builds one raw page: pageID, `values`, then stale garbage a scan must
+/// never read.
+fn raw_page(page_id: u64, values: &[u64]) -> Vec<u64> {
+    let mut raw = vec![0x5CA1_AB1E_u64; SLOTS_PER_PAGE];
+    write_page(&mut raw, page_id, values);
+    raw
+}
+
+/// Checks every supported build of the page filter against the scalar
+/// reference loops on `page`, in all modes, without and with `excluded`.
+fn check_variants_on_page(page: &PageRef<'_>, range: &ValueRange, excluded: &[usize], what: &str) {
+    let mask = PageExclusionMask::from_slots(excluded.iter().copied());
+    // The scalar exclusion loop takes the slots that exist on the page.
+    let excluded_valid: Vec<usize> = excluded
+        .iter()
+        .copied()
+        .filter(|&s| s < page.valid_values())
+        .collect();
+    for variant in supported_variants() {
+        for count_only in [false, true] {
+            for collect in [false, true] {
+                for masked in [false, true] {
+                    let what = format!(
+                        "{what}: {} count_only={count_only} collect={collect} masked={masked}",
+                        variant.name()
+                    );
+                    let (mut got_rows, mut want_rows) = (Vec::new(), Vec::new());
+                    let got = variant.filter(
+                        page,
+                        range,
+                        masked.then_some(&mask),
+                        count_only,
+                        collect.then_some(&mut got_rows),
+                    );
+                    let want = page.scan_filter_excluding_scalar(
+                        range,
+                        if masked { &excluded_valid } else { &[] },
+                        count_only,
+                        collect.then_some(&mut want_rows),
+                    );
+                    assert_eq!(got.count, want.count, "{what}: count");
+                    assert_eq!(got.sum, want.sum, "{what}: sum");
+                    assert_eq!(got_rows, want_rows, "{what}: rows");
+                    if want.count == 0 {
+                        assert_eq!(got.below_max, want.below_max, "{what}: below");
+                        assert_eq!(got.above_min, want.above_min, "{what}: above");
+                    } else {
+                        assert_eq!((got.below_max, got.above_min), (None, None), "{what}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Ranges the `(v - low) <= (high - low)` form of the predicate is
+/// sensitive to, around a pivot value `x`.
+fn edge_ranges(x: u64) -> Vec<ValueRange> {
+    vec![
+        ValueRange::new(0, u64::MAX),
+        ValueRange::new(x, x),
+        ValueRange::new(0, 0),
+        ValueRange::new(u64::MAX, u64::MAX),
+        ValueRange::new(0, x),
+        ValueRange::new(x, u64::MAX),
+        ValueRange::new(x.saturating_sub(1), x.saturating_add(1)),
+        ValueRange::new(1, u64::MAX - 1),
+    ]
+}
+
+#[test]
+fn every_variant_matches_scalar_on_seeded_pages() {
+    let mut state = 0x5EED_0008u64;
+    // Fill levels: empty, the partial-vector tails 1..=8, and full.
+    let fills = [
+        0usize,
+        1,
+        2,
+        3,
+        4,
+        5,
+        6,
+        7,
+        8,
+        9,
+        63,
+        64,
+        65,
+        255,
+        510,
+        VALUES_PER_PAGE,
+    ];
+    for (case, &fill) in fills.iter().cycle().take(fills.len() * 3).enumerate() {
+        let max_value = MAX_VALUES[case % MAX_VALUES.len()];
+        let values: Vec<u64> = (0..fill)
+            .map(|_| match xorshift(&mut state) % 16 {
+                0 => 0,
+                1 => u64::MAX,
+                _ => xorshift(&mut state) % (max_value + 1),
+            })
+            .collect();
+        // A pageID inside the value domain: the header slot must not count.
+        let page_id = xorshift(&mut state) % (max_value.min(1 << 40) + 1);
+        let raw = raw_page(page_id, &values);
+        let page = PageRef::new(&raw, fill);
+        // Exclusions from none through dense, always hitting the last
+        // slots of the page and of the fill level.
+        let keep_one_in = [u64::MAX, 97, 11, 2][case % 4];
+        let mut excluded = random_rows(&mut state, VALUES_PER_PAGE, keep_one_in)
+            .into_iter()
+            .map(|r| r as usize)
+            .collect::<Vec<_>>();
+        excluded.extend([
+            fill.saturating_sub(1),
+            VALUES_PER_PAGE - 2,
+            VALUES_PER_PAGE - 1,
+        ]);
+        excluded.sort_unstable();
+        excluded.dedup();
+        let pivot = values.first().copied().unwrap_or(page_id);
+        let mut ranges = edge_ranges(pivot);
+        ranges.push(ValueRange::new(page_id, page_id));
+        ranges.extend((0..4).map(|_| random_range(&mut state, max_value)));
+        for range in &ranges {
+            check_variants_on_page(
+                &page,
+                range,
+                &excluded,
+                &format!("case {case}, fill {fill}, {range:?}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn every_variant_handles_all_and_none_qualifying_pages() {
+    let values: Vec<u64> = (0..VALUES_PER_PAGE as u64).map(|i| 1_000 + i * 3).collect();
+    let raw = raw_page(1_500, &values); // the pageID would qualify, too
+    let page = PageRef::new(&raw, values.len());
+    let tail_chunk: Vec<usize> = (VALUES_PER_PAGE - 8..VALUES_PER_PAGE).collect();
+    for range in [
+        ValueRange::new(1_000, 1_000 + 3 * VALUES_PER_PAGE as u64), // all qualify
+        ValueRange::new(0, 999),                                    // none: all above
+        ValueRange::new(10_000, u64::MAX),                          // none: all below
+        ValueRange::new(1_001, 1_002),                              // none: both sides
+    ] {
+        check_variants_on_page(&page, &range, &tail_chunk, &format!("{range:?}"));
+        check_variants_on_page(&page, &range, &[0], &format!("{range:?}"));
+    }
 }
 
 #[test]

@@ -127,3 +127,84 @@ fn adaptive_layer_matches_explicit_baselines() {
         assert_eq!((answer.count, answer.sum), (count, sum));
     }
 }
+
+/// Clustered data with a partially filled last page: page `p` holds the
+/// values `p * 1000 ..`, so which pages qualify — and what the widened
+/// range of the resulting view must be — is known in closed form.
+fn clustered_values(full_pages: usize, tail: usize) -> Vec<u64> {
+    let per_page = adaptive_storage_views::storage::VALUES_PER_PAGE;
+    (0..full_pages * per_page + tail)
+        .map(|i| ((i / per_page) * 1000 + i % per_page) as u64)
+        .collect()
+}
+
+/// Drives `AdaptiveColumn::query` through the page filter in all three
+/// forms against a naive `Vec<u64>` filter. Root-level on purpose: tier-1
+/// runs only this package's tests, and this is where it sees the filter's
+/// lean pass, bounds pass and CPU dispatch.
+fn adaptive_query_forms_match_naive_filter<B: Backend>(backend: B) {
+    let values = clustered_values(40, 100);
+    let per_page = adaptive_storage_views::storage::VALUES_PER_PAGE as u64;
+    let ranges = [
+        ValueRange::new(5_000, 9_400),   // pages 5..=9; leaves a widened view
+        ValueRange::new(6_100, 8_300),   // routed to that view
+        ValueRange::new(4_600, 4_900),   // between clusters: nothing qualifies
+        ValueRange::new(2_000, 31_200),  // wide
+        ValueRange::point(7_005),        // point
+        ValueRange::new(40_050, 90_000), // the partial last page
+        ValueRange::full(),
+    ];
+    for form in ["count-only", "aggregate", "collect"] {
+        let mut column =
+            AdaptiveColumn::from_values(backend.clone(), &values, AdaptiveConfig::default())
+                .unwrap();
+        for (idx, range) in ranges.iter().enumerate() {
+            let query = RangeQuery::from_range(*range);
+            let outcome = match form {
+                "count-only" => column.query(&query.count_only()),
+                "aggregate" => column.query(&query),
+                _ => column.query_collect(&query),
+            }
+            .unwrap();
+            let what = format!("{form}, {range:?}");
+            let (count, sum) = reference(&values, range);
+            assert_eq!(outcome.count, count, "{what}");
+            assert_eq!(
+                outcome.sum,
+                if form == "count-only" { 0 } else { sum },
+                "{what}"
+            );
+            if form == "collect" {
+                let rows: Vec<u64> = (0..values.len() as u64)
+                    .filter(|&row| range.contains(values[row as usize]))
+                    .collect();
+                assert_eq!(outcome.rows.as_deref(), Some(&rows[..]), "{what}");
+            }
+            if idx == 0 {
+                // Page 4 tops out at 4000 + 510 and page 10 starts at
+                // 10000: the bounds pass over those non-qualifying pages
+                // widens the view beyond the query.
+                let widened = ValueRange::new(4_000 + per_page, 9_999);
+                assert!(
+                    column
+                        .views()
+                        .partial_views()
+                        .iter()
+                        .any(|view| *view.range() == widened),
+                    "{what}: no view with the widened range {widened:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn adaptive_query_forms_match_naive_filter_sim() {
+    adaptive_query_forms_match_naive_filter(SimBackend::new());
+}
+
+#[cfg(all(feature = "mmap", target_os = "linux"))]
+#[test]
+fn adaptive_query_forms_match_naive_filter_mmap() {
+    adaptive_query_forms_match_naive_filter(MmapBackend::new());
+}
