@@ -9,10 +9,11 @@
 //! from access latency):
 //!
 //! 1. **Snapshot** ([`snapshot_alignment`]) — on the caller thread, the
-//!    batch is deduplicated and grouped, the slot ↔ page mapping of every
-//!    partial view is materialized (one `/proc/self/maps` parse, §2.5), and
-//!    the *values of every updated page* are copied out. The snapshot is
-//!    plain owned data: it borrows nothing from the column.
+//!    batch is deduplicated and grouped, the slot ↔ page mapping table
+//!    every partial view owns is copied (where the paper parses
+//!    `/proc/PID/maps`, §2.5), and the *values of every updated page* are
+//!    copied out. The snapshot is plain owned data: it borrows nothing from
+//!    the column.
 //! 2. **Plan** ([`plan_alignment`]) — pure computation over the snapshot:
 //!    for every view, the §2.4 add/remove decisions are replayed against a
 //!    *shadow copy* of its mapping table, recording the page-table
@@ -85,7 +86,7 @@ use asv_storage::{
     copy_values_chunked, dedup_last_write_wins, sorted_page_groups, Column, ExclusionMasks, Update,
 };
 use asv_util::{IntervalIndex, Parallelism, ThreadPool, Timer, ValueRange};
-use asv_vmem::{Backend, MappingTable, VmemError};
+use asv_vmem::{Backend, MappingTable, ViewBuffer, VmemError};
 
 use crate::plan::ZoneStats;
 use crate::updates::UpdateAlignmentStats;
@@ -131,7 +132,8 @@ pub struct AlignmentPlan {
     pub batch_size: usize,
     /// Number of records after last-write-wins deduplication.
     pub deduped_size: usize,
-    /// Time spent materializing the view mappings in the snapshot phase.
+    /// Time spent materializing the snapshot (mapping-table and page-value
+    /// copies; see [`UpdateAlignmentStats::parse_time`]).
     pub parse_time: Duration,
     /// Time spent planning (the phase that runs off the query path).
     pub plan_time: Duration,
@@ -336,10 +338,10 @@ pub fn compute_alignment_delta<B: Backend>(
 /// Captures everything the alignment planner needs from `column` / `views`
 /// for an already-applied `batch` (phase 1).
 ///
-/// The mapping of every partial view is materialized once for the whole
-/// batch (one `/proc/self/maps` parse on the mmap backend, §2.5); the
-/// contents of the updated pages are copied so removal decisions can be
-/// taken without touching the column again.
+/// The mapping table of every partial view is copied from the view that
+/// owns it ([`ViewBuffer::mapping`]); the contents of the updated pages are
+/// copied so removal decisions can be taken without touching the column
+/// again.
 pub fn snapshot_alignment<B: Backend>(
     column: &Column<B>,
     views: &ViewSet<B>,
@@ -396,28 +398,23 @@ fn snapshot_impl<B: Backend>(
         }
     };
 
-    // The parse timer covers the whole snapshot materialization: mapping
-    // tables plus the page-value copies (the work the synchronous path
-    // previously did lazily inside its align timer stays accounted for).
+    // The parse timer covers the whole snapshot materialization: a copy of
+    // every selected view's own mapping table plus the page-value copies.
+    // (The name is the paper's: its Fig. 7 splits alignment into parsing
+    // `/proc/PID/maps` and updating the views. Nothing is parsed here.)
     let parse_timer = Timer::start();
-    let tables: Vec<MappingTable> = {
-        let buffers: Vec<&B::View> = selected
-            .iter()
-            .map(|&idx| views.partial_view(idx).expect("validated above").buffer())
-            .collect();
-        column.backend().mapping_tables(column.store(), &buffers)?
-    };
-
     let view_snapshots: Vec<ViewSnapshot> = selected
         .iter()
-        .zip(tables)
-        .map(|(&idx, table)| {
+        .map(|&idx| {
             let view = views.partial_view(idx).expect("validated above");
             ViewSnapshot {
                 idx,
                 id: view.id(),
                 range: *view.range(),
-                table,
+                // The page → slot index is built on the view's own table
+                // the first time it is aligned; this and every later
+                // snapshot copy it.
+                table: view.buffer().mapping().indexed().clone(),
             }
         })
         .collect();

@@ -794,18 +794,13 @@ impl<B: Backend> ColumnState<B> {
             .views
             .partial_view(view_idx)
             .expect("plan references a live view");
-        let table = self
-            .column
-            .backend()
-            .mapping_table(self.column.store(), view.buffer())?;
-        let mapped = view.num_pages();
-        let phys: Vec<usize> = (0..mapped)
-            .map(|slot| {
-                table
-                    .phys_for_slot(slot)
-                    .expect("dense views map every slot of the mapped prefix")
-            })
-            .collect();
+        let phys = view
+            .buffer()
+            .mapping()
+            .dense_pages()
+            .ok_or(VmemError::Unsupported(
+                "partial view has an unmapped slot inside its mapped prefix",
+            ))?;
         self.view_metas[view_idx] = Arc::new(ViewMeta {
             range: *view.range(),
             phys,

@@ -10,10 +10,10 @@
 //!    last write per row, grouped by modified physical page (in ascending
 //!    page order, so slot assignments are deterministic), and each page
 //!    is added to / removed from each view according to the rules of §2.4.
-//!    The current slot ↔ page mapping of each view is obtained once per
-//!    batch from the memory-mapping introspection of the backend
-//!    (`/proc/self/maps` on the mmap backend, §2.5) and maintained in
-//!    user-space while pages are added and removed.
+//!    The current slot ↔ page mapping of each view is copied once per
+//!    batch from the table the view itself owns (the paper parses
+//!    `/proc/PID/maps` for it, §2.5) and maintained in user-space while
+//!    pages are added and removed.
 //!
 //! The synchronous entry points here run the three alignment phases of
 //! [`crate::align`] (snapshot → plan → publish) back-to-back; the same
@@ -40,9 +40,12 @@ pub struct UpdateAlignmentStats {
     pub batch_size: usize,
     /// Number of records after last-write-wins deduplication.
     pub deduped_size: usize,
-    /// Time spent materializing the alignment snapshot: the view mappings
-    /// (parsing `/proc/self/maps` on the mmap backend) plus the copies of
-    /// the updated pages that may need re-inspection.
+    /// Snapshot materialization: table access + page-value copies, no
+    /// `/proc` read. Each view owns its mapping table, so this is a copy of
+    /// those tables plus copies of the updated pages that may need
+    /// re-inspection. The name is the paper's (Fig. 7 splits alignment into
+    /// "parse" and "update"); what a `/proc/PID/maps` parse would cost is
+    /// reported beside it by the `fig7` experiment.
     pub parse_time: Duration,
     /// Time spent deciding and executing page additions/removals.
     pub align_time: Duration,

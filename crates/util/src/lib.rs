@@ -6,9 +6,6 @@
 //!
 //! * [`BitVec`] — the fixed-size bitvector used to track already-processed
 //!   physical pages during multi-view query answering (paper §2.1).
-//! * [`BiMap`] — a bidirectional map between virtual and physical page
-//!   numbers, replacing the Boost `bimap` the paper materializes from
-//!   `/proc/self/maps` (paper §2.5).
 //! * [`RowSet`] — a bitset over row ids, the intermediate representation of
 //!   conjunctive multi-column execution (word-wise intersection).
 //! * [`ValueRange`] — closed integer ranges `[l, u]` with the "full range"
@@ -28,7 +25,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bimap;
 pub mod bitvec;
 pub mod epoch;
 pub mod interval;
@@ -38,7 +34,6 @@ pub mod rowset;
 pub mod runs;
 pub mod stats;
 
-pub use bimap::BiMap;
 pub use bitvec::BitVec;
 pub use epoch::{EpochCell, Pinned, Reader};
 pub use interval::IntervalIndex;

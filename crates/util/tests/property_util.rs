@@ -6,10 +6,10 @@
 //! std-collection reference model, and is fully deterministic for the
 //! hard-coded seed.
 
-use asv_util::{group_into_runs, BiMap, BitVec, RunBuilder, ValueRange};
+use asv_util::{group_into_runs, BitVec, RunBuilder, ValueRange};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 const CASES: usize = 200;
 
@@ -90,60 +90,6 @@ fn bitvec_union_and_intersection_match_set_semantics() {
             inter.iter_ones().collect::<BTreeSet<_>>(),
             sa.intersection(&sb).copied().collect::<BTreeSet<_>>()
         );
-    }
-}
-
-// ----------------------------------------------------------------- BiMap
-
-#[test]
-fn bimap_stays_a_bijection() {
-    let mut rng = StdRng::seed_from_u64(0xB1A9);
-    for _ in 0..CASES {
-        let num_ops = rng.gen_range(0usize..256);
-        let mut m: BiMap<u32, u32> = BiMap::new();
-        // Reference: a forward map kept bijective by erasing conflicts.
-        let mut fwd: BTreeMap<u32, u32> = BTreeMap::new();
-        for _ in 0..num_ops {
-            let l = rng.gen_range(0u32..64);
-            let r = rng.gen_range(0u32..64);
-            fwd.retain(|_, v| *v != r);
-            fwd.insert(l, r);
-            m.insert(l, r);
-        }
-        assert_eq!(m.len(), fwd.len());
-        for (l, r) in &fwd {
-            assert_eq!(m.get_by_left(l), Some(r));
-            assert_eq!(m.get_by_right(r), Some(l));
-        }
-        // Bijectivity: right values are unique.
-        let rights: BTreeSet<u32> = fwd.values().copied().collect();
-        assert_eq!(rights.len(), fwd.len());
-    }
-}
-
-#[test]
-fn bimap_remove_is_consistent_in_both_directions() {
-    let mut rng = StdRng::seed_from_u64(0xB1AA);
-    for _ in 0..CASES {
-        let num_pairs = rng.gen_range(1usize..64);
-        let pairs: Vec<(u32, u32)> = (0..num_pairs)
-            .map(|_| (rng.gen_range(0u32..128), rng.gen_range(1000u32..1128)))
-            .collect();
-        let remove_left = rng.gen_bool(0.5);
-        let mut m: BiMap<u32, u32> = BiMap::new();
-        for &(l, r) in &pairs {
-            m.insert(l, r);
-        }
-        let (l, _) = pairs[pairs.len() / 2];
-        if let Some(&r) = m.get_by_left(&l) {
-            if remove_left {
-                assert_eq!(m.remove_by_left(&l), Some(r));
-            } else {
-                assert_eq!(m.remove_by_right(&r), Some(l));
-            }
-            assert!(!m.contains_left(&l));
-            assert!(!m.contains_right(&r));
-        }
     }
 }
 

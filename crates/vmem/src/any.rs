@@ -261,6 +261,22 @@ impl ViewBuffer for AnyView {
             AnyView::Mmap(v) | AnyView::File(v) => v.page(slot),
         }
     }
+
+    fn mapping(&self) -> &MappingTable {
+        match self {
+            AnyView::Sim(v) => v.mapping(),
+            #[cfg(all(feature = "mmap", target_os = "linux"))]
+            AnyView::Mmap(v) | AnyView::File(v) => v.mapping(),
+        }
+    }
+
+    fn base_addr(&self) -> Option<usize> {
+        match self {
+            AnyView::Sim(v) => v.base_addr(),
+            #[cfg(all(feature = "mmap", target_os = "linux"))]
+            AnyView::Mmap(v) | AnyView::File(v) => v.base_addr(),
+        }
+    }
 }
 
 impl Backend for AnyBackend {
@@ -324,60 +340,6 @@ impl Backend for AnyBackend {
             (AnyBackend::Mmap(b), AnyView::Mmap(v)) => b.truncate_view(v, new_mapped_pages),
             #[cfg(all(feature = "mmap", target_os = "linux"))]
             (AnyBackend::File(b), AnyView::File(v)) => b.truncate_view(v, new_mapped_pages),
-            #[cfg(all(feature = "mmap", target_os = "linux"))]
-            _ => Err(MISMATCH),
-        }
-    }
-
-    fn mapping_table(&self, store: &AnyStore, view: &AnyView) -> Result<MappingTable> {
-        match (self, store, view) {
-            (AnyBackend::Sim(b), AnyStore::Sim(s), AnyView::Sim(v)) => b.mapping_table(s, v),
-            #[cfg(all(feature = "mmap", target_os = "linux"))]
-            (AnyBackend::Mmap(b), AnyStore::Mmap(s), AnyView::Mmap(v)) => b.mapping_table(s, v),
-            #[cfg(all(feature = "mmap", target_os = "linux"))]
-            (AnyBackend::File(b), AnyStore::File(s), AnyView::File(v)) => b.mapping_table(s, v),
-            #[cfg(all(feature = "mmap", target_os = "linux"))]
-            _ => Err(MISMATCH),
-        }
-    }
-
-    fn mapping_tables(&self, store: &AnyStore, views: &[&AnyView]) -> Result<Vec<MappingTable>> {
-        // Delegate as a batch so the mmap variant keeps its single
-        // /proc/self/maps parse per batch (paper §2.5).
-        match (self, store) {
-            (AnyBackend::Sim(b), AnyStore::Sim(s)) => {
-                let inner = views
-                    .iter()
-                    .map(|v| match v {
-                        AnyView::Sim(v) => Ok(v),
-                        #[cfg(all(feature = "mmap", target_os = "linux"))]
-                        _ => Err(MISMATCH),
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                b.mapping_tables(s, &inner)
-            }
-            #[cfg(all(feature = "mmap", target_os = "linux"))]
-            (AnyBackend::Mmap(b), AnyStore::Mmap(s)) => {
-                let inner = views
-                    .iter()
-                    .map(|v| match v {
-                        AnyView::Mmap(v) => Ok(v),
-                        _ => Err(MISMATCH),
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                b.mapping_tables(s, &inner)
-            }
-            #[cfg(all(feature = "mmap", target_os = "linux"))]
-            (AnyBackend::File(b), AnyStore::File(s)) => {
-                let inner = views
-                    .iter()
-                    .map(|v| match v {
-                        AnyView::File(v) => Ok(v),
-                        _ => Err(MISMATCH),
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                b.mapping_tables(s, &inner)
-            }
             #[cfg(all(feature = "mmap", target_os = "linux"))]
             _ => Err(MISMATCH),
         }
@@ -494,10 +456,6 @@ mod tests {
         assert!(mmap
             .map_run(&mmap_store, &mut sim_view, MapRequest::single(0, 0))
             .is_err());
-        assert!(mmap.mapping_table(&mmap_store, &sim_view).is_err());
-        let mmap_view = mmap.reserve_view(&mmap_store, 2).unwrap();
-        assert!(mmap
-            .mapping_tables(&mmap_store, &[&sim_view, &mmap_view])
-            .is_err());
+        assert!(mmap.truncate_view(&mut sim_view, 0).is_err());
     }
 }

@@ -14,7 +14,7 @@
 //!   `mapped_pages` slots are mapped to physical pages. Scanning a view
 //!   touches only the mapped prefix.
 
-use crate::error::Result;
+use crate::error::{Result, VmemError};
 use crate::maps::MappingTable;
 
 /// Read/write access to the physical memory of one column, addressed by
@@ -65,6 +65,22 @@ pub trait ViewBuffer: Send + Sync {
     /// # Panics
     /// Panics if `slot >= self.mapped_pages()`.
     fn page(&self, slot: usize) -> &[u64];
+
+    /// The view's slot → physical-page table.
+    ///
+    /// The view owns it: every backend records a mapping here after the
+    /// rewiring call that created it succeeded, and drops it when
+    /// [`Backend::truncate_view`] released the slot, so the table always
+    /// says what the kernel (or the simulation) holds without asking it.
+    /// Alignment and serving read it in place; a snapshot is a `clone()`.
+    fn mapping(&self) -> &MappingTable;
+
+    /// Base address of the view's virtual reservation, for views that live
+    /// in kernel virtual memory (`None` on the simulation). Only the kernel
+    /// oracle in [`crate::maps`] needs it.
+    fn base_addr(&self) -> Option<usize> {
+        None
+    }
 
     /// Iterates over all mapped pages of the view, in slot order.
     fn iter_pages(&self) -> ViewPages<'_, Self>
@@ -130,6 +146,29 @@ impl MapRequest {
             len: 1,
         }
     }
+
+    /// Rejects a request that leaves the view's `capacity_pages` slots or
+    /// the store's `store_pages` pages — the check every backend makes
+    /// before it rewires anything.
+    pub(crate) fn check_bounds(&self, capacity_pages: usize, store_pages: usize) -> Result<()> {
+        if self.slot + self.len > capacity_pages {
+            return Err(VmemError::out_of_bounds(format!(
+                "view slots [{}, {}) exceed capacity {}",
+                self.slot,
+                self.slot + self.len,
+                capacity_pages
+            )));
+        }
+        if self.phys_page + self.len > store_pages {
+            return Err(VmemError::out_of_bounds(format!(
+                "physical pages [{}, {}) exceed store size {}",
+                self.phys_page,
+                self.phys_page + self.len,
+                store_pages
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// A rewiring backend: creates stores and views and manipulates the mapping
@@ -162,20 +201,18 @@ pub trait Backend: Clone + Send + Sync + 'static {
     /// releasing the mappings of the removed tail slots.
     fn truncate_view(&self, view: &mut Self::View, new_mapped_pages: usize) -> Result<()>;
 
-    /// Materializes the current slot ↔ physical-page mapping of `view`.
+    /// A copy of `view`'s slot → physical-page table ([`ViewBuffer::mapping`]).
     ///
-    /// On the mmap backend this parses `/proc/self/maps` (paper §2.5); on the
-    /// simulation backend it reads the indirection table directly. The result
-    /// is used by the batched update-alignment algorithm (paper §2.4).
-    fn mapping_table(&self, store: &Self::Store, view: &Self::View) -> Result<MappingTable>;
+    /// The paper recovers this table by parsing `/proc/PID/maps` (§2.5);
+    /// here the view owns it, so this is a `clone()` and cannot fail. The
+    /// `Result` and the `store` argument are what wrappers of this trait
+    /// were written against; code that only reads should call
+    /// [`ViewBuffer::mapping`] directly.
+    fn mapping_table(&self, _store: &Self::Store, view: &Self::View) -> Result<MappingTable> {
+        Ok(view.mapping().clone())
+    }
 
-    /// Materializes the mapping tables of several views at once.
-    ///
-    /// The paper parses `/proc/PID/maps` "only once before applying a batch
-    /// of updates" (§2.5); backends that derive mapping tables from a
-    /// process-wide source should override this to amortize that parse over
-    /// all views of the batch. The default simply calls
-    /// [`Backend::mapping_table`] per view.
+    /// [`Backend::mapping_table`] for several views of one store.
     fn mapping_tables(
         &self,
         store: &Self::Store,

@@ -15,6 +15,9 @@
 //!
 //! The view type is shared with the mmap backend ([`MmapView`]): views are
 //! process-local virtual memory either way and are rebuilt on recovery.
+//! Reserving, rewiring and truncating — and the mapping table each view
+//! keeps of it — are `MmapView`'s; this backend only supplies the file
+//! descriptor to rewire onto.
 
 use std::fs::OpenOptions;
 use std::os::fd::AsRawFd;
@@ -24,7 +27,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::backend::{Backend, MapRequest, PhysicalStore};
 use crate::error::{Result, VmemError};
 use crate::layout::{PAGE_SIZE_BYTES, SLOTS_PER_PAGE};
-use crate::maps::{self, MappingTable};
 use crate::mmap::MmapView;
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -74,6 +76,8 @@ pub struct FileStore {
 // exclusively and the raw pointer is only dereferenced through &self /
 // &mut self methods.
 unsafe impl Send for FileStore {}
+// SAFETY: as for Send — `&FileStore` only hands out shared page slices and
+// passes the mapping to `msync`, which does not write to it.
 unsafe impl Sync for FileStore {}
 
 impl FileStore {
@@ -105,7 +109,11 @@ impl FileStore {
                 self.num_pages
             )));
         }
+        // SAFETY: the page range was checked against the store size, so the
+        // address stays inside the store mapping.
         let addr = unsafe { self.base.add(first_page * PAGE_SIZE_BYTES) };
+        // SAFETY: `[addr, addr + len pages)` lies inside the store mapping
+        // (checked above), which lives as long as &self; msync only reads it.
         let rc = unsafe {
             libc::msync(
                 addr as *mut libc::c_void,
@@ -169,6 +177,9 @@ impl PhysicalStore for FileStore {
 impl Drop for FileStore {
     fn drop(&mut self) {
         if !self.base.is_null() {
+            // SAFETY: `base` is the mapping of exactly `bytes()` bytes
+            // created in `create_store`; the store owns it and nothing uses
+            // it after drop.
             unsafe {
                 libc::munmap(self.base as *mut libc::c_void, self.bytes());
             }
@@ -203,6 +214,9 @@ impl Backend for FileBackend {
         let base = if bytes == 0 {
             std::ptr::null_mut()
         } else {
+            // SAFETY: a fresh shared mapping of the file just sized to
+            // `bytes`, at an address the kernel picks; no existing memory is
+            // affected, and `file` stays open as long as the store lives.
             let ptr = unsafe {
                 libc::mmap(
                     std::ptr::null_mut(),
@@ -227,114 +241,15 @@ impl Backend for FileBackend {
     }
 
     fn reserve_view(&self, _store: &FileStore, capacity_pages: usize) -> Result<MmapView> {
-        let bytes = capacity_pages * PAGE_SIZE_BYTES;
-        let base = if bytes == 0 {
-            std::ptr::null_mut()
-        } else {
-            let ptr = unsafe {
-                libc::mmap(
-                    std::ptr::null_mut(),
-                    bytes,
-                    libc::PROT_READ | libc::PROT_WRITE,
-                    libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | libc::MAP_NORESERVE,
-                    -1,
-                    0,
-                )
-            };
-            if ptr == libc::MAP_FAILED {
-                return Err(VmemError::last_os_error("mmap(view reservation)"));
-            }
-            ptr as *mut u8
-        };
-        Ok(MmapView {
-            base,
-            capacity_pages,
-            mapped_pages: 0,
-        })
+        MmapView::reserve(capacity_pages)
     }
 
     fn map_run(&self, store: &FileStore, view: &mut MmapView, req: MapRequest) -> Result<()> {
-        if req.len == 0 {
-            return Ok(());
-        }
-        if req.slot + req.len > view.capacity_pages {
-            return Err(VmemError::out_of_bounds(format!(
-                "view slots [{}, {}) exceed capacity {}",
-                req.slot,
-                req.slot + req.len,
-                view.capacity_pages
-            )));
-        }
-        if req.phys_page + req.len > store.num_pages {
-            return Err(VmemError::out_of_bounds(format!(
-                "physical pages [{}, {}) exceed store size {}",
-                req.phys_page,
-                req.phys_page + req.len,
-                store.num_pages
-            )));
-        }
-        let addr = unsafe { view.base.add(req.slot * PAGE_SIZE_BYTES) };
-        let ptr = unsafe {
-            libc::mmap(
-                addr as *mut libc::c_void,
-                req.len * PAGE_SIZE_BYTES,
-                libc::PROT_READ | libc::PROT_WRITE,
-                libc::MAP_SHARED | libc::MAP_FIXED,
-                store.file.as_raw_fd(),
-                (req.phys_page * PAGE_SIZE_BYTES) as libc::off_t,
-            )
-        };
-        if ptr == libc::MAP_FAILED {
-            return Err(VmemError::last_os_error("mmap(MAP_FIXED rewire)"));
-        }
-        view.mapped_pages = view.mapped_pages.max(req.slot + req.len);
-        Ok(())
+        view.map_run(store.file.as_raw_fd(), store.num_pages, req)
     }
 
     fn truncate_view(&self, view: &mut MmapView, new_mapped_pages: usize) -> Result<()> {
-        if new_mapped_pages >= view.mapped_pages {
-            return Ok(());
-        }
-        let remove = view.mapped_pages - new_mapped_pages;
-        let addr = unsafe { view.base.add(new_mapped_pages * PAGE_SIZE_BYTES) };
-        let ptr = unsafe {
-            libc::mmap(
-                addr as *mut libc::c_void,
-                remove * PAGE_SIZE_BYTES,
-                libc::PROT_READ | libc::PROT_WRITE,
-                libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | libc::MAP_FIXED | libc::MAP_NORESERVE,
-                -1,
-                0,
-            )
-        };
-        if ptr == libc::MAP_FAILED {
-            return Err(VmemError::last_os_error("mmap(anonymous re-cover)"));
-        }
-        view.mapped_pages = new_mapped_pages;
-        Ok(())
-    }
-
-    fn mapping_table(&self, _store: &FileStore, view: &MmapView) -> Result<MappingTable> {
-        let entries = maps::read_self_maps()?;
-        Ok(maps::mapping_table_for_window(
-            &entries,
-            view.base as usize,
-            view.capacity_pages * PAGE_SIZE_BYTES,
-        ))
-    }
-
-    fn mapping_tables(&self, _store: &FileStore, views: &[&MmapView]) -> Result<Vec<MappingTable>> {
-        let entries = maps::read_self_maps()?;
-        Ok(views
-            .iter()
-            .map(|v| {
-                maps::mapping_table_for_window(
-                    &entries,
-                    v.base as usize,
-                    v.capacity_pages * PAGE_SIZE_BYTES,
-                )
-            })
-            .collect())
+        view.truncate(new_mapped_pages)
     }
 }
 
@@ -497,10 +412,14 @@ mod tests {
         .unwrap();
         b.map_run(&store, &mut view, MapRequest::single(2, 30))
             .unwrap();
-        let table = b.mapping_table(&store, &view).unwrap();
+        let table = view.mapping();
         assert_eq!(table.len(), 3);
         assert_eq!(table.phys_for_slot(0), Some(10));
         assert_eq!(table.phys_for_slot(2), Some(30));
+        let kernel = crate::maps::kernel_mapping_tables(&[&view])
+            .unwrap()
+            .unwrap();
+        assert_eq!(&kernel[0], table);
         drop(view);
         drop(store);
         cleanup(&b);

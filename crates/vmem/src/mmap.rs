@@ -10,7 +10,14 @@
 //!   path for the physical column.
 //! * A [`MmapView`] is an anonymous over-allocated reservation whose page
 //!   slots are rewired to arbitrary pages of the file with
-//!   `mmap(MAP_SHARED | MAP_FIXED)`.
+//!   `mmap(MAP_SHARED | MAP_FIXED)`. It is also the view type of
+//!   [`crate::FileBackend`], and it owns its [`MappingTable`]: nothing but
+//!   the view's own `map_run` and `truncate` (behind [`Backend::map_run`]
+//!   and [`Backend::truncate_view`]) changes what the kernel maps inside
+//!   the reservation, and both record the change once the syscall
+//!   succeeded, so the table never has to be read back from
+//!   `/proc/self/maps` (the paper's §2.5 parse survives as the test oracle
+//!   in [`crate::maps`]).
 //!
 //! Only Linux is supported; the portable [`crate::SimBackend`] covers other
 //! platforms for correctness testing.
@@ -21,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::backend::{Backend, MapRequest, PhysicalStore, ViewBuffer};
 use crate::error::{Result, VmemError};
 use crate::layout::{PAGE_SIZE_BYTES, SLOTS_PER_PAGE};
-use crate::maps::{self, MappingTable};
+use crate::maps::MappingTable;
 
 /// How the backing main-memory file is created.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -68,6 +75,8 @@ impl MmapBackend {
         let fd = match &self.kind {
             MemoryFileKind::Memfd => {
                 let name = CString::new("asv-column").expect("static name");
+                // SAFETY: `name` is a NUL-terminated string that outlives
+                // the call; memfd_create reads it and touches nothing else.
                 let fd = unsafe { libc::memfd_create(name.as_ptr(), 0) };
                 if fd >= 0 {
                     fd
@@ -78,8 +87,11 @@ impl MmapBackend {
             }
             MemoryFileKind::Tmpfs(dir) => Self::create_tmpfs_file(dir)?,
         };
+        // SAFETY: `fd` is the descriptor opened above, owned by this
+        // function until it is returned; ftruncate takes no pointers.
         if unsafe { libc::ftruncate(fd, bytes as libc::off_t) } != 0 {
             let err = VmemError::last_os_error("ftruncate");
+            // SAFETY: `fd` is still owned here and is not used after this.
             unsafe { libc::close(fd) };
             return Err(err);
         }
@@ -91,6 +103,8 @@ impl MmapBackend {
         let path = dir.join(format!("asv-{}-{}", std::process::id(), unique));
         let c_path = CString::new(path.as_os_str().as_encoded_bytes())
             .map_err(|_| VmemError::Unsupported("tmpfs path contains NUL"))?;
+        // SAFETY: `c_path` is a NUL-terminated string that outlives the
+        // call; open reads it and touches no other memory.
         let fd = unsafe {
             libc::open(
                 c_path.as_ptr(),
@@ -103,6 +117,7 @@ impl MmapBackend {
         }
         // Unlink immediately: the file keeps existing through the fd, giving
         // the same anonymous-main-memory semantics as a memfd.
+        // SAFETY: as for `open` above — the call only reads `c_path`.
         unsafe { libc::unlink(c_path.as_ptr()) };
         Ok(fd)
     }
@@ -121,6 +136,7 @@ pub struct MmapStore {
 // pointer is only dereferenced through &self / &mut self methods, so the
 // usual borrow rules serialize access exactly like they would for a Vec.
 unsafe impl Send for MmapStore {}
+// SAFETY: as for Send — `&MmapStore` only hands out shared page slices.
 unsafe impl Sync for MmapStore {}
 
 impl MmapStore {
@@ -179,6 +195,9 @@ impl PhysicalStore for MmapStore {
 
 impl Drop for MmapStore {
     fn drop(&mut self) {
+        // SAFETY: `base` (if non-null) is the mapping of exactly `bytes()`
+        // bytes created in `create_store`, and `fd` the descriptor opened
+        // there; the store owns both and nothing uses them after drop.
         unsafe {
             if !self.base.is_null() {
                 libc::munmap(self.base as *mut libc::c_void, self.bytes());
@@ -189,21 +208,122 @@ impl Drop for MmapStore {
 }
 
 /// A virtual view buffer: an anonymous reservation whose page slots are
-/// rewired onto physical pages of a [`MmapStore`].
+/// rewired onto physical pages of a main-memory file ([`MmapStore`]) or a
+/// file on disk ([`crate::FileStore`]).
 pub struct MmapView {
-    pub(crate) base: *mut u8,
-    pub(crate) capacity_pages: usize,
-    pub(crate) mapped_pages: usize,
+    /// Start of the reservation. Null for zero-capacity views.
+    base: *mut u8,
+    capacity_pages: usize,
+    /// What the kernel maps at each slot of the reservation; its slot span
+    /// is the view's mapped prefix.
+    table: MappingTable,
 }
 
-// SAFETY: the view owns its reservation exclusively; see MmapStore.
+// SAFETY: the view owns its reservation exclusively; the raw pointer is
+// only dereferenced through &self / &mut self methods, see MmapStore.
 unsafe impl Send for MmapView {}
+// SAFETY: as for Send — `&MmapView` only hands out shared page slices.
 unsafe impl Sync for MmapView {}
 
 impl MmapView {
-    /// Base address of the virtual reservation.
-    pub fn base_addr(&self) -> usize {
-        self.base as usize
+    /// Reserves `capacity_pages` slots of virtual memory — "a mere
+    /// reservation [...] almost for free" (paper §2): anonymous,
+    /// `MAP_NORESERVE`, nothing mapped to the store yet.
+    pub(crate) fn reserve(capacity_pages: usize) -> Result<Self> {
+        let bytes = capacity_pages * PAGE_SIZE_BYTES;
+        let base = if bytes == 0 {
+            std::ptr::null_mut()
+        } else {
+            // SAFETY: a fresh anonymous mapping at an address the kernel
+            // picks; no existing memory is affected.
+            let ptr = unsafe {
+                libc::mmap(
+                    std::ptr::null_mut(),
+                    bytes,
+                    libc::PROT_READ | libc::PROT_WRITE,
+                    libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | libc::MAP_NORESERVE,
+                    -1,
+                    0,
+                )
+            };
+            if ptr == libc::MAP_FAILED {
+                return Err(VmemError::last_os_error("mmap(view reservation)"));
+            }
+            ptr as *mut u8
+        };
+        Ok(MmapView {
+            base,
+            capacity_pages,
+            table: MappingTable::new(),
+        })
+    }
+
+    /// Rewires the slots of `req` onto pages of the file `fd` (which holds
+    /// `store_pages` pages) and records the new mappings.
+    pub(crate) fn map_run(
+        &mut self,
+        fd: libc::c_int,
+        store_pages: usize,
+        req: MapRequest,
+    ) -> Result<()> {
+        if req.len == 0 {
+            return Ok(());
+        }
+        req.check_bounds(self.capacity_pages, store_pages)?;
+        // SAFETY: the slot range was checked against the reservation, so
+        // the address stays inside it.
+        let addr = unsafe { self.base.add(req.slot * PAGE_SIZE_BYTES) };
+        // SAFETY: MAP_FIXED replaces only pages of this view's own
+        // reservation (range checked above), and `&mut self` rules out page
+        // slices borrowed from it; the file range was checked against the
+        // store size.
+        let ptr = unsafe {
+            libc::mmap(
+                addr as *mut libc::c_void,
+                req.len * PAGE_SIZE_BYTES,
+                libc::PROT_READ | libc::PROT_WRITE,
+                libc::MAP_SHARED | libc::MAP_FIXED,
+                fd,
+                (req.phys_page * PAGE_SIZE_BYTES) as libc::off_t,
+            )
+        };
+        if ptr == libc::MAP_FAILED {
+            return Err(VmemError::last_os_error("mmap(MAP_FIXED rewire)"));
+        }
+        self.table.insert_run(req.slot, req.phys_page, req.len);
+        Ok(())
+    }
+
+    /// Releases the slots at and above `new_mapped_pages` and drops their
+    /// mappings from the table.
+    pub(crate) fn truncate(&mut self, new_mapped_pages: usize) -> Result<()> {
+        let mapped_pages = self.table.slot_span();
+        if new_mapped_pages >= mapped_pages {
+            return Ok(());
+        }
+        // SAFETY: `new_mapped_pages < mapped_pages <= capacity_pages`, so
+        // the address stays inside the reservation.
+        let addr = unsafe { self.base.add(new_mapped_pages * PAGE_SIZE_BYTES) };
+        // Re-cover the released slots with fresh anonymous memory so the
+        // reservation stays intact and the slots can be reused later.
+        // SAFETY: MAP_FIXED replaces only the tail `[new_mapped_pages,
+        // mapped_pages)` of this view's own reservation, and `&mut self`
+        // rules out page slices borrowed from it.
+        let ptr = unsafe {
+            libc::mmap(
+                addr as *mut libc::c_void,
+                (mapped_pages - new_mapped_pages) * PAGE_SIZE_BYTES,
+                libc::PROT_READ | libc::PROT_WRITE,
+                libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | libc::MAP_FIXED | libc::MAP_NORESERVE,
+                -1,
+                0,
+            )
+        };
+        if ptr == libc::MAP_FAILED {
+            return Err(VmemError::last_os_error("mmap(anonymous re-cover)"));
+        }
+        self.table.truncate(new_mapped_pages);
+        Ok(())
     }
 }
 
@@ -213,17 +333,18 @@ impl ViewBuffer for MmapView {
     }
 
     fn mapped_pages(&self) -> usize {
-        self.mapped_pages
+        self.table.slot_span()
     }
 
     fn page(&self, slot: usize) -> &[u64] {
         assert!(
-            slot < self.mapped_pages,
+            slot < self.mapped_pages(),
             "view slot {slot} out of bounds ({} mapped pages)",
-            self.mapped_pages
+            self.mapped_pages()
         );
-        // SAFETY: bounds checked; all slots < mapped_pages have been mapped
-        // by map_run and stay valid while the view lives.
+        // SAFETY: bounds checked; every slot below the mapped prefix lies
+        // inside the reservation, which stays mapped (to the store, or to
+        // anonymous zero pages for a never-mapped gap) while the view lives.
         unsafe {
             std::slice::from_raw_parts(
                 self.base.add(slot * PAGE_SIZE_BYTES) as *const u64,
@@ -231,11 +352,22 @@ impl ViewBuffer for MmapView {
             )
         }
     }
+
+    fn mapping(&self) -> &MappingTable {
+        &self.table
+    }
+
+    fn base_addr(&self) -> Option<usize> {
+        Some(self.base as usize)
+    }
 }
 
 impl Drop for MmapView {
     fn drop(&mut self) {
-        if !self.base.is_null() && self.capacity_pages > 0 {
+        if !self.base.is_null() {
+            // SAFETY: `base` is the reservation of exactly `capacity_pages`
+            // pages made in `reserve`; the view owns it and nothing uses it
+            // after drop.
             unsafe {
                 libc::munmap(
                     self.base as *mut libc::c_void,
@@ -260,6 +392,9 @@ impl Backend for MmapBackend {
         let base = if bytes == 0 {
             std::ptr::null_mut()
         } else {
+            // SAFETY: a fresh shared mapping of the file just sized to
+            // `bytes`, at an address the kernel picks; no existing memory is
+            // affected.
             let ptr = unsafe {
                 libc::mmap(
                     std::ptr::null_mut(),
@@ -272,6 +407,7 @@ impl Backend for MmapBackend {
             };
             if ptr == libc::MAP_FAILED {
                 let err = VmemError::last_os_error("mmap(store)");
+                // SAFETY: `fd` is still owned here and not used afterwards.
                 unsafe { libc::close(fd) };
                 return Err(err);
             }
@@ -285,124 +421,22 @@ impl Backend for MmapBackend {
     }
 
     fn reserve_view(&self, _store: &MmapStore, capacity_pages: usize) -> Result<MmapView> {
-        let bytes = capacity_pages * PAGE_SIZE_BYTES;
-        let base = if bytes == 0 {
-            std::ptr::null_mut()
-        } else {
-            let ptr = unsafe {
-                libc::mmap(
-                    std::ptr::null_mut(),
-                    bytes,
-                    libc::PROT_READ | libc::PROT_WRITE,
-                    libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | libc::MAP_NORESERVE,
-                    -1,
-                    0,
-                )
-            };
-            if ptr == libc::MAP_FAILED {
-                return Err(VmemError::last_os_error("mmap(view reservation)"));
-            }
-            ptr as *mut u8
-        };
-        Ok(MmapView {
-            base,
-            capacity_pages,
-            mapped_pages: 0,
-        })
+        MmapView::reserve(capacity_pages)
     }
 
     fn map_run(&self, store: &MmapStore, view: &mut MmapView, req: MapRequest) -> Result<()> {
-        if req.len == 0 {
-            return Ok(());
-        }
-        if req.slot + req.len > view.capacity_pages {
-            return Err(VmemError::out_of_bounds(format!(
-                "view slots [{}, {}) exceed capacity {}",
-                req.slot,
-                req.slot + req.len,
-                view.capacity_pages
-            )));
-        }
-        if req.phys_page + req.len > store.num_pages {
-            return Err(VmemError::out_of_bounds(format!(
-                "physical pages [{}, {}) exceed store size {}",
-                req.phys_page,
-                req.phys_page + req.len,
-                store.num_pages
-            )));
-        }
-        let addr = unsafe { view.base.add(req.slot * PAGE_SIZE_BYTES) };
-        let ptr = unsafe {
-            libc::mmap(
-                addr as *mut libc::c_void,
-                req.len * PAGE_SIZE_BYTES,
-                libc::PROT_READ | libc::PROT_WRITE,
-                libc::MAP_SHARED | libc::MAP_FIXED,
-                store.fd,
-                (req.phys_page * PAGE_SIZE_BYTES) as libc::off_t,
-            )
-        };
-        if ptr == libc::MAP_FAILED {
-            return Err(VmemError::last_os_error("mmap(MAP_FIXED rewire)"));
-        }
-        view.mapped_pages = view.mapped_pages.max(req.slot + req.len);
-        Ok(())
+        view.map_run(store.fd, store.num_pages, req)
     }
 
     fn truncate_view(&self, view: &mut MmapView, new_mapped_pages: usize) -> Result<()> {
-        if new_mapped_pages >= view.mapped_pages {
-            return Ok(());
-        }
-        let remove = view.mapped_pages - new_mapped_pages;
-        let addr = unsafe { view.base.add(new_mapped_pages * PAGE_SIZE_BYTES) };
-        // Re-cover the released slots with fresh anonymous memory so the
-        // reservation stays intact and the slots can be reused later.
-        let ptr = unsafe {
-            libc::mmap(
-                addr as *mut libc::c_void,
-                remove * PAGE_SIZE_BYTES,
-                libc::PROT_READ | libc::PROT_WRITE,
-                libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | libc::MAP_FIXED | libc::MAP_NORESERVE,
-                -1,
-                0,
-            )
-        };
-        if ptr == libc::MAP_FAILED {
-            return Err(VmemError::last_os_error("mmap(anonymous re-cover)"));
-        }
-        view.mapped_pages = new_mapped_pages;
-        Ok(())
-    }
-
-    fn mapping_table(&self, _store: &MmapStore, view: &MmapView) -> Result<MappingTable> {
-        let entries = maps::read_self_maps()?;
-        Ok(maps::mapping_table_for_window(
-            &entries,
-            view.base as usize,
-            view.capacity_pages * PAGE_SIZE_BYTES,
-        ))
-    }
-
-    fn mapping_tables(&self, _store: &MmapStore, views: &[&MmapView]) -> Result<Vec<MappingTable>> {
-        // Parse /proc/self/maps exactly once for the whole batch (§2.5) and
-        // slice the per-view windows out of the parsed entries.
-        let entries = maps::read_self_maps()?;
-        Ok(views
-            .iter()
-            .map(|v| {
-                maps::mapping_table_for_window(
-                    &entries,
-                    v.base as usize,
-                    v.capacity_pages * PAGE_SIZE_BYTES,
-                )
-            })
-            .collect())
+        view.truncate(new_mapped_pages)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maps::kernel_mapping_tables;
 
     fn backend() -> MmapBackend {
         MmapBackend::new()
@@ -593,13 +627,45 @@ mod tests {
         .unwrap();
         b.map_run(&store, &mut view, MapRequest::single(2, 30))
             .unwrap();
-        let table = b.mapping_table(&store, &view).unwrap();
+        let table = view.mapping();
         assert_eq!(table.len(), 3);
         assert_eq!(table.phys_for_slot(0), Some(10));
         assert_eq!(table.phys_for_slot(1), Some(11));
         assert_eq!(table.phys_for_slot(2), Some(30));
         assert_eq!(table.slot_for_phys(30), Some(2));
         assert!(!table.contains_phys(0));
+        // The kernel agrees, and the trait method hands out a copy.
+        let kernel = kernel_mapping_tables(&[&view]).unwrap().unwrap();
+        assert_eq!(&kernel[0], table);
+        assert_eq!(&b.mapping_table(&store, &view).unwrap(), table);
+    }
+
+    #[test]
+    fn rejected_calls_leave_the_table_as_the_kernel_has_it() {
+        let b = backend();
+        let store = b.create_store(4).unwrap();
+        let mut view = b.reserve_view(&store, 3).unwrap();
+        b.map_run(&store, &mut view, MapRequest::single(0, 2))
+            .unwrap();
+        let before = view.mapping().clone();
+        for req in [
+            MapRequest {
+                slot: 2,
+                phys_page: 0,
+                len: 2,
+            },
+            MapRequest {
+                slot: 1,
+                phys_page: 3,
+                len: 2,
+            },
+        ] {
+            assert!(b.map_run(&store, &mut view, req).is_err());
+            assert_eq!(view.mapping(), &before);
+            let kernel = kernel_mapping_tables(&[&view]).unwrap().unwrap();
+            assert_eq!(kernel[0], before);
+        }
+        assert_eq!(view.mapped_pages(), 1);
     }
 
     #[test]

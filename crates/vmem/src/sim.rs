@@ -1,11 +1,12 @@
 //! A software-simulated rewiring backend.
 //!
 //! [`SimBackend`] implements the exact same [`Backend`] interface as the
-//! mmap backend, but views are plain indirection tables (a vector of
-//! physical page numbers) over a heap-allocated buffer. No syscalls, no
-//! platform requirements, fully deterministic — which makes it the substrate
-//! for unit tests, property tests and CI, and a useful "explicit
-//! indirection" comparison point for the virtual views.
+//! mmap backend, but a view is nothing more than its [`MappingTable`] — the
+//! same table the mmap views own — resolved in software over a
+//! heap-allocated buffer. No syscalls, no platform requirements, fully
+//! deterministic — which makes it the substrate for unit tests, property
+//! tests and CI, and a useful "explicit indirection" comparison point for
+//! the virtual views.
 //!
 //! Semantics intentionally mirror the mmap backend:
 //!
@@ -21,12 +22,9 @@
 use std::sync::Arc;
 
 use crate::backend::{Backend, MapRequest, PhysicalStore, ViewBuffer};
-use crate::error::{Result, VmemError};
+use crate::error::Result;
 use crate::layout::SLOTS_PER_PAGE;
 use crate::maps::MappingTable;
-
-/// Sentinel for a view slot that has never been mapped.
-const UNMAPPED: usize = usize::MAX;
 
 /// Shared physical memory of a simulated store.
 ///
@@ -128,20 +126,11 @@ impl PhysicalStore for SimStore {
     }
 }
 
-/// A simulated view: an indirection vector of physical page numbers.
+/// A simulated view: a [`MappingTable`] resolved in software.
 pub struct SimView {
     buf: Arc<SimBuffer>,
-    store_pages: usize,
     capacity_pages: usize,
-    slots: Vec<usize>,
-}
-
-impl SimView {
-    /// The raw indirection table (physical page per mapped slot), mainly for
-    /// debugging and tests.
-    pub fn slot_targets(&self) -> &[usize] {
-        &self.slots
-    }
+    table: MappingTable,
 }
 
 impl ViewBuffer for SimView {
@@ -150,22 +139,25 @@ impl ViewBuffer for SimView {
     }
 
     fn mapped_pages(&self) -> usize {
-        self.slots.len()
+        self.table.slot_span()
     }
 
     fn page(&self, slot: usize) -> &[u64] {
         assert!(
-            slot < self.slots.len(),
+            slot < self.mapped_pages(),
             "view slot {slot} out of bounds ({} mapped pages)",
-            self.slots.len()
+            self.mapped_pages()
         );
-        let phys = self.slots[slot];
-        assert!(
-            phys != UNMAPPED,
-            "view slot {slot} was reserved but never mapped"
-        );
+        let phys = self
+            .table
+            .phys_for_slot(slot)
+            .unwrap_or_else(|| panic!("view slot {slot} was reserved but never mapped"));
         // SAFETY: phys was validated against the store size in map_run.
         unsafe { self.buf.page(phys) }
+    }
+
+    fn mapping(&self) -> &MappingTable {
+        &self.table
     }
 }
 
@@ -187,9 +179,8 @@ impl Backend for SimBackend {
     fn reserve_view(&self, store: &SimStore, capacity_pages: usize) -> Result<SimView> {
         Ok(SimView {
             buf: Arc::clone(&store.buf),
-            store_pages: store.num_pages,
             capacity_pages,
-            slots: Vec::with_capacity(capacity_pages.min(1024)),
+            table: MappingTable::new(),
         })
     }
 
@@ -197,55 +188,14 @@ impl Backend for SimBackend {
         if req.len == 0 {
             return Ok(());
         }
-        if req.slot + req.len > view.capacity_pages {
-            return Err(VmemError::out_of_bounds(format!(
-                "view slots [{}, {}) exceed capacity {}",
-                req.slot,
-                req.slot + req.len,
-                view.capacity_pages
-            )));
-        }
-        if req.phys_page + req.len > store.num_pages {
-            return Err(VmemError::out_of_bounds(format!(
-                "physical pages [{}, {}) exceed store size {}",
-                req.phys_page,
-                req.phys_page + req.len,
-                store.num_pages
-            )));
-        }
-        if view.slots.len() < req.slot + req.len {
-            view.slots.resize(req.slot + req.len, UNMAPPED);
-        }
-        for i in 0..req.len {
-            view.slots[req.slot + i] = req.phys_page + i;
-        }
+        req.check_bounds(view.capacity_pages, store.num_pages)?;
+        view.table.insert_run(req.slot, req.phys_page, req.len);
         Ok(())
     }
 
     fn truncate_view(&self, view: &mut SimView, new_mapped_pages: usize) -> Result<()> {
-        if new_mapped_pages < view.slots.len() {
-            view.slots.truncate(new_mapped_pages);
-        }
+        view.table.truncate(new_mapped_pages);
         Ok(())
-    }
-
-    fn mapping_table(&self, _store: &SimStore, view: &SimView) -> Result<MappingTable> {
-        let mut table = MappingTable::with_capacity(view.slots.len());
-        for (slot, &phys) in view.slots.iter().enumerate() {
-            if phys != UNMAPPED {
-                table.insert(slot, phys);
-            }
-        }
-        Ok(table)
-    }
-}
-
-// Silence "field is never read" for store_pages: it documents the store the
-// view belongs to and is used in debug assertions of upper layers.
-impl SimView {
-    /// Number of pages of the store this view was reserved over.
-    pub fn store_pages(&self) -> usize {
-        self.store_pages
     }
 }
 
@@ -293,8 +243,7 @@ mod tests {
             .unwrap();
         let ids: Vec<u64> = view.iter_pages().map(|p| p[0]).collect();
         assert_eq!(ids, vec![5, 6, 7, 12]);
-        assert_eq!(view.slot_targets(), &[5, 6, 7, 12]);
-        assert_eq!(view.store_pages(), 16);
+        assert_eq!(view.mapping().dense_pages(), Some(vec![5, 6, 7, 12]));
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //!
 //! The simulation backend exists so that every algorithm of the upper layers
 //! can be tested deterministically; that is only sound if it behaves exactly
-//! like the mmap backend. These tests drive both backends through identical
-//! random operation sequences and require identical observable state, and
-//! additionally fuzz the `/proc/self/maps` parser.
+//! like the mmap backend — and the mapping table every view owns is only
+//! sound if it says what the kernel holds. These tests drive the real
+//! backends and the simulation through identical random operation sequences
+//! and require the view's own table, the `/proc/self/maps` oracle and the
+//! simulation's table to agree pair for pair, and additionally fuzz the
+//! `/proc/self/maps` parser.
 //!
 //! The build environment has no crates.io access, so instead of `proptest`
 //! the randomized tests loop over seeded draws from the workspace's RNG
@@ -15,125 +18,204 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 #[cfg(all(feature = "mmap", target_os = "linux"))]
-use asv_vmem::{MmapBackend, SLOTS_PER_PAGE};
+use asv_vmem::{maps::kernel_mapping_tables, FileBackend, MmapBackend, SLOTS_PER_PAGE};
 
-/// A random operation applied identically to both backends.
+/// The view's table must be compared with the kernel's every this many ops.
 #[cfg(all(feature = "mmap", target_os = "linux"))]
-#[derive(Clone, Debug)]
-enum Op {
-    /// Write a value into (page, slot).
-    Write {
-        page: usize,
-        slot: usize,
-        value: u64,
-    },
-    /// Map a run of physical pages into the view at a slot.
-    MapRun {
-        slot: usize,
-        phys: usize,
-        len: usize,
-    },
-    /// Truncate the view's mapped prefix.
-    Truncate { mapped: usize },
+const CHECK_EVERY: usize = 5;
+
+/// The scenarios the differential test must have driven at least once.
+#[cfg(all(feature = "mmap", target_os = "linux"))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Scenario {
+    Write,
+    MultiPageRun,
+    RemapMappedSlot,
+    PageAtSecondSlot,
+    SwapRemove,
+    TruncateThenRemap,
+    TruncateToLarger,
+    RejectedSlotRange,
+    RejectedPageRange,
 }
 
-/// Applies one op to a backend, returning whether it was accepted.
 #[cfg(all(feature = "mmap", target_os = "linux"))]
-fn apply<B: Backend>(backend: &B, store: &mut B::Store, view: &mut B::View, op: &Op) -> bool {
-    match *op {
-        Op::Write { page, slot, value } => {
-            store.page_mut(page)[slot] = value;
-            true
-        }
-        Op::MapRun { slot, phys, len } => backend
-            .map_run(
-                store,
-                view,
-                MapRequest {
-                    slot,
-                    phys_page: phys,
-                    len,
-                },
-            )
-            .is_ok(),
-        Op::Truncate { mapped } => backend.truncate_view(view, mapped).is_ok(),
+fn run(slot: usize, phys_page: usize, len: usize) -> MapRequest {
+    MapRequest {
+        slot,
+        phys_page,
+        len,
     }
 }
 
-/// Observable state of a (store, view) pair: the materialized mapping table
-/// as sorted (slot, physical page) pairs.
+/// The three tables of one step — the real view's own, the kernel's and the
+/// simulation's — must agree pair for pair, and know the same pages.
 #[cfg(all(feature = "mmap", target_os = "linux"))]
-fn observable<B: Backend>(backend: &B, store: &B::Store, view: &B::View) -> Vec<(usize, usize)> {
-    let table = backend.mapping_table(store, view).unwrap();
-    let mut pairs: Vec<(usize, usize)> = table.iter().collect();
-    pairs.sort_unstable();
-    pairs
+fn check_tables<V: ViewBuffer>(real_view: &V, sim_view: &impl ViewBuffer, at: &str) {
+    let owned: Vec<(usize, usize)> = real_view.mapping().iter().collect();
+    let kernel = kernel_mapping_tables(&[real_view])
+        .unwrap()
+        .expect("real views live in kernel virtual memory");
+    assert_eq!(owned, kernel[0].iter().collect::<Vec<_>>(), "{at}: kernel");
+    assert_eq!(
+        owned,
+        sim_view.mapping().iter().collect::<Vec<_>>(),
+        "{at}: sim"
+    );
+    assert_eq!(real_view.mapping(), &kernel[0], "{at}");
+    assert_eq!(real_view.mapped_pages(), sim_view.mapped_pages(), "{at}");
+    for &(_, page) in &owned {
+        let slot = real_view
+            .mapping()
+            .slot_for_phys(page)
+            .expect("mapped page");
+        assert_eq!(real_view.mapping().phys_for_slot(slot), Some(page), "{at}");
+    }
+    for page in 0..real_view.capacity_pages() {
+        assert_eq!(
+            real_view.mapping().contains_phys(page),
+            kernel[0].contains_phys(page),
+            "{at}: page {page}"
+        );
+    }
+}
+
+/// Drives `real` and the simulation through the same seeded op sequences —
+/// every rewiring situation alignment and view creation produce, plus calls
+/// the backends must reject — and compares the view's own mapping table
+/// with the `/proc/self/maps` oracle and with the simulation's.
+#[cfg(all(feature = "mmap", target_os = "linux"))]
+fn owned_tables_track_the_kernel<B: Backend>(real: B, seed: u64) {
+    let sim = SimBackend::new();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut seen = std::collections::BTreeSet::new();
+    for case in 0..24 {
+        let pages = rng.gen_range(4usize..24);
+        let mut sim_store = sim.create_store(pages).unwrap();
+        let mut real_store = real.create_store(pages).unwrap();
+        let mut sim_view = sim.reserve_view(&sim_store, pages).unwrap();
+        let mut real_view = real.reserve_view(&real_store, pages).unwrap();
+
+        for step in 0..rng.gen_range(0usize..48) {
+            let at = format!("{} case {case}, step {step}", real.name());
+            let mapped = sim_view.mapped_pages();
+            let (a, b) = (rng.gen_range(0..pages), rng.gen_range(0..pages));
+            // One scenario per step, as (requests, truncate-before-them).
+            let (scenario, requests, truncate): (_, Vec<MapRequest>, Option<usize>) = match rng
+                .gen_range(0u32..9)
+            {
+                0 => {
+                    let slot = 1 + a % (SLOTS_PER_PAGE - 1);
+                    let value = rng.gen_range(0..u64::MAX);
+                    sim_store.page_mut(b)[slot] = value;
+                    real_store.page_mut(b)[slot] = value;
+                    (Scenario::Write, vec![], None)
+                }
+                1 => {
+                    let len = rng.gen_range(2usize..=4).min(pages - a).min(pages - b);
+                    (Scenario::MultiPageRun, vec![run(a, b, len)], None)
+                }
+                2 if mapped > 0 => (Scenario::RemapMappedSlot, vec![run(a % mapped, b, 1)], None),
+                3 if mapped > 0 => {
+                    // A page some slot maps, mapped at another slot too.
+                    let (from, page) = sim_view.mapping().iter().next().unwrap();
+                    let to = if a == from { (a + 1) % pages } else { a };
+                    (Scenario::PageAtSecondSlot, vec![run(to, page, 1)], None)
+                }
+                4 if mapped > 0 && sim_view.mapping().phys_for_slot(mapped - 1).is_some() => {
+                    // What `apply_plan` replays for a removal: the last
+                    // page moves into the hole, then the tail slot goes.
+                    let last = mapped - 1;
+                    let last_page = sim_view.mapping().phys_for_slot(last).unwrap();
+                    let hole = a % mapped;
+                    if hole != last {
+                        let fill = run(hole, last_page, 1);
+                        sim.map_run(&sim_store, &mut sim_view, fill).unwrap();
+                        real.map_run(&real_store, &mut real_view, fill).unwrap();
+                        // Between the two calls one page sits at two slots.
+                        check_tables(&real_view, &sim_view, &at);
+                    }
+                    (Scenario::SwapRemove, vec![], Some(last))
+                }
+                5 if mapped > 0 => {
+                    let keep = a % mapped;
+                    let len = rng.gen_range(1usize..=3).min(pages - keep).min(pages - b);
+                    (
+                        Scenario::TruncateThenRemap,
+                        vec![run(keep, b, len)],
+                        Some(keep),
+                    )
+                }
+                6 => (Scenario::TruncateToLarger, vec![], Some(mapped + a)),
+                7 => (
+                    Scenario::RejectedSlotRange,
+                    vec![run(pages - a % 2, b, 1 + a % 2 + a % 3)],
+                    None,
+                ),
+                8 => (
+                    Scenario::RejectedPageRange,
+                    vec![run(a, pages - b % 2, 1 + b % 2 + b % 3)],
+                    None,
+                ),
+                _ => continue,
+            };
+            seen.insert(scenario);
+            if let Some(new_mapped) = truncate {
+                sim.truncate_view(&mut sim_view, new_mapped).unwrap();
+                real.truncate_view(&mut real_view, new_mapped).unwrap();
+                if scenario == Scenario::TruncateToLarger {
+                    assert_eq!(real_view.mapped_pages(), mapped, "{at}: no-op");
+                }
+            }
+            let rejected = matches!(
+                scenario,
+                Scenario::RejectedSlotRange | Scenario::RejectedPageRange
+            );
+            for req in requests {
+                let before = real_view.mapping().clone();
+                let ok_sim = sim.map_run(&sim_store, &mut sim_view, req).is_ok();
+                let ok_real = real.map_run(&real_store, &mut real_view, req).is_ok();
+                assert_eq!(ok_sim, ok_real, "{at}: acceptance differs for {req:?}");
+                assert_eq!(ok_real, !rejected, "{at}: {req:?}");
+                if rejected {
+                    assert_eq!(real_view.mapping(), &before, "{at}: table moved");
+                    check_tables(&real_view, &sim_view, &at);
+                }
+            }
+            if step % CHECK_EVERY == CHECK_EVERY - 1 {
+                check_tables(&real_view, &sim_view, &at);
+            }
+        }
+
+        check_tables(
+            &real_view,
+            &sim_view,
+            &format!("{} case {case}", real.name()),
+        );
+        for p in 0..pages {
+            assert_eq!(sim_store.page(p), real_store.page(p), "page {p} differs");
+        }
+        // Every mapped slot shows the same data on both sides.
+        for (slot, _) in sim_view.mapping().iter() {
+            assert_eq!(sim_view.page(slot), real_view.page(slot), "slot {slot}");
+        }
+    }
+    assert_eq!(seen.len(), 9, "scenarios driven: {seen:?}");
 }
 
 #[cfg(all(feature = "mmap", target_os = "linux"))]
 #[test]
-fn sim_and_mmap_backends_expose_identical_mappings() {
-    let mut rng = StdRng::seed_from_u64(0xE01);
-    for case in 0..32 {
-        let store_pages = rng.gen_range(2usize..24);
-        let num_ops = rng.gen_range(0usize..48);
+fn mmap_views_own_the_table_the_kernel_holds() {
+    owned_tables_track_the_kernel(MmapBackend::new(), 0xE01);
+}
 
-        let sim = SimBackend::new();
-        let mmap = MmapBackend::new();
-        let mut sim_store = sim.create_store(store_pages).unwrap();
-        let mut mmap_store = mmap.create_store(store_pages).unwrap();
-        let mut sim_view = sim.reserve_view(&sim_store, store_pages).unwrap();
-        let mut mmap_view = mmap.reserve_view(&mmap_store, store_pages).unwrap();
-
-        for _ in 0..num_ops {
-            let (a, b, c) = (
-                rng.gen_range(0usize..64),
-                rng.gen_range(0usize..64),
-                rng.gen_range(0usize..64),
-            );
-            let op = match rng.gen_range(0u32..3) {
-                0 => Op::Write {
-                    page: a % store_pages,
-                    slot: 1 + b % (SLOTS_PER_PAGE - 1),
-                    value: c as u64,
-                },
-                1 => Op::MapRun {
-                    slot: a % store_pages,
-                    phys: b % store_pages,
-                    len: 1 + c % 3,
-                },
-                _ => Op::Truncate {
-                    mapped: a % (store_pages + 1),
-                },
-            };
-            let ok_sim = apply(&sim, &mut sim_store, &mut sim_view, &op);
-            let ok_mmap = apply(&mmap, &mut mmap_store, &mut mmap_view, &op);
-            assert_eq!(
-                ok_sim, ok_mmap,
-                "case {case}: acceptance differs for {op:?}"
-            );
-        }
-
-        // Mapping tables agree.
-        assert_eq!(
-            observable(&sim, &sim_store, &sim_view),
-            observable(&mmap, &mmap_store, &mmap_view),
-            "case {case}"
-        );
-        // Store contents agree.
-        for p in 0..store_pages {
-            assert_eq!(sim_store.page(p), mmap_store.page(p), "page {p} differs");
-        }
-        // Mapped view slots show the same data wherever both sides consider
-        // the slot mapped.
-        let table = sim.mapping_table(&sim_store, &sim_view).unwrap();
-        let mapped_slots: Vec<usize> = table.iter().map(|(s, _)| s).collect();
-        for slot in mapped_slots {
-            if slot < sim_view.mapped_pages() && slot < mmap_view.mapped_pages() {
-                assert_eq!(sim_view.page(slot), mmap_view.page(slot));
-            }
-        }
-    }
+#[cfg(all(feature = "mmap", target_os = "linux"))]
+#[test]
+fn file_views_own_the_table_the_kernel_holds() {
+    let backend = FileBackend::temp();
+    let dir = backend.dir().to_path_buf();
+    owned_tables_track_the_kernel(backend, 0xE04);
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]

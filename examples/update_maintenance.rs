@@ -4,9 +4,9 @@
 //! Five partial views are created over a column; batches of random updates
 //! of increasing size are applied through the storage layer and the views
 //! are re-aligned batch-wise. The cost is split into the time to materialize
-//! the memory mappings (parsing `/proc/self/maps` on the mmap backend) and
-//! the time to add/remove pages, and compared against rebuilding all views
-//! from scratch.
+//! the alignment snapshot (a copy of the mapping table each view owns — the
+//! paper parses `/proc/PID/maps` here) and the time to add/remove pages, and
+//! compared against rebuilding all views from scratch.
 //!
 //! Run with:
 //! ```text

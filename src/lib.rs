@@ -14,7 +14,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
-//! | [`vmem`] | `asv-vmem` | rewiring substrate: main-memory files, view buffers, `/proc/self/maps` introspection, a portable simulation backend, and the runtime-selectable [`AnyBackend`](vmem::AnyBackend) |
+//! | [`vmem`] | `asv-vmem` | rewiring substrate: main-memory files, view buffers that own their mapping table, a portable simulation backend, and the runtime-selectable [`AnyBackend`](vmem::AnyBackend) |
 //! | [`storage`] | `asv-storage` | page layout, physical columns, tables, update batches |
 //! | [`core`] | `asv-core` | virtual views, query routing, adaptive view maintenance, optimized view creation, batched update alignment |
 //! | [`baselines`] | `asv-baselines` | explicit-index baselines (zone map, bitmap, page-id vector) and scan baselines |

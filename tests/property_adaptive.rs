@@ -16,7 +16,8 @@ use adaptive_storage_views::core::{
 };
 use adaptive_storage_views::prelude::*;
 use adaptive_storage_views::storage::VALUES_PER_PAGE;
-use adaptive_storage_views::vmem::Backend;
+use adaptive_storage_views::vmem::maps::kernel_mapping_tables;
+use adaptive_storage_views::vmem::{Backend, ViewBuffer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -127,42 +128,66 @@ fn alignment_equals_rebuild_for_any_batch() {
             })
             .collect();
 
-        let mut column = Column::from_values(SimBackend::new(), &values).unwrap();
-        let mut views = ViewSet::new(2);
-        let (buf, _) = build_view_for_range(&column, &range, &CreationOptions::COALESCED).unwrap();
-        views.insert_unchecked(range, buf);
-
-        let updates = column.write_batch(&writes);
-        align_views_after_updates(&column, &mut views, &updates).unwrap();
-
-        // Compare the aligned view's page set against a rebuild.
-        let aligned: Vec<usize> = column
-            .backend()
-            .mapping_table(column.store(), views.partial_view(0).unwrap().buffer())
-            .unwrap()
-            .phys_pages_sorted();
-        let expected: Vec<usize> = (0..column.num_pages())
-            .filter(|&p| {
-                column
-                    .page_ref(p)
-                    .values()
-                    .iter()
-                    .any(|v| range.contains(*v))
-            })
-            .collect();
-        assert_eq!(aligned, expected, "case {case}, view {range}");
-
-        // And scanning the aligned view answers the view's range exactly.
-        let mut count = 0u64;
-        for raw in adaptive_storage_views::vmem::ViewBuffer::iter_pages(
-            views.partial_view(0).unwrap().buffer(),
-        ) {
-            count += column.wrap_view_page(raw).scan_filter(&range).count;
-        }
-        let current: Vec<u64> = column.to_vec();
-        let (exp_count, _) = reference(&current, &range);
-        assert_eq!(count, exp_count, "case {case}, view {range}");
+        alignment_equals_rebuild(SimBackend::new(), &values, range, &writes, case);
+        #[cfg(all(feature = "mmap", target_os = "linux"))]
+        alignment_equals_rebuild(MmapBackend::new(), &values, range, &writes, case);
     }
+}
+
+fn alignment_equals_rebuild<B: Backend>(
+    backend: B,
+    values: &[u64],
+    range: ValueRange,
+    writes: &[(usize, u64)],
+    case: usize,
+) {
+    let at = format!("{} case {case}, view {range}", backend.name());
+    let mut column = Column::from_values(backend, values).unwrap();
+    let mut views = ViewSet::new(2);
+    let (buf, _) = build_view_for_range(&column, &range, &CreationOptions::COALESCED).unwrap();
+    views.insert_unchecked(range, buf);
+
+    let updates = column.write_batch(writes);
+    align_views_after_updates(&column, &mut views, &updates).unwrap();
+
+    // Checkpoint: the table the view owns is the one the kernel holds (the
+    // `/proc/self/maps` oracle answers on the mmap backend only), and it
+    // maps every slot of the aligned view's prefix.
+    let view = views.partial_view(0).unwrap();
+    let table = view.buffer().mapping();
+    if let Some(kernel) = kernel_mapping_tables(&[view.buffer()]).unwrap() {
+        assert_eq!(table, &kernel[0], "{at}: owned table drifted");
+    }
+    assert!(
+        (0..view.num_pages()).all(|slot| table.phys_for_slot(slot).is_some()),
+        "{at}: gap in the mapped prefix"
+    );
+
+    // Compare the aligned view's page set against a rebuild.
+    let aligned: Vec<usize> = column
+        .backend()
+        .mapping_table(column.store(), view.buffer())
+        .unwrap()
+        .phys_pages_sorted();
+    let expected: Vec<usize> = (0..column.num_pages())
+        .filter(|&p| {
+            column
+                .page_ref(p)
+                .values()
+                .iter()
+                .any(|v| range.contains(*v))
+        })
+        .collect();
+    assert_eq!(aligned, expected, "{at}");
+
+    // And scanning the aligned view answers the view's range exactly.
+    let mut count = 0u64;
+    for raw in view.buffer().iter_pages() {
+        count += column.wrap_view_page(raw).scan_filter(&range).count;
+    }
+    let current: Vec<u64> = column.to_vec();
+    let (exp_count, _) = reference(&current, &range);
+    assert_eq!(count, exp_count, "{at}");
 }
 
 #[test]

@@ -7,7 +7,8 @@ use adaptive_storage_views::core::{
 };
 use adaptive_storage_views::prelude::*;
 use adaptive_storage_views::storage::VALUES_PER_PAGE;
-use adaptive_storage_views::vmem::Backend;
+use adaptive_storage_views::vmem::maps::kernel_mapping_tables;
+use adaptive_storage_views::vmem::{Backend, ViewBuffer};
 
 const PAGES: usize = 256;
 
@@ -39,6 +40,27 @@ fn view_pages<B: Backend>(column: &Column<B>, views: &ViewSet<B>, idx: usize) ->
     table.phys_pages_sorted()
 }
 
+/// Checkpoint after an alignment round: the mapping table every view owns
+/// is the one the kernel holds (asked through the `/proc/self/maps` oracle
+/// where views live in kernel virtual memory — the mmap backend), and it
+/// maps every slot of the view's prefix.
+fn check_owned_tables<B: Backend>(views: &ViewSet<B>, at: &str) {
+    let buffers: Vec<&B::View> = views.partial_views().iter().map(|v| v.buffer()).collect();
+    if let Some(kernel) = kernel_mapping_tables(&buffers).unwrap() {
+        for (i, (buffer, kernel)) in buffers.iter().zip(&kernel).enumerate() {
+            assert_eq!(buffer.mapping(), kernel, "{at}: view {i} drifted");
+        }
+    }
+    for (i, view) in views.partial_views().iter().enumerate() {
+        let table = view.buffer().mapping();
+        assert!(
+            (0..view.num_pages()).all(|slot| table.phys_for_slot(slot).is_some()),
+            "{at}: view {i} has a gap"
+        );
+        assert_eq!(table.len(), view.num_pages(), "{at}: view {i}");
+    }
+}
+
 fn alignment_equals_rebuild<B: Backend>(backend: B) {
     let dist = Distribution::sine();
     let mut values = dist.generate_pages(PAGES, 0x0DD);
@@ -63,6 +85,7 @@ fn alignment_equals_rebuild<B: Backend>(backend: B) {
         }
         let updates = column.write_batch(&writes);
         align_views_after_updates(&column, &mut views, &updates).unwrap();
+        check_owned_tables(&views, &format!("batch {batch_idx}"));
 
         for (i, r) in ranges.iter().enumerate() {
             assert_eq!(
@@ -87,6 +110,7 @@ fn alignment_equals_rebuild<B: Backend>(backend: B) {
 
     // A full rebuild produces the same page sets as incremental alignment.
     rebuild_all_views(&column, &mut views, &CreationOptions::ALL).unwrap();
+    check_owned_tables(&views, "rebuild");
     for (i, r) in ranges.iter().enumerate() {
         assert_eq!(view_pages(&column, &views, i), expected_pages(&column, r));
     }
@@ -130,6 +154,7 @@ fn adaptive_column_stays_exact_under_interleaved_updates_and_queries() {
         }
         let updates = adaptive.write_batch(&writes);
         adaptive.align_views(&updates).unwrap();
+        check_owned_tables(adaptive.views(), &format!("round {round}"));
     }
 
     // Final verification across a spread of ranges.
