@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments [fig3|fig4|fig5|fig6|fig7|table1|ablation|scaling|align-overlap|
-//!              table-scan|filter-kernel|serve|incremental-align|recover|all]
+//!              table-scan|filter-kernel|serve|recover|all]
 //!             [--backend sim|mmap|file] [--scale tiny|small|medium|paper]
 //!             [--seed N] [--csv-dir DIR] [--threads N]
 //!             [--align-mode sync|background]
@@ -60,16 +60,6 @@
 //! DIR/serve_clients_2w2 --max-delta-pct 0` gates determinism across all
 //! axes.
 //!
-//! The `incremental-align` experiment sweeps installed-view counts against
-//! hot-zone-churn touch fractions, running every cell once with the
-//! dependency-pruned incremental planner and once with full replanning. It
-//! asserts both variants answer bit-identically, appends one JSON line of
-//! pruning-ratio/publish-latency history to `BENCH_incremental_align.json`
-//! and — with `--csv-dir` — writes each variant's answer table to
-//! `DIR/incremental_align_{incremental,full}/`, so
-//! `experiments compare DIR/incremental_align_incremental
-//! DIR/incremental_align_full --max-delta-pct 0` gates the equivalence.
-//!
 //! The `recover` experiment measures the durable tier: it runs the same
 //! seeded batch workload once in-memory and once with the write-ahead
 //! journal attached (sweeping the fsync policy), drops the durable table
@@ -103,8 +93,8 @@ use std::process::ExitCode;
 use std::path::PathBuf;
 
 use asv_bench::{
-    ablation, align_overlap, compare, fig3, fig4, fig5, fig6, fig7, filter_kernel,
-    incremental_align, recover, report, scaling, serve, table1, table_scan, Scale, DEFAULT_SEED,
+    ablation, align_overlap, compare, fig3, fig4, fig5, fig6, fig7, filter_kernel, recover, report,
+    scaling, serve, table1, table_scan, Scale, DEFAULT_SEED,
 };
 use asv_core::Parallelism;
 use asv_vmem::{AnyBackend, Backend};
@@ -244,8 +234,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: experiments [fig3|fig4|fig5|fig6|fig7|table1|ablation|scaling|\
-                            align-overlap|table-scan|filter-kernel|serve|incremental-align|\
-                            recover|all] \
+                            align-overlap|table-scan|filter-kernel|serve|recover|all] \
                             [--backend sim|mmap|file] [--scale tiny|small|medium|paper] \
                             [--seed N] [--csv-dir DIR] [--threads N] \
                             [--align-mode sync|background] \
@@ -543,53 +532,6 @@ fn run_serve(args: &Args) {
     }
 }
 
-fn run_incremental_align(args: &Args) {
-    let report = with_concrete_backend!(&args.backend, |b| incremental_align::run_with(
-        b,
-        &args.scale,
-        args.seed,
-        args.parallelism
-    ));
-    let table = incremental_align::to_table(&report);
-    println!("{}", table.render());
-    println!(
-        "best planned/candidate pruning ratio (incremental cells): {:.3}\n",
-        report.best_planned_ratio()
-    );
-    maybe_write_csv(&args.csv_dir, "incremental_align", &table);
-    if let Some(dir) = &args.csv_dir {
-        for variant in incremental_align::VARIANTS {
-            let answers = incremental_align::answers_table(&report, variant);
-            let path = format!("{dir}/incremental_align_{variant}/answers.csv");
-            if let Err(e) = report::write_csv(&path, &answers.to_csv()) {
-                eprintln!("warning: could not write {path}: {e}");
-            } else {
-                println!("(wrote {path})");
-            }
-        }
-    }
-    let unix_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_millis());
-    let line = incremental_align::bench_json_line(
-        &report,
-        args.backend.name(),
-        args.scale.name,
-        args.seed,
-        &args.parallelism.to_string(),
-        unix_ms,
-    );
-    let bench_path = match &args.csv_dir {
-        Some(dir) => format!("{dir}/BENCH_incremental_align.json"),
-        None => "BENCH_incremental_align.json".to_string(),
-    };
-    if let Err(e) = report::append_line(&bench_path, &line) {
-        eprintln!("warning: could not append to {bench_path}: {e}");
-    } else {
-        println!("(appended perf-history line to {bench_path})");
-    }
-}
-
 /// The journal path of the `recover` modes: `--journal` when given, else
 /// a process-unique temp file (removed by `run_recover` afterwards).
 fn journal_path(args: &Args) -> (PathBuf, bool) {
@@ -808,7 +750,6 @@ fn main() -> ExitCode {
             "table-scan" => run_table_scan(&args),
             "filter-kernel" => run_filter_kernel(&args),
             "serve" => run_serve(&args),
-            "incremental-align" => run_incremental_align(&args),
             "recover" => run_recover(&args),
             "recover-ingest" => {
                 if let Err(msg) = run_recover_ingest(&args) {
@@ -837,7 +778,6 @@ fn main() -> ExitCode {
                 run_table_scan(&args);
                 run_filter_kernel(&args);
                 run_serve(&args);
-                run_incremental_align(&args);
                 run_recover(&args);
             }
             other => {

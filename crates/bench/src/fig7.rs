@@ -17,8 +17,9 @@
 //! (`proc_maps_parse_ms`).
 
 use asv_core::{
-    align_views_after_updates_with, apply_plan, build_view_for_range_with, snapshot_alignment,
-    spawn_alignment, CreationOptions, Parallelism, UpdateAlignmentStats, ViewSet,
+    align_views_after_updates_with, apply_chunked_plan, build_view_for_range_with,
+    snapshot_alignment, spawn_alignment_chunked, CreationOptions, Parallelism,
+    UpdateAlignmentStats, ViewSet,
 };
 use asv_storage::{Column, Update};
 use asv_util::{Timer, ValueRange};
@@ -82,9 +83,8 @@ pub fn align_with_mode<B: Backend>(
         AlignMode::Sync => align_views_after_updates_with(column, views, batch, parallelism),
         AlignMode::Background => {
             let snapshot = snapshot_alignment(column, views, batch)?;
-            let pending = spawn_alignment(snapshot, parallelism);
-            let plan = pending.join();
-            apply_plan(column, views, &plan)
+            let plan = spawn_alignment_chunked(snapshot, parallelism, 0).join();
+            apply_chunked_plan(column, views, &plan)
         }
     }
 }

@@ -18,7 +18,6 @@
 //! | [`table_scan`] | Planned vs naive multi-column conjunctive scans (beyond the paper) |
 //! | [`filter_kernel`] | Chunked vs scalar page-filter kernels (beyond the paper) |
 //! | [`serve`] | Concurrent serving: read throughput/tail latency vs client count (beyond the paper) |
-//! | [`incremental_align`] | Dependency-pruned incremental alignment vs full replanning (beyond the paper) |
 //! | [`recover`] | Durable tier: journal overhead and crash-recovery time (beyond the paper) |
 //!
 //! The [`compare`] module diffs two `--csv-dir` outputs (the `compare`
@@ -34,7 +33,6 @@ pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod filter_kernel;
-pub mod incremental_align;
 pub mod recover;
 pub mod report;
 pub mod scale;

@@ -47,17 +47,6 @@ pub struct Scale {
     pub serve_reads_per_round: usize,
     /// Writes the maintenance thread commits before each `serve` round.
     pub serve_writes_per_round: usize,
-    /// Pages of the `incremental-align` column.
-    pub inc_pages: usize,
-    /// Hot-zone-churn rounds per `incremental-align` cell.
-    pub inc_rounds: usize,
-    /// Writes per `incremental-align` churn round.
-    pub inc_writes_per_round: usize,
-    /// Installed-view counts the `incremental-align` experiment sweeps.
-    pub inc_view_counts: Vec<usize>,
-    /// Touch fractions (per mille of the rows) the `incremental-align`
-    /// experiment sweeps — stored as integers so `Scale` stays `Eq`.
-    pub inc_touch_permille: Vec<usize>,
     /// Pages of the `recover` experiment's column.
     pub recover_pages: usize,
     /// Acknowledged-and-committed write batches per `recover` run.
@@ -88,11 +77,6 @@ impl Scale {
             serve_rounds: 3,
             serve_reads_per_round: 16,
             serve_writes_per_round: 12,
-            inc_pages: 24,
-            inc_rounds: 3,
-            inc_writes_per_round: 16,
-            inc_view_counts: vec![4, 8],
-            inc_touch_permille: vec![50, 500],
             recover_pages: 8,
             recover_batches: 6,
             recover_writes_per_batch: 16,
@@ -121,11 +105,6 @@ impl Scale {
             serve_rounds: 8,
             serve_reads_per_round: 64,
             serve_writes_per_round: 48,
-            inc_pages: 512,
-            inc_rounds: 8,
-            inc_writes_per_round: 128,
-            inc_view_counts: vec![8, 32],
-            inc_touch_permille: vec![10, 100, 500],
             recover_pages: 256,
             recover_batches: 24,
             recover_writes_per_batch: 256,
@@ -153,11 +132,6 @@ impl Scale {
             serve_rounds: 12,
             serve_reads_per_round: 128,
             serve_writes_per_round: 96,
-            inc_pages: 4_096,
-            inc_rounds: 12,
-            inc_writes_per_round: 256,
-            inc_view_counts: vec![16, 64],
-            inc_touch_permille: vec![5, 50, 500],
             recover_pages: 1_024,
             recover_batches: 32,
             recover_writes_per_batch: 1_024,
@@ -186,11 +160,6 @@ impl Scale {
             serve_rounds: 16,
             serve_reads_per_round: 256,
             serve_writes_per_round: 128,
-            inc_pages: 16_384,
-            inc_rounds: 16,
-            inc_writes_per_round: 512,
-            inc_view_counts: vec![32, 128],
-            inc_touch_permille: vec![2, 20, 200],
             recover_pages: 4_096,
             recover_batches: 48,
             recover_writes_per_batch: 4_096,
@@ -235,17 +204,10 @@ mod tests {
         assert!(m.serve_pages < p.serve_pages);
         assert!(t.serve_rounds <= s.serve_rounds);
         assert!(s.serve_reads_per_round <= m.serve_reads_per_round);
-        assert!(t.inc_pages < s.inc_pages);
-        assert!(s.inc_pages < m.inc_pages);
-        assert!(m.inc_pages < p.inc_pages);
         assert!(t.recover_pages < s.recover_pages);
         assert!(s.recover_pages < m.recover_pages);
         assert!(m.recover_pages < p.recover_pages);
         assert!(t.recover_batches <= s.recover_batches);
-        for scale in [&t, &s, &m, &p] {
-            assert!(!scale.inc_view_counts.is_empty());
-            assert!(scale.inc_touch_permille.iter().all(|&f| f <= 1_000));
-        }
     }
 
     #[test]

@@ -10,18 +10,19 @@
 //!
 //! 1. **Snapshot** ([`snapshot_alignment`]) — on the caller thread, the
 //!    batch is deduplicated and grouped, the slot ↔ page mapping table
-//!    every partial view owns is copied (where the paper parses
-//!    `/proc/PID/maps`, §2.5), and the *values of every updated page* are
-//!    copied out. The snapshot is plain owned data: it borrows nothing from
-//!    the column.
-//! 2. **Plan** ([`plan_alignment`]) — pure computation over the snapshot:
-//!    for every view, the §2.4 add/remove decisions are replayed against a
-//!    *shadow copy* of its mapping table, recording the page-table
-//!    manipulations as [`ViewOp`]s. Because the snapshot is owned, this
-//!    phase can run on a background worker ([`spawn_alignment`]) while
-//!    queries keep executing against the untouched pre-batch views — and
-//!    the independent per-view work is fork-joined across the
-//!    [`asv_util::ThreadPool`].
+//!    every *affected* partial view owns is copied (where the paper parses
+//!    `/proc/PID/maps`, §2.5; see "Only affected views are aligned"
+//!    below), and the *values of every updated page* some view may have to
+//!    re-inspect are copied out. The snapshot is plain owned data: it
+//!    borrows nothing from the column.
+//! 2. **Plan** ([`plan_alignment_chunked`]) — pure computation over the
+//!    snapshot: for every kept view, the §2.4 add/remove decisions are
+//!    replayed against a *shadow copy* of its mapping table, recording the
+//!    page-table manipulations as [`ViewOp`]s. Because the snapshot is
+//!    owned, this phase can run on a background worker
+//!    ([`spawn_alignment_chunked`]) while queries keep executing against
+//!    the untouched pre-batch views — and the independent per-view work is
+//!    fork-joined across the [`asv_util::ThreadPool`].
 //! 3. **Publish** ([`apply_plan`]) — back on the owning thread, the
 //!    recorded ops are replayed onto the real view buffers (the only part
 //!    that must exclude queries: a handful of `mmap(MAP_FIXED)` /
@@ -45,8 +46,8 @@
 //!   pass against the same evolving shadow mapping tables. Each chunk then
 //!   publishes as its own [`ViewSet`] epoch, so the query-excluding publish
 //!   step is bounded by the chunk size — concatenating the chunks of a
-//!   [`ChunkedAlignmentPlan`] reproduces the unchunked plan op-for-op, so
-//!   chunked and unchunked alignment end in bit-identical layouts.
+//!   [`ChunkedAlignmentPlan`] reproduces the one-chunk plan op-for-op, so
+//!   every chunk size ends in bit-identical layouts.
 //! * **A pending-writes queue** ([`WriteOverlay`]) lets
 //!   [`crate::AdaptiveColumn`] accept `write` / `write_batch` while a plan
 //!   is in flight: the writes are queued instead of hitting the physical
@@ -56,25 +57,17 @@
 //!   next alignment round automatically when the current round's last
 //!   chunk publishes.
 //!
-//! # Dependency-driven incremental alignment
+//! # Only affected views are aligned
 //!
-//! Snapshotting *every* view for *every* batch makes maintenance cost
-//! scale with total views, not affected views. The [`ViewDepGraph`] — an
-//! [`IntervalIndex`] over every partial view's predicate range, kept in
-//! sync by [`ViewSet`] on view creation/replacement/clear — lets a write
-//! batch be narrowed first: [`compute_alignment_delta`] intersects the
-//! touched zones' value bands ([`ZoneStats`]) with the indexed predicate
-//! ranges and emits one [`DeltaWorkItem`] per affected view, ordered by a
-//! priority key (views hit by more touched zones first). Feeding the delta
-//! to [`snapshot_alignment_delta`] materializes mapping tables and page
-//! values *only for that subset* — untouched views are never snapshotted,
-//! planned, or republished; they keep their epoch verbatim. Because zone
-//! bands only ever widen (they cover both the pre-batch contents and every
-//! acknowledged write), a view outside every touched band can have no
-//! qualifying old or new value in the batch, so its full-replan plan would
-//! be empty: the filtered plan equals the full plan restricted to its
-//! views, op for op. The full-replan path stays in place as the
-//! property-test reference twin.
+//! The snapshot keeps exactly the views whose range contains an old or a
+//! new value of the deduplicated batch; every other view is never copied,
+//! planned or republished. The filter is exact because §2.4 only acts on a
+//! view where the batch meets its range: a page is mapped in only if a new
+//! value qualifies (case 1), and re-inspected for removal only if an old
+//! value did (case 2). A view whose range holds neither plans zero ops, so
+//! dropping it changes no plan. The check is an early-exit scan over the
+//! same page groups the planner replays, so it never costs more than
+//! planning the view would.
 
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::HashMap;
@@ -85,10 +78,9 @@ use std::time::Duration;
 use asv_storage::{
     copy_values_chunked, dedup_last_write_wins, sorted_page_groups, Column, ExclusionMasks, Update,
 };
-use asv_util::{IntervalIndex, Parallelism, ThreadPool, Timer, ValueRange};
+use asv_util::{Parallelism, ThreadPool, Timer, ValueRange};
 use asv_vmem::{Backend, MappingTable, ViewBuffer, VmemError};
 
-use crate::plan::ZoneStats;
 use crate::updates::UpdateAlignmentStats;
 use crate::viewset::ViewSet;
 
@@ -164,7 +156,8 @@ pub struct AlignmentSnapshot {
     parse_time: Duration,
     /// Updates grouped by modified page, sorted ascending by page id.
     groups: Vec<(usize, Vec<Update>)>,
-    /// Per partial view: position, id, covered range, pre-batch mapping.
+    /// Per affected partial view: position, id, covered range, pre-batch
+    /// mapping.
     views: Vec<ViewSnapshot>,
     /// Post-batch values (valid slots only) of every updated page some
     /// view may have to re-inspect for a case-(2) removal.
@@ -172,9 +165,8 @@ pub struct AlignmentSnapshot {
 }
 
 impl AlignmentSnapshot {
-    /// Number of views this snapshot will plan — the full live set for
-    /// [`snapshot_alignment`], only the delta's views for
-    /// [`snapshot_alignment_delta`].
+    /// Number of views this snapshot will plan: those whose range contains
+    /// an old or a new value of the batch.
     pub fn num_planned_views(&self) -> usize {
         self.views.len()
     }
@@ -188,187 +180,27 @@ struct ViewSnapshot {
     table: MappingTable,
 }
 
-/// The predicate → view dependency index of one column's view set.
-///
-/// Wraps an [`IntervalIndex`] keyed by view id. [`ViewSet`] owns one and
-/// keeps it in sync at every mutation point (unchecked insert, candidate
-/// replacement, clear) — view ranges are immutable after creation and
-/// rebuilds preserve ids and ranges, so no other sync points exist.
-#[derive(Clone, Debug, Default)]
-pub struct ViewDepGraph {
-    index: IntervalIndex,
-}
-
-impl ViewDepGraph {
-    /// Creates an empty dependency graph.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of indexed views.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// True if no views are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Registers a view's predicate range under its id.
-    pub(crate) fn note_insert(&mut self, id: u64, range: ValueRange) {
-        self.index.insert(id, range);
-    }
-
-    /// Drops a view (replaced or destroyed) from the index.
-    pub(crate) fn note_remove(&mut self, id: u64) {
-        self.index.remove(id);
-    }
-
-    /// Drops every view from the index.
-    pub(crate) fn clear(&mut self) {
-        self.index.clear();
-    }
-
-    /// The indexed predicate range of view `id`, if present.
-    pub fn range_of(&self, id: u64) -> Option<ValueRange> {
-        self.index.range_of(id)
-    }
-
-    /// Ids of all views whose predicate range intersects `band`, sorted
-    /// ascending — `O(log n + k)` via the interval tree.
-    pub fn overlapping(&self, band: &ValueRange) -> Vec<u64> {
-        self.index.overlapping(band)
-    }
-}
-
-/// One unit of incremental alignment work: a single view that a write batch
-/// actually affects.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DeltaWorkItem {
-    /// Position of the view in the view set at delta-computation time.
-    pub view_idx: usize,
-    /// Id of the view (revalidated at snapshot and publish time).
-    pub view_id: u64,
-    /// Cascade/priority key: the number of distinct touched zones whose
-    /// band intersects the view's predicate range. Items are ordered
-    /// hottest-first, so views overlapping more of the write land first in
-    /// the snapshot, the plan, and the serve layer's delta queue.
-    pub priority: u64,
-}
-
-/// The per-view work a write batch induces, as derived from the dependency
-/// graph: which views must be replanned, out of how many.
-#[derive(Clone, Debug)]
-pub struct AlignmentDelta {
-    /// Affected views, hottest first (priority descending, id ascending).
-    pub items: Vec<DeltaWorkItem>,
-    /// Total number of partial views at delta-computation time.
-    pub total_views: usize,
-    /// Number of distinct zones the batch wrote into.
-    pub touched_zones: usize,
-}
-
-impl AlignmentDelta {
-    /// Number of views the batch affects (the `k` in "replan exactly `k`
-    /// of `V` views").
-    pub fn num_affected(&self) -> usize {
-        self.items.len()
-    }
-}
-
-/// Narrows a write batch to the views it can possibly affect (the
-/// dependency-graph consultation step of incremental alignment).
-///
-/// Every updated row's zone contributes its [`ZoneStats`] band, widened by
-/// the batch's own old/new values as a defensive floor; views whose
-/// predicate range intersects no touched band are provably unaffected —
-/// zone bands are built over the column's initial contents and only ever
-/// widened by acknowledged writes, so both the old value removed from and
-/// the new value added to a zone lie inside its band. For such views the
-/// §2.4 replay would emit zero ops, so skipping them leaves their layout
-/// bit-identical to the full-replan path.
-pub fn compute_alignment_delta<B: Backend>(
-    stats: &ZoneStats,
-    views: &ViewSet<B>,
-    batch: &[Update],
-) -> AlignmentDelta {
-    // Touched zones with their (defensively widened) value bands.
-    let mut bands: HashMap<usize, ValueRange> = HashMap::new();
-    for u in batch {
-        let row = u.row as usize;
-        let zone = stats.zone_of_row(row);
-        let band = bands.entry(zone).or_insert_with(|| {
-            stats
-                .zone_band(zone)
-                .unwrap_or_else(|| ValueRange::point(u.old_value))
-        });
-        band.extend_to(u.old_value);
-        band.extend_to(u.new_value);
-    }
-
-    // Count, per affected view id, how many touched zones hit it.
-    let mut hits: HashMap<u64, u64> = HashMap::new();
-    for band in bands.values() {
-        for id in views.dep_graph().overlapping(band) {
-            *hits.entry(id).or_insert(0) += 1;
-        }
-    }
-
-    let idx_of: HashMap<u64, usize> = views.iter().map(|(idx, v)| (v.id(), idx)).collect();
-    let mut items: Vec<DeltaWorkItem> = hits
-        .into_iter()
-        .filter_map(|(view_id, priority)| {
-            idx_of.get(&view_id).map(|&view_idx| DeltaWorkItem {
-                view_idx,
-                view_id,
-                priority,
-            })
-        })
-        .collect();
-    items.sort_unstable_by_key(|item| (std::cmp::Reverse(item.priority), item.view_id));
-
-    AlignmentDelta {
-        items,
-        total_views: views.num_partial_views(),
-        touched_zones: bands.len(),
-    }
+/// `true` if some old or new value of the batch lies in `range` — the
+/// views §2.4 can change. Exits at the first such value.
+fn batch_meets_range(groups: &[(usize, Vec<Update>)], range: &ValueRange) -> bool {
+    groups
+        .iter()
+        .flat_map(|(_, updates)| updates)
+        .any(|u| range.contains(u.old_value) || range.contains(u.new_value))
 }
 
 /// Captures everything the alignment planner needs from `column` / `views`
 /// for an already-applied `batch` (phase 1).
 ///
-/// The mapping table of every partial view is copied from the view that
-/// owns it ([`ViewBuffer::mapping`]); the contents of the updated pages are
-/// copied so removal decisions can be taken without touching the column
-/// again.
+/// Only views whose range contains an old or a new value of the batch are
+/// kept (see the [module docs](self)). The mapping table of each kept view
+/// is copied from the view that owns it ([`ViewBuffer::mapping`]); the
+/// contents of the updated pages are copied so removal decisions can be
+/// taken without touching the column again.
 pub fn snapshot_alignment<B: Backend>(
     column: &Column<B>,
     views: &ViewSet<B>,
     batch: &[Update],
-) -> Result<AlignmentSnapshot, VmemError> {
-    snapshot_impl(column, views, batch, None)
-}
-
-/// Like [`snapshot_alignment`], but restricted to the views named by an
-/// [`AlignmentDelta`]: mapping tables and page values are materialized only
-/// for the affected subset, in the delta's priority order, so snapshot cost
-/// scales with *affected* views. Fails like [`apply_plan`] if the view set
-/// changed between delta computation and the snapshot.
-pub fn snapshot_alignment_delta<B: Backend>(
-    column: &Column<B>,
-    views: &ViewSet<B>,
-    batch: &[Update],
-    delta: &AlignmentDelta,
-) -> Result<AlignmentSnapshot, VmemError> {
-    snapshot_impl(column, views, batch, Some(delta))
-}
-
-fn snapshot_impl<B: Backend>(
-    column: &Column<B>,
-    views: &ViewSet<B>,
-    batch: &[Update],
-    subset: Option<&AlignmentDelta>,
 ) -> Result<AlignmentSnapshot, VmemError> {
     let deduped = dedup_last_write_wins(batch);
     let deduped_size = deduped.len();
@@ -379,43 +211,23 @@ fn snapshot_impl<B: Backend>(
         .filter(|(page, _)| *page < column.num_pages())
         .collect();
 
-    // Positions to snapshot: everything, or the delta's subset in priority
-    // order (which the plan and publish phases then inherit).
-    let selected: Vec<usize> = match subset {
-        None => (0..views.num_partial_views()).collect(),
-        Some(delta) => {
-            for item in &delta.items {
-                let matches = views
-                    .partial_view(item.view_idx)
-                    .is_some_and(|v| v.id() == item.view_id);
-                if !matches {
-                    return Err(VmemError::Unsupported(
-                        "view set changed between delta computation and snapshot",
-                    ));
-                }
-            }
-            delta.items.iter().map(|item| item.view_idx).collect()
-        }
-    };
-
-    // The parse timer covers the whole snapshot materialization: a copy of
-    // every selected view's own mapping table plus the page-value copies.
-    // (The name is the paper's: its Fig. 7 splits alignment into parsing
-    // `/proc/PID/maps` and updating the views. Nothing is parsed here.)
+    // The parse timer covers the whole snapshot materialization: the view
+    // filter, a copy of every kept view's own mapping table and the
+    // page-value copies. (The name is the paper's: its Fig. 7 splits
+    // alignment into parsing `/proc/PID/maps` and updating the views.
+    // Nothing is parsed here.)
     let parse_timer = Timer::start();
-    let view_snapshots: Vec<ViewSnapshot> = selected
+    let view_snapshots: Vec<ViewSnapshot> = views
         .iter()
-        .map(|&idx| {
-            let view = views.partial_view(idx).expect("validated above");
-            ViewSnapshot {
-                idx,
-                id: view.id(),
-                range: *view.range(),
-                // The page → slot index is built on the view's own table
-                // the first time it is aligned; this and every later
-                // snapshot copy it.
-                table: view.buffer().mapping().indexed().clone(),
-            }
+        .filter(|(_, view)| batch_meets_range(&groups, view.range()))
+        .map(|(idx, view)| ViewSnapshot {
+            idx,
+            id: view.id(),
+            range: *view.range(),
+            // The page → slot index is built on the view's own table the
+            // first time it is aligned; this and every later snapshot copy
+            // it.
+            table: view.buffer().mapping().indexed().clone(),
         })
         .collect();
 
@@ -449,58 +261,15 @@ fn snapshot_impl<B: Backend>(
     })
 }
 
-/// Plans the alignment of every view in the snapshot (phase 2) — pure
-/// computation, fork-joined per view across a pool sized by `parallelism`.
-pub fn plan_alignment(snapshot: &AlignmentSnapshot, parallelism: Parallelism) -> AlignmentPlan {
-    let plan_timer = Timer::start();
-    let pool = ThreadPool::new(parallelism);
-    let tasks: Vec<_> = snapshot
-        .views
-        .iter()
-        .map(|view| move || plan_view(view, &snapshot.groups, &snapshot.page_values))
-        .collect();
-    let views: Vec<ViewPlan> = pool
-        .scoped_map(tasks)
-        .into_iter()
-        .filter(|plan| !plan.ops.is_empty())
-        .collect();
-    AlignmentPlan {
-        batch_size: snapshot.batch_size,
-        deduped_size: snapshot.deduped_size,
-        parse_time: snapshot.parse_time,
-        plan_time: plan_timer.elapsed(),
-        views,
-    }
-}
-
 /// Replays the §2.4 add/remove rules for one view against a shadow copy of
-/// its mapping table, recording the resulting buffer manipulations.
+/// its mapping table, recording the resulting buffer manipulations:
+/// case-(1) additions append at the mapped prefix's end, case-(2) removals
+/// swap the last slot into the hole and truncate by one.
 ///
-/// This mirrors the in-place algorithm exactly: case-(1) additions append
-/// at the mapped prefix's end, case-(2) removals swap the last slot into
-/// the hole and truncate by one — so replaying the ops reproduces the same
-/// slot ↔ page layout the synchronous path builds.
-fn plan_view(
-    view: &ViewSnapshot,
-    groups: &[(usize, Vec<Update>)],
-    page_values: &HashMap<usize, Vec<u64>>,
-) -> ViewPlan {
-    let whole_batch = 0..groups.len();
-    plan_view_chunks(
-        view,
-        groups,
-        std::slice::from_ref(&whole_batch),
-        page_values,
-    )
-    .pop()
-    .expect("one boundary, one plan")
-}
-
-/// [`plan_view`] over explicit chunk boundaries: the shadow mapping table
-/// persists across boundaries, so the k-th returned [`ViewPlan`] holds
-/// exactly the ops of groups `boundaries[k]` *as they would appear within
-/// one uninterrupted pass*. Concatenating all chunks reproduces the
-/// unchunked plan op-for-op.
+/// The shadow table persists across `boundaries`, so the k-th returned
+/// [`ViewPlan`] holds exactly the ops of groups `boundaries[k]` *as they
+/// would appear within one uninterrupted pass*. Concatenating all chunks
+/// reproduces the one-chunk plan op-for-op.
 fn plan_view_chunks(
     view: &ViewSnapshot,
     groups: &[(usize, Vec<Update>)],
@@ -589,9 +358,9 @@ fn plan_view_chunks(
 /// Page groups are never split across chunks — a chunk exceeds the bound
 /// only when a single group already does. `chunk_updates == 0` disables
 /// chunking (one boundary covering everything). An empty group list yields
-/// one empty boundary, so every alignment round publishes at least one
-/// epoch (matching the synchronous path, which bumps the generation even
-/// for batches that touch no view).
+/// one empty boundary, so every plan has at least one chunk (publishing it
+/// with [`apply_plan`] bumps the generation even for batches that touch no
+/// view).
 pub fn chunk_boundaries(
     groups: &[(usize, Vec<Update>)],
     chunk_updates: usize,
@@ -619,9 +388,9 @@ pub fn chunk_boundaries(
 ///
 /// Produced by [`plan_alignment_chunked`]. The chunks partition the
 /// batch's sorted page groups; concatenating their per-view ops in chunk
-/// order reproduces the unchunked [`AlignmentPlan`] exactly, so the final
-/// slot ↔ page layout is independent of the chunk size — only the number
-/// of intermediate epochs (and the per-publish latency) changes.
+/// order reproduces the one-chunk plan exactly, so the final slot ↔ page
+/// layout is independent of the chunk size — only the number of
+/// intermediate epochs (and the per-publish latency) changes.
 #[derive(Clone, Debug)]
 pub struct ChunkedAlignmentPlan {
     /// Number of raw update records in the whole batch.
@@ -654,13 +423,15 @@ impl ChunkedAlignmentPlan {
 }
 
 /// Plans the alignment of every view in the snapshot as a sequence of
-/// chunks of at most `chunk_updates` updates each (phase 2, chunked).
+/// chunks of at most `chunk_updates` updates each (phase 2; `0` = one
+/// chunk).
 ///
 /// The whole pass runs once — per view, fork-joined across a pool sized by
 /// `parallelism` — against shadow mapping tables that persist across chunk
-/// boundaries, so the concatenation of all chunks equals the unchunked
-/// [`plan_alignment`] op-for-op. Publishing chunk-by-chunk therefore walks
-/// through intermediate epochs towards the *same* final layout.
+/// boundaries, so the concatenation of all chunks equals the one-chunk
+/// plan op-for-op. Publishing chunk-by-chunk therefore walks through
+/// intermediate epochs towards the *same* final layout. Each chunk lists
+/// only the views it changes.
 pub fn plan_alignment_chunked(
     snapshot: &AlignmentSnapshot,
     parallelism: Parallelism,
@@ -680,7 +451,7 @@ pub fn plan_alignment_chunked(
     let per_view: Vec<Vec<ViewPlan>> = pool.scoped_map(tasks);
     let plan_time = plan_timer.elapsed();
 
-    let chunks: Vec<AlignmentPlan> = boundaries
+    let mut chunks: Vec<AlignmentPlan> = boundaries
         .iter()
         .enumerate()
         .map(|(k, boundary)| {
@@ -697,14 +468,19 @@ pub fn plan_alignment_chunked(
                     Duration::ZERO
                 },
                 plan_time: if k == 0 { plan_time } else { Duration::ZERO },
-                views: per_view
-                    .iter()
-                    .filter(|chunks| !chunks[k].ops.is_empty())
-                    .map(|chunks| chunks[k].clone())
-                    .collect(),
+                views: Vec::new(),
             }
         })
         .collect();
+    // Transpose view-major into chunk-major, moving every non-empty plan
+    // (views stay in snapshot order within each chunk).
+    for view_chunks in per_view {
+        for (chunk, plan) in chunks.iter_mut().zip(view_chunks) {
+            if !plan.ops.is_empty() {
+                chunk.views.push(plan);
+            }
+        }
+    }
     ChunkedAlignmentPlan {
         batch_size: snapshot.batch_size,
         deduped_size: snapshot.deduped_size,
@@ -766,43 +542,19 @@ pub fn apply_plan<B: Backend>(
     })
 }
 
-/// A batch alignment planning on a background worker thread.
-///
-/// Produced by [`spawn_alignment`]; the owning column keeps serving queries
-/// on the pre-batch view epoch until the plan is [`PendingAlignment::join`]ed
-/// and published with [`apply_plan`].
-#[derive(Debug)]
-pub struct PendingAlignment {
-    handle: JoinHandle<AlignmentPlan>,
-}
-
-/// Ships an [`AlignmentSnapshot`] to a dedicated worker thread that plans
-/// the alignment off the query path. Within the batch, the worker
-/// fork-joins the per-view planning across a pool sized by `parallelism`.
-pub fn spawn_alignment(snapshot: AlignmentSnapshot, parallelism: Parallelism) -> PendingAlignment {
-    let handle = std::thread::Builder::new()
-        .name("asv-align".into())
-        .spawn(move || plan_alignment(&snapshot, parallelism))
-        .expect("spawn alignment worker thread");
-    PendingAlignment { handle }
-}
-
-impl PendingAlignment {
-    /// Returns `true` once the worker has finished planning (joining will
-    /// not block).
-    pub fn is_finished(&self) -> bool {
-        self.handle.is_finished()
+/// Publishes every chunk of `plan` in order with [`apply_plan`] and returns
+/// the round's summed stats, whose `batch_size` is the raw batch size.
+pub fn apply_chunked_plan<B: Backend>(
+    column: &Column<B>,
+    views: &mut ViewSet<B>,
+    plan: &ChunkedAlignmentPlan,
+) -> Result<UpdateAlignmentStats, VmemError> {
+    let mut stats = UpdateAlignmentStats::default();
+    for chunk in &plan.chunks {
+        stats.absorb(&apply_plan(column, views, chunk)?);
     }
-
-    /// Waits for the worker and returns the finished plan.
-    ///
-    /// A panic on the worker thread is propagated to the caller.
-    pub fn join(self) -> AlignmentPlan {
-        match self.handle.join() {
-            Ok(plan) => plan,
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
-    }
+    stats.batch_size = plan.batch_size;
+    Ok(stats)
 }
 
 /// A chunked batch alignment planning on a background worker thread.
@@ -1037,6 +789,30 @@ mod tests {
         (column, views)
     }
 
+    /// The one-chunk plan of `snap`.
+    fn plan_whole(snap: &AlignmentSnapshot, parallelism: Parallelism) -> AlignmentPlan {
+        let mut plan = plan_alignment_chunked(snap, parallelism, 0);
+        assert_eq!(plan.num_chunks(), 1);
+        plan.chunks.pop().unwrap()
+    }
+
+    #[test]
+    fn snapshot_keeps_only_views_the_batch_meets() {
+        let ranges = [
+            ValueRange::new(5_000, 9_400),
+            ValueRange::new(12_000, 13_000),
+            ValueRange::new(20_000, 20_100),
+        ];
+        let (mut column, views) = column_with_views(32, &ranges);
+        // Old value 12_000 meets the second view, new value 20_050 the
+        // third; nothing in the batch meets the first.
+        let updates = column.write_batch(&[(12 * VALUES_PER_PAGE, 20_050)]);
+        let snap = snapshot_alignment(&column, &views, &updates).unwrap();
+        let kept: Vec<usize> = snap.views.iter().map(|v| v.idx).collect();
+        assert_eq!(kept, vec![1, 2]);
+        assert_eq!(snap.num_planned_views(), 2);
+    }
+
     #[test]
     fn snapshot_is_self_contained_and_sorted() {
         let range = ValueRange::new(5_000, 9_400);
@@ -1068,7 +844,7 @@ mod tests {
         let before = views.partial_view(0).unwrap().num_pages();
         let updates = column.write_batch(&[(20 * VALUES_PER_PAGE, 6_000)]);
         let snap = snapshot_alignment(&column, &views, &updates).unwrap();
-        let plan = plan_alignment(&snap, Parallelism::Sequential);
+        let plan = plan_whole(&snap, Parallelism::Sequential);
         assert_eq!(plan.pages_added(), 1);
         assert_eq!(plan.pages_removed(), 0);
         assert_eq!(plan.views.len(), 1);
@@ -1087,7 +863,7 @@ mod tests {
         let (mut column, mut views) = column_with_views(32, &[range]);
         let updates = column.write_batch(&[(20 * VALUES_PER_PAGE, 6_000)]);
         let snap = snapshot_alignment(&column, &views, &updates).unwrap();
-        let plan = plan_alignment(&snap, Parallelism::Sequential);
+        let plan = plan_whole(&snap, Parallelism::Sequential);
         // Replace the view set's only view: ids no longer match.
         views.clear();
         let (buffer, _) = build_view_for_range(&column, &range, &CreationOptions::ALL).unwrap();
@@ -1115,7 +891,7 @@ mod tests {
     }
 
     #[test]
-    fn chunked_plan_concatenates_to_the_unchunked_plan() {
+    fn chunked_plan_concatenates_to_the_one_chunk_plan() {
         let ranges = [
             ValueRange::new(5_000, 9_400),
             ValueRange::new(12_000, 20_510),
@@ -1129,10 +905,10 @@ mod tests {
         writes.extend((0..VALUES_PER_PAGE).map(|s| (13 * VALUES_PER_PAGE + s, 1 + s as u64)));
         let updates = column.write_batch(&writes);
         let snap = snapshot_alignment(&column, &views, &updates).unwrap();
-        let flat = plan_alignment(&snap, Parallelism::Sequential);
+        let flat = plan_whole(&snap, Parallelism::Sequential);
         for chunk_updates in [1usize, 3, 64, 1_000] {
             let chunked = plan_alignment_chunked(&snap, Parallelism::Sequential, chunk_updates);
-            assert_eq!(chunked.batch_size, flat.batch_size);
+            assert_eq!(chunked.batch_size, snap.batch_size);
             assert_eq!(chunked.deduped_size, flat.deduped_size);
             assert_eq!(chunked.pages_added(), flat.pages_added());
             assert_eq!(chunked.pages_removed(), flat.pages_removed());
@@ -1251,12 +1027,13 @@ mod tests {
         let updates = column.write_batch(&[(20 * VALUES_PER_PAGE, 6_000)]);
         let snap = snapshot_alignment(&column, &views, &updates).unwrap();
         let generation_before = views.generation();
-        let pending = spawn_alignment(snap, Parallelism::Threads(2));
+        let pending = spawn_alignment_chunked(snap, Parallelism::Threads(2), 0);
         // The snapshot is owned by the worker: the column stays fully
         // usable here (this is the whole point of the handoff).
         assert!(column.full_scan(&range).count > 0);
         let plan = pending.join();
-        let stats = apply_plan(&column, &mut views, &plan).unwrap();
+        assert_eq!(plan.num_chunks(), 1);
+        let stats = apply_plan(&column, &mut views, &plan.chunks[0]).unwrap();
         assert_eq!(stats.pages_added, 1);
         assert_eq!(views.generation(), generation_before + 1);
     }

@@ -70,6 +70,9 @@ pub struct AlignChunking {
     ///
     /// `0` disables chunking: the whole batch publishes as one epoch (the
     /// pre-chunking behaviour, and the default).
+    ///
+    /// The serving layer ([`crate::serve`]) publishes one chunk per
+    /// maintenance tick, so this also bounds the alignment work of a tick.
     pub chunk_updates: usize,
     /// Soft bound on the rows the pending-writes queue may hold while
     /// alignment work is in flight. A write hitting the bound applies
@@ -88,21 +91,6 @@ pub struct AlignChunking {
     /// tick after any write; [`crate::serve::ServeTable::quiesce`] and a
     /// queue at `max_queued_writes` fold regardless of the threshold.
     pub group_commit_idle: usize,
-    /// Dependency-graph-driven incremental alignment in the serving layer
-    /// ([`crate::serve`]): when enabled (the default), folding a write
-    /// batch consults the view set's [`crate::align::ViewDepGraph`] and
-    /// snapshots/replans *only* the views whose predicate ranges intersect
-    /// the touched zones — untouched views keep their epoch verbatim.
-    /// Disabling it restores the full-replan path (every view snapshotted
-    /// every round), which stays the bit-identical reference twin.
-    pub incremental_align: bool,
-    /// Bound on the per-view delta work items the serving layer's
-    /// maintenance tick publishes per call: each tick drains at most this
-    /// many items from the delta queue (hottest views first), interleaving
-    /// alignment publishes with group-commit work. `0` drains one whole
-    /// chunk's items per tick (the pre-delta-queue cadence). The default is
-    /// `1`: strict item-by-item draining.
-    pub delta_items_per_tick: usize,
     /// Number of MPSC ingest lanes of the serving layer's sharded
     /// multi-writer front door ([`crate::serve::ServeTable::writer`]):
     /// writes are hashed to a lane by their row's page group and drained
@@ -151,18 +139,6 @@ impl AlignChunking {
         self
     }
 
-    /// Builder-style switch for dependency-driven incremental alignment.
-    pub fn with_incremental_align(mut self, incremental_align: bool) -> Self {
-        self.incremental_align = incremental_align;
-        self
-    }
-
-    /// Builder-style setter for the per-tick delta work-item budget.
-    pub fn with_delta_items_per_tick(mut self, delta_items_per_tick: usize) -> Self {
-        self.delta_items_per_tick = delta_items_per_tick;
-        self
-    }
-
     /// Builder-style setter for the number of ingest lanes (clamped to at
     /// least 1).
     pub fn with_writer_shards(mut self, writer_shards: usize) -> Self {
@@ -190,8 +166,6 @@ impl Default for AlignChunking {
             chunk_updates: 0,
             max_queued_writes: 1 << 20,
             group_commit_idle: 0,
-            incremental_align: true,
-            delta_items_per_tick: 1,
             writer_shards: 1,
             writer_lane_capacity: 0,
             retighten_idle_ticks: 0,
@@ -330,8 +304,6 @@ mod tests {
         assert_eq!(c.chunking.chunk_updates, 0, "chunking off by default");
         assert!(c.chunking.max_queued_writes >= 1 << 20);
         assert_eq!(c.chunking.group_commit_idle, 0, "fold on first idle tick");
-        assert!(c.chunking.incremental_align, "delta-queue path by default");
-        assert_eq!(c.chunking.delta_items_per_tick, 1, "item-by-item drain");
         assert_eq!(c.chunking.writer_shards, 1, "single ingest lane");
         assert_eq!(c.chunking.writer_lane_capacity, 0, "unbounded lanes");
         assert_eq!(c.chunking.retighten_idle_ticks, 0, "re-tightening off");
@@ -344,8 +316,6 @@ mod tests {
                 .with_chunk_updates(128)
                 .with_max_queued_writes(4_096)
                 .with_group_commit_idle(32)
-                .with_incremental_align(false)
-                .with_delta_items_per_tick(8)
                 .with_writer_shards(4)
                 .with_writer_lane_capacity(256)
                 .with_retighten_idle_ticks(16),
@@ -353,8 +323,6 @@ mod tests {
         assert_eq!(c.chunking.chunk_updates, 128);
         assert_eq!(c.chunking.max_queued_writes, 4_096);
         assert_eq!(c.chunking.group_commit_idle, 32);
-        assert!(!c.chunking.incremental_align);
-        assert_eq!(c.chunking.delta_items_per_tick, 8);
         assert_eq!(c.chunking.writer_shards, 4);
         assert_eq!(c.chunking.writer_lane_capacity, 256);
         assert_eq!(c.chunking.retighten_idle_ticks, 16);

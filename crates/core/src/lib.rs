@@ -19,9 +19,9 @@
 //! * **batched update alignment** of partial views driven by the
 //!   materialized memory mapping (paper §2.4–2.5, [`updates`]),
 //! * **background (epoch-handoff) alignment** that plans a batch's
-//!   alignment on a worker thread while queries keep running against the
-//!   pre-batch views, publishing the aligned set atomically by bumping the
-//!   view-set generation ([`align`]),
+//!   alignment for the views it meets on a worker thread while queries keep
+//!   running against the pre-batch views, publishing the aligned set
+//!   atomically by bumping the view-set generation ([`align`]),
 //! * a **multi-column query planner** that orders the predicates of a
 //!   conjunctive query by estimated result cardinality, drives the cheapest
 //!   one through the adaptive path and evaluates the rest as semi-join
@@ -52,10 +52,9 @@ pub mod wal;
 
 pub use adaptive::AdaptiveColumn;
 pub use align::{
-    apply_plan, chunk_boundaries, compute_alignment_delta, plan_alignment, plan_alignment_chunked,
-    snapshot_alignment, snapshot_alignment_delta, spawn_alignment, spawn_alignment_chunked,
-    AlignmentDelta, AlignmentPlan, AlignmentSnapshot, ChunkedAlignmentPlan, DeltaWorkItem,
-    PendingAlignment, PendingChunkedAlignment, ViewDepGraph, ViewOp, ViewPlan, WriteOverlay,
+    apply_chunked_plan, apply_plan, chunk_boundaries, plan_alignment_chunked, snapshot_alignment,
+    spawn_alignment_chunked, AlignmentPlan, AlignmentSnapshot, ChunkedAlignmentPlan,
+    PendingChunkedAlignment, ViewOp, ViewPlan, WriteOverlay,
 };
 pub use config::{AdaptiveConfig, AlignChunking, CreationOptions, RoutingMode};
 // Re-exported so downstream crates can configure the parallel execution

@@ -283,9 +283,8 @@ pub struct MergedPredicate {
 /// some column's predicates are mutually unsatisfiable — the whole
 /// conjunction is provably empty and need not touch any column.
 ///
-/// Besides unlocking planned execution for duplicate-column conjunctions
-/// (which previously fell back to the naive path), this keeps each view
-/// set's dependency-graph footprint at one interval per column per query.
+/// This unlocks planned execution for duplicate-column conjunctions, which
+/// would otherwise fall back to the naive path.
 pub fn merge_same_column(predicates: &[(usize, ValueRange)]) -> Option<Vec<MergedPredicate>> {
     let mut merged: Vec<MergedPredicate> = Vec::with_capacity(predicates.len());
     for (input_idx, &(col_idx, range)) in predicates.iter().enumerate() {

@@ -49,19 +49,17 @@
 //! row's page is frozen into the copy set, the column's zone bands widen to
 //! cover the new value, and the acknowledgement becomes visible to *new*
 //! pins at the next [`ServeTable::tick`] (which publishes a new epoch).
-//! Each tick then drains the column's **delta queue**: planned chunks are
-//! exploded into per-view work items (hottest views first — see
-//! [`crate::align::DeltaWorkItem`]) and at most
-//! `AlignChunking::delta_items_per_tick` items are applied and published
-//! per call, so the per-tick publish work is bounded by single views, not
-//! whole rounds, and interleaves with group-commit folding. When a fold
-//! starts, the maintainer consults the view set's
-//! [`crate::align::ViewDepGraph`] (`AlignChunking::incremental_align`,
-//! on by default) so only views whose predicate ranges intersect the
-//! batch's touched zones are snapshotted and replanned at all — untouched
-//! views keep their epoch verbatim. When the round's last item lands, the
-//! folded rows retire from the overlay and the remaining overlay pages are
-//! re-frozen from the post-fold store. New rounds fold the queue only
+//! When a fold starts, the round is snapshotted with
+//! [`crate::align::snapshot_alignment`], which keeps only the views whose
+//! range contains an old or a new value of the batch — every other view
+//! keeps its epoch verbatim — and planned in the background in chunks of
+//! at most `AlignChunking::chunk_updates` updates. Each tick then applies
+//! and publishes **one planned chunk**, so the per-tick publish work is
+//! bounded by the chunk size and interleaves with group-commit folding; a
+//! chunk that changes no view publishes nothing and costs no tick. When
+//! the round's last chunk lands, the folded rows retire from the overlay
+//! and the remaining overlay pages are re-frozen from the post-fold
+//! store. New rounds fold the queue only
 //! after a **grace check**: every epoch except the current one must be
 //! unpinned, because older epochs may lack page copies for the rows about
 //! to be folded. The fold itself never blocks the writer — if grace has
@@ -118,8 +116,8 @@ use asv_util::{
 use asv_vmem::{Backend, ViewBuffer, VmemError, VALUES_PER_PAGE};
 
 use crate::align::{
-    apply_plan, compute_alignment_delta, snapshot_alignment, snapshot_alignment_delta,
-    spawn_alignment_chunked, AlignmentPlan, PendingChunkedAlignment, WriteOverlay,
+    apply_plan, snapshot_alignment, spawn_alignment_chunked, AlignmentPlan,
+    PendingChunkedAlignment, WriteOverlay,
 };
 use crate::config::AdaptiveConfig;
 use crate::creation::build_view_for_range;
@@ -737,18 +735,14 @@ struct ColumnState<B: Backend> {
     copies: HashMap<usize, Arc<Vec<u64>>>,
     /// In-flight background planning of the current round.
     pending: Option<PendingChunkedAlignment>,
-    /// Planned chunks of the current round awaiting explosion into the
-    /// delta queue, in publication order.
+    /// Planned chunks of the current round awaiting publication, in
+    /// publication order; one is published per tick.
     ready: VecDeque<AlignmentPlan>,
-    /// The delta queue: per-view work items of the chunk(s) currently
-    /// draining, hottest views first within each chunk. Each item is a
-    /// single-view [`AlignmentPlan`] published on its own.
-    items: VecDeque<AlignmentPlan>,
     /// `true` between a fold and the retirement of its rows.
     round_active: bool,
     /// Cumulative alignment activity (see [`AlignActivity`]).
     activity: AlignActivity,
-    /// Publish latency samples (µs per drained delta item), drained by
+    /// Publish latency samples (µs per published chunk), drained by
     /// [`ServeTable::drain_publish_micros`].
     publish_micros: Vec<u64>,
     /// Cached epoch of the column, invalidated on any change.
@@ -771,10 +765,7 @@ impl<B: Backend> ColumnState<B> {
     }
 
     fn is_idle(&self) -> bool {
-        self.pending.is_none()
-            && self.ready.is_empty()
-            && self.items.is_empty()
-            && !self.round_active
+        self.pending.is_none() && self.ready.is_empty() && !self.round_active
     }
 
     /// Freezes the current page content of `row`'s page into the copy set
@@ -788,12 +779,14 @@ impl<B: Backend> ColumnState<B> {
     }
 
     /// Recomputes the frozen metadata of the view at `view_idx` from its
-    /// live mapping table.
+    /// live mapping table. Fails like [`apply_plan`] on a stale position.
     fn refresh_view_meta(&mut self, view_idx: usize) -> Result<(), VmemError> {
         let view = self
             .views
             .partial_view(view_idx)
-            .expect("plan references a live view");
+            .ok_or(VmemError::Unsupported(
+                "view set changed between alignment snapshot and publish",
+            ))?;
         let phys = view
             .buffer()
             .mapping()
@@ -834,22 +827,19 @@ impl<B: Backend> ColumnState<B> {
     }
 }
 
-/// Cumulative incremental-alignment activity of a column (or, summed, of a
-/// whole [`ServeTable`]): how many views were actually replanned versus how
-/// many were live across all folded rounds. `planned_views /
-/// candidate_views ≪ 1` is the payoff of the dependency-driven delta path —
-/// with full replanning the two are always equal.
+/// Cumulative alignment activity of a column (or, summed, of a whole
+/// [`ServeTable`]): how many views were actually planned versus how many
+/// were live across all folded rounds. `planned_views / candidate_views`
+/// is the share of views the batches met; the snapshot skips the rest.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AlignActivity {
     /// Number of alignment rounds folded.
     pub rounds: u64,
-    /// Views snapshotted and replanned across all rounds.
+    /// Views snapshotted and planned across all rounds.
     pub planned_views: u64,
-    /// Live views at fold time, summed across all rounds (the work a full
-    /// replan would have done).
+    /// Live views at fold time, summed across all rounds (the work
+    /// planning every view would have done).
     pub candidate_views: u64,
-    /// Delta work items published (single-view epoch publishes).
-    pub published_items: u64,
 }
 
 impl AlignActivity {
@@ -857,7 +847,6 @@ impl AlignActivity {
         self.rounds += other.rounds;
         self.planned_views += other.planned_views;
         self.candidate_views += other.candidate_views;
-        self.published_items += other.published_items;
     }
 }
 
@@ -1111,7 +1100,6 @@ impl<B: Backend> ServeTable<B> {
             copies: HashMap::new(),
             pending: None,
             ready: VecDeque::new(),
-            items: VecDeque::new(),
             round_active: false,
             activity: AlignActivity::default(),
             publish_micros: Vec::new(),
@@ -1217,9 +1205,10 @@ impl<B: Backend> ServeTable<B> {
         self.columns[col].overlay.queued_writes()
     }
 
-    /// The live zone statistics of column `col`. Bands are widened
-    /// eagerly at write acknowledgement (before the fold), so incremental
-    /// alignment planning never consults a stale band.
+    /// The live zone statistics of column `col`, which drive conjunctive
+    /// predicate ordering only. Bands are widened eagerly at write
+    /// acknowledgement (before the fold), so they always cover every
+    /// readable value.
     pub fn zone_stats(&self, col: usize) -> &ZoneStats {
         &self.columns[col].stats
     }
@@ -1381,8 +1370,8 @@ impl<B: Backend> ServeTable<B> {
     /// ticks on a column whose bands widened since the last rebuild, the
     /// [`ZoneStats`] are rebuilt from the live column. The overlay is
     /// empty and no round is in flight at that point, so the rebuilt
-    /// bands exactly cover the stored data; stats only drive predicate
-    /// ordering and delta pruning, so answers are unaffected.
+    /// bands exactly cover the stored data; stats only drive conjunctive
+    /// predicate ordering, so answers are unaffected.
     fn maybe_retighten(&mut self, idx: usize) {
         let ticks = self.config.chunking.retighten_idle_ticks;
         if ticks == 0 {
@@ -1538,20 +1527,14 @@ impl<B: Backend> ServeTable<B> {
     }
 
     /// Advances column `idx`'s alignment round: joins a finished
-    /// background plan, explodes planned chunks into per-view delta work
-    /// items and drains a bounded number of items from the delta queue
-    /// (`AlignChunking::delta_items_per_tick`), retiring the round once
-    /// the queue runs dry.
+    /// background plan and publishes its next chunk that changes a view,
+    /// retiring the round once no chunk is left.
     ///
-    /// Chunks explode strictly in publication order — a view's ops in
-    /// chunk `k+1` assume chunk `k`'s layout — while the items *within*
-    /// one chunk inherit the delta's hottest-first order from the
-    /// snapshot. Publishing item-by-item is sound for the same reason
-    /// chunk-by-chunk publishing is: rows folded by the round stay masked
-    /// and overlaid until retirement, so an item publish only changes
-    /// which pages one view scans, never an answer.
+    /// Chunks publish strictly in order — a view's ops in chunk `k+1`
+    /// assume chunk `k`'s layout. A chunk publish only changes which pages
+    /// a view scans, never an answer: rows folded by the round stay masked
+    /// and overlaid until retirement.
     fn advance_column(&mut self, idx: usize) -> Result<(), VmemError> {
-        let budget = self.config.chunking.delta_items_per_tick;
         let state = &mut self.columns[idx];
         if state
             .pending
@@ -1561,45 +1544,21 @@ impl<B: Backend> ServeTable<B> {
             let plan = state.pending.take().expect("pending checked above").join();
             state.ready.extend(plan.chunks);
         }
-        let mut published = 0usize;
-        loop {
-            // Refill the delta queue from the next chunk(s); a chunk that
-            // affects no view contributes no items and is skipped whole.
-            while state.items.is_empty() {
-                let Some(chunk) = state.ready.pop_front() else {
-                    break;
-                };
-                state.items.extend(explode_chunk(chunk));
-            }
-            let Some(item) = state.items.pop_front() else {
-                break;
-            };
+        // A chunk that changes no view publishes nothing and costs no tick.
+        let next = std::iter::from_fn(|| state.ready.pop_front()).find(|c| !c.views.is_empty());
+        if let Some(chunk) = next {
             let timer = Timer::start();
-            apply_plan(&state.column, &mut state.views, &item)?;
-            for view_plan in &item.views {
+            apply_plan(&state.column, &mut state.views, &chunk)?;
+            for view_plan in &chunk.views {
                 state.refresh_view_meta(view_plan.view_idx)?;
             }
             state
                 .publish_micros
                 .push(timer.elapsed().as_micros() as u64);
-            state.activity.published_items += 1;
             state.mark_dirty();
             self.staged = true;
-            published += 1;
-            // Budget 0 keeps the pre-delta-queue cadence: one whole chunk
-            // per tick. Otherwise stop after `budget` items.
-            if budget == 0 && state.items.is_empty() {
-                break;
-            }
-            if budget != 0 && published >= budget {
-                break;
-            }
         }
-        if state.round_active
-            && state.pending.is_none()
-            && state.ready.is_empty()
-            && state.items.is_empty()
-        {
+        if state.round_active && state.pending.is_none() && state.ready.is_empty() {
             Self::retire_round(state);
             self.staged = true;
         }
@@ -1650,22 +1609,9 @@ impl<B: Backend> ServeTable<B> {
         }
         let folded = state.overlay.take_queued();
         let updates = state.column.write_batch(&folded);
-        let live_views = state.views.num_partial_views() as u64;
-        // Dependency-graph consultation: snapshot only the views whose
-        // predicate ranges intersect the touched zones. Zone bands were
-        // widened eagerly when each write was acknowledged
-        // ([`ServeTable::write`]), so the delta can never miss an affected
-        // view. The full-replan branch below stays as the bit-identical
-        // reference twin.
-        let snapshot = if chunking.incremental_align {
-            let delta = compute_alignment_delta(&state.stats, &state.views, &updates);
-            state.activity.planned_views += delta.num_affected() as u64;
-            snapshot_alignment_delta(&state.column, &state.views, &updates, &delta)?
-        } else {
-            state.activity.planned_views += live_views;
-            snapshot_alignment(&state.column, &state.views, &updates)?
-        };
-        state.activity.candidate_views += live_views;
+        let snapshot = snapshot_alignment(&state.column, &state.views, &updates)?;
+        state.activity.planned_views += snapshot.num_planned_views() as u64;
+        state.activity.candidate_views += state.views.num_partial_views() as u64;
         state.activity.rounds += 1;
         state.pending = Some(spawn_alignment_chunked(
             snapshot,
@@ -1677,8 +1623,7 @@ impl<B: Backend> ServeTable<B> {
     }
 
     /// Cumulative alignment activity summed over all columns: rounds
-    /// folded, views replanned versus views a full replan would have
-    /// touched, and delta items published.
+    /// folded, and views planned versus views live at fold time.
     pub fn align_activity(&self) -> AlignActivity {
         let mut total = AlignActivity::default();
         for state in &self.columns {
@@ -1687,8 +1632,8 @@ impl<B: Backend> ServeTable<B> {
         total
     }
 
-    /// Drains and returns the publish-latency samples (µs per delta work
-    /// item) collected since the last call, across all columns.
+    /// Drains and returns the publish-latency samples (µs per published
+    /// alignment chunk) collected since the last call, across all columns.
     pub fn drain_publish_micros(&mut self) -> Vec<u64> {
         let mut all = Vec::new();
         for state in &mut self.columns {
@@ -1696,30 +1641,6 @@ impl<B: Backend> ServeTable<B> {
         }
         all
     }
-}
-
-/// Splits one planned chunk into per-view delta work items: single-view
-/// [`AlignmentPlan`]s in the chunk's view order (hottest first on the
-/// incremental path, where the snapshot inherited the delta's priority
-/// order).
-fn explode_chunk(chunk: AlignmentPlan) -> Vec<AlignmentPlan> {
-    let AlignmentPlan {
-        batch_size,
-        deduped_size,
-        parse_time,
-        plan_time,
-        views,
-    } = chunk;
-    views
-        .into_iter()
-        .map(|view| AlignmentPlan {
-            batch_size,
-            deduped_size,
-            parse_time,
-            plan_time,
-            views: vec![view],
-        })
-        .collect()
 }
 
 impl<B: Backend> std::fmt::Debug for ServeTable<B> {
@@ -2007,6 +1928,118 @@ mod tests {
         }
     }
 
+    /// Hot-zone churn over 64 views partitioning the domain: at every chunk
+    /// size, epochs pinned mid-round answer like the writes' mirror while
+    /// later chunks publish, and after each round every view's page list
+    /// equals a rebuild from scratch.
+    fn check_churn_matches_rebuild<B: Backend>(make_backend: impl Fn() -> B) {
+        use asv_workloads::{Distribution, UpdateWorkload};
+        const PAGES: usize = 64;
+        const VIEWS: u64 = 64;
+        const MAX_VALUE: u64 = 640_000;
+        let values = Distribution::Linear {
+            max_value: MAX_VALUE,
+        }
+        .generate_pages(PAGES, 11);
+        let width = MAX_VALUE / VIEWS;
+        let ranges: Vec<ValueRange> = (0..VIEWS)
+            .map(|i| ValueRange::new(i * width, (i + 1) * width - 1))
+            .collect();
+        let churn = UpdateWorkload::new(0xC4A7).hot_zone_churn(
+            4,
+            96,
+            PAGES * VALUES_PER_PAGE,
+            0.05,
+            MAX_VALUE,
+        );
+        for chunk_updates in [1usize, 64, 0] {
+            let config = AdaptiveConfig::default().with_chunking(
+                crate::config::AlignChunking::default()
+                    .with_chunk_updates(chunk_updates)
+                    .with_group_commit_idle(0),
+            );
+            let mut table = ServeTable::new(make_backend(), config);
+            let col = table.add_column(&values).unwrap();
+            for range in &ranges {
+                table.install_view(col, *range).unwrap();
+            }
+            let mut rebuilt = Column::from_values(make_backend(), &values).unwrap();
+            let mut rebuilt_views = ViewSet::new(ranges.len());
+            for range in &ranges {
+                let (buffer, _) =
+                    build_view_for_range(&rebuilt, range, &crate::config::CreationOptions::ALL)
+                        .unwrap();
+                rebuilt_views.insert_unchecked(*range, buffer);
+            }
+            let handle = table.handle();
+            let mut mirror = values.clone();
+            for (k, round) in churn.iter().enumerate() {
+                let case = format!("chunk{chunk_updates}/round{k}");
+                table.write_batch(col, &round.writes);
+                for &(row, value) in &round.writes {
+                    mirror[row] = value;
+                }
+                // The pin of one tick is held across the next, so chunks
+                // publish while a reader sits on an older epoch.
+                let mut held = None;
+                loop {
+                    table.tick().unwrap();
+                    if !table.round_in_flight(col) && table.queued_writes(col) == 0 {
+                        break;
+                    }
+                    let snap = handle.pin();
+                    for range in &ranges {
+                        assert_eq!(
+                            snap.query_range(col, range),
+                            reference_answer(&mirror, range),
+                            "{case}: mid-round answer"
+                        );
+                    }
+                    held = Some(snap);
+                }
+                drop(held);
+                table.quiesce().unwrap();
+                rebuilt.write_batch(&round.writes);
+                crate::updates::rebuild_all_views(
+                    &rebuilt,
+                    &mut rebuilt_views,
+                    &crate::config::CreationOptions::ALL,
+                )
+                .unwrap();
+                let snap = handle.pin();
+                for (idx, (_, view)) in rebuilt_views.iter().enumerate() {
+                    let mut phys = table.columns[col].view_metas[idx].phys.clone();
+                    phys.sort_unstable();
+                    assert_eq!(
+                        phys,
+                        view.buffer().mapping().phys_pages_sorted(),
+                        "{case}: view {idx} page set"
+                    );
+                    assert_eq!(
+                        snap.query_range(col, view.range()),
+                        reference_answer(&mirror, view.range()),
+                        "{case}: view {idx} answer"
+                    );
+                }
+            }
+            let activity = table.align_activity();
+            assert!(
+                activity.planned_views < activity.candidate_views,
+                "chunk{chunk_updates}: hot-zone churn leaves most views unplanned"
+            );
+        }
+    }
+
+    #[test]
+    fn churn_over_many_views_matches_rebuild_sim() {
+        check_churn_matches_rebuild(SimBackend::new);
+    }
+
+    #[test]
+    fn churn_over_many_views_matches_rebuild_mmap() {
+        check_churn_matches_rebuild(MmapBackend::new);
+    }
+
     #[test]
     fn concurrent_readers_match_sequential_sim() {
         concurrent_readers_match_sequential(SimBackend::new());
@@ -2029,10 +2062,9 @@ mod tests {
 
     #[test]
     fn zone_bands_widen_at_write_acknowledgement() {
-        // Satellite invariant: the band of a written zone must cover both
-        // the old and the new value *before* the write is folded, so the
-        // incremental planner (which runs at fold time) can rely on the
-        // live stats without consulting the overlay.
+        // The band of a written zone covers both the old and the new value
+        // *before* the write is folded, so conjunctive planning on any
+        // epoch can rely on the live stats without consulting the overlay.
         let mut table = ServeTable::new(SimBackend::new(), serve_config());
         let col = table.add_column(&clustered_values(24)).unwrap();
         let stats = table.zone_stats(col);

@@ -27,7 +27,7 @@ use asv_storage::{Column, Update};
 use asv_util::{Parallelism, Timer};
 use asv_vmem::{Backend, VmemError};
 
-use crate::align::{apply_plan, plan_alignment, snapshot_alignment};
+use crate::align::{apply_chunked_plan, plan_alignment_chunked, snapshot_alignment};
 use crate::config::CreationOptions;
 use crate::creation::build_view_for_range;
 use crate::viewset::ViewSet;
@@ -109,8 +109,8 @@ pub fn align_views_after_updates_with<B: Backend>(
         });
     }
     let snapshot = snapshot_alignment(column, views, batch)?;
-    let plan = plan_alignment(&snapshot, parallelism);
-    apply_plan(column, views, &plan)
+    let plan = plan_alignment_chunked(&snapshot, parallelism, 0);
+    apply_chunked_plan(column, views, &plan)
 }
 
 /// Rebuilds every partial view from scratch by re-scanning the column — the

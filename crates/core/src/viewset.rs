@@ -8,17 +8,12 @@
 use asv_util::ValueRange;
 use asv_vmem::Backend;
 
-use crate::align::ViewDepGraph;
 use crate::query::ViewMaintenance;
 use crate::view::PartialView;
 
 /// The set of partial views of one column.
 pub struct ViewSet<B: Backend> {
     partials: Vec<PartialView<B>>,
-    /// Predicate → view interval index, kept in sync with `partials` at
-    /// every mutation point so incremental alignment can narrow a write
-    /// batch to the affected views without scanning the set.
-    deps: ViewDepGraph,
     max_views: usize,
     next_id: u64,
     /// Once the view limit has been reached, view generation stops for good
@@ -36,7 +31,6 @@ impl<B: Backend> ViewSet<B> {
     pub fn new(max_views: usize) -> Self {
         Self {
             partials: Vec::new(),
-            deps: ViewDepGraph::new(),
             max_views,
             next_id: 0,
             generation_stopped: false,
@@ -98,7 +92,6 @@ impl<B: Backend> ViewSet<B> {
     /// Removes all partial views (used by rebuild-from-scratch).
     pub fn clear(&mut self) {
         self.partials.clear();
-        self.deps.clear();
     }
 
     /// Inserts a view unconditionally (used by rebuilds and by tests); the
@@ -107,13 +100,7 @@ impl<B: Backend> ViewSet<B> {
         let id = self.next_id;
         self.next_id += 1;
         self.partials.push(PartialView::new(id, range, buffer));
-        self.deps.note_insert(id, range);
         id
-    }
-
-    /// The predicate → view dependency index, always in sync with the set.
-    pub fn dep_graph(&self) -> &ViewDepGraph {
-        &self.deps
     }
 
     /// Offers a candidate view (covered `range`, mapped `buffer` with
@@ -155,8 +142,6 @@ impl<B: Backend> ViewSet<B> {
             {
                 let id = self.next_id;
                 self.next_id += 1;
-                self.deps.note_remove(existing.id());
-                self.deps.note_insert(id, range);
                 *existing = PartialView::new(id, range, buffer);
                 return ViewMaintenance::ReplacedExisting;
             }

@@ -239,13 +239,15 @@ fn plan_replay_equals_in_place_alignment() {
     let (mut col_a, mut views_a) = build();
     let updates = col_a.write_batch(&writes);
     let snapshot = asv_core::snapshot_alignment(&col_a, &views_a, &updates).expect("snapshot");
-    let plan_seq = asv_core::plan_alignment(&snapshot, Parallelism::Sequential);
-    let plan_par = asv_core::plan_alignment(&snapshot, Parallelism::Threads(4));
-    for (a, b) in plan_seq.views.iter().zip(&plan_par.views) {
+    let plan_seq = asv_core::plan_alignment_chunked(&snapshot, Parallelism::Sequential, 0);
+    let plan_par = asv_core::plan_alignment_chunked(&snapshot, Parallelism::Threads(4), 0);
+    let (seq, par) = (&plan_seq.chunks[0], &plan_par.chunks[0]);
+    assert_eq!(seq.views.len(), par.views.len());
+    for (a, b) in seq.views.iter().zip(&par.views) {
         assert_eq!(a.ops, b.ops, "parallel planning changed the ops");
         assert_eq!(a.view_idx, b.view_idx);
     }
-    asv_core::apply_plan(&col_a, &mut views_a, &plan_seq).expect("apply");
+    asv_core::apply_plan(&col_a, &mut views_a, seq).expect("apply");
 
     let (mut col_b, mut views_b) = build();
     let updates_b = col_b.write_batch(&writes);

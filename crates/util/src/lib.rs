@@ -10,9 +10,6 @@
 //!   conjunctive multi-column execution (word-wise intersection).
 //! * [`ValueRange`] — closed integer ranges `[l, u]` with the "full range"
 //!   (`[-∞, ∞]`) semantics views are described with (paper §2).
-//! * [`IntervalIndex`] — a centered interval tree over [`ValueRange`]s with
-//!   `O(log n + k)` stab/overlap queries, the predicate → zone index behind
-//!   dependency-driven incremental alignment.
 //! * [`RunBuilder`] / [`Run`] — grouping of consecutive page numbers into
 //!   runs, used by the consecutive-mapping optimization (paper §2.3).
 //! * [`ThreadPool`] / [`Parallelism`] — a hand-rolled scoped fork-join pool
@@ -27,7 +24,6 @@
 
 pub mod bitvec;
 pub mod epoch;
-pub mod interval;
 pub mod pool;
 pub mod range;
 pub mod rowset;
@@ -36,7 +32,6 @@ pub mod stats;
 
 pub use bitvec::BitVec;
 pub use epoch::{EpochCell, Pinned, Reader};
-pub use interval::IntervalIndex;
 pub use pool::{available_parallelism, split_ranges, Parallelism, ThreadPool};
 pub use range::ValueRange;
 pub use rowset::RowSet;

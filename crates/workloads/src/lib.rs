@@ -9,8 +9,8 @@
 //!   (Figure 5).
 //! * [`UpdateWorkload`] — random point updates (§3.1 and §3.4), plus
 //!   hot-zone-churn rounds whose writes stay inside a moving row window
-//!   with page-local values, the workload of the incremental-alignment
-//!   planner (beyond the paper).
+//!   with page-local values, the workload that checks alignment skips the
+//!   views a batch does not meet (beyond the paper).
 //! * [`TableWorkload`] — multi-column tables with
 //!   correlated/anti-correlated/independent columns plus conjunctive query
 //!   sequences, the workload of the multi-column query planner (beyond the

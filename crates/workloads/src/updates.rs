@@ -83,9 +83,9 @@ impl UpdateWorkload {
     /// views whose predicate range overlaps that slice are affected) while
     /// page ↔ view membership genuinely churns — a row regularly receives
     /// a neighbouring window page's values, moving its page in and out of
-    /// the views partitioning the domain. This is the adversarial pattern
-    /// for incremental alignment: at small touch fractions a full replan
-    /// wastes almost all of its planning work.
+    /// the views partitioning the domain. At small touch fractions most
+    /// views see no old or new value of a round, so planning every view
+    /// would waste almost all of the work.
     pub fn hot_zone_churn(
         &self,
         rounds: usize,
