@@ -7,6 +7,7 @@
 //! The qualifying pages are copied into one contiguous heap allocation; a
 //! query is a single linear scan over that copy.
 
+use asv_storage::PageRef;
 use asv_util::ValueRange;
 use asv_vmem::{SLOTS_PER_PAGE, VALUES_PER_PAGE};
 
@@ -75,18 +76,12 @@ impl RangeIndex for PhysicalScanBaseline {
     fn query(&self, query: &ValueRange) -> IndexAnswer {
         let mut answer = IndexAnswer::default();
         for raw in self.compact.chunks_exact(SLOTS_PER_PAGE) {
-            let page_id = raw[0] as usize;
-            let start = page_id * VALUES_PER_PAGE;
+            let start = raw[0] as usize * VALUES_PER_PAGE;
             let valid = (self.values.len() - start).min(VALUES_PER_PAGE);
-            let mut count = 0u64;
-            let mut sum = 0u128;
-            for &v in &raw[1..1 + valid] {
-                if query.contains(v) {
-                    count += 1;
-                    sum += v as u128;
-                }
-            }
-            answer.add_page(count, sum);
+            // The same page filter every other variant runs, so Fig. 3
+            // compares layouts, not kernels.
+            let res = PageRef::new(raw, valid).scan_filter(query);
+            answer.add_page(res.count, res.sum);
         }
         answer
     }

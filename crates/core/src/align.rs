@@ -698,6 +698,17 @@ impl WriteOverlay {
         })
     }
 
+    /// Every overlaid `(row, acknowledged value)` pair, ascending by row.
+    pub fn sorted_pairs(&self) -> Vec<(u64, u64)> {
+        let mut pairs: Vec<(u64, u64)> = self
+            .entries
+            .iter()
+            .map(|(&row, entry)| (row, entry.value))
+            .collect();
+        pairs.sort_unstable_by_key(|&(row, _)| row);
+        pairs
+    }
+
     /// The acknowledged value of `row`, if the row is overlaid.
     pub fn value(&self, row: u64) -> Option<u64> {
         self.entries.get(&row).map(|e| e.value)
@@ -1000,6 +1011,7 @@ mod tests {
         assert_eq!(overlay.value(10), Some(111));
         assert_eq!(overlay.value(3), Some(30));
         assert_eq!(overlay.value(4), None);
+        assert_eq!(overlay.sorted_pairs(), [(3, 30), (10, 111)]);
 
         let mut seen = Vec::new();
         overlay.for_each_qualifying(&ValueRange::new(50, 200), |row, v| seen.push((row, v)));
@@ -1015,6 +1027,7 @@ mod tests {
         overlay.retire_aligned();
         assert_eq!(overlay.rows().as_slice(), &[3]);
         assert_eq!(overlay.value(3), Some(33));
+        assert_eq!(overlay.sorted_pairs(), [(3, 33)]);
         overlay.take_queued();
         overlay.retire_aligned();
         assert!(overlay.is_empty());

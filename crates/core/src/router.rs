@@ -11,6 +11,10 @@
 //!   possible, instead of directing the query to a single (potentially
 //!   larger) view"; if the partial views cannot cover the range, routing
 //!   falls back to the single-view choice.
+//!
+//! Both rules work on plain `(covered range, indexed pages)` candidates, so
+//! the serving layer ([`crate::serve`]) routes its frozen per-epoch view
+//! metadata with the same code as [`route`] routes a [`ViewSet`].
 
 use asv_storage::Column;
 use asv_util::ValueRange;
@@ -62,26 +66,24 @@ pub fn route<B: Backend>(
     }
 }
 
+/// The routing candidates of `views`: each partial view's covered range and
+/// indexed page count, in view-set order.
+fn candidates<B: Backend>(
+    views: &ViewSet<B>,
+) -> impl Iterator<Item = (ValueRange, usize)> + Clone + '_ {
+    views
+        .partial_views()
+        .iter()
+        .map(|view| (*view.range(), view.num_pages()))
+}
+
 /// Single-view routing: the covering view with the fewest indexed pages.
 pub fn route_single<B: Backend>(
     column: &Column<B>,
     views: &ViewSet<B>,
     query_range: &ValueRange,
 ) -> RouteSelection {
-    let mut best: Option<(usize, usize)> = None; // (view index, pages)
-    for (idx, view) in views.iter() {
-        if view.covers(query_range) {
-            let pages = view.num_pages();
-            let better = match best {
-                None => true,
-                Some((_, best_pages)) => pages < best_pages,
-            };
-            if better {
-                best = Some((idx, pages));
-            }
-        }
-    }
-    match best {
+    match smallest_cover(candidates(views), query_range) {
         // Prefer a covering partial view unless the full view is strictly
         // smaller (it never is: a partial view can map at most all pages).
         Some((idx, pages)) if pages <= column.num_pages() => RouteSelection {
@@ -104,72 +106,93 @@ pub fn route_multi<B: Backend>(
     views: &ViewSet<B>,
     query_range: &ValueRange,
 ) -> RouteSelection {
-    if let Some(selection) = greedy_cover(views, query_range) {
-        return selection;
+    match greedy_cover(candidates(views), query_range) {
+        Some(cover) => RouteSelection {
+            views: cover.views.into_iter().map(ViewId::Partial).collect(),
+            covered: cover.covered,
+            indexed_pages: cover.indexed_pages,
+        },
+        None => route_single(column, views, query_range),
     }
-    route_single(column, views, query_range)
 }
 
-/// Tries to cover `query_range` with partial views only, using the classic
-/// greedy interval-cover strategy: repeatedly pick, among the views whose
-/// range starts at or before the first still-uncovered value, the one
-/// reaching furthest to the right (ties broken by fewer indexed pages).
-fn greedy_cover<B: Backend>(
-    views: &ViewSet<B>,
+/// The candidate that covers `query_range` on its own while indexing the
+/// fewest pages, as `(position, pages)`; the earliest candidate wins ties.
+///
+/// Candidates are `(covered range, indexed pages)` pairs identified by
+/// their position in `candidates`, so the single-owner router (over a
+/// [`ViewSet`]) and the serving layer (over frozen view metadata) share one
+/// rule.
+pub(crate) fn smallest_cover(
+    candidates: impl Iterator<Item = (ValueRange, usize)>,
     query_range: &ValueRange,
-) -> Option<RouteSelection> {
-    if views.is_empty() {
-        return None;
-    }
-    let mut chosen: Vec<ViewId> = Vec::new();
+) -> Option<(usize, usize)> {
+    candidates
+        .enumerate()
+        .filter(|(_, (range, _))| range.covers(query_range))
+        .map(|(idx, (_, pages))| (idx, pages))
+        .min_by_key(|&(_, pages)| pages)
+}
+
+/// A set of candidates that cover a query range in conjunction
+/// ([`greedy_cover`]).
+#[derive(Debug)]
+pub(crate) struct Cover {
+    /// Positions of the chosen candidates, in pick order (left to right).
+    pub views: Vec<usize>,
+    /// The hull of the chosen candidates' ranges.
+    pub covered: ValueRange,
+    /// The chosen candidates' page counts, summed (shared pages counted
+    /// once per candidate).
+    pub indexed_pages: usize,
+}
+
+/// Tries to cover `query_range` with the `(covered range, indexed pages)`
+/// candidates in conjunction, using the classic greedy interval-cover
+/// strategy: repeatedly pick, among the candidates whose range contains the
+/// first still-uncovered value, the one reaching furthest to the right
+/// (ties broken by fewer indexed pages, then by position). `None` if a gap
+/// remains.
+pub(crate) fn greedy_cover(
+    candidates: impl Iterator<Item = (ValueRange, usize)> + Clone,
+    query_range: &ValueRange,
+) -> Option<Cover> {
+    let mut views: Vec<usize> = Vec::new();
     let mut covered: Option<ValueRange> = None;
     let mut indexed_pages = 0usize;
     let mut cursor = query_range.low();
     loop {
-        // Among views covering `cursor`, pick the one extending furthest.
-        let mut best: Option<(usize, u64, usize)> = None; // (idx, high, pages)
-        for (idx, view) in views.iter() {
-            let r = view.range();
-            if r.low() <= cursor && r.high() >= cursor {
-                let pages = view.num_pages();
+        // Among candidates covering `cursor`, pick the one extending
+        // furthest; it always advances the cursor.
+        let mut best: Option<(usize, ValueRange, usize)> = None; // (idx, range, pages)
+        for (idx, (range, pages)) in candidates.clone().enumerate() {
+            if range.contains(cursor) {
                 let better = match best {
                     None => true,
-                    Some((_, best_high, best_pages)) => {
-                        r.high() > best_high || (r.high() == best_high && pages < best_pages)
+                    Some((_, best_range, best_pages)) => {
+                        range.high() > best_range.high()
+                            || (range.high() == best_range.high() && pages < best_pages)
                     }
                 };
                 if better {
-                    best = Some((idx, r.high(), pages));
+                    best = Some((idx, range, pages));
                 }
             }
         }
-        let (idx, high, pages) = best?;
-        // Skip views that do not extend the coverage (can only happen if a
-        // previously chosen view already reached `high`; then no progress is
-        // possible and the cover fails).
-        chosen.push(ViewId::Partial(idx));
+        let (idx, range, pages) = best?;
+        views.push(idx);
         indexed_pages += pages;
-        let view_range = *views.partial_view(idx).expect("valid index").range();
-        covered = Some(match covered {
-            None => view_range,
-            Some(c) => c.hull(&view_range),
-        });
-        if high >= query_range.high() {
-            return Some(RouteSelection {
-                views: chosen,
-                covered: covered.expect("at least one view chosen"),
+        let hull = covered.map_or(range, |c| c.hull(&range));
+        covered = Some(hull);
+        if range.high() >= query_range.high() {
+            return Some(Cover {
+                views,
+                covered: hull,
                 indexed_pages,
             });
         }
-        if high == u64::MAX {
-            // Defensive: cannot advance past the domain maximum.
-            return Some(RouteSelection {
-                views: chosen,
-                covered: covered.expect("at least one view chosen"),
-                indexed_pages,
-            });
-        }
-        cursor = high + 1;
+        // Below `query_range.high()`, so the increment cannot overflow.
+        cursor = range.high() + 1;
     }
 }
 

@@ -12,12 +12,19 @@
 //! thread counts, writer counts and chunk sizes:
 //!
 //! * **Concurrent == sequential, bit-identical**: every client-computed
-//!   answer (count, sum, conjunctive row checksum) equals the answer a
-//!   single-threaded twin computes for the same read of the same round —
-//!   regardless of which mid-round epoch the client happened to pin.
+//!   answer (count, sum, collected-row and conjunctive row checksums)
+//!   equals the answer a single-threaded twin computes for the same read
+//!   of the same round — regardless of which mid-round epoch the client
+//!   happened to pin.
 //! * **Sequential == model**: the sequential twin's range answers match a
-//!   naive rescan of a plain `Vec` mirror, and its conjunctive counts
-//!   match a naive predicate intersection.
+//!   naive rescan of a plain `Vec` mirror, its collected rows match the
+//!   mirror's qualifying rows in ascending order, and its conjunctive
+//!   counts match a naive predicate intersection.
+//! * **Multi-view covers are exact**: every column carries several views,
+//!   adjacent and overlapping ones sharing pages, so reads straddling two
+//!   views (range, collecting and conjunctive driving scans) route to the
+//!   union of a view cover while writes, alignment and mid-round pins are
+//!   in flight. Collected rows always come out strictly ascending.
 //! * **Round-phase invariance**: a twin that fully quiesces after every
 //!   round (overlay empty, all folds retired) produces the same answers
 //!   as the overlay-serving twin — committed acknowledgements answer
@@ -35,10 +42,20 @@ use asv_vmem::{Backend, SimBackend, VALUES_PER_PAGE};
 use asv_workloads::{ServeReadOp, ServeRound, ServeSpec, ServeWorkload};
 
 const PAGES: usize = 24;
-const VIEW_RANGES: [(u64, u64); 2] = [(5_000, 9_400), (12_000, 16_500)];
+/// The views installed on every column. Page `p` of column 0 holds values
+/// `[p*1000, p*1000 + 510]` (column 1 the same pages reversed), so:
+/// views 0 and 1 are adjacent and share page 7, views 1 and 2 overlap and
+/// share page 11, and a gap separates view 2 from view 3.
+const VIEW_RANGES: [(u64, u64); 4] = [
+    (2_000, 7_199),
+    (7_200, 11_999),
+    (11_000, 15_999),
+    (18_000, 23_999),
+];
 
-/// `(count, sum, rows_checksum)` — range answers fill the first two
-/// fields, conjunctive answers the first and last.
+/// `(count, sum, rows_checksum)` — range answers fill all three (the
+/// checksum over their collected rows, in order), conjunctive answers the
+/// first and last.
 type Answer = (u64, u128, u64);
 
 fn spec(seed_bump: u64) -> ServeSpec {
@@ -82,20 +99,59 @@ fn build_table<B: Backend>(
     writer_shards: usize,
 ) -> ServeTable<B> {
     let mut table = ServeTable::new(backend, config(chunk_updates, writer_shards));
-    for (col, &(lo, hi)) in VIEW_RANGES.iter().enumerate() {
+    for col in 0..2 {
         table.add_column(&column_values(col)).expect("column");
-        table
-            .install_view(col, ValueRange::new(lo, hi))
-            .expect("view");
+        for &(lo, hi) in &VIEW_RANGES {
+            table
+                .install_view(col, ValueRange::new(lo, hi))
+                .expect("view");
+        }
     }
     table
+}
+
+/// `true` if no single view covers `range` but the views do in
+/// conjunction: the read routes to a multi-view cover.
+fn straddles_views(range: &ValueRange) -> bool {
+    let views: Vec<ValueRange> = VIEW_RANGES
+        .iter()
+        .map(|&(lo, hi)| ValueRange::new(lo, hi))
+        .collect();
+    if views.iter().any(|view| view.covers(range)) {
+        return false;
+    }
+    let mut cursor = range.low();
+    while let Some(view) = views
+        .iter()
+        .filter(|view| view.contains(cursor))
+        .max_by_key(|view| view.high())
+    {
+        if view.high() >= range.high() {
+            return true;
+        }
+        cursor = view.high() + 1;
+    }
+    false
+}
+
+/// Order-dependent checksum over a row list.
+fn rows_checksum(rows: &[u64]) -> u64 {
+    rows.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &row| {
+        (hash ^ row).wrapping_mul(0x0100_0000_01B3)
+    })
 }
 
 fn answer<B: Backend>(snap: &Snapshot<B>, read: &ServeReadOp) -> Answer {
     match read {
         ServeReadOp::Range { col, range } => {
             let out = snap.query_range(*col, range);
-            (out.count, out.sum, 0)
+            let rows = snap.collect_rows(*col, range);
+            assert!(
+                rows.windows(2).all(|w| w[0] < w[1]),
+                "collected rows strictly ascend"
+            );
+            assert_eq!(rows.len() as u64, out.count, "collect agrees with count");
+            (out.count, out.sum, rows_checksum(&rows))
         }
         ServeReadOp::Conjunctive { predicates } => {
             let out = snap.query_conjunctive(predicates);
@@ -104,17 +160,19 @@ fn answer<B: Backend>(snap: &Snapshot<B>, read: &ServeReadOp) -> Answer {
     }
 }
 
-fn model_answer(mirrors: &[Vec<u64>], read: &ServeReadOp) -> (u64, Option<u128>) {
+/// The model's `(count, range sum, range rows)`; conjunctive reads carry
+/// only the count.
+fn model_answer(mirrors: &[Vec<u64>], read: &ServeReadOp) -> (u64, Option<(u128, Vec<u64>)>) {
     match read {
         ServeReadOp::Range { col, range } => {
-            let (mut count, mut sum) = (0u64, 0u128);
-            for &v in &mirrors[*col] {
-                if range.contains(v) {
-                    count += 1;
-                    sum += v as u128;
-                }
-            }
-            (count, Some(sum))
+            let rows: Vec<u64> = (0..mirrors[*col].len() as u64)
+                .filter(|&row| range.contains(mirrors[*col][row as usize]))
+                .collect();
+            let sum = rows
+                .iter()
+                .map(|&row| mirrors[*col][row as usize] as u128)
+                .sum();
+            (rows.len() as u64, Some((sum, rows)))
         }
         ServeReadOp::Conjunctive { predicates } => {
             let count = (0..mirrors[0].len())
@@ -160,10 +218,17 @@ fn run_sequential<B: Backend>(
                 .iter()
                 .map(|read| {
                     let got = answer(&snap, read);
-                    let (count, sum) = model_answer(&mirrors, read);
+                    let (count, range_model) = model_answer(&mirrors, read);
                     assert_eq!(got.0, count, "sequential twin vs naive model: count");
-                    if let Some(sum) = sum {
+                    if let (ServeReadOp::Range { col, range }, Some((sum, rows))) =
+                        (read, range_model)
+                    {
                         assert_eq!(got.1, sum, "sequential twin vs naive model: sum");
+                        assert_eq!(
+                            snap.collect_rows(*col, range),
+                            rows,
+                            "sequential twin vs naive model: collected rows"
+                        );
                     }
                     got
                 })
@@ -331,6 +396,25 @@ fn check_backend<B: Backend>(make_backend: impl Fn() -> B, label: &str, seeds: u
             &workload_spec,
             2,
             PAGES * VALUES_PER_PAGE,
+        );
+        let reads = || rounds.iter().flat_map(|round| &round.reads);
+        let straddling_ranges = reads()
+            .filter(
+                |read| matches!(read, ServeReadOp::Range { range, .. } if straddles_views(range)),
+            )
+            .count();
+        let straddling_conjunctions = reads()
+            .filter(|read| match read {
+                ServeReadOp::Conjunctive { predicates } => {
+                    predicates.iter().any(|(_, range)| straddles_views(range))
+                }
+                ServeReadOp::Range { .. } => false,
+            })
+            .count();
+        assert!(
+            straddling_ranges > 0 && straddling_conjunctions > 0,
+            "seed {seed}: the workload exercises the multi-view cover \
+             ({straddling_ranges} range, {straddling_conjunctions} conjunctive reads)"
         );
         for &chunk_updates in &[0usize, 5] {
             let ctx = format!("{label}/seed={seed}/chunk={chunk_updates}");
