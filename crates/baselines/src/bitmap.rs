@@ -7,7 +7,7 @@
 
 use asv_storage::Column;
 use asv_util::{BitVec, ValueRange};
-use asv_vmem::{Backend, VALUES_PER_PAGE};
+use asv_vmem::{Backend, PhysicalStore, VALUES_PER_PAGE};
 
 use crate::index::{IndexAnswer, RangeIndex};
 
@@ -79,14 +79,12 @@ impl<B: Backend> RangeIndex for BitmapIndex<B> {
     }
 
     fn query(&self, query: &ValueRange) -> IndexAnswer {
-        let mut answer = IndexAnswer::default();
         // Scan the bitvector; jump into the column for every set bit.
-        for page in self.bits.iter_ones() {
-            let page_ref = self.column.page_ref(page);
-            let res = page_ref.scan_filter(query);
-            answer.add_page(res.count, res.sum);
-        }
-        answer
+        let pages = self
+            .bits
+            .iter_ones()
+            .map(|page| self.column.store().page(page));
+        IndexAnswer::scan_pages(query, pages, |raw| self.column.wrap_view_page(raw))
     }
 
     fn apply_writes(&mut self, writes: &[(usize, u64)]) {

@@ -1,5 +1,6 @@
 //! The common interface of all partial-index variants.
 
+use asv_storage::{PageRef, ScanKernel, ScanMode, ScanOutput};
 use asv_util::ValueRange;
 
 /// The answer an index produces for a range query: cardinality and checksum
@@ -21,6 +22,32 @@ impl IndexAnswer {
         self.count += count;
         self.sum += sum;
         self.pages_scanned += 1;
+    }
+
+    /// Answers `query` over the raw `pages`, in order, with the production
+    /// page loop ([`ScanKernel::scan_pages`]: each page prefetches its
+    /// successor; `wrap` supplies the valid-value count). The variants
+    /// that visit pages one by one all scan through here, so Figure 3
+    /// compares layouts, not kernels or loops.
+    pub fn scan_pages<'p>(
+        query: &ValueRange,
+        pages: impl IntoIterator<Item = &'p [u64]>,
+        wrap: impl Fn(&'p [u64]) -> PageRef<'p>,
+    ) -> Self {
+        let kernel = ScanKernel::new(*query, ScanMode::Aggregate);
+        let mut out = ScanOutput::new(kernel.mode(), false);
+        kernel.scan_pages(pages, wrap, &mut out);
+        Self::from(&out)
+    }
+}
+
+impl From<&ScanOutput> for IndexAnswer {
+    fn from(out: &ScanOutput) -> Self {
+        Self {
+            count: out.result.count,
+            sum: out.result.sum,
+            pages_scanned: out.scanned_pages,
+        }
     }
 }
 

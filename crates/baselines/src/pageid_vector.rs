@@ -4,12 +4,14 @@
 //! qualifying pages. A lookup utilizes the IDs to locate the actual pages in
 //! the column. Note that this variant can benefit from prefetching to speed
 //! up lookups to subsequent pages" — the paper issues
-//! `__builtin_prefetch(pages[i+1], 0, 0)`; we issue the equivalent
-//! `_mm_prefetch` hint on x86-64.
+//! `__builtin_prefetch(pages[i+1], 0, 0)`. Here every sequential page loop
+//! does that: the query hands each page its successor and the page filter
+//! prefetches it block by block ([`asv_storage::ScanKernel::scan_page`]),
+//! the same as for every other variant.
 
 use asv_storage::Column;
 use asv_util::ValueRange;
-use asv_vmem::{Backend, VALUES_PER_PAGE};
+use asv_vmem::{Backend, PhysicalStore, VALUES_PER_PAGE};
 
 use crate::index::{IndexAnswer, RangeIndex};
 
@@ -18,22 +20,6 @@ pub struct PageIdVectorIndex<B: Backend> {
     column: Column<B>,
     page_ids: Vec<u32>,
     index_range: ValueRange,
-}
-
-/// Issues a non-temporal prefetch hint for the given page, mirroring the
-/// paper's `__builtin_prefetch(addr, 0, 0)`.
-#[inline]
-fn prefetch_page(data: &[u64]) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch has no memory effects; any address is allowed.
-    unsafe {
-        core::arch::x86_64::_mm_prefetch(
-            data.as_ptr() as *const i8,
-            core::arch::x86_64::_MM_HINT_NTA,
-        );
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = data;
 }
 
 impl<B: Backend> PageIdVectorIndex<B> {
@@ -85,16 +71,12 @@ impl<B: Backend> RangeIndex for PageIdVectorIndex<B> {
     }
 
     fn query(&self, query: &ValueRange) -> IndexAnswer {
-        let mut answer = IndexAnswer::default();
-        for (i, &page) in self.page_ids.iter().enumerate() {
-            // Prefetch the next qualifying page while scanning this one.
-            if let Some(&next) = self.page_ids.get(i + 1) {
-                prefetch_page(self.column.page_ref(next as usize).raw());
-            }
-            let res = self.column.page_ref(page as usize).scan_filter(query);
-            answer.add_page(res.count, res.sum);
-        }
-        answer
+        // Each qualifying page prefetches the next one while it is scanned.
+        let pages = self
+            .page_ids
+            .iter()
+            .map(|&page| self.column.store().page(page as usize));
+        IndexAnswer::scan_pages(query, pages, |raw| self.column.wrap_view_page(raw))
     }
 
     fn apply_writes(&mut self, writes: &[(usize, u64)]) {

@@ -74,16 +74,13 @@ impl RangeIndex for PhysicalScanBaseline {
     }
 
     fn query(&self, query: &ValueRange) -> IndexAnswer {
-        let mut answer = IndexAnswer::default();
-        for raw in self.compact.chunks_exact(SLOTS_PER_PAGE) {
+        // The same page loop every other variant runs, so Fig. 3 compares
+        // layouts, not kernels.
+        IndexAnswer::scan_pages(query, self.compact.chunks_exact(SLOTS_PER_PAGE), |raw| {
             let start = raw[0] as usize * VALUES_PER_PAGE;
             let valid = (self.values.len() - start).min(VALUES_PER_PAGE);
-            // The same page filter every other variant runs, so Fig. 3
-            // compares layouts, not kernels.
-            let res = PageRef::new(raw, valid).scan_filter(query);
-            answer.add_page(res.count, res.sum);
-        }
-        answer
+            PageRef::new(raw, valid)
+        })
     }
 
     fn apply_writes(&mut self, writes: &[(usize, u64)]) {

@@ -81,11 +81,7 @@ impl<B: Backend> RangeIndex for VirtualViewIndex<B> {
             |raw| self.column.wrap_view_page(raw),
             self.parallelism,
         );
-        IndexAnswer {
-            count: out.result.count,
-            sum: out.result.sum,
-            pages_scanned: out.scanned_pages,
-        }
+        IndexAnswer::from(&out)
     }
 
     fn apply_writes(&mut self, writes: &[(usize, u64)]) {

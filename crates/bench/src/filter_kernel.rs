@@ -10,8 +10,10 @@
 //!   reference implementations;
 //! * **chunked** — the page filter of `asv_storage::simd` the production
 //!   scan path runs on, in the build selected for the running CPU (the
-//!   report records which: [`FilterKernelReport::kernel_isa`]). The label
-//!   predates that filter and is kept so histories and CI paths line up.
+//!   report records which: [`FilterKernelReport::kernel_isa`]), driven by
+//!   the production page loop (`ScanKernel::scan_pages`), which hands each
+//!   page its successor to prefetch. The label predates that filter and is
+//!   kept so histories and CI paths line up.
 //!
 //! The modes are the five kernel entry points: `scan` (count + checksum),
 //! `count` (count-only fast path), `collect` (row-id collection),
@@ -31,9 +33,9 @@
 
 use std::time::Instant;
 
-use asv_storage::{simd, Column, ExclusionMasks, PageScanResult};
+use asv_storage::{simd, Column, ExclusionMasks, PageScanResult, ScanKernel, ScanMode, ScanOutput};
 use asv_util::ValueRange;
-use asv_vmem::{Backend, VALUES_PER_PAGE};
+use asv_vmem::{Backend, PhysicalStore, VALUES_PER_PAGE};
 use asv_workloads::KernelWorkload;
 
 use crate::report::Table;
@@ -203,6 +205,50 @@ fn excluded_slots_on(excluded_rows: &[u64], page: usize) -> Vec<usize> {
         .collect()
 }
 
+/// One pass of a `chunked` scan-mode cell: the production page loop
+/// ([`ScanKernel::scan_pages`], which hands each page its successor to
+/// prefetch) over every page of the column, so the perf history measures
+/// the loop queries run.
+fn production_pass<B: Backend>(
+    column: &Column<B>,
+    mode: &str,
+    range: &ValueRange,
+    masks: &ExclusionMasks,
+    rows_buf: &mut Vec<u64>,
+) -> KernelAnswer {
+    let scan_mode = match mode {
+        "count" => ScanMode::CountOnly,
+        "collect" => ScanMode::CollectRows,
+        _ => ScanMode::Aggregate,
+    };
+    let mut kernel = ScanKernel::new(*range, scan_mode);
+    if mode == "exclude" {
+        kernel = kernel.with_exclusion_masks(masks);
+    }
+    let mut out = ScanOutput::new(scan_mode, false);
+    if out.rows.is_some() {
+        rows_buf.clear();
+        out.rows = Some(std::mem::take(rows_buf));
+    }
+    kernel.scan_pages(
+        (0..column.num_pages()).map(|p| column.store().page(p)),
+        |raw| column.wrap_view_page(raw),
+        &mut out,
+    );
+    let mut answer = KernelAnswer {
+        count: out.result.count,
+        sum: out.result.sum,
+        below: out.below,
+        above: out.above,
+        ..empty_answer()
+    };
+    if let Some(rows) = out.rows {
+        answer.rows_sum = rows_checksum(&rows);
+        *rows_buf = rows;
+    }
+    answer
+}
+
 /// Runs one timed pass of `(mode, variant)` and returns its answer.
 #[allow(clippy::too_many_arguments)]
 fn run_pass<B: Backend>(
@@ -216,40 +262,30 @@ fn run_pass<B: Backend>(
     probe_rows: &[u64],
     rows_buf: &mut Vec<u64>,
 ) -> KernelAnswer {
+    if variant == "chunked" && mode != "probe" {
+        return production_pass(column, mode, range, masks, rows_buf);
+    }
     let mut answer = empty_answer();
-    let chunked = variant == "chunked";
     match mode {
         "scan" => {
             for p in 0..column.num_pages() {
-                let page = column.page_ref(p);
-                let res = if chunked {
-                    page.scan_filter(range)
-                } else {
-                    page.scan_filter_scalar(range)
-                };
-                merge_page(&mut answer, &res);
+                merge_page(&mut answer, &column.page_ref(p).scan_filter_scalar(range));
             }
         }
         "count" => {
             for p in 0..column.num_pages() {
-                let page = column.page_ref(p);
-                let res = if chunked {
-                    page.scan_filter_count(range)
-                } else {
-                    page.scan_filter_count_scalar(range)
-                };
-                merge_page(&mut answer, &res);
+                merge_page(
+                    &mut answer,
+                    &column.page_ref(p).scan_filter_count_scalar(range),
+                );
             }
         }
         "collect" => {
             rows_buf.clear();
             for p in 0..column.num_pages() {
-                let page = column.page_ref(p);
-                let res = if chunked {
-                    page.scan_filter_collect(range, rows_buf)
-                } else {
-                    page.scan_filter_collect_scalar(range, rows_buf)
-                };
+                let res = column
+                    .page_ref(p)
+                    .scan_filter_collect_scalar(range, rows_buf);
                 merge_page(&mut answer, &res);
             }
             answer.rows_sum = rows_checksum(rows_buf);
@@ -257,18 +293,11 @@ fn run_pass<B: Backend>(
         "exclude" => {
             for p in 0..column.num_pages() {
                 let page = column.page_ref(p);
-                let res = if chunked {
-                    match masks.mask_for(p as u64) {
-                        Some(mask) => page.scan_filter_excluding(range, mask, false, None),
-                        None => page.scan_filter(range),
-                    }
+                let slots = excluded_slots_on(excluded_rows, p);
+                let res = if slots.is_empty() {
+                    page.scan_filter_scalar(range)
                 } else {
-                    let slots = excluded_slots_on(excluded_rows, p);
-                    if slots.is_empty() {
-                        page.scan_filter_scalar(range)
-                    } else {
-                        page.scan_filter_excluding_scalar(range, &slots, false, None)
-                    }
+                    page.scan_filter_excluding_scalar(range, &slots, false, None)
                 };
                 merge_page(&mut answer, &res);
             }

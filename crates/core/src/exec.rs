@@ -97,7 +97,13 @@ pub(crate) fn scan_selected_views<B: Backend>(
     }
 }
 
-/// The sequential strategy: one pass in view order, sink fed inline.
+/// The sequential strategy: one pass in view order, sink fed inline. The
+/// pass reads one view slot ahead, across view boundaries, and hands that
+/// page to the page it scans now as the successor to prefetch. Which page a
+/// slot holds is only known once its pageID slot is read, so a successor
+/// that turns out to be already processed was prefetched for nothing;
+/// reading it before scanning the current page would stall on a cold line
+/// instead.
 fn scan_sequential<B: Backend>(
     column: &Column<B>,
     buffers: &[&B::View],
@@ -107,18 +113,17 @@ fn scan_sequential<B: Backend>(
     let num_pages = column.num_pages();
     let mut processed = BitVec::new(num_pages);
     let mut out = ScanOutput::new(kernel.mode(), false);
-    for view in buffers {
-        for raw in view.iter_pages() {
-            let page_id = raw[0] as usize;
-            debug_assert!(page_id < num_pages, "corrupt embedded pageID {page_id}");
-            if processed.test_and_set(page_id) {
-                continue;
-            }
-            let res = kernel.scan_page(column.wrap_view_page(raw), &mut out);
-            if res.count > 0 {
-                if let Some(sink) = sink.as_deref_mut() {
-                    sink.add_page(page_id as u64)?;
-                }
+    let mut pages = buffers.iter().flat_map(|view| view.iter_pages()).peekable();
+    while let Some(raw) = pages.next() {
+        let page_id = raw[0] as usize;
+        debug_assert!(page_id < num_pages, "corrupt embedded pageID {page_id}");
+        if processed.test_and_set(page_id) {
+            continue;
+        }
+        let res = kernel.scan_page(column.wrap_view_page(raw), pages.peek().copied(), &mut out);
+        if res.count > 0 {
+            if let Some(sink) = sink.as_deref_mut() {
+                sink.add_page(page_id as u64)?;
             }
         }
     }
@@ -155,7 +160,9 @@ fn scan_sharded<B: Backend>(
                             {
                                 continue;
                             }
-                            kernel.scan_page(column.wrap_view_page(raw), &mut out);
+                            // No successor: the next page this worker
+                            // scans is wherever its shard's pages come next.
+                            kernel.scan_page(column.wrap_view_page(raw), None, &mut out);
                         }
                     }
                     out

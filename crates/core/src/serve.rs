@@ -245,9 +245,22 @@ impl<B: Backend> ColumnEpoch<B> {
         (pages.len() < self.num_pages).then_some(Cow::Owned(pages))
     }
 
-    fn scan_phys(&self, kernel: &ScanKernel<'_>, phys: usize, out: &mut ScanOutput) {
-        let page = PageRef::new(self.page_raw(phys), self.valid_values(phys));
-        kernel.scan_page(page, out);
+    /// Scans the physical pages `phys` in order. Each page's slots are
+    /// resolved once ([`Self::page_raw`] is a lookup in `copies`): the
+    /// slice resolved as one page's successor, to prefetch, is the page
+    /// scanned next. Its valid count follows from its pageID slot, which
+    /// frozen copies keep, once it is scanned.
+    fn scan_phys(
+        &self,
+        kernel: &ScanKernel<'_>,
+        phys: impl Iterator<Item = usize>,
+        out: &mut ScanOutput,
+    ) {
+        kernel.scan_pages(
+            phys.map(|phys| self.page_raw(phys)),
+            |raw| PageRef::new(raw, self.valid_values(raw[0] as usize)),
+            out,
+        );
     }
 
     /// Routed range scan: overlaid rows are masked out of the page scan
@@ -260,7 +273,9 @@ impl<B: Backend> ColumnEpoch<B> {
     /// that scan concurrently; the shard outputs merge back in ascending
     /// shard order, so collected rows append in the same page order the
     /// sequential loop produces and the answer is bit-identical for every
-    /// worker count.
+    /// worker count. The sequential loop, and each morsel within its
+    /// shard, hands every page its successor to prefetch
+    /// ([`ScanKernel::scan_pages`]).
     fn scan(&self, range: &ValueRange, mode: ScanMode, pool: &ThreadPool) -> ScanOutput {
         let mut kernel = ScanKernel::new(*range, mode);
         if !self.masks.is_empty() {
@@ -269,22 +284,17 @@ impl<B: Backend> ColumnEpoch<B> {
         let routed = self.route(range);
         let view_pages: Option<&[usize]> = routed.as_deref();
         let num_pages = view_pages.map_or(self.num_pages, |p| p.len());
+        let phys_of = move |idx: usize| view_pages.map_or(idx, |p| p[idx]);
         let mut out = ScanOutput::new(mode, false);
         if pool.workers() <= 1 || num_pages < 2 {
-            for idx in 0..num_pages {
-                let phys = view_pages.map_or(idx, |p| p[idx]);
-                self.scan_phys(&kernel, phys, &mut out);
-            }
+            self.scan_phys(&kernel, (0..num_pages).map(phys_of), &mut out);
         } else {
             let tasks: Vec<_> = split_ranges(num_pages, pool.workers())
                 .into_iter()
                 .map(|shard| {
                     move || {
                         let mut partial = ScanOutput::new(mode, false);
-                        for idx in shard {
-                            let phys = view_pages.map_or(idx, |p| p[idx]);
-                            self.scan_phys(&kernel, phys, &mut partial);
-                        }
+                        self.scan_phys(&kernel, shard.map(phys_of), &mut partial);
                         partial
                     }
                 })
@@ -2689,5 +2699,71 @@ mod tests {
         assert_eq!(epoch.valid_values(2), 5, "partial tail page");
         assert_eq!(epoch.valid_values(3), 0, "pages past the data are empty");
         assert_eq!(epoch.valid_values(17), 0);
+    }
+
+    #[test]
+    fn scans_alternating_frozen_copies_and_live_pages_match_the_model() {
+        // Overlaid rows on every other page: a scan walks frozen copy,
+        // live page, copy, ... and resolves each page's slots once, as
+        // its predecessor's successor. Each page must be scanned from its
+        // own source.
+        let mut table = ServeTable::new(SimBackend::new(), serve_config());
+        let pages = 9;
+        let values = clustered_values(pages);
+        let col = table.add_column(&values).unwrap();
+        let overlaid: Vec<(usize, u64)> = (0..pages)
+            .step_by(2)
+            .map(|p| (p * VALUES_PER_PAGE + 7, 3_000 + p as u64))
+            .collect();
+        table.write_batch(col, &overlaid);
+        table.tick().unwrap();
+        let snap = table.handle().pin();
+        let epoch = snap.column(col);
+        assert_eq!(epoch.overlaid_rows(), overlaid.len());
+        let mut copied: Vec<usize> = epoch.copies.keys().copied().collect();
+        copied.sort_unstable();
+        assert_eq!(copied, [0, 2, 4, 6, 8]);
+
+        // Move every live page on under the pinned epoch at a slot it does
+        // not mask: the copied pages must not see it, the others must.
+        let mut model = values.clone();
+        for &(row, value) in &overlaid {
+            model[row] = value;
+        }
+        for page in 0..pages {
+            let row = page * VALUES_PER_PAGE + 300;
+            table.columns[col].column.write(row, 3_500);
+            if page % 2 == 1 {
+                model[row] = 3_500;
+            }
+        }
+
+        for range in [
+            ValueRange::new(3_000, 3_600),
+            ValueRange::new(2_000, 6_300),
+            ValueRange::full(),
+        ] {
+            let rows: Vec<u64> = (0..model.len() as u64)
+                .filter(|&row| range.contains(model[row as usize]))
+                .collect();
+            let sum: u128 = rows.iter().map(|&row| model[row as usize] as u128).sum();
+            for workers in [1, 2] {
+                let pool = ThreadPool::with_workers(workers);
+                for mode in [
+                    ScanMode::CountOnly,
+                    ScanMode::Aggregate,
+                    ScanMode::CollectRows,
+                ] {
+                    let what = format!("{range:?} {mode:?} workers {workers}");
+                    let out = epoch.scan(&range, mode, &pool);
+                    assert_eq!(out.result.count, rows.len() as u64, "{what}");
+                    let want_sum = if mode == ScanMode::CountOnly { 0 } else { sum };
+                    assert_eq!(out.result.sum, want_sum, "{what}");
+                    if mode == ScanMode::CollectRows {
+                        assert_eq!(out.rows.as_deref(), Some(&rows[..]), "{what}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -10,7 +10,10 @@
 //!
 //! * [`ScanKernel::scan_page`] — the per-page step (filter + merge),
 //!   parameterized by [`ScanMode`] (count-only fast path, count+sum
-//!   aggregation, or row-id collection);
+//!   aggregation, or row-id collection), handed the page the loop scans
+//!   next so the filter can prefetch it;
+//! * [`ScanKernel::scan_pages`] — the sequential page loop over any page
+//!   sequence, handing each page its successor;
 //! * [`ScanKernel::scan_view_slots`] — evaluates an arbitrary slot range of
 //!   any view buffer, the shard primitive of parallel execution;
 //! * [`scan_view`] — shards a whole view across a [`ThreadPool`] and merges
@@ -215,8 +218,24 @@ impl<'a> ScanKernel<'a> {
 
     /// Scans one page into `out` and returns the page's own result (so
     /// callers can react to per-page outcomes, e.g. feed qualifying pages to
-    /// a view-creation sink in scan order).
-    pub fn scan_page(&self, page: PageRef<'_>, out: &mut ScanOutput) -> PageScanResult {
+    /// a view-creation sink in scan order). Every page scan of every query
+    /// path is this call.
+    ///
+    /// `next` is the raw slots of the page the caller scans after this
+    /// one. The filter prefetches it while it filters `page`, block by
+    /// block, so the scan keeps streaming across the 4 KiB boundary at
+    /// which the hardware prefetcher stops (see [`crate::simd`]). It never
+    /// changes the answer. A sequential loop passes its successor and
+    /// resolves each page once: the slice fetched as `next` is the next
+    /// iteration's `page` ([`Self::scan_pages`] is that loop). A loop that
+    /// cannot tell which page it scans next — a sharded worker skipping
+    /// other shards' pages — passes `None`.
+    pub fn scan_page(
+        &self,
+        page: PageRef<'_>,
+        next: Option<&[u64]>,
+        out: &mut ScanOutput,
+    ) -> PageScanResult {
         let derived;
         let exclusion = match self.excluded_masks {
             Some(masks) => masks.mask_for(page.page_id()),
@@ -228,7 +247,7 @@ impl<'a> ScanKernel<'a> {
         let count_only = matches!(self.mode, ScanMode::CountOnly);
         let rows = matches!(self.mode, ScanMode::CollectRows)
             .then(|| out.rows.get_or_insert_with(Vec::new));
-        let res = page.filter(&self.range, exclusion, count_only, rows);
+        let res = page.filter(next, &self.range, exclusion, count_only, rows);
         out.scanned_pages += 1;
         if res.count > 0 {
             if let Some(pages) = out.qualifying_pages.as_mut() {
@@ -244,6 +263,30 @@ impl<'a> ScanKernel<'a> {
         }
         out.result.merge(&res);
         res
+    }
+
+    /// Scans the raw pages `pages` in order into `out`, handing each page
+    /// its successor as `next` (see [`Self::scan_page`]). Each page is
+    /// resolved once: the iterator is read one page ahead, and that slice
+    /// is the page scanned next.
+    ///
+    /// `wrap` supplies a page's valid-value count (see
+    /// [`crate::Column::wrap_view_page`]). It runs when the page is
+    /// scanned, not when it is fetched as a successor, so it may read the
+    /// page's pageID slot: fetching the successor touches no page memory,
+    /// and the successor's first line is only loaded after its prefetch.
+    pub fn scan_pages<'p, W>(
+        &self,
+        pages: impl IntoIterator<Item = &'p [u64]>,
+        wrap: W,
+        out: &mut ScanOutput,
+    ) where
+        W: Fn(&'p [u64]) -> PageRef<'p>,
+    {
+        let mut pages = pages.into_iter().peekable();
+        while let Some(raw) = pages.next() {
+            self.scan_page(wrap(raw), pages.peek().copied(), out);
+        }
     }
 
     /// Probes the candidate rows `rows` (ascending global row ids, all on
@@ -278,7 +321,8 @@ impl<'a> ScanKernel<'a> {
     /// [`crate::Column::wrap_view_page`]).
     ///
     /// This is the shard primitive: a parallel scan hands each worker a
-    /// disjoint slot range of the same view.
+    /// disjoint slot range of the same view. The slots are consecutive, so
+    /// each page prefetches the next slot's page ([`Self::scan_pages`]).
     pub fn scan_view_slots<'p, V, W>(
         &self,
         view: &'p V,
@@ -290,9 +334,7 @@ impl<'a> ScanKernel<'a> {
         W: Fn(&'p [u64]) -> PageRef<'p>,
     {
         debug_assert!(slots.end <= view.mapped_pages());
-        for slot in slots {
-            self.scan_page(wrap(view.page(slot)), out);
-        }
+        self.scan_pages(slots.map(|slot| view.page(slot)), wrap, out);
     }
 }
 

@@ -142,14 +142,14 @@ impl<'a> PageRef<'a> {
     /// [`Self::scan_filter_scalar`] up to the narrowed bounds contract of
     /// [`PageScanResult`]).
     pub fn scan_filter(&self, range: &ValueRange) -> PageScanResult {
-        self.filter(range, None, false, None)
+        self.filter(None, range, None, false, None)
     }
 
     /// Count-only variant of [`Self::scan_filter`]: skips the checksum
     /// accumulation (`sum` stays 0) — the fast path for `COUNT(*)`-style
     /// queries.
     pub fn scan_filter_count(&self, range: &ValueRange) -> PageScanResult {
-        self.filter(range, None, true, None)
+        self.filter(None, range, None, true, None)
     }
 
     /// Like [`Self::scan_filter`], but additionally appends the global row
@@ -164,7 +164,7 @@ impl<'a> PageRef<'a> {
         range: &ValueRange,
         rows_out: &mut Vec<u64>,
     ) -> PageScanResult {
-        self.filter(range, None, false, Some(rows_out))
+        self.filter(None, range, None, false, Some(rows_out))
     }
 
     /// Filters the page against `range` while treating the slots set in
@@ -188,21 +188,24 @@ impl<'a> PageRef<'a> {
         count_only: bool,
         rows_out: Option<&mut Vec<u64>>,
     ) -> PageScanResult {
-        self.filter(range, Some(exclusion), count_only, rows_out)
+        self.filter(None, range, Some(exclusion), count_only, rows_out)
     }
 
     /// All four scan entry points above, and [`crate::ScanKernel`], are
     /// this one call into the build of the page filter selected for the
-    /// running CPU.
+    /// running CPU. The single-page entry points above have no successor;
+    /// [`crate::ScanKernel::scan_page`] passes the raw slots of the page a
+    /// loop scans next as `next`, which the filter prefetches.
     #[inline]
     pub(crate) fn filter(
         &self,
+        next: Option<&[u64]>,
         range: &ValueRange,
         exclusion: Option<&PageExclusionMask>,
         count_only: bool,
         rows_out: Option<&mut Vec<u64>>,
     ) -> PageScanResult {
-        simd::selected_variant().filter(self, range, exclusion, count_only, rows_out)
+        simd::selected_variant().filter(self, next, range, exclusion, count_only, rows_out)
     }
 
     /// Qualifies the candidate rows `rows` (ascending global row ids, all

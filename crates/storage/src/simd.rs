@@ -26,6 +26,27 @@
 //! Row-id collection is a third, branch-free compaction loop that runs only
 //! on pages the lean pass found a qualifying value on.
 //!
+//! # Blocks and the next page
+//!
+//! A view is a list of 4 KiB pages, often each in a mapping of its own, and
+//! the hardware prefetcher stops at every page boundary: left alone, each
+//! page a scan enters starts with cache misses. The scan loop, however,
+//! knows which page it reads next long before the hardware does, so a
+//! sequential caller hands the filter the raw slots of the successor page
+//! (`next`). The lean pass runs in blocks of 64 slots (eight cache lines)
+//! and, before each block, hints the same eight lines of `next` into
+//! the cache. The hints are spread through the page, one block's worth at a
+//! time, rather than issued as a burst at page entry: a burst of 64 hints
+//! competes with the current page's own loads and measured slower on a
+//! cache-resident view, while the interleaved hints were faster both warm
+//! and cold. Looking one page ahead measured equal to looking two ahead.
+//!
+//! Blocking only regroups exact integer sums, so count and checksum do not
+//! change; the bounds pass, the compaction and the take-back below are not
+//! blocked and touch only the current page. Without a successor (the last
+//! page, a sharded worker, a single-page call) the blocks run without
+//! hints.
+//!
 //! # What must not count
 //!
 //! The lean pass runs over the page slice *including* its pageID slot, so a
@@ -68,8 +89,13 @@
 //! and the identical loops come out as 256-bit vector code
 //! ([`KernelVariant`]). Which build runs is decided once per process with
 //! `is_x86_feature_detected!`; CPUs without AVX2 and non-x86 targets run
-//! the portable build. There are no intrinsics and nothing to configure.
+//! the portable build. The loops use one intrinsic, a prefetch hint
+//! (`_mm_prefetch`, part of x86-64's baseline; a no-op elsewhere), and
+//! there is nothing to configure.
 
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use asv_util::ValueRange;
@@ -252,19 +278,48 @@ impl Predicate {
     }
 }
 
+/// Hints the cache lines of `next` at slots `lines` into L1. A hint, not a
+/// load: it never faults and changes no value, so it cannot alter an answer.
+#[inline(always)]
+fn prefetch(next: &[u64], lines: Range<usize>) {
+    #[cfg(target_arch = "x86_64")]
+    for line in next
+        .get(lines.start..lines.end.min(next.len()))
+        .unwrap_or_default()
+        .iter()
+        .step_by(LANES)
+    {
+        // SAFETY: `_mm_prefetch` is SSE, part of the x86-64 baseline, and a
+        // prefetch is a hint that never faults, whatever the address; this
+        // one is even in bounds.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>((line as *const u64).cast()) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (next, lines);
+}
+
 /// The lean pass: count and (with `SUM`) split-half checksum of the
 /// qualifying values among `slots`. A plain reduction without a
-/// data-dependent branch, so the loop vectorizer handles it.
+/// data-dependent branch, so the loop vectorizer handles it. It runs in
+/// blocks of eight cache lines and hints the same lines of `next` before
+/// each block (see the module docs).
 #[inline(always)]
-fn lean_pass<const SUM: bool>(slots: &[u64], pred: Predicate) -> (u64, u128) {
+fn lean_pass<const SUM: bool>(slots: &[u64], next: Option<&[u64]>, pred: Predicate) -> (u64, u128) {
     let (mut count, mut sum_lo, mut sum_hi) = (0u64, 0u64, 0u64);
-    for &v in slots {
-        let q = pred.qualifies(v);
-        count += q;
-        if SUM {
-            let masked = v & q.wrapping_neg();
-            sum_lo += masked & 0xFFFF_FFFF;
-            sum_hi += masked >> 32;
+    let mut start = 0;
+    for block in slots.chunks(8 * LANES) {
+        if let Some(next) = next {
+            prefetch(next, start..start + block.len());
+        }
+        start += block.len();
+        for &v in block {
+            let q = pred.qualifies(v);
+            count += q;
+            if SUM {
+                let masked = v & q.wrapping_neg();
+                sum_lo += masked & 0xFFFF_FFFF;
+                sum_hi += masked >> 32;
+            }
         }
     }
     (count, sum_lo as u128 + ((sum_hi as u128) << 32))
@@ -355,10 +410,12 @@ fn collect_rows(
 
 /// The one page-filter core: every scan mode of every compiled build is
 /// this function. `slots` is the page slice from its pageID slot through
-/// its last valid value.
+/// its last valid value; `next` is the raw slots of the page the caller
+/// scans next, prefetched while this one is filtered.
 #[inline(always)]
 fn filter_page(
     slots: &[u64],
+    next: Option<&[u64]>,
     range: &ValueRange,
     exclusion: Option<&PageExclusionMask>,
     count_only: bool,
@@ -369,9 +426,9 @@ fn filter_page(
         .split_first()
         .expect("a page slice starts with its pageID slot");
     let (mut count, mut sum) = if count_only {
-        lean_pass::<false>(slots, pred)
+        lean_pass::<false>(slots, next, pred)
     } else {
-        lean_pass::<true>(slots, pred)
+        lean_pass::<true>(slots, next, pred)
     };
     // Take back out what rode along but must not count.
     let mut take_out = |v: u64| {
@@ -407,6 +464,7 @@ fn filter_page(
 /// Signature every compiled build of [`filter_page`] shares.
 type FilterPageFn = unsafe fn(
     &[u64],
+    Option<&[u64]>,
     &ValueRange,
     Option<&PageExclusionMask>,
     bool,
@@ -416,12 +474,13 @@ type FilterPageFn = unsafe fn(
 /// [`filter_page`] compiled for the crate's baseline target.
 fn filter_page_portable(
     slots: &[u64],
+    next: Option<&[u64]>,
     range: &ValueRange,
     exclusion: Option<&PageExclusionMask>,
     count_only: bool,
     rows_out: Option<&mut Vec<u64>>,
 ) -> PageScanResult {
-    filter_page(slots, range, exclusion, count_only, rows_out)
+    filter_page(slots, next, range, exclusion, count_only, rows_out)
 }
 
 /// [`filter_page`] compiled with AVX2 available: the `#[inline(always)]`
@@ -433,12 +492,13 @@ fn filter_page_portable(
 #[target_feature(enable = "avx2")]
 unsafe fn filter_page_avx2(
     slots: &[u64],
+    next: Option<&[u64]>,
     range: &ValueRange,
     exclusion: Option<&PageExclusionMask>,
     count_only: bool,
     rows_out: Option<&mut Vec<u64>>,
 ) -> PageScanResult {
-    filter_page(slots, range, exclusion, count_only, rows_out)
+    filter_page(slots, next, range, exclusion, count_only, rows_out)
 }
 
 /// One compiled build of the page filter that the running CPU supports.
@@ -459,12 +519,15 @@ impl KernelVariant {
         self.name
     }
 
-    /// Filters `page` against `range` with this build. `exclusion` treats
-    /// the masked slots as absent, `count_only` skips the checksum (`sum`
-    /// stays 0) and `rows_out` collects the qualifying global row ids.
+    /// Filters `page` against `range` with this build. `next`, the raw
+    /// slots of the page the caller scans next, is prefetched along the
+    /// way and changes no answer. `exclusion` treats the masked slots as
+    /// absent, `count_only` skips the checksum (`sum` stays 0) and
+    /// `rows_out` collects the qualifying global row ids.
     pub fn filter(
         &self,
         page: &PageRef<'_>,
+        next: Option<&[u64]>,
         range: &ValueRange,
         exclusion: Option<&PageExclusionMask>,
         count_only: bool,
@@ -474,7 +537,7 @@ impl KernelVariant {
         // `supported_variants`, which pairs `filter_page_avx2` with a
         // successful `is_x86_feature_detected!("avx2")`; the portable build
         // has no requirement.
-        unsafe { (self.filter)(page.slots(), range, exclusion, count_only, rows_out) }
+        unsafe { (self.filter)(page.slots(), next, range, exclusion, count_only, rows_out) }
     }
 }
 
@@ -652,11 +715,11 @@ mod tests {
                     let what = format!("{} len {len} {range:?}", variant.name());
                     let expected = reference(&values, &range, &[]);
                     assert_eq!(
-                        variant.filter(&page, &range, None, false, None),
+                        variant.filter(&page, None, &range, None, false, None),
                         expected,
                         "{what}"
                     );
-                    let count_only = variant.filter(&page, &range, None, true, None);
+                    let count_only = variant.filter(&page, None, &range, None, true, None);
                     assert_eq!(
                         count_only,
                         PageScanResult {
@@ -666,7 +729,8 @@ mod tests {
                         "{what}"
                     );
                     let mut rows = Vec::new();
-                    let collected = variant.filter(&page, &range, None, false, Some(&mut rows));
+                    let collected =
+                        variant.filter(&page, None, &range, None, false, Some(&mut rows));
                     assert_eq!(collected, expected, "{what}");
                     let expected_rows: Vec<u64> = values
                         .iter()
@@ -675,6 +739,68 @@ mod tests {
                         .map(|(i, _)| base + i as u64)
                         .collect();
                     assert_eq!(rows, expected_rows, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn successor_page_never_changes_the_answer() {
+        let mut state = 0x0bad_cafe_f00du64;
+        let other = raw_page(9, &random_values(VALUES_PER_PAGE, &mut state));
+        // The valid prefix of a short last page: fewer slots than a block.
+        let short = raw_page(10, &random_values(3, &mut state));
+        let short = &short[..4];
+        for variant in supported_variants() {
+            for len in [1usize, 63, 64, 65, VALUES_PER_PAGE] {
+                let values = random_values(len, &mut state);
+                let raw = raw_page(3, &values);
+                let page = PageRef::new(&raw, len);
+                let excluded: Vec<usize> = (0..len)
+                    .filter(|_| xorshift(&mut state).is_multiple_of(5))
+                    .collect();
+                let mask = PageExclusionMask::from_slots(excluded.iter().copied());
+                let nexts = [
+                    None,
+                    Some(raw.as_slice()),
+                    Some(other.as_slice()),
+                    Some(short),
+                ];
+                for range in [
+                    ValueRange::new(100, 600),
+                    ValueRange::full(),
+                    ValueRange::point(3),
+                    ValueRange::new(2_000, 3_000),
+                ] {
+                    for masked in [false, true] {
+                        let skip: &[usize] = if masked { &excluded } else { &[] };
+                        let exclusion = masked.then_some(&mask);
+                        let expected = reference(&values, &range, skip);
+                        let expected_rows: Vec<u64> = values
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, v)| !skip.contains(i) && range.contains(**v))
+                            .map(|(i, _)| 3 * VALUES_PER_PAGE as u64 + i as u64)
+                            .collect();
+                        for (n, next) in nexts.iter().enumerate() {
+                            let what = format!(
+                                "{} len {len} {range:?} masked {masked} next #{n}",
+                                variant.name()
+                            );
+                            let filter = |count_only: bool, rows: Option<&mut Vec<u64>>| {
+                                variant.filter(&page, *next, &range, exclusion, count_only, rows)
+                            };
+                            assert_eq!(filter(false, None), expected, "{what}");
+                            let count_only = PageScanResult {
+                                sum: 0,
+                                ..expected.clone()
+                            };
+                            assert_eq!(filter(true, None), count_only, "{what}");
+                            let mut rows = Vec::new();
+                            assert_eq!(filter(false, Some(&mut rows)), expected, "{what}");
+                            assert_eq!(rows, expected_rows, "{what}");
+                        }
+                    }
                 }
             }
         }
@@ -690,7 +816,7 @@ mod tests {
         );
         let page = PageRef::new(&raw, VALUES_PER_PAGE);
         for variant in supported_variants() {
-            let res = variant.filter(&page, &ValueRange::full(), None, false, None);
+            let res = variant.filter(&page, None, &ValueRange::full(), None, false, None);
             assert_eq!(res.count, VALUES_PER_PAGE as u64);
             assert_eq!(res.sum, (u64::MAX as u128) * VALUES_PER_PAGE as u128);
         }
@@ -713,10 +839,10 @@ mod tests {
                 for range in [ValueRange::new(50, 700), ValueRange::new(2_000, 3_000)] {
                     let what = format!("{} len {len} {range:?}", variant.name());
                     let expected = reference(&values, &range, &excluded);
-                    let got = variant.filter(&page, &range, Some(&mask), false, None);
+                    let got = variant.filter(&page, None, &range, Some(&mask), false, None);
                     assert_eq!(got, expected, "{what}");
                     // Count-only zeroes the checksum but keeps everything else.
-                    let count_only = variant.filter(&page, &range, Some(&mask), true, None);
+                    let count_only = variant.filter(&page, None, &range, Some(&mask), true, None);
                     assert_eq!(
                         count_only,
                         PageScanResult {
@@ -727,7 +853,7 @@ mod tests {
                     );
                     // Collection honours the exclusions.
                     let mut rows = Vec::new();
-                    variant.filter(&page, &range, Some(&mask), false, Some(&mut rows));
+                    variant.filter(&page, None, &range, Some(&mask), false, Some(&mut rows));
                     let expected_rows: Vec<u64> = values
                         .iter()
                         .enumerate()
@@ -752,7 +878,7 @@ mod tests {
                 ValueRange::new(0, 3),
                 ValueRange::full(),
             ] {
-                let res = variant.filter(&page, &range, Some(&mask), false, None);
+                let res = variant.filter(&page, None, &range, Some(&mask), false, None);
                 assert_eq!(res, PageScanResult::default(), "{}", variant.name());
             }
         }

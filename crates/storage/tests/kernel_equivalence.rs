@@ -316,6 +316,7 @@ fn check_variants_on_page(page: &PageRef<'_>, range: &ValueRange, excluded: &[us
                     let (mut got_rows, mut want_rows) = (Vec::new(), Vec::new());
                     let got = variant.filter(
                         page,
+                        None,
                         range,
                         masked.then_some(&mask),
                         count_only,
