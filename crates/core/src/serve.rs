@@ -57,10 +57,13 @@
 //! at most `AlignChunking::chunk_updates` updates. Each tick then applies
 //! and publishes **one planned chunk**, so the per-tick publish work is
 //! bounded by the chunk size and interleaves with group-commit folding; a
-//! chunk that changes no view publishes nothing and costs no tick. When
-//! the round's last chunk lands, the folded rows retire from the overlay
-//! and the remaining overlay pages are re-frozen from the post-fold
-//! store. New rounds fold the queue only
+//! chunk that changes no view publishes nothing and costs no tick; a round
+//! with no view to plan starts no planner thread at all. When the round's
+//! last chunk lands, the folded rows retire from the overlay and exactly
+//! the pages the fold wrote drop their frozen copies; a page of those that
+//! still holds an overlaid row is re-frozen from the post-fold store, and
+//! every other copy, taken after the fold, already equals the store. New
+//! rounds fold the queue only
 //! after a **grace check**: every epoch except the current one must be
 //! unpinned, because older epochs may lack page copies for the rows about
 //! to be folded. The fold itself never blocks the writer — if grace has
@@ -119,7 +122,7 @@
 //! global total.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc};
 
@@ -171,10 +174,12 @@ pub struct ColumnEpoch<B: Backend> {
     overlay: Arc<Vec<(u64, u64)>>,
     /// Scan exclusion masks over the overlaid rows.
     masks: Arc<ExclusionMasks>,
-    /// Frozen copies of every page holding an overlaid row, keyed by
-    /// physical page id. A fold may write these pages concurrently with
-    /// readers of this epoch; the copy is the race-free source.
-    copies: Arc<HashMap<usize, Arc<Vec<u64>>>>,
+    /// Frozen copies of every page holding an overlaid row, as
+    /// `(physical page id, slots)` sorted by page id. A fold may write these
+    /// pages concurrently with readers of this epoch; the copy is the
+    /// race-free source. Sorted so an ascending page walk finds its copies
+    /// with a cursor and a point read with a binary search.
+    copies: Vec<(usize, Arc<Vec<u64>>)>,
     /// Zone statistics for conjunctive predicate ordering.
     stats: Arc<ZoneStats>,
 }
@@ -193,9 +198,9 @@ impl<B: Backend> ColumnEpoch<B> {
     /// The raw slots of physical page `phys`: the epoch's frozen copy if
     /// the page holds an overlaid row, the live store page otherwise.
     fn page_raw(&self, phys: usize) -> &[u64] {
-        match self.copies.get(&phys) {
-            Some(copy) => copy.as_slice(),
-            None => self.full_view.page(phys),
+        match self.copies.binary_search_by_key(&phys, |&(page, _)| page) {
+            Ok(idx) => self.copies[idx].1.as_slice(),
+            Err(_) => self.full_view.page(phys),
         }
     }
 
@@ -245,19 +250,31 @@ impl<B: Backend> ColumnEpoch<B> {
         (pages.len() < self.num_pages).then_some(Cow::Owned(pages))
     }
 
-    /// Scans the physical pages `phys` in order. Each page's slots are
-    /// resolved once ([`Self::page_raw`] is a lookup in `copies`): the
-    /// slice resolved as one page's successor, to prefetch, is the page
-    /// scanned next. Its valid count follows from its pageID slot, which
-    /// frozen copies keep, once it is scanned.
+    /// Scans the ascending physical pages `phys` in order. Each page's
+    /// slots are resolved once: a cursor walks the page-sorted `copies`
+    /// alongside the pages, so the walk costs one comparison per page plus
+    /// one per copy. The slice resolved as one page's successor, to
+    /// prefetch, is the page scanned next. Its valid count follows from
+    /// its pageID slot, which frozen copies keep, once it is scanned.
     fn scan_phys(
         &self,
         kernel: &ScanKernel<'_>,
         phys: impl Iterator<Item = usize>,
         out: &mut ScanOutput,
     ) {
+        let mut copies = self.copies.iter().peekable();
+        let mut prev = None;
+        let resolve = |phys: usize| {
+            debug_assert!(prev < Some(phys), "pages are scanned ascending");
+            prev = Some(phys);
+            while copies.next_if(|&&(page, _)| page < phys).is_some() {}
+            match copies.next_if(|&&(page, _)| page == phys) {
+                Some((_, copy)) => copy.as_slice(),
+                None => self.full_view.page(phys),
+            }
+        };
         kernel.scan_pages(
-            phys.map(|phys| self.page_raw(phys)),
+            phys.map(resolve),
             |raw| PageRef::new(raw, self.valid_values(raw[0] as usize)),
             out,
         );
@@ -824,7 +841,18 @@ struct ColumnState<B: Backend> {
     full_view: Arc<B::View>,
     /// Frozen copies of every page holding an overlaid row, mirrored into
     /// each published epoch (see the copies field of [`ColumnEpoch`]).
-    copies: HashMap<usize, Arc<Vec<u64>>>,
+    ///
+    /// Invariant: a copy differs from its live store page only at rows the
+    /// current round folded, and those rows stay overlaid (masked) until
+    /// the round retires. A copy taken before a fold holds pre-fold
+    /// content; one taken after it equals the store, because no other
+    /// fold runs before the round retires. So retirement drops exactly
+    /// the pages of `folded_pages` and keeps every other copy.
+    copies: BTreeMap<usize, Arc<Vec<u64>>>,
+    /// Pages the in-flight round's fold wrote: the keys of `copies` at
+    /// fold time (a fold needs an idle column, so every overlaid row is
+    /// queued and the fold writes all of them). Empty between rounds.
+    folded_pages: Vec<usize>,
     /// In-flight background planning of the current round.
     pending: Option<PendingChunkedAlignment>,
     /// Planned chunks of the current round awaiting publication, in
@@ -918,11 +946,36 @@ impl<B: Backend> ColumnState<B> {
             views: self.view_metas.clone(),
             overlay: Arc::new(overlay),
             masks: Arc::new(ExclusionMasks::from_rows(rows)),
-            copies: Arc::new(self.copies.clone()),
+            copies: self
+                .copies
+                .iter()
+                .map(|(&page, copy)| (page, Arc::clone(copy)))
+                .collect(),
             stats: Arc::new(self.stats.clone()),
         });
         self.cached = Some(Arc::clone(&epoch));
         epoch
+    }
+
+    /// Pages whose frozen copy breaks the `copies` invariant: it differs
+    /// from the live store page in the pageID slot or at a row that is not
+    /// overlaid.
+    #[cfg(test)]
+    fn inexact_copies(&self) -> Vec<usize> {
+        let overlaid = self.overlay.rows();
+        self.copies
+            .iter()
+            .filter(|(&page, copy)| {
+                let live = self.column.page_ref(page).raw();
+                let first_row = (page * VALUES_PER_PAGE) as u64;
+                copy[0] != live[0]
+                    || (1..live.len()).any(|slot| {
+                        let row = first_row + slot as u64 - 1;
+                        copy[slot] != live[slot] && overlaid.binary_search(&row).is_err()
+                    })
+            })
+            .map(|(&page, _)| page)
+            .collect()
     }
 }
 
@@ -953,17 +1006,20 @@ impl AlignActivity {
 ///
 /// A durable table appends every state-changing operation — column
 /// loads, view installs, acknowledged write batches — to a write-ahead
-/// journal ([`crate::wal`]) *before* acknowledging it, and seals every
-/// published epoch with a [`WalRecord::Seal`]. [`ServeTable::recover`]
-/// rebuilds the table from the journal alone: the physical store is
-/// reconstructed from the sealed records, so store flushing is an
-/// optimization, never a correctness requirement.
+/// journal ([`crate::wal`]) *before* acknowledging it, and seals each
+/// published epoch that journaled one with a [`WalRecord::Seal`]. Epochs
+/// that journal nothing (alignment chunks, round retirements, zone
+/// re-tightening) publish unsealed: there is nothing new to make durable.
+/// [`ServeTable::recover`] rebuilds the table from the journal alone: the
+/// physical store is reconstructed from the sealed records, so store
+/// flushing is an optimization, never a correctness requirement.
 #[derive(Clone, Debug)]
 pub struct DurabilityConfig {
     /// Path of the journal file.
     pub journal_path: PathBuf,
-    /// How many epoch seals may accumulate before the journal is
-    /// fsynced: `1` (the default) syncs every commit, `n > 1` groups `n`
+    /// How many seals may accumulate before the journal is fsynced: `1`
+    /// (the default) syncs every commit that sealed a record — one fsync
+    /// per tick that acknowledged a write — `n > 1` groups `n` sealing
     /// commits per sync, `0` syncs only at [`ServeTable::quiesce`].
     pub fsync_every_chunks: usize,
     /// Deterministic fault injection for crash tests ([`FaultPlan`]).
@@ -971,7 +1027,8 @@ pub struct DurabilityConfig {
 }
 
 impl DurabilityConfig {
-    /// Durability at `journal_path`: an fsync per commit, no fault.
+    /// Durability at `journal_path`: an fsync per sealing commit, no
+    /// fault.
     pub fn new(journal_path: impl Into<PathBuf>) -> Self {
         Self {
             journal_path: journal_path.into(),
@@ -996,7 +1053,8 @@ impl DurabilityConfig {
 /// What [`ServeTable::recover`] found in the journal.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryInfo {
-    /// The last sealed epoch (`0` if the journal sealed nothing).
+    /// The last sealed epoch: the last one that journaled a record (`0`
+    /// if the journal sealed nothing).
     pub sealed_epoch: u64,
     /// Sealed records replayed (column loads, view installs, batches and
     /// seals).
@@ -1013,6 +1071,9 @@ struct DurableState {
     config: DurabilityConfig,
     /// Seals appended since the last fsync (drives `fsync_every_chunks`).
     seals_since_sync: usize,
+    /// `true` if a record was appended since the last seal: only then does
+    /// a commit seal (and count toward `fsync_every_chunks`).
+    unsealed: bool,
 }
 
 /// A table served concurrently: owned (and mutated) by one maintenance
@@ -1089,8 +1150,8 @@ impl<B: Backend> ServeTable<B> {
     /// Creates an empty *durable* serving table: every state-changing
     /// operation is appended to the write-ahead journal at
     /// `durability.journal_path` before it is acknowledged, and every
-    /// published epoch is sealed. Any existing file at the path is
-    /// truncated — use [`ServeTable::recover`] to restore one.
+    /// published epoch that journaled one is sealed. Any existing file at
+    /// the path is truncated — use [`ServeTable::recover`] to restore one.
     pub fn with_durability(
         backend: B,
         config: AdaptiveConfig,
@@ -1102,6 +1163,7 @@ impl<B: Backend> ServeTable<B> {
             journal,
             config: durability,
             seals_since_sync: 0,
+            unsealed: false,
         });
         Ok(table)
     }
@@ -1172,6 +1234,7 @@ impl<B: Backend> ServeTable<B> {
             journal,
             config: durability,
             seals_since_sync: 0,
+            unsealed: false,
         });
         Ok((table, info))
     }
@@ -1196,7 +1259,8 @@ impl<B: Backend> ServeTable<B> {
             overlay: WriteOverlay::new(),
             stats,
             full_view,
-            copies: HashMap::new(),
+            copies: BTreeMap::new(),
+            folded_pages: Vec::new(),
             pending: None,
             ready: VecDeque::new(),
             round_active: false,
@@ -1514,9 +1578,11 @@ impl<B: Backend> ServeTable<B> {
     }
 
     /// Publishes the staged state as a new epoch, if anything changed. On
-    /// a durable table the epoch is sealed in the journal, and the
-    /// journal is fsynced per `DurabilityConfig::fsync_every_chunks` —
-    /// recovery replays exactly up to the last seal that reached disk.
+    /// a durable table an epoch that journaled a record since the last
+    /// seal is sealed, and the journal is fsynced per
+    /// `DurabilityConfig::fsync_every_chunks` — recovery replays exactly up
+    /// to the last seal that reached disk. An epoch that journaled nothing
+    /// publishes unsealed: a seal would make nothing new durable.
     fn commit(&mut self) -> Result<(), VmemError> {
         if !self.staged {
             return Ok(());
@@ -1530,10 +1596,11 @@ impl<B: Backend> ServeTable<B> {
         });
         self.history.push(epoch);
         self.staged = false;
-        if let Some(durable) = self.durable.as_mut() {
+        if let Some(durable) = self.durable.as_mut().filter(|d| d.unsealed) {
             durable.journal.append(&WalRecord::Seal {
                 epoch: self.generation,
             })?;
+            durable.unsealed = false;
             durable.seals_since_sync += 1;
             let every = durable.config.fsync_every_chunks;
             if every > 0 && durable.seals_since_sync >= every {
@@ -1545,10 +1612,11 @@ impl<B: Backend> ServeTable<B> {
     }
 
     /// Appends `record` to the journal of a durable table (no-op on an
-    /// in-memory one).
+    /// in-memory one) and notes that the next commit must seal.
     fn journal_append(&mut self, record: &WalRecord) -> Result<(), VmemError> {
         if let Some(durable) = self.durable.as_mut() {
             durable.journal.append(record)?;
+            durable.unsealed = true;
         }
         Ok(())
     }
@@ -1601,6 +1669,7 @@ impl<B: Backend> ServeTable<B> {
         let fault = durable.journal.carryover_fault();
         durable.journal = Journal::open_append(durable.config.journal_path.clone(), fault)?;
         durable.seals_since_sync = 0;
+        durable.unsealed = false;
         Ok(())
     }
 
@@ -1666,11 +1735,15 @@ impl<B: Backend> ServeTable<B> {
 
     /// Completes a round: folded rows leave the overlay (their values are
     /// now served from the store through fully aligned views) and the
-    /// copy set is re-frozen from the post-fold store for the rows that
-    /// remain overlaid.
+    /// pages the fold wrote drop their pre-fold copies. Pages of rows that
+    /// remain overlaid are then frozen from the post-fold store — a no-op
+    /// for a page whose copy was taken after the fold, which already
+    /// equals the store (see the `copies` invariant of [`ColumnState`]).
     fn retire_round(state: &mut ColumnState<B>) {
         state.overlay.retire_aligned();
-        state.copies.clear();
+        for page in state.folded_pages.drain(..) {
+            state.copies.remove(&page);
+        }
         let shards = state.shard_overlaid.len();
         state.shard_overlaid.iter_mut().for_each(|c| *c = 0);
         let rows: Vec<u64> = state.overlay.rows().clone();
@@ -1706,17 +1779,25 @@ impl<B: Backend> ServeTable<B> {
         if !threshold_met {
             return Ok(());
         }
+        debug_assert!(state.folded_pages.is_empty(), "one round at a time");
+        state.folded_pages.extend(state.copies.keys());
         let folded = state.overlay.take_queued();
         let updates = state.column.write_batch(&folded);
-        let snapshot = snapshot_alignment(&state.column, &state.views, &updates)?;
-        state.activity.planned_views += snapshot.num_planned_views() as u64;
-        state.activity.candidate_views += state.views.num_partial_views() as u64;
         state.activity.rounds += 1;
-        state.pending = Some(spawn_alignment_chunked(
-            snapshot,
-            self.config.parallelism,
-            chunking.chunk_updates,
-        ));
+        // A round with nothing to plan starts no planner: the next tick's
+        // `advance_column` finds no pending plan and retires it.
+        if state.views.num_partial_views() > 0 {
+            let snapshot = snapshot_alignment(&state.column, &state.views, &updates)?;
+            state.activity.planned_views += snapshot.num_planned_views() as u64;
+            state.activity.candidate_views += state.views.num_partial_views() as u64;
+            if snapshot.num_planned_views() > 0 {
+                state.pending = Some(spawn_alignment_chunked(
+                    snapshot,
+                    self.config.parallelism,
+                    chunking.chunk_updates,
+                ));
+            }
+        }
         state.round_active = true;
         Ok(())
     }
@@ -2202,6 +2283,106 @@ mod tests {
                 "chunk{chunk_updates}: hot-zone churn leaves most views unplanned"
             );
         }
+    }
+
+    /// Consecutive batches that share a page with the batch before them
+    /// and none with the one after, some ticks idle, pins held across fold
+    /// and retire ticks: after every tick each frozen copy equals its live
+    /// store page outside the overlaid rows, and every held pin answers
+    /// like the model of its epoch.
+    fn check_copies_stay_exact_across_retire<B: Backend>(backend: B) {
+        const PAGES: usize = 16;
+        let mut table = ServeTable::new(backend, serve_config());
+        let values = clustered_values(PAGES);
+        let col = table.add_column(&values).unwrap();
+        let view = ValueRange::new(3_000, 6_400);
+        table.install_view(col, view).unwrap();
+        let handle = table.handle();
+        let ranges = [
+            view,
+            ValueRange::new(0, 2_400),
+            ValueRange::new(890_000, 1_000_000),
+            ValueRange::full(),
+        ];
+        let mut model = values.clone();
+        let mut held: Vec<(Snapshot<B>, Vec<u64>)> = Vec::new();
+        let (mut folds_under_pin, mut retires_under_pin) = (0, 0);
+        for step in 0..24usize {
+            if step % 4 != 3 {
+                // Batch `step` writes pages 2k, 2k+1, 2k+2 (k = step): the
+                // next batch shares page 2k+2, the one after shares none.
+                // Even batches move values into the view, odd ones out.
+                let batch: Vec<(usize, u64)> = (0..3)
+                    .map(|i| {
+                        let page = (2 * step + i) % PAGES;
+                        let row = page * VALUES_PER_PAGE + (step * 37 + i * 101) % VALUES_PER_PAGE;
+                        let base = if step % 2 == 0 { 4_000 } else { 900_000 };
+                        (row, base + (step * 10 + i) as u64)
+                    })
+                    .collect();
+                table.write_batch(col, &batch);
+                for &(row, value) in &batch {
+                    model[row] = value;
+                }
+            }
+            // Let the background planner finish first, so folds and
+            // retires land on the same ticks in every build profile.
+            while table.columns[col]
+                .pending
+                .as_ref()
+                .is_some_and(|pending| !pending.is_finished())
+            {
+                std::thread::yield_now();
+            }
+            let rounds = table.align_activity().rounds;
+            let was_in_flight = table.round_in_flight(col);
+            table.tick().unwrap();
+            if !held.is_empty() {
+                folds_under_pin += table.align_activity().rounds - rounds;
+                retires_under_pin += u64::from(was_in_flight && !table.round_in_flight(col));
+            }
+            assert_eq!(
+                table.columns[col].inexact_copies(),
+                Vec::<usize>::new(),
+                "step {step}"
+            );
+            for (snap, pinned_model) in &held {
+                for range in &ranges {
+                    assert_eq!(
+                        snap.query_range(col, range),
+                        reference_answer(pinned_model, range),
+                        "step {step}: pin of generation {}",
+                        snap.generation()
+                    );
+                }
+            }
+            if step % 3 == 2 {
+                held.clear();
+            }
+            held.push((handle.pin(), model.clone()));
+        }
+        assert!(folds_under_pin > 0, "some fold ran under a held pin");
+        assert!(retires_under_pin > 0, "some retire ran under a held pin");
+        held.clear();
+        table.quiesce().unwrap();
+        assert!(table.columns[col].copies.is_empty());
+        let snap = handle.pin();
+        for range in &ranges {
+            assert_eq!(
+                snap.query_range(col, range),
+                reference_answer(&model, range)
+            );
+        }
+    }
+
+    #[test]
+    fn copies_stay_exact_across_retire_sim() {
+        check_copies_stay_exact_across_retire(SimBackend::new());
+    }
+
+    #[test]
+    fn copies_stay_exact_across_retire_mmap() {
+        check_copies_stay_exact_across_retire(MmapBackend::new());
     }
 
     #[test]
@@ -2720,8 +2901,7 @@ mod tests {
         let snap = table.handle().pin();
         let epoch = snap.column(col);
         assert_eq!(epoch.overlaid_rows(), overlaid.len());
-        let mut copied: Vec<usize> = epoch.copies.keys().copied().collect();
-        copied.sort_unstable();
+        let copied: Vec<usize> = epoch.copies.iter().map(|&(page, _)| page).collect();
         assert_eq!(copied, [0, 2, 4, 6, 8]);
 
         // Move every live page on under the pinned epoch at a slot it does

@@ -3,7 +3,9 @@
 //! The journal makes the chunked epoch publishes of [`crate::serve`] the
 //! durability points the ROADMAP asks for: every update batch is appended
 //! as a length-prefixed, checksummed record *before* it is acknowledged,
-//! and every epoch publish appends a **seal** record. Recovery replays the
+//! and every epoch publish that journaled a record appends a **seal**
+//! record (an epoch that journaled nothing has nothing to seal, so no
+//! seal ever directly follows another). Recovery replays the
 //! journal up to the last seal, discards the torn tail, and rebuilds the
 //! table (views are reconstructed from the recorded view ranges — they are
 //! virtual memory and carry no data of their own).
@@ -139,7 +141,8 @@ impl WalRecord {
             KIND_ADD_COLUMN => {
                 let col = cur.u32()?;
                 let n = cur.u64()? as usize;
-                let mut values = Vec::with_capacity(n.min(1 << 20));
+                // Hostile counts allocate no more than the payload holds.
+                let mut values = Vec::with_capacity(n.min(cur.remaining() / 8));
                 for _ in 0..n {
                     values.push(cur.u64()?);
                 }
@@ -153,7 +156,7 @@ impl WalRecord {
             KIND_BATCH => {
                 let col = cur.u32()?;
                 let n = cur.u64()? as usize;
-                let mut writes = Vec::with_capacity(n.min(1 << 20));
+                let mut writes = Vec::with_capacity(n.min(cur.remaining() / 16));
                 for _ in 0..n {
                     let row = cur.u64()?;
                     let value = cur.u64()?;
@@ -313,13 +316,13 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Creates (truncating) a fresh journal at `path` and writes the magic.
+    /// Creates (truncating) a fresh journal at `path`, writes the magic and
+    /// fsyncs the file and its directory, so the journal's directory entry
+    /// survives a power loss just like the records later synced into it.
     pub fn create(path: impl Into<PathBuf>, fault: Option<FaultPlan>) -> io::Result<Journal> {
         let path = path.into();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
+        if let Some(parent) = non_empty_parent(&path) {
+            std::fs::create_dir_all(parent)?;
         }
         let mut file = std::fs::OpenOptions::new()
             .read(true)
@@ -329,6 +332,7 @@ impl Journal {
             .open(&path)?;
         file.write_all(WAL_MAGIC)?;
         file.sync_data()?;
+        sync_parent_dir(&path);
         let len = WAL_MAGIC.len() as u64;
         Ok(Journal {
             file,
@@ -506,11 +510,17 @@ impl ReplayOutcome {
 /// at the first invalid record, and returns everything up to the last
 /// seal. A missing-or-empty file replays as an empty journal.
 pub fn replay(path: impl AsRef<Path>) -> io::Result<ReplayOutcome> {
-    let bytes = match std::fs::read(path.as_ref()) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
+    match std::fs::read(path.as_ref()) {
+        Ok(bytes) => replay_bytes(&bytes),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => replay_bytes(&[]),
+        Err(e) => Err(e),
+    }
+}
+
+/// [`replay`] over the journal's bytes. Any input, however damaged,
+/// yields a sealed prefix of the records it was written with, or an error
+/// for a foreign magic.
+fn replay_bytes(bytes: &[u8]) -> io::Result<ReplayOutcome> {
     let total_len = bytes.len() as u64;
     if bytes.len() < WAL_MAGIC.len() {
         // Crash before the magic hit the disk: an empty journal.
@@ -595,14 +605,24 @@ pub fn rewrite(path: impl AsRef<Path>, records: &[WalRecord]) -> io::Result<()> 
         file.sync_data()?;
     }
     std::fs::rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            if let Ok(dir) = std::fs::File::open(parent) {
-                let _ = dir.sync_all();
-            }
-        }
-    }
+    sync_parent_dir(path);
     Ok(())
+}
+
+/// The directory holding `path`, unless `path` is a bare file name.
+fn non_empty_parent(path: &Path) -> Option<&Path> {
+    path.parent()
+        .filter(|parent| !parent.as_os_str().is_empty())
+}
+
+/// Best-effort fsync of the directory holding `path`, which makes a
+/// created or renamed directory entry durable (a no-op where directories
+/// cannot be opened).
+fn sync_parent_dir(path: &Path) {
+    let dir = non_empty_parent(path).unwrap_or(Path::new("."));
+    if let Ok(dir) = std::fs::File::open(dir) {
+        let _ = dir.sync_all();
+    }
 }
 
 #[cfg(test)]
@@ -830,6 +850,107 @@ mod tests {
         assert_eq!(outcome.sealed_records.len(), 4);
         assert_eq!(outcome.sealed_epoch, Some(2));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A valid journal of several sealed epochs: `sample_records`, then
+    /// three more batch + seal pairs. Returns its bytes, its records and
+    /// the byte offset each record starts at.
+    fn multi_seal_journal() -> (Vec<u8>, Vec<WalRecord>, Vec<usize>) {
+        let mut records = sample_records();
+        for epoch in 2..5u64 {
+            records.push(WalRecord::Batch {
+                col: 0,
+                writes: vec![(epoch, 100 + epoch), (0, epoch)],
+            });
+            records.push(WalRecord::Seal { epoch });
+        }
+        let mut bytes = WAL_MAGIC.to_vec();
+        let mut starts = Vec::new();
+        for record in &records {
+            starts.push(bytes.len());
+            bytes.extend_from_slice(&record.encode());
+        }
+        (bytes, records, starts)
+    }
+
+    /// The hostile-input contract of replay: no panic, and either a sealed
+    /// prefix of `records` or — only when the magic is damaged — an error.
+    /// Returns the number of sealed records recovered.
+    fn replay_hostile(bytes: &[u8], records: &[WalRecord], what: &str) -> usize {
+        match replay_bytes(bytes) {
+            Ok(outcome) => {
+                let n = outcome.sealed_records.len();
+                assert!(
+                    n <= records.len() && outcome.sealed_records[..] == records[..n],
+                    "{what}: not a prefix of the written records"
+                );
+                assert!(
+                    n == 0 || matches!(records[n - 1], WalRecord::Seal { .. }),
+                    "{what}: the prefix ends in a seal"
+                );
+                n
+            }
+            Err(_) => {
+                assert!(
+                    bytes.len() >= WAL_MAGIC.len() && &bytes[..WAL_MAGIC.len()] != WAL_MAGIC,
+                    "{what}: only a damaged magic is an error"
+                );
+                0
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_journal_bytes_replay_a_sealed_prefix() {
+        let (bytes, records, starts) = multi_seal_journal();
+        assert_eq!(replay_hostile(&bytes, &records, "intact"), records.len());
+        // Sealed records wholly before byte `cut`.
+        let sealed_before = |cut: usize| {
+            (0..records.len())
+                .rfind(|&i| {
+                    matches!(records[i], WalRecord::Seal { .. })
+                        && starts.get(i + 1).copied().unwrap_or(bytes.len()) <= cut
+                })
+                .map_or(0, |i| i + 1)
+        };
+        // Truncation at every offset keeps exactly the seals before it.
+        for cut in 0..bytes.len() {
+            let n = replay_hostile(&bytes[..cut], &records, &format!("cut {cut}"));
+            assert_eq!(n, sealed_before(cut), "cut {cut}");
+        }
+        // Every single bit flip: inside the magic an error, elsewhere the
+        // replay stops at the damaged record.
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let n = replay_hostile(&flipped, &records, &format!("flip {bit}"));
+            if bit / 8 >= WAL_MAGIC.len() {
+                assert!(replay_bytes(&flipped).is_ok(), "flip {bit}");
+                assert_eq!(n, sealed_before(bit / 8), "flip {bit}");
+            }
+        }
+        // Length prefixes of zero, past EOF, above MAX_PAYLOAD and at the
+        // u32 limit end the journal at that record.
+        for (i, &start) in starts.iter().enumerate() {
+            let past_eof = (bytes.len() - start) as u32;
+            for len in [0, past_eof, MAX_PAYLOAD as u32 + 1, u32::MAX] {
+                let mut hostile = bytes.clone();
+                hostile[start..start + 4].copy_from_slice(&len.to_le_bytes());
+                let n = replay_hostile(&hostile, &records, &format!("record {i} len {len}"));
+                assert_eq!(n, sealed_before(start), "record {i} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_counts_allocate_no_more_than_the_payload() {
+        for kind in [KIND_ADD_COLUMN, KIND_BATCH] {
+            let mut payload = vec![kind];
+            payload.extend_from_slice(&0u32.to_le_bytes());
+            payload.extend_from_slice(&u64::MAX.to_le_bytes());
+            payload.extend_from_slice(&7u64.to_le_bytes());
+            assert_eq!(WalRecord::decode_payload(&payload), None);
+        }
     }
 
     #[test]

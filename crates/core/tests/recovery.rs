@@ -5,8 +5,8 @@
 //! the Nth append or fsync (dropping, cutting short or tearing the record,
 //! or rolling back unsynced bytes), after which every journal operation
 //! errors, exactly like a process killed at that instant. The table runs a
-//! seeded write workload until the crash surfaces (or, if the plan never
-//! fires, to a clean quiesce), then is dropped and recovered from the
+//! seeded write workload until the crash surfaces (every kill point lands
+//! before the workload ends), then is dropped and recovered from the
 //! journal alone.
 //!
 //! The property, swept across fault kinds × operation indices × torn/short
@@ -20,7 +20,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use asv_core::{
-    AdaptiveConfig, AlignChunking, DurabilityConfig, FaultPlan, RangeAnswer, ServeTable,
+    wal, AdaptiveConfig, AlignChunking, DurabilityConfig, FaultPlan, RangeAnswer, ServeTable,
+    WalRecord,
 };
 use asv_util::ValueRange;
 use asv_vmem::{Backend, SimBackend, VALUES_PER_PAGE};
@@ -71,7 +72,8 @@ fn config(chunk_updates: usize) -> AdaptiveConfig {
 
 /// Runs one crash cell: drive a durable table into the injected fault,
 /// recover from the journal, compare against the reference replay of the
-/// sealed batch prefix.
+/// sealed batch prefix. Panics if the fault never fired: every cell's
+/// kill point must land before the closing quiesce.
 fn crash_and_recover<B: Backend>(
     make_backend: impl Fn() -> B,
     fault: FaultPlan,
@@ -86,7 +88,6 @@ fn crash_and_recover<B: Backend>(
     // enters the log only if `try_write_batch` returned Ok — the
     // write-ahead contract says an Err stages nothing.
     let mut acked: Vec<Vec<(usize, u64)>> = Vec::new();
-    let mut clean_finish = false;
     {
         let durability = DurabilityConfig::new(path).with_fault(fault);
         let mut table =
@@ -120,9 +121,10 @@ fn crash_and_recover<B: Backend>(
                 }
             }
         }
-        if !crashed {
-            clean_finish = table.quiesce().is_ok();
-        }
+        assert!(
+            crashed,
+            "{label}: the kill point lands in set-up or the write phase"
+        );
         // Dropping the table here is the kill: no flush, no farewell.
     }
     let (table, info) = ServeTable::recover(
@@ -139,23 +141,12 @@ fn crash_and_recover<B: Backend>(
         );
         return;
     }
-    let expected_batches = if clean_finish {
-        // A clean quiesce compacts to a checkpoint: every acknowledged
-        // batch is folded into the checkpoint's column values.
-        assert_eq!(
-            info.batches_applied, 0,
-            "{label}: checkpoint holds no batches"
-        );
-        acked.len()
-    } else {
-        assert!(
-            info.batches_applied <= acked.len(),
-            "{label}: replay can never exceed the acknowledged log"
-        );
-        info.batches_applied
-    };
+    assert!(
+        info.batches_applied <= acked.len(),
+        "{label}: replay can never exceed the acknowledged log"
+    );
     let mut mirror = values.clone();
-    for batch in &acked[..expected_batches] {
+    for batch in &acked[..info.batches_applied] {
         for &(row, value) in batch {
             mirror[row] = value;
         }
@@ -179,10 +170,12 @@ fn crash_and_recover<B: Backend>(
 }
 
 fn sweep_backend<B: Backend>(make_backend: impl Fn() -> B + Copy, backend_tag: &str) {
-    // Kill points: early ops hit the column load and the first seals, the
-    // later ones land mid-batch, mid-chunk and between chunks of the
-    // write phase (each acknowledged batch costs one append, each commit
-    // one seal append).
+    // Kill points: ops 0–3 hit the column load, the view install and
+    // their seals; from op 4 on, each acknowledged batch costs two appends
+    // (the batch and its tick's seal) and one fsync, so the later ops land
+    // on batches and seals throughout the 10-batch write phase (24 appends
+    // and 12 fsyncs in all). Alignment chunks and retirements append
+    // nothing.
     let kill_ops = [0usize, 1, 2, 3, 5, 8, 13, 21];
     for chunk_updates in [0usize, 4] {
         for op in kill_ops {
@@ -220,8 +213,8 @@ fn sweep_backend<B: Backend>(make_backend: impl Fn() -> B + Copy, backend_tag: &
                 let _ = std::fs::remove_file(&path);
             }
         }
-        // Fsync faults: with one fsync per commit the op index is the
-        // commit index, hitting mid-fold and between-chunk seal points.
+        // Fsync faults: with one fsync per sealing commit the op index is
+        // the seal index: the set-up's two, then one per batch.
         for op in [0usize, 1, 3, 7] {
             let tag = format!("{backend_tag}-c{chunk_updates}-fsync{op}");
             let path = temp_journal(&tag);
@@ -252,6 +245,117 @@ fn recovery_is_exact_on_file_backend() {
     let dir = std::env::temp_dir().join(format!("asv-recovery-stores-{}", std::process::id()));
     let make = || asv_vmem::FileBackend::with_dir(&dir);
     sweep_backend(make, "file");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn record_kind(record: &WalRecord) -> &'static str {
+    match record {
+        WalRecord::AddColumn { .. } => "add_column",
+        WalRecord::InstallView { .. } => "install_view",
+        WalRecord::Batch { .. } => "batch",
+        WalRecord::Seal { .. } => "seal",
+    }
+}
+
+/// Journal shape: exactly one `Seal` per commit that journaled a record,
+/// right behind that record. Ticks that only publish an alignment chunk,
+/// retire a round, re-tighten zone bands or idle journal nothing, so no
+/// `Seal` ever follows another.
+fn check_journal_shape<B: Backend>(make_backend: impl Fn() -> B, with_view: bool, tag: &str) {
+    let path = temp_journal(tag);
+    let values = clustered_values(PAGES);
+    // One update per chunk, so a round that meets the view publishes
+    // several chunks, one per tick.
+    let config = AdaptiveConfig::default().with_chunking(
+        AlignChunking::default()
+            .with_chunk_updates(1)
+            .with_group_commit_idle(0)
+            .with_retighten_idle_ticks(2),
+    );
+    let mut table =
+        ServeTable::with_durability(make_backend(), config, DurabilityConfig::new(&path)).unwrap();
+    table.add_column(&values).unwrap();
+    let mut expected = vec!["add_column", "seal"];
+    if with_view {
+        table
+            .install_view(0, ValueRange::new(2_000, 9_400))
+            .unwrap();
+        expected.extend(["install_view", "seal"]);
+    }
+    let sealed_kinds = || -> Vec<&'static str> {
+        let outcome = wal::replay(&path).unwrap();
+        assert_eq!(
+            outcome.unsealed_records, 0,
+            "{tag}: no record waits unsealed"
+        );
+        outcome.sealed_records.iter().map(record_kind).collect()
+    };
+    assert_eq!(sealed_kinds(), expected, "{tag}: set-up");
+    let mut rng = 0x5EA1u64;
+    let mut chunk_only_ticks = 0;
+    for k in 0..BATCHES {
+        let batch: Vec<(usize, u64)> = (0..WRITES_PER_BATCH)
+            .map(|_| {
+                (
+                    (splitmix(&mut rng) as usize) % values.len(),
+                    splitmix(&mut rng) % 12_000,
+                )
+            })
+            .collect();
+        table.try_write_batch(0, &batch).unwrap();
+        table.tick().unwrap();
+        expected.extend(["batch", "seal"]);
+        assert_eq!(sealed_kinds(), expected, "{tag}: batch {k}");
+        if k % 3 == 0 {
+            // Tick the round to its end, then idle past the re-tightening
+            // threshold: none of it journals or seals anything.
+            while table.round_in_flight(0) {
+                table.tick().unwrap();
+                chunk_only_ticks += usize::from(!table.drain_publish_micros().is_empty());
+                std::thread::yield_now();
+            }
+            for _ in 0..3 {
+                table.tick().unwrap();
+            }
+            assert_eq!(sealed_kinds(), expected, "{tag}: idle after batch {k}");
+        }
+    }
+    if with_view {
+        assert!(
+            chunk_only_ticks > 0,
+            "{tag}: some tick only published a chunk"
+        );
+    }
+    let epochs: Vec<u64> = wal::replay(&path)
+        .unwrap()
+        .sealed_records
+        .iter()
+        .filter_map(|record| match record {
+            WalRecord::Seal { epoch } => Some(*epoch),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        epochs.windows(2).all(|w| w[0] < w[1]),
+        "{tag}: seal epochs ascend: {epochs:?}"
+    );
+    drop(table);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn journal_seals_once_per_acknowledging_tick_on_sim_backend() {
+    check_journal_shape(SimBackend::new, false, "shape-sim");
+    check_journal_shape(SimBackend::new, true, "shape-sim-view");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn journal_seals_once_per_acknowledging_tick_on_file_backend() {
+    let dir = std::env::temp_dir().join(format!("asv-shape-stores-{}", std::process::id()));
+    let make = || asv_vmem::FileBackend::with_dir(&dir);
+    check_journal_shape(make, false, "shape-file");
+    check_journal_shape(make, true, "shape-file-view");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
