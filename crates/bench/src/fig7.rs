@@ -82,7 +82,7 @@ pub fn align_with_mode<B: Backend>(
     match mode {
         AlignMode::Sync => align_views_after_updates_with(column, views, batch, parallelism),
         AlignMode::Background => {
-            let snapshot = snapshot_alignment(column, views, batch)?;
+            let snapshot = snapshot_alignment(column, views.mappings(), batch);
             let plan = spawn_alignment_chunked(snapshot, parallelism, 0).join();
             apply_chunked_plan(column, views, &plan)
         }

@@ -391,7 +391,7 @@ impl<B: Backend> AdaptiveColumn<B> {
     /// Snapshots `batch` and ships it to the chunked planning worker.
     fn start_round(&mut self, batch: &[Update]) -> Result<(), VmemError> {
         debug_assert!(!self.alignment_pending());
-        let snapshot = snapshot_alignment(&self.column, &self.views, batch)?;
+        let snapshot = snapshot_alignment(&self.column, self.views.mappings(), batch);
         self.round_raw_size = batch.len();
         self.next_chunk_index = 0;
         self.pending_alignment = Some(spawn_alignment_chunked(

@@ -79,7 +79,7 @@ use asv_storage::{
     copy_values_chunked, dedup_last_write_wins, sorted_page_groups, Column, ExclusionMasks, Update,
 };
 use asv_util::{Parallelism, ThreadPool, Timer, ValueRange};
-use asv_vmem::{Backend, MappingTable, ViewBuffer, VmemError};
+use asv_vmem::{Backend, MappingTable, VmemError};
 
 use crate::updates::UpdateAlignmentStats;
 use crate::viewset::ViewSet;
@@ -189,19 +189,20 @@ fn batch_meets_range(groups: &[(usize, Vec<Update>)], range: &ValueRange) -> boo
         .any(|u| range.contains(u.old_value) || range.contains(u.new_value))
 }
 
-/// Captures everything the alignment planner needs from `column` / `views`
-/// for an already-applied `batch` (phase 1).
+/// Captures everything the alignment planner needs from `column` and the
+/// column's partial views for an already-applied `batch` (phase 1).
 ///
-/// Only views whose range contains an old or a new value of the batch are
-/// kept (see the [module docs](self)). The mapping table of each kept view
-/// is copied from the view that owns it ([`ViewBuffer::mapping`]); the
-/// contents of the updated pages are copied so removal decisions can be
-/// taken without touching the column again.
-pub fn snapshot_alignment<B: Backend>(
+/// `views` yields each partial view's `(position, id, range, mapping
+/// table)` — [`ViewSet::mappings`] for a set of view buffers. Only views
+/// whose range contains an old or a new value of the batch are kept (see
+/// the [module docs](self)); the mapping table of each kept view is copied
+/// and the contents of the updated pages are copied, so removal decisions
+/// can be taken without touching the column again.
+pub fn snapshot_alignment<'a, B: Backend>(
     column: &Column<B>,
-    views: &ViewSet<B>,
+    views: impl IntoIterator<Item = (usize, u64, ValueRange, &'a MappingTable)>,
     batch: &[Update],
-) -> Result<AlignmentSnapshot, VmemError> {
+) -> AlignmentSnapshot {
     let deduped = dedup_last_write_wins(batch);
     let deduped_size = deduped.len();
     let groups: Vec<(usize, Vec<Update>)> = sorted_page_groups(&deduped)
@@ -218,16 +219,16 @@ pub fn snapshot_alignment<B: Backend>(
     // Nothing is parsed here.)
     let parse_timer = Timer::start();
     let view_snapshots: Vec<ViewSnapshot> = views
-        .iter()
-        .filter(|(_, view)| batch_meets_range(&groups, view.range()))
-        .map(|(idx, view)| ViewSnapshot {
+        .into_iter()
+        .filter(|(_, _, range, _)| batch_meets_range(&groups, range))
+        .map(|(idx, id, range, table)| ViewSnapshot {
             idx,
-            id: view.id(),
-            range: *view.range(),
+            id,
+            range,
             // The page → slot index is built on the view's own table the
             // first time it is aligned; this and every later snapshot copy
             // it.
-            table: view.buffer().mapping().indexed().clone(),
+            table: table.indexed().clone(),
         })
         .collect();
 
@@ -251,14 +252,14 @@ pub fn snapshot_alignment<B: Backend>(
         .collect();
     let parse_time = parse_timer.elapsed();
 
-    Ok(AlignmentSnapshot {
+    AlignmentSnapshot {
         batch_size: batch.len(),
         deduped_size,
         parse_time,
         groups,
         views: view_snapshots,
         page_values,
-    })
+    }
 }
 
 /// Replays the §2.4 add/remove rules for one view against a shadow copy of
@@ -818,7 +819,7 @@ mod tests {
         // Old value 12_000 meets the second view, new value 20_050 the
         // third; nothing in the batch meets the first.
         let updates = column.write_batch(&[(12 * VALUES_PER_PAGE, 20_050)]);
-        let snap = snapshot_alignment(&column, &views, &updates).unwrap();
+        let snap = snapshot_alignment(&column, views.mappings(), &updates);
         let kept: Vec<usize> = snap.views.iter().map(|v| v.idx).collect();
         assert_eq!(kept, vec![1, 2]);
         assert_eq!(snap.num_planned_views(), 2);
@@ -833,7 +834,7 @@ mod tests {
             (7 * VALUES_PER_PAGE, 900_000),
             (2 * VALUES_PER_PAGE, 1),
         ]);
-        let snap = snapshot_alignment(&column, &views, &updates).unwrap();
+        let snap = snapshot_alignment(&column, views.mappings(), &updates);
         assert_eq!(snap.batch_size, 3);
         assert_eq!(snap.deduped_size, 3);
         let pages: Vec<usize> = snap.groups.iter().map(|(p, _)| *p).collect();
@@ -854,7 +855,7 @@ mod tests {
         let (mut column, views) = column_with_views(32, &[range]);
         let before = views.partial_view(0).unwrap().num_pages();
         let updates = column.write_batch(&[(20 * VALUES_PER_PAGE, 6_000)]);
-        let snap = snapshot_alignment(&column, &views, &updates).unwrap();
+        let snap = snapshot_alignment(&column, views.mappings(), &updates);
         let plan = plan_whole(&snap, Parallelism::Sequential);
         assert_eq!(plan.pages_added(), 1);
         assert_eq!(plan.pages_removed(), 0);
@@ -873,7 +874,7 @@ mod tests {
         let range = ValueRange::new(5_000, 9_400);
         let (mut column, mut views) = column_with_views(32, &[range]);
         let updates = column.write_batch(&[(20 * VALUES_PER_PAGE, 6_000)]);
-        let snap = snapshot_alignment(&column, &views, &updates).unwrap();
+        let snap = snapshot_alignment(&column, views.mappings(), &updates);
         let plan = plan_whole(&snap, Parallelism::Sequential);
         // Replace the view set's only view: ids no longer match.
         views.clear();
@@ -915,7 +916,7 @@ mod tests {
             .collect();
         writes.extend((0..VALUES_PER_PAGE).map(|s| (13 * VALUES_PER_PAGE + s, 1 + s as u64)));
         let updates = column.write_batch(&writes);
-        let snap = snapshot_alignment(&column, &views, &updates).unwrap();
+        let snap = snapshot_alignment(&column, views.mappings(), &updates);
         let flat = plan_whole(&snap, Parallelism::Sequential);
         for chunk_updates in [1usize, 3, 64, 1_000] {
             let chunked = plan_alignment_chunked(&snap, Parallelism::Sequential, chunk_updates);
@@ -964,7 +965,7 @@ mod tests {
         // Chunked column: publish each chunk as its own epoch.
         let (mut column, mut views) = column_with_views(32, &[range]);
         let updates = column.write_batch(&writes);
-        let snap = snapshot_alignment(&column, &views, &updates).unwrap();
+        let snap = snapshot_alignment(&column, views.mappings(), &updates);
         let chunked = plan_alignment_chunked(&snap, Parallelism::Sequential, 4);
         assert_eq!(chunked.num_chunks(), 5);
         let generation_before = views.generation();
@@ -1038,7 +1039,7 @@ mod tests {
         let range = ValueRange::new(5_000, 9_400);
         let (mut column, mut views) = column_with_views(32, &[range]);
         let updates = column.write_batch(&[(20 * VALUES_PER_PAGE, 6_000)]);
-        let snap = snapshot_alignment(&column, &views, &updates).unwrap();
+        let snap = snapshot_alignment(&column, views.mappings(), &updates);
         let generation_before = views.generation();
         let pending = spawn_alignment_chunked(snap, Parallelism::Threads(2), 0);
         // The snapshot is owned by the worker: the column stays fully

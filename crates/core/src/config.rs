@@ -173,35 +173,43 @@ impl Default for AlignChunking {
     }
 }
 
-/// Configuration of an [`crate::AdaptiveColumn`].
+/// Configuration of an [`crate::AdaptiveColumn`] or a
+/// [`crate::ServeTable`]. A serving table reads only `chunking` and
+/// `parallelism`; its views are installed explicitly and never mapped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AdaptiveConfig {
-    /// Query routing mode.
+    /// Query routing mode. Ignored by [`crate::ServeTable`].
     pub routing: RoutingMode,
     /// Maximum number of partial views kept per column. Once reached, "we
     /// stop the generation of new partial views altogether and perform
     /// query answering based on the static set of existing views"
-    /// (paper §2.2). The paper's experiments use 20–200.
+    /// (paper §2.2). The paper's experiments use 20–200. Ignored by
+    /// [`crate::ServeTable`].
     pub max_views: usize,
     /// Discard tolerance `d`: a candidate view covering a *subset* of an
     /// existing partial view is discarded if it indexes at least
     /// `existing.pages - d` pages (paper §2.2). The experiments use 0.
+    /// Ignored by [`crate::ServeTable`].
     pub discard_tolerance: usize,
     /// Replacement tolerance `r`: a candidate view covering a *superset* of
     /// an existing partial view replaces it if it indexes at most
     /// `existing.pages + r` pages (paper §2.2). The experiments use 0.
+    /// Ignored by [`crate::ServeTable`].
     pub replacement_tolerance: usize,
     /// Whether query processing is allowed to create new partial views at
     /// all. Disabling this turns the layer into a static view index.
+    /// Ignored by [`crate::ServeTable`].
     pub adaptive_creation: bool,
-    /// View-creation optimizations.
+    /// View-creation optimizations. Ignored by [`crate::ServeTable`].
     pub creation: CreationOptions,
     /// Degree of parallelism of the scan path (queries and the full-scan
     /// baseline). Defaults to [`Parallelism::Sequential`], which keeps every
     /// result bit-identical to the single-threaded code path; `Threads(n)` /
-    /// `Auto` shard scans fork-join style across worker threads.
+    /// `Auto` shard scans fork-join style across worker threads. A
+    /// [`crate::ServeTable`] sizes its alignment planner's pool by it.
     pub parallelism: Parallelism,
-    /// Chunking and write-queue knobs of background alignment.
+    /// Chunking and write-queue knobs of background alignment, read by
+    /// [`crate::ServeTable`] too.
     pub chunking: AlignChunking,
 }
 

@@ -27,13 +27,13 @@
 //! A [`TableEpoch`] is a frozen, self-contained description of what a
 //! reader may touch:
 //!
-//! * one shared full view per column (`Arc<B::View>`, mapped once at
-//!   column creation and never remapped — slot `i` is physical page `i`),
-//! * per partial view the **ascending physical page set** it maps
-//!   ([`ViewMeta`]), recomputed by the maintainer after each published
-//!   alignment chunk — readers scan view pages *through the full view* by
-//!   physical id, so no view buffer is ever shared mutably and slot order
-//!   means nothing to them,
+//! * the column's own full view (`Arc<B::View>`, mapped once by
+//!   [`Column::from_values`], never remapped: slot `i` is physical page `i`),
+//! * per partial view the **ascending physical page set** it holds
+//!   ([`ViewMeta`]), which readers scan *through the full view*. A served
+//!   view maps nothing: it is a [`MappingTable`] the maintainer replays
+//!   each published alignment chunk's ops onto, so after the column loads
+//!   serving makes no virtual-memory call,
 //! * the write overlay of the epoch: queued `(row, value)` pairs plus the
 //!   precomputed scan [`ExclusionMasks`] over them,
 //! * **frozen page copies** for every page holding an overlaid row: the
@@ -53,22 +53,22 @@
 //! When a fold starts, the round is snapshotted with
 //! [`crate::align::snapshot_alignment`], which keeps only the views whose
 //! range contains an old or a new value of the batch — every other view
-//! keeps its epoch verbatim — and planned in the background in chunks of
-//! at most `AlignChunking::chunk_updates` updates. Each tick then applies
-//! and publishes **one planned chunk**, so the per-tick publish work is
-//! bounded by the chunk size and interleaves with group-commit folding; a
-//! chunk that changes no view publishes nothing and costs no tick; a round
-//! with no view to plan starts no planner thread at all. When the round's
-//! last chunk lands, the folded rows retire from the overlay and exactly
-//! the pages the fold wrote drop their frozen copies; a page of those that
-//! still holds an overlaid row is re-frozen from the post-fold store, and
-//! every other copy, taken after the fold, already equals the store. New
-//! rounds fold the queue only
-//! after a **grace check**: every epoch except the current one must be
-//! unpinned, because older epochs may lack page copies for the rows about
-//! to be folded. The fold itself never blocks the writer — if grace has
-//! not elapsed the fold is simply retried on a later tick while writes
-//! keep queueing.
+//! keeps its epoch verbatim — and planned in the background in chunks of at
+//! most `AlignChunking::chunk_updates` updates. Each tick then replays
+//! **one planned chunk** onto the views' tables and publishes the re-sorted
+//! page sets, so the per-tick publish work is bounded by the chunk size and
+//! interleaves with group-commit folding; a chunk that changes no view
+//! publishes nothing and costs no tick; a round with no view to plan starts
+//! no planner thread at all. When the round's last chunk lands, the folded
+//! rows retire from the overlay and exactly the pages the fold wrote drop
+//! their frozen copies; a page of those that still holds an overlaid row is
+//! re-frozen from the post-fold store, and every other copy, taken after
+//! the fold, already equals the store. New rounds fold the queue only after
+//! a **grace check**: every epoch except the current one must be unpinned,
+//! because older epochs may lack page copies for the rows about to be
+//! folded. The fold itself never blocks the writer — if grace has not
+//! elapsed the fold is simply retried on a later tick while writes keep
+//! queueing.
 //!
 //! Within one round all published epochs give bit-identical answers: a
 //! chunk publish only changes *which* pages a view scans (rows folded by
@@ -130,28 +130,27 @@ use asv_storage::{
     copy_values_chunked, Column, ExclusionMasks, PageRef, ScanKernel, ScanMode, ScanOutput,
 };
 use asv_util::{
-    split_ranges, BitVec, EpochCell, Parallelism, Pinned, Reader, ThreadPool, Timer, ValueRange,
+    split_ranges, EpochCell, Parallelism, Pinned, Reader, ThreadPool, Timer, ValueRange,
 };
-use asv_vmem::{Backend, ViewBuffer, VmemError, VALUES_PER_PAGE};
+use asv_vmem::{Backend, MappingTable, ViewBuffer, VmemError, VALUES_PER_PAGE};
 
 use crate::align::{
-    apply_plan, snapshot_alignment, spawn_alignment_chunked, AlignmentPlan,
-    PendingChunkedAlignment, WriteOverlay,
+    snapshot_alignment, spawn_alignment_chunked, AlignmentPlan, PendingChunkedAlignment, ViewOp,
+    WriteOverlay,
 };
 use crate::config::AdaptiveConfig;
-use crate::creation::build_view_for_range;
+use crate::creation::page_meets_range;
 use crate::plan::ZoneStats;
 use crate::router::{greedy_cover, smallest_cover};
-use crate::viewset::ViewSet;
 use crate::wal::{self, FaultPlan, Journal, WalRecord};
 
 /// Frozen metadata of one partial view inside an epoch: its covered range
-/// and the set of physical pages it maps, ascending.
+/// and the set of physical pages it holds, ascending.
 ///
-/// Readers never touch the partial view's buffer — they scan the listed
-/// physical pages through the column's immutable full view, which is
-/// mapped identically (slot `i` = physical page `i`) for the whole run, so
-/// the view's slot order does not matter to them.
+/// No view buffer is mapped for a served partial view: readers scan the
+/// listed pages through the column's full view (slot `i` = physical page
+/// `i`, never remapped) — the paper's explicit page-id vector, read
+/// through virtual memory (§3.2).
 #[derive(Clone, Debug)]
 pub struct ViewMeta {
     /// The value range the view covers.
@@ -162,13 +161,13 @@ pub struct ViewMeta {
 
 /// The frozen per-column state of one epoch.
 pub struct ColumnEpoch<B: Backend> {
-    /// The immutable identity-mapped full view (slot `i` = physical page
-    /// `i`), shared across all epochs of the column.
+    /// The column's own full view (slot `i` = physical page `i`), shared
+    /// with the column and across all of its epochs.
     full_view: Arc<B::View>,
     num_rows: usize,
     num_pages: usize,
-    /// Partial-view metadata, one entry per view in the maintainer's
-    /// [`ViewSet`]; untouched views share their `Arc` across epochs.
+    /// Partial-view metadata, one entry per installed view; views a chunk
+    /// left untouched share their `Arc` across epochs.
     views: Vec<Arc<ViewMeta>>,
     /// Overlaid `(row, value)` pairs, ascending by row.
     overlay: Arc<Vec<(u64, u64)>>,
@@ -830,15 +829,59 @@ impl LaneSender {
     }
 }
 
+/// A served partial view: the slot → page table the planner's ops keep (as
+/// a buffer keeps its own after each rewiring call) and the frozen page set
+/// readers route to. No view buffer is mapped for it.
+struct ServeView {
+    table: MappingTable,
+    meta: Arc<ViewMeta>,
+}
+
+impl ServeView {
+    /// The view of `range` over `column`: every page holding a value in the
+    /// range, in ascending slots.
+    fn build<B: Backend>(column: &Column<B>, range: ValueRange) -> Self {
+        let mut table = MappingTable::new();
+        let pages = (0..column.num_pages()).filter(|&page| page_meets_range(column, page, &range));
+        for (slot, page) in pages.enumerate() {
+            table.insert(slot, page);
+        }
+        let phys = table.iter().map(|(_, page)| page).collect();
+        Self {
+            table,
+            meta: Arc::new(ViewMeta { range, phys }),
+        }
+    }
+
+    /// Replays one chunk's planned `ops` onto the table and rebuilds the
+    /// sorted page set.
+    fn replay(&mut self, ops: &[ViewOp]) {
+        for op in ops {
+            match *op {
+                ViewOp::Map { slot, phys_page } => self.table.insert(slot, phys_page),
+                ViewOp::Truncate { mapped_pages } => self.table.truncate(mapped_pages),
+            }
+        }
+        debug_assert_eq!(
+            self.table.len(),
+            self.table.slot_span(),
+            "planned ops keep a view's slots dense"
+        );
+        self.meta = Arc::new(ViewMeta {
+            range: self.meta.range,
+            phys: self.table.phys_pages_sorted(),
+        });
+    }
+}
+
 /// The maintainer-owned mutable state of one column.
 struct ColumnState<B: Backend> {
     column: Column<B>,
-    views: ViewSet<B>,
-    /// Frozen per-view metadata mirroring `views`, shared into epochs.
-    view_metas: Vec<Arc<ViewMeta>>,
+    /// Installed partial views; a view's position is its id in alignment
+    /// plans (views are only ever appended).
+    views: Vec<ServeView>,
     overlay: WriteOverlay,
     stats: ZoneStats,
-    full_view: Arc<B::View>,
     /// Frozen copies of every page holding an overlaid row, mirrored into
     /// each published epoch (see the copies field of [`ColumnEpoch`]).
     ///
@@ -898,39 +941,6 @@ impl<B: Backend> ColumnState<B> {
             .or_insert_with(|| Arc::new(copy_values_chunked(self.column.page_ref(page).raw())));
     }
 
-    /// Recomputes the frozen metadata of the view at `view_idx` from its
-    /// live mapping table: its mapped pages, sorted into the ascending set
-    /// readers visit. Fails like [`apply_plan`] on a stale position, and on
-    /// a table with an unmapped slot inside its mapped prefix.
-    fn refresh_view_meta(&mut self, view_idx: usize) -> Result<(), VmemError> {
-        let view = self
-            .views
-            .partial_view(view_idx)
-            .ok_or(VmemError::Unsupported(
-                "view set changed between alignment snapshot and publish",
-            ))?;
-        let slot_pages = view
-            .buffer()
-            .mapping()
-            .dense_pages()
-            .ok_or(VmemError::Unsupported(
-                "partial view has an unmapped slot inside its mapped prefix",
-            ))?;
-        // Sort by marking: one bit per physical page, read back ascending
-        // (a third of a comparison sort's cost at a view's typical size).
-        let mut marks = BitVec::new(slot_pages.iter().max().map_or(0, |&page| page + 1));
-        for &page in &slot_pages {
-            marks.set(page);
-        }
-        let mut phys = Vec::with_capacity(slot_pages.len());
-        phys.extend(marks.iter_ones());
-        self.view_metas[view_idx] = Arc::new(ViewMeta {
-            range: *view.range(),
-            phys,
-        });
-        Ok(())
-    }
-
     /// The column's frozen epoch, rebuilt only if something changed since
     /// the last publish.
     fn epoch(&mut self) -> Arc<ColumnEpoch<B>> {
@@ -940,10 +950,10 @@ impl<B: Backend> ColumnState<B> {
         let overlay = self.overlay.sorted_pairs();
         let rows: Vec<u64> = overlay.iter().map(|&(row, _)| row).collect();
         let epoch = Arc::new(ColumnEpoch {
-            full_view: Arc::clone(&self.full_view),
+            full_view: self.column.shared_full_view(),
             num_rows: self.column.num_rows(),
             num_pages: self.column.num_pages(),
-            views: self.view_metas.clone(),
+            views: self.views.iter().map(|v| Arc::clone(&v.meta)).collect(),
             overlay: Arc::new(overlay),
             masks: Arc::new(ExclusionMasks::from_rows(rows)),
             copies: self
@@ -1189,18 +1199,21 @@ impl<B: Backend> ServeTable<B> {
         for record in &outcome.sealed_records {
             match record {
                 WalRecord::AddColumn { col, values } => {
-                    assert_eq!(
-                        *col as usize,
-                        columns.len(),
-                        "journal records columns in append order"
-                    );
+                    let next = columns.len();
+                    if *col as usize != next {
+                        let error = format!("column {col} added as column {next}");
+                        return Err(VmemError::out_of_bounds(error));
+                    }
                     columns.push(values.clone());
                 }
                 WalRecord::InstallView { col, min, max } => {
-                    views.push((*col as usize, ValueRange::new(*min, *max)));
+                    let col = column_index(*col as usize, columns.len())?;
+                    views.push((col, ValueRange::new(*min, *max)));
                 }
                 WalRecord::Batch { col, writes } => {
-                    let column = &mut columns[*col as usize];
+                    let col = column_index(*col as usize, columns.len())?;
+                    let column = &mut columns[col];
+                    check_rows(writes.iter().map(|&(row, _)| row as usize), column.len())?;
                     for &(row, value) in writes {
                         column[row as usize] = value;
                     }
@@ -1251,14 +1264,11 @@ impl<B: Backend> ServeTable<B> {
             self.journal_append(&record)?;
         }
         let column = Column::from_values(self.backend.clone(), values)?;
-        let full_view = Arc::new(self.backend.create_full_view(column.store())?);
         let stats = ZoneStats::build(&column);
         let state = ColumnState {
-            views: ViewSet::new(self.config.max_views),
-            view_metas: Vec::new(),
+            views: Vec::new(),
             overlay: WriteOverlay::new(),
             stats,
-            full_view,
             copies: BTreeMap::new(),
             folded_pages: Vec::new(),
             pending: None,
@@ -1278,21 +1288,20 @@ impl<B: Backend> ServeTable<B> {
         Ok(self.columns.len() - 1)
     }
 
-    /// Builds and installs a partial view covering `range` on column
-    /// `col`, then publishes the epoch carrying it.
+    /// Installs a partial view covering `range` on column `col` — the pages
+    /// holding a value in the range, mapped nowhere — then publishes the
+    /// epoch carrying it.
     ///
-    /// Views are installed during setup: the call is rejected while an
-    /// alignment round is in flight or writes are queued, because the
-    /// in-flight round's plan predates the view and would leave it
-    /// misaligned.
+    /// Views are installed during setup: the call is rejected, before
+    /// anything is journaled, for a missing column and while an alignment
+    /// round is in flight or writes are queued, because the in-flight
+    /// round's plan predates the view and would leave it misaligned.
     pub fn install_view(&mut self, col: usize, range: ValueRange) -> Result<(), VmemError> {
-        {
-            let state = &self.columns[col];
-            if !state.is_idle() || !state.overlay.is_empty() {
-                return Err(VmemError::Unsupported(
-                    "install_view requires an idle column (no round in flight, no queued writes)",
-                ));
-            }
+        let state = &self.columns[column_index(col, self.columns.len())?];
+        if !state.is_idle() || !state.overlay.is_empty() {
+            return Err(VmemError::Unsupported(
+                "install_view requires an idle column (no round in flight, no queued writes)",
+            ));
         }
         if self.durable.is_some() {
             self.journal_append(&WalRecord::InstallView {
@@ -1302,18 +1311,10 @@ impl<B: Backend> ServeTable<B> {
             })?;
         }
         let state = &mut self.columns[col];
-        let (buffer, _) = build_view_for_range(&state.column, &range, &self.config.creation)?;
-        state.views.insert_unchecked(range, buffer);
-        state.view_metas.push(Arc::new(ViewMeta {
-            range,
-            phys: Vec::new(),
-        }));
-        let view_idx = state.view_metas.len() - 1;
-        state.refresh_view_meta(view_idx)?;
+        state.views.push(ServeView::build(&state.column, range));
         state.mark_dirty();
         self.staged = true;
-        self.commit()?;
-        Ok(())
+        self.commit()
     }
 
     /// A reader handle onto this table. Clone it (or call this again) for
@@ -1387,21 +1388,19 @@ impl<B: Backend> ServeTable<B> {
     /// the writer itself never blocks.
     ///
     /// # Panics
-    /// On a durable table, panics if the journal append fails — use
-    /// [`ServeTable::try_write`] to handle the error.
+    /// Panics if the write is rejected — use [`ServeTable::try_write`].
     pub fn write(&mut self, col: usize, row: usize, value: u64) {
         self.try_write(col, row, value)
-            .expect("journal append failed (use try_write on durable tables)");
+            .expect("write rejected (use try_write to handle the error)");
     }
 
     /// Stages a batch of `(row, value)` writes into column `col`.
     ///
     /// # Panics
-    /// On a durable table, panics if the journal append fails — use
-    /// [`ServeTable::try_write_batch`] to handle the error.
+    /// Panics if the batch is rejected — use [`ServeTable::try_write_batch`].
     pub fn write_batch(&mut self, col: usize, writes: &[(usize, u64)]) {
         self.try_write_batch(col, writes)
-            .expect("journal append failed (use try_write_batch on durable tables)");
+            .expect("write batch rejected (use try_write_batch to handle the error)");
     }
 
     /// Fallible single write: [`ServeTable::try_write_batch`] of one
@@ -1412,20 +1411,19 @@ impl<B: Backend> ServeTable<B> {
 
     /// Fallible batch write. On a durable table the batch is appended to
     /// the journal as one [`WalRecord::Batch`] *before* any of it is
-    /// staged (write-ahead): an `Err` means nothing was acknowledged and
-    /// the serving state is unchanged, so recovery and the live table
-    /// agree on exactly which writes exist.
+    /// staged (write-ahead): an `Err` (a missing column, a row past its
+    /// end, a failed append) means nothing was acknowledged and the serving
+    /// state is unchanged, so recovery and the live table agree on exactly
+    /// which writes exist.
     pub fn try_write_batch(
         &mut self,
         col: usize,
         writes: &[(usize, u64)],
     ) -> Result<(), VmemError> {
+        let state = &self.columns[column_index(col, self.columns.len())?];
+        check_rows(writes.iter().map(|&(row, _)| row), state.column.num_rows())?;
         if writes.is_empty() {
             return Ok(());
-        }
-        let num_rows = self.columns[col].column.num_rows();
-        for &(row, _) in writes {
-            assert!(row < num_rows, "row {row} out of bounds");
         }
         if self.durable.is_some() {
             let record = WalRecord::Batch {
@@ -1476,7 +1474,7 @@ impl<B: Backend> ServeTable<B> {
         // write the store.
         self.commit()?;
         for idx in 0..self.columns.len() {
-            self.advance_column(idx)?;
+            self.advance_column(idx);
         }
         for idx in 0..self.columns.len() {
             self.maybe_retighten(idx);
@@ -1484,7 +1482,7 @@ impl<B: Backend> ServeTable<B> {
         self.commit()?;
         if self.grace_elapsed() {
             for idx in 0..self.columns.len() {
-                self.maybe_fold(idx, force_fold)?;
+                self.maybe_fold(idx, force_fold);
             }
         }
         Ok(())
@@ -1637,11 +1635,11 @@ impl<B: Backend> ServeTable<B> {
             });
         }
         for (idx, state) in self.columns.iter().enumerate() {
-            for meta in &state.view_metas {
+            for view in &state.views {
                 records.push(WalRecord::InstallView {
                     col: idx as u32,
-                    min: meta.range.low(),
-                    max: meta.range.high(),
+                    min: view.meta.range.low(),
+                    max: view.meta.range.high(),
                 });
             }
         }
@@ -1696,13 +1694,15 @@ impl<B: Backend> ServeTable<B> {
 
     /// Advances column `idx`'s alignment round: joins a finished
     /// background plan and publishes its next chunk that changes a view,
-    /// retiring the round once no chunk is left.
+    /// retiring the round once no chunk is left. Publishing replays the
+    /// chunk's ops onto each changed view's table and rebuilds its sorted
+    /// page set; nothing is remapped.
     ///
     /// Chunks publish strictly in order — a view's ops in chunk `k+1`
     /// assume chunk `k`'s layout. A chunk publish only changes which pages
     /// a view scans, never an answer: rows folded by the round stay masked
     /// and overlaid until retirement.
-    fn advance_column(&mut self, idx: usize) -> Result<(), VmemError> {
+    fn advance_column(&mut self, idx: usize) {
         let state = &mut self.columns[idx];
         if state
             .pending
@@ -1716,9 +1716,8 @@ impl<B: Backend> ServeTable<B> {
         let next = std::iter::from_fn(|| state.ready.pop_front()).find(|c| !c.views.is_empty());
         if let Some(chunk) = next {
             let timer = Timer::start();
-            apply_plan(&state.column, &mut state.views, &chunk)?;
             for view_plan in &chunk.views {
-                state.refresh_view_meta(view_plan.view_idx)?;
+                state.views[view_plan.view_idx].replay(&view_plan.ops);
             }
             state
                 .publish_micros
@@ -1730,7 +1729,6 @@ impl<B: Backend> ServeTable<B> {
             Self::retire_round(state);
             self.staged = true;
         }
-        Ok(())
     }
 
     /// Completes a round: folded rows leave the overlay (their values are
@@ -1759,12 +1757,12 @@ impl<B: Backend> ServeTable<B> {
     /// the column is idle and the group-commit threshold is met. The
     /// fold writes the physical store — the caller must have verified the
     /// grace condition and published all staged acknowledgements.
-    fn maybe_fold(&mut self, idx: usize, force: bool) -> Result<(), VmemError> {
+    fn maybe_fold(&mut self, idx: usize, force: bool) {
         debug_assert!(!self.staged, "fold requires committed acknowledgements");
         let chunking = self.config.chunking;
         let state = &mut self.columns[idx];
         if !state.is_idle() || state.overlay.queued_writes() == 0 {
-            return Ok(());
+            return;
         }
         // Backpressure is per ingest shard: any one lane filling its
         // share of the global budget forces a fold, so a skewed writer
@@ -1777,7 +1775,7 @@ impl<B: Backend> ServeTable<B> {
             || state.overlay.len() >= chunking.group_commit_idle.max(1)
             || max_shard >= chunking.max_queued_writes.div_ceil(shards);
         if !threshold_met {
-            return Ok(());
+            return;
         }
         debug_assert!(state.folded_pages.is_empty(), "one round at a time");
         state.folded_pages.extend(state.copies.keys());
@@ -1786,10 +1784,15 @@ impl<B: Backend> ServeTable<B> {
         state.activity.rounds += 1;
         // A round with nothing to plan starts no planner: the next tick's
         // `advance_column` finds no pending plan and retires it.
-        if state.views.num_partial_views() > 0 {
-            let snapshot = snapshot_alignment(&state.column, &state.views, &updates)?;
+        if !state.views.is_empty() {
+            let views = state
+                .views
+                .iter()
+                .enumerate()
+                .map(|(idx, view)| (idx, idx as u64, view.meta.range, &view.table));
+            let snapshot = snapshot_alignment(&state.column, views, &updates);
             state.activity.planned_views += snapshot.num_planned_views() as u64;
-            state.activity.candidate_views += state.views.num_partial_views() as u64;
+            state.activity.candidate_views += state.views.len() as u64;
             if snapshot.num_planned_views() > 0 {
                 state.pending = Some(spawn_alignment_chunked(
                     snapshot,
@@ -1799,7 +1802,6 @@ impl<B: Backend> ServeTable<B> {
             }
         }
         state.round_active = true;
-        Ok(())
     }
 
     /// Cumulative alignment activity summed over all columns: rounds
@@ -1823,6 +1825,18 @@ impl<B: Backend> ServeTable<B> {
     }
 }
 
+/// `col` if it names one of `len` columns, else an out-of-bounds error.
+fn column_index(col: usize, len: usize) -> Result<usize, VmemError> {
+    let error = || VmemError::out_of_bounds(format!("column {col} of {len}"));
+    (col < len).then_some(col).ok_or_else(error)
+}
+
+/// Fails on the first of `rows` at or past `num_rows`.
+fn check_rows(mut rows: impl Iterator<Item = usize>, num_rows: usize) -> Result<(), VmemError> {
+    let error = |row| Err(VmemError::out_of_bounds(format!("row {row} of {num_rows}")));
+    rows.find(|&row| row >= num_rows).map_or(Ok(()), error)
+}
+
 impl<B: Backend> std::fmt::Debug for ServeTable<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeTable")
@@ -1836,6 +1850,8 @@ impl<B: Backend> std::fmt::Debug for ServeTable<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::creation::build_view_for_range;
+    use crate::viewset::ViewSet;
     use asv_vmem::{MmapBackend, SimBackend};
 
     /// Clustered data: page p holds values in [p*1000, p*1000 + 510].
@@ -2266,7 +2282,7 @@ mod tests {
                 let snap = handle.pin();
                 for (idx, (_, view)) in rebuilt_views.iter().enumerate() {
                     assert_eq!(
-                        table.columns[col].view_metas[idx].phys,
+                        table.columns[col].views[idx].meta.phys,
                         view.buffer().mapping().phys_pages_sorted(),
                         "{case}: view {idx} page set"
                     );

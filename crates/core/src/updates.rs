@@ -108,7 +108,7 @@ pub fn align_views_after_updates_with<B: Backend>(
             ..Default::default()
         });
     }
-    let snapshot = snapshot_alignment(column, views, batch)?;
+    let snapshot = snapshot_alignment(column, views.mappings(), batch);
     let plan = plan_alignment_chunked(&snapshot, parallelism, 0);
     apply_chunked_plan(column, views, &plan)
 }
@@ -164,13 +164,7 @@ mod tests {
     /// The set of physical pages a view *should* index for its range.
     fn expected_pages<B: Backend>(column: &Column<B>, range: &ValueRange) -> Vec<usize> {
         (0..column.num_pages())
-            .filter(|&p| {
-                column
-                    .page_ref(p)
-                    .values()
-                    .iter()
-                    .any(|v| range.contains(*v))
-            })
+            .filter(|&p| crate::creation::page_meets_range(column, p, range))
             .collect()
     }
 

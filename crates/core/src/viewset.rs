@@ -6,7 +6,7 @@
 //! existing view, or is inserted — bounded by the maximum view count.
 
 use asv_util::ValueRange;
-use asv_vmem::Backend;
+use asv_vmem::{Backend, MappingTable, ViewBuffer};
 
 use crate::query::ViewMaintenance;
 use crate::view::PartialView;
@@ -87,6 +87,13 @@ impl<B: Backend> ViewSet<B> {
     /// Iterates over `(position, view)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &PartialView<B>)> {
         self.partials.iter().enumerate()
+    }
+
+    /// Iterates over `(position, id, range, mapping table)` of every
+    /// partial view: the input [`crate::align::snapshot_alignment`] takes.
+    pub fn mappings(&self) -> impl Iterator<Item = (usize, u64, ValueRange, &MappingTable)> {
+        self.iter()
+            .map(|(idx, view)| (idx, view.id(), *view.range(), view.buffer().mapping()))
     }
 
     /// Removes all partial views (used by rebuild-from-scratch).

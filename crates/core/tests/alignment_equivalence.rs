@@ -238,7 +238,7 @@ fn plan_replay_equals_in_place_alignment() {
 
     let (mut col_a, mut views_a) = build();
     let updates = col_a.write_batch(&writes);
-    let snapshot = asv_core::snapshot_alignment(&col_a, &views_a, &updates).expect("snapshot");
+    let snapshot = asv_core::snapshot_alignment(&col_a, views_a.mappings(), &updates);
     let plan_seq = asv_core::plan_alignment_chunked(&snapshot, Parallelism::Sequential, 0);
     let plan_par = asv_core::plan_alignment_chunked(&snapshot, Parallelism::Threads(4), 0);
     let (seq, par) = (&plan_seq.chunks[0], &plan_par.chunks[0]);

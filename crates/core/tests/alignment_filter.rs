@@ -168,7 +168,7 @@ fn check_case<B: Backend>(
         "{case}: the case changes these views"
     );
 
-    let snapshot = snapshot_alignment(&column, &views, &updates).expect("snapshot");
+    let snapshot = snapshot_alignment(&column, views.mappings(), &updates);
     for chunk_updates in [0usize, 1, 4] {
         let plan = plan_alignment_chunked(&snapshot, Parallelism::Sequential, chunk_updates);
         assert_eq!(
@@ -250,7 +250,7 @@ fn filtered_plan_equals_full_replan_mmap() {
 fn check_batch_touching_no_view<B: Backend>(make_backend: impl Fn() -> B) {
     let (mut column, views) = column_with_views(make_backend());
     let updates = column.write_batch(&touches_no_view());
-    let snapshot = snapshot_alignment(&column, &views, &updates).expect("snapshot");
+    let snapshot = snapshot_alignment(&column, views.mappings(), &updates);
     assert_eq!(snapshot.num_planned_views(), 0);
 
     let config = AdaptiveConfig::default().with_adaptive_creation(false);

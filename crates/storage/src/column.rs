@@ -5,6 +5,8 @@
 //! `v[-∞,∞]` that maps the entire physical column (paper §2, component (a)
 //! and the default member of component (b)).
 
+use std::sync::Arc;
+
 use asv_util::{Parallelism, ThreadPool, ValueRange};
 use asv_vmem::{Backend, MapRequest, PhysicalStore, VALUES_PER_PAGE};
 
@@ -21,7 +23,7 @@ use crate::updates::Update;
 pub struct Column<B: Backend> {
     backend: B,
     store: B::Store,
-    full_view: B::View,
+    full_view: Arc<B::View>,
     num_rows: usize,
 }
 
@@ -31,22 +33,7 @@ impl<B: Backend> Column<B> {
     /// Values are laid out in page order; every page gets its pageID
     /// embedded in slot 0. The full view is created immediately.
     pub fn from_values(backend: B, values: &[u64]) -> asv_vmem::Result<Self> {
-        let num_pages = values.len().div_ceil(VALUES_PER_PAGE);
-        let mut store = backend.create_store(num_pages)?;
-        for page_idx in 0..num_pages {
-            let start = page_idx * VALUES_PER_PAGE;
-            let end = (start + VALUES_PER_PAGE).min(values.len());
-            let page = store.page_mut(page_idx);
-            page[PAGE_ID_SLOT] = page_idx as u64;
-            page[1..1 + (end - start)].copy_from_slice(&values[start..end]);
-        }
-        let full_view = backend.create_full_view(&store)?;
-        Ok(Self {
-            backend,
-            store,
-            full_view,
-            num_rows: values.len(),
-        })
+        Self::from_values_with_capacity(backend, values, values.len().div_ceil(VALUES_PER_PAGE))
     }
 
     /// Creates an empty column (zero rows, zero pages).
@@ -84,7 +71,7 @@ impl<B: Backend> Column<B> {
                 page[1..1 + (end - start)].copy_from_slice(&values[start..end]);
             }
         }
-        let full_view = backend.create_full_view(&store)?;
+        let full_view = Arc::new(backend.create_full_view(&store)?);
         Ok(Self {
             backend,
             store,
@@ -103,14 +90,16 @@ impl<B: Backend> Column<B> {
         &self.store
     }
 
-    /// Mutable access to the physical store (the write path).
-    pub fn store_mut(&mut self) -> &mut B::Store {
-        &mut self.store
-    }
-
     /// The full virtual view `v[-∞,∞]` over the column.
     pub fn full_view(&self) -> &B::View {
         &self.full_view
+    }
+
+    /// A shared handle on the full view, for readers that outlive a borrow
+    /// of the column. The view is never remapped, so slot `i` stays
+    /// physical page `i` and writes to the store show through it.
+    pub fn shared_full_view(&self) -> Arc<B::View> {
+        Arc::clone(&self.full_view)
     }
 
     /// Number of rows (values) stored.
@@ -226,13 +215,7 @@ impl<B: Backend> Column<B> {
         mode: ScanMode,
         parallelism: Parallelism,
     ) -> ScanOutput {
-        let kernel = ScanKernel::new(*range, mode);
-        scan_view_with(
-            &kernel,
-            &self.full_view,
-            |raw| self.wrap_view_page(raw),
-            parallelism,
-        )
+        self.scan_full_view(&ScanKernel::new(*range, mode), parallelism)
     }
 
     /// Like [`Self::full_scan_with`], but masking `excluded_rows` (ascending
@@ -249,12 +232,7 @@ impl<B: Backend> Column<B> {
         excluded_rows: &[u64],
     ) -> ScanOutput {
         let kernel = ScanKernel::new(*range, mode).with_excluded_rows(excluded_rows);
-        scan_view_with(
-            &kernel,
-            &self.full_view,
-            |raw| self.wrap_view_page(raw),
-            parallelism,
-        )
+        self.scan_full_view(&kernel, parallelism)
     }
 
     /// Like [`Self::full_scan_excluding`], but reusing per-page exclusion
@@ -269,9 +247,14 @@ impl<B: Backend> Column<B> {
         masks: &crate::ExclusionMasks,
     ) -> ScanOutput {
         let kernel = ScanKernel::new(*range, mode).with_exclusion_masks(masks);
+        self.scan_full_view(&kernel, parallelism)
+    }
+
+    /// Runs `kernel` over the full view.
+    fn scan_full_view(&self, kernel: &ScanKernel<'_>, parallelism: Parallelism) -> ScanOutput {
         scan_view_with(
-            &kernel,
-            &self.full_view,
+            kernel,
+            self.full_view(),
             |raw| self.wrap_view_page(raw),
             parallelism,
         )
