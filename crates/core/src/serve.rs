@@ -1208,7 +1208,10 @@ impl<B: Backend> ServeTable<B> {
                 }
                 WalRecord::InstallView { col, min, max } => {
                     let col = column_index(*col as usize, columns.len())?;
-                    views.push((col, ValueRange::new(*min, *max)));
+                    let range = ValueRange::try_new(*min, *max).ok_or_else(|| {
+                        VmemError::out_of_bounds(format!("view range [{min}, {max}]"))
+                    })?;
+                    views.push((col, range));
                 }
                 WalRecord::Batch { col, writes } => {
                     let col = column_index(*col as usize, columns.len())?;

@@ -164,7 +164,13 @@ mod tests {
     /// The set of physical pages a view *should* index for its range.
     fn expected_pages<B: Backend>(column: &Column<B>, range: &ValueRange) -> Vec<usize> {
         (0..column.num_pages())
-            .filter(|&p| crate::creation::page_meets_range(column, p, range))
+            .filter(|&p| {
+                column
+                    .page_ref(p)
+                    .values()
+                    .iter()
+                    .any(|v| range.contains(*v))
+            })
             .collect()
     }
 

@@ -8,8 +8,9 @@
 //!   through the column's full view.
 //! * **Bad input is an error, not a panic**: writes and view installs that
 //!   name a missing column or a row past the column's end, and sealed
-//!   journals whose records contradict the table they rebuild, return a
-//!   [`VmemError`] — a rejected write or install journals nothing.
+//!   journals whose records contradict the table they rebuild or hold an
+//!   inverted view range, return a [`VmemError`] — a rejected write or
+//!   install journals nothing.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -215,6 +216,17 @@ fn recovery_rejects_records_that_contradict_the_table() {
         (
             "batch past its column's end",
             vec![add(0), batch(vec![(3, 1), (10, 2)])],
+        ),
+        (
+            "view range with min above max",
+            vec![
+                add(0),
+                WalRecord::InstallView {
+                    col: 0,
+                    min: 9,
+                    max: 0,
+                },
+            ],
         ),
     ];
     for (case, records) in journals {
