@@ -1199,19 +1199,16 @@ impl<B: Backend> ServeTable<B> {
         for record in &outcome.sealed_records {
             match record {
                 WalRecord::AddColumn { col, values } => {
-                    let next = columns.len();
-                    if *col as usize != next {
-                        let error = format!("column {col} added as column {next}");
+                    if *col as usize != columns.len() {
+                        let error = format!("column {col} added as column {}", columns.len());
                         return Err(VmemError::out_of_bounds(error));
                     }
                     columns.push(values.clone());
                 }
                 WalRecord::InstallView { col, min, max } => {
                     let col = column_index(*col as usize, columns.len())?;
-                    let range = ValueRange::try_new(*min, *max).ok_or_else(|| {
-                        VmemError::out_of_bounds(format!("view range [{min}, {max}]"))
-                    })?;
-                    views.push((col, range));
+                    let error = || VmemError::out_of_bounds(format!("view range [{min}, {max}]"));
+                    views.push((col, ValueRange::try_new(*min, *max).ok_or_else(error)?));
                 }
                 WalRecord::Batch { col, writes } => {
                     let col = column_index(*col as usize, columns.len())?;
@@ -1788,11 +1785,8 @@ impl<B: Backend> ServeTable<B> {
         // A round with nothing to plan starts no planner: the next tick's
         // `advance_column` finds no pending plan and retires it.
         if !state.views.is_empty() {
-            let views = state
-                .views
-                .iter()
-                .enumerate()
-                .map(|(idx, view)| (idx, idx as u64, view.meta.range, &view.table));
+            let views = state.views.iter().enumerate();
+            let views = views.map(|(idx, view)| (idx, idx as u64, view.meta.range, &view.table));
             let snapshot = snapshot_alignment(&state.column, views, &updates);
             state.activity.planned_views += snapshot.num_planned_views() as u64;
             state.activity.candidate_views += state.views.len() as u64;
