@@ -333,7 +333,7 @@ fn run_concurrent<B: Backend>(
                         std::thread::yield_now();
                     }
                     for (col, row, value) in round.writes_for_shard(w, num_writers) {
-                        writer.write(col, row, value);
+                        writer.write(col, row, value).expect("write");
                     }
                     writes_done.fetch_add(1, Ordering::AcqRel);
                 }

@@ -7,8 +7,8 @@
 //!
 //! * **N reader threads** hold cheap [`TableHandle`]s and pin
 //!   epoch-consistent [`Snapshot`]s ([`TableHandle::pin`]) to run full
-//!   queries — routed range scans, planned conjunctive queries, point
-//!   probes — without taking any lock, and
+//!   queries — routed range scans, page-by-page conjunctive queries,
+//!   point reads — without taking any lock, and
 //! * **one maintenance thread** owns the [`ServeTable`]: it ingests
 //!   writes, folds the write queue into background alignment rounds,
 //!   publishes re-aligned view epochs chunk by chunk, and reclaims
@@ -90,13 +90,23 @@
 //! page scan ascending, and the ascending overlay hits merge into them in
 //! place — no read sorts its rows.
 //!
+//! # Conjunctive reads, page by page
+//!
+//! Page `i` of every column holds rows `[511 i, 511 i + 511)`, so a
+//! conjunctive read intersects its predicates' routed page sets (a linear
+//! merge) before it reads a value, then filters each page of the
+//! intersection once: the page's slots, minus the rows any predicate
+//! column overlays, narrow by one [`asv_storage::QualifyMask`] per
+//! predicate and the survivors fold straight into the answer. No row list
+//! is built and no row is probed; overlaid rows are evaluated one by one.
+//!
 //! # Morsel-parallel reads
 //!
 //! A pinned snapshot can additionally fork-join its *own* queries across
 //! an [`asv_util::ThreadPool`]: [`TableHandle::with_parallelism`] sets a
-//! per-handle [`Parallelism`] knob and every routed scan and semi-join
-//! probe then splits its ascending page list into contiguous page-id
-//! morsels ([`asv_util::split_ranges`], one per worker), scans them on
+//! per-handle [`Parallelism`] knob and every routed scan and conjunctive
+//! page pass then splits its ascending page list into contiguous page-id
+//! morsels ([`asv_util::split_ranges`], one per worker), runs them on
 //! worker threads, and merges the shard outputs back in ascending shard
 //! order — the same merge discipline the sharded executor in
 //! [`crate::exec`] uses, so rows stay ascending and answers are
@@ -124,10 +134,11 @@
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, PoisonError, RwLock};
 
 use asv_storage::{
-    copy_values_chunked, Column, ExclusionMasks, PageRef, ScanKernel, ScanMode, ScanOutput,
+    copy_values_chunked, Column, ExclusionMasks, PageRef, QualifyMask, ScanKernel, ScanMode,
+    ScanOutput,
 };
 use asv_util::{
     split_ranges, EpochCell, Parallelism, Pinned, Reader, ThreadPool, Timer, ValueRange,
@@ -203,21 +214,6 @@ impl<B: Backend> ColumnEpoch<B> {
         }
     }
 
-    /// Valid value count of physical page `phys` (the last page of a
-    /// column may be partially filled).
-    fn valid_values(&self, phys: usize) -> usize {
-        let full_pages = self.num_rows / VALUES_PER_PAGE;
-        if phys < full_pages {
-            VALUES_PER_PAGE
-        } else if phys == full_pages {
-            self.num_rows % VALUES_PER_PAGE
-        } else {
-            // Pages past the data (a store sized with spare capacity)
-            // hold no valid values.
-            0
-        }
-    }
-
     /// The overlaid value of `row`, if the row is overlaid in this epoch.
     fn overlay_value(&self, row: u64) -> Option<u64> {
         self.overlay
@@ -274,7 +270,7 @@ impl<B: Backend> ColumnEpoch<B> {
         };
         kernel.scan_pages(
             phys.map(resolve),
-            |raw| PageRef::new(raw, self.valid_values(raw[0] as usize)),
+            |raw| PageRef::new(raw, valid_rows(self.num_rows, raw[0] as usize)),
             out,
         );
     }
@@ -301,24 +297,18 @@ impl<B: Backend> ColumnEpoch<B> {
         let view_pages: Option<&[usize]> = routed.as_deref();
         let num_pages = view_pages.map_or(self.num_pages, |p| p.len());
         let phys_of = move |idx: usize| view_pages.map_or(idx, |p| p[idx]);
-        let mut out = ScanOutput::new(mode, false);
-        if pool.workers() <= 1 || num_pages < 2 {
-            self.scan_phys(&kernel, (0..num_pages).map(phys_of), &mut out);
-        } else {
-            let tasks: Vec<_> = split_ranges(num_pages, pool.workers())
-                .into_iter()
-                .map(|shard| {
-                    move || {
-                        let mut partial = ScanOutput::new(mode, false);
-                        self.scan_phys(&kernel, shard.map(phys_of), &mut partial);
-                        partial
-                    }
-                })
-                .collect();
-            for partial in pool.scoped_map(tasks) {
+        let parts = morsels(pool, num_pages, |shard| {
+            let mut partial = ScanOutput::new(mode, false);
+            self.scan_phys(&kernel, shard.map(phys_of), &mut partial);
+            partial
+        });
+        let mut out = parts
+            .into_iter()
+            .reduce(|mut out, partial| {
                 out.merge(partial);
-            }
-        }
+                out
+            })
+            .unwrap_or_else(|| ScanOutput::new(mode, false));
         self.merge_overlay(range, mode, &mut out);
         out
     }
@@ -345,98 +335,6 @@ impl<B: Backend> ColumnEpoch<B> {
         }
     }
 
-    /// Semi-join probe of ascending candidate `rows` against `range`:
-    /// overlaid candidates are answered from the overlay, the rest are
-    /// probed per page (through copies where the epoch holds one). One
-    /// cursor walks the overlay alongside the candidates, and the
-    /// overlay hits merge in place into the ascending probe survivors.
-    ///
-    /// Like [`Self::scan`], the per-page probe runs fan out across the
-    /// pool when it has more than one worker: the page runs split into
-    /// contiguous morsels and the shard outputs merge in ascending shard
-    /// order, so the survivors stay ascending and answers are
-    /// bit-identical to the sequential path.
-    fn probe(
-        &self,
-        range: &ValueRange,
-        rows: &[u64],
-        mode: ScanMode,
-        pool: &ThreadPool,
-    ) -> ScanOutput {
-        let kernel = ScanKernel::new(*range, mode);
-        let mut out = ScanOutput::new(mode, false);
-        let mut phys_rows: Vec<u64> = Vec::with_capacity(rows.len());
-        let mut overlay_hits: Vec<u64> = Vec::new();
-        let mut cursor = self.overlay.iter().peekable();
-        for &row in rows {
-            while cursor.next_if(|&&(overlaid, _)| overlaid < row).is_some() {}
-            match cursor.next_if(|&&(overlaid, _)| overlaid == row) {
-                Some(&(_, value)) => {
-                    if range.contains(value) {
-                        out.result.count += 1;
-                        if !matches!(mode, ScanMode::CountOnly) {
-                            out.result.sum += value as u128;
-                        }
-                        overlay_hits.push(row);
-                    }
-                }
-                None => phys_rows.push(row),
-            }
-        }
-        // Group the non-overlaid candidates into per-page runs.
-        let mut runs: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-        let mut start = 0usize;
-        while start < phys_rows.len() {
-            let page = (phys_rows[start] / VALUES_PER_PAGE as u64) as usize;
-            let mut end = start + 1;
-            while end < phys_rows.len()
-                && (phys_rows[end] / VALUES_PER_PAGE as u64) as usize == page
-            {
-                end += 1;
-            }
-            runs.push((page, start..end));
-            start = end;
-        }
-        if pool.workers() <= 1 || runs.len() < 2 {
-            for (page, span) in runs {
-                let page_ref = PageRef::new(self.page_raw(page), self.valid_values(page));
-                kernel.probe_page_rows(page_ref, &phys_rows[span], &mut out);
-            }
-        } else {
-            let phys_rows = &phys_rows;
-            let runs = &runs;
-            let tasks: Vec<_> = split_ranges(runs.len(), pool.workers())
-                .into_iter()
-                .map(|shard| {
-                    move || {
-                        let mut partial = ScanOutput::new(mode, false);
-                        for (page, span) in &runs[shard] {
-                            let page_ref =
-                                PageRef::new(self.page_raw(*page), self.valid_values(*page));
-                            kernel.probe_page_rows(
-                                page_ref,
-                                &phys_rows[span.clone()],
-                                &mut partial,
-                            );
-                        }
-                        partial
-                    }
-                })
-                .collect();
-            for partial in pool.scoped_map(tasks) {
-                out.merge(partial);
-            }
-        }
-        if let Some(out_rows) = out.rows.as_mut() {
-            merge_rows_from_back(
-                out_rows,
-                overlay_hits.len(),
-                overlay_hits.iter().rev().copied(),
-            );
-        }
-        out
-    }
-
     /// Point read of `row`: the overlaid value if queued, the (copy-aware)
     /// stored value otherwise.
     fn value(&self, row: usize) -> u64 {
@@ -448,6 +346,41 @@ impl<B: Backend> ColumnEpoch<B> {
         let slot = row % VALUES_PER_PAGE;
         self.page_raw(page)[1 + slot]
     }
+}
+
+/// How many of the first `num_rows` rows page `page` holds: the last page
+/// of a column may be partially filled, and pages past the data (a store
+/// sized with spare capacity) hold none.
+fn valid_rows(num_rows: usize, page: usize) -> usize {
+    num_rows
+        .saturating_sub(page * VALUES_PER_PAGE)
+        .min(VALUES_PER_PAGE)
+}
+
+/// Runs `run` over `0..len` in one call, or on a multi-worker pool over
+/// one contiguous morsel per worker ([`split_ranges`]), in ascending order.
+fn morsels<T: Send>(
+    pool: &ThreadPool,
+    len: usize,
+    run: impl Fn(std::ops::Range<usize>) -> T + Sync,
+) -> Vec<T> {
+    if pool.workers() <= 1 || len < 2 {
+        return vec![run(0..len)];
+    }
+    let run = &run;
+    let shards = split_ranges(len, pool.workers()).into_iter();
+    pool.scoped_map(shards.map(|shard| move || run(shard)).collect())
+}
+
+/// The ascending intersection of two ascending, duplicate-free page sets,
+/// by a linear merge: the counterpart of [`union_sorted`].
+fn intersect_sorted(a: &[usize], b: &[usize]) -> Vec<usize> {
+    let mut b = b.iter().peekable();
+    let mut in_b = |page: &usize| {
+        while b.next_if(|&other| other < page).is_some() {}
+        b.next_if_eq(&page).is_some()
+    };
+    a.iter().copied().filter(|page| in_b(page)).collect()
 }
 
 /// The ascending union of two ascending, duplicate-free page sets.
@@ -546,12 +479,27 @@ pub struct ConjunctiveAnswer {
     pub rows_checksum: u64,
 }
 
-/// Order-independent checksum over row ids (commutative wrapping sum of a
-/// per-row mix).
-fn checksum_rows(rows: &[u64]) -> u64 {
-    rows.iter().fold(0u64, |acc, &row| {
-        acc.wrapping_add(splitmix64(row.wrapping_add(1)))
-    })
+impl ConjunctiveAnswer {
+    /// The answer of a conjunctive query whose qualifying rows are `rows`,
+    /// in any order: `rows_checksum` is the wrapping sum of a per-row mix,
+    /// so it does not depend on the order rows are found in.
+    pub fn from_rows(rows: impl IntoIterator<Item = u64>) -> Self {
+        let mut answer = Self::default();
+        rows.into_iter().for_each(|row| answer.add_row(row));
+        answer
+    }
+
+    fn add_row(&mut self, row: u64) {
+        self.count += 1;
+        let mix = splitmix64(row.wrapping_add(1));
+        self.rows_checksum = self.rows_checksum.wrapping_add(mix);
+    }
+
+    fn merge(mut self, other: Self) -> Self {
+        self.count += other.count;
+        self.rows_checksum = self.rows_checksum.wrapping_add(other.rows_checksum);
+        self
+    }
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -668,43 +616,96 @@ impl<B: Backend> Snapshot<B> {
             .unwrap_or_default()
     }
 
-    /// Planned conjunctive query over `(column, range)` predicates: the
-    /// predicates are ordered by estimated cardinality (ascending, input
-    /// order breaking ties), the cheapest drives a collecting scan and the
-    /// rest run as semi-join probes over the survivors.
+    /// Conjunctive query over `(column, range)` predicates: the rows whose
+    /// value satisfies every predicate, as a count and an order-independent
+    /// row checksum ([`ConjunctiveAnswer::from_rows`]).
+    ///
+    /// One page pass over the intersection of the predicates' routed page
+    /// sets (see the [module docs](self)); a predicate no view covers
+    /// contributes every page. Predicates apply in ascending order of
+    /// estimated cardinality, input order breaking ties. A row past the
+    /// end of any predicate column qualifies for nothing. Page morsels add
+    /// up by wrapping sums, so every worker count gives the same answer.
     ///
     /// # Panics
     /// Panics if `predicates` is empty or names an out-of-range column.
     pub fn query_conjunctive(&self, predicates: &[(usize, ValueRange)]) -> ConjunctiveAnswer {
         assert!(!predicates.is_empty(), "conjunctive query needs predicates");
-        let pool = ThreadPool::new(self.parallelism);
         let mut order: Vec<usize> = (0..predicates.len()).collect();
         order.sort_by_key(|&i| {
             let (col, range) = &predicates[i];
             (self.column(*col).stats.estimate(range).est_rows, i)
         });
-        let (col, range) = &predicates[order[0]];
-        let mut survivors = self
-            .column(*col)
-            .scan(range, ScanMode::CollectRows, &pool)
-            .rows
-            .unwrap_or_default();
-        for &i in &order[1..] {
-            if survivors.is_empty() {
+        let preds: Vec<(&ColumnEpoch<B>, &ValueRange)> = order
+            .iter()
+            .map(|&i| (self.column(predicates[i].0), &predicates[i].1))
+            .collect();
+        let num_rows = preds.iter().map(|(column, _)| column.num_rows).min();
+        let num_rows = num_rows.unwrap_or_default();
+        let num_pages = num_rows.div_ceil(VALUES_PER_PAGE);
+        let routed = preds
+            .iter()
+            .filter_map(|(column, range)| column.route(range))
+            .reduce(|a, b| Cow::Owned(intersect_sorted(&a, &b)));
+        let view_pages = routed
+            .as_deref()
+            .map(|pages| &pages[..pages.partition_point(|&page| page < num_pages)]);
+        let len = view_pages.map_or(num_pages, <[usize]>::len);
+        let pool = ThreadPool::new(self.parallelism);
+        let parts = morsels(&pool, len, |shard| {
+            let pages = shard.map(|idx| view_pages.map_or(idx, |p| p[idx]));
+            filter_conjunctive_pages(&preds, num_rows, pages)
+        });
+        let mut overlaid: Vec<u64> = preds
+            .iter()
+            .flat_map(|(column, _)| column.overlay.iter().map(|&(row, _)| row))
+            .filter(|&row| row < num_rows as u64)
+            .collect();
+        overlaid.sort_unstable();
+        overlaid.dedup();
+        let qualifies = |&row: &u64| {
+            let value = |column: &ColumnEpoch<B>| column.value(row as usize);
+            preds.iter().all(|(col, range)| range.contains(value(col)))
+        };
+        overlaid.retain(qualifies);
+        let overlay_answer = ConjunctiveAnswer::from_rows(overlaid);
+        parts
+            .into_iter()
+            .fold(overlay_answer, ConjunctiveAnswer::merge)
+    }
+}
+
+/// The page pass of [`Snapshot::query_conjunctive`] over the ascending
+/// `pages`, all holding rows below `num_rows`. Each predicate column's
+/// next page is prefetched while its current one is filtered.
+fn filter_conjunctive_pages<B: Backend>(
+    preds: &[(&ColumnEpoch<B>, &ValueRange)],
+    num_rows: usize,
+    pages: impl Iterator<Item = usize>,
+) -> ConjunctiveAnswer {
+    let mut answer = ConjunctiveAnswer::default();
+    let mut pages = pages.peekable();
+    while let Some(page) = pages.next() {
+        let first_row = page * VALUES_PER_PAGE;
+        let valid = valid_rows(num_rows, page);
+        let mut mask = QualifyMask::valid(valid);
+        for (column, _) in preds {
+            if let Some(overlaid) = column.masks.mask_for(page as u64) {
+                mask.remove(overlaid);
+            }
+        }
+        let next = pages.peek().copied();
+        for (column, range) in preds {
+            if mask.is_empty() {
                 break;
             }
-            let (col, range) = &predicates[i];
-            survivors = self
-                .column(*col)
-                .probe(range, &survivors, ScanMode::CollectRows, &pool)
-                .rows
-                .unwrap_or_default();
+            let page_ref = PageRef::new(column.page_raw(page), valid);
+            page_ref.retain_qualifying(next.map(|next| column.page_raw(next)), range, &mut mask);
         }
-        ConjunctiveAnswer {
-            count: survivors.len() as u64,
-            rows_checksum: checksum_rows(&survivors),
-        }
+        mask.slots()
+            .for_each(|slot| answer.add_row((first_row + slot) as u64));
     }
+    answer
 }
 
 impl<B: Backend> Clone for Snapshot<B> {
@@ -752,12 +753,18 @@ struct IngestWrite {
 /// different writers may interleave arbitrarily, which is
 /// answer-preserving because the overlay is last-write-wins *per row*.
 ///
+/// A write naming a missing column or a row past its column's end is
+/// rejected before it is sent. The writer checks against the table's
+/// column shapes, which never change once a column is added, and sees
+/// columns added after it was created.
+///
 /// Callers that need a quiescent table ([`ServeTable::quiesce`]) should
 /// stop (join) their writer threads first — a writer racing the drain
 /// can always re-stage new work.
 #[derive(Clone, Debug)]
 pub struct TableWriter {
     senders: Vec<LaneSender>,
+    column_rows: Arc<RwLock<Vec<usize>>>,
 }
 
 impl TableWriter {
@@ -772,33 +779,47 @@ impl TableWriter {
     /// it blocks while the lane is full, until the maintenance thread
     /// drains it — backpressure as real flow control.
     ///
-    /// # Panics
-    /// Panics if the [`ServeTable`] was dropped while this writer is
-    /// still active.
-    pub fn write(&self, col: usize, row: usize, value: u64) {
-        let lane = writer_shard_of(row, self.senders.len());
-        self.senders[lane]
-            .send(IngestWrite { col, row, value })
-            .expect("serve table dropped while writers are active");
-    }
-
-    /// Non-blocking variant of [`TableWriter::write`]: returns `false` if
-    /// the row's (bounded) lane is full, in which case the write was
-    /// *not* staged and the caller must retry. Unbounded lanes always
-    /// accept.
+    /// Returns [`VmemError::OutOfBounds`], and sends nothing, for a missing
+    /// column or a row past its end.
     ///
     /// # Panics
     /// Panics if the [`ServeTable`] was dropped while this writer is
     /// still active.
-    pub fn try_write(&self, col: usize, row: usize, value: u64) -> bool {
-        let lane = writer_shard_of(row, self.senders.len());
-        match self.senders[lane].try_send(IngestWrite { col, row, value }) {
-            Ok(()) => true,
-            Err(mpsc::TrySendError::Full(_)) => false,
+    pub fn write(&self, col: usize, row: usize, value: u64) -> Result<(), VmemError> {
+        self.lane(col, row)?
+            .send(IngestWrite { col, row, value })
+            .expect("serve table dropped while writers are active");
+        Ok(())
+    }
+
+    /// Non-blocking variant of [`TableWriter::write`]: returns `Ok(false)`
+    /// if the row's (bounded) lane is full, in which case the write was
+    /// *not* staged and the caller must retry. Unbounded lanes always
+    /// accept. Bad input is rejected as by [`TableWriter::write`].
+    ///
+    /// # Panics
+    /// Panics if the [`ServeTable`] was dropped while this writer is
+    /// still active.
+    pub fn try_write(&self, col: usize, row: usize, value: u64) -> Result<bool, VmemError> {
+        match self
+            .lane(col, row)?
+            .try_send(IngestWrite { col, row, value })
+        {
+            Ok(()) => Ok(true),
+            Err(mpsc::TrySendError::Full(_)) => Ok(false),
             Err(mpsc::TrySendError::Disconnected(_)) => {
                 panic!("serve table dropped while writers are active")
             }
         }
+    }
+
+    /// The lane of a write to `(col, row)`, or an error for a missing
+    /// column or a row past its column's end.
+    fn lane(&self, col: usize, row: usize) -> Result<&LaneSender, VmemError> {
+        let rows = self.column_rows.read();
+        let rows = rows.unwrap_or_else(PoisonError::into_inner);
+        check_rows(std::iter::once(row), rows[column_index(col, rows.len())?])?;
+        Ok(&self.senders[writer_shard_of(row, self.senders.len())])
     }
 }
 
@@ -1114,6 +1135,9 @@ pub struct ServeTable<B: Backend> {
     lanes: Vec<mpsc::Receiver<IngestWrite>>,
     /// Sending ends, cloned into every [`TableWriter`].
     lane_senders: Vec<LaneSender>,
+    /// Row count per column, shared with every [`TableWriter`] so it can
+    /// reject bad writes before sending them; only `add_column` grows it.
+    column_rows: Arc<RwLock<Vec<usize>>>,
     /// Write-ahead journal of a durable table (`None` on an in-memory
     /// one).
     durable: Option<DurableState>,
@@ -1153,6 +1177,7 @@ impl<B: Backend> ServeTable<B> {
             staged: false,
             lanes,
             lane_senders,
+            column_rows: Arc::default(),
             durable: None,
         }
     }
@@ -1283,6 +1308,10 @@ impl<B: Backend> ServeTable<B> {
             column,
         };
         self.columns.push(state);
+        self.column_rows
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(values.len());
         self.staged = true;
         self.commit()?;
         Ok(self.columns.len() - 1)
@@ -1332,6 +1361,7 @@ impl<B: Backend> ServeTable<B> {
     pub fn writer(&self) -> TableWriter {
         TableWriter {
             senders: self.lane_senders.clone(),
+            column_rows: Arc::clone(&self.column_rows),
         }
     }
 
@@ -1505,6 +1535,8 @@ impl<B: Backend> ServeTable<B> {
         if drained.is_empty() {
             return Ok(());
         }
+        // Writers reject a bad `(col, row)` before sending it
+        // (`TableWriter::write`), so every drained write names a live row.
         if self.durable.is_some() {
             let mut per_col: Vec<Vec<(u64, u64)>> = vec![Vec::new(); self.columns.len()];
             for write in &drained {
@@ -2104,8 +2136,7 @@ mod tests {
 
         let snap = table.handle().pin();
         let answer = snap.query_conjunctive(&[(col_a, ra), (col_b, rb)]);
-        assert_eq!(answer.count, expected.len() as u64);
-        assert_eq!(answer.rows_checksum, checksum_rows(&expected));
+        assert_eq!(answer, ConjunctiveAnswer::from_rows(expected));
         // Predicate order must not matter.
         assert_eq!(snap.query_conjunctive(&[(col_b, rb), (col_a, ra)]), answer);
     }
@@ -2529,11 +2560,9 @@ mod tests {
                 scope.spawn(move || {
                     for k in 0..5u64 {
                         for row in (w..24).step_by(2) {
-                            writer.write(
-                                col,
-                                row,
-                                1_000_000 * (w as u64 + 1) + 10 * row as u64 + k,
-                            );
+                            writer
+                                .write(col, row, 1_000_000 * (w as u64 + 1) + 10 * row as u64 + k)
+                                .unwrap();
                         }
                     }
                 });
@@ -2638,11 +2667,12 @@ mod tests {
 
     #[test]
     fn checksum_is_order_independent() {
-        let a = checksum_rows(&[1, 5, 9]);
-        let b = checksum_rows(&[9, 1, 5]);
-        assert_eq!(a, b);
-        assert_ne!(a, checksum_rows(&[1, 5]));
-        assert_ne!(checksum_rows(&[0]), checksum_rows(&[]));
+        let checksum =
+            |rows: &[u64]| ConjunctiveAnswer::from_rows(rows.iter().copied()).rows_checksum;
+        let a = checksum(&[1, 5, 9]);
+        assert_eq!(a, checksum(&[9, 1, 5]));
+        assert_ne!(a, checksum(&[1, 5]));
+        assert_ne!(checksum(&[0]), checksum(&[]));
     }
 
     fn temp_journal(tag: &str) -> PathBuf {
@@ -2824,15 +2854,15 @@ mod tests {
         let mut table = ServeTable::new(SimBackend::new(), config);
         let col = table.add_column(&clustered_values(8)).unwrap();
         let writer = table.writer();
-        assert!(writer.try_write(col, 0, 100));
-        assert!(writer.try_write(col, 1, 101));
+        assert!(writer.try_write(col, 0, 100).unwrap());
+        assert!(writer.try_write(col, 1, 101).unwrap());
         assert!(
-            !writer.try_write(col, 2, 102),
+            !writer.try_write(col, 2, 102).unwrap(),
             "the third write exceeds the lane capacity"
         );
         table.tick().unwrap();
         assert!(
-            writer.try_write(col, 2, 102),
+            writer.try_write(col, 2, 102).unwrap(),
             "draining the lane frees capacity"
         );
         table.quiesce().unwrap();
@@ -2860,7 +2890,9 @@ mod tests {
             // All writes hit row pages of one lane; with capacity 1 the
             // writer must block until the maintenance thread drains.
             for i in 0..total {
-                writer.write(col, i % VALUES_PER_PAGE, 7_000 + i as u64);
+                writer
+                    .write(col, i % VALUES_PER_PAGE, 7_000 + i as u64)
+                    .unwrap();
             }
             done_in_thread.store(true, Ordering::Release);
         });
@@ -2888,11 +2920,15 @@ mod tests {
         let col = table.add_column(&values).unwrap();
         let snap = table.handle().pin();
         let epoch = &snap.pinned.columns[col];
-        assert_eq!(epoch.valid_values(0), VALUES_PER_PAGE);
-        assert_eq!(epoch.valid_values(1), VALUES_PER_PAGE);
-        assert_eq!(epoch.valid_values(2), 5, "partial tail page");
-        assert_eq!(epoch.valid_values(3), 0, "pages past the data are empty");
-        assert_eq!(epoch.valid_values(17), 0);
+        assert_eq!(valid_rows(epoch.num_rows, 0), VALUES_PER_PAGE);
+        assert_eq!(valid_rows(epoch.num_rows, 1), VALUES_PER_PAGE);
+        assert_eq!(valid_rows(epoch.num_rows, 2), 5, "partial tail page");
+        assert_eq!(
+            valid_rows(epoch.num_rows, 3),
+            0,
+            "pages past the data are empty"
+        );
+        assert_eq!(valid_rows(epoch.num_rows, 17), 0);
     }
 
     #[test]

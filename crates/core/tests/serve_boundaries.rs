@@ -10,14 +10,23 @@
 //!   name a missing column or a row past the column's end, and sealed
 //!   journals whose records contradict the table they rebuild or hold an
 //!   inverted view range, return a [`VmemError`] — a rejected write or
-//!   install journals nothing.
+//!   install journals nothing. A [`TableWriter`](asv_core::TableWriter)
+//!   rejects the same writes before sending them, also for columns added
+//!   after it was created.
+//! * **Conjunctive reads equal a model**: seeded predicate sets over
+//!   columns of unequal length, with views, overlays and frozen page
+//!   copies live, answer exactly what a plain row-by-row model answers, on
+//!   both backends, sequentially and on two threads. A row past any
+//!   predicate column's end qualifies for nothing.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use asv_core::wal::{Journal, WalRecord};
-use asv_core::{AdaptiveConfig, AlignChunking, DurabilityConfig, ServeTable};
+use asv_core::{
+    AdaptiveConfig, AlignChunking, ConjunctiveAnswer, DurabilityConfig, Parallelism, ServeTable,
+};
 use asv_storage::Column;
 use asv_util::ValueRange;
 use asv_vmem::{Backend, MapRequest, SimBackend, VmemError, VALUES_PER_PAGE};
@@ -248,5 +257,260 @@ fn recovery_rejects_records_that_contradict_the_table() {
             "{case}"
         );
         std::fs::remove_file(&path).unwrap();
+    }
+}
+
+#[test]
+fn table_writers_reject_bad_columns_and_rows_before_sending() {
+    let mut table = ServeTable::new(SimBackend::new(), serve_config(0));
+    let writer = table.writer();
+    assert!(matches!(
+        writer.write(0, 0, 1),
+        Err(VmemError::OutOfBounds { .. })
+    ));
+    // The column is added after the writer was created.
+    let rows = 3 * VALUES_PER_PAGE + 5;
+    let col = table.add_column(&vec![7; rows]).unwrap();
+    let rejected = [
+        writer.write(col + 1, 0, 1),
+        writer.write(col, rows, 1),
+        writer.try_write(col + 1, 0, 1).map(drop),
+        writer.try_write(col, rows + 100, 1).map(drop),
+    ];
+    for result in rejected {
+        assert!(matches!(result, Err(VmemError::OutOfBounds { .. })));
+    }
+    writer.write(col, rows - 1, 9).unwrap();
+    assert!(writer.try_write(col, 0, 8).unwrap());
+    table.tick().unwrap();
+    table.quiesce().unwrap();
+    let answer = table.handle().pin().query_range(col, &ValueRange::full());
+    assert_eq!(answer.count, rows as u64);
+    assert_eq!(
+        answer.sum,
+        7 * (rows as u128 - 2) + 9 + 8,
+        "only the good writes landed"
+    );
+}
+
+/// Page `p` of a clustered column holds the values `[1000 p, 1000 p + 510]`.
+fn clustered(row: usize) -> u64 {
+    ((row / VALUES_PER_PAGE) * 1_000 + row % VALUES_PER_PAGE) as u64
+}
+
+/// What a conjunctive read must answer over the plain `columns`: the rows
+/// below every predicate column's end on which every predicate holds.
+fn model_conjunctive(
+    columns: &[Vec<u64>],
+    predicates: &[(usize, ValueRange)],
+) -> ConjunctiveAnswer {
+    let rows = predicates.iter().map(|&(col, _)| columns[col].len()).min();
+    let qualifying = (0..rows.unwrap_or(0)).filter(|&row| {
+        predicates
+            .iter()
+            .all(|(col, range)| range.contains(columns[*col][row]))
+    });
+    ConjunctiveAnswer::from_rows(qualifying.map(|row| row as u64))
+}
+
+#[test]
+fn conjunctive_reads_stop_at_the_shortest_predicate_column() {
+    // The longer column drives (its predicate is the more selective one)
+    // and all its qualifying rows lie past the shorter column's end.
+    let long: Vec<u64> = (0..8 * VALUES_PER_PAGE).map(clustered).collect();
+    let short: Vec<u64> = (0..2 * VALUES_PER_PAGE).map(|row| row as u64 * 3).collect();
+    let columns = [long, short];
+    let mut table = ServeTable::new(SimBackend::new(), serve_config(0));
+    for values in &columns {
+        table.add_column(values).unwrap();
+    }
+    table
+        .install_view(0, ValueRange::new(2_000, 2_999))
+        .unwrap();
+    let cases = [
+        vec![
+            (0, ValueRange::new(2_000, 2_100)),
+            (1, ValueRange::new(0, 100_000)),
+        ],
+        vec![
+            (1, ValueRange::new(0, 100_000)),
+            (0, ValueRange::new(0, 1_200)),
+        ],
+        vec![(0, ValueRange::full()), (1, ValueRange::full())],
+    ];
+    for parallelism in [Parallelism::Sequential, Parallelism::from_threads(2)] {
+        let snap = table.handle().with_parallelism(parallelism).pin();
+        for predicates in &cases {
+            let expected = model_conjunctive(&columns, predicates);
+            assert_eq!(
+                snap.query_conjunctive(predicates),
+                expected,
+                "{predicates:?}"
+            );
+        }
+        let stranded = snap.query_conjunctive(&cases[0]);
+        assert_eq!(stranded, ConjunctiveAnswer::default(), "no row qualifies");
+    }
+}
+
+/// Three columns of unequal length: `a` clustered over 12 pages, `b` the
+/// same pages reversed, `c` 9 pages and 100 rows of scattered values.
+fn conjunctive_columns() -> Vec<Vec<u64>> {
+    let n = 12 * VALUES_PER_PAGE;
+    let a = (0..n).map(clustered).collect();
+    let b = (0..n).map(|row| clustered(n - 1 - row)).collect();
+    let c = (0..9 * VALUES_PER_PAGE as u64 + 100)
+        .map(|row| row * 7_919 % 12_000)
+        .collect();
+    vec![a, b, c]
+}
+
+/// Views on `a` and `b` only: a predicate on `c`, or on a range no view
+/// covers, contributes every page. `a`'s first view holds pages 0–2 and
+/// `b`'s first view pages 9–11, so those two intersect to nothing.
+const CONJUNCTIVE_VIEWS: [(usize, u64, u64); 4] = [
+    (0, 0, 2_999),
+    (0, 5_000, 8_999),
+    (1, 0, 2_999),
+    (1, 4_000, 6_999),
+];
+
+fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+/// 1–3 predicates on random columns (repeats allowed) over ranges that
+/// match a view, straddle views, miss every view or cover everything.
+fn random_predicates(state: &mut u64) -> Vec<(usize, ValueRange)> {
+    let count = 1 + xorshift(state) % 3;
+    (0..count)
+        .map(|_| {
+            let col = (xorshift(state) % 3) as usize;
+            let range = match xorshift(state) % 4 {
+                0 => {
+                    let (_, lo, hi) = CONJUNCTIVE_VIEWS[(xorshift(state) % 4) as usize];
+                    ValueRange::new(lo, hi)
+                }
+                1 => ValueRange::full(),
+                _ => {
+                    let lo = xorshift(state) % 12_000;
+                    ValueRange::new(lo, lo + xorshift(state) % 4_000)
+                }
+            };
+            (col, range)
+        })
+        .collect()
+}
+
+fn check_conjunctive_model<B: Backend>(backend: B, parallelism: Parallelism, seed: u64) {
+    let mut columns = conjunctive_columns();
+    let mut table = ServeTable::new(backend, serve_config(3));
+    for values in &columns {
+        table.add_column(values).unwrap();
+    }
+    for &(col, lo, hi) in &CONJUNCTIVE_VIEWS {
+        table.install_view(col, ValueRange::new(lo, hi)).unwrap();
+    }
+    let handle = table.handle().with_parallelism(parallelism);
+    let fixed = [
+        // The views' page sets intersect to nothing: only the rows
+        // overlaid in `a` below can qualify.
+        vec![
+            (0, ValueRange::new(0, 2_999)),
+            (1, ValueRange::new(0, 2_999)),
+        ],
+        // Two predicates on one column.
+        vec![
+            (0, ValueRange::new(5_000, 8_999)),
+            (0, ValueRange::new(6_200, 12_000)),
+        ],
+        // `c` has no view and ends before `a` does.
+        vec![
+            (2, ValueRange::new(1_000, 5_000)),
+            (0, ValueRange::new(3_000, 9_500)),
+        ],
+        vec![
+            (0, ValueRange::new(4_000, 7_500)),
+            (1, ValueRange::new(4_000, 6_999)),
+            (2, ValueRange::new(0, 6_000)),
+        ],
+    ];
+    let mut state = seed;
+    for round in 0..4 {
+        // Most writes go to `a` alone, so most overlaid rows are overlaid
+        // in one predicate column only; some move rows of `a`'s pages 9–11
+        // into `a`'s first view range.
+        for i in 0..40 {
+            let col = [0, 0, 0, 1, 2][i % 5];
+            let row = (xorshift(&mut state) % columns[col].len() as u64) as usize;
+            let value = xorshift(&mut state) % 12_000;
+            let (row, value) = if i % 8 == 0 {
+                (
+                    9 * VALUES_PER_PAGE + row % (3 * VALUES_PER_PAGE),
+                    value % 3_000,
+                )
+            } else {
+                (row, value)
+            };
+            let col = if i % 8 == 0 { 0 } else { col };
+            table.write(col, row, value);
+            columns[col][row] = value;
+        }
+        // This tick publishes the writes and folds them into the store;
+        // the pinned epoch reads the folded pages from its frozen copies.
+        table.tick().unwrap();
+        let pinned = handle.pin();
+        for _ in 0..4 {
+            table.tick().unwrap();
+        }
+        let fresh = handle.pin();
+        let random = (0..12).map(|_| random_predicates(&mut state));
+        for predicates in fixed.iter().cloned().chain(random) {
+            let expected = model_conjunctive(&columns, &predicates);
+            let what = format!("seed {seed:#x} round {round} {predicates:?}");
+            assert_eq!(
+                pinned.query_conjunctive(&predicates),
+                expected,
+                "pinned {what}"
+            );
+            assert_eq!(
+                fresh.query_conjunctive(&predicates),
+                expected,
+                "fresh {what}"
+            );
+        }
+        let empty = model_conjunctive(&columns, &fixed[0]);
+        assert!(
+            empty.count > 0,
+            "the overlay answers the empty intersection"
+        );
+    }
+    table.quiesce().unwrap();
+    let snap = handle.pin();
+    for predicates in &fixed {
+        assert_eq!(
+            snap.query_conjunctive(predicates),
+            model_conjunctive(&columns, predicates)
+        );
+    }
+}
+
+#[test]
+fn conjunctive_reads_match_the_model_sim() {
+    for parallelism in [Parallelism::Sequential, Parallelism::from_threads(2)] {
+        for seed in [0x9E37_79B9_u64, 0x5EED_0C0D] {
+            check_conjunctive_model(SimBackend::new(), parallelism, seed);
+        }
+    }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn conjunctive_reads_match_the_model_mmap() {
+    for parallelism in [Parallelism::Sequential, Parallelism::from_threads(2)] {
+        check_conjunctive_model(asv_vmem::MmapBackend::new(), parallelism, 0xC0FF_EE11);
     }
 }

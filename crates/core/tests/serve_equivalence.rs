@@ -19,7 +19,7 @@
 //! * **Sequential == model**: the sequential twin's range answers match a
 //!   naive rescan of a plain `Vec` mirror, its collected rows match the
 //!   mirror's qualifying rows in ascending order, and its conjunctive
-//!   counts match a naive predicate intersection.
+//!   counts and row checksums match a naive predicate intersection.
 //! * **Multi-view covers are exact**: every column carries several views,
 //!   adjacent and overlapping ones sharing pages, so reads straddling two
 //!   views (range, collecting and conjunctive driving scans) route to the
@@ -36,7 +36,9 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use asv_core::{AdaptiveConfig, AlignChunking, Parallelism, ServeTable, Snapshot};
+use asv_core::{
+    AdaptiveConfig, AlignChunking, ConjunctiveAnswer, Parallelism, ServeTable, Snapshot,
+};
 use asv_util::ValueRange;
 use asv_vmem::{Backend, SimBackend, VALUES_PER_PAGE};
 use asv_workloads::{ServeReadOp, ServeRound, ServeSpec, ServeWorkload};
@@ -160,9 +162,14 @@ fn answer<B: Backend>(snap: &Snapshot<B>, read: &ServeReadOp) -> Answer {
     }
 }
 
-/// The model's `(count, range sum, range rows)`; conjunctive reads carry
-/// only the count.
-fn model_answer(mirrors: &[Vec<u64>], read: &ServeReadOp) -> (u64, Option<(u128, Vec<u64>)>) {
+/// What the model expects of a read: a range read's count, sum and rows,
+/// or a conjunctive read's count and row checksum.
+enum ModelAnswer {
+    Range(u64, u128, Vec<u64>),
+    Conjunctive(ConjunctiveAnswer),
+}
+
+fn model_answer(mirrors: &[Vec<u64>], read: &ServeReadOp) -> ModelAnswer {
     match read {
         ServeReadOp::Range { col, range } => {
             let rows: Vec<u64> = (0..mirrors[*col].len() as u64)
@@ -172,17 +179,15 @@ fn model_answer(mirrors: &[Vec<u64>], read: &ServeReadOp) -> (u64, Option<(u128,
                 .iter()
                 .map(|&row| mirrors[*col][row as usize] as u128)
                 .sum();
-            (rows.len() as u64, Some((sum, rows)))
+            ModelAnswer::Range(rows.len() as u64, sum, rows)
         }
         ServeReadOp::Conjunctive { predicates } => {
-            let count = (0..mirrors[0].len())
-                .filter(|&row| {
-                    predicates
-                        .iter()
-                        .all(|(col, range)| range.contains(mirrors[*col][row]))
-                })
-                .count() as u64;
-            (count, None)
+            let rows = (0..mirrors[0].len() as u64).filter(|&row| {
+                predicates
+                    .iter()
+                    .all(|(col, range)| range.contains(mirrors[*col][row as usize]))
+            });
+            ModelAnswer::Conjunctive(ConjunctiveAnswer::from_rows(rows))
         }
     }
 }
@@ -218,17 +223,25 @@ fn run_sequential<B: Backend>(
                 .iter()
                 .map(|read| {
                     let got = answer(&snap, read);
-                    let (count, range_model) = model_answer(&mirrors, read);
-                    assert_eq!(got.0, count, "sequential twin vs naive model: count");
-                    if let (ServeReadOp::Range { col, range }, Some((sum, rows))) =
-                        (read, range_model)
-                    {
-                        assert_eq!(got.1, sum, "sequential twin vs naive model: sum");
-                        assert_eq!(
-                            snap.collect_rows(*col, range),
-                            rows,
-                            "sequential twin vs naive model: collected rows"
-                        );
+                    match (read, model_answer(&mirrors, read)) {
+                        (
+                            ServeReadOp::Range { col, range },
+                            ModelAnswer::Range(count, sum, rows),
+                        ) => {
+                            assert_eq!(got.0, count, "sequential twin vs naive model: count");
+                            assert_eq!(got.1, sum, "sequential twin vs naive model: sum");
+                            assert_eq!(
+                                snap.collect_rows(*col, range),
+                                rows,
+                                "sequential twin vs naive model: collected rows"
+                            );
+                        }
+                        (_, ModelAnswer::Conjunctive(expected)) => assert_eq!(
+                            (got.0, got.2),
+                            (expected.count, expected.rows_checksum),
+                            "sequential twin vs naive model: conjunctive count and rows"
+                        ),
+                        _ => unreachable!("the model answers a read in its own kind"),
                     }
                     got
                 })
@@ -282,7 +295,7 @@ fn run_concurrent<B: Backend>(
                         std::thread::yield_now();
                     }
                     for (col, row, value) in round.writes_for_shard(w, num_writers) {
-                        writer.write(col, row, value);
+                        writer.write(col, row, value).expect("write");
                     }
                     writes_done.fetch_add(1, Ordering::AcqRel);
                 }

@@ -29,9 +29,12 @@
 //! ([`ScanKernel::probe_page_rows`] / [`probe_rows`]): given a set of
 //! candidate row ids it touches only the physical pages containing them and
 //! re-checks the filter per candidate slot instead of per page value. This
-//! is the semi-join building block of planned conjunctive execution: after a
-//! driving predicate has produced a (small) survivor set, the residual
-//! predicates are evaluated against exactly those rows.
+//! is the semi-join building block of `AdaptiveTable`'s planned conjunctive
+//! execution: after a driving predicate has produced a (small) survivor
+//! set, the residual predicates are evaluated against exactly those rows.
+//! The serving layer's conjunctive reads probe nothing: they intersect the
+//! predicates' page sets and filter each page once with per-predicate
+//! [`crate::QualifyMask`]s (`asv_core::serve`).
 
 use std::ops::Range;
 

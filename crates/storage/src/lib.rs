@@ -21,7 +21,8 @@ pub use column::Column;
 pub use kernel::{probe_rows, scan_view, scan_view_with, ScanKernel, ScanMode, ScanOutput};
 pub use page::{PageRef, PageScanResult};
 pub use simd::{
-    copy_values_chunked, fold_min_max_chunked, ExclusionMasks, PageExclusionMask, LANES,
+    copy_values_chunked, fold_min_max_chunked, ExclusionMasks, PageExclusionMask, QualifyMask,
+    LANES,
 };
 pub use table::Table;
 pub use updates::{dedup_last_write_wins, group_by_page, sorted_page_groups, Update, UpdateBatch};

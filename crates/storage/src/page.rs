@@ -8,7 +8,7 @@
 use asv_util::ValueRange;
 use asv_vmem::{SLOTS_PER_PAGE, VALUES_PER_PAGE};
 
-use crate::simd::{self, PageExclusionMask};
+use crate::simd::{self, PageExclusionMask, QualifyMask};
 
 /// Index of the slot holding the embedded pageID.
 pub const PAGE_ID_SLOT: usize = 0;
@@ -206,6 +206,20 @@ impl<'a> PageRef<'a> {
         rows_out: Option<&mut Vec<u64>>,
     ) -> PageScanResult {
         simd::selected_variant().filter(self, next, range, exclusion, count_only, rows_out)
+    }
+
+    /// Narrows `mask` to the slots of this page whose value lies in
+    /// `range` (see [`crate::simd::QualifyMask`]); slots past the valid
+    /// values are cleared. `next`, the raw slots of the page the caller
+    /// reads next, is prefetched and changes no answer.
+    #[inline]
+    pub fn retain_qualifying(
+        &self,
+        next: Option<&[u64]>,
+        range: &ValueRange,
+        mask: &mut QualifyMask,
+    ) {
+        simd::selected_variant().retain_qualifying(self, next, range, mask)
     }
 
     /// Qualifies the candidate rows `rows` (ascending global row ids, all

@@ -26,6 +26,19 @@
 //! Row-id collection is a third, branch-free compaction loop that runs only
 //! on pages the lean pass found a qualifying value on.
 //!
+//! # The qualify mask
+//!
+//! A conjunctive read filters a page against several columns' predicates
+//! and keeps the slots where all of them hold. [`QualifyMask`] carries those
+//! slots, one bit per value slot in the word layout of
+//! [`PageExclusionMask`], and [`KernelVariant::retain_qualifying`] narrows it
+//! by one predicate. It starts with the lean pass, count only: a page where
+//! nothing qualifies clears the mask and a page where everything qualifies
+//! keeps it, so only a page in between pays for its bits. Those come out of
+//! a plain loop per 64-slot word (`bits |= qualifies(v) << slot`), which
+//! the loop vectorizer handles like the lean pass; a word with no surviving
+//! slot left is skipped.
+//!
 //! # Blocks and the next page
 //!
 //! A view is a list of 4 KiB pages, often each in a mapping of its own, and
@@ -164,17 +177,73 @@ impl PageExclusionMask {
 
     /// The excluded slots, ascending.
     pub fn slots(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(word, &bits)| {
-            let mut bits = bits;
-            std::iter::from_fn(move || {
-                (bits != 0).then(|| {
-                    let bit = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    word * 64 + bit
-                })
+        set_bits(&self.words)
+    }
+}
+
+/// The surviving value slots of one page under a conjunction of range
+/// predicates: one bit per value slot, set = every predicate applied so far
+/// holds there. Same word layout as [`PageExclusionMask`], so clearing a
+/// page's excluded slots is one `AND NOT` per word.
+///
+/// A conjunctive read starts each page from [`Self::valid`], removes the
+/// slots the write overlay answers ([`Self::remove`]) and narrows the mask
+/// once per predicate with [`KernelVariant::retain_qualifying`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct QualifyMask {
+    words: [u64; MASK_WORDS],
+}
+
+impl QualifyMask {
+    /// The first `valid_values` value slots of a page, all set.
+    ///
+    /// # Panics
+    /// Panics if `valid_values > VALUES_PER_PAGE`.
+    pub fn valid(valid_values: usize) -> Self {
+        assert!(
+            valid_values <= VALUES_PER_PAGE,
+            "valid_values {valid_values} exceeds {VALUES_PER_PAGE}"
+        );
+        let mut words = [0u64; MASK_WORDS];
+        for (idx, word) in words.iter_mut().enumerate() {
+            let bits = valid_values.saturating_sub(idx * 64).min(64);
+            *word = u64::MAX.checked_shr(64 - bits as u32).unwrap_or(0);
+        }
+        Self { words }
+    }
+
+    /// Clears every slot `excluded` holds.
+    #[inline]
+    pub fn remove(&mut self, excluded: &PageExclusionMask) {
+        for (word, &gone) in self.words.iter_mut().zip(&excluded.words) {
+            *word &= !gone;
+        }
+    }
+
+    /// Returns `true` if no slot survives.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The surviving slots, ascending.
+    pub fn slots(&self) -> impl Iterator<Item = usize> + '_ {
+        set_bits(&self.words)
+    }
+}
+
+/// The set bits of `words`, ascending, as bit indexes.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(word, &bits)| {
+        let mut bits = bits;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                word * 64 + bit
             })
         })
-    }
+    })
 }
 
 /// Precomputed per-page exclusion bitmasks for a set of excluded global row
@@ -461,6 +530,73 @@ fn filter_page(
     }
 }
 
+/// The qualify-mask core: clears from `mask` every slot whose value in
+/// `values` (the valid values of one page) lies outside `range`, and every
+/// slot past `values`. `next` is prefetched as by [`filter_page`].
+///
+/// A count-only lean pass decides first, as on a scan: a page with no
+/// qualifying value clears the mask and one whose every value qualifies
+/// keeps it. Only a page in between is evaluated slot by slot, one 64-slot
+/// word at a time, and a word with no surviving slot is skipped.
+#[inline(always)]
+fn retain_qualifying(
+    values: &[u64],
+    next: Option<&[u64]>,
+    range: &ValueRange,
+    mask: &mut QualifyMask,
+) {
+    let pred = Predicate::new(range);
+    let (count, _) = lean_pass::<false>(values, next, pred);
+    if count == 0 {
+        *mask = QualifyMask::default();
+        return;
+    }
+    let valid = QualifyMask::valid(values.len());
+    for (word, bits) in mask.words.iter_mut().zip(valid.words) {
+        *word &= bits;
+    }
+    if count as usize == values.len() {
+        return;
+    }
+    for (word, chunk) in mask.words.iter_mut().zip(values.chunks(64)) {
+        if *word != 0 {
+            let mut bits = 0u64;
+            for (bit, &v) in chunk.iter().enumerate() {
+                bits |= pred.qualifies(v) << bit;
+            }
+            *word &= bits;
+        }
+    }
+}
+
+/// Signature every compiled build of [`retain_qualifying`] shares.
+type RetainFn = unsafe fn(&[u64], Option<&[u64]>, &ValueRange, &mut QualifyMask);
+
+/// [`retain_qualifying`] compiled for the crate's baseline target.
+fn retain_qualifying_portable(
+    values: &[u64],
+    next: Option<&[u64]>,
+    range: &ValueRange,
+    mask: &mut QualifyMask,
+) {
+    retain_qualifying(values, next, range, mask)
+}
+
+/// [`retain_qualifying`] compiled with AVX2 available.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn retain_qualifying_avx2(
+    values: &[u64],
+    next: Option<&[u64]>,
+    range: &ValueRange,
+    mask: &mut QualifyMask,
+) {
+    retain_qualifying(values, next, range, mask)
+}
+
 /// Signature every compiled build of [`filter_page`] shares.
 type FilterPageFn = unsafe fn(
     &[u64],
@@ -501,15 +637,17 @@ unsafe fn filter_page_avx2(
     filter_page(slots, next, range, exclusion, count_only, rows_out)
 }
 
-/// One compiled build of the page filter that the running CPU supports.
+/// One compiled build of the page filter and the qualify-mask kernel that
+/// the running CPU supports.
 ///
 /// Values of this type exist only for builds whose CPU features were
 /// detected ([`supported_variants`] is the only constructor), which is what
-/// makes [`Self::filter`] a safe call.
+/// makes [`Self::filter`] and [`Self::retain_qualifying`] safe calls.
 #[derive(Clone, Copy, Debug)]
 pub struct KernelVariant {
     name: &'static str,
     filter: FilterPageFn,
+    retain: RetainFn,
 }
 
 impl KernelVariant {
@@ -539,6 +677,22 @@ impl KernelVariant {
         // has no requirement.
         unsafe { (self.filter)(page.slots(), next, range, exclusion, count_only, rows_out) }
     }
+
+    /// Narrows `mask` to the slots of `page` whose value lies in `range`:
+    /// every slot whose value does not qualify, and every slot past the
+    /// page's valid values, is cleared. `next` is prefetched along the way,
+    /// as by [`Self::filter`], and changes no answer.
+    pub fn retain_qualifying(
+        &self,
+        page: &PageRef<'_>,
+        next: Option<&[u64]>,
+        range: &ValueRange,
+        mask: &mut QualifyMask,
+    ) {
+        // SAFETY: as in `filter`: `retain_qualifying_avx2` is only paired
+        // with a detected AVX2 CPU.
+        unsafe { (self.retain)(page.values(), next, range, mask) }
+    }
 }
 
 /// Every compiled build the running CPU supports, fastest last. Differential
@@ -548,12 +702,14 @@ pub fn supported_variants() -> Vec<KernelVariant> {
     let portable = KernelVariant {
         name: "portable",
         filter: filter_page_portable,
+        retain: retain_qualifying_portable,
     };
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         let avx2 = KernelVariant {
             name: "avx2",
             filter: filter_page_avx2,
+            retain: retain_qualifying_avx2,
         };
         return vec![portable, avx2];
     }
@@ -742,6 +898,68 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn every_variant_retains_the_reference_slots_across_lengths_and_ranges() {
+        let mut state = 0x00dd_ba11_5eed_u64;
+        for variant in supported_variants() {
+            for len in 0..=VALUES_PER_PAGE {
+                let values = random_values(len, &mut state);
+                let raw = raw_page(3, &values);
+                let page = PageRef::new(&raw, len);
+                // Includes slots past `len`, which must clear as well.
+                let excluded = PageExclusionMask::from_slots(
+                    (0..VALUES_PER_PAGE).filter(|_| xorshift(&mut state).is_multiple_of(4)),
+                );
+                let mut overlaid = QualifyMask::valid(VALUES_PER_PAGE);
+                overlaid.remove(&excluded);
+                let starts = [
+                    QualifyMask::valid(VALUES_PER_PAGE),
+                    QualifyMask::valid(len),
+                    overlaid,
+                    QualifyMask::default(),
+                ];
+                for range in [
+                    ValueRange::new(100, 600),
+                    ValueRange::full(),
+                    ValueRange::point(0),
+                    ValueRange::point(3),
+                    ValueRange::new(999, u64::MAX),
+                    ValueRange::point(u64::MAX),
+                    ValueRange::new(2_000, 3_000),
+                ] {
+                    for (n, start) in starts.iter().enumerate() {
+                        let what = format!("{} len {len} {range:?} start #{n}", variant.name());
+                        let expected: Vec<usize> = start
+                            .slots()
+                            .filter(|&slot| slot < len && range.contains(values[slot]))
+                            .collect();
+                        for next in [None, Some(raw.as_slice())] {
+                            let mut mask = *start;
+                            variant.retain_qualifying(&page, next, &range, &mut mask);
+                            assert_eq!(mask.slots().collect::<Vec<_>>(), expected, "{what}");
+                            assert_eq!(mask.is_empty(), expected.is_empty(), "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn qualify_masks_start_from_the_valid_slots() {
+        for len in [0usize, 1, 63, 64, 65, 128, 500, VALUES_PER_PAGE] {
+            let mask = QualifyMask::valid(len);
+            assert_eq!(
+                mask.slots().collect::<Vec<_>>(),
+                (0..len).collect::<Vec<_>>()
+            );
+        }
+        let mut mask = QualifyMask::valid(100);
+        mask.remove(&PageExclusionMask::from_slots([0, 64, 99, 300]));
+        assert_eq!(mask.slots().count(), 97);
+        assert!(mask.slots().all(|slot| ![0, 64, 99].contains(&slot)));
     }
 
     #[test]
