@@ -49,6 +49,13 @@ pub const MAX_ZONES: usize = 4096;
 /// *widen* the affected zone's band ([`ZoneStats::note_write`]), so bands
 /// may grow pessimistic under updates but never exclude a value actually
 /// present — estimates degrade gracefully instead of becoming wrong.
+///
+/// Besides ordering conjunctive predicates, the bands decide answers: a
+/// served read skips every routed page [`ZoneStats::page_may_match`]
+/// rejects (see [`crate::serve`]). That is sound only while a band covers
+/// every value its pages hold, which the serving layer keeps true by
+/// widening at write acknowledgement and rebuilding only from a store no
+/// queued write is about to change.
 #[derive(Clone, Debug)]
 pub struct ZoneStats {
     /// Per-zone `(min, max)` over the zone's valid values; `None` for zones
@@ -144,6 +151,18 @@ impl ZoneStats {
             .copied()
             .flatten()
             .map(|(lo, hi)| ValueRange::new(lo, hi))
+    }
+
+    /// `false` if physical page `page` holds no value in `range`, as far as
+    /// the bands tell: its zone holds no values, its zone's band misses
+    /// `range`, or the page lies past the column. `true` means the page
+    /// may hold one. With more than one page per zone a page is rejected
+    /// only if its whole zone misses.
+    pub fn page_may_match(&self, page: usize, range: &ValueRange) -> bool {
+        page < self.num_pages
+            && self
+                .zone_band(page / self.pages_per_zone)
+                .is_some_and(|band| band.overlaps(range))
     }
 
     /// Widens the band of the zone containing `row` to include `new_value`.
@@ -564,6 +583,60 @@ mod tests {
         assert_eq!(stats.estimate(&narrow).est_pages, 0);
         stats.note_write(3 * VALUES_PER_PAGE, 920_000);
         assert!(stats.estimate(&narrow).est_pages >= 1);
+    }
+
+    #[test]
+    fn pages_are_skipped_only_when_their_whole_zone_misses() {
+        // 8 194 pages: three pages per zone, the last zone partial (page
+        // 8 193 alone).
+        let pages = 2 * MAX_ZONES + 2;
+        let col = Column::from_values(SimBackend::new(), &clustered_values(pages)).unwrap();
+        let stats = ZoneStats::build(&col);
+        assert_eq!(stats.pages_per_zone(), 3);
+        assert_eq!(stats.num_zones(), pages.div_ceil(3));
+        let matching = |range: ValueRange, pages: std::ops::Range<usize>| -> Vec<usize> {
+            pages.filter(|&p| stats.page_may_match(p, &range)).collect()
+        };
+        // Only page 4 holds a value in the range; its zone is pages 3–5.
+        assert_eq!(matching(ValueRange::new(4_100, 4_200), 0..12), [3, 4, 5]);
+        // No page holds a value between page 4's and page 5's values, but
+        // the zone's band spans the gap.
+        assert_eq!(matching(ValueRange::new(4_600, 4_900), 0..12), [3, 4, 5]);
+        // The last zone holds page 8 193 only; page 8 194 lies past the
+        // column although it would fall into that zone.
+        let last = (pages as u64 - 1) * 1_000;
+        let tail = pages - 6..pages + 3;
+        assert_eq!(
+            matching(ValueRange::point(last + 100), tail.clone()),
+            [pages - 1]
+        );
+        assert_eq!(
+            matching(ValueRange::full(), tail),
+            (pages - 6..pages).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn empty_zones_are_skipped_until_a_write_widens_them() {
+        // Two full pages and five rows in a store of eight pages.
+        let values: Vec<u64> = (0..2 * VALUES_PER_PAGE as u64 + 5).collect();
+        let col = Column::from_values_with_capacity(SimBackend::new(), &values, 8).unwrap();
+        let mut stats = ZoneStats::build(&col);
+        assert_eq!(stats.num_zones(), 8);
+        let full = ValueRange::full();
+        let matching = |stats: &ZoneStats, range: &ValueRange| -> Vec<usize> {
+            (0..8).filter(|&p| stats.page_may_match(p, range)).collect()
+        };
+        assert_eq!(matching(&stats, &full), [0, 1, 2], "pages past the data");
+        assert_eq!(stats.zone_band(5), None);
+        stats.note_write(5 * VALUES_PER_PAGE + 9, 42);
+        assert_eq!(stats.zone_band(5), Some(ValueRange::point(42)));
+        assert_eq!(matching(&stats, &full), [0, 1, 2, 5]);
+        assert_eq!(matching(&stats, &ValueRange::new(40, 42)), [0, 5]);
+        assert_eq!(
+            matching(&stats, &ValueRange::new(2_000, 9_999)),
+            Vec::<usize>::new()
+        );
     }
 
     #[test]

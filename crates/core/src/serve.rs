@@ -42,7 +42,9 @@
 //!   into the epoch first and readers substitute the copy for the live
 //!   page ([`ColumnEpoch`] keeps answers identical either way — folded
 //!   rows stay masked-and-overlaid until the round retires them),
-//! * a [`ZoneStats`] clone for conjunctive planning.
+//! * a [`ZoneStats`] clone: per-zone value bands that order conjunctive
+//!   predicates and let routed reads skip pages (see "Zone bands skip
+//!   routed pages" below).
 //!
 //! # The maintenance loop
 //!
@@ -86,19 +88,46 @@
 //! else every page. The union is a linear merge of the views' sorted page
 //! sets, so a page two views share is scanned once. It is exact because a
 //! view holds every page with a stored value in its range, so the cover's
-//! union holds every qualifying page. Row ids therefore come out of the
-//! page scan ascending, and the ascending overlay hits merge into them in
-//! place — no read sorts its rows.
+//! union holds every qualifying page. Before the page pass the routed list
+//! drops the pages whose zone band misses the range (next section). Row
+//! ids therefore come out of the page scan ascending, and the ascending
+//! overlay hits merge into them in place — no read sorts its rows.
+//!
+//! # Zone bands skip routed pages
+//!
+//! A view is a coarse index: it holds every page with a value in its range
+//! and says nothing about the page's other values, so most routed pages of
+//! a narrow read hold no qualifying row. Each epoch's [`ZoneStats`] bound
+//! the values of every page group, and a routed read skips each page
+//! whose zone band misses the range ([`ZoneStats::page_may_match`])
+//! before touching it. The bands are answer-critical, and sound because
+//! an epoch's bands cover every value it reads from a page:
+//!
+//! * a write widens its zone's band when it is staged, so the epoch that
+//!   acknowledges it already covers the new value;
+//! * commit comes before fold: the store only ever receives values the
+//!   current epoch's bands cover, every older epoch is unpinned (grace),
+//!   and epochs pinned mid-round read the folded pages from their copies;
+//! * bands narrow only when the maintainer rebuilds them from the live
+//!   store, on an idle column with an empty overlay — no queued write can
+//!   land outside the rebuilt bands, and epochs pinned earlier keep their
+//!   own, wider ones.
+//!
+//! Overlaid rows are masked on their pages and answered from the overlay,
+//! so skipping a page loses none of them. A full scan (no route) visits
+//! every page.
 //!
 //! # Conjunctive reads, page by page
 //!
 //! Page `i` of every column holds rows `[511 i, 511 i + 511)`, so a
 //! conjunctive read intersects its predicates' routed page sets (a linear
-//! merge) before it reads a value, then filters each page of the
-//! intersection once: the page's slots, minus the rows any predicate
-//! column overlays, narrow by one [`asv_storage::QualifyMask`] per
-//! predicate and the survivors fold straight into the answer. No row list
-//! is built and no row is probed; overlaid rows are evaluated one by one.
+//! merge) and drops every page of the intersection that some predicate
+//! column's zone band rejects, before it reads a value. It then filters
+//! each remaining page once: the page's slots, minus the rows any
+//! predicate column overlays, narrow by one [`asv_storage::QualifyMask`]
+//! per predicate and the survivors fold straight into the answer. No row
+//! list is built and no row is probed; overlaid rows are evaluated one by
+//! one.
 //!
 //! # Morsel-parallel reads
 //!
@@ -190,7 +219,9 @@ pub struct ColumnEpoch<B: Backend> {
     /// race-free source. Sorted so an ascending page walk finds its copies
     /// with a cursor and a point read with a binary search.
     copies: Vec<(usize, Arc<Vec<u64>>)>,
-    /// Zone statistics for conjunctive predicate ordering.
+    /// Zone statistics: they order conjunctive predicates and decide which
+    /// routed pages a read skips, so they must cover every value this
+    /// epoch reads from a page (see the [module docs](self)).
     stats: Arc<ZoneStats>,
 }
 
@@ -254,9 +285,10 @@ impl<B: Backend> ColumnEpoch<B> {
     fn scan_phys(
         &self,
         kernel: &ScanKernel<'_>,
+        mode: ScanMode,
         phys: impl Iterator<Item = usize>,
-        out: &mut ScanOutput,
-    ) {
+    ) -> ScanOutput {
+        let mut out = ScanOutput::new(mode, false);
         let mut copies = self.copies.iter().peekable();
         let mut prev = None;
         let resolve = |phys: usize| {
@@ -271,8 +303,9 @@ impl<B: Backend> ColumnEpoch<B> {
         kernel.scan_pages(
             phys.map(resolve),
             |raw| PageRef::new(raw, valid_rows(self.num_rows, raw[0] as usize)),
-            out,
+            &mut out,
         );
+        out
     }
 
     /// Routed range scan: overlaid rows are masked out of the page scan
@@ -280,7 +313,12 @@ impl<B: Backend> ColumnEpoch<B> {
     /// exactly once. Pages are visited in ascending physical order, so
     /// collected rows come out ascending without a sort.
     ///
-    /// With more than one pool worker the (routed or full) page list
+    /// A routed page whose zone band misses `range` is skipped
+    /// ([`ZoneStats::page_may_match`]): the epoch's bands cover every
+    /// value its pages hold outside the masked rows (see the
+    /// [module docs](self)). A full scan visits every page.
+    ///
+    /// With more than one pool worker the (pruned or full) page list
     /// splits into contiguous morsels ([`split_ranges`], one per worker)
     /// that scan concurrently; the shard outputs merge back in ascending
     /// shard order, so collected rows append in the same page order the
@@ -293,15 +331,17 @@ impl<B: Backend> ColumnEpoch<B> {
         if !self.masks.is_empty() {
             kernel = kernel.with_exclusion_masks(&self.masks);
         }
-        let routed = self.route(range);
-        let view_pages: Option<&[usize]> = routed.as_deref();
-        let num_pages = view_pages.map_or(self.num_pages, |p| p.len());
-        let phys_of = move |idx: usize| view_pages.map_or(idx, |p| p[idx]);
-        let parts = morsels(pool, num_pages, |shard| {
-            let mut partial = ScanOutput::new(mode, false);
-            self.scan_phys(&kernel, shard.map(phys_of), &mut partial);
-            partial
-        });
+        let parts = match self.route(range) {
+            Some(pages) => {
+                let may_match = |page| self.stats.page_may_match(page, range);
+                let scan =
+                    |pages: &mut dyn Iterator<Item = usize>| self.scan_phys(&kernel, mode, pages);
+                routed_morsels(pool, &pages, may_match, scan)
+            }
+            None => morsels(pool, self.num_pages, |shard| {
+                self.scan_phys(&kernel, mode, shard)
+            }),
+        };
         let mut out = parts
             .into_iter()
             .reduce(|mut out, partial| {
@@ -370,6 +410,26 @@ fn morsels<T: Send>(
     let run = &run;
     let shards = split_ranges(len, pool.workers()).into_iter();
     pool.scoped_map(shards.map(|shard| move || run(shard)).collect())
+}
+
+/// Runs `run` over the routed `pages` that `may_match` accepts, split as
+/// [`morsels`] splits a page range. One worker streams the pages through
+/// `may_match` without building a list; more workers collect the accepted
+/// pages first, so the morsels split the pruned list evenly.
+fn routed_morsels<T: Send>(
+    pool: &ThreadPool,
+    pages: &[usize],
+    may_match: impl Fn(usize) -> bool,
+    run: impl Fn(&mut dyn Iterator<Item = usize>) -> T + Sync,
+) -> Vec<T> {
+    let mut accepted = pages.iter().copied().filter(|&page| may_match(page));
+    if pool.workers() <= 1 {
+        return vec![run(&mut accepted)];
+    }
+    let accepted: Vec<usize> = accepted.collect();
+    morsels(pool, accepted.len(), |shard| {
+        run(&mut accepted[shard].iter().copied())
+    })
 }
 
 /// The ascending intersection of two ascending, duplicate-free page sets,
@@ -583,6 +643,9 @@ impl<B: Backend> Snapshot<B> {
     }
 
     /// Number of rows of column `col`.
+    ///
+    /// # Panics
+    /// Panics if `col` is not a column of the pinned epoch.
     pub fn num_rows(&self, col: usize) -> usize {
         self.column(col).num_rows
     }
@@ -592,12 +655,19 @@ impl<B: Backend> Snapshot<B> {
     }
 
     /// Point read of `(col, row)` — overlay-aware and copy-aware.
+    ///
+    /// # Panics
+    /// Panics if `col` is not a column of the pinned epoch or `row` is past
+    /// its end.
     pub fn value(&self, col: usize, row: usize) -> u64 {
         self.column(col).value(row)
     }
 
     /// Routed range scan of column `col`: count and value checksum of the
     /// rows whose value falls into `range`.
+    ///
+    /// # Panics
+    /// Panics if `col` is not a column of the pinned epoch.
     pub fn query_range(&self, col: usize, range: &ValueRange) -> RangeAnswer {
         let pool = ThreadPool::new(self.parallelism);
         let out = self.column(col).scan(range, ScanMode::Aggregate, &pool);
@@ -608,6 +678,9 @@ impl<B: Backend> Snapshot<B> {
     }
 
     /// Routed range scan collecting the qualifying row ids, ascending.
+    ///
+    /// # Panics
+    /// Panics if `col` is not a column of the pinned epoch.
     pub fn collect_rows(&self, col: usize, range: &ValueRange) -> Vec<u64> {
         let pool = ThreadPool::new(self.parallelism);
         self.column(col)
@@ -621,7 +694,8 @@ impl<B: Backend> Snapshot<B> {
     /// row checksum ([`ConjunctiveAnswer::from_rows`]).
     ///
     /// One page pass over the intersection of the predicates' routed page
-    /// sets (see the [module docs](self)); a predicate no view covers
+    /// sets, minus the pages some predicate column's zone band rejects
+    /// (see the [module docs](self)); a predicate no view covers
     /// contributes every page. Predicates apply in ascending order of
     /// estimated cardinality, input order breaking ties. A row past the
     /// end of any predicate column qualifies for nothing. Page morsels add
@@ -647,15 +721,25 @@ impl<B: Backend> Snapshot<B> {
             .iter()
             .filter_map(|(column, range)| column.route(range))
             .reduce(|a, b| Cow::Owned(intersect_sorted(&a, &b)));
-        let view_pages = routed
-            .as_deref()
-            .map(|pages| &pages[..pages.partition_point(|&page| page < num_pages)]);
-        let len = view_pages.map_or(num_pages, <[usize]>::len);
         let pool = ThreadPool::new(self.parallelism);
-        let parts = morsels(&pool, len, |shard| {
-            let pages = shard.map(|idx| view_pages.map_or(idx, |p| p[idx]));
-            filter_conjunctive_pages(&preds, num_rows, pages)
-        });
+        let parts = match routed.as_deref() {
+            Some(pages) => {
+                let pages = &pages[..pages.partition_point(|&page| page < num_pages)];
+                let may_match = |page| {
+                    let hits = |&(column, range): &(&ColumnEpoch<B>, _)| {
+                        column.stats.page_may_match(page, range)
+                    };
+                    preds.iter().all(hits)
+                };
+                let filter = |pages: &mut dyn Iterator<Item = usize>| {
+                    filter_conjunctive_pages(&preds, num_rows, pages)
+                };
+                routed_morsels(&pool, pages, may_match, filter)
+            }
+            None => morsels(&pool, num_pages, |shard| {
+                filter_conjunctive_pages(&preds, num_rows, shard)
+            }),
+        };
         let mut overlaid: Vec<u64> = preds
             .iter()
             .flat_map(|(column, _)| column.overlay.iter().map(|&(row, _)| row))
@@ -1006,6 +1090,29 @@ impl<B: Backend> ColumnState<B> {
                     })
             })
             .map(|(&page, _)| page)
+            .collect()
+    }
+
+    /// Pages breaking the soundness of the zone bands reads prune with: a
+    /// valid slot of what the next epoch reads for the page — its frozen
+    /// copy if it has one, else the live store page — holds a value its
+    /// zone's band misses. Masked (overlaid) slots count too.
+    #[cfg(test)]
+    fn inexact_bands(&self) -> Vec<usize> {
+        let num_rows = self.column.num_rows();
+        (0..self.column.num_pages())
+            .filter(|&page| {
+                let raw = match self.copies.get(&page) {
+                    Some(copy) => copy.as_slice(),
+                    None => self.column.page_ref(page).raw(),
+                };
+                let zone = self.stats.zone_of_row(page * VALUES_PER_PAGE);
+                let band = self.stats.zone_band(zone);
+                let valid = &raw[1..=valid_rows(num_rows, page)];
+                valid
+                    .iter()
+                    .any(|&value| !band.is_some_and(|band| band.contains(value)))
+            })
             .collect()
     }
 }
@@ -1399,10 +1506,11 @@ impl<B: Backend> ServeTable<B> {
         self.columns[col].overlay.queued_writes()
     }
 
-    /// The live zone statistics of column `col`, which drive conjunctive
-    /// predicate ordering only. Bands are widened eagerly at write
-    /// acknowledgement (before the fold), so they always cover every
-    /// readable value.
+    /// The live zone statistics of column `col`. They order conjunctive
+    /// predicates and, copied into each epoch, prune the routed pages of
+    /// its reads. Bands are widened eagerly at write acknowledgement
+    /// (before the fold) and rebuilt only on an idle column with an empty
+    /// overlay, so they always cover every readable value.
     pub fn zone_stats(&self, col: usize) -> &ZoneStats {
         &self.columns[col].stats
     }
@@ -1563,8 +1671,11 @@ impl<B: Backend> ServeTable<B> {
     /// ticks on a column whose bands widened since the last rebuild, the
     /// [`ZoneStats`] are rebuilt from the live column. The overlay is
     /// empty and no round is in flight at that point, so the rebuilt
-    /// bands exactly cover the stored data; stats only drive conjunctive
-    /// predicate ordering, so answers are unaffected.
+    /// bands exactly cover the stored data, and every later value reaches
+    /// the store through a write that widens them first. Reads prune
+    /// routed pages with the bands, so this condition is what keeps
+    /// answers exact; epochs pinned before the rebuild keep their own
+    /// bands.
     fn maybe_retighten(&mut self, idx: usize) {
         let ticks = self.config.chunking.retighten_idle_ticks;
         if ticks == 0 {
@@ -2390,6 +2501,11 @@ mod tests {
                 Vec::<usize>::new(),
                 "step {step}"
             );
+            assert_eq!(
+                table.columns[col].inexact_bands(),
+                Vec::<usize>::new(),
+                "step {step}"
+            );
             for (snap, pinned_model) in &held {
                 for range in &ranges {
                     assert_eq!(
@@ -2462,7 +2578,7 @@ mod tests {
     #[test]
     fn zone_bands_widen_at_write_acknowledgement() {
         // The band of a written zone covers both the old and the new value
-        // *before* the write is folded, so conjunctive planning on any
+        // *before* the write is folded, so planning and page pruning on any
         // epoch can rely on the live stats without consulting the overlay.
         let mut table = ServeTable::new(SimBackend::new(), serve_config());
         let col = table.add_column(&clustered_values(24)).unwrap();

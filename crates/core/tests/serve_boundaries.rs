@@ -18,7 +18,14 @@
 //!   copies live, answer exactly what a plain row-by-row model answers, on
 //!   both backends, sequentially and on two threads. A row past any
 //!   predicate column's end qualifies for nothing.
+//! * **Zone-band pruning keeps answers exact**: narrow range and
+//!   conjunctive reads over views three pages wide, which skip the routed
+//!   pages whose zone band misses the range, answer like a model while
+//!   writes move values across view bands (and back), pins are held across
+//!   folds and retires, and idle ticks re-tighten the bands under older
+//!   pins.
 
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -26,6 +33,7 @@ use std::sync::{Arc, Mutex};
 use asv_core::wal::{Journal, WalRecord};
 use asv_core::{
     AdaptiveConfig, AlignChunking, ConjunctiveAnswer, DurabilityConfig, Parallelism, ServeTable,
+    Snapshot,
 };
 use asv_storage::Column;
 use asv_util::ValueRange;
@@ -512,5 +520,226 @@ fn conjunctive_reads_match_the_model_sim() {
 fn conjunctive_reads_match_the_model_mmap() {
     for parallelism in [Parallelism::Sequential, Parallelism::from_threads(2)] {
         check_conjunctive_model(asv_vmem::MmapBackend::new(), parallelism, 0xC0FF_EE11);
+    }
+}
+
+/// Pages of each clustered column in the pruning test; eight views of
+/// `PRUNE_BAND` values each hold three pages.
+const PRUNE_PAGES: usize = 24;
+const PRUNE_BAND: u64 = 3_000;
+
+/// A range read's model answer: count, sum and the qualifying rows,
+/// ascending.
+fn model_range(values: &[u64], range: &ValueRange) -> (u64, u128, Vec<u64>) {
+    let rows: Vec<u64> = (0..values.len() as u64)
+        .filter(|&row| range.contains(values[row as usize]))
+        .collect();
+    let sum = rows.iter().map(|&row| values[row as usize] as u128).sum();
+    (rows.len() as u64, sum, rows)
+}
+
+/// The reads of one step of the pruning test.
+struct PrunedReads {
+    ranges: Vec<(usize, ValueRange)>,
+    conjunctions: Vec<Vec<(usize, ValueRange)>>,
+}
+
+/// Range reads mostly narrower than a view band (so a read routes to one
+/// or two views and skips most of their pages), one around each of
+/// `recent`'s values, and conjunctions pairing a band of column 0 with the
+/// mirrored band of column 1 (column 1 is column 0 reversed).
+fn pruned_reads(state: &mut u64, recent: &[(usize, u64)]) -> PrunedReads {
+    let max = PRUNE_PAGES as u64 * 1_000;
+    let mut ranges: Vec<(usize, ValueRange)> = (0..8)
+        .map(|_| {
+            let lo = xorshift(state) % max;
+            (
+                (xorshift(state) % 2) as usize,
+                ValueRange::new(lo, lo + 20 + xorshift(state) % 1_500),
+            )
+        })
+        .collect();
+    ranges.extend(
+        recent
+            .iter()
+            .map(|&(col, value)| (col, ValueRange::new(value.saturating_sub(20), value + 20))),
+    );
+    let conjunctions = (0..4)
+        .map(|_| {
+            let page = xorshift(state) % PRUNE_PAGES as u64;
+            let lo = page * 1_000 + xorshift(state) % 400;
+            let mirrored = (PRUNE_PAGES as u64 - 1 - page) * 1_000 + xorshift(state) % 400;
+            vec![
+                (0, ValueRange::new(lo, lo + 50 + xorshift(state) % 2_000)),
+                (
+                    1,
+                    ValueRange::new(mirrored, mirrored + 50 + xorshift(state) % 2_000),
+                ),
+            ]
+        })
+        .collect();
+    PrunedReads {
+        ranges,
+        conjunctions,
+    }
+}
+
+/// Checks every read of `reads` on `snap` against the `model` columns of
+/// its epoch.
+fn check_pruned_reads<B: Backend>(
+    snap: &Snapshot<B>,
+    model: &[Vec<u64>],
+    reads: &PrunedReads,
+    what: &str,
+) {
+    for &(col, range) in &reads.ranges {
+        let (count, sum, rows) = model_range(&model[col], &range);
+        let answer = snap.query_range(col, &range);
+        assert_eq!(
+            (answer.count, answer.sum),
+            (count, sum),
+            "{what} {col} {range:?}"
+        );
+        assert_eq!(
+            snap.collect_rows(col, &range),
+            rows,
+            "{what} {col} {range:?}"
+        );
+    }
+    for predicates in &reads.conjunctions {
+        assert_eq!(
+            snap.query_conjunctive(predicates),
+            model_conjunctive(model, predicates),
+            "{what} {predicates:?}"
+        );
+    }
+}
+
+fn check_pruned_reads_match_the_model<B: Backend>(backend: B, parallelism: Parallelism, seed: u64) {
+    let n = PRUNE_PAGES * VALUES_PER_PAGE;
+    let loaded: Vec<Vec<u64>> = vec![
+        (0..n).map(clustered).collect(),
+        (0..n).map(|row| clustered(n - 1 - row)).collect(),
+    ];
+    let config = AdaptiveConfig::default().with_chunking(
+        AlignChunking::default()
+            .with_chunk_updates(8)
+            .with_group_commit_idle(0)
+            .with_retighten_idle_ticks(2),
+    );
+    let mut table = ServeTable::new(backend, config);
+    for (col, values) in loaded.iter().enumerate() {
+        table.add_column(values).unwrap();
+        for band in 0..8 {
+            let lo = band * PRUNE_BAND;
+            table
+                .install_view(col, ValueRange::new(lo, lo + PRUNE_BAND - 1))
+                .unwrap();
+        }
+    }
+    let handle = table.handle().with_parallelism(parallelism);
+    let bands = |table: &ServeTable<B>, col: usize| -> Vec<Option<ValueRange>> {
+        let stats = table.zone_stats(col);
+        (0..stats.num_zones()).map(|z| stats.zone_band(z)).collect()
+    };
+    let mut model = loaded.clone();
+    let mut moved: VecDeque<(usize, usize)> = VecDeque::new();
+    let mut state = seed;
+    let mut held: Vec<(Snapshot<B>, Vec<Vec<u64>>)> = Vec::new();
+    let (mut folds_under_pin, mut retires_under_pin, mut narrowed_under_pin) = (0, 0, 0);
+    let mut skipped_view_pages = 0;
+    for step in 0..40usize {
+        let mut recent = Vec::new();
+        if step % 10 < 3 {
+            // Each write moves a row's value into a random page's band;
+            // every third one moves the oldest moved row back to its
+            // loaded value, so its page's band can narrow again.
+            for i in 0..6 {
+                let back = if i % 3 == 2 { moved.pop_front() } else { None };
+                let (col, row, value) = match back {
+                    Some((col, row)) => (col, row, loaded[col][row]),
+                    None => {
+                        let col = (xorshift(&mut state) % 2) as usize;
+                        let row = (xorshift(&mut state) % n as u64) as usize;
+                        let page = xorshift(&mut state) % PRUNE_PAGES as u64;
+                        moved.push_back((col, row));
+                        (col, row, page * 1_000 + xorshift(&mut state) % 511)
+                    }
+                };
+                table.write(col, row, value);
+                model[col][row] = value;
+                recent.push((col, value));
+            }
+        }
+        let rounds = table.align_activity().rounds;
+        let in_flight = [0, 1].map(|col| table.round_in_flight(col));
+        let before = [bands(&table, 0), bands(&table, 1)];
+        table.tick().unwrap();
+        if !held.is_empty() {
+            folds_under_pin += table.align_activity().rounds - rounds;
+            for col in 0..2 {
+                retires_under_pin += usize::from(in_flight[col] && !table.round_in_flight(col));
+                let after = bands(&table, col);
+                let narrowed = before[col].iter().zip(&after).any(|(old, new)| {
+                    matches!((old, new), (Some(old), Some(new)) if old != new && old.covers(new))
+                });
+                narrowed_under_pin += usize::from(narrowed);
+            }
+        }
+        let fresh = handle.pin();
+        let reads = pruned_reads(&mut state, &recent);
+        for (col, range) in &reads.ranges {
+            // The pages of the views the range overlaps that its bands
+            // reject: what the read skips if it routes to those views.
+            let views = ValueRange::new(
+                range.low() / PRUNE_BAND * PRUNE_BAND,
+                (range.high() / PRUNE_BAND + 1) * PRUNE_BAND - 1,
+            );
+            let stats = table.zone_stats(*col);
+            let pages = model[*col].chunks(VALUES_PER_PAGE).enumerate();
+            skipped_view_pages += pages
+                .filter(|(page, values)| {
+                    values.iter().any(|&value| views.contains(value))
+                        && !stats.page_may_match(*page, range)
+                })
+                .count();
+        }
+        check_pruned_reads(&fresh, &model, &reads, &format!("step {step} fresh"));
+        for (snap, pinned_model) in &held {
+            let what = format!("step {step} pin of generation {}", snap.generation());
+            check_pruned_reads(snap, pinned_model, &reads, &what);
+        }
+        if step % 3 == 2 {
+            held.clear();
+        }
+        held.push((fresh, model.clone()));
+    }
+    assert!(skipped_view_pages > 0, "reads skip pages of their views");
+    assert!(folds_under_pin > 0, "some fold ran under a held pin");
+    assert!(retires_under_pin > 0, "some retire ran under a held pin");
+    assert!(
+        narrowed_under_pin > 0,
+        "some band narrowed under a held pin"
+    );
+    held.clear();
+    table.quiesce().unwrap();
+    let reads = pruned_reads(&mut state, &[]);
+    check_pruned_reads(&handle.pin(), &model, &reads, "quiesced");
+}
+
+#[test]
+fn pruned_reads_match_the_model_sim() {
+    for parallelism in [Parallelism::Sequential, Parallelism::from_threads(2)] {
+        for seed in [0x2545_F491_u64, 0x0DDB_1A5E] {
+            check_pruned_reads_match_the_model(SimBackend::new(), parallelism, seed);
+        }
+    }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn pruned_reads_match_the_model_mmap() {
+    for parallelism in [Parallelism::Sequential, Parallelism::from_threads(2)] {
+        check_pruned_reads_match_the_model(asv_vmem::MmapBackend::new(), parallelism, 0xB5AD_4ECE);
     }
 }
