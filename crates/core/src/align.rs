@@ -8,21 +8,26 @@
 //! execution; *The Virtual Block Interface* decouples mapping management
 //! from access latency):
 //!
-//! 1. **Snapshot** ([`snapshot_alignment`]) — on the caller thread, the
-//!    batch is deduplicated and grouped, the slot ↔ page mapping table
-//!    every *affected* partial view owns is copied (where the paper parses
-//!    `/proc/PID/maps`, §2.5; see "Only affected views are aligned"
-//!    below), and the *values of every updated page* some view may have to
-//!    re-inspect are copied out. The snapshot is plain owned data: it
-//!    borrows nothing from the column.
+//! 1. **Snapshot** ([`snapshot_alignment`]) — on the caller thread, one
+//!    sort deduplicates the batch and groups it by page
+//!    ([`asv_storage::PageGroups`]). Each partial view then gets the
+//!    ascending list of groups its range meets (see "Only affected views
+//!    are aligned" below); the slot ↔ page mapping table each kept view
+//!    owns is copied (where the paper parses `/proc/PID/maps`, §2.5); and
+//!    every case-(2) page — indexed, an old value in range, no new value in
+//!    it — is re-inspected against the post-batch column, each page read
+//!    once for all the views that need it. The snapshot records the
+//!    verdicts, not the pages. It is plain owned data: it borrows nothing
+//!    from the column.
 //! 2. **Plan** ([`plan_alignment_chunked`]) — pure computation over the
 //!    snapshot: for every kept view, the §2.4 add/remove decisions are
-//!    replayed against a *shadow copy* of its mapping table, recording the
-//!    page-table manipulations as [`ViewOp`]s. Because the snapshot is
-//!    owned, this phase can run on a background worker
-//!    ([`spawn_alignment_chunked`]) while queries keep executing against
-//!    the untouched pre-batch views — and the independent per-view work is
-//!    fork-joined across the [`asv_util::ThreadPool`].
+//!    replayed at the groups its range meets against a *shadow copy* of its
+//!    mapping table, recording the page-table manipulations as
+//!    [`ViewOp`]s. Because the snapshot is owned, this phase can run on a
+//!    background worker ([`spawn_alignment_chunked`]) while queries keep
+//!    executing against the untouched pre-batch views — and the
+//!    independent per-view work is fork-joined across the
+//!    [`asv_util::ThreadPool`].
 //! 3. **Publish** ([`apply_plan`]) — back on the owning thread, the
 //!    recorded ops are replayed onto the real view buffers (the only part
 //!    that must exclude queries: a handful of `mmap(MAP_FIXED)` /
@@ -65,9 +70,17 @@
 //! view where the batch meets its range: a page is mapped in only if a new
 //! value qualifies (case 1), and re-inspected for removal only if an old
 //! value did (case 2). A view whose range holds neither plans zero ops, so
-//! dropping it changes no plan. The check is an early-exit scan over the
-//! same page groups the planner replays, so it never costs more than
-//! planning the view would.
+//! dropping it changes no plan. The same pass lists, per kept view, the
+//! groups its range meets, and the planner walks only those: every other
+//! group changes nothing for the view. A batch costs one sort plus one pass
+//! over its updates per view; nothing walks every page of the column.
+//!
+//! Deciding case (2) in the snapshot is exact too. Each page appears in
+//! exactly one group, and only that group changes the page's membership
+//! in a view (a swap-remove moves the last page to another slot, never out
+//! of the view). So when the planner reaches the group, the shadow table
+//! still holds the page exactly when the snapshotted table did, and the
+//! column already holds the values the planner would have read.
 
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::HashMap;
@@ -75,9 +88,7 @@ use std::ops::Range;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use asv_storage::{
-    copy_values_chunked, dedup_last_write_wins, sorted_page_groups, Column, ExclusionMasks, Update,
-};
+use asv_storage::{Column, ExclusionMasks, PageGroups, Update, LANES};
 use asv_util::{Parallelism, ThreadPool, Timer, ValueRange};
 use asv_vmem::{Backend, MappingTable, VmemError};
 
@@ -124,8 +135,8 @@ pub struct AlignmentPlan {
     pub batch_size: usize,
     /// Number of records after last-write-wins deduplication.
     pub deduped_size: usize,
-    /// Time spent materializing the snapshot (mapping-table and page-value
-    /// copies; see [`UpdateAlignmentStats::parse_time`]).
+    /// Time spent materializing the snapshot after grouping the batch
+    /// (see [`UpdateAlignmentStats::parse_time`]).
     pub parse_time: Duration,
     /// Time spent planning (the phase that runs off the query path).
     pub plan_time: Duration,
@@ -145,23 +156,20 @@ impl AlignmentPlan {
     }
 }
 
-/// The owned state a background worker needs to plan an alignment: mapping
-/// tables, update groups and the values of every updated page. Borrows
-/// nothing — queries can keep scanning the column while a worker chews on
-/// this.
+/// The owned state a background worker needs to plan an alignment: the
+/// grouped batch, and per kept view its mapping table and the page groups
+/// its range meets, with the case-(2) re-inspections already decided.
+/// Borrows nothing — queries can keep scanning the column while a worker
+/// chews on this.
 #[derive(Clone, Debug)]
 pub struct AlignmentSnapshot {
     batch_size: usize,
-    deduped_size: usize,
     parse_time: Duration,
-    /// Updates grouped by modified page, sorted ascending by page id.
-    groups: Vec<(usize, Vec<Update>)>,
+    /// The deduplicated batch grouped by modified page, ascending by page.
+    groups: PageGroups,
     /// Per affected partial view: position, id, covered range, pre-batch
-    /// mapping.
+    /// mapping and the groups its range meets.
     views: Vec<ViewSnapshot>,
-    /// Post-batch values (valid slots only) of every updated page some
-    /// view may have to re-inspect for a case-(2) removal.
-    page_values: HashMap<usize, Vec<u64>>,
 }
 
 impl AlignmentSnapshot {
@@ -178,122 +186,161 @@ struct ViewSnapshot {
     id: u64,
     range: ValueRange,
     table: MappingTable,
+    /// The groups where an old or a new value lies in `range`, ascending.
+    hits: Vec<Hit>,
 }
 
-/// `true` if some old or new value of the batch lies in `range` — the
-/// views §2.4 can change. Exits at the first such value.
-fn batch_meets_range(groups: &[(usize, Vec<Update>)], range: &ValueRange) -> bool {
+/// One page group a view's range meets, read the way §2.4 reads it.
+#[derive(Clone, Copy, Debug)]
+struct Hit {
+    /// Position of the group in the snapshot's [`PageGroups`].
+    group: usize,
+    /// The group's page.
+    page: usize,
+    /// Some new value lies in the range.
+    new_qualifies: bool,
+    /// Some old value lay in the range.
+    old_qualified: bool,
+    /// For a case-(2) candidate — indexed by the view, no new value in the
+    /// range, some old value in it — whether a post-batch value of the
+    /// page still lies in the range. `None` for every other hit.
+    still_qualifies: Option<bool>,
+}
+
+/// The groups of `groups` where an old or a new value lies in `range`.
+fn hits_for(groups: &PageGroups, range: &ValueRange) -> Vec<Hit> {
+    let meets = |u: &Update| range.contains(u.old_value) | range.contains(u.new_value);
     groups
-        .iter()
-        .flat_map(|(_, updates)| updates)
-        .any(|u| range.contains(u.old_value) || range.contains(u.new_value))
+        .groups_where(meets)
+        .into_iter()
+        .map(|group| {
+            let updates = groups.updates(group);
+            Hit {
+                group,
+                page: groups.page(group),
+                new_qualifies: updates.iter().any(|u| range.contains(u.new_value)),
+                old_qualified: updates.iter().any(|u| range.contains(u.old_value)),
+                still_qualifies: None,
+            }
+        })
+        .collect()
+}
+
+/// Which of `ranges` some value of `values` lies in, from one pass over
+/// `values` that stops once every range is met.
+fn ranges_met(values: &[u64], ranges: &[ValueRange]) -> Vec<bool> {
+    let mut met = vec![false; ranges.len()];
+    for chunk in values.chunks(LANES) {
+        for (met, range) in met.iter_mut().zip(ranges) {
+            *met |= chunk.iter().fold(false, |any, &v| any | range.contains(v));
+        }
+        if met.iter().all(|&m| m) {
+            break;
+        }
+    }
+    met
 }
 
 /// Captures everything the alignment planner needs from `column` and the
 /// column's partial views for an already-applied `batch` (phase 1).
 ///
 /// `views` yields each partial view's `(position, id, range, mapping
-/// table)` — [`ViewSet::mappings`] for a set of view buffers. Only views
-/// whose range contains an old or a new value of the batch are kept (see
-/// the [module docs](self)); the mapping table of each kept view is copied
-/// and the contents of the updated pages are copied, so removal decisions
-/// can be taken without touching the column again.
+/// table)` — [`ViewSet::mappings`] for a set of view buffers. The batch is
+/// deduplicated and grouped by one sort ([`PageGroups`]); each view then
+/// gets the ascending list of groups its range meets, and a view with an
+/// empty list is dropped (see the [module docs](self)). The mapping table
+/// of each kept view is copied. Finally every case-(2) candidate is
+/// re-inspected: the column already holds the post-batch values, and a
+/// page's membership in a view changes only at the page's own group, so
+/// whether the page still qualifies can be decided here. Each such page is
+/// read once for all the views that need it.
 pub fn snapshot_alignment<'a, B: Backend>(
     column: &Column<B>,
     views: impl IntoIterator<Item = (usize, u64, ValueRange, &'a MappingTable)>,
     batch: &[Update],
 ) -> AlignmentSnapshot {
-    let deduped = dedup_last_write_wins(batch);
-    let deduped_size = deduped.len();
-    let groups: Vec<(usize, Vec<Update>)> = sorted_page_groups(&deduped)
-        .into_iter()
-        .map(|(page, updates)| (page as usize, updates))
-        // Defensive: updates beyond the column are ignored.
-        .filter(|(page, _)| *page < column.num_pages())
-        .collect();
+    let groups = PageGroups::new(batch, column.num_pages());
 
-    // The parse timer covers the whole snapshot materialization: the view
-    // filter, a copy of every kept view's own mapping table and the
-    // page-value copies. (The name is the paper's: its Fig. 7 splits
+    // The parse timer covers everything after the grouping: the relevance
+    // pass per view, a copy of every kept view's own mapping table and the
+    // case-(2) re-inspections. (The name is the paper's: its Fig. 7 splits
     // alignment into parsing `/proc/PID/maps` and updating the views.
     // Nothing is parsed here.)
     let parse_timer = Timer::start();
-    let view_snapshots: Vec<ViewSnapshot> = views
+    let mut view_snapshots: Vec<ViewSnapshot> = views
         .into_iter()
-        .filter(|(_, _, range, _)| batch_meets_range(&groups, range))
-        .map(|(idx, id, range, table)| ViewSnapshot {
-            idx,
-            id,
-            range,
-            // The page → slot index is built on the view's own table the
-            // first time it is aligned; this and every later snapshot copy
-            // it.
-            table: table.indexed().clone(),
+        .filter_map(|(idx, id, range, table)| {
+            let hits = hits_for(&groups, &range);
+            (!hits.is_empty()).then(|| ViewSnapshot {
+                idx,
+                id,
+                range,
+                // The page → slot index is built on the view's own table
+                // the first time it is aligned; this and every later
+                // snapshot copy it.
+                table: table.indexed().clone(),
+                hits,
+            })
         })
         .collect();
 
-    // Copy only the pages some view may have to re-inspect for removal
-    // (case 2: indexed, no new value qualifies, some old value did) — the
-    // exact pages the synchronous algorithm used to read from the column.
-    let page_values = groups
-        .iter()
-        .filter(|(page, page_updates)| {
-            view_snapshots.iter().any(|view| {
-                view.table.contains_phys(*page)
-                    && !page_updates
-                        .iter()
-                        .any(|u| view.range.contains(u.new_value))
-                    && page_updates
-                        .iter()
-                        .any(|u| view.range.contains(u.old_value))
-            })
-        })
-        .map(|(page, _)| (*page, copy_values_chunked(column.page_ref(*page).values())))
-        .collect();
+    // `(group, view, hit)` for every case-(2) candidate, grouped by page.
+    let mut reinspect: Vec<(usize, usize, usize)> = Vec::new();
+    for (v, view) in view_snapshots.iter().enumerate() {
+        for (h, hit) in view.hits.iter().enumerate() {
+            if !hit.new_qualifies && hit.old_qualified && view.table.contains_phys(hit.page) {
+                reinspect.push((hit.group, v, h));
+            }
+        }
+    }
+    reinspect.sort_unstable();
+    for same_page in reinspect.chunk_by(|a, b| a.0 == b.0) {
+        let page = groups.page(same_page[0].0);
+        let ranges: Vec<ValueRange> = same_page
+            .iter()
+            .map(|&(_, v, _)| view_snapshots[v].range)
+            .collect();
+        let met = ranges_met(column.page_ref(page).values(), &ranges);
+        for (&(_, v, h), met) in same_page.iter().zip(met) {
+            view_snapshots[v].hits[h].still_qualifies = Some(met);
+        }
+    }
     let parse_time = parse_timer.elapsed();
 
     AlignmentSnapshot {
         batch_size: batch.len(),
-        deduped_size,
         parse_time,
         groups,
         views: view_snapshots,
-        page_values,
     }
 }
 
 /// Replays the §2.4 add/remove rules for one view against a shadow copy of
 /// its mapping table, recording the resulting buffer manipulations:
 /// case-(1) additions append at the mapped prefix's end, case-(2) removals
-/// swap the last slot into the hole and truncate by one.
+/// swap the last slot into the hole and truncate by one. Only the view's
+/// hits are walked; every other group leaves the view unchanged.
 ///
 /// The shadow table persists across `boundaries`, so the k-th returned
 /// [`ViewPlan`] holds exactly the ops of groups `boundaries[k]` *as they
 /// would appear within one uninterrupted pass*. Concatenating all chunks
 /// reproduces the one-chunk plan op-for-op.
-fn plan_view_chunks(
-    view: &ViewSnapshot,
-    groups: &[(usize, Vec<Update>)],
-    boundaries: &[Range<usize>],
-    page_values: &HashMap<usize, Vec<u64>>,
-) -> Vec<ViewPlan> {
-    let range = view.range;
+fn plan_view_chunks(view: &ViewSnapshot, boundaries: &[Range<usize>]) -> Vec<ViewPlan> {
     let mut table = view.table.clone();
     let mut mapped = table.len();
+    let mut hits = view.hits.iter().peekable();
     let mut chunks = Vec::with_capacity(boundaries.len());
     for boundary in boundaries {
         let mut ops = Vec::new();
         let mut pages_added = 0usize;
         let mut pages_removed = 0usize;
-        for (page, page_updates) in &groups[boundary.clone()] {
-            let page = *page;
-            let indexed = table.contains_phys(page);
-            let any_new_qualifies = page_updates.iter().any(|u| range.contains(u.new_value));
-            if !indexed {
+        while let Some(hit) = hits.next_if(|hit| hit.group < boundary.end) {
+            let page = hit.page;
+            if !table.contains_phys(page) {
                 // Case (1): the page is not indexed but received a value
                 // inside the view's range — map it into the first unused
                 // slot.
-                if any_new_qualifies {
+                if hit.new_qualifies {
                     ops.push(ViewOp::Map {
                         slot: mapped,
                         phys_page: page,
@@ -302,43 +349,38 @@ fn plan_view_chunks(
                     mapped += 1;
                     pages_added += 1;
                 }
-            } else if !any_new_qualifies {
-                // Case (2): the page is indexed and none of the new values
-                // keep it qualifying *because of this batch*. If no old
-                // value was in range either, the updates are irrelevant to
-                // this view; otherwise re-inspect the page and remove it if
-                // no remaining value falls into the range.
-                let any_old_qualified = page_updates.iter().any(|u| range.contains(u.old_value));
-                if any_old_qualified {
-                    let still_qualifies = page_values
-                        .get(&page)
-                        .expect("snapshot holds every page needing re-inspection")
-                        .iter()
-                        .any(|v| range.contains(*v));
-                    if !still_qualifies {
-                        // Swap-remove: rewire the last mapped slot into the
-                        // hole, then truncate by one page.
-                        let hole_slot = table
-                            .remove_phys(page)
-                            .expect("page is indexed by this view");
-                        let last_slot = mapped - 1;
-                        if hole_slot != last_slot {
-                            let last_phys = table
-                                .phys_for_slot(last_slot)
-                                .expect("dense views have a mapping for every slot");
-                            ops.push(ViewOp::Map {
-                                slot: hole_slot,
-                                phys_page: last_phys,
-                            });
-                            table.remove_slot(last_slot);
-                            table.insert(hole_slot, last_phys);
-                        }
-                        ops.push(ViewOp::Truncate {
-                            mapped_pages: last_slot,
+            } else if !hit.new_qualifies && hit.old_qualified {
+                // Case (2): the page is indexed, none of the new values keep
+                // it qualifying *because of this batch*, and an old value
+                // did: remove it if no remaining value falls into the
+                // range. (If no old value was in range either, the updates
+                // are irrelevant to this view.)
+                let still_qualifies = hit
+                    .still_qualifies
+                    .expect("snapshot re-inspected every case-(2) page");
+                if !still_qualifies {
+                    // Swap-remove: rewire the last mapped slot into the
+                    // hole, then truncate by one page.
+                    let hole_slot = table
+                        .remove_phys(page)
+                        .expect("page is indexed by this view");
+                    let last_slot = mapped - 1;
+                    if hole_slot != last_slot {
+                        let last_phys = table
+                            .phys_for_slot(last_slot)
+                            .expect("dense views have a mapping for every slot");
+                        ops.push(ViewOp::Map {
+                            slot: hole_slot,
+                            phys_page: last_phys,
                         });
-                        mapped = last_slot;
-                        pages_removed += 1;
+                        table.remove_slot(last_slot);
+                        table.insert(hole_slot, last_phys);
                     }
+                    ops.push(ViewOp::Truncate {
+                        mapped_pages: last_slot,
+                    });
+                    mapped = last_slot;
+                    pages_removed += 1;
                 }
             }
         }
@@ -362,10 +404,7 @@ fn plan_view_chunks(
 /// one empty boundary, so every plan has at least one chunk (publishing it
 /// with [`apply_plan`] bumps the generation even for batches that touch no
 /// view).
-pub fn chunk_boundaries(
-    groups: &[(usize, Vec<Update>)],
-    chunk_updates: usize,
-) -> Vec<Range<usize>> {
+pub fn chunk_boundaries(groups: &PageGroups, chunk_updates: usize) -> Vec<Range<usize>> {
     if groups.is_empty() || chunk_updates == 0 {
         return std::iter::once(0..groups.len()).collect();
     }
@@ -446,7 +485,7 @@ pub fn plan_alignment_chunked(
         .iter()
         .map(|view| {
             let boundaries = &boundaries;
-            move || plan_view_chunks(view, &snapshot.groups, boundaries, &snapshot.page_values)
+            move || plan_view_chunks(view, boundaries)
         })
         .collect();
     let per_view: Vec<Vec<ViewPlan>> = pool.scoped_map(tasks);
@@ -456,10 +495,7 @@ pub fn plan_alignment_chunked(
         .iter()
         .enumerate()
         .map(|(k, boundary)| {
-            let updates_in_chunk: usize = snapshot.groups[boundary.clone()]
-                .iter()
-                .map(|(_, updates)| updates.len())
-                .sum();
+            let updates_in_chunk = snapshot.groups.num_updates(boundary.clone());
             AlignmentPlan {
                 batch_size: updates_in_chunk,
                 deduped_size: updates_in_chunk,
@@ -484,7 +520,7 @@ pub fn plan_alignment_chunked(
     }
     ChunkedAlignmentPlan {
         batch_size: snapshot.batch_size,
-        deduped_size: snapshot.deduped_size,
+        deduped_size: snapshot.groups.deduped_size(),
         chunks,
     }
 }
@@ -827,8 +863,9 @@ mod tests {
 
     #[test]
     fn snapshot_is_self_contained_and_sorted() {
-        let range = ValueRange::new(5_000, 9_400);
-        let (mut column, views) = column_with_views(32, &[range]);
+        // The second view indexes page 7 through its slot-0 value alone.
+        let ranges = [ValueRange::new(5_000, 9_400), ValueRange::new(7_000, 7_000)];
+        let (mut column, views) = column_with_views(32, &ranges);
         let updates = column.write_batch(&[
             (20 * VALUES_PER_PAGE + 3, 6_000),
             (7 * VALUES_PER_PAGE, 900_000),
@@ -836,17 +873,41 @@ mod tests {
         ]);
         let snap = snapshot_alignment(&column, views.mappings(), &updates);
         assert_eq!(snap.batch_size, 3);
-        assert_eq!(snap.deduped_size, 3);
-        let pages: Vec<usize> = snap.groups.iter().map(|(p, _)| *p).collect();
+        assert_eq!(snap.groups.deduped_size(), 3);
+        let pages: Vec<usize> = snap.groups.iter().map(|(p, _)| p).collect();
         assert_eq!(pages, vec![2, 7, 20], "groups sorted by page id");
-        assert_eq!(snap.views.len(), 1);
+        assert_eq!(snap.views.len(), 2);
+        let hit_pages: Vec<usize> = snap.views[0].hits.iter().map(|h| h.page).collect();
+        assert_eq!(hit_pages, vec![7, 20], "page 2 meets no range");
         // Only page 7 may need re-inspection (indexed, old value in range,
-        // new value out of range), so only its values are copied — pages 2
-        // (never indexed) and 20 (case-1 addition) are not.
-        assert_eq!(snap.page_values.len(), 1);
-        assert_eq!(snap.page_values[&7].len(), VALUES_PER_PAGE);
-        // The snapshot carries post-batch values.
-        assert_eq!(snap.page_values[&7][0], 900_000);
+        // new value out of range), so only it is decided — pages 2 (never
+        // indexed) and 20 (case-1 addition) are not.
+        let reinspected: Vec<(usize, usize, bool)> = snap
+            .views
+            .iter()
+            .flat_map(|v| {
+                v.hits
+                    .iter()
+                    .filter_map(move |h| h.still_qualifies.map(|q| (v.idx, h.page, q)))
+            })
+            .collect();
+        // The decisions read post-batch values: the first view keeps page 7
+        // through its other values; the second loses its only value there,
+        // which the pre-batch page still held.
+        assert_eq!(reinspected, vec![(0, 7, true), (1, 7, false)]);
+    }
+
+    #[test]
+    fn ranges_met_reads_each_range_against_every_value() {
+        let values: Vec<u64> = (0..VALUES_PER_PAGE as u64).map(|v| v * 10).collect();
+        let ranges = [
+            ValueRange::new(0, 0),
+            ValueRange::new(5_101, 5_109),
+            ValueRange::new(5_100, 5_100),
+            ValueRange::new(1, 9),
+        ];
+        assert_eq!(ranges_met(&values, &ranges), vec![true, false, true, false]);
+        assert_eq!(ranges_met(&values, &[]), Vec::<bool>::new());
     }
 
     #[test]
@@ -885,10 +946,13 @@ mod tests {
 
     #[test]
     fn chunk_boundaries_pack_whole_page_groups() {
-        let groups: Vec<(usize, Vec<Update>)> = [(2usize, 3usize), (5, 2), (7, 4), (9, 1), (11, 2)]
+        let batch: Vec<Update> = [(2usize, 3usize), (5, 2), (7, 4), (9, 1), (11, 2)]
             .iter()
-            .map(|&(page, n)| (page, (0..n).map(|i| Update::new(i as u64, 0, 1)).collect()))
+            .flat_map(|&(page, n)| {
+                (0..n).map(move |i| Update::new((page * VALUES_PER_PAGE + i) as u64, 0, 1))
+            })
             .collect();
+        let groups = PageGroups::new(&batch, 32);
         // Unchunked: one boundary.
         assert_eq!(chunk_boundaries(&groups, 0), vec![0..5]);
         // Bound 5: [3, 2] = 5, [4, 1] = 5, [2].
@@ -899,7 +963,7 @@ mod tests {
             vec![0..1, 1..2, 2..3, 3..4, 4..5]
         );
         // Empty groups: one empty boundary (one epoch, like the sync path).
-        assert_eq!(chunk_boundaries(&[], 4), vec![0..0]);
+        assert_eq!(chunk_boundaries(&PageGroups::new(&[], 32), 4), vec![0..0]);
     }
 
     #[test]
@@ -925,7 +989,7 @@ mod tests {
             assert_eq!(chunked.pages_added(), flat.pages_added());
             assert_eq!(chunked.pages_removed(), flat.pages_removed());
             let total_updates: usize = chunked.chunks.iter().map(|c| c.deduped_size).sum();
-            assert_eq!(total_updates, snap.deduped_size);
+            assert_eq!(total_updates, snap.groups.deduped_size());
             // Concatenating the per-view ops across chunks reproduces the
             // unchunked plan op-for-op.
             for view_idx in 0..ranges.len() {

@@ -1484,6 +1484,9 @@ impl<B: Backend> ServeTable<B> {
     }
 
     /// Number of rows of column `col`.
+    ///
+    /// # Panics
+    /// Panics if `col` is not a column of the table.
     pub fn num_rows(&self, col: usize) -> usize {
         self.columns[col].column.num_rows()
     }
@@ -1502,6 +1505,9 @@ impl<B: Backend> ServeTable<B> {
     }
 
     /// Number of writes queued on column `col` awaiting the next fold.
+    ///
+    /// # Panics
+    /// Panics if `col` is not a column of the table.
     pub fn queued_writes(&self, col: usize) -> usize {
         self.columns[col].overlay.queued_writes()
     }
@@ -1511,12 +1517,18 @@ impl<B: Backend> ServeTable<B> {
     /// its reads. Bands are widened eagerly at write acknowledgement
     /// (before the fold) and rebuilt only on an idle column with an empty
     /// overlay, so they always cover every readable value.
+    ///
+    /// # Panics
+    /// Panics if `col` is not a column of the table.
     pub fn zone_stats(&self, col: usize) -> &ZoneStats {
         &self.columns[col].stats
     }
 
     /// Returns `true` while column `col` has an alignment round in
     /// flight.
+    ///
+    /// # Panics
+    /// Panics if `col` is not a column of the table.
     pub fn round_in_flight(&self, col: usize) -> bool {
         !self.columns[col].is_idle()
     }

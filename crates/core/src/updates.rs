@@ -6,10 +6,12 @@
 //!    (the "full view" write path); the partial views are left untouched and
 //!    may temporarily index stale page sets.
 //! 2. [`align_views_after_updates`] re-aligns every partial view with a
-//!    whole *batch* of update records at once: the batch is reduced to the
-//!    last write per row, grouped by modified physical page (in ascending
-//!    page order, so slot assignments are deterministic), and each page
-//!    is added to / removed from each view according to the rules of §2.4.
+//!    whole *batch* of update records at once: one sort reduces the batch
+//!    to the last write per row and groups it by modified physical page
+//!    ([`asv_storage::PageGroups`], in ascending page order, so slot
+//!    assignments are deterministic), and each page whose updates meet a
+//!    view's range is added to / removed from that view according to the
+//!    rules of §2.4.
 //!    The current slot ↔ page mapping of each view is copied once per
 //!    batch from the table the view itself owns (the paper parses
 //!    `/proc/PID/maps` for it, §2.5) and maintained in user-space while
@@ -40,12 +42,15 @@ pub struct UpdateAlignmentStats {
     pub batch_size: usize,
     /// Number of records after last-write-wins deduplication.
     pub deduped_size: usize,
-    /// Snapshot materialization: table access + page-value copies, no
-    /// `/proc` read. Each view owns its mapping table, so this is a copy of
-    /// those tables plus copies of the updated pages that may need
-    /// re-inspection. The name is the paper's (Fig. 7 splits alignment into
-    /// "parse" and "update"); what a `/proc/PID/maps` parse would cost is
-    /// reported beside it by the `fig7` experiment.
+    /// Snapshot materialization after the batch is grouped, no `/proc`
+    /// read: the pass per view that finds the page groups its range meets,
+    /// a copy of each kept view's own mapping table, and the case-(2)
+    /// re-inspection of updated pages against the post-batch column. The
+    /// one sort that deduplicates and groups the batch is in neither this
+    /// timer nor [`Self::align_time`]. The name is the paper's (Fig. 7
+    /// splits alignment into "parse" and "update"); what a
+    /// `/proc/PID/maps` parse would cost is reported beside it by the
+    /// `fig7` experiment.
     pub parse_time: Duration,
     /// Time spent deciding and executing page additions/removals.
     pub align_time: Duration,

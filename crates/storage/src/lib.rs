@@ -25,6 +25,6 @@ pub use simd::{
     LANES,
 };
 pub use table::Table;
-pub use updates::{dedup_last_write_wins, group_by_page, sorted_page_groups, Update, UpdateBatch};
+pub use updates::{PageGroups, Update, UpdateBatch};
 
 pub use asv_vmem::{PAGE_SIZE_BYTES, SLOTS_PER_PAGE, VALUES_PER_PAGE};

@@ -779,9 +779,9 @@ pub fn fold_min_max_chunked(values: &[u64], acc: (u64, u64)) -> (u64, u64) {
 }
 
 /// Chunked page copy: materializes a page's words through the same
-/// [`LANES`]-wide chunk structure as the filter kernels, so the alignment
-/// snapshot and page-freeze copy loops compile to full-width vector moves
-/// with one reserve and one bounds check per chunk instead of per-value
+/// [`LANES`]-wide chunk structure as the filter kernels, so the serving
+/// layer's page-freeze copy loop compiles to full-width vector moves with
+/// one reserve and one bounds check per chunk instead of per-value
 /// iterator stepping.
 pub fn copy_values_chunked(src: &[u64]) -> Vec<u64> {
     let mut out = Vec::with_capacity(src.len());

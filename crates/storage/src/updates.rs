@@ -5,11 +5,13 @@
 //! that only the very last update to each row remains reflected": several
 //! updates to the same row collapse into one record carrying the *original*
 //! old value and the *final* new value. The second step groups the filtered
-//! updates by modified physical page. Both steps live here because they are
-//! pure storage-layout concerns; the per-view decisions live in
-//! `asv-core::updates`.
+//! updates by modified physical page. [`PageGroups`] does both with one sort
+//! of the batch: sorted by row, a row's writes are adjacent (step 1) and a
+//! page's rows are adjacent (step 2), so the groups are runs of one flat
+//! array. Both steps live here because they are pure storage-layout
+//! concerns; the per-view decisions live in `asv-core::align`.
 
-use std::collections::HashMap;
+use std::ops::Range;
 
 use asv_vmem::VALUES_PER_PAGE;
 
@@ -50,52 +52,159 @@ impl Update {
 /// A batch of updates in application order.
 pub type UpdateBatch = Vec<Update>;
 
-/// Collapses repeated updates of the same row into a single record that
-/// carries the first old value and the last new value (paper §2.4, step 1).
+/// A batch reduced to the last write per row and grouped by physical page
+/// (paper §2.4, steps 1 and 2), built from one sort.
 ///
-/// The relative order of the surviving records follows the order of each
-/// row's *first* occurrence in the batch, which keeps the result
-/// deterministic.
-pub fn dedup_last_write_wins(batch: &[Update]) -> Vec<Update> {
-    let mut first_seen: HashMap<u64, usize> = HashMap::with_capacity(batch.len());
-    let mut result: Vec<Update> = Vec::with_capacity(batch.len());
-    for u in batch {
-        match first_seen.get(&u.row) {
-            Some(&idx) => {
-                // Keep the original old value, adopt the newest new value.
-                result[idx].new_value = u.new_value;
-            }
-            None => {
-                first_seen.insert(u.row, result.len());
-                result.push(*u);
+/// Sorting the batch's `(row, position)` keys puts each row's writes next
+/// to each other in application order, so a run of one row collapses into
+/// one record carrying the run's *first* old value and *last* new value.
+/// The collapsed records stay sorted by row, so each page's records form
+/// one contiguous run of a single flat array: group `g` is that run, and
+/// groups ascend by page id. Iterating a hash map instead would place
+/// newly mapped pages in nondeterministic view slots across runs; the
+/// ascending order pins the slot ↔ page layout of every aligned view to a
+/// single outcome.
+///
+/// Updates past the column are counted by [`Self::deduped_size`] but form
+/// no group. The cost is one sort of the batch — a radix sort with one
+/// pass over the `b` updates per byte of the largest row — plus one pass
+/// to collapse and group; nothing here walks the column's pages.
+#[derive(Clone, Debug)]
+pub struct PageGroups {
+    /// The deduplicated updates on the column's pages, ascending by row.
+    updates: Vec<Update>,
+    /// The page of every group, ascending.
+    pages: Vec<usize>,
+    /// Group `g` is `updates[starts[g]..starts[g + 1]]`.
+    starts: Vec<usize>,
+    /// Deduplicated records, those past the column included.
+    deduped_size: usize,
+}
+
+impl PageGroups {
+    /// Deduplicates and groups `batch` (in application order) for a column
+    /// of `num_pages` pages.
+    pub fn new(batch: &[Update], num_pages: usize) -> Self {
+        let mut updates = dedup_sorted(batch);
+        let deduped_size = updates.len();
+        // Sorted by row, so the updates past the column are a suffix.
+        updates.truncate(updates.partition_point(|u| u.page() < num_pages as u64));
+        let mut pages = Vec::new();
+        let mut starts = Vec::new();
+        for (idx, u) in updates.iter().enumerate() {
+            let page = u.page() as usize;
+            if pages.last() != Some(&page) {
+                pages.push(page);
+                starts.push(idx);
             }
         }
+        starts.push(updates.len());
+        Self {
+            updates,
+            pages,
+            starts,
+            deduped_size,
+        }
     }
-    result
+
+    /// Number of records after last-write-wins deduplication, counting
+    /// those past the column.
+    pub fn deduped_size(&self) -> usize {
+        self.deduped_size
+    }
+
+    /// Number of groups (distinct updated pages within the column).
+    pub fn len(&self) -> usize {
+        self.pages.len()
+    }
+
+    /// Returns `true` if no update lies within the column.
+    pub fn is_empty(&self) -> bool {
+        self.pages.is_empty()
+    }
+
+    /// The page of group `group`.
+    pub fn page(&self, group: usize) -> usize {
+        self.pages[group]
+    }
+
+    /// The deduplicated updates of group `group`, ascending by row.
+    pub fn updates(&self, group: usize) -> &[Update] {
+        &self.updates[self.starts[group]..self.starts[group + 1]]
+    }
+
+    /// Number of deduplicated updates in the consecutive groups `groups`.
+    pub fn num_updates(&self, groups: Range<usize>) -> usize {
+        self.starts[groups.end] - self.starts[groups.start]
+    }
+
+    /// The groups holding an update for which `meets` holds, ascending,
+    /// each once. One pass over the batch's updates.
+    pub fn groups_where(&self, mut meets: impl FnMut(&Update) -> bool) -> Vec<usize> {
+        let mut out: Vec<usize> = Vec::new();
+        for (idx, u) in self.updates.iter().enumerate() {
+            let in_last = out
+                .last()
+                .is_some_and(|&group| idx < self.starts[group + 1]);
+            if !in_last && meets(u) {
+                out.push(self.starts.partition_point(|&start| start <= idx) - 1);
+            }
+        }
+        out
+    }
+
+    /// Every group as `(page, updates)`, ascending by page.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &[Update])> + '_ {
+        (0..self.len()).map(|group| (self.page(group), self.updates(group)))
+    }
 }
 
-/// Groups updates by the physical page they modify (paper §2.4, step 2).
-///
-/// The per-page vectors preserve the input order.
-pub fn group_by_page(batch: &[Update]) -> HashMap<u64, Vec<Update>> {
-    let mut groups: HashMap<u64, Vec<Update>> = HashMap::new();
-    for u in batch {
-        groups.entry(u.page()).or_default().push(*u);
-    }
-    groups
+/// `batch` collapsed to one record per row, ascending by row: each record
+/// carries its row's first old value and last new value.
+fn dedup_sorted(batch: &[Update]) -> Vec<Update> {
+    let mut out = sort_by_row(batch);
+    // A run of one row is that row's writes in application order.
+    out.dedup_by(|later, kept| {
+        let same_row = later.row == kept.row;
+        if same_row {
+            // Keep the original old value, adopt the newest new value.
+            kept.new_value = later.new_value;
+        }
+        same_row
+    });
+    out
 }
 
-/// Like [`group_by_page`], but returns the groups sorted by ascending page
-/// id.
-///
-/// The alignment algorithm assigns view slots in iteration order, so
-/// iterating a `HashMap` directly would place newly mapped pages in
-/// nondeterministic slots across runs. Sorting pins the slot ↔ page layout
-/// of every aligned view to a single deterministic outcome.
-pub fn sorted_page_groups(batch: &[Update]) -> Vec<(u64, Vec<Update>)> {
-    let mut groups: Vec<(u64, Vec<Update>)> = group_by_page(batch).into_iter().collect();
-    groups.sort_unstable_by_key(|(page, _)| *page);
-    groups
+/// `batch` sorted by row, writes to one row left in application order —
+/// the order of `(row, position)` keys. A least-significant-digit radix
+/// sort: one stable counting pass per byte the largest row uses, over 256
+/// buckets, so its cost follows the batch, never the column.
+fn sort_by_row(batch: &[Update]) -> Vec<Update> {
+    let max_row = batch.iter().map(|u| u.row).max().unwrap_or(0);
+    let mut src = batch.to_vec();
+    let mut dst = src.clone();
+    let mut shift = 0u32;
+    while shift < u64::BITS && max_row >> shift != 0 {
+        let digit = |u: &Update| ((u.row >> shift) & 0xff) as usize;
+        let mut next = [0usize; 256];
+        for u in &src {
+            next[digit(u)] += 1;
+        }
+        let mut start = 0;
+        for slot in next.iter_mut() {
+            let count = *slot;
+            *slot = start;
+            start += count;
+        }
+        for u in &src {
+            let d = digit(u);
+            dst[next[d]] = *u;
+            next[d] += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+        shift += 8;
+    }
+    src
 }
 
 #[cfg(test)]
@@ -115,6 +224,17 @@ mod tests {
         assert_eq!(u.slot(), 5);
     }
 
+    /// A column wide enough for every page the tests touch.
+    const PAGES: usize = 1 << 20;
+
+    fn deduped(groups: &PageGroups) -> Vec<Update> {
+        groups
+            .iter()
+            .flat_map(|(_, updates)| updates)
+            .copied()
+            .collect()
+    }
+
     #[test]
     fn dedup_keeps_first_old_and_last_new() {
         // The paper's example: u0, u1, u2 on the same row collapse into
@@ -124,32 +244,37 @@ mod tests {
             Update::new(7, 110, 120),
             Update::new(7, 120, 130),
         ];
-        let out = dedup_last_write_wins(&batch);
-        assert_eq!(out, vec![Update::new(7, 100, 130)]);
+        let groups = PageGroups::new(&batch, PAGES);
+        assert_eq!(deduped(&groups), vec![Update::new(7, 100, 130)]);
+        assert_eq!(groups.deduped_size(), 1);
     }
 
     #[test]
     fn dedup_preserves_distinct_rows_and_order() {
+        // The surviving records come out ascending by row.
         let batch = vec![
             Update::new(3, 1, 2),
             Update::new(9, 5, 6),
             Update::new(3, 2, 4),
             Update::new(1, 0, 9),
         ];
-        let out = dedup_last_write_wins(&batch);
+        let groups = PageGroups::new(&batch, PAGES);
         assert_eq!(
-            out,
+            deduped(&groups),
             vec![
+                Update::new(1, 0, 9),
                 Update::new(3, 1, 4),
                 Update::new(9, 5, 6),
-                Update::new(1, 0, 9),
             ]
         );
+        assert_eq!(groups.deduped_size(), 3);
     }
 
     #[test]
     fn dedup_empty_batch() {
-        assert!(dedup_last_write_wins(&[]).is_empty());
+        let groups = PageGroups::new(&[], PAGES);
+        assert!(deduped(&groups).is_empty());
+        assert_eq!(groups.deduped_size(), 0);
     }
 
     #[test]
@@ -161,16 +286,24 @@ mod tests {
             Update::new(2, 5, 6),
             Update::new(vp * 2, 7, 8),
         ];
-        let groups = group_by_page(&batch);
+        let groups = PageGroups::new(&batch, PAGES);
         assert_eq!(groups.len(), 3);
-        assert_eq!(groups[&0].len(), 2);
-        assert_eq!(groups[&1], vec![Update::new(vp + 1, 3, 4)]);
-        assert_eq!(groups[&2], vec![Update::new(vp * 2, 7, 8)]);
+        assert_eq!(
+            groups.updates(0),
+            &[Update::new(0, 1, 2), Update::new(2, 5, 6)]
+        );
+        assert_eq!(groups.updates(1), &[Update::new(vp + 1, 3, 4)]);
+        assert_eq!(groups.updates(2), &[Update::new(vp * 2, 7, 8)]);
+        assert_eq!(groups.num_updates(0..3), 4);
+        assert_eq!(groups.num_updates(1..2), 1);
     }
 
     #[test]
     fn group_by_page_empty() {
-        assert!(group_by_page(&[]).is_empty());
+        let groups = PageGroups::new(&[], PAGES);
+        assert!(groups.is_empty());
+        assert_eq!(groups.len(), 0);
+        assert_eq!(groups.iter().count(), 0);
     }
 
     #[test]
@@ -182,10 +315,54 @@ mod tests {
             Update::new(vp * 4 + 2, 5, 6),
             Update::new(1, 7, 8),
         ];
-        let groups = sorted_page_groups(&batch);
-        let pages: Vec<u64> = groups.iter().map(|(p, _)| *p).collect();
+        let groups = PageGroups::new(&batch, PAGES);
+        let pages: Vec<usize> = groups.iter().map(|(p, _)| p).collect();
         assert_eq!(pages, vec![0, 4, 9]);
-        assert_eq!(groups[0].1.len(), 2);
-        assert!(sorted_page_groups(&[]).is_empty());
+        assert_eq!(groups.updates(0).len(), 2);
+    }
+
+    #[test]
+    fn groups_where_lists_each_meeting_group_once() {
+        let vp = VALUES_PER_PAGE as u64;
+        let batch = vec![
+            Update::new(vp * 6, 5, 50),
+            Update::new(vp * 2, 1, 2),
+            Update::new(vp * 6 + 1, 50, 6),
+            Update::new(vp * 4, 50, 50),
+            Update::new(1, 3, 4),
+        ];
+        let groups = PageGroups::new(&batch, PAGES);
+        let meets = |u: &Update| u.old_value == 50 || u.new_value == 50;
+        assert_eq!(groups.groups_where(meets), vec![2, 3]);
+        assert!(groups.groups_where(|_| false).is_empty());
+        assert_eq!(groups.groups_where(|_| true), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn updates_past_the_column_count_but_form_no_group() {
+        let vp = VALUES_PER_PAGE as u64;
+        let batch = vec![
+            Update::new(vp * 3, 1, 2),
+            Update::new(vp * 2 + 1, 3, 4),
+            Update::new(vp * 3 + 5, 5, 6),
+        ];
+        let groups = PageGroups::new(&batch, 3);
+        assert_eq!(groups.deduped_size(), 3);
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups.page(0), 2);
+    }
+
+    #[test]
+    fn rows_using_every_byte_sort_and_collapse() {
+        // Rows near `u64::MAX` take all eight radix passes.
+        let batch = vec![
+            Update::new(u64::MAX, 1, 2),
+            Update::new(5, 3, 4),
+            Update::new(u64::MAX, 2, 7),
+            Update::new(5, 4, 6),
+        ];
+        let groups = PageGroups::new(&batch, PAGES);
+        assert_eq!(groups.deduped_size(), 2);
+        assert_eq!(deduped(&groups), vec![Update::new(5, 3, 6)]);
     }
 }
