@@ -15,10 +15,9 @@
 //!    are aligned" below); the slot ↔ page mapping table each kept view
 //!    owns is copied (where the paper parses `/proc/PID/maps`, §2.5); and
 //!    every case-(2) page — indexed, an old value in range, no new value in
-//!    it — is re-inspected against the post-batch column, each page read
-//!    once for all the views that need it. The snapshot records the
-//!    verdicts, not the pages. It is plain owned data: it borrows nothing
-//!    from the column.
+//!    it — is re-inspected against the post-batch column. The snapshot
+//!    records the verdicts, not the pages. It is plain owned data: it
+//!    borrows nothing from the column.
 //! 2. **Plan** ([`plan_alignment_chunked`]) — pure computation over the
 //!    snapshot: for every kept view, the §2.4 add/remove decisions are
 //!    replayed at the groups its range meets against a *shadow copy* of its
@@ -88,7 +87,7 @@ use std::ops::Range;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use asv_storage::{Column, ExclusionMasks, PageGroups, Update, LANES};
+use asv_storage::{Column, ExclusionMasks, PageGroups, Update};
 use asv_util::{Parallelism, ThreadPool, Timer, ValueRange};
 use asv_vmem::{Backend, MappingTable, VmemError};
 
@@ -167,8 +166,8 @@ pub struct AlignmentSnapshot {
     parse_time: Duration,
     /// The deduplicated batch grouped by modified page, ascending by page.
     groups: PageGroups,
-    /// Per affected partial view: position, id, covered range, pre-batch
-    /// mapping and the groups its range meets.
+    /// Per affected partial view: position, id, pre-batch mapping and the
+    /// groups its range meets.
     views: Vec<ViewSnapshot>,
 }
 
@@ -184,9 +183,9 @@ impl AlignmentSnapshot {
 struct ViewSnapshot {
     idx: usize,
     id: u64,
-    range: ValueRange,
     table: MappingTable,
-    /// The groups where an old or a new value lies in `range`, ascending.
+    /// The groups where an old or a new value lies in the view's range,
+    /// ascending.
     hits: Vec<Hit>,
 }
 
@@ -226,21 +225,6 @@ fn hits_for(groups: &PageGroups, range: &ValueRange) -> Vec<Hit> {
         .collect()
 }
 
-/// Which of `ranges` some value of `values` lies in, from one pass over
-/// `values` that stops once every range is met.
-fn ranges_met(values: &[u64], ranges: &[ValueRange]) -> Vec<bool> {
-    let mut met = vec![false; ranges.len()];
-    for chunk in values.chunks(LANES) {
-        for (met, range) in met.iter_mut().zip(ranges) {
-            *met |= chunk.iter().fold(false, |any, &v| any | range.contains(v));
-        }
-        if met.iter().all(|&m| m) {
-            break;
-        }
-    }
-    met
-}
-
 /// Captures everything the alignment planner needs from `column` and the
 /// column's partial views for an already-applied `batch` (phase 1).
 ///
@@ -252,8 +236,7 @@ fn ranges_met(values: &[u64], ranges: &[ValueRange]) -> Vec<bool> {
 /// of each kept view is copied. Finally every case-(2) candidate is
 /// re-inspected: the column already holds the post-batch values, and a
 /// page's membership in a view changes only at the page's own group, so
-/// whether the page still qualifies can be decided here. Each such page is
-/// read once for all the views that need it.
+/// whether the page still qualifies can be decided here.
 pub fn snapshot_alignment<'a, B: Backend>(
     column: &Column<B>,
     views: impl IntoIterator<Item = (usize, u64, ValueRange, &'a MappingTable)>,
@@ -267,44 +250,31 @@ pub fn snapshot_alignment<'a, B: Backend>(
     // alignment into parsing `/proc/PID/maps` and updating the views.
     // Nothing is parsed here.)
     let parse_timer = Timer::start();
-    let mut view_snapshots: Vec<ViewSnapshot> = views
+    let view_snapshots: Vec<ViewSnapshot> = views
         .into_iter()
         .filter_map(|(idx, id, range, table)| {
-            let hits = hits_for(&groups, &range);
-            (!hits.is_empty()).then(|| ViewSnapshot {
+            let mut hits = hits_for(&groups, &range);
+            if hits.is_empty() {
+                return None;
+            }
+            // The page → slot index is built on the view's own table the
+            // first time it is aligned; this and every later snapshot copy
+            // it.
+            let table = table.indexed().clone();
+            for hit in &mut hits {
+                if !hit.new_qualifies && hit.old_qualified && table.contains_phys(hit.page) {
+                    let values = column.page_ref(hit.page).values();
+                    hit.still_qualifies = Some(values.iter().any(|v| range.contains(*v)));
+                }
+            }
+            Some(ViewSnapshot {
                 idx,
                 id,
-                range,
-                // The page → slot index is built on the view's own table
-                // the first time it is aligned; this and every later
-                // snapshot copy it.
-                table: table.indexed().clone(),
+                table,
                 hits,
             })
         })
         .collect();
-
-    // `(group, view, hit)` for every case-(2) candidate, grouped by page.
-    let mut reinspect: Vec<(usize, usize, usize)> = Vec::new();
-    for (v, view) in view_snapshots.iter().enumerate() {
-        for (h, hit) in view.hits.iter().enumerate() {
-            if !hit.new_qualifies && hit.old_qualified && view.table.contains_phys(hit.page) {
-                reinspect.push((hit.group, v, h));
-            }
-        }
-    }
-    reinspect.sort_unstable();
-    for same_page in reinspect.chunk_by(|a, b| a.0 == b.0) {
-        let page = groups.page(same_page[0].0);
-        let ranges: Vec<ValueRange> = same_page
-            .iter()
-            .map(|&(_, v, _)| view_snapshots[v].range)
-            .collect();
-        let met = ranges_met(column.page_ref(page).values(), &ranges);
-        for (&(_, v, h), met) in same_page.iter().zip(met) {
-            view_snapshots[v].hits[h].still_qualifies = Some(met);
-        }
-    }
     let parse_time = parse_timer.elapsed();
 
     AlignmentSnapshot {
@@ -895,19 +865,6 @@ mod tests {
         // through its other values; the second loses its only value there,
         // which the pre-batch page still held.
         assert_eq!(reinspected, vec![(0, 7, true), (1, 7, false)]);
-    }
-
-    #[test]
-    fn ranges_met_reads_each_range_against_every_value() {
-        let values: Vec<u64> = (0..VALUES_PER_PAGE as u64).map(|v| v * 10).collect();
-        let ranges = [
-            ValueRange::new(0, 0),
-            ValueRange::new(5_101, 5_109),
-            ValueRange::new(5_100, 5_100),
-            ValueRange::new(1, 9),
-        ];
-        assert_eq!(ranges_met(&values, &ranges), vec![true, false, true, false]);
-        assert_eq!(ranges_met(&values, &[]), Vec::<bool>::new());
     }
 
     #[test]

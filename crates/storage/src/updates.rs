@@ -55,8 +55,8 @@ pub type UpdateBatch = Vec<Update>;
 /// A batch reduced to the last write per row and grouped by physical page
 /// (paper §2.4, steps 1 and 2), built from one sort.
 ///
-/// Sorting the batch's `(row, position)` keys puts each row's writes next
-/// to each other in application order, so a run of one row collapses into
+/// A stable sort by row puts each row's writes next to each other in
+/// application order, so a run of one row collapses into
 /// one record carrying the run's *first* old value and *last* new value.
 /// The collapsed records stay sorted by row, so each page's records form
 /// one contiguous run of a single flat array: group `g` is that run, and
@@ -66,9 +66,9 @@ pub type UpdateBatch = Vec<Update>;
 /// single outcome.
 ///
 /// Updates past the column are counted by [`Self::deduped_size`] but form
-/// no group. The cost is one sort of the batch — a radix sort with one
-/// pass over the `b` updates per byte of the largest row — plus one pass
-/// to collapse and group; nothing here walks the column's pages.
+/// no group. The cost is one stable sort of the batch, O(b log b) for `b`
+/// updates, plus one pass to collapse and group; nothing here walks the
+/// column's pages.
 #[derive(Clone, Debug)]
 pub struct PageGroups {
     /// The deduplicated updates on the column's pages, ascending by row.
@@ -139,7 +139,9 @@ impl PageGroups {
     }
 
     /// The groups holding an update for which `meets` holds, ascending,
-    /// each once. One pass over the batch's updates.
+    /// each once. One pass over the flat array of the batch's updates (a
+    /// loop over groups instead pays a mispredicted inner-loop exit per
+    /// group).
     pub fn groups_where(&self, mut meets: impl FnMut(&Update) -> bool) -> Vec<usize> {
         let mut out: Vec<usize> = Vec::new();
         for (idx, u) in self.updates.iter().enumerate() {
@@ -162,8 +164,9 @@ impl PageGroups {
 /// `batch` collapsed to one record per row, ascending by row: each record
 /// carries its row's first old value and last new value.
 fn dedup_sorted(batch: &[Update]) -> Vec<Update> {
-    let mut out = sort_by_row(batch);
-    // A run of one row is that row's writes in application order.
+    let mut out = batch.to_vec();
+    // Stable, so a run of one row is that row's writes in application order.
+    out.sort_by_key(|u| u.row);
     out.dedup_by(|later, kept| {
         let same_row = later.row == kept.row;
         if same_row {
@@ -173,38 +176,6 @@ fn dedup_sorted(batch: &[Update]) -> Vec<Update> {
         same_row
     });
     out
-}
-
-/// `batch` sorted by row, writes to one row left in application order —
-/// the order of `(row, position)` keys. A least-significant-digit radix
-/// sort: one stable counting pass per byte the largest row uses, over 256
-/// buckets, so its cost follows the batch, never the column.
-fn sort_by_row(batch: &[Update]) -> Vec<Update> {
-    let max_row = batch.iter().map(|u| u.row).max().unwrap_or(0);
-    let mut src = batch.to_vec();
-    let mut dst = src.clone();
-    let mut shift = 0u32;
-    while shift < u64::BITS && max_row >> shift != 0 {
-        let digit = |u: &Update| ((u.row >> shift) & 0xff) as usize;
-        let mut next = [0usize; 256];
-        for u in &src {
-            next[digit(u)] += 1;
-        }
-        let mut start = 0;
-        for slot in next.iter_mut() {
-            let count = *slot;
-            *slot = start;
-            start += count;
-        }
-        for u in &src {
-            let d = digit(u);
-            dst[next[d]] = *u;
-            next[d] += 1;
-        }
-        std::mem::swap(&mut src, &mut dst);
-        shift += 8;
-    }
-    src
 }
 
 #[cfg(test)]
@@ -353,8 +324,8 @@ mod tests {
     }
 
     #[test]
-    fn rows_using_every_byte_sort_and_collapse() {
-        // Rows near `u64::MAX` take all eight radix passes.
+    fn rows_near_u64_max_sort_and_collapse() {
+        // Rows past the column, however large, still collapse and count.
         let batch = vec![
             Update::new(u64::MAX, 1, 2),
             Update::new(5, 3, 4),
