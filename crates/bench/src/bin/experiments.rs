@@ -1,16 +1,12 @@
 //! Regenerates the paper's tables and figures as text tables and CSV files.
 //!
 //! ```text
-//! experiments [fig3|fig4|fig5|fig6|fig7|table1|ablation|scaling|align-overlap|
-//!              table-scan|filter-kernel|serve|recover|all]
+//! experiments [fig3|fig4|fig5|fig6|fig7|table1|ablation|table-scan|all]
 //!             [--backend sim|mmap|file] [--scale tiny|small|medium|paper]
 //!             [--seed N] [--csv-dir DIR] [--threads N]
-//!             [--align-mode sync|background]
-//!             [--chunk-updates LIST] [--write-every LIST] [--clients LIST]
-//!             [--writers LIST] [--journal PATH] [--store-dir DIR]
+//!             [--align-mode sync|background] [--store-dir DIR]
 //! experiments recover-ingest --journal PATH [--batches N] [...]
-//! experiments recover-verify --journal PATH [--csv-dir DIR] [...]
-//! experiments compare DIR_A DIR_B [--max-delta-pct X]
+//! experiments recover-verify --journal PATH [...]
 //! ```
 //!
 //! The backend defaults to real memory rewiring (`mmap`) on Linux and to
@@ -22,79 +18,36 @@
 //! `--threads N` shards the scan path of every figure driver across `N`
 //! fork-join workers (`--threads 0` sizes the pool by the available
 //! hardware parallelism). The default is 1: sequential scans, bit-identical
-//! to the pre-parallel harness. The `scaling` experiment ignores the flag
-//! and sweeps its own thread counts.
+//! to the pre-parallel harness.
 //!
 //! `--align-mode background` makes `fig7` align its views via the
 //! epoch-handoff worker instead of the stop-the-world call (pages
 //! added/removed are identical; only the timings move off the query path).
-//! The `align-overlap` experiment always measures both modes against each
-//! other; `--chunk-updates 0,64,256` overrides the chunk sizes it sweeps
-//! (0 = unchunked; default derives `[0, batch/8]` per batch size) and
-//! `--write-every 0,8` the write rates (a queued burst every N
-//! during-alignment queries; 0 = read-only).
 //!
 //! Results are printed to stdout; with `--csv-dir` the per-figure series are
-//! additionally written as CSV files (one per figure), which is what
-//! `EXPERIMENTS.md` records.
+//! additionally written as CSV files (one per figure). The header line names
+//! the backend, the scale and the page-filter build the CPU selected
+//! (`kernel: avx2` on any recent x86-64, else `portable`).
 //!
-//! The `filter-kernel` experiment additionally appends one JSON line of
-//! timing history to `BENCH_filter_kernel.json` (inside `--csv-dir` when
-//! given, else the working directory) and — with `--csv-dir` — writes the
-//! per-variant answer tables to `DIR/filter_kernel_scalar/` and
-//! `DIR/filter_kernel_chunked/`, so
-//! `experiments compare DIR/filter_kernel_scalar DIR/filter_kernel_chunked
-//! --max-delta-pct 0` gates the chunked kernels on exact answer equality.
+//! Timing claims belong to the benchmark of record (`benchmark/`), and
+//! exactness to the integration tests; this binary reproduces the paper's
+//! figures.
 //!
-//! The `serve` experiment sweeps reader-thread counts (`--clients 1,2,4,8`
-//! overrides the list) × writer-shard counts (`--writers 0,2`; 0 = direct
-//! maintenance-thread writes, N > 0 = N writer threads feeding N sharded
-//! ingest lanes) over the concurrent serving layer. `--threads` turns on
-//! intra-query morsel fan-out on the reader snapshots. Every cell must
-//! answer bit-identically to a single-threaded sequential twin; the run
-//! appends one JSON line of throughput/tail-latency history (with the
-//! clients and writers axes) to `BENCH_serve.json` and — with `--csv-dir`
-//! — writes each cell's answer table to `DIR/serve_clients_{LABEL}/`
-//! (`seq` for the twin, `{C}` for direct-write cells, `{C}w{W}` for
-//! sharded-ingest cells), so `experiments compare DIR/serve_clients_seq
-//! DIR/serve_clients_2w2 --max-delta-pct 0` gates determinism across all
-//! axes.
-//!
-//! The `recover` experiment measures the durable tier: it runs the same
-//! seeded batch workload once in-memory and once with the write-ahead
-//! journal attached (sweeping the fsync policy), drops the durable table
-//! without a quiesce and times `ServeTable::recover`. Recovered answers
-//! must be bit-identical to the live table and to an independent replay
-//! of the sealed batch prefix; the run appends one JSON line of
-//! overhead/recovery-time history to `BENCH_recover.json` and — with
-//! `--csv-dir` — writes the live and recovered probe-answer tables to
-//! `DIR/recover_live/` and `DIR/recover_recovered/`, so
-//! `experiments compare DIR/recover_live DIR/recover_recovered
-//! --max-delta-pct 0` gates recovery exactness. `--journal PATH` pins the
-//! journal file (default: a temp path, removed afterwards).
-//!
-//! The hidden `recover-ingest` / `recover-verify` modes split that loop
-//! across processes for the kill-and-recover integration test:
+//! The hidden `recover-ingest` / `recover-verify` modes split a journaled
+//! ingest across processes for the kill-and-recover integration test:
 //! `recover-ingest` journals acknowledged batches at `--journal`,
 //! printing a `sealed batch N` marker per commit until `--batches` run
 //! out (or SIGKILL arrives first); `recover-verify` recovers the journal,
-//! regenerates the sealed batch prefix independently, writes both
-//! probe-answer tables under `--csv-dir` and exits non-zero if they
-//! differ.
-//!
-//! The `compare` subcommand diffs two `--csv-dir` outputs and prints
-//! per-experiment timing deltas; `--max-delta-pct X` turns it into a check
-//! that fails (exit code 1) when any per-row delta exceeds `X` percent
-//! (`--max-delta-pct 0` against the same directory twice is the harness
-//! self-check CI runs).
+//! regenerates the sealed batch prefix independently and exits with
+//! status 1 if the recovered answers differ from it.
 
 use std::process::ExitCode;
 
 use std::path::PathBuf;
 
 use asv_bench::{
-    ablation, align_overlap, compare, fig3, fig4, fig5, fig6, fig7, filter_kernel, recover, report,
-    scaling, serve, table1, table_scan, Scale, DEFAULT_SEED,
+    ablation, fig3, fig4, fig5, fig6, fig7, recover, report, table1, table_scan, Scale,
+    DEFAULT_SEED,
 };
 use asv_core::Parallelism;
 use asv_vmem::{AnyBackend, Backend};
@@ -107,24 +60,8 @@ struct Args {
     csv_dir: Option<String>,
     parallelism: Parallelism,
     align_mode: fig7::AlignMode,
-    overlap: align_overlap::OverlapConfig,
-    clients: Vec<usize>,
-    writers: Vec<usize>,
     journal: Option<PathBuf>,
     batches: Option<usize>,
-    max_delta_pct: Option<f64>,
-}
-
-/// Parses a comma-separated list of non-negative integers.
-fn parse_usize_list(flag: &str, value: &str) -> Result<Vec<usize>, String> {
-    value
-        .split(',')
-        .map(|part| {
-            part.trim()
-                .parse::<usize>()
-                .map_err(|_| format!("invalid {flag} entry '{part}'"))
-        })
-        .collect()
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -135,13 +72,9 @@ fn parse_args() -> Result<Args, String> {
     let mut csv_dir = None;
     let mut parallelism = Parallelism::Sequential;
     let mut align_mode = fig7::AlignMode::Sync;
-    let mut overlap = align_overlap::OverlapConfig::default();
-    let mut clients = serve::DEFAULT_CLIENTS.to_vec();
-    let mut writers = serve::DEFAULT_WRITERS.to_vec();
     let mut journal = None;
     let mut batches = None;
     let mut store_dir: Option<String> = None;
-    let mut max_delta_pct = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -178,34 +111,6 @@ fn parse_args() -> Result<Args, String> {
                 align_mode = fig7::AlignMode::by_name(&v)
                     .ok_or_else(|| format!("unknown align mode '{v}' (sync|background)"))?;
             }
-            "--chunk-updates" => {
-                let v = args.next().ok_or("--chunk-updates needs a value")?;
-                overlap.chunk_sizes = Some(parse_usize_list("--chunk-updates", &v)?);
-            }
-            "--write-every" => {
-                let v = args.next().ok_or("--write-every needs a value")?;
-                let rates = parse_usize_list("--write-every", &v)?;
-                if rates.is_empty() {
-                    return Err("--write-every needs at least one entry".to_string());
-                }
-                overlap.write_everys = rates;
-            }
-            "--clients" => {
-                let v = args.next().ok_or("--clients needs a value")?;
-                let list = parse_usize_list("--clients", &v)?;
-                if list.is_empty() || list.contains(&0) {
-                    return Err("--clients needs at least one positive entry".to_string());
-                }
-                clients = list;
-            }
-            "--writers" => {
-                let v = args.next().ok_or("--writers needs a value")?;
-                let list = parse_usize_list("--writers", &v)?;
-                if list.is_empty() {
-                    return Err("--writers needs at least one entry".to_string());
-                }
-                writers = list;
-            }
             "--journal" => {
                 journal = Some(PathBuf::from(args.next().ok_or("--journal needs a value")?));
             }
@@ -219,30 +124,14 @@ fn parse_args() -> Result<Args, String> {
             "--store-dir" => {
                 store_dir = Some(args.next().ok_or("--store-dir needs a value")?);
             }
-            "--max-delta-pct" => {
-                let v = args.next().ok_or("--max-delta-pct needs a value")?;
-                let bound: f64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid delta bound '{v}'"))?;
-                // NaN would make every `>` comparison false and turn the
-                // gate into a no-op; negative bounds are meaningless.
-                if !bound.is_finite() || bound < 0.0 {
-                    return Err(format!("delta bound '{v}' must be a finite value >= 0"));
-                }
-                max_delta_pct = Some(bound);
-            }
             "--help" | "-h" => {
                 return Err(
-                    "usage: experiments [fig3|fig4|fig5|fig6|fig7|table1|ablation|scaling|\
-                            align-overlap|table-scan|filter-kernel|serve|recover|all] \
+                    "usage: experiments [fig3|fig4|fig5|fig6|fig7|table1|ablation|table-scan|all] \
                             [--backend sim|mmap|file] [--scale tiny|small|medium|paper] \
                             [--seed N] [--csv-dir DIR] [--threads N] \
-                            [--align-mode sync|background] \
-                            [--chunk-updates LIST] [--write-every LIST] [--clients LIST] \
-                            [--writers LIST] [--journal PATH] [--store-dir DIR]\n\
+                            [--align-mode sync|background] [--store-dir DIR]\n\
                      usage: experiments recover-ingest --journal PATH [--batches N]\n\
-                     usage: experiments recover-verify --journal PATH [--csv-dir DIR]\n\
-                     usage: experiments compare DIR_A DIR_B [--max-delta-pct X]"
+                     usage: experiments recover-verify --journal PATH"
                         .to_string(),
                 );
             }
@@ -275,12 +164,8 @@ fn parse_args() -> Result<Args, String> {
         csv_dir,
         parallelism,
         align_mode,
-        overlap,
-        clients,
-        writers,
         journal,
         batches,
-        max_delta_pct,
     })
 }
 
@@ -381,19 +266,6 @@ fn run_fig7(args: &Args) {
     maybe_write_csv(&args.csv_dir, "fig7", &table);
 }
 
-fn run_align_overlap(args: &Args) {
-    let rows = with_concrete_backend!(&args.backend, |b| align_overlap::run_with_config(
-        b,
-        &args.scale,
-        args.seed,
-        args.parallelism,
-        &args.overlap
-    ));
-    let table = align_overlap::to_table(&rows);
-    println!("{}", table.render());
-    maybe_write_csv(&args.csv_dir, "align_overlap", &table);
-}
-
 fn run_ablation(args: &Args) {
     let rows = with_concrete_backend!(&args.backend, |b| ablation::run_with(
         b,
@@ -418,13 +290,6 @@ fn run_table1(args: &Args) {
     maybe_write_csv(&args.csv_dir, "table1", &table);
 }
 
-fn run_scaling(args: &Args) {
-    let rows = with_concrete_backend!(&args.backend, |b| scaling::run(b, &args.scale, args.seed));
-    let table = scaling::to_table(&rows);
-    println!("{}", table.render());
-    maybe_write_csv(&args.csv_dir, "scaling", &table);
-}
-
 fn run_table_scan(args: &Args) {
     let rows = with_concrete_backend!(&args.backend, |b| table_scan::run_with(
         b,
@@ -435,168 +300,6 @@ fn run_table_scan(args: &Args) {
     let table = table_scan::to_table(&rows);
     println!("{}", table.render());
     maybe_write_csv(&args.csv_dir, "table_scan", &table);
-}
-
-fn run_filter_kernel(args: &Args) {
-    let report = with_concrete_backend!(&args.backend, |b| filter_kernel::run_with(
-        b,
-        &args.scale,
-        args.seed
-    ));
-    let table = filter_kernel::to_table(&report);
-    println!("{}", table.render());
-    println!(
-        "count-only speedup (chunked vs scalar, mean over selectivities): {:.2}x\n",
-        report.count_only_speedup()
-    );
-    maybe_write_csv(&args.csv_dir, "filter_kernel", &table);
-    if let Some(dir) = &args.csv_dir {
-        for variant in filter_kernel::VARIANTS {
-            let answers = filter_kernel::answers_table(&report, variant);
-            let path = format!("{dir}/filter_kernel_{variant}/answers.csv");
-            if let Err(e) = report::write_csv(&path, &answers.to_csv()) {
-                eprintln!("warning: could not write {path}: {e}");
-            } else {
-                println!("(wrote {path})");
-            }
-        }
-    }
-    let unix_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_millis());
-    let line = filter_kernel::bench_json_line(
-        &report,
-        args.backend.name(),
-        args.scale.name,
-        args.seed,
-        unix_ms,
-    );
-    let bench_path = match &args.csv_dir {
-        Some(dir) => format!("{dir}/BENCH_filter_kernel.json"),
-        None => "BENCH_filter_kernel.json".to_string(),
-    };
-    if let Err(e) = report::append_line(&bench_path, &line) {
-        eprintln!("warning: could not append to {bench_path}: {e}");
-    } else {
-        println!("(appended perf-history line to {bench_path})");
-    }
-}
-
-fn run_serve(args: &Args) {
-    let report = with_concrete_backend!(&args.backend, |b| serve::run_with(
-        b,
-        &args.scale,
-        args.seed,
-        args.parallelism,
-        &args.clients,
-        &args.writers
-    ));
-    let table = serve::to_table(&report);
-    println!("{}", table.render());
-    println!(
-        "best read-throughput speedup over the sequential twin: {:.2}x\n",
-        report.best_speedup()
-    );
-    maybe_write_csv(&args.csv_dir, "serve", &table);
-    if let Some(dir) = &args.csv_dir {
-        for cell in &report.cells {
-            let label = serve::cell_label(cell);
-            let answers = serve::answers_table(cell);
-            let path = format!("{dir}/serve_clients_{label}/answers.csv");
-            if let Err(e) = report::write_csv(&path, &answers.to_csv()) {
-                eprintln!("warning: could not write {path}: {e}");
-            } else {
-                println!("(wrote {path})");
-            }
-        }
-    }
-    let unix_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_millis());
-    let line = serve::bench_json_line(
-        &report,
-        args.backend.name(),
-        args.scale.name,
-        args.seed,
-        &args.parallelism.to_string(),
-        unix_ms,
-    );
-    let bench_path = match &args.csv_dir {
-        Some(dir) => format!("{dir}/BENCH_serve.json"),
-        None => "BENCH_serve.json".to_string(),
-    };
-    if let Err(e) = report::append_line(&bench_path, &line) {
-        eprintln!("warning: could not append to {bench_path}: {e}");
-    } else {
-        println!("(appended perf-history line to {bench_path})");
-    }
-}
-
-/// The journal path of the `recover` modes: `--journal` when given, else
-/// a process-unique temp file (removed by `run_recover` afterwards).
-fn journal_path(args: &Args) -> (PathBuf, bool) {
-    match &args.journal {
-        Some(path) => (path.clone(), false),
-        None => (
-            std::env::temp_dir().join(format!("asv-recover-{}.wal", std::process::id())),
-            true,
-        ),
-    }
-}
-
-fn run_recover(args: &Args) {
-    let (journal, ephemeral) = journal_path(args);
-    let report = with_concrete_backend!(&args.backend, |b| recover::run_with(
-        b,
-        &args.scale,
-        args.seed,
-        &recover::DEFAULT_FSYNC_EVERY,
-        &journal
-    ));
-    if ephemeral {
-        let _ = std::fs::remove_file(&journal);
-    }
-    let table = recover::to_table(&report);
-    println!("{}", table.render());
-    println!(
-        "journal overhead at fsync-per-commit: {:.1}%; slowest recovery: {:.2} ms\n",
-        report.strict_overhead_pct(),
-        report.max_recover_ms()
-    );
-    maybe_write_csv(&args.csv_dir, "recover", &table);
-    if let Some(dir) = &args.csv_dir {
-        // The live and recovered answer sets are asserted identical inside
-        // run_with; exporting both makes the `compare --max-delta-pct 0`
-        // gate reproducible from the CSV artifacts alone.
-        let answers = recover::answers_table(&report.answers);
-        for label in ["live", "recovered"] {
-            let path = format!("{dir}/recover_{label}/answers.csv");
-            if let Err(e) = report::write_csv(&path, &answers.to_csv()) {
-                eprintln!("warning: could not write {path}: {e}");
-            } else {
-                println!("(wrote {path})");
-            }
-        }
-    }
-    let unix_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_millis());
-    let line = recover::bench_json_line(
-        &report,
-        args.backend.name(),
-        args.scale.name,
-        args.seed,
-        unix_ms,
-    );
-    let bench_path = match &args.csv_dir {
-        Some(dir) => format!("{dir}/BENCH_recover.json"),
-        None => "BENCH_recover.json".to_string(),
-    };
-    if let Err(e) = report::append_line(&bench_path, &line) {
-        eprintln!("warning: could not append to {bench_path}: {e}");
-    } else {
-        println!("(appended perf-history line to {bench_path})");
-    }
 }
 
 /// The hidden `recover-ingest` mode (see the module docs): journals
@@ -627,8 +330,8 @@ fn run_recover_ingest(args: &Args) -> Result<(), String> {
 }
 
 /// The hidden `recover-verify` mode (see the module docs): recovers the
-/// journal, writes the recovered and reference probe-answer tables under
-/// `--csv-dir`, and reports whether they match.
+/// journal and reports whether its answers match the sealed-prefix
+/// reference.
 fn run_recover_verify(args: &Args) -> Result<bool, String> {
     let journal = args
         .journal
@@ -648,17 +351,6 @@ fn run_recover_verify(args: &Args) -> Result<bool, String> {
         out.info.batches_applied,
         out.info.discarded_bytes
     );
-    if let Some(dir) = &args.csv_dir {
-        for (label, answers) in [("recovered", &out.recovered), ("reference", &out.reference)] {
-            let path = format!("{dir}/recover_{label}/answers.csv");
-            let table = recover::answers_table(answers);
-            if let Err(e) = report::write_csv(&path, &table.to_csv()) {
-                eprintln!("warning: could not write {path}: {e}");
-            } else {
-                println!("(wrote {path})");
-            }
-        }
-    }
     let matches = out.recovered == out.reference;
     if matches {
         println!("recover-verify passed: recovered answers match the sealed-prefix reference");
@@ -666,50 +358,6 @@ fn run_recover_verify(args: &Args) -> Result<bool, String> {
         eprintln!("recover-verify FAILED: recovered answers diverge from the reference");
     }
     Ok(matches)
-}
-
-/// The `compare` subcommand: `experiments compare DIR_A DIR_B`.
-fn run_compare(args: &Args) -> ExitCode {
-    let [_, dir_a, dir_b] = args.experiments.as_slice() else {
-        eprintln!("usage: experiments compare DIR_A DIR_B [--max-delta-pct X]");
-        return ExitCode::from(2);
-    };
-    let report = match compare::compare_dirs(dir_a, dir_b) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("compare failed: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    println!("{}", report.to_table().render());
-    for name in &report.only_a {
-        println!("(only in {dir_a}: {name})");
-    }
-    for name in &report.only_b {
-        println!("(only in {dir_b}: {name})");
-    }
-    let max_delta = report.max_abs_delta_pct();
-    println!("max |Δ row|: {max_delta:.2}%");
-    if let Some(bound) = args.max_delta_pct {
-        // Coverage gaps and incomparable files fail the check too: a gate
-        // that silently skips half the measurements is no gate.
-        let mut failures = Vec::new();
-        if max_delta > bound {
-            failures.push(format!("max delta {max_delta:.2}% exceeds bound {bound}%"));
-        }
-        if report.has_incomparable() {
-            failures.push("incomparable file(s), see table".to_string());
-        }
-        if report.has_coverage_gaps() {
-            failures.push("directories hold different file sets".to_string());
-        }
-        if !failures.is_empty() {
-            eprintln!("compare check failed: {}", failures.join("; "));
-            return ExitCode::from(1);
-        }
-        println!("compare check passed (bound {bound}%)");
-    }
-    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
@@ -720,17 +368,15 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if args.experiments.first().map(String::as_str) == Some("compare") {
-        return run_compare(&args);
-    }
     println!(
         "# adaptive-storage-views experiments (backend: {}, scale: {}, seed: {}, threads: {}, \
-         align mode: {})",
+         align mode: {}, kernel: {})",
         args.backend.name(),
         args.scale.name,
         args.seed,
         args.parallelism,
-        args.align_mode.name()
+        args.align_mode.name(),
+        asv_storage::simd::selected_variant().name()
     );
     println!(
         "# column sizes: fig3 {} pages, fig4/5 {} pages, fig6 {} pages, fig7 {} pages\n",
@@ -745,12 +391,7 @@ fn main() -> ExitCode {
             "fig7" => run_fig7(&args),
             "table1" => run_table1(&args),
             "ablation" => run_ablation(&args),
-            "scaling" => run_scaling(&args),
-            "align-overlap" => run_align_overlap(&args),
             "table-scan" => run_table_scan(&args),
-            "filter-kernel" => run_filter_kernel(&args),
-            "serve" => run_serve(&args),
-            "recover" => run_recover(&args),
             "recover-ingest" => {
                 if let Err(msg) = run_recover_ingest(&args) {
                     eprintln!("{msg}");
@@ -773,12 +414,7 @@ fn main() -> ExitCode {
                 run_fig7(&args);
                 run_table1(&args);
                 run_ablation(&args);
-                run_scaling(&args);
-                run_align_overlap(&args);
                 run_table_scan(&args);
-                run_filter_kernel(&args);
-                run_serve(&args);
-                run_recover(&args);
             }
             other => {
                 eprintln!("unknown experiment '{other}'");

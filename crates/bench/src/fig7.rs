@@ -70,8 +70,7 @@ impl AlignMode {
 
 /// Aligns `views` with `batch` in the given mode, returning the usual
 /// alignment stats. In background mode the caller blocks until the worker
-/// finishes (the figure measures alignment cost, not overlap — see the
-/// `align-overlap` experiment for throughput during alignment).
+/// finishes (the figure measures alignment cost, not overlap).
 pub fn align_with_mode<B: Backend>(
     column: &Column<B>,
     views: &mut ViewSet<B>,

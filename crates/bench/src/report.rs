@@ -84,22 +84,6 @@ pub fn write_csv(path: impl AsRef<Path>, csv: &str) -> std::io::Result<()> {
     std::fs::write(path, csv)
 }
 
-/// Appends `line` (plus a newline) to `path`, creating the file and parent
-/// directories as needed — the perf-history writer behind the
-/// `BENCH_*.json` files (one JSON record per line, one line per run).
-pub fn append_line(path: impl AsRef<Path>, line: &str) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    writeln!(file, "{line}")
-}
-
 /// Formats a millisecond value with two decimals.
 pub fn ms(v: f64) -> String {
     format!("{v:.2}")
@@ -142,17 +126,6 @@ mod tests {
         let path = dir.join("nested/out.csv");
         write_csv(&path, "a,b\n1,2\n").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn append_line_accumulates_a_history() {
-        let dir = std::env::temp_dir().join(format!("asv-append-test-{}", std::process::id()));
-        let path = dir.join("BENCH_demo.json");
-        append_line(&path, "{\"run\":1}").unwrap();
-        append_line(&path, "{\"run\":2}").unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(content, "{\"run\":1}\n{\"run\":2}\n");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -34,24 +34,12 @@ pub struct Scale {
     pub table_queries: usize,
     /// Column counts the `table-scan` experiment sweeps.
     pub table_columns: Vec<usize>,
-    /// Pages of the `filter-kernel` microbench column.
-    pub kernel_pages: usize,
-    /// Timed passes per `filter-kernel` cell (mean/p95 are computed over
-    /// these).
-    pub kernel_passes: usize,
-    /// Pages per column of the two-column `serve` experiment.
-    pub serve_pages: usize,
-    /// Barrier-phased rounds of the `serve` experiment.
-    pub serve_rounds: usize,
-    /// Reads per `serve` round (split across the client threads).
-    pub serve_reads_per_round: usize,
-    /// Writes the maintenance thread commits before each `serve` round.
-    pub serve_writes_per_round: usize,
-    /// Pages of the `recover` experiment's column.
+    /// Pages of the `recover-ingest` column.
     pub recover_pages: usize,
-    /// Acknowledged-and-committed write batches per `recover` run.
+    /// Acknowledged-and-committed write batches `recover-ingest` runs
+    /// unless `--batches` overrides it.
     pub recover_batches: usize,
-    /// Point writes per `recover` batch.
+    /// Point writes per `recover-ingest` batch.
     pub recover_writes_per_batch: usize,
 }
 
@@ -71,12 +59,6 @@ impl Scale {
             table_pages: 64,
             table_queries: 10,
             table_columns: vec![2, 3],
-            kernel_pages: 64,
-            kernel_passes: 5,
-            serve_pages: 24,
-            serve_rounds: 3,
-            serve_reads_per_round: 16,
-            serve_writes_per_round: 12,
             recover_pages: 8,
             recover_batches: 6,
             recover_writes_per_batch: 16,
@@ -84,7 +66,7 @@ impl Scale {
     }
 
     /// Laptop-scale sizing (~64 MB columns); finishes in seconds. This is
-    /// the default of the `experiments` binary and of `cargo bench`.
+    /// the default of the `experiments` binary.
     pub fn small() -> Self {
         Self {
             name: "small",
@@ -99,12 +81,6 @@ impl Scale {
             table_pages: 2_048,
             table_queries: 40,
             table_columns: vec![2, 3, 4],
-            kernel_pages: 2_048,
-            kernel_passes: 9,
-            serve_pages: 512,
-            serve_rounds: 8,
-            serve_reads_per_round: 64,
-            serve_writes_per_round: 48,
             recover_pages: 256,
             recover_batches: 24,
             recover_writes_per_batch: 256,
@@ -126,12 +102,6 @@ impl Scale {
             table_pages: 16_384,
             table_queries: 100,
             table_columns: vec![2, 4, 8],
-            kernel_pages: 8_192,
-            kernel_passes: 9,
-            serve_pages: 4_096,
-            serve_rounds: 12,
-            serve_reads_per_round: 128,
-            serve_writes_per_round: 96,
             recover_pages: 1_024,
             recover_batches: 32,
             recover_writes_per_batch: 1_024,
@@ -154,12 +124,6 @@ impl Scale {
             table_pages: 65_536,
             table_queries: 250,
             table_columns: vec![2, 4, 8],
-            kernel_pages: 65_536,
-            kernel_passes: 9,
-            serve_pages: 16_384,
-            serve_rounds: 16,
-            serve_reads_per_round: 256,
-            serve_writes_per_round: 128,
             recover_pages: 4_096,
             recover_batches: 48,
             recover_writes_per_batch: 4_096,
@@ -199,11 +163,6 @@ mod tests {
         assert!(m.fig45_pages < p.fig45_pages);
         assert_eq!(p.fig45_pages, 1_000_000);
         assert_eq!(p.num_queries, 250);
-        assert!(t.serve_pages < s.serve_pages);
-        assert!(s.serve_pages < m.serve_pages);
-        assert!(m.serve_pages < p.serve_pages);
-        assert!(t.serve_rounds <= s.serve_rounds);
-        assert!(s.serve_reads_per_round <= m.serve_reads_per_round);
         assert!(t.recover_pages < s.recover_pages);
         assert!(s.recover_pages < m.recover_pages);
         assert!(m.recover_pages < p.recover_pages);

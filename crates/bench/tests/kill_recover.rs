@@ -7,10 +7,9 @@
 //! markers have streamed out, the child is SIGKILLed mid-run — whatever
 //! instant the kernel picks is the crash point. A second invocation in
 //! `recover-verify` mode then recovers the journal, regenerates the
-//! sealed batch prefix independently from the same seed, and writes both
-//! probe-answer tables as CSV; a third invocation gates them with
-//! `experiments compare --max-delta-pct 0`, so recovery exactness is
-//! enforced on the rendered bytes — the same check CI runs.
+//! sealed batch prefix independently from the same seed, and exits with
+//! status 1 unless the recovered table answers the probe queries exactly
+//! as the regenerated values do.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -84,7 +83,6 @@ fn run_kill_recover(tag: &str, backend_args: &[&str]) {
     let sealed = ingest_then_kill(&journal, backend_args);
     assert!(sealed >= SEALED_BEFORE_KILL);
 
-    let verify_dir = dir.join("verify");
     let status = Command::new(experiments_bin())
         .args([
             "recover-verify",
@@ -95,26 +93,12 @@ fn run_kill_recover(tag: &str, backend_args: &[&str]) {
             "--journal",
         ])
         .arg(&journal)
-        .arg("--csv-dir")
-        .arg(&verify_dir)
         .args(backend_args)
         .status()
         .expect("run recover-verify");
     assert!(
         status.success(),
         "recover-verify failed after SIGKILL (exit: {status})"
-    );
-
-    let status = Command::new(experiments_bin())
-        .arg("compare")
-        .arg(verify_dir.join("recover_recovered"))
-        .arg(verify_dir.join("recover_reference"))
-        .args(["--max-delta-pct", "0"])
-        .status()
-        .expect("run compare gate");
-    assert!(
-        status.success(),
-        "recovered answers are not byte-identical to the sealed-prefix reference"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -7,9 +7,7 @@
 //! For Figure 3 the reported result cardinalities are additionally checked
 //! against a scalar rescan of the (updated) raw values.
 
-use asv_bench::{
-    ablation, align_overlap, fig3, fig4, fig5, fig6, fig7, filter_kernel, scaling, table1, Scale,
-};
+use asv_bench::{ablation, fig3, fig4, fig5, fig6, fig7, table1, Scale};
 use asv_util::{Parallelism, ValueRange};
 use asv_vmem::AnyBackend;
 use asv_workloads::{Distribution, UpdateWorkload, DEFAULT_MAX_VALUE};
@@ -156,41 +154,6 @@ fn fig7_background_alignment_matches_sync_results() {
 }
 
 #[test]
-fn align_overlap_reports_both_modes_with_consistent_answers() {
-    let scale = Scale::tiny();
-    let rows = align_overlap::run(&backend(), &scale, SEED);
-    // Per batch size: one sync baseline + (chunk sizes × write rates)
-    // background cells; the run itself asserts every background cell's
-    // post-drain checksum against its synchronous twin.
-    assert!(rows.len() >= 3 * scale.fig7_batch_sizes.len());
-    for batch_size in &scale.fig7_batch_sizes {
-        let batch_rows: Vec<_> = rows
-            .iter()
-            .filter(|r| r.batch_size == *batch_size)
-            .collect();
-        let sync = batch_rows
-            .iter()
-            .find(|r| r.mode == "sync")
-            .expect("sync baseline row");
-        assert_eq!(sync.queries_during, 0, "sync alignment blocks queries");
-        for bg in batch_rows.iter().filter(|r| r.mode == "background") {
-            assert!(bg.chunks_published >= 1);
-            assert!(bg.publish_p50_ms <= bg.publish_max_ms + 1e-9);
-            if bg.write_every == 0 {
-                // Identical logical writes: same answers as the baseline.
-                assert_eq!(bg.checksum_after, sync.checksum_after);
-            } else {
-                assert!(
-                    bg.writes_queued > 0,
-                    "write cells queue at least one mid-alignment burst"
-                );
-            }
-            assert!(bg.align_wall_ms >= 0.0);
-        }
-    }
-}
-
-#[test]
 fn table1_aggregates_all_five_experiments() {
     let entries = table1::run(&backend(), &Scale::tiny(), SEED);
     assert_eq!(entries.len(), 5);
@@ -207,24 +170,6 @@ fn ablation_covers_every_configuration() {
     for r in &rows {
         assert!(r.total_s > 0.0, "{} produced no measurement", r.label);
     }
-}
-
-#[test]
-fn scaling_sweep_covers_all_thread_counts() {
-    let rows = scaling::run(&backend(), &Scale::tiny(), SEED);
-    assert_eq!(rows.len(), scaling::THREAD_COUNTS.len() * 2);
-    for r in &rows {
-        assert!(
-            r.total_s > 0.0,
-            "{}@{}T produced no time",
-            r.variant,
-            r.threads
-        );
-    }
-    // The run itself asserts count/sum equality and identical view
-    // decisions across thread counts; here we only check shape.
-    assert!(rows.iter().any(|r| r.variant == "full-scan"));
-    assert!(rows.iter().any(|r| r.variant == "adaptive"));
 }
 
 #[test]
@@ -253,37 +198,6 @@ fn parallel_drivers_agree_with_sequential_drivers() {
             "{}/{}",
             s.distribution, s.variant
         );
-    }
-}
-
-#[test]
-fn filter_kernel_chunked_matches_scalar_on_sim() {
-    // `run_with` itself asserts per-cell bit-identical answers between the
-    // chunked kernels and the scalar references; here we check the report's
-    // shape and that the exported answer tables (the compare-gate inputs)
-    // render identically for both variants.
-    let report = with_sim_backend(|b| filter_kernel::run_with(b, &Scale::tiny(), SEED));
-    assert_eq!(
-        report.cells.len(),
-        filter_kernel::MODES.len()
-            * filter_kernel::SELECTIVITIES.len()
-            * filter_kernel::VARIANTS.len()
-    );
-    let scalar = filter_kernel::answers_table(&report, "scalar").to_csv();
-    let chunked = filter_kernel::answers_table(&report, "chunked").to_csv();
-    assert_eq!(scalar, chunked);
-    let line = filter_kernel::bench_json_line(&report, "sim", "tiny", SEED, 0);
-    assert!(line.contains("\"count_only_speedup\""));
-}
-
-/// Runs `f` against the concrete `SimBackend` inside `AnyBackend::sim()`.
-fn with_sim_backend<R>(f: impl FnOnce(&asv_vmem::SimBackend) -> R) -> R {
-    match backend() {
-        AnyBackend::Sim(b) => f(&b),
-        #[cfg(target_os = "linux")]
-        AnyBackend::Mmap(_) => unreachable!("backend() is always sim"),
-        #[cfg(target_os = "linux")]
-        AnyBackend::File(_) => unreachable!("backend() is always sim"),
     }
 }
 

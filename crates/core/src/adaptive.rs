@@ -533,7 +533,7 @@ impl<B: Backend> AdaptiveColumn<B> {
     /// The per-chunk publish records accumulated since the last
     /// [`Self::take_chunk_records`], across rounds, in publish order. At
     /// most the newest 4096 records are retained — drain them regularly
-    /// (as the `align-overlap` harness does) to observe every publish.
+    /// to observe every publish.
     pub fn chunk_records(&self) -> &[ChunkPublishRecord] {
         &self.chunk_records
     }

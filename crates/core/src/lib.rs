@@ -72,8 +72,7 @@ pub use serve::{
     RecoveryInfo, ServeTable, Snapshot, TableEpoch, TableHandle, TableWriter, ViewMeta,
 };
 pub use stats::{
-    ChunkPublishRecord, ChunkPublishStats, ConjunctiveRecord, ConjunctiveStats, QueryRecord,
-    SequenceStats,
+    ChunkPublishRecord, ConjunctiveRecord, ConjunctiveStats, QueryRecord, SequenceStats,
 };
 pub use table::{AdaptiveTable, ConjunctiveOutcome};
 pub use updates::{

@@ -124,8 +124,7 @@ impl SequenceStats {
 /// sequence of bounded chunks, each its own view epoch. The per-chunk
 /// publish time is the quantity the chunking exists to bound: it is the
 /// only part of alignment that excludes queries. [`crate::AdaptiveColumn`]
-/// records one of these per published chunk; the `align-overlap`
-/// experiment reports their percentiles.
+/// records one of these per published chunk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChunkPublishRecord {
     /// Position of the chunk within its alignment round (0-based).
@@ -141,76 +140,6 @@ pub struct ChunkPublishRecord {
     pub publish_time: Duration,
     /// The view epoch entered by this publish.
     pub generation: u64,
-}
-
-impl ChunkPublishRecord {
-    /// Publish time in milliseconds.
-    pub fn publish_ms(&self) -> f64 {
-        self.publish_time.as_secs_f64() * 1e3
-    }
-}
-
-/// Publish-latency statistics over a sequence of chunk publishes.
-#[derive(Clone, Debug, Default)]
-pub struct ChunkPublishStats {
-    records: Vec<ChunkPublishRecord>,
-}
-
-impl ChunkPublishStats {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builds a collector from existing records.
-    pub fn from_records(records: Vec<ChunkPublishRecord>) -> Self {
-        Self { records }
-    }
-
-    /// Appends one chunk publish.
-    pub fn record(&mut self, record: ChunkPublishRecord) {
-        self.records.push(record);
-    }
-
-    /// All records in publish order.
-    pub fn records(&self) -> &[ChunkPublishRecord] {
-        &self.records
-    }
-
-    /// Number of recorded publishes.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Returns `true` if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// The `p`-th percentile (0.0 ..= 100.0, nearest-rank) of the publish
-    /// latencies, in milliseconds. Returns 0 for an empty collector.
-    pub fn publish_ms_percentile(&self, p: f64) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        let mut ms: Vec<f64> = self.records.iter().map(|r| r.publish_ms()).collect();
-        ms.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-        let rank = ((p / 100.0) * ms.len() as f64).ceil() as usize;
-        ms[rank.clamp(1, ms.len()) - 1]
-    }
-
-    /// The largest publish latency in milliseconds (0 when empty).
-    pub fn max_publish_ms(&self) -> f64 {
-        self.records
-            .iter()
-            .map(|r| r.publish_ms())
-            .fold(0.0, f64::max)
-    }
-
-    /// Total updates folded across all recorded chunks.
-    pub fn total_updates(&self) -> usize {
-        self.records.iter().map(|r| r.updates).sum()
-    }
 }
 
 /// The measurements of one conjunctive multi-column query, split by
@@ -426,37 +355,6 @@ mod tests {
         assert_eq!(r.num_probes, 1);
         assert_eq!(r.result_rows, 3);
         assert_eq!(r.elapsed, Duration::from_millis(20));
-    }
-
-    fn chunk(updates: usize, ms: u64) -> ChunkPublishRecord {
-        ChunkPublishRecord {
-            chunk_index: 0,
-            updates,
-            pages_added: 1,
-            pages_removed: 0,
-            publish_time: Duration::from_millis(ms),
-            generation: 1,
-        }
-    }
-
-    #[test]
-    fn chunk_publish_percentiles() {
-        let empty = ChunkPublishStats::new();
-        assert!(empty.is_empty());
-        assert_eq!(empty.publish_ms_percentile(50.0), 0.0);
-        assert_eq!(empty.max_publish_ms(), 0.0);
-
-        let mut s = ChunkPublishStats::from_records(vec![chunk(4, 10)]);
-        for ms in [20, 30, 40] {
-            s.record(chunk(4, ms));
-        }
-        assert_eq!(s.len(), 4);
-        assert_eq!(s.total_updates(), 16);
-        assert!((s.publish_ms_percentile(50.0) - 20.0).abs() < 1e-9);
-        assert!((s.publish_ms_percentile(100.0) - 40.0).abs() < 1e-9);
-        assert!((s.publish_ms_percentile(0.0) - 10.0).abs() < 1e-9);
-        assert!((s.max_publish_ms() - 40.0).abs() < 1e-9);
-        assert!((s.records()[0].publish_ms() - 10.0).abs() < 1e-9);
     }
 
     #[test]

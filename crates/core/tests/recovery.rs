@@ -15,6 +15,11 @@
 //! exactly the acknowledged batches the journal sealed —
 //! `RecoveryInfo::batches_applied` is always a prefix of the acknowledged
 //! batch log, never a reordering, never a partial batch.
+//!
+//! A no-fault sweep covers the other way a process ends: every batch is
+//! acknowledged and committed, and the table is dropped without a quiesce
+//! under each fsync policy. Recovery must then replay every acknowledged
+//! batch and answer exactly as the live table did before the drop.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -245,6 +250,114 @@ fn recovery_is_exact_on_file_backend() {
     let dir = std::env::temp_dir().join(format!("asv-recovery-stores-{}", std::process::id()));
     let make = || asv_vmem::FileBackend::with_dir(&dir);
     sweep_backend(make, "file");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs one no-fault cell: acknowledge and commit every batch, record the
+/// live answers on a pinned snapshot, drop the table without a quiesce and
+/// recover. The recovered answers must equal the live answers and a
+/// reference replay of every acknowledged batch.
+fn drop_and_recover<B: Backend>(
+    make_backend: impl Fn() -> B,
+    fsync_every: usize,
+    chunk_updates: usize,
+    label: &str,
+) {
+    let path = temp_journal(label);
+    let values = clustered_values(PAGES);
+    let view_range = ValueRange::new(2_000, 9_400);
+    let mut probes = vec![
+        ValueRange::full(),
+        view_range,
+        ValueRange::new(0, 3_000),
+        ValueRange::new(6_000, u64::MAX),
+    ];
+    let mut rng = 0xB007u64;
+    for _ in 0..8 {
+        let lo = splitmix(&mut rng) % 12_000;
+        probes.push(ValueRange::new(lo, lo + splitmix(&mut rng) % 3_000));
+    }
+    let mut mirror = values.clone();
+    let live: Vec<RangeAnswer> = {
+        let durability = DurabilityConfig::new(&path).with_fsync_every_chunks(fsync_every);
+        let mut table =
+            ServeTable::with_durability(make_backend(), config(chunk_updates), durability).unwrap();
+        table.add_column(&values).unwrap();
+        table.install_view(0, view_range).unwrap();
+        let mut rng = 0xD209u64;
+        for _ in 0..BATCHES {
+            let batch: Vec<(usize, u64)> = (0..WRITES_PER_BATCH)
+                .map(|_| {
+                    (
+                        (splitmix(&mut rng) as usize) % values.len(),
+                        splitmix(&mut rng) % 12_000,
+                    )
+                })
+                .collect();
+            table.try_write_batch(0, &batch).unwrap();
+            table.tick().unwrap();
+            for &(row, value) in &batch {
+                mirror[row] = value;
+            }
+        }
+        let snap = table.handle().pin();
+        probes.iter().map(|r| snap.query_range(0, r)).collect()
+        // The table drops here: no quiesce, no final fsync.
+    };
+    let (table, info) = ServeTable::recover(
+        make_backend(),
+        config(chunk_updates),
+        DurabilityConfig::new(&path),
+    )
+    .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
+    assert_eq!(
+        info.batches_applied, BATCHES,
+        "{label}: every acknowledged batch was committed"
+    );
+    let snap = table.handle().pin();
+    for (i, range) in probes.iter().enumerate() {
+        let recovered = snap.query_range(0, range);
+        assert_eq!(
+            recovered, live[i],
+            "{label}: range {range:?} diverges from the live table"
+        );
+        assert_eq!(
+            recovered,
+            reference_answer(&mirror, range),
+            "{label}: range {range:?} diverges from the reference replay"
+        );
+    }
+    drop(snap);
+    drop(table);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Fsync policies (a sync per commit, one per 8 commits, quiesce-only) ×
+/// chunk sizes.
+fn sweep_clean_drops<B: Backend>(make_backend: impl Fn() -> B + Copy, backend_tag: &str) {
+    for fsync_every in [1usize, 8, 0] {
+        for chunk_updates in [0usize, 4] {
+            drop_and_recover(
+                make_backend,
+                fsync_every,
+                chunk_updates,
+                &format!("{backend_tag}-drop-f{fsync_every}-c{chunk_updates}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn clean_drop_recovers_every_acknowledged_batch_on_sim_backend() {
+    sweep_clean_drops(SimBackend::new, "sim");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn clean_drop_recovers_every_acknowledged_batch_on_file_backend() {
+    let dir = std::env::temp_dir().join(format!("asv-drop-stores-{}", std::process::id()));
+    let make = || asv_vmem::FileBackend::with_dir(&dir);
+    sweep_clean_drops(make, "file");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -229,8 +229,7 @@ impl<'a> PageRef<'a> {
     ///
     /// A plain per-row loop on purpose: candidates are few and scattered
     /// per page, and gathering them into lanes first measured slower at
-    /// every selectivity of the `filter-kernel` microbench, also when
-    /// compiled for AVX2.
+    /// every selectivity in a microbenchmark, also when compiled for AVX2.
     ///
     /// # Panics
     /// Panics if a row's slot is not a valid value slot of this page.
@@ -263,11 +262,10 @@ impl<'a> PageRef<'a> {
 /// Scalar reference implementations.
 ///
 /// These are the original per-value loops the page filter of
-/// [`crate::simd`] replaced. They are kept (and exercised) for two reasons:
+/// [`crate::simd`] replaced. They are kept (and exercised) as the oracle:
 /// the differential property tests assert every compiled build of the
-/// filter matches them bit-identically, and the `filter-kernel` microbench
-/// measures the filter's speedup against them. They report the bounds for
-/// every page, also where the filter no longer does.
+/// filter matches them bit-identically. They report the bounds for every
+/// page, also where the filter no longer does.
 impl PageRef<'_> {
     /// Scalar reference of [`Self::scan_filter`] (branchy per-value loop).
     pub fn scan_filter_scalar(&self, range: &ValueRange) -> PageScanResult {

@@ -89,8 +89,7 @@
 //!   each half-sum stays below `2^41`.
 //!
 //! All answers are bit-identical to the scalar reference loops in
-//! [`crate::page`] (`*_scalar`), which stay as the differential-test oracle
-//! and the `filter-kernel` microbench baseline.
+//! [`crate::page`] (`*_scalar`), which stay as the differential-test oracle.
 //!
 //! # One source, one build per CPU level
 //!

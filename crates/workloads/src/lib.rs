@@ -15,30 +15,20 @@
 //!   correlated/anti-correlated/independent columns plus conjunctive query
 //!   sequences, the workload of the multi-column query planner (beyond the
 //!   paper).
-//! * [`MixedWorkload`] — interleaved read/write streams whose write bursts
-//!   arrive mid-alignment, the workload of the write-ingestion subsystem
-//!   (beyond the paper).
 //! * [`ServeWorkload`] — barrier-phased rounds of range/conjunctive reads
 //!   interleaved with zipfian-skewed write bursts, the workload of the
 //!   concurrent serving layer (beyond the paper).
-//! * [`KernelWorkload`] — the isolated inputs of the `filter-kernel`
-//!   microbench: a uniform column plus seeded exclusion/probe row sets and
-//!   selectivity-targeted predicate ranges (beyond the paper).
 //!
 //! All generators are seeded and fully deterministic for a given seed.
 
 pub mod distributions;
-pub mod kernels;
 pub mod queries;
 pub mod streams;
 pub mod tables;
 pub mod updates;
 
 pub use distributions::{Distribution, DEFAULT_MAX_VALUE};
-pub use kernels::KernelWorkload;
 pub use queries::{QueryWorkload, SweepSpec};
-pub use streams::{
-    MixedOp, MixedSpec, MixedWorkload, ServeReadOp, ServeRound, ServeSpec, ServeWorkload,
-};
+pub use streams::{ServeReadOp, ServeRound, ServeSpec, ServeWorkload};
 pub use tables::{ColumnCorrelation, ConjunctiveQuery, TableWorkload};
 pub use updates::{ChurnRound, UpdateWorkload};

@@ -1,105 +1,14 @@
-//! Mixed read/write streams (beyond the paper).
+//! Concurrent serving streams (beyond the paper).
 //!
-//! The write-ingestion subsystem of `asv_core::align` accepts writes while
-//! view alignment is in flight: queued writes overlay every read and fold
-//! into the next alignment round automatically. Exercising that path needs
-//! workloads in which *queries and write batches interleave* — including
-//! write batches that arrive mid-alignment. [`MixedWorkload`] generates
-//! such streams deterministically: a seeded sequence of [`MixedOp`]s where
-//! every k-th operation is a write burst and the rest are range queries of
-//! bounded width.
+//! [`ServeWorkload`] generates barrier-phased rounds for the concurrent
+//! serving layer: each round carries a zipfian-skewed write burst and a
+//! batch of range/conjunctive reads that client threads answer from
+//! pinned snapshots. Rounds are fully determined by the seed and the spec.
 
 use asv_util::ValueRange;
 use asv_vmem::VALUES_PER_PAGE;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// One operation of a mixed read/write stream.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MixedOp {
-    /// Answer a range query.
-    Query(ValueRange),
-    /// Apply (or queue, if alignment is in flight) a batch of
-    /// `(row, new value)` writes.
-    WriteBatch(Vec<(usize, u64)>),
-}
-
-/// Parameters of a mixed read/write stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MixedSpec {
-    /// Total number of operations in the stream.
-    pub num_ops: usize,
-    /// Every `write_every`-th operation is a write burst (`0` = read-only).
-    pub write_every: usize,
-    /// Number of writes per burst.
-    pub writes_per_burst: usize,
-    /// Width of every query range.
-    pub query_width: u64,
-    /// Upper bound (inclusive) of the value domain for queries and written
-    /// values.
-    pub max_value: u64,
-}
-
-impl Default for MixedSpec {
-    fn default() -> Self {
-        Self {
-            num_ops: 64,
-            write_every: 4,
-            writes_per_burst: 16,
-            query_width: 1 << 20,
-            max_value: u64::MAX,
-        }
-    }
-}
-
-/// A generator for deterministic mixed read/write streams.
-#[derive(Clone, Debug)]
-pub struct MixedWorkload {
-    seed: u64,
-}
-
-impl MixedWorkload {
-    /// Creates a generator with the given seed.
-    pub fn new(seed: u64) -> Self {
-        Self { seed }
-    }
-
-    /// Generates the operation stream for a column of `num_rows` rows.
-    ///
-    /// Operations `write_every, 2 * write_every, …` (1-based) are write
-    /// bursts of `writes_per_burst` uniform `(row, value)` pairs; all other
-    /// operations are queries of width `query_width` at uniform positions.
-    /// The stream is fully determined by the seed and the spec.
-    ///
-    /// # Panics
-    /// Panics if `num_rows == 0` while the spec contains writes, or if
-    /// `query_width == 0`.
-    pub fn ops(&self, spec: &MixedSpec, num_rows: usize) -> Vec<MixedOp> {
-        assert!(spec.query_width > 0, "queries need a non-zero width");
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        (1..=spec.num_ops)
-            .map(|i| {
-                if spec.write_every > 0 && i % spec.write_every == 0 {
-                    assert!(num_rows > 0, "cannot generate writes for an empty column");
-                    MixedOp::WriteBatch(
-                        (0..spec.writes_per_burst)
-                            .map(|_| {
-                                (
-                                    rng.gen_range(0..num_rows),
-                                    rng.gen_range(0..=spec.max_value),
-                                )
-                            })
-                            .collect(),
-                    )
-                } else {
-                    let width = spec.query_width.min(spec.max_value);
-                    let lo = rng.gen_range(0..=spec.max_value - width);
-                    MixedOp::Query(ValueRange::new(lo, lo + width - 1))
-                }
-            })
-            .collect()
-    }
-}
 
 /// One read operation of a serving round, executed by a client thread
 /// against a pinned snapshot.
@@ -280,56 +189,6 @@ fn zipf_row(rng: &mut StdRng, num_rows: usize, exponent: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn streams_are_deterministic_and_interleaved() {
-        let spec = MixedSpec {
-            num_ops: 12,
-            write_every: 3,
-            writes_per_burst: 5,
-            query_width: 1_000,
-            max_value: 1_000_000,
-        };
-        let a = MixedWorkload::new(7).ops(&spec, 10_000);
-        let b = MixedWorkload::new(7).ops(&spec, 10_000);
-        assert_eq!(a, b);
-        assert_ne!(a, MixedWorkload::new(8).ops(&spec, 10_000));
-        assert_eq!(a.len(), 12);
-        for (i, op) in a.iter().enumerate() {
-            match op {
-                MixedOp::WriteBatch(writes) => {
-                    assert_eq!((i + 1) % 3, 0, "burst at position {i}");
-                    assert_eq!(writes.len(), 5);
-                    assert!(writes.iter().all(|&(r, v)| r < 10_000 && v <= 1_000_000));
-                }
-                MixedOp::Query(range) => {
-                    assert_eq!(range.width(), 1_000);
-                    assert!(range.high() <= 1_000_000);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn write_every_zero_is_read_only() {
-        let spec = MixedSpec {
-            write_every: 0,
-            ..MixedSpec::default()
-        };
-        let ops = MixedWorkload::new(3).ops(&spec, 0);
-        assert!(ops.iter().all(|op| matches!(op, MixedOp::Query(_))));
-    }
-
-    #[test]
-    #[should_panic(expected = "empty column")]
-    fn writes_into_empty_column_panic() {
-        let spec = MixedSpec {
-            num_ops: 4,
-            write_every: 1,
-            ..MixedSpec::default()
-        };
-        MixedWorkload::new(0).ops(&spec, 0);
-    }
 
     #[test]
     fn serve_rounds_are_deterministic_and_well_formed() {
