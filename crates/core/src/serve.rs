@@ -162,7 +162,7 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc, PoisonError, RwLock};
 
 use asv_storage::{
@@ -1325,55 +1325,53 @@ impl<B: Backend> ServeTable<B> {
         durability: DurabilityConfig,
     ) -> Result<(Self, RecoveryInfo), VmemError> {
         let outcome = wal::replay(&durability.journal_path)?;
+        let mut info = RecoveryInfo {
+            sealed_epoch: outcome.sealed_epoch.unwrap_or(0),
+            records_replayed: outcome.sealed_records.len(),
+            batches_applied: 0,
+            discarded_bytes: outcome.discarded_bytes(),
+        };
         let mut columns: Vec<Vec<u64>> = Vec::new();
         let mut views: Vec<(usize, ValueRange)> = Vec::new();
-        let mut batches_applied = 0usize;
-        for record in &outcome.sealed_records {
+        for record in outcome.sealed_records {
             match record {
                 WalRecord::AddColumn { col, values } => {
-                    if *col as usize != columns.len() {
+                    if col as usize != columns.len() {
                         let error = format!("column {col} added as column {}", columns.len());
                         return Err(VmemError::out_of_bounds(error));
                     }
-                    columns.push(values.clone());
+                    columns.push(values);
                 }
                 WalRecord::InstallView { col, min, max } => {
-                    let col = column_index(*col as usize, columns.len())?;
+                    let col = column_index(col as usize, columns.len())?;
                     let error = || VmemError::out_of_bounds(format!("view range [{min}, {max}]"));
-                    views.push((col, ValueRange::try_new(*min, *max).ok_or_else(error)?));
+                    views.push((col, ValueRange::try_new(min, max).ok_or_else(error)?));
                 }
                 WalRecord::Batch { col, writes } => {
-                    let col = column_index(*col as usize, columns.len())?;
+                    let col = column_index(col as usize, columns.len())?;
                     let column = &mut columns[col];
                     check_rows(writes.iter().map(|&(row, _)| row as usize), column.len())?;
-                    for &(row, value) in writes {
+                    for (row, value) in writes {
                         column[row as usize] = value;
                     }
-                    batches_applied += 1;
+                    info.batches_applied += 1;
                 }
                 WalRecord::Seal { .. } => {}
             }
         }
-        let info = RecoveryInfo {
-            sealed_epoch: outcome.sealed_epoch.unwrap_or(0),
-            records_replayed: outcome.sealed_records.len(),
-            batches_applied,
-            discarded_bytes: outcome.discarded_bytes(),
-        };
         // Rebuild in memory first (journal-free), then attach a compacted
         // journal: recovery must not append replayed operations back onto
         // the tail it just replayed.
         let mut table = Self::new(backend, config);
-        for values in &columns {
-            table.add_column(values)?;
+        for values in columns {
+            table.add_column(&values)?;
         }
         for (col, range) in views {
             table.install_view(col, range)?;
         }
         // Epoch numbering continues across the crash.
         table.generation = table.generation.max(info.sealed_epoch);
-        let records = table.checkpoint_records();
-        wal::rewrite(&durability.journal_path, &records)?;
+        write_checkpoint(&durability.journal_path, &table.columns, table.generation)?;
         let journal = Journal::open_append(durability.journal_path.clone(), durability.fault)?;
         table.durable = Some(DurableState {
             journal,
@@ -1388,13 +1386,8 @@ impl<B: Backend> ServeTable<B> {
     /// Returns the column's index. On a durable table the column load is
     /// journaled before the store is built.
     pub fn add_column(&mut self, values: &[u64]) -> Result<usize, VmemError> {
-        if self.durable.is_some() {
-            let record = WalRecord::AddColumn {
-                col: self.columns.len() as u32,
-                values: values.to_vec(),
-            };
-            self.journal_append(&record)?;
-        }
+        let col = self.columns.len() as u32;
+        self.journal_append(|journal| journal.append_column(col, &[values]))?;
         let column = Column::from_values(self.backend.clone(), values)?;
         let stats = ZoneStats::build(&column);
         let state = ColumnState {
@@ -1439,13 +1432,13 @@ impl<B: Backend> ServeTable<B> {
                 "install_view requires an idle column (no round in flight, no queued writes)",
             ));
         }
-        if self.durable.is_some() {
-            self.journal_append(&WalRecord::InstallView {
+        self.journal_append(|journal| {
+            journal.append(&WalRecord::InstallView {
                 col: col as u32,
                 min: range.low(),
                 max: range.high(),
-            })?;
-        }
+            })
+        })?;
         let state = &mut self.columns[col];
         state.views.push(ServeView::build(&state.column, range));
         state.mark_dirty();
@@ -1580,7 +1573,7 @@ impl<B: Backend> ServeTable<B> {
                 col: col as u32,
                 writes: writes.iter().map(|&(r, v)| (r as u64, v)).collect(),
             };
-            self.journal_append(&record)?;
+            self.journal_append(|journal| journal.append(&record))?;
         }
         for &(row, value) in writes {
             self.stage_write(col, row, value);
@@ -1666,10 +1659,11 @@ impl<B: Backend> ServeTable<B> {
                 if writes.is_empty() {
                     continue;
                 }
-                self.journal_append(&WalRecord::Batch {
+                let record = WalRecord::Batch {
                     col: col as u32,
                     writes,
-                })?;
+                };
+                self.journal_append(|journal| journal.append(&record))?;
             }
         }
         for write in drained {
@@ -1764,44 +1758,18 @@ impl<B: Backend> ServeTable<B> {
         Ok(())
     }
 
-    /// Appends `record` to the journal of a durable table (no-op on an
-    /// in-memory one) and notes that the next commit must seal.
-    fn journal_append(&mut self, record: &WalRecord) -> Result<(), VmemError> {
+    /// Appends a record to the journal of a durable table with `append`
+    /// (no-op on an in-memory one) and notes that the next commit must
+    /// seal.
+    fn journal_append(
+        &mut self,
+        append: impl FnOnce(&mut Journal) -> std::io::Result<()>,
+    ) -> Result<(), VmemError> {
         if let Some(durable) = self.durable.as_mut() {
-            durable.journal.append(record)?;
+            append(&mut durable.journal)?;
             durable.unsealed = true;
         }
         Ok(())
-    }
-
-    /// A checkpoint equivalent of the current (quiescent) table state:
-    /// column loads, view installs and one seal of the current
-    /// generation. Replaying exactly these records rebuilds the table.
-    fn checkpoint_records(&self) -> Vec<WalRecord> {
-        let mut records = Vec::new();
-        for (idx, state) in self.columns.iter().enumerate() {
-            debug_assert!(
-                state.overlay.is_empty(),
-                "checkpoint requires folded overlays"
-            );
-            records.push(WalRecord::AddColumn {
-                col: idx as u32,
-                values: state.column.to_vec(),
-            });
-        }
-        for (idx, state) in self.columns.iter().enumerate() {
-            for view in &state.views {
-                records.push(WalRecord::InstallView {
-                    col: idx as u32,
-                    min: view.meta.range.low(),
-                    max: view.meta.range.high(),
-                });
-            }
-        }
-        records.push(WalRecord::Seal {
-            epoch: self.generation,
-        });
-        records
     }
 
     /// Compacts the journal of a durable, quiescent table down to a
@@ -1809,16 +1777,14 @@ impl<B: Backend> ServeTable<B> {
     /// fault plan carries over with its op counter adjusted for the
     /// operations already performed.
     fn compact_journal(&mut self) -> Result<(), VmemError> {
-        if self.durable.is_none() {
+        let Some(durable) = self.durable.as_mut() else {
             return Ok(());
-        }
-        let records = self.checkpoint_records();
-        let durable = self.durable.as_mut().expect("checked above");
+        };
         // Make everything appended so far durable first: with
         // `fsync_every_chunks == 0` this is the one sync point, and it is
         // where a `FailFsync` plan fires.
         durable.journal.sync()?;
-        wal::rewrite(&durable.config.journal_path, &records)?;
+        write_checkpoint(&durable.config.journal_path, &self.columns, self.generation)?;
         let fault = durable.journal.carryover_fault();
         durable.journal = Journal::open_append(durable.config.journal_path.clone(), fault)?;
         durable.seals_since_sync = 0;
@@ -1975,6 +1941,42 @@ impl<B: Backend> ServeTable<B> {
         }
         all
     }
+}
+
+/// Atomically replaces the journal at `path` with a checkpoint of a
+/// quiescent table's `columns` at `generation`: column loads, view
+/// installs and one seal of the generation. Replaying exactly these
+/// records rebuilds the table. Each column load streams from the column's
+/// pages through the journal's bounded encode buffer. The one checkpoint
+/// writer of both [`ServeTable::quiesce`] and [`ServeTable::recover`].
+fn write_checkpoint<B: Backend>(
+    path: &Path,
+    columns: &[ColumnState<B>],
+    generation: u64,
+) -> std::io::Result<()> {
+    wal::rewrite(path, |journal| {
+        for (idx, state) in columns.iter().enumerate() {
+            debug_assert!(
+                state.overlay.is_empty(),
+                "checkpoint requires folded overlays"
+            );
+            let column = &state.column;
+            let pages: Vec<&[u64]> = (0..column.num_pages())
+                .map(|page| column.page_ref(page).values())
+                .collect();
+            journal.append_column(idx as u32, &pages)?;
+        }
+        for (idx, state) in columns.iter().enumerate() {
+            for view in &state.views {
+                journal.append(&WalRecord::InstallView {
+                    col: idx as u32,
+                    min: view.meta.range.low(),
+                    max: view.meta.range.high(),
+                })?;
+            }
+        }
+        journal.append(&WalRecord::Seal { epoch: generation })
+    })
 }
 
 /// `col` if it names one of `len` columns, else an out-of-bounds error.
@@ -2893,6 +2895,111 @@ mod tests {
             reference_answer(&mirror, &range)
         );
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The checkpoint oracle: the records a checkpoint of `table` holds,
+    /// built from `Column::to_vec` and collected in memory (what
+    /// compaction encoded before it streamed from the pages).
+    fn checkpoint_records<B: Backend>(table: &ServeTable<B>) -> Vec<WalRecord> {
+        let mut records = Vec::new();
+        for (idx, state) in table.columns.iter().enumerate() {
+            records.push(WalRecord::AddColumn {
+                col: idx as u32,
+                values: state.column.to_vec(),
+            });
+        }
+        for (idx, state) in table.columns.iter().enumerate() {
+            for view in &state.views {
+                records.push(WalRecord::InstallView {
+                    col: idx as u32,
+                    min: view.meta.range.low(),
+                    max: view.meta.range.high(),
+                });
+            }
+        }
+        records.push(WalRecord::Seal {
+            epoch: table.generation,
+        });
+        records
+    }
+
+    /// The journal bytes of exactly `records`.
+    fn journal_of(records: &[WalRecord]) -> Vec<u8> {
+        let mut bytes = wal::WAL_MAGIC.to_vec();
+        for record in records {
+            bytes.extend_from_slice(&record.encode());
+        }
+        bytes
+    }
+
+    /// `quiesce` and `recover` compact to one checkpoint: for the same
+    /// state both write the same bytes, and those are the oracle's. The
+    /// first column is larger than the journal's stream buffer.
+    fn check_checkpoints_agree<B: Backend>(make_backend: impl Fn() -> B, tag: &str) {
+        let path = temp_journal(tag);
+        let big = clustered_values(40);
+        assert!(big.len() * 8 > wal::STREAM_BUF);
+        let quiesced = {
+            let durability = DurabilityConfig::new(&path);
+            let mut table =
+                ServeTable::with_durability(make_backend(), serve_config(), durability).unwrap();
+            table.add_column(&big).unwrap();
+            table.add_column(&clustered_values(3)).unwrap();
+            table
+                .install_view(0, ValueRange::new(5_000, 9_400))
+                .unwrap();
+            table.install_view(1, ValueRange::new(0, 1_200)).unwrap();
+            table.write_batch(0, &[(3, 77), (big.len() - 1, 1), (9_000, 31_000)]);
+            table.write_batch(1, &[(0, 2_500)]);
+            table.tick().unwrap();
+            table.quiesce().unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            assert!(
+                bytes == journal_of(&checkpoint_records(&table)),
+                "{tag}: quiesce"
+            );
+            bytes
+        };
+        let (mut table, _) =
+            ServeTable::recover(make_backend(), serve_config(), DurabilityConfig::new(&path))
+                .unwrap();
+        let recovered = std::fs::read(&path).unwrap();
+        assert!(
+            recovered == quiesced,
+            "{tag}: recover rewrites the quiesced state"
+        );
+        assert!(
+            recovered == journal_of(&checkpoint_records(&table)),
+            "{tag}: recover"
+        );
+        // Sealed but never quiesced: recovery folds the batch into its
+        // checkpoint, and a quiesce of the recovered table rewrites it.
+        table.write_batch(0, &[(4, 88), (20_000, 5)]);
+        table.tick().unwrap();
+        drop(table);
+        let (mut table, info) =
+            ServeTable::recover(make_backend(), serve_config(), DurabilityConfig::new(&path))
+                .unwrap();
+        assert_eq!(info.batches_applied, 1, "{tag}");
+        let recovered = std::fs::read(&path).unwrap();
+        assert!(
+            recovered == journal_of(&checkpoint_records(&table)),
+            "{tag}: batch"
+        );
+        table.quiesce().unwrap();
+        assert!(
+            std::fs::read(&path).unwrap() == recovered,
+            "{tag}: quiesce again"
+        );
+        drop(table);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn quiesce_and_recover_write_the_oracle_checkpoint() {
+        check_checkpoints_agree(SimBackend::new, "checkpoint-sim");
+        #[cfg(target_os = "linux")]
+        check_checkpoints_agree(MmapBackend::new, "checkpoint-mmap");
     }
 
     #[test]

@@ -14,15 +14,15 @@
 //!
 //! ```text
 //! +----------------------+
-//! | magic  "ASVWAL01"    |  8 bytes
+//! | magic  "ASVWAL02"    |  8 bytes
 //! +----------------------+
 //! | record 0             |
 //! | record 1             |
 //! | ...                  |
 //! +----------------------+
 //!
-//! record := [payload_len: u32 LE] [payload] [fnv1a64(payload): u64 LE]
-//! payload := kind-tagged body (see `WalRecord`)
+//! record := [payload_len: u32 LE] [payload] [crc32c(payload): u32 LE]
+//! payload := kind-tagged body (see `WalRecord`); integers little-endian
 //! ```
 //!
 //! A record is *valid* iff its length prefix fits in the file and the
@@ -30,6 +30,18 @@
 //! the journal is *sealed* iff it ends in a `Seal` record — the recovery
 //! invariant is: **exactly the records up to the last valid seal are
 //! replayed; everything after it (acknowledged or torn) is discarded.**
+//!
+//! ## One pass per byte
+//!
+//! The checksum is CRC-32C, computed with the CPU's `crc32` instruction
+//! where there is one (`crc32c`). A record is framed straight into one
+//! encode buffer that the journal reuses across appends, and its payload is
+//! checksummed as it is encoded; the buffer moves on to the file every
+//! [`STREAM_BUF`] bytes of the frame. A column load therefore streams from
+//! the caller's slice, and a compacting checkpoint (`rewrite`) streams
+//! each column's pages, through that bounded buffer — no record, and no
+//! copy of the column, is built. Replay reads the file once, verifies each
+//! checksum and decodes each value or write array in one bounded take.
 //!
 //! ## Fault injection
 //!
@@ -44,27 +56,30 @@
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// File magic identifying an asv journal, version 1.
-pub const WAL_MAGIC: &[u8; 8] = b"ASVWAL01";
+mod crc32c;
 
-/// Upper bound on a single record payload (sanity check during replay).
+/// File magic identifying an asv journal, version 2 (CRC-32C trailers).
+pub const WAL_MAGIC: &[u8; 8] = b"ASVWAL02";
+
+/// A record reaches the journal file in writes of this many bytes of its
+/// frame, the last one shorter: the size of the journal's encode buffer.
+pub const STREAM_BUF: usize = 64 * 1024;
+
+/// Upper bound on a single record payload: larger records are refused on
+/// append and end the journal on replay.
 const MAX_PAYLOAD: usize = 1 << 30;
+
+/// Frame bytes around a payload: the length prefix and the checksum.
+const FRAME_OVERHEAD: usize = 4 + 4;
+
+/// Payload bytes before the array of an `AddColumn` or a `Batch`: kind,
+/// column, item count.
+const ARRAY_HEADER: usize = 1 + 4 + 8;
 
 const KIND_ADD_COLUMN: u8 = 1;
 const KIND_INSTALL_VIEW: u8 = 2;
 const KIND_BATCH: u8 = 3;
 const KIND_SEAL: u8 = 4;
-
-/// FNV-1a 64-bit hash — the record checksum (no external deps, stable
-/// across platforms).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// One logical journal record.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -100,52 +115,52 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    /// Length of the encoded payload in bytes; the framed record adds
+    /// `FRAME_OVERHEAD` (8) bytes.
+    pub fn payload_len(&self) -> usize {
+        match self {
+            WalRecord::AddColumn { values, .. } => array_payload_len(values.len(), 8),
+            WalRecord::InstallView { .. } => 1 + 4 + 8 + 8,
+            WalRecord::Batch { writes, .. } => array_payload_len(writes.len(), 16),
+            WalRecord::Seal { .. } => 1 + 8,
+        }
+    }
+
+    fn write_payload(&self, frame: &mut Frame<'_>) -> io::Result<()> {
         match self {
             WalRecord::AddColumn { col, values } => {
-                out.push(KIND_ADD_COLUMN);
-                out.extend_from_slice(&col.to_le_bytes());
-                out.extend_from_slice(&(values.len() as u64).to_le_bytes());
-                for v in values {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
+                frame.put(&array_header(KIND_ADD_COLUMN, *col, values.len()))?;
+                frame.put_array(values, |value| value.to_le_bytes())
             }
             WalRecord::InstallView { col, min, max } => {
-                out.push(KIND_INSTALL_VIEW);
-                out.extend_from_slice(&col.to_le_bytes());
-                out.extend_from_slice(&min.to_le_bytes());
-                out.extend_from_slice(&max.to_le_bytes());
+                frame.put(&[KIND_INSTALL_VIEW])?;
+                frame.put(&col.to_le_bytes())?;
+                frame.put(&min.to_le_bytes())?;
+                frame.put(&max.to_le_bytes())
             }
             WalRecord::Batch { col, writes } => {
-                out.push(KIND_BATCH);
-                out.extend_from_slice(&col.to_le_bytes());
-                out.extend_from_slice(&(writes.len() as u64).to_le_bytes());
-                for (row, value) in writes {
-                    out.extend_from_slice(&row.to_le_bytes());
-                    out.extend_from_slice(&value.to_le_bytes());
-                }
+                frame.put(&array_header(KIND_BATCH, *col, writes.len()))?;
+                frame.put_array(writes, |&(row, value)| {
+                    let mut bytes = [0; 16];
+                    bytes[..8].copy_from_slice(&row.to_le_bytes());
+                    bytes[8..].copy_from_slice(&value.to_le_bytes());
+                    bytes
+                })
             }
             WalRecord::Seal { epoch } => {
-                out.push(KIND_SEAL);
-                out.extend_from_slice(&epoch.to_le_bytes());
+                frame.put(&[KIND_SEAL])?;
+                frame.put(&epoch.to_le_bytes())
             }
         }
-        out
     }
 
     fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
         let mut cur = Cursor { buf: payload };
-        let kind = cur.u8()?;
-        let record = match kind {
+        let record = match cur.u8()? {
             KIND_ADD_COLUMN => {
                 let col = cur.u32()?;
-                let n = cur.u64()? as usize;
-                // Hostile counts allocate no more than the payload holds.
-                let mut values = Vec::with_capacity(n.min(cur.remaining() / 8));
-                for _ in 0..n {
-                    values.push(cur.u64()?);
-                }
+                let count = cur.u64()?;
+                let values = cur.array(count, |word: &[u8; 8]| Some(u64::from_le_bytes(*word)))?;
                 WalRecord::AddColumn { col, values }
             }
             KIND_INSTALL_VIEW => WalRecord::InstallView {
@@ -155,33 +170,161 @@ impl WalRecord {
             },
             KIND_BATCH => {
                 let col = cur.u32()?;
-                let n = cur.u64()? as usize;
-                let mut writes = Vec::with_capacity(n.min(cur.remaining() / 16));
-                for _ in 0..n {
-                    let row = cur.u64()?;
-                    let value = cur.u64()?;
-                    writes.push((row, value));
-                }
+                let count = cur.u64()?;
+                let writes = cur.array(count, |pair: &[u8; 16]| {
+                    let row = u64::from_le_bytes(*pair.first_chunk()?);
+                    let value = u64::from_le_bytes(*pair.last_chunk()?);
+                    Some((row, value))
+                })?;
                 WalRecord::Batch { col, writes }
             }
             KIND_SEAL => WalRecord::Seal { epoch: cur.u64()? },
             _ => return None,
         };
-        if cur.remaining() != 0 {
+        if !cur.buf.is_empty() {
             return None; // trailing garbage inside a framed payload
         }
         Some(record)
     }
 
     /// The full framed encoding of this record (length prefix + payload +
-    /// checksum).
+    /// checksum), written into one buffer of exactly that size.
     pub fn encode(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut out = Vec::with_capacity(payload.len() + 12);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        let payload_len = self.payload_len();
+        let mut out = Vec::with_capacity(payload_len.saturating_add(FRAME_OVERHEAD));
+        let mut frame = Frame::new(&mut out, None, payload_len, usize::MAX, false);
+        self.write_payload(&mut frame)
+            .and_then(|()| frame.finish())
+            .expect("a frame without a file performs no I/O");
         out
+    }
+}
+
+/// Payload length of an array record of `count` items of `item` bytes.
+fn array_payload_len(count: usize, item: usize) -> usize {
+    count.saturating_mul(item).saturating_add(ARRAY_HEADER)
+}
+
+fn array_header(kind: u8, col: u32, count: usize) -> [u8; ARRAY_HEADER] {
+    let mut header = [0; ARRAY_HEADER];
+    header[0] = kind;
+    header[1..5].copy_from_slice(&col.to_le_bytes());
+    header[5..].copy_from_slice(&(count as u64).to_le_bytes());
+    header
+}
+
+/// One record being framed — `[payload_len] [payload] [crc32c]` — into a
+/// buffer, its payload checksummed as it is put. A frame bound to a file
+/// writes the buffer out whenever it holds [`STREAM_BUF`] bytes, so the
+/// file sees the frame in `STREAM_BUF`-byte writes; a frame without one
+/// leaves the whole record in the buffer.
+struct Frame<'a> {
+    buf: &'a mut Vec<u8>,
+    file: Option<&'a mut std::fs::File>,
+    /// Buffer length at which bytes move on to the file.
+    flush_at: usize,
+    /// Frame bytes that may still reach the file: all of them, or the
+    /// seeded prefix of a short or torn append.
+    keep: usize,
+    /// Flip the last byte kept (a torn append).
+    tear: bool,
+    crc: u32,
+}
+
+impl<'a> Frame<'a> {
+    /// Starts a frame of `payload_len` payload bytes in `buf` (cleared).
+    /// With a `file`, only the first `keep` frame bytes are written to it.
+    fn new(
+        buf: &'a mut Vec<u8>,
+        file: Option<&'a mut std::fs::File>,
+        payload_len: usize,
+        keep: usize,
+        tear: bool,
+    ) -> Self {
+        buf.clear();
+        // A length past `MAX_PAYLOAD` stays past it: replay rejects it.
+        let prefix = u32::try_from(payload_len).unwrap_or(u32::MAX);
+        buf.extend_from_slice(&prefix.to_le_bytes());
+        let flush_at = if file.is_some() {
+            STREAM_BUF
+        } else {
+            usize::MAX
+        };
+        Frame {
+            buf,
+            file,
+            flush_at,
+            keep,
+            tear,
+            crc: 0,
+        }
+    }
+
+    /// Appends payload bytes.
+    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.crc = crc32c::update(self.crc, bytes);
+        self.buf.extend_from_slice(bytes);
+        self.flush_full()
+    }
+
+    /// Appends `items` as payload, `N` bytes each as `bytes_of` spells
+    /// them: encoded straight into the buffer a buffer-full at a time, and
+    /// checksummed in the same pieces.
+    fn put_array<T, const N: usize>(
+        &mut self,
+        items: &[T],
+        bytes_of: impl Fn(&T) -> [u8; N],
+    ) -> io::Result<()> {
+        let mut rest = items;
+        while !rest.is_empty() {
+            // At least one item, so an item may straddle the buffer end.
+            let room = self.flush_at - self.buf.len();
+            let (now, later) = rest.split_at((room / N).clamp(1, rest.len()));
+            let start = self.buf.len();
+            self.buf.resize(start + now.len() * N, 0);
+            for (out, item) in self.buf[start..].chunks_exact_mut(N).zip(now) {
+                out.copy_from_slice(&bytes_of(item));
+            }
+            self.crc = crc32c::update(self.crc, &self.buf[start..]);
+            self.flush_full()?;
+            rest = later;
+        }
+        Ok(())
+    }
+
+    /// Writes every full `STREAM_BUF` bytes of the buffer out.
+    fn flush_full(&mut self) -> io::Result<()> {
+        while self.buf.len() >= self.flush_at {
+            self.write_out(self.flush_at)?;
+        }
+        Ok(())
+    }
+
+    /// Writes the first `n` buffered bytes to the file — as far as `keep`
+    /// allows, the last one kept flipped on a tear — and drops them from
+    /// the buffer.
+    fn write_out(&mut self, n: usize) -> io::Result<()> {
+        let Some(file) = self.file.as_deref_mut() else {
+            return Ok(());
+        };
+        let kept = n.min(self.keep);
+        if self.tear && kept == self.keep {
+            if let Some(last) = self.buf[..kept].last_mut() {
+                *last ^= 0xFF;
+            }
+        }
+        file.write_all(&self.buf[..kept])?;
+        self.keep -= kept;
+        self.buf.drain(..n);
+        Ok(())
+    }
+
+    /// Appends the checksum and writes whatever is still buffered.
+    fn finish(mut self) -> io::Result<()> {
+        let crc = self.crc.to_le_bytes();
+        self.buf.extend_from_slice(&crc);
+        self.flush_full()?;
+        self.write_out(self.buf.len())
     }
 }
 
@@ -189,8 +332,8 @@ struct Cursor<'a> {
     buf: &'a [u8],
 }
 
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Option<&[u8]> {
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         if self.buf.len() < n {
             return None;
         }
@@ -199,22 +342,40 @@ impl Cursor<'_> {
         Some(head)
     }
 
+    fn chunk<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (head, rest) = self.buf.split_first_chunk::<N>()?;
+        self.buf = rest;
+        Some(*head)
+    }
+
     fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
+        self.chunk().map(|[byte]| byte)
     }
 
     fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+        self.chunk().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+        self.chunk().map(u64::from_le_bytes)
     }
 
-    fn remaining(&self) -> usize {
-        self.buf.len()
+    /// `count` items of `N` bytes, decoded by `item`. A count the payload
+    /// cannot hold is rejected before anything is allocated, so a hostile
+    /// count allocates no more than the payload holds.
+    fn array<const N: usize, T>(
+        &mut self,
+        count: u64,
+        item: impl Fn(&[u8; N]) -> Option<T>,
+    ) -> Option<Vec<T>> {
+        let len = usize::try_from(count).ok()?.checked_mul(N)?;
+        let mut bytes = self.take(len)?;
+        let mut items = Vec::with_capacity(len / N);
+        while let Some((head, rest)) = bytes.split_first_chunk::<N>() {
+            items.push(item(head)?);
+            bytes = rest;
+        }
+        Some(items)
     }
 }
 
@@ -313,6 +474,9 @@ pub struct Journal {
     len: u64,
     synced_len: u64,
     crashed: bool,
+    /// The encode buffer every append reuses: at most [`STREAM_BUF`]
+    /// bytes of the record being framed, plus one straddling array item.
+    buf: Vec<u8>,
 }
 
 impl Journal {
@@ -324,26 +488,15 @@ impl Journal {
         if let Some(parent) = non_empty_parent(&path) {
             std::fs::create_dir_all(parent)?;
         }
-        let mut file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)?;
-        file.write_all(WAL_MAGIC)?;
+        let file = create_with_magic(&path)?;
         file.sync_data()?;
         sync_parent_dir(&path);
-        let len = WAL_MAGIC.len() as u64;
-        Ok(Journal {
+        Ok(Journal::with_file(
             file,
             path,
             fault,
-            appends: 0,
-            fsyncs: 0,
-            len,
-            synced_len: len,
-            crashed: false,
-        })
+            WAL_MAGIC.len() as u64,
+        ))
     }
 
     /// Opens an existing journal for appending. The file must carry the
@@ -362,7 +515,13 @@ impl Journal {
             return Err(io::Error::other("not an asv journal (bad magic)"));
         }
         let len = file.seek(SeekFrom::End(0))?;
-        Ok(Journal {
+        Ok(Journal::with_file(file, path, fault, len))
+    }
+
+    /// A journal over `file`, positioned at its end, `len` bytes long and
+    /// synced up to there.
+    fn with_file(file: std::fs::File, path: PathBuf, fault: Option<FaultPlan>, len: u64) -> Self {
+        Journal {
             file,
             path,
             fault,
@@ -371,7 +530,8 @@ impl Journal {
             len,
             synced_len: len,
             crashed: false,
-        })
+            buf: Vec::new(),
+        }
     }
 
     /// Path of the journal file.
@@ -422,38 +582,67 @@ impl Journal {
     /// into the crashed state and an error is returned — the caller must
     /// not acknowledge the corresponding writes.
     pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
+        self.append_frame(record.payload_len(), |frame| record.write_payload(frame))
+    }
+
+    /// Appends the [`WalRecord::AddColumn`] of column `col` whose values
+    /// are `parts` concatenated — a caller's slice, or a column's pages —
+    /// streamed through the encode buffer without building the record.
+    /// The journal bytes, and the faults a [`FaultPlan`] injects, are those
+    /// of appending the record itself.
+    pub(crate) fn append_column(&mut self, col: u32, parts: &[&[u64]]) -> io::Result<()> {
+        let rows = parts
+            .iter()
+            .fold(0usize, |rows, part| rows.saturating_add(part.len()));
+        self.append_frame(array_payload_len(rows, 8), |frame| {
+            frame.put(&array_header(KIND_ADD_COLUMN, col, rows))?;
+            parts
+                .iter()
+                .try_for_each(|part| frame.put_array(part, |value| value.to_le_bytes()))
+        })
+    }
+
+    /// Appends one frame of `payload_len` payload bytes, which
+    /// `write_payload` puts, applying a fault planned for this append.
+    fn append_frame(
+        &mut self,
+        payload_len: usize,
+        write_payload: impl FnOnce(&mut Frame<'_>) -> io::Result<()>,
+    ) -> io::Result<()> {
         if self.crashed {
             return Err(injected("journal already crashed"));
         }
-        let encoded = record.encode();
-        if let Some(plan) = self.fault {
-            let is_append_fault = matches!(
-                plan.kind,
-                FaultKind::FailAppend | FaultKind::ShortAppend | FaultKind::TornAppend
-            );
-            if is_append_fault && self.appends == plan.at_op {
-                self.crashed = true;
-                match plan.kind {
-                    FaultKind::FailAppend => {}
-                    FaultKind::ShortAppend => {
-                        let keep = plan.prefix_len(encoded.len() - 1, 0);
-                        self.file.write_all(&encoded[..keep])?;
-                        self.len += keep as u64;
-                    }
-                    FaultKind::TornAppend => {
-                        let keep = plan.prefix_len(encoded.len(), 1);
-                        let mut torn = encoded[..keep].to_vec();
-                        *torn.last_mut().expect("keep >= 1") ^= 0xFF;
-                        self.file.write_all(&torn)?;
-                        self.len += keep as u64;
-                    }
-                    FaultKind::FailFsync => unreachable!("not an append fault"),
-                }
-                return Err(injected("append"));
+        if payload_len > MAX_PAYLOAD {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("a {payload_len}-byte journal record exceeds the {MAX_PAYLOAD}-byte limit"),
+            ));
+        }
+        let frame_len = payload_len + FRAME_OVERHEAD;
+        let (mut keep, mut tear) = (frame_len, false);
+        if let Some(plan) = self.fault.filter(|plan| plan.at_op == self.appends) {
+            match plan.kind {
+                FaultKind::FailAppend => keep = 0,
+                FaultKind::ShortAppend => keep = plan.prefix_len(frame_len - 1, 0),
+                FaultKind::TornAppend => (keep, tear) = (plan.prefix_len(frame_len, 1), true),
+                FaultKind::FailFsync => {}
             }
         }
-        self.file.write_all(&encoded)?;
-        self.len += encoded.len() as u64;
+        // Until the frame is whole on disk the journal counts as crashed:
+        // an append that fails part-way leaves a tail no later record
+        // could be replayed past.
+        self.crashed = true;
+        if keep > 0 {
+            let mut frame =
+                Frame::new(&mut self.buf, Some(&mut self.file), payload_len, keep, tear);
+            write_payload(&mut frame)?;
+            frame.finish()?;
+            self.len += keep as u64;
+        }
+        if keep < frame_len || tear {
+            return Err(injected("append"));
+        }
+        self.crashed = false;
         self.appends += 1;
         Ok(())
     }
@@ -533,37 +722,31 @@ fn replay_bytes(bytes: &[u8]) -> io::Result<ReplayOutcome> {
             unsealed_records: 0,
         });
     }
-    if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
+    let Some(mut rest) = bytes.strip_prefix(WAL_MAGIC.as_slice()) else {
         return Err(io::Error::other("not an asv journal (bad magic)"));
-    }
-    let mut offset = WAL_MAGIC.len();
+    };
     let mut records = Vec::new();
     let mut sealed_upto = 0usize; // record count up to last seal
     let mut sealed_epoch = None;
     let mut sealed_len = WAL_MAGIC.len() as u64;
     let mut valid_len = WAL_MAGIC.len() as u64;
-    while offset + 4 <= bytes.len() {
-        let payload_len =
-            u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap()) as usize;
-        if payload_len == 0 || payload_len > MAX_PAYLOAD {
-            break;
+    while let Some((len, body)) = rest.split_first_chunk::<4>() {
+        let payload_len = u32::from_le_bytes(*len) as usize;
+        if payload_len == 0 || payload_len > MAX_PAYLOAD || payload_len > body.len() {
+            break; // hostile length or truncated record
         }
-        let payload_start = offset + 4;
-        let checksum_start = payload_start + payload_len;
-        let record_end = checksum_start + 8;
-        if record_end > bytes.len() {
-            break; // truncated record
-        }
-        let payload = &bytes[payload_start..checksum_start];
-        let stored = u64::from_le_bytes(bytes[checksum_start..record_end].try_into().unwrap());
-        if fnv1a64(payload) != stored {
+        let (payload, body) = body.split_at(payload_len);
+        let Some((stored, tail)) = body.split_first_chunk::<4>() else {
+            break; // truncated checksum
+        };
+        if crc32c::update(0, payload) != u32::from_le_bytes(*stored) {
             break; // torn record
         }
         let Some(record) = WalRecord::decode_payload(payload) else {
             break; // checksummed but undecodable: treat as end of journal
         };
-        offset = record_end;
-        valid_len = offset as u64;
+        rest = tail;
+        valid_len += (payload_len + FRAME_OVERHEAD) as u64;
         let is_seal = matches!(record, WalRecord::Seal { .. });
         if let WalRecord::Seal { epoch } = record {
             sealed_epoch = Some(epoch);
@@ -571,7 +754,7 @@ fn replay_bytes(bytes: &[u8]) -> io::Result<ReplayOutcome> {
         records.push(record);
         if is_seal {
             sealed_upto = records.len();
-            sealed_len = offset as u64;
+            sealed_len = valid_len;
         }
     }
     let unsealed_records = records.len() - sealed_upto;
@@ -586,27 +769,35 @@ fn replay_bytes(bytes: &[u8]) -> io::Result<ReplayOutcome> {
     })
 }
 
-/// Atomically rewrites the journal at `path` to hold exactly `records`
-/// (compaction): writes a temp file, fsyncs it, renames it over `path`
-/// and fsyncs the directory.
-pub fn rewrite(path: impl AsRef<Path>, records: &[WalRecord]) -> io::Result<()> {
-    let path = path.as_ref();
+/// Atomically replaces the journal at `path` with the records `write`
+/// appends to a fresh, fault-free journal (compaction): they go to a temp
+/// file beside it, which is fsynced, renamed over `path`, and the
+/// directory fsynced.
+pub(crate) fn rewrite(
+    path: &Path,
+    write: impl FnOnce(&mut Journal) -> io::Result<()>,
+) -> io::Result<()> {
     let tmp = path.with_extension("wal.tmp");
-    {
-        let mut file = std::fs::OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)?;
-        file.write_all(WAL_MAGIC)?;
-        for record in records {
-            file.write_all(&record.encode())?;
-        }
-        file.sync_data()?;
-    }
+    let file = create_with_magic(&tmp)?;
+    let mut journal = Journal::with_file(file, tmp.clone(), None, WAL_MAGIC.len() as u64);
+    write(&mut journal)?;
+    journal.sync()?;
+    drop(journal);
     std::fs::rename(&tmp, path)?;
     sync_parent_dir(path);
     Ok(())
+}
+
+/// Creates (truncating) the file at `path` and writes the journal magic.
+fn create_with_magic(path: &Path) -> io::Result<std::fs::File> {
+    let mut file = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(path)?;
+    file.write_all(WAL_MAGIC)?;
+    Ok(file)
 }
 
 /// The directory holding `path`, unless `path` is a bare file name.
@@ -652,14 +843,6 @@ mod tests {
             },
             WalRecord::Seal { epoch: 1 },
         ]
-    }
-
-    #[test]
-    fn fnv1a64_matches_reference_vectors() {
-        // Reference values of the standard FNV-1a 64 parameters.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]
@@ -832,7 +1015,12 @@ mod tests {
             },
             WalRecord::Seal { epoch: 1 },
         ];
-        rewrite(&path, &checkpoint).unwrap();
+        rewrite(&path, |journal| {
+            checkpoint
+                .iter()
+                .try_for_each(|record| journal.append(record))
+        })
+        .unwrap();
         let outcome = replay(&path).unwrap();
         assert_eq!(outcome.sealed_records, checkpoint);
         // Appends continue after the checkpoint.
@@ -951,6 +1139,128 @@ mod tests {
             payload.extend_from_slice(&7u64.to_le_bytes());
             assert_eq!(WalRecord::decode_payload(&payload), None);
         }
+    }
+
+    /// `rows` distinct values for the streamed-record tests.
+    fn streamed_values(rows: usize) -> Vec<u64> {
+        (0..rows as u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect()
+    }
+
+    #[test]
+    fn streamed_records_are_byte_identical_to_encode() {
+        let stream_rows = STREAM_BUF / 8;
+        for rows in [0, 1, stream_rows - 3, stream_rows, 2 * stream_rows + 7] {
+            let values = streamed_values(rows);
+            let record = WalRecord::AddColumn {
+                col: 3,
+                values: values.clone(),
+            };
+            let encoded = record.encode();
+            assert_eq!(encoded.len(), record.payload_len() + FRAME_OVERHEAD);
+            // The whole slice, page-sized parts (as a checkpoint streams a
+            // column) and uneven parts with empty ones among them.
+            let pages: Vec<&[u64]> = values.chunks(511).collect();
+            let third = rows / 3;
+            let uneven = [&values[..third], &[][..], &values[third..]];
+            for parts in [&[&values[..]][..], &pages, &uneven] {
+                let path = temp_path("stream-column");
+                let mut journal = Journal::create(&path, None).unwrap();
+                journal.append_column(3, parts).unwrap();
+                drop(journal);
+                let bytes = std::fs::read(&path).unwrap();
+                assert_eq!(&bytes[..WAL_MAGIC.len()], WAL_MAGIC);
+                assert!(bytes[WAL_MAGIC.len()..] == encoded[..], "{rows} rows");
+                std::fs::remove_file(&path).unwrap();
+            }
+        }
+        // A batch of several writes' worth streams through `append`.
+        let writes: Vec<(u64, u64)> = streamed_values(STREAM_BUF / 8 + 5)
+            .chunks_exact(2)
+            .map(|pair| (pair[0], pair[1]))
+            .collect();
+        let record = WalRecord::Batch { col: 1, writes };
+        let path = temp_path("stream-batch");
+        let mut journal = Journal::create(&path, None).unwrap();
+        journal.append(&record).unwrap();
+        drop(journal);
+        let bytes = std::fs::read(&path).unwrap();
+        assert!(bytes[WAL_MAGIC.len()..] == record.encode()[..]);
+        assert_eq!(
+            replay_bytes(&bytes).unwrap().unsealed_records,
+            1,
+            "the streamed batch replays"
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn streamed_cuts_write_the_encoded_prefix() {
+        // A short or torn append of a streamed record writes exactly the
+        // seeded prefix of its encoding, the last byte flipped on a tear,
+        // wherever the cut falls relative to the `STREAM_BUF` writes.
+        let values = streamed_values(2 * STREAM_BUF / 8 + 100);
+        let encoded = WalRecord::AddColumn {
+            col: 0,
+            values: values.clone(),
+        }
+        .encode();
+        let frame_len = encoded.len();
+        for torn in [false, true] {
+            let plan = |seed| match torn {
+                false => FaultPlan::short_append(0, seed),
+                true => FaultPlan::torn_append(0, seed),
+            };
+            let cut_of = |seed| match torn {
+                false => plan(seed).prefix_len(frame_len - 1, 0),
+                true => plan(seed).prefix_len(frame_len, 1),
+            };
+            let mut seeds: Vec<u64> = (0..8).collect();
+            for at in [
+                1,
+                STREAM_BUF - 1,
+                STREAM_BUF,
+                STREAM_BUF + 1,
+                2 * STREAM_BUF,
+            ] {
+                seeds.push((0..).find(|&seed| cut_of(seed) == at).unwrap());
+            }
+            for seed in seeds {
+                let keep = cut_of(seed);
+                let path = temp_path("stream-cut");
+                let mut journal = Journal::create(&path, Some(plan(seed))).unwrap();
+                assert!(journal.append_column(0, &[&values]).is_err());
+                assert!(journal.crashed());
+                drop(journal);
+                let bytes = std::fs::read(&path).unwrap();
+                let mut expected = WAL_MAGIC.to_vec();
+                expected.extend_from_slice(&encoded[..keep]);
+                if torn {
+                    *expected.last_mut().unwrap() ^= 0xFF;
+                }
+                assert!(bytes == expected, "torn {torn} seed {seed} cut {keep}");
+                assert!(replay_bytes(&bytes).unwrap().sealed_records.is_empty());
+                std::fs::remove_file(&path).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_records_are_refused_before_anything_is_written() {
+        let path = temp_path("oversized");
+        let mut journal = Journal::create(&path, None).unwrap();
+        // One 1 MiB part repeated past the payload limit.
+        let part = vec![0u64; 1 << 17];
+        let parts = vec![&part[..]; MAX_PAYLOAD / (1 << 20) + 1];
+        let err = journal.append_column(0, &parts).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(!journal.crashed());
+        assert_eq!(journal.len_bytes(), WAL_MAGIC.len() as u64);
+        journal.append(&WalRecord::Seal { epoch: 1 }).unwrap();
+        drop(journal);
+        assert_eq!(replay(&path).unwrap().sealed_epoch, Some(1));
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

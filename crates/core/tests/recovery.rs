@@ -16,6 +16,11 @@
 //! `RecoveryInfo::batches_applied` is always a prefix of the acknowledged
 //! batch log, never a reordering, never a partial batch.
 //!
+//! Streamed-column cells load a column larger than the journal's stream
+//! buffer, whose record reaches the file in several writes, and cut or
+//! tear that append on both sides of a write boundary: recovery keeps
+//! exactly the column sealed before it.
+//!
 //! A no-fault sweep covers the other way a process ends: every batch is
 //! acknowledged and committed, and the table is dropped without a quiesce
 //! under each fsync policy. Recovery must then replay every acknowledged
@@ -250,6 +255,100 @@ fn recovery_is_exact_on_file_backend() {
     let dir = std::env::temp_dir().join(format!("asv-recovery-stores-{}", std::process::id()));
     let make = || asv_vmem::FileBackend::with_dir(&dir);
     sweep_backend(make, "file");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Pages of the streamed-column cells: a column load of several
+/// `wal::STREAM_BUF`-byte journal writes.
+const BIG_PAGES: usize = 48;
+
+/// The frame prefix `FaultPlan::short_append(op, seed)` (or, `torn`,
+/// `torn_append`) keeps of a record of `frame_len` bytes. This restates
+/// the journal's seeded rule (one splitmix64 step of the seed) so a cell
+/// can aim its cut; each cell checks the journal length the cut left, so
+/// a restatement that drifts from the rule fails rather than aims wrong.
+fn planned_cut(seed: u64, frame_len: usize, torn: bool) -> usize {
+    let z = splitmix(&mut seed.clone()) as usize;
+    usize::from(torn) + z % frame_len
+}
+
+/// Streamed-column cells: the second `add_column` journals a column
+/// larger than the journal's stream buffer, so its `AddColumn` record
+/// reaches the file in several writes. Short and torn appends cut it one
+/// byte before, at and one byte after each of the first two write
+/// boundaries. Recovery must keep exactly the sealed first column and
+/// discard every cut byte.
+fn cut_streamed_column<B: Backend>(make_backend: impl Fn() -> B, backend_tag: &str) {
+    let small = clustered_values(2);
+    let big = clustered_values(BIG_PAGES);
+    // Length prefix, kind, column, count, values, checksum.
+    let frame_len = 4 + 1 + 4 + 8 + 8 * big.len() + 4;
+    let chunk = wal::STREAM_BUF;
+    assert!(frame_len > 2 * chunk + 1);
+    for torn in [false, true] {
+        for at in [
+            chunk - 1,
+            chunk,
+            chunk + 1,
+            2 * chunk - 1,
+            2 * chunk,
+            2 * chunk + 1,
+        ] {
+            let label = format!("{backend_tag}-big-torn{torn}-cut{at}");
+            let seed = (0..)
+                .find(|&seed| planned_cut(seed, frame_len, torn) == at)
+                .expect("some seed cuts at every offset of the frame");
+            // Appends 0 and 1 are the first column and its seal.
+            let fault = match torn {
+                false => FaultPlan::short_append(2, seed),
+                true => FaultPlan::torn_append(2, seed),
+            };
+            let path = temp_journal(&label);
+            {
+                let durability = DurabilityConfig::new(&path).with_fault(fault);
+                let mut table =
+                    ServeTable::with_durability(make_backend(), config(4), durability).unwrap();
+                table.add_column(&small).unwrap();
+                let sealed_len = std::fs::metadata(&path).unwrap().len();
+                assert!(table.add_column(&big).is_err(), "{label}: the cut fires");
+                let len = std::fs::metadata(&path).unwrap().len();
+                assert_eq!(
+                    len,
+                    sealed_len + at as u64,
+                    "{label}: the cut lands as aimed"
+                );
+            }
+            let (table, info) =
+                ServeTable::recover(make_backend(), config(4), DurabilityConfig::new(&path))
+                    .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
+            assert_eq!(info.discarded_bytes, at as u64, "{label}");
+            assert_eq!(table.num_columns(), 1, "{label}: only the sealed column");
+            let snap = table.handle().pin();
+            for range in [ValueRange::full(), ValueRange::new(500, 1_200)] {
+                assert_eq!(
+                    snap.query_range(0, &range),
+                    reference_answer(&small, &range),
+                    "{label}: range {range:?}"
+                );
+            }
+            drop(snap);
+            drop(table);
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+}
+
+#[test]
+fn streamed_column_cuts_recover_the_sealed_prefix_on_sim_backend() {
+    cut_streamed_column(SimBackend::new, "sim");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn streamed_column_cuts_recover_the_sealed_prefix_on_file_backend() {
+    let dir = std::env::temp_dir().join(format!("asv-big-stores-{}", std::process::id()));
+    let make = || asv_vmem::FileBackend::with_dir(&dir);
+    cut_streamed_column(make, "file");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -275,7 +275,8 @@ impl<B: Backend> Column<B> {
         crate::kernel::probe_rows(&kernel, self, rows, &ThreadPool::new(parallelism))
     }
 
-    /// Copies all values out of the column (test / debugging helper).
+    /// Copies all values out of the column (test / debugging helper; the
+    /// journal checkpoint streams the pages instead).
     pub fn to_vec(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.num_rows);
         for page in 0..self.num_pages() {
