@@ -1,7 +1,7 @@
 //! Regenerates the paper's tables and figures as text tables and CSV files.
 //!
 //! ```text
-//! experiments [fig3|fig4|fig5|fig6|fig7|table1|ablation|table-scan|all]
+//! experiments [fig3|fig4|fig5|fig6|fig7|table1|ablation|all]
 //!             [--backend sim|mmap|file] [--scale tiny|small|medium|paper]
 //!             [--seed N] [--csv-dir DIR] [--threads N]
 //!             [--align-mode sync|background] [--store-dir DIR]
@@ -46,8 +46,7 @@ use std::process::ExitCode;
 use std::path::PathBuf;
 
 use asv_bench::{
-    ablation, fig3, fig4, fig5, fig6, fig7, recover, report, table1, table_scan, Scale,
-    DEFAULT_SEED,
+    ablation, fig3, fig4, fig5, fig6, fig7, recover, report, table1, Scale, DEFAULT_SEED,
 };
 use asv_core::Parallelism;
 use asv_vmem::{AnyBackend, Backend};
@@ -126,7 +125,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err(
-                    "usage: experiments [fig3|fig4|fig5|fig6|fig7|table1|ablation|table-scan|all] \
+                    "usage: experiments [fig3|fig4|fig5|fig6|fig7|table1|ablation|all] \
                             [--backend sim|mmap|file] [--scale tiny|small|medium|paper] \
                             [--seed N] [--csv-dir DIR] [--threads N] \
                             [--align-mode sync|background] [--store-dir DIR]\n\
@@ -290,18 +289,6 @@ fn run_table1(args: &Args) {
     maybe_write_csv(&args.csv_dir, "table1", &table);
 }
 
-fn run_table_scan(args: &Args) {
-    let rows = with_concrete_backend!(&args.backend, |b| table_scan::run_with(
-        b,
-        &args.scale,
-        args.seed,
-        args.parallelism
-    ));
-    let table = table_scan::to_table(&rows);
-    println!("{}", table.render());
-    maybe_write_csv(&args.csv_dir, "table_scan", &table);
-}
-
 /// The hidden `recover-ingest` mode (see the module docs): journals
 /// acknowledged batches until `--batches` run out or SIGKILL arrives,
 /// flushing a `sealed batch N` marker per commit.
@@ -391,7 +378,6 @@ fn main() -> ExitCode {
             "fig7" => run_fig7(&args),
             "table1" => run_table1(&args),
             "ablation" => run_ablation(&args),
-            "table-scan" => run_table_scan(&args),
             "recover-ingest" => {
                 if let Err(msg) = run_recover_ingest(&args) {
                     eprintln!("{msg}");
@@ -414,7 +400,6 @@ fn main() -> ExitCode {
                 run_fig7(&args);
                 run_table1(&args);
                 run_ablation(&args);
-                run_table_scan(&args);
             }
             other => {
                 eprintln!("unknown experiment '{other}'");

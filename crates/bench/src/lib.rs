@@ -17,7 +17,6 @@
 //! | [`fig6`] | Figure 6 — impact of view-creation optimizations |
 //! | [`fig7`] | Figure 7 — update performance |
 //! | [`table1`] | Table 1 — accumulated response times |
-//! | [`table_scan`] | Planned vs naive multi-column conjunctive scans (beyond the paper) |
 //! | [`recover`] | Journaled ingest and recovery for the kill-and-recover test (beyond the paper) |
 
 pub mod ablation;
@@ -30,7 +29,6 @@ pub mod recover;
 pub mod report;
 pub mod scale;
 pub mod table1;
-pub mod table_scan;
 
 pub use report::{write_csv, Table};
 pub use scale::Scale;

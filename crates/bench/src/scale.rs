@@ -28,12 +28,6 @@ pub struct Scale {
     pub fig7_batch_sizes: Vec<usize>,
     /// Repetitions per measurement (paper: 3).
     pub repetitions: usize,
-    /// Pages per column of the multi-column `table-scan` experiment.
-    pub table_pages: usize,
-    /// Conjunctive queries per `table-scan` configuration.
-    pub table_queries: usize,
-    /// Column counts the `table-scan` experiment sweeps.
-    pub table_columns: Vec<usize>,
     /// Pages of the `recover-ingest` column.
     pub recover_pages: usize,
     /// Acknowledged-and-committed write batches `recover-ingest` runs
@@ -56,9 +50,6 @@ impl Scale {
             fig7_pages: 256,
             fig7_batch_sizes: vec![10, 100],
             repetitions: 1,
-            table_pages: 64,
-            table_queries: 10,
-            table_columns: vec![2, 3],
             recover_pages: 8,
             recover_batches: 6,
             recover_writes_per_batch: 16,
@@ -78,9 +69,6 @@ impl Scale {
             fig7_pages: 16_384,
             fig7_batch_sizes: vec![100, 1_000, 10_000, 100_000],
             repetitions: 3,
-            table_pages: 2_048,
-            table_queries: 40,
-            table_columns: vec![2, 3, 4],
             recover_pages: 256,
             recover_batches: 24,
             recover_writes_per_batch: 256,
@@ -99,9 +87,6 @@ impl Scale {
             fig7_pages: 131_072,
             fig7_batch_sizes: vec![100, 1_000, 10_000, 100_000, 1_000_000],
             repetitions: 3,
-            table_pages: 16_384,
-            table_queries: 100,
-            table_columns: vec![2, 4, 8],
             recover_pages: 1_024,
             recover_batches: 32,
             recover_writes_per_batch: 1_024,
@@ -121,9 +106,6 @@ impl Scale {
             fig7_pages: 1_000_000,
             fig7_batch_sizes: vec![100, 1_000, 10_000, 100_000, 1_000_000],
             repetitions: 3,
-            table_pages: 65_536,
-            table_queries: 250,
-            table_columns: vec![2, 4, 8],
             recover_pages: 4_096,
             recover_batches: 48,
             recover_writes_per_batch: 4_096,

@@ -8,8 +8,8 @@
 
 use std::collections::VecDeque;
 
-use asv_storage::{Column, ScanKernel, ScanMode, ScanOutput, Update};
-use asv_util::{Parallelism, Timer, ValueRange};
+use asv_storage::{Column, ScanKernel, ScanMode, Update};
+use asv_util::{Timer, ValueRange};
 use asv_vmem::{Backend, ViewBuffer, VmemError};
 
 use crate::align::{
@@ -297,53 +297,6 @@ impl<B: Backend> AdaptiveColumn<B> {
     /// alignment work was in flight).
     pub fn write_overlay(&self) -> &WriteOverlay {
         &self.overlay
-    }
-
-    /// Probes `rows` (ascending global row ids) against `range`, touching
-    /// only the physical pages holding candidates — overlay-aware: rows
-    /// with queued (not yet aligned) writes are answered from the overlay,
-    /// the rest through the physical column. With
-    /// [`ScanMode::CollectRows`], the output rows stay ascending.
-    pub fn probe_rows_with(
-        &self,
-        range: &ValueRange,
-        mode: ScanMode,
-        rows: &[u64],
-        parallelism: Parallelism,
-    ) -> ScanOutput {
-        if self.overlay.is_empty() {
-            return self.column.probe_rows_with(range, mode, rows, parallelism);
-        }
-        let mut physical = Vec::with_capacity(rows.len());
-        let mut overlaid: Vec<(u64, u64)> = Vec::new();
-        for &row in rows {
-            match self.overlay.value(row) {
-                Some(value) => overlaid.push((row, value)),
-                None => physical.push(row),
-            }
-        }
-        let mut out = self
-            .column
-            .probe_rows_with(range, mode, &physical, parallelism);
-        let mut resort = false;
-        for (row, value) in overlaid {
-            if range.contains(value) {
-                out.result.count += 1;
-                if !matches!(mode, ScanMode::CountOnly) {
-                    out.result.sum += value as u128;
-                }
-                if let Some(out_rows) = out.rows.as_mut() {
-                    out_rows.push(row);
-                    resort = true;
-                }
-            }
-        }
-        if resort {
-            if let Some(out_rows) = out.rows.as_mut() {
-                out_rows.sort_unstable();
-            }
-        }
-        out
     }
 
     /// Aligns all partial views with an already-applied batch of updates

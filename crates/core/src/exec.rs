@@ -29,33 +29,9 @@ use asv_storage::{Column, ScanKernel, ScanOutput};
 use asv_util::{split_ranges, BitVec, Parallelism, ThreadPool};
 use asv_vmem::{Backend, ViewBuffer, VmemError};
 
-use crate::adaptive::AdaptiveColumn;
 use crate::creation::PageSink;
-use crate::query::{QueryOutcome, RangeQuery};
 use crate::router::{RouteSelection, ViewId};
 use crate::viewset::ViewSet;
-
-/// Fork-joins the *independent column scans* of one conjunctive plan: each
-/// task owns one column mutably (the planner guarantees the columns are
-/// distinct), runs the full adaptive path with row collection, and returns
-/// its outcome in task order.
-///
-/// The scans touch disjoint state, so the outcomes — including the adaptive
-/// view decisions each scan makes on its own column — are identical for
-/// every worker count; [`Parallelism::Sequential`] simply runs them inline
-/// in plan order.
-pub(crate) fn scan_columns_fork_join<B: Backend>(
-    tasks: Vec<(&mut AdaptiveColumn<B>, RangeQuery)>,
-    parallelism: Parallelism,
-) -> Vec<Result<QueryOutcome, VmemError>> {
-    let pool = ThreadPool::new(parallelism);
-    pool.scoped_map(
-        tasks
-            .into_iter()
-            .map(|(column, query)| move || column.query_collect(&query))
-            .collect(),
-    )
-}
 
 /// Resolves the routed view ids to their buffers, in scan order.
 fn selected_buffers<'a, B: Backend>(

@@ -22,17 +22,15 @@
 //!   alignment for the views it meets on a worker thread while queries keep
 //!   running against the pre-batch views, publishing the aligned set
 //!   atomically by bumping the view-set generation ([`align`]),
-//! * a **multi-column query planner** that orders the predicates of a
-//!   conjunctive query by estimated result cardinality, drives the cheapest
-//!   one through the adaptive path and evaluates the rest as semi-join
-//!   probes over the surviving rows ([`plan`] / [`AdaptiveTable`]),
-//! * a **concurrent serving layer** in which reader threads pin
-//!   epoch-consistent snapshots (userspace RCU) and run full queries
-//!   lock-free while one maintenance thread ingests writes and publishes
-//!   re-aligned view epochs ([`serve`]).
+//! * a **concurrent multi-column serving layer** in which reader threads
+//!   pin epoch-consistent snapshots (userspace RCU) and run range and
+//!   conjunctive queries lock-free while one maintenance thread ingests
+//!   writes and publishes re-aligned view epochs ([`serve`]); conjunctions
+//!   intersect the predicates' page sets and apply the predicates in the
+//!   order of their zone-statistics estimates ([`plan`]).
 //!
-//! The entry points are [`AdaptiveColumn`], [`AdaptiveTable`] and
-//! [`ServeTable`].
+//! The entry points are [`AdaptiveColumn`], one column's adaptive layer,
+//! and [`ServeTable`], the multi-column engine.
 
 pub mod adaptive;
 pub mod align;
@@ -44,7 +42,6 @@ pub mod query;
 pub mod router;
 pub mod serve;
 pub mod stats;
-pub mod table;
 pub mod updates;
 pub mod view;
 pub mod viewset;
@@ -61,20 +58,14 @@ pub use config::{AdaptiveConfig, AlignChunking, CreationOptions, RoutingMode};
 // layer without depending on asv-util directly.
 pub use asv_util::{Parallelism, ThreadPool};
 pub use creation::{build_view_for_range, build_view_for_range_with, create_while_scanning};
-pub use plan::{
-    merge_same_column, plan_conjunctive, CardinalityEstimate, ConjunctivePlan, MergedPredicate,
-    PlanInput, PlanStep, PlannerConfig, PredicateEstimate, ProbeTracker, StepKind, ZoneStats,
-};
+pub use plan::{CardinalityEstimate, ZoneStats};
 pub use query::{QueryExecution, QueryOutcome, RangeQuery, ViewMaintenance};
 pub use router::{route, RouteSelection, ViewId};
 pub use serve::{
     writer_shard_of, AlignActivity, ColumnEpoch, ConjunctiveAnswer, DurabilityConfig, RangeAnswer,
     RecoveryInfo, ServeTable, Snapshot, TableEpoch, TableHandle, TableWriter, ViewMeta,
 };
-pub use stats::{
-    ChunkPublishRecord, ConjunctiveRecord, ConjunctiveStats, QueryRecord, SequenceStats,
-};
-pub use table::{AdaptiveTable, ConjunctiveOutcome};
+pub use stats::{ChunkPublishRecord, QueryRecord, SequenceStats};
 pub use updates::{
     align_views_after_updates, align_views_after_updates_with, rebuild_all_views,
     UpdateAlignmentStats,

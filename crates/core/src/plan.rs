@@ -1,41 +1,15 @@
-//! The multi-column conjunctive query planner.
+//! Zone statistics: the per-column value bands that order conjunctive
+//! predicates and prune served reads.
 //!
-//! `AdaptiveTable::query_conjunctive` used to materialize every predicate's
-//! full row set and intersect sorted vectors — "one adaptive column, N
-//! times". This module turns that into planned execution:
-//!
-//! 1. **Estimate** — every predicate's result cardinality is estimated from
-//!    cheap per-column state: zone-grained page statistics ([`ZoneStats`],
-//!    min/max value bands over fixed page groups, built once when a column
-//!    joins the table and widened on writes) refined by the router's view
-//!    state (a covering partial view bounds the pages the adaptive path
-//!    would touch).
-//! 2. **Order** — predicates execute cheapest-first: the most selective
-//!    predicate becomes the *driving scan* and runs through the ordinary
-//!    adaptive path (routing, scanning, candidate-view maintenance).
-//! 3. **Probe** — the remaining predicates are evaluated as semi-join
-//!    residual probes: each one re-checks only the rows that survived the
-//!    previous steps, touching only the physical pages containing those
-//!    rows (the probe mode of `asv_storage::ScanKernel`).
-//!
-//! Probes are cheap but build no views. So every probe against a column
-//! whose views could *not* have covered the predicate feeds that column's
-//! [`ProbeTracker`] with the predicate's [`ZoneStats`] page estimate; once
-//! the accumulated page cost of uncovered probes reaches the planner's
-//! budget (cost-based, not probe-count-based), the planner
-//! *promotes* the predicate to a full adaptive scan ([`StepKind::
-//! AdaptiveScan`]) on its next execution — the column gets its chance to
-//! materialize a partial view, and the tracker resets. This keeps partial
-//! views adapting under multi-column workloads even though most residual
-//! work is probed.
+//! [`ZoneStats`] keeps the min/max value band and the live row count of
+//! every fixed-size page group. [`ZoneStats::estimate`] turns them into a
+//! [`CardinalityEstimate`]; [`crate::serve`] applies a conjunction's
+//! predicates in ascending order of that estimate and skips every routed
+//! page whose band misses the range ([`ZoneStats::page_may_match`]).
 
 use asv_storage::Column;
-use asv_util::{Parallelism, ValueRange};
+use asv_util::ValueRange;
 use asv_vmem::{Backend, VALUES_PER_PAGE};
-
-use crate::adaptive::AdaptiveColumn;
-use crate::query::RangeQuery;
-use crate::router::route;
 
 /// Upper bound on the number of zones [`ZoneStats`] keeps per column; small
 /// columns get one zone per page (exact page bands), large columns aggregate
@@ -209,309 +183,10 @@ impl ZoneStats {
     }
 }
 
-/// The per-predicate estimate a plan is ordered by.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PredicateEstimate {
-    /// Estimated result cardinality (zone statistics, view-bounded).
-    pub est_rows: u64,
-    /// Estimated qualifying pages (zone statistics).
-    pub est_pages: usize,
-    /// Pages the adaptive path would scan for this predicate, as routed
-    /// against the column's current view set.
-    pub routed_pages: usize,
-    /// `true` if routing falls back to the full view (no partial-view
-    /// cover exists) — the signal the probe tracker counts.
-    pub full_scan_fallback: bool,
-}
-
-/// How one plan step is executed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StepKind {
-    /// The driving predicate: the full adaptive path produces the initial
-    /// survivor set (and maintains views as usual).
-    DrivingScan,
-    /// A promoted residual: runs the full adaptive path concurrently with
-    /// the driving scan so the column can materialize a partial view; its
-    /// row set is intersected with the survivors.
-    AdaptiveScan,
-    /// A semi-join residual probe restricted to the surviving rows.
-    Probe,
-}
-
-/// One step of a [`ConjunctivePlan`].
-#[derive(Clone, Debug)]
-pub struct PlanStep {
-    /// Index of the predicate in the caller's input slice.
-    pub input_index: usize,
-    /// Execution strategy of this step.
-    pub kind: StepKind,
-    /// The estimate that positioned the step.
-    pub estimate: PredicateEstimate,
-}
-
-/// An ordered conjunctive execution plan. `steps` is the execution order:
-/// the driving scan first, then promoted adaptive scans, then probes —
-/// each group ordered by ascending estimated cardinality.
-#[derive(Clone, Debug, Default)]
-pub struct ConjunctivePlan {
-    /// The steps in execution order.
-    pub steps: Vec<PlanStep>,
-}
-
-impl ConjunctivePlan {
-    /// The driving step (always present for a non-empty plan).
-    pub fn driving(&self) -> Option<&PlanStep> {
-        self.steps.first()
-    }
-
-    /// `executed_order[k]` = input index of the `k`-th executed step.
-    pub fn executed_order(&self) -> Vec<usize> {
-        self.steps.iter().map(|s| s.input_index).collect()
-    }
-
-    /// Number of steps running the full adaptive path.
-    pub fn num_scans(&self) -> usize {
-        self.steps
-            .iter()
-            .filter(|s| s.kind != StepKind::Probe)
-            .count()
-    }
-
-    /// Number of semi-join probe steps.
-    pub fn num_probes(&self) -> usize {
-        self.steps.len() - self.num_scans()
-    }
-}
-
-/// One same-column group of a conjunction after predicate merging: the
-/// intersection of every input range over one column.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MergedPredicate {
-    /// Input position of the column's *first* predicate — the merged
-    /// predicate answers for this representative in `executed_order`.
-    pub input_idx: usize,
-    /// The column all merged inputs filter.
-    pub col_idx: usize,
-    /// Intersection of the column's input ranges.
-    pub range: ValueRange,
-}
-
-/// Merges same-column predicates of a conjunction into one closed range per
-/// column (the conjunction of ranges over one column *is* their
-/// intersection), preserving first-occurrence order. Returns `None` when
-/// some column's predicates are mutually unsatisfiable — the whole
-/// conjunction is provably empty and need not touch any column.
-///
-/// This unlocks planned execution for duplicate-column conjunctions, which
-/// would otherwise fall back to the naive path.
-pub fn merge_same_column(predicates: &[(usize, ValueRange)]) -> Option<Vec<MergedPredicate>> {
-    let mut merged: Vec<MergedPredicate> = Vec::with_capacity(predicates.len());
-    for (input_idx, &(col_idx, range)) in predicates.iter().enumerate() {
-        match merged.iter_mut().find(|m| m.col_idx == col_idx) {
-            Some(existing) => existing.range = existing.range.intersect(&range)?,
-            None => merged.push(MergedPredicate {
-                input_idx,
-                col_idx,
-                range,
-            }),
-        }
-    }
-    Some(merged)
-}
-
-/// One predicate's planning input: the column it targets, that column's
-/// zone statistics, the query, and whether the column's probe tracker has
-/// requested promotion.
-pub struct PlanInput<'a, B: Backend> {
-    /// The adaptive column the predicate filters.
-    pub column: &'a AdaptiveColumn<B>,
-    /// The column's zone statistics.
-    pub stats: &'a ZoneStats,
-    /// The predicate.
-    pub query: &'a RangeQuery,
-    /// `true` if this predicate should run the full adaptive path even when
-    /// it is not the driving predicate (probe-tracker promotion).
-    pub promoted: bool,
-}
-
-/// Builds the selectivity-ordered plan for one conjunctive query.
-///
-/// Pure with respect to the columns: routing is consulted immutably, no
-/// views are created or modified. Ties break on the input index, so plans
-/// are fully deterministic.
-pub fn plan_conjunctive<B: Backend>(inputs: &[PlanInput<'_, B>]) -> ConjunctivePlan {
-    let mut estimated: Vec<(usize, PredicateEstimate, bool)> = inputs
-        .iter()
-        .enumerate()
-        .map(|(i, input)| {
-            let selection = route(
-                input.column.column(),
-                input.column.views(),
-                input.query.range(),
-                input.column.config().routing,
-            );
-            let card = input.stats.estimate(input.query.range());
-            // A covering (partial-)view selection bounds the qualifying
-            // rows by the pages it indexes.
-            let view_bound = (selection.indexed_pages * VALUES_PER_PAGE) as u64;
-            let estimate = PredicateEstimate {
-                est_rows: card.est_rows.min(view_bound),
-                est_pages: card.est_pages,
-                routed_pages: selection.indexed_pages,
-                full_scan_fallback: selection.is_full_scan(),
-            };
-            (i, estimate, input.promoted)
-        })
-        .collect();
-    estimated.sort_by_key(|(i, e, _)| (e.est_rows, e.est_pages, e.routed_pages, *i));
-
-    let mut steps: Vec<PlanStep> = Vec::with_capacity(estimated.len());
-    // The cheapest predicate drives; promoted residuals scan; the rest probe.
-    for (pos, (input_index, estimate, promoted)) in estimated.iter().enumerate() {
-        let kind = if pos == 0 {
-            StepKind::DrivingScan
-        } else if *promoted {
-            StepKind::AdaptiveScan
-        } else {
-            StepKind::Probe
-        };
-        steps.push(PlanStep {
-            input_index: *input_index,
-            kind,
-            estimate: *estimate,
-        });
-    }
-    // Execution order: scans (driving + promoted) first, then probes, each
-    // group keeping its selectivity order.
-    steps.sort_by_key(|s| s.kind == StepKind::Probe);
-    ConjunctivePlan { steps }
-}
-
-/// Per-column accounting of semi-join probes, driving view-adaptation
-/// promotion.
-///
-/// A probe answers a predicate exactly but builds no partial view. The
-/// tracker counts probes whose predicate the column's views could *not*
-/// have covered (routing would fall back to the full view); once
-/// [`ProbeTracker::should_promote`] trips, the planner runs that column's
-/// next residual predicate through the full adaptive path instead, and the
-/// executed promotion resets the tracker.
-#[derive(Clone, Debug, Default)]
-pub struct ProbeTracker {
-    probes: usize,
-    uncovered_probes: usize,
-    uncovered_cost_pages: usize,
-    probed_hull: Option<ValueRange>,
-}
-
-impl ProbeTracker {
-    /// Total probes recorded since the last reset.
-    pub fn probes(&self) -> usize {
-        self.probes
-    }
-
-    /// Probes whose range no partial view covered.
-    pub fn uncovered_probes(&self) -> usize {
-        self.uncovered_probes
-    }
-
-    /// Accumulated [`ZoneStats`] page estimates of the uncovered probes:
-    /// the scan work a partial view *would have saved*, had one existed.
-    pub fn uncovered_cost_pages(&self) -> usize {
-        self.uncovered_cost_pages
-    }
-
-    /// Hull of all probed ranges since the last reset.
-    pub fn probed_hull(&self) -> Option<ValueRange> {
-        self.probed_hull
-    }
-
-    /// Records a probe against `range`; `covered` says whether the column's
-    /// partial views could have answered the predicate without the full
-    /// view, `est_pages` is the [`ZoneStats`] page estimate of the
-    /// predicate (the pages a full adaptive scan would have touched — an
-    /// uncovered probe always accrues at least one page so promotion never
-    /// stalls on empty estimates).
-    pub fn note_probe(&mut self, range: &ValueRange, covered: bool, est_pages: usize) {
-        self.probes += 1;
-        if !covered {
-            self.uncovered_probes += 1;
-            self.uncovered_cost_pages += est_pages.max(1);
-        }
-        self.probed_hull = Some(match self.probed_hull {
-            Some(hull) => hull.hull(range),
-            None => *range,
-        });
-    }
-
-    /// Returns `true` once the accumulated uncovered-probe page cost
-    /// reaches `threshold_pages` (a threshold of 0 never promotes).
-    ///
-    /// Cost-based rather than count-based: a handful of probes over wide,
-    /// expensive predicates justifies building a view sooner than many
-    /// probes over single-page predicates.
-    pub fn should_promote(&self, threshold_pages: usize) -> bool {
-        threshold_pages > 0 && self.uncovered_cost_pages >= threshold_pages
-    }
-
-    /// Clears the tracker (called after the column ran the adaptive path).
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-}
-
-/// Table-level planner configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PlannerConfig {
-    /// `false` routes every conjunctive query through the naive
-    /// scan-all-then-intersect path (useful as an equivalence baseline).
-    pub enabled: bool,
-    /// Page-cost budget of probe promotion: once the [`ZoneStats`] page
-    /// estimates of a column's uncovered probes sum to at least this many
-    /// pages, its next residual predicate is promoted to a full adaptive
-    /// scan (so the column can materialize a view whose savings now
-    /// outweigh its build cost); `0` disables promotion.
-    pub promote_cost_pages: usize,
-    /// Fork-join parallelism across the *independent column scans* of one
-    /// plan (the driving scan plus promoted scans run concurrently). Scans
-    /// and probes additionally honour each column's own
-    /// [`crate::AdaptiveConfig::parallelism`] internally.
-    pub parallelism: Parallelism,
-}
-
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            promote_cost_pages: 32,
-            parallelism: Parallelism::Sequential,
-        }
-    }
-}
-
-impl PlannerConfig {
-    /// Builder-style switch for planned execution.
-    pub fn with_enabled(mut self, enabled: bool) -> Self {
-        self.enabled = enabled;
-        self
-    }
-
-    /// Builder-style setter for the promotion page-cost budget.
-    pub fn with_promote_cost_pages(mut self, promote_cost_pages: usize) -> Self {
-        self.promote_cost_pages = promote_cost_pages;
-        self
-    }
-
-    /// Builder-style setter for the cross-column fork-join parallelism.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::AdaptiveColumn;
     use crate::config::AdaptiveConfig;
     use asv_vmem::SimBackend;
 
@@ -639,144 +314,17 @@ mod tests {
         );
     }
 
+    /// [`crate::serve`] applies a conjunction's predicates in ascending
+    /// order of this estimate, so the narrower range must estimate fewer
+    /// rows and pages than the wider one.
     #[test]
     fn plan_orders_by_estimated_cardinality() {
-        let wide_col = column(16);
-        let narrow_col = column(16);
-        let wide_stats = ZoneStats::build(wide_col.column());
-        let narrow_stats = ZoneStats::build(narrow_col.column());
-        let wide = RangeQuery::new(0, 12_000); // ~13 pages
-        let narrow = RangeQuery::new(5_000, 6_000); // ~2 pages
-        let plan = plan_conjunctive(&[
-            PlanInput {
-                column: &wide_col,
-                stats: &wide_stats,
-                query: &wide,
-                promoted: false,
-            },
-            PlanInput {
-                column: &narrow_col,
-                stats: &narrow_stats,
-                query: &narrow,
-                promoted: false,
-            },
-        ]);
-        assert_eq!(plan.steps.len(), 2);
-        assert_eq!(plan.driving().unwrap().input_index, 1);
-        assert_eq!(plan.driving().unwrap().kind, StepKind::DrivingScan);
-        assert_eq!(plan.steps[1].kind, StepKind::Probe);
-        assert_eq!(plan.executed_order(), vec![1, 0]);
-        assert_eq!(plan.num_scans(), 1);
-        assert_eq!(plan.num_probes(), 1);
-        assert!(plan.steps[0].estimate.est_rows <= plan.steps[1].estimate.est_rows);
-    }
-
-    #[test]
-    fn promoted_predicates_scan_before_probes() {
-        let cols: Vec<AdaptiveColumn<SimBackend>> = (0..3).map(|_| column(16)).collect();
-        let stats: Vec<ZoneStats> = cols.iter().map(|c| ZoneStats::build(c.column())).collect();
-        let q0 = RangeQuery::new(5_000, 6_000); // driving (cheapest)
-        let q1 = RangeQuery::new(0, 12_000); // widest, promoted
-        let q2 = RangeQuery::new(2_000, 8_000); // middle, probed
-        let plan = plan_conjunctive(&[
-            PlanInput {
-                column: &cols[0],
-                stats: &stats[0],
-                query: &q0,
-                promoted: false,
-            },
-            PlanInput {
-                column: &cols[1],
-                stats: &stats[1],
-                query: &q1,
-                promoted: true,
-            },
-            PlanInput {
-                column: &cols[2],
-                stats: &stats[2],
-                query: &q2,
-                promoted: false,
-            },
-        ]);
-        let kinds: Vec<StepKind> = plan.steps.iter().map(|s| s.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                StepKind::DrivingScan,
-                StepKind::AdaptiveScan,
-                StepKind::Probe
-            ]
-        );
-        assert_eq!(plan.executed_order(), vec![0, 1, 2]);
-        assert_eq!(plan.num_scans(), 2);
-    }
-
-    #[test]
-    fn routing_refines_the_estimate() {
-        let mut col = column(32);
-        // Materialize a small covering view for [5000, 9400] (5 pages).
-        col.query(&RangeQuery::new(5_000, 9_400)).unwrap();
+        let col = column(16);
         let stats = ZoneStats::build(col.column());
-        let q = RangeQuery::new(6_000, 8_000);
-        let plan = plan_conjunctive(&[PlanInput {
-            column: &col,
-            stats: &stats,
-            query: &q,
-            promoted: false,
-        }]);
-        let est = plan.driving().unwrap().estimate;
-        assert!(!est.full_scan_fallback);
-        assert!(est.routed_pages <= 5);
-        assert!(est.est_rows <= (est.routed_pages * VALUES_PER_PAGE) as u64);
-    }
-
-    #[test]
-    fn probe_tracker_promotes_on_accumulated_page_cost() {
-        let mut t = ProbeTracker::default();
-        assert!(!t.should_promote(8));
-        // Covered probes accrue no cost, whatever their estimate.
-        t.note_probe(&ValueRange::new(0, 10), true, 100);
-        assert_eq!(t.probes(), 1);
-        assert_eq!(t.uncovered_probes(), 0);
-        assert_eq!(t.uncovered_cost_pages(), 0);
-        // Uncovered probes accrue their page estimates; a wide predicate
-        // reaches the budget faster than many narrow ones.
-        t.note_probe(&ValueRange::new(20, 30), false, 5);
-        assert!(!t.should_promote(8));
-        t.note_probe(&ValueRange::new(5, 15), false, 3);
-        assert_eq!(t.uncovered_probes(), 2);
-        assert_eq!(t.uncovered_cost_pages(), 8);
-        assert!(t.should_promote(8));
-        assert!(!t.should_promote(0), "threshold 0 disables promotion");
-        assert_eq!(t.probed_hull(), Some(ValueRange::new(0, 30)));
-        t.reset();
-        assert_eq!(t.probes(), 0);
-        assert_eq!(t.uncovered_cost_pages(), 0);
-        assert_eq!(t.probed_hull(), None);
-    }
-
-    #[test]
-    fn empty_estimates_still_accrue_promotion_cost() {
-        let mut t = ProbeTracker::default();
-        for _ in 0..3 {
-            t.note_probe(&ValueRange::new(0, 1), false, 0);
-        }
-        assert_eq!(t.uncovered_cost_pages(), 3, "floor of one page per probe");
-        assert!(t.should_promote(3));
-    }
-
-    #[test]
-    fn planner_config_builders() {
-        let c = PlannerConfig::default();
-        assert!(c.enabled);
-        assert_eq!(c.promote_cost_pages, 32);
-        assert_eq!(c.parallelism, Parallelism::Sequential);
-        let c = c
-            .with_enabled(false)
-            .with_promote_cost_pages(7)
-            .with_parallelism(Parallelism::Threads(2));
-        assert!(!c.enabled);
-        assert_eq!(c.promote_cost_pages, 7);
-        assert_eq!(c.parallelism, Parallelism::Threads(2));
+        let wide = stats.estimate(&ValueRange::new(0, 12_000)); // 13 pages
+        let narrow = stats.estimate(&ValueRange::new(5_000, 6_000)); // 2 pages
+        assert_eq!((wide.est_pages, narrow.est_pages), (13, 2));
+        assert!(narrow.est_rows < wide.est_rows, "{narrow:?} vs {wide:?}");
+        assert!(narrow.est_rows <= (2 * VALUES_PER_PAGE) as u64);
     }
 }

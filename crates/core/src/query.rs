@@ -110,10 +110,7 @@ pub struct QueryOutcome {
     pub elapsed: Duration,
 }
 
-/// The execution strategy behind a [`QueryOutcome`] — planned conjunctive
-/// execution mixes strategies within one query, and effort reporting must
-/// tell them apart (a probe's `scanned_pages` are candidate pages touched,
-/// not full view scans).
+/// The execution strategy behind a [`QueryOutcome`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum QueryExecution {
     /// The adaptive path: routed to views, scanned, candidate view
@@ -122,9 +119,6 @@ pub enum QueryExecution {
     Adaptive,
     /// A plain full scan of the column, bypassing all views.
     FullScan,
-    /// A semi-join residual probe restricted to candidate rows; touches
-    /// only the pages containing candidates and maintains no views.
-    Probe,
 }
 
 impl QueryOutcome {

@@ -530,7 +530,7 @@ pub struct RangeAnswer {
     pub sum: u128,
 }
 
-/// Answer of a planned conjunctive query, summarized order-independently.
+/// Answer of a conjunctive query, summarized order-independently.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ConjunctiveAnswer {
     /// Number of rows satisfying every predicate.
@@ -1318,13 +1318,19 @@ impl<B: Backend> ServeTable<B> {
     /// The physical store is rebuilt from the journal, never read back:
     /// the journal alone is the source of truth. The journal is then
     /// compacted to a checkpoint, reopened for appends, and the table
-    /// serves again at an epoch no older than the last sealed one.
+    /// serves again at an epoch no older than the last sealed one. A
+    /// journal that already is that checkpoint (as `quiesce` leaves it) is
+    /// reopened as it is.
     pub fn recover(
         backend: B,
         config: AdaptiveConfig,
         durability: DurabilityConfig,
     ) -> Result<(Self, RecoveryInfo), VmemError> {
         let outcome = wal::replay(&durability.journal_path)?;
+        let checkpoint_epoch = match outcome.discarded_bytes() {
+            0 => checkpoint_seal(&outcome.sealed_records),
+            _ => None,
+        };
         let mut info = RecoveryInfo {
             sealed_epoch: outcome.sealed_epoch.unwrap_or(0),
             records_replayed: outcome.sealed_records.len(),
@@ -1371,7 +1377,9 @@ impl<B: Backend> ServeTable<B> {
         }
         // Epoch numbering continues across the crash.
         table.generation = table.generation.max(info.sealed_epoch);
-        write_checkpoint(&durability.journal_path, &table.columns, table.generation)?;
+        if checkpoint_epoch != Some(table.generation) {
+            write_checkpoint(&durability.journal_path, &table.columns, table.generation)?;
+        }
         let journal = Journal::open_append(durability.journal_path.clone(), durability.fault)?;
         table.durable = Some(DurableState {
             journal,
@@ -1568,13 +1576,7 @@ impl<B: Backend> ServeTable<B> {
         if writes.is_empty() {
             return Ok(());
         }
-        if self.durable.is_some() {
-            let record = WalRecord::Batch {
-                col: col as u32,
-                writes: writes.iter().map(|&(r, v)| (r as u64, v)).collect(),
-            };
-            self.journal_append(|journal| journal.append(&record))?;
-        }
+        self.journal_append(|journal| journal.append_batch(col as u32, writes))?;
         for &(row, value) in writes {
             self.stage_write(col, row, value);
         }
@@ -1639,35 +1641,27 @@ impl<B: Backend> ServeTable<B> {
     /// lane-ingested writes get the same write-ahead guarantee as direct
     /// ones.
     fn drain_ingest(&mut self) -> Result<(), VmemError> {
-        let mut drained: Vec<IngestWrite> = Vec::new();
-        for lane in 0..self.lanes.len() {
-            while let Ok(write) = self.lanes[lane].try_recv() {
-                drained.push(write);
+        // The drained writes of each column, in arrival order.
+        let mut drained: Vec<Vec<(usize, u64)>> = Vec::new();
+        for lane in &self.lanes {
+            for write in lane.try_iter() {
+                if drained.len() <= write.col {
+                    drained.resize_with(write.col + 1, Vec::new);
+                }
+                drained[write.col].push((write.row, write.value));
             }
-        }
-        if drained.is_empty() {
-            return Ok(());
         }
         // Writers reject a bad `(col, row)` before sending it
         // (`TableWriter::write`), so every drained write names a live row.
-        if self.durable.is_some() {
-            let mut per_col: Vec<Vec<(u64, u64)>> = vec![Vec::new(); self.columns.len()];
-            for write in &drained {
-                per_col[write.col].push((write.row as u64, write.value));
-            }
-            for (col, writes) in per_col.into_iter().enumerate() {
-                if writes.is_empty() {
-                    continue;
-                }
-                let record = WalRecord::Batch {
-                    col: col as u32,
-                    writes,
-                };
-                self.journal_append(|journal| journal.append(&record))?;
+        for (col, writes) in drained.iter().enumerate() {
+            if !writes.is_empty() {
+                self.journal_append(|journal| journal.append_batch(col as u32, writes))?;
             }
         }
-        for write in drained {
-            self.stage_write(write.col, write.row, write.value);
+        for (col, writes) in drained.into_iter().enumerate() {
+            for (row, value) in writes {
+                self.stage_write(col, row, value);
+            }
         }
         Ok(())
     }
@@ -1977,6 +1971,24 @@ fn write_checkpoint<B: Backend>(
         }
         journal.append(&WalRecord::Seal { epoch: generation })
     })
+}
+
+/// The epoch of the one seal ending `records` if they have the shape
+/// [`write_checkpoint`] writes: column loads, then view installs, then that
+/// seal, with no write batch.
+fn checkpoint_seal(records: &[WalRecord]) -> Option<u64> {
+    let Some((WalRecord::Seal { epoch }, rest)) = records.split_last() else {
+        return None;
+    };
+    let mut views_begun = false;
+    for record in rest {
+        match record {
+            WalRecord::AddColumn { .. } if !views_begun => {}
+            WalRecord::InstallView { .. } => views_begun = true,
+            _ => return None,
+        }
+    }
+    Some(*epoch)
 }
 
 /// `col` if it names one of `len` columns, else an out-of-bounds error.
@@ -2932,6 +2944,12 @@ mod tests {
         bytes
     }
 
+    /// The inode of the file at `path`: a checkpoint rewrite renames a new
+    /// file over it.
+    fn inode(path: &Path) -> u64 {
+        std::os::unix::fs::MetadataExt::ino(&std::fs::metadata(path).unwrap())
+    }
+
     /// `quiesce` and `recover` compact to one checkpoint: for the same
     /// state both write the same bytes, and those are the oracle's. The
     /// first column is larger than the journal's stream buffer.
@@ -2960,27 +2978,46 @@ mod tests {
             );
             bytes
         };
+        let quiesced_inode = inode(&path);
         let (mut table, _) =
             ServeTable::recover(make_backend(), serve_config(), DurabilityConfig::new(&path))
                 .unwrap();
         let recovered = std::fs::read(&path).unwrap();
         assert!(
             recovered == quiesced,
-            "{tag}: recover rewrites the quiesced state"
+            "{tag}: recover keeps the quiesced state"
+        );
+        assert_eq!(
+            inode(&path),
+            quiesced_inode,
+            "{tag}: a journal in checkpoint shape is not rewritten"
         );
         assert!(
             recovered == journal_of(&checkpoint_records(&table)),
             "{tag}: recover"
         );
-        // Sealed but never quiesced: recovery folds the batch into its
+        // Sealed but never quiesced: recovery folds the batches into its
         // checkpoint, and a quiesce of the recovered table rewrites it.
+        // The writer's lane journals one batch per column it wrote.
+        let writer = table.writer();
+        let lane_writes = [(1, 2, 2_222), (0, 5, 5_555), (1, 3, 3_333)];
+        for (col, row, value) in lane_writes {
+            writer.write(col, row, value).unwrap();
+        }
         table.write_batch(0, &[(4, 88), (20_000, 5)]);
         table.tick().unwrap();
         drop(table);
+        let crashed_inode = inode(&path);
         let (mut table, info) =
             ServeTable::recover(make_backend(), serve_config(), DurabilityConfig::new(&path))
                 .unwrap();
-        assert_eq!(info.batches_applied, 1, "{tag}");
+        assert_eq!(info.batches_applied, 3, "{tag}");
+        let snap = table.handle().pin();
+        for (col, row, value) in lane_writes.into_iter().chain([(0, 4, 88)]) {
+            assert_eq!(snap.value(col, row), value, "{tag}: {col} {row}");
+        }
+        drop(snap);
+        assert_ne!(inode(&path), crashed_inode, "{tag}: recovery compacts");
         let recovered = std::fs::read(&path).unwrap();
         assert!(
             recovered == journal_of(&checkpoint_records(&table)),

@@ -9,8 +9,7 @@
 
 use std::time::Duration;
 
-use crate::query::{QueryExecution, QueryOutcome};
-use crate::table::ConjunctiveOutcome;
+use crate::query::QueryOutcome;
 
 /// The measurements of a single query within a sequence.
 #[derive(Clone, Debug, PartialEq)]
@@ -142,131 +141,6 @@ pub struct ChunkPublishRecord {
     pub generation: u64,
 }
 
-/// The measurements of one conjunctive multi-column query, split by
-/// execution strategy: planned execution mixes full adaptive scans with
-/// semi-join probes, and the per-query page effort of each tells the
-/// planner's story (probe pages collapse when the driving predicate is
-/// selective).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ConjunctiveRecord {
-    /// Position of the query in the sequence (0-based).
-    pub index: usize,
-    /// Wall-clock time of the whole conjunctive execution.
-    pub elapsed: Duration,
-    /// Pages touched by full adaptive (and full-scan) steps.
-    pub scan_pages: usize,
-    /// Pages touched by semi-join probe steps.
-    pub probe_pages: usize,
-    /// Number of steps that ran the full adaptive path.
-    pub num_scans: usize,
-    /// Number of semi-join probe steps.
-    pub num_probes: usize,
-    /// Number of rows satisfying all predicates.
-    pub result_rows: usize,
-}
-
-impl ConjunctiveRecord {
-    /// Builds a record from a conjunctive outcome.
-    pub fn from_outcome(index: usize, outcome: &ConjunctiveOutcome) -> Self {
-        let mut scan_pages = 0usize;
-        let mut probe_pages = 0usize;
-        let mut num_scans = 0usize;
-        let mut num_probes = 0usize;
-        for step in &outcome.per_column {
-            if step.executed == QueryExecution::Probe {
-                probe_pages += step.scanned_pages;
-                num_probes += 1;
-            } else {
-                scan_pages += step.scanned_pages;
-                num_scans += 1;
-            }
-        }
-        Self {
-            index,
-            elapsed: outcome.elapsed,
-            scan_pages,
-            probe_pages,
-            num_scans,
-            num_probes,
-            result_rows: outcome.rows.len(),
-        }
-    }
-
-    /// Total pages touched by the query.
-    pub fn total_pages(&self) -> usize {
-        self.scan_pages + self.probe_pages
-    }
-}
-
-/// Statistics over a sequence of conjunctive queries.
-#[derive(Clone, Debug, Default)]
-pub struct ConjunctiveStats {
-    records: Vec<ConjunctiveRecord>,
-}
-
-impl ConjunctiveStats {
-    /// Creates an empty statistics collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records the outcome of the next conjunctive query in the sequence.
-    pub fn record(&mut self, outcome: &ConjunctiveOutcome) {
-        let index = self.records.len();
-        self.records
-            .push(ConjunctiveRecord::from_outcome(index, outcome));
-    }
-
-    /// All per-query records in sequence order.
-    pub fn records(&self) -> &[ConjunctiveRecord] {
-        &self.records
-    }
-
-    /// Number of recorded queries.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Returns `true` if no queries were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Accumulated response time over the sequence.
-    pub fn accumulated_time(&self) -> Duration {
-        self.records.iter().map(|r| r.elapsed).sum()
-    }
-
-    /// Accumulated response time in seconds.
-    pub fn accumulated_seconds(&self) -> f64 {
-        self.accumulated_time().as_secs_f64()
-    }
-
-    /// Total pages touched over the sequence (scans + probes).
-    pub fn total_pages(&self) -> usize {
-        self.records.iter().map(|r| r.total_pages()).sum()
-    }
-
-    /// Pages touched by full adaptive scans over the sequence.
-    pub fn total_scan_pages(&self) -> usize {
-        self.records.iter().map(|r| r.scan_pages).sum()
-    }
-
-    /// Pages touched by semi-join probes over the sequence.
-    pub fn total_probe_pages(&self) -> usize {
-        self.records.iter().map(|r| r.probe_pages).sum()
-    }
-
-    /// Mean response time in milliseconds.
-    pub fn mean_ms(&self) -> f64 {
-        if self.records.is_empty() {
-            0.0
-        } else {
-            self.accumulated_seconds() * 1e3 / self.records.len() as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,47 +202,5 @@ mod tests {
         assert_eq!(r.scanned_pages, 7);
         assert_eq!(r.views_used, 2);
         assert!(r.view_retained);
-    }
-
-    fn conjunctive_outcome() -> ConjunctiveOutcome {
-        let mut scan = outcome(10, 100, 1, false);
-        scan.executed = QueryExecution::Adaptive;
-        let mut probe = outcome(5, 8, 0, false);
-        probe.executed = QueryExecution::Probe;
-        ConjunctiveOutcome {
-            rows: vec![1, 2, 3],
-            per_column: vec![scan, probe],
-            executed_order: vec![1, 0],
-            plan: None,
-            elapsed: Duration::from_millis(20),
-        }
-    }
-
-    #[test]
-    fn conjunctive_record_splits_scan_and_probe_pages() {
-        let r = ConjunctiveRecord::from_outcome(3, &conjunctive_outcome());
-        assert_eq!(r.index, 3);
-        assert_eq!(r.scan_pages, 100);
-        assert_eq!(r.probe_pages, 8);
-        assert_eq!(r.total_pages(), 108);
-        assert_eq!(r.num_scans, 1);
-        assert_eq!(r.num_probes, 1);
-        assert_eq!(r.result_rows, 3);
-        assert_eq!(r.elapsed, Duration::from_millis(20));
-    }
-
-    #[test]
-    fn conjunctive_stats_aggregate() {
-        let mut s = ConjunctiveStats::new();
-        assert!(s.is_empty());
-        s.record(&conjunctive_outcome());
-        s.record(&conjunctive_outcome());
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.records()[1].index, 1);
-        assert_eq!(s.total_pages(), 216);
-        assert_eq!(s.total_scan_pages(), 200);
-        assert_eq!(s.total_probe_pages(), 16);
-        assert_eq!(s.accumulated_time(), Duration::from_millis(40));
-        assert!((s.mean_ms() - 20.0).abs() < 1e-9);
     }
 }

@@ -138,15 +138,7 @@ impl WalRecord {
                 frame.put(&min.to_le_bytes())?;
                 frame.put(&max.to_le_bytes())
             }
-            WalRecord::Batch { col, writes } => {
-                frame.put(&array_header(KIND_BATCH, *col, writes.len()))?;
-                frame.put_array(writes, |&(row, value)| {
-                    let mut bytes = [0; 16];
-                    bytes[..8].copy_from_slice(&row.to_le_bytes());
-                    bytes[8..].copy_from_slice(&value.to_le_bytes());
-                    bytes
-                })
-            }
+            WalRecord::Batch { col, writes } => put_batch(frame, *col, writes, |&write| write),
             WalRecord::Seal { epoch } => {
                 frame.put(&[KIND_SEAL])?;
                 frame.put(&epoch.to_le_bytes())
@@ -203,6 +195,24 @@ impl WalRecord {
 /// Payload length of an array record of `count` items of `item` bytes.
 fn array_payload_len(count: usize, item: usize) -> usize {
     count.saturating_mul(item).saturating_add(ARRAY_HEADER)
+}
+
+/// Puts the payload of the [`WalRecord::Batch`] of column `col` holding
+/// `writes`, each the `(row, value)` pair `pair` reads from it.
+fn put_batch<T>(
+    frame: &mut Frame<'_>,
+    col: u32,
+    writes: &[T],
+    pair: impl Fn(&T) -> (u64, u64),
+) -> io::Result<()> {
+    frame.put(&array_header(KIND_BATCH, col, writes.len()))?;
+    frame.put_array(writes, |write| {
+        let (row, value) = pair(write);
+        let mut bytes = [0; 16];
+        bytes[..8].copy_from_slice(&row.to_le_bytes());
+        bytes[8..].copy_from_slice(&value.to_le_bytes());
+        bytes
+    })
 }
 
 fn array_header(kind: u8, col: u32, count: usize) -> [u8; ARRAY_HEADER] {
@@ -599,6 +609,16 @@ impl Journal {
             parts
                 .iter()
                 .try_for_each(|part| frame.put_array(part, |value| value.to_le_bytes()))
+        })
+    }
+
+    /// Appends the [`WalRecord::Batch`] of column `col` holding `writes`,
+    /// encoded straight from the caller's slice without building the
+    /// record. The journal bytes, and the faults a [`FaultPlan`] injects,
+    /// are those of appending the record itself.
+    pub(crate) fn append_batch(&mut self, col: u32, writes: &[(usize, u64)]) -> io::Result<()> {
+        self.append_frame(array_payload_len(writes.len(), 16), |frame| {
+            put_batch(frame, col, writes, |&(row, value)| (row as u64, value))
         })
     }
 
@@ -1175,24 +1195,34 @@ mod tests {
                 std::fs::remove_file(&path).unwrap();
             }
         }
-        // A batch of several writes' worth streams through `append`.
+        // A batch of several writes' worth streams through `append`, and
+        // through `append_batch` from a caller's `(usize, u64)` slice.
         let writes: Vec<(u64, u64)> = streamed_values(STREAM_BUF / 8 + 5)
             .chunks_exact(2)
             .map(|pair| (pair[0], pair[1]))
             .collect();
+        let slice: Vec<(usize, u64)> = writes.iter().map(|&(r, v)| (r as usize, v)).collect();
         let record = WalRecord::Batch { col: 1, writes };
-        let path = temp_path("stream-batch");
-        let mut journal = Journal::create(&path, None).unwrap();
-        journal.append(&record).unwrap();
-        drop(journal);
-        let bytes = std::fs::read(&path).unwrap();
-        assert!(bytes[WAL_MAGIC.len()..] == record.encode()[..]);
-        assert_eq!(
-            replay_bytes(&bytes).unwrap().unsealed_records,
-            1,
-            "the streamed batch replays"
-        );
-        std::fs::remove_file(&path).unwrap();
+        for from_slice in [false, true] {
+            let path = temp_path("stream-batch");
+            let mut journal = Journal::create(&path, None).unwrap();
+            match from_slice {
+                false => journal.append(&record).unwrap(),
+                true => journal.append_batch(1, &slice).unwrap(),
+            }
+            drop(journal);
+            let bytes = std::fs::read(&path).unwrap();
+            assert!(
+                bytes[WAL_MAGIC.len()..] == record.encode()[..],
+                "{from_slice}"
+            );
+            assert_eq!(
+                replay_bytes(&bytes).unwrap().unsealed_records,
+                1,
+                "the streamed batch replays"
+            );
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]

@@ -16,8 +16,11 @@
 //! * **Conjunctive reads equal a model**: seeded predicate sets over
 //!   columns of unequal length, with views, overlays and frozen page
 //!   copies live, answer exactly what a plain row-by-row model answers, on
-//!   both backends, sequentially and on two threads. A row past any
-//!   predicate column's end qualifies for nothing.
+//!   both backends, sequentially and on two threads. The sets hold one to
+//!   four predicates, over up to four columns (two of them mirrored
+//!   against the first) and repeating a column. A row past any predicate
+//!   column's end qualifies for nothing. After a write batch and its fold,
+//!   the table answers like one rebuilt from the post-batch values.
 //! * **Zone-band pruning keeps answers exact**: narrow range and
 //!   conjunctive reads over views three pages wide, which skip the routed
 //!   pages whose zone band misses the range, answer like a model while
@@ -361,8 +364,9 @@ fn conjunctive_reads_stop_at_the_shortest_predicate_column() {
     }
 }
 
-/// Three columns of unequal length: `a` clustered over 12 pages, `b` the
-/// same pages reversed, `c` 9 pages and 100 rows of scattered values.
+/// Four columns of unequal length: `a` clustered over 12 pages, `b` the
+/// same pages reversed, `c` 9 pages and 100 rows of scattered values, and
+/// `d` 10 pages and 300 rows of `a`'s values mirrored (`11_999 - a`).
 fn conjunctive_columns() -> Vec<Vec<u64>> {
     let n = 12 * VALUES_PER_PAGE;
     let a = (0..n).map(clustered).collect();
@@ -370,17 +374,21 @@ fn conjunctive_columns() -> Vec<Vec<u64>> {
     let c = (0..9 * VALUES_PER_PAGE as u64 + 100)
         .map(|row| row * 7_919 % 12_000)
         .collect();
-    vec![a, b, c]
+    let d = (0..10 * VALUES_PER_PAGE + 300)
+        .map(|row| 11_999 - clustered(row))
+        .collect();
+    vec![a, b, c, d]
 }
 
-/// Views on `a` and `b` only: a predicate on `c`, or on a range no view
+/// Views on `a`, `b` and `d`: a predicate on `c`, or on a range no view
 /// covers, contributes every page. `a`'s first view holds pages 0–2 and
 /// `b`'s first view pages 9–11, so those two intersect to nothing.
-const CONJUNCTIVE_VIEWS: [(usize, u64, u64); 4] = [
+const CONJUNCTIVE_VIEWS: [(usize, u64, u64); 5] = [
     (0, 0, 2_999),
     (0, 5_000, 8_999),
     (1, 0, 2_999),
     (1, 4_000, 6_999),
+    (3, 3_000, 8_999),
 ];
 
 fn xorshift(state: &mut u64) -> u64 {
@@ -390,16 +398,17 @@ fn xorshift(state: &mut u64) -> u64 {
     *state
 }
 
-/// 1–3 predicates on random columns (repeats allowed) over ranges that
+/// 1–4 predicates on random columns (repeats allowed) over ranges that
 /// match a view, straddle views, miss every view or cover everything.
 fn random_predicates(state: &mut u64) -> Vec<(usize, ValueRange)> {
-    let count = 1 + xorshift(state) % 3;
+    let count = 1 + xorshift(state) % 4;
     (0..count)
         .map(|_| {
-            let col = (xorshift(state) % 3) as usize;
+            let col = (xorshift(state) % 4) as usize;
             let range = match xorshift(state) % 4 {
                 0 => {
-                    let (_, lo, hi) = CONJUNCTIVE_VIEWS[(xorshift(state) % 4) as usize];
+                    let views = CONJUNCTIVE_VIEWS.len() as u64;
+                    let (_, lo, hi) = CONJUNCTIVE_VIEWS[(xorshift(state) % views) as usize];
                     ValueRange::new(lo, hi)
                 }
                 1 => ValueRange::full(),
@@ -413,15 +422,39 @@ fn random_predicates(state: &mut u64) -> Vec<(usize, ValueRange)> {
         .collect()
 }
 
-fn check_conjunctive_model<B: Backend>(backend: B, parallelism: Parallelism, seed: u64) {
-    let mut columns = conjunctive_columns();
+/// A table over `columns` carrying [`CONJUNCTIVE_VIEWS`].
+fn conjunctive_table<B: Backend>(backend: B, columns: &[Vec<u64>]) -> ServeTable<B> {
     let mut table = ServeTable::new(backend, serve_config(3));
-    for values in &columns {
+    for values in columns {
         table.add_column(values).unwrap();
     }
     for &(col, lo, hi) in &CONJUNCTIVE_VIEWS {
         table.install_view(col, ValueRange::new(lo, hi)).unwrap();
     }
+    table
+}
+
+/// One write to every page of `a`, each moving a row into another page's
+/// band, so `a`'s views both gain and lose pages when the batch folds.
+fn scattering_batch() -> Vec<(usize, u64)> {
+    (0..12)
+        .flat_map(|page| {
+            let row = page * VALUES_PER_PAGE + page;
+            [
+                (row, (page as u64 * 6_180) % 12_000),
+                (row + 7, 11_999 - (page as u64 * 4_142) % 12_000),
+            ]
+        })
+        .collect()
+}
+
+fn check_conjunctive_model<B: Backend>(
+    make_backend: impl Fn() -> B,
+    parallelism: Parallelism,
+    seed: u64,
+) {
+    let mut columns = conjunctive_columns();
+    let mut table = conjunctive_table(make_backend(), &columns);
     let handle = table.handle().with_parallelism(parallelism);
     let fixed = [
         // The views' page sets intersect to nothing: only the rows
@@ -435,6 +468,12 @@ fn check_conjunctive_model<B: Backend>(backend: B, parallelism: Parallelism, see
             (0, ValueRange::new(5_000, 8_999)),
             (0, ValueRange::new(6_200, 12_000)),
         ],
+        // Two disjoint predicates on one column: nothing qualifies.
+        vec![
+            (0, ValueRange::new(0, 2_999)),
+            (1, ValueRange::new(0, 12_000)),
+            (0, ValueRange::new(5_000, 8_999)),
+        ],
         // `c` has no view and ends before `a` does.
         vec![
             (2, ValueRange::new(1_000, 5_000)),
@@ -445,6 +484,14 @@ fn check_conjunctive_model<B: Backend>(backend: B, parallelism: Parallelism, see
             (1, ValueRange::new(4_000, 6_999)),
             (2, ValueRange::new(0, 6_000)),
         ],
+        // Four columns, `a` twice; `b` and `d` mirror `a`.
+        vec![
+            (0, ValueRange::new(4_000, 9_000)),
+            (1, ValueRange::new(2_000, 8_000)),
+            (3, ValueRange::new(3_000, 9_000)),
+            (2, ValueRange::new(500, 11_000)),
+            (0, ValueRange::new(5_000, 11_000)),
+        ],
     ];
     let mut state = seed;
     for round in 0..4 {
@@ -452,7 +499,7 @@ fn check_conjunctive_model<B: Backend>(backend: B, parallelism: Parallelism, see
         // in one predicate column only; some move rows of `a`'s pages 9–11
         // into `a`'s first view range.
         for i in 0..40 {
-            let col = [0, 0, 0, 1, 2][i % 5];
+            let col = [0, 0, 0, 1, 2, 3][i % 6];
             let row = (xorshift(&mut state) % columns[col].len() as u64) as usize;
             let value = xorshift(&mut state) % 12_000;
             let (row, value) = if i % 8 == 0 {
@@ -495,14 +542,25 @@ fn check_conjunctive_model<B: Backend>(backend: B, parallelism: Parallelism, see
             empty.count > 0,
             "the overlay answers the empty intersection"
         );
+        let four = model_conjunctive(&columns, &fixed[5]);
+        assert!(four.count > 0, "four columns still share rows");
+    }
+    let batch = scattering_batch();
+    table.write_batch(0, &batch);
+    for &(row, value) in &batch {
+        columns[0][row] = value;
     }
     table.quiesce().unwrap();
+    // A table loaded from the post-batch values never saw a write.
+    let rebuilt = conjunctive_table(make_backend(), &columns);
+    let rebuilt = rebuilt.handle().with_parallelism(parallelism).pin();
     let snap = handle.pin();
-    for predicates in &fixed {
-        assert_eq!(
-            snap.query_conjunctive(predicates),
-            model_conjunctive(&columns, predicates)
-        );
+    let random = (0..24).map(|_| random_predicates(&mut state));
+    for predicates in fixed.iter().cloned().chain(random) {
+        let expected = model_conjunctive(&columns, &predicates);
+        let what = format!("seed {seed:#x} after the batch {predicates:?}");
+        assert_eq!(rebuilt.query_conjunctive(&predicates), expected, "{what}");
+        assert_eq!(snap.query_conjunctive(&predicates), expected, "{what}");
     }
 }
 
@@ -510,7 +568,7 @@ fn check_conjunctive_model<B: Backend>(backend: B, parallelism: Parallelism, see
 fn conjunctive_reads_match_the_model_sim() {
     for parallelism in [Parallelism::Sequential, Parallelism::from_threads(2)] {
         for seed in [0x9E37_79B9_u64, 0x5EED_0C0D] {
-            check_conjunctive_model(SimBackend::new(), parallelism, seed);
+            check_conjunctive_model(SimBackend::new, parallelism, seed);
         }
     }
 }
@@ -519,7 +577,7 @@ fn conjunctive_reads_match_the_model_sim() {
 #[test]
 fn conjunctive_reads_match_the_model_mmap() {
     for parallelism in [Parallelism::Sequential, Parallelism::from_threads(2)] {
-        check_conjunctive_model(asv_vmem::MmapBackend::new(), parallelism, 0xC0FF_EE11);
+        check_conjunctive_model(asv_vmem::MmapBackend::new, parallelism, 0xC0FF_EE11);
     }
 }
 

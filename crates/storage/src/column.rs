@@ -261,8 +261,7 @@ impl<B: Backend> Column<B> {
     }
 
     /// Probes `rows` (ascending global row ids) against `range`, touching
-    /// only the physical pages that contain candidates — the semi-join
-    /// residual step of planned conjunctive execution (see
+    /// only the physical pages that contain candidates (see
     /// [`crate::kernel::probe_rows`]).
     pub fn probe_rows_with(
         &self,

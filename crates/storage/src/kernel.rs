@@ -28,13 +28,11 @@
 //! Besides full page-range scans the kernel offers a **probe mode**
 //! ([`ScanKernel::probe_page_rows`] / [`probe_rows`]): given a set of
 //! candidate row ids it touches only the physical pages containing them and
-//! re-checks the filter per candidate slot instead of per page value. This
-//! is the semi-join building block of `AdaptiveTable`'s planned conjunctive
-//! execution: after a driving predicate has produced a (small) survivor
-//! set, the residual predicates are evaluated against exactly those rows.
-//! The serving layer's conjunctive reads probe nothing: they intersect the
+//! re-checks the filter per candidate slot instead of per page value. No
+//! engine probes: the serving layer's conjunctive reads intersect the
 //! predicates' page sets and filter each page once with per-predicate
-//! [`crate::QualifyMask`]s (`asv_core::serve`).
+//! [`crate::QualifyMask`]s (`asv_core::serve`). Probe mode stays because
+//! the benchmark's adapter measures it (`Column::probe_rows_with`).
 
 use std::ops::Range;
 
@@ -419,8 +417,7 @@ fn group_rows_by_page(rows: &[u64]) -> Vec<(usize, Range<usize>)> {
 
 /// Probes `rows` (ascending, duplicate-free global row ids of `column`)
 /// against `kernel`'s range, touching only the physical pages that contain
-/// candidates — the semi-join residual step of planned conjunctive
-/// execution.
+/// candidates.
 ///
 /// The per-page runs are sharded across `pool` and the partial outputs are
 /// merged in ascending page order, so `rows` in the output (with

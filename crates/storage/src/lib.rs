@@ -14,7 +14,6 @@ pub mod column;
 pub mod kernel;
 pub mod page;
 pub mod simd;
-pub mod table;
 pub mod updates;
 
 pub use column::Column;
@@ -24,7 +23,6 @@ pub use simd::{
     copy_values_chunked, fold_min_max_chunked, ExclusionMasks, PageExclusionMask, QualifyMask,
     LANES,
 };
-pub use table::Table;
 pub use updates::{PageGroups, Update, UpdateBatch};
 
 pub use asv_vmem::{PAGE_SIZE_BYTES, SLOTS_PER_PAGE, VALUES_PER_PAGE};

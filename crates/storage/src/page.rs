@@ -358,7 +358,11 @@ impl PageRef<'_> {
 }
 
 /// Writes the page header (embedded pageID) and values into a raw page
-/// buffer. Used by the column builder and by tests.
+/// buffer. Used by tests.
+///
+/// # Panics
+/// Panics if `raw` is not exactly one page long or if `values` holds more
+/// than [`VALUES_PER_PAGE`] values.
 pub fn write_page(raw: &mut [u64], page_id: u64, values: &[u64]) {
     assert_eq!(raw.len(), SLOTS_PER_PAGE);
     assert!(values.len() <= VALUES_PER_PAGE);

@@ -5,8 +5,6 @@
 //! this with "a fixed-size bitvector"; this module is that bitvector.
 //! It is also reused by the explicit bitmap baseline (paper §3.1).
 
-use crate::pool::{split_ranges, ThreadPool};
-
 /// A fixed-size bitvector with one bit per page.
 ///
 /// All operations are `O(1)` except the ones documented otherwise.
@@ -197,48 +195,6 @@ impl BitVec {
         }
         ones
     }
-
-    /// Fork-join variant of [`Self::intersect_with_count`]: the word array
-    /// is split into contiguous shards, one per pool worker, each shard is
-    /// ANDed (with a fused popcount) on its own thread, and the per-shard
-    /// popcounts are summed.
-    ///
-    /// A word-wise AND is position-independent, so the resulting bits and
-    /// the returned cardinality are identical to the sequential path for
-    /// every worker count. Short vectors and sequential pools run inline.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn intersect_with_count_pool(&mut self, other: &BitVec, pool: &ThreadPool) -> usize {
-        assert_eq!(self.len, other.len, "bitvector length mismatch");
-        let workers = pool.workers();
-        // Below ~64 KiB of bitmap the AND loop is memory-bandwidth trivial;
-        // fan-out overhead would dominate.
-        const MIN_WORDS_PER_SHARD: usize = 1 << 10;
-        if workers <= 1 || self.words.len() < 2 * MIN_WORDS_PER_SHARD {
-            return self.intersect_with_count(other);
-        }
-        let shards = split_ranges(self.words.len(), workers);
-        let mut tasks = Vec::with_capacity(shards.len());
-        let mut rest = self.words.as_mut_slice();
-        let mut offset = 0usize;
-        for shard in shards {
-            let (mine, tail) = rest.split_at_mut(shard.len());
-            rest = tail;
-            let theirs = &other.words[offset..offset + shard.len()];
-            offset += shard.len();
-            tasks.push(move || {
-                let mut ones = 0usize;
-                for (a, b) in mine.iter_mut().zip(theirs.iter()) {
-                    let w = *a & *b;
-                    *a = w;
-                    ones += w.count_ones() as usize;
-                }
-                ones
-            });
-        }
-        pool.scoped_map(tasks).into_iter().sum()
-    }
 }
 
 /// Iterator over set bit indices of a [`BitVec`].
@@ -385,40 +341,6 @@ mod tests {
             let fused = a.intersect_with_count(&b);
             assert_eq!(fused, expected, "len {len}");
             assert_eq!(a, reference, "len {len}");
-        }
-    }
-
-    #[test]
-    fn pooled_intersection_matches_sequential() {
-        use crate::pool::Parallelism;
-        let mut state = 0x853c_49e6_748f_ea9bu64;
-        let mut xorshift = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        // Lengths straddling the inline-fallback threshold and beyond it.
-        for len in [0usize, 65, 4_096, 64 * 2_048, 64 * 4_099] {
-            let mut a = BitVec::new(len);
-            let mut b = BitVec::new(len);
-            for i in 0..len {
-                if xorshift().is_multiple_of(2) {
-                    a.set(i);
-                }
-                if xorshift().is_multiple_of(3) {
-                    b.set(i);
-                }
-            }
-            let mut reference = a.clone();
-            let expected = reference.intersect_with_count(&b);
-            for threads in [1usize, 2, 3, 4] {
-                let pool = ThreadPool::new(Parallelism::from_threads(threads));
-                let mut fanned = a.clone();
-                let got = fanned.intersect_with_count_pool(&b, &pool);
-                assert_eq!(got, expected, "len {len} threads {threads}");
-                assert_eq!(fanned, reference, "len {len} threads {threads}");
-            }
         }
     }
 

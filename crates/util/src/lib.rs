@@ -6,8 +6,6 @@
 //!
 //! * [`BitVec`] — the fixed-size bitvector used to track already-processed
 //!   physical pages during multi-view query answering (paper §2.1).
-//! * [`RowSet`] — a bitset over row ids, the intermediate representation of
-//!   conjunctive multi-column execution (word-wise intersection).
 //! * [`ValueRange`] — closed integer ranges `[l, u]` with the "full range"
 //!   (`[-∞, ∞]`) semantics views are described with (paper §2).
 //! * [`RunBuilder`] / [`Run`] — grouping of consecutive page numbers into
@@ -26,7 +24,6 @@ pub mod bitvec;
 pub mod epoch;
 pub mod pool;
 pub mod range;
-pub mod rowset;
 pub mod runs;
 pub mod stats;
 
@@ -34,6 +31,5 @@ pub use bitvec::BitVec;
 pub use epoch::{EpochCell, Pinned, Reader};
 pub use pool::{available_parallelism, split_ranges, Parallelism, ThreadPool};
 pub use range::ValueRange;
-pub use rowset::RowSet;
 pub use runs::{group_into_runs, Run, RunBuilder};
 pub use stats::{average_runtime, Summary, Timer};

@@ -143,6 +143,9 @@ impl OrZero for f64 {
 
 /// Runs `f` `repetitions` times and returns the average wall-clock duration,
 /// mirroring the paper's "average time of three runs" methodology (§3).
+///
+/// # Panics
+/// Panics if `repetitions` is 0.
 pub fn average_runtime<F: FnMut()>(repetitions: usize, mut f: F) -> Duration {
     assert!(repetitions > 0, "need at least one repetition");
     let mut total = Duration::ZERO;

@@ -21,7 +21,7 @@ pub enum ServeReadOp {
         /// Query range.
         range: ValueRange,
     },
-    /// A planned conjunctive query over several columns.
+    /// A conjunctive query over several columns.
     Conjunctive {
         /// `(column, range)` predicates, conjunctively combined.
         predicates: Vec<(usize, ValueRange)>,

@@ -15,11 +15,11 @@
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
 //! | [`vmem`] | `asv-vmem` | rewiring substrate: main-memory files, view buffers that own their mapping table, a portable simulation backend, and the runtime-selectable [`AnyBackend`](vmem::AnyBackend) |
-//! | [`storage`] | `asv-storage` | page layout, physical columns, tables, update batches |
-//! | [`core`] | `asv-core` | virtual views, query routing, adaptive view maintenance, optimized view creation, batched update alignment |
+//! | [`storage`] | `asv-storage` | page layout, physical columns, update batches |
+//! | [`core`] | `asv-core` | virtual views, query routing, adaptive view maintenance, optimized view creation, batched update alignment; [`AdaptiveColumn`](core::AdaptiveColumn) for one column, [`ServeTable`](core::ServeTable) for a multi-column table served to concurrent readers |
 //! | [`baselines`] | `asv-baselines` | explicit-index baselines (zone map, bitmap, page-id vector) and scan baselines |
 //! | [`workloads`] | `asv-workloads` | data distributions, query sequences and update batches used in the paper's evaluation |
-//! | [`util`] | `asv-util` | bitvector, bidirectional map, value ranges |
+//! | [`util`] | `asv-util` | bitvector, value ranges, fork-join pool, epoch-pinned cell |
 //!
 //! ## Quick start
 //!
@@ -52,10 +52,10 @@ pub use asv_workloads as workloads;
 /// Commonly used types, re-exported for convenience.
 pub mod prelude {
     pub use asv_core::{
-        AdaptiveColumn, AdaptiveConfig, AdaptiveTable, ConjunctiveOutcome, CreationOptions,
-        PlannerConfig, QueryOutcome, RangeQuery, RoutingMode, ViewSet,
+        AdaptiveColumn, AdaptiveConfig, CreationOptions, QueryOutcome, RangeQuery, RoutingMode,
+        ViewSet,
     };
-    pub use asv_storage::{Column, Table, Update};
+    pub use asv_storage::{Column, Update};
     pub use asv_util::ValueRange;
     #[cfg(all(feature = "mmap", target_os = "linux"))]
     pub use asv_vmem::MmapBackend;

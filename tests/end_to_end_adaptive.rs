@@ -1,7 +1,7 @@
 //! End-to-end integration tests: workload generation → storage layer →
 //! adaptive view layer, on both rewiring backends.
 
-use adaptive_storage_views::core::{RoutingMode, SequenceStats};
+use adaptive_storage_views::core::{RoutingMode, SequenceStats, ServeTable};
 use adaptive_storage_views::prelude::*;
 use adaptive_storage_views::vmem::Backend;
 use adaptive_storage_views::workloads::SweepSpec;
@@ -98,27 +98,37 @@ fn later_queries_scan_fewer_pages_on_clustered_data() {
 
 #[test]
 fn tables_hold_adaptive_ready_columns() {
-    // The storage layer's table catalog composes with the adaptive layer.
+    // A multi-column serving table answers range and conjunctive reads
+    // over its columns, and one column's data wraps in the adaptive layer.
     let backend = SimBackend::new();
-    let mut table = Table::new("sensors");
+    let mut table = ServeTable::new(backend.clone(), AdaptiveConfig::default());
     let temperature = Distribution::sine().generate_pages(64, 2);
     let pressure = Distribution::linear().generate_pages(64, 3);
-    table
-        .add_column_from_values("temperature", backend.clone(), &temperature)
-        .unwrap();
-    table
-        .add_column_from_values("pressure", backend.clone(), &pressure)
-        .unwrap();
-    assert_eq!(table.num_columns(), 2);
-    assert_eq!(table.num_rows(), temperature.len());
-    // Wrap one column in the adaptive layer by re-materializing its data.
-    let values = table.column("temperature").unwrap().to_vec();
-    let mut adaptive =
-        AdaptiveColumn::from_values(backend, &values, AdaptiveConfig::default()).unwrap();
+    let t = table.add_column(&temperature).unwrap();
+    let p = table.add_column(&pressure).unwrap();
     let q = RangeQuery::new(0, 50_000_000);
+    table.install_view(t, *q.range()).unwrap();
+    let snap = table.handle().pin();
+    assert_eq!(
+        (snap.num_columns(), snap.num_rows(t)),
+        (2, temperature.len())
+    );
+    let answer = snap.query_range(t, q.range());
+    assert_eq!(
+        (answer.count, answer.sum),
+        reference_answer(&temperature, q.range())
+    );
+    let high = ValueRange::new(40_000_000, u64::MAX);
+    let both = snap.query_conjunctive(&[(t, *q.range()), (p, high)]);
+    let expected = (0..temperature.len())
+        .filter(|&row| q.range().contains(temperature[row]) && high.contains(pressure[row]))
+        .count();
+    assert!(expected > 0, "the two predicates share rows");
+    assert_eq!(both.count, expected as u64);
+    let mut adaptive =
+        AdaptiveColumn::from_values(backend, &temperature, AdaptiveConfig::default()).unwrap();
     let outcome = adaptive.query(&q).unwrap();
-    let (count, _) = reference_answer(&temperature, q.range());
-    assert_eq!(outcome.count, count);
+    assert_eq!(outcome.count, answer.count);
 }
 
 #[test]
