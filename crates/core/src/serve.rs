@@ -3029,6 +3029,31 @@ mod tests {
             "{tag}: quiesce again"
         );
         drop(table);
+        // Checkpoint-shaped but sealed below the generation its records
+        // rebuild: the rewrite changes the seal, so recovery writes it.
+        let stale = [
+            WalRecord::AddColumn {
+                col: 0,
+                values: clustered_values(2),
+            },
+            WalRecord::Seal { epoch: 0 },
+        ];
+        std::fs::write(&path, journal_of(&stale)).unwrap();
+        let stale_inode = inode(&path);
+        let (table, _) =
+            ServeTable::recover(make_backend(), serve_config(), DurabilityConfig::new(&path))
+                .unwrap();
+        assert!(table.generation > 0, "{tag}");
+        assert_ne!(
+            inode(&path),
+            stale_inode,
+            "{tag}: a stale seal is rewritten"
+        );
+        assert!(
+            std::fs::read(&path).unwrap() == journal_of(&checkpoint_records(&table)),
+            "{tag}: stale seal"
+        );
+        drop(table);
         std::fs::remove_file(&path).unwrap();
     }
 
