@@ -177,11 +177,8 @@ impl BitVec {
         self.intersect_with_count(other);
     }
 
-    /// In-place intersection that also returns the resulting popcount.
-    ///
-    /// Conjunctive execution needs the surviving cardinality after every
-    /// intersection; fusing the popcount into the AND loop reads each word
-    /// once instead of making a second `count_ones` pass over the result.
+    /// In-place intersection that also returns the resulting popcount,
+    /// counted in the same pass over the words as the AND.
     ///
     /// # Panics
     /// Panics if the lengths differ.
