@@ -20,7 +20,11 @@
 //!   four predicates, over up to four columns (two of them mirrored
 //!   against the first) and repeating a column. A row past any predicate
 //!   column's end qualifies for nothing. After a write batch and its fold,
-//!   the table answers like one rebuilt from the post-batch values.
+//!   the table answers like one rebuilt from the post-batch values. Tables
+//!   generated by [`TableWorkload`] — correlated, anti-correlated (mirrored
+//!   odd columns) and independent — answer its conjunctive queries, cut to
+//!   one to four columns and with a second range on the first column, like
+//!   the model.
 //! * **Zone-band pruning keeps answers exact**: narrow range and
 //!   conjunctive reads over views three pages wide, which skip the routed
 //!   pages whose zone band misses the range, answer like a model while
@@ -41,7 +45,7 @@ use asv_core::{
 use asv_storage::Column;
 use asv_util::ValueRange;
 use asv_vmem::{Backend, MapRequest, SimBackend, VmemError, VALUES_PER_PAGE};
-use asv_workloads::{Distribution, UpdateWorkload};
+use asv_workloads::{ColumnCorrelation, Distribution, TableWorkload, UpdateWorkload};
 
 /// A [`SimBackend`] that counts the view calls made through it:
 /// `[reserve_view, map_run, truncate_view]`.
@@ -564,12 +568,54 @@ fn check_conjunctive_model<B: Backend>(
     }
 }
 
+/// Four [`TableWorkload`] columns of 12 pages over the views' value
+/// domain, one table per [`ColumnCorrelation`], carrying
+/// [`CONJUNCTIVE_VIEWS`]. Each generated query is cut to its first one to
+/// four predicates and also asked with a second range on column 0.
+fn check_workload_tables<B: Backend>(make_backend: impl Fn() -> B, parallelism: Parallelism) {
+    const MAX: u64 = 11_999;
+    let workload = TableWorkload::new(0x007A_B1E5);
+    for correlation in ColumnCorrelation::all() {
+        let columns = workload.clustered_columns(4, 12, correlation, MAX);
+        let table = conjunctive_table(make_backend(), &columns);
+        let snap = table.handle().with_parallelism(parallelism).pin();
+        let mut answered = [0u64; 4];
+        for selectivity in [0.02, 0.25] {
+            let queries = workload.conjunctive_queries(8, 4, selectivity, correlation, MAX);
+            for (i, query) in queries.iter().enumerate() {
+                let predicates: Vec<(usize, ValueRange)> =
+                    query.iter().copied().enumerate().collect();
+                let repeat = (0, queries[(i + 1) % queries.len()][1]);
+                for width in 1..=4 {
+                    let cut = &predicates[..width];
+                    let repeated: Vec<_> = cut.iter().copied().chain([repeat]).collect();
+                    for predicates in [cut, &repeated[..]] {
+                        let expected = model_conjunctive(&columns, predicates);
+                        let what = format!("{} {predicates:?}", correlation.name());
+                        assert_eq!(snap.query_conjunctive(predicates), expected, "{what}");
+                    }
+                    answered[width - 1] += model_conjunctive(&columns, cut).count;
+                }
+            }
+        }
+        assert!(
+            answered[0] > 0,
+            "{}: single ranges qualify",
+            correlation.name()
+        );
+        if correlation == ColumnCorrelation::Correlated {
+            assert!(answered[3] > 0, "correlated columns share rows");
+        }
+    }
+}
+
 #[test]
 fn conjunctive_reads_match_the_model_sim() {
     for parallelism in [Parallelism::Sequential, Parallelism::from_threads(2)] {
         for seed in [0x9E37_79B9_u64, 0x5EED_0C0D] {
             check_conjunctive_model(SimBackend::new, parallelism, seed);
         }
+        check_workload_tables(SimBackend::new, parallelism);
     }
 }
 
@@ -578,6 +624,7 @@ fn conjunctive_reads_match_the_model_sim() {
 fn conjunctive_reads_match_the_model_mmap() {
     for parallelism in [Parallelism::Sequential, Parallelism::from_threads(2)] {
         check_conjunctive_model(asv_vmem::MmapBackend::new, parallelism, 0xC0FF_EE11);
+        check_workload_tables(asv_vmem::MmapBackend::new, parallelism);
     }
 }
 

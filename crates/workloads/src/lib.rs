@@ -11,6 +11,10 @@
 //!   hot-zone-churn rounds whose writes stay inside a moving row window
 //!   with page-local values, the workload that checks alignment skips the
 //!   views a batch does not meet (beyond the paper).
+//! * [`TableWorkload`] — multi-column tables with
+//!   correlated/anti-correlated/independent columns plus conjunctive query
+//!   sequences, the inputs of the serving layer's conjunctive-read model
+//!   tests (beyond the paper).
 //! * [`ServeWorkload`] — barrier-phased rounds of range/conjunctive reads
 //!   interleaved with zipfian-skewed write bursts, the workload of the
 //!   concurrent serving layer (beyond the paper).
@@ -20,9 +24,11 @@
 pub mod distributions;
 pub mod queries;
 pub mod streams;
+pub mod tables;
 pub mod updates;
 
 pub use distributions::{Distribution, DEFAULT_MAX_VALUE};
 pub use queries::{QueryWorkload, SweepSpec};
 pub use streams::{ServeReadOp, ServeRound, ServeSpec, ServeWorkload};
+pub use tables::{ColumnCorrelation, ConjunctiveQuery, TableWorkload};
 pub use updates::{ChurnRound, UpdateWorkload};

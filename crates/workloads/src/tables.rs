@@ -1,15 +1,15 @@
 //! Multi-column table workloads for conjunctive queries.
 //!
-//! The paper evaluates single columns; the multi-column planner needs
-//! workloads in which the *relationship between columns* matters, because
-//! that relationship decides how much a selectivity-ordered plan saves:
+//! The paper evaluates single columns; conjunctive reads need workloads in
+//! which the *relationship between columns* matters, because that
+//! relationship decides how far the predicates' page sets overlap:
 //!
 //! * **correlated** columns — all columns follow the same page-clustered
-//!   ramp, so aligned predicates select the same rows and the residual
-//!   probes survive almost everything;
+//!   ramp, so aligned predicates select the same rows and their page sets
+//!   intersect in (nearly) every page;
 //! * **anti-correlated** columns — odd columns follow the mirrored ramp, so
-//!   aligned predicates select disjoint row sets and probes collapse the
-//!   survivor set immediately;
+//!   aligned predicates select disjoint row sets and their page sets meet
+//!   only where the two ramps cross;
 //! * **independent** columns — every column gets its own shuffled page
 //!   order, making cross-column selectivity the product of the per-column
 //!   selectivities.
@@ -39,7 +39,7 @@ pub enum ColumnCorrelation {
 }
 
 impl ColumnCorrelation {
-    /// Short name used in experiment reports.
+    /// Short name used in reports and test messages.
     pub fn name(&self) -> &'static str {
         match self {
             ColumnCorrelation::Correlated => "correlated",
@@ -117,10 +117,10 @@ impl TableWorkload {
     /// each selecting `selectivity * max_value` of the domain. Correlated
     /// and anti-correlated workloads place all predicates of one query at
     /// the *same* anchor — on correlated data that selects (nearly) the
-    /// same rows everywhere (large survivor sets), on anti-correlated data
-    /// (mirrored odd columns) it selects (nearly) disjoint rows, collapsing
-    /// the survivor set after the first residual. Independent workloads
-    /// draw every predicate position separately.
+    /// same rows everywhere (large answers), on anti-correlated data
+    /// (mirrored odd columns) it selects (nearly) disjoint rows, so the
+    /// answer is (nearly) empty. Independent workloads draw every predicate
+    /// position separately.
     pub fn conjunctive_queries(
         &self,
         num_queries: usize,
