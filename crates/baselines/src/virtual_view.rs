@@ -18,7 +18,6 @@ pub struct VirtualViewIndex<B: Backend> {
     column: Column<B>,
     views: ViewSet<B>,
     index_range: ValueRange,
-    parallelism: Parallelism,
 }
 
 impl<B: Backend> VirtualViewIndex<B> {
@@ -38,15 +37,7 @@ impl<B: Backend> VirtualViewIndex<B> {
             column,
             views,
             index_range,
-            parallelism: Parallelism::Sequential,
         })
-    }
-
-    /// Builder-style setter: shards the query scan over the view's page
-    /// range across a fork-join pool (defaults to sequential).
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
     }
 
     /// The underlying column.
@@ -72,14 +63,13 @@ impl<B: Backend> RangeIndex for VirtualViewIndex<B> {
         let view = self.views.partial_view(0).expect("view exists");
         // The scan is a linear pass over the view's (virtually contiguous)
         // pages — no per-page indirection in user-space. It runs through
-        // the unified page-range kernel, sharded across the configured
-        // fork-join pool when parallelism is requested.
+        // the unified page-range kernel.
         let kernel = ScanKernel::new(*query, ScanMode::Aggregate);
         let out = scan_view_with(
             &kernel,
             view.buffer(),
             |raw| self.column.wrap_view_page(raw),
-            self.parallelism,
+            Parallelism::Sequential,
         );
         IndexAnswer::from(&out)
     }

@@ -11,9 +11,7 @@
 //! * the view-creation optimizations,
 //! * adaptive creation disabled entirely (static full-view-only baseline).
 
-use asv_core::{
-    AdaptiveColumn, AdaptiveConfig, CreationOptions, Parallelism, RangeQuery, RoutingMode,
-};
+use asv_core::{AdaptiveColumn, AdaptiveConfig, CreationOptions, RangeQuery, RoutingMode};
 use asv_vmem::Backend;
 use asv_workloads::{Distribution, QueryWorkload, SweepSpec};
 
@@ -76,17 +74,6 @@ pub fn configurations() -> Vec<(String, AdaptiveConfig)> {
 /// Runs the ablation on the sine distribution with a Figure-4-style query
 /// sweep, on `backend`.
 pub fn run<B: Backend>(backend: &B, scale: &Scale, seed: u64) -> Vec<AblationRow> {
-    run_with(backend, scale, seed, Parallelism::Sequential)
-}
-
-/// [`run`] with an explicit scan parallelism, applied uniformly to every
-/// swept configuration.
-pub fn run_with<B: Backend>(
-    backend: &B,
-    scale: &Scale,
-    seed: u64,
-    parallelism: Parallelism,
-) -> Vec<AblationRow> {
     let dist = Distribution::sine();
     let values = dist.generate_pages(scale.fig45_pages, seed);
     let spec = SweepSpec {
@@ -102,7 +89,6 @@ pub fn run_with<B: Backend>(
     configurations()
         .into_iter()
         .map(|(label, config)| {
-            let config = config.with_parallelism(parallelism);
             let mut adaptive = AdaptiveColumn::from_values(backend.clone(), &values, config)
                 .expect("column materialization");
             let mut total_s = 0.0f64;

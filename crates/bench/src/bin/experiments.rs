@@ -3,8 +3,7 @@
 //! ```text
 //! experiments [fig3|fig4|fig5|fig6|fig7|table1|ablation|all]
 //!             [--backend sim|mmap|file] [--scale tiny|small|medium|paper]
-//!             [--seed N] [--csv-dir DIR] [--threads N]
-//!             [--align-mode sync|background] [--store-dir DIR]
+//!             [--seed N] [--csv-dir DIR] [--store-dir DIR]
 //! experiments recover-ingest --journal PATH [--batches N] [...]
 //! experiments recover-verify --journal PATH [...]
 //! ```
@@ -14,15 +13,6 @@
 //! the choice at runtime. `--backend file` selects the durable file-backed
 //! tier, storing under a process-unique temp directory unless
 //! `--store-dir` pins one.
-//!
-//! `--threads N` shards the scan path of every figure driver across `N`
-//! fork-join workers (`--threads 0` sizes the pool by the available
-//! hardware parallelism). The default is 1: sequential scans, bit-identical
-//! to the pre-parallel harness.
-//!
-//! `--align-mode background` makes `fig7` align its views via the
-//! epoch-handoff worker instead of the stop-the-world call (pages
-//! added/removed are identical; only the timings move off the query path).
 //!
 //! Results are printed to stdout; with `--csv-dir` the per-figure series are
 //! additionally written as CSV files (one per figure). The header line names
@@ -48,7 +38,6 @@ use std::path::PathBuf;
 use asv_bench::{
     ablation, fig3, fig4, fig5, fig6, fig7, recover, report, table1, Scale, DEFAULT_SEED,
 };
-use asv_core::Parallelism;
 use asv_vmem::{AnyBackend, Backend};
 
 struct Args {
@@ -57,8 +46,6 @@ struct Args {
     scale: Scale,
     seed: u64,
     csv_dir: Option<String>,
-    parallelism: Parallelism,
-    align_mode: fig7::AlignMode,
     journal: Option<PathBuf>,
     batches: Option<usize>,
 }
@@ -69,8 +56,6 @@ fn parse_args() -> Result<Args, String> {
     let mut scale = Scale::default();
     let mut seed = DEFAULT_SEED;
     let mut csv_dir = None;
-    let mut parallelism = Parallelism::Sequential;
-    let mut align_mode = fig7::AlignMode::Sync;
     let mut journal = None;
     let mut batches = None;
     let mut store_dir: Option<String> = None;
@@ -98,18 +83,6 @@ fn parse_args() -> Result<Args, String> {
             "--csv-dir" => {
                 csv_dir = Some(args.next().ok_or("--csv-dir needs a value")?);
             }
-            "--threads" => {
-                let v = args.next().ok_or("--threads needs a value")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("invalid thread count '{v}'"))?;
-                parallelism = Parallelism::from_threads(n);
-            }
-            "--align-mode" => {
-                let v = args.next().ok_or("--align-mode needs a value")?;
-                align_mode = fig7::AlignMode::by_name(&v)
-                    .ok_or_else(|| format!("unknown align mode '{v}' (sync|background)"))?;
-            }
             "--journal" => {
                 journal = Some(PathBuf::from(args.next().ok_or("--journal needs a value")?));
             }
@@ -127,8 +100,7 @@ fn parse_args() -> Result<Args, String> {
                 return Err(
                     "usage: experiments [fig3|fig4|fig5|fig6|fig7|table1|ablation|all] \
                             [--backend sim|mmap|file] [--scale tiny|small|medium|paper] \
-                            [--seed N] [--csv-dir DIR] [--threads N] \
-                            [--align-mode sync|background] [--store-dir DIR]\n\
+                            [--seed N] [--csv-dir DIR] [--store-dir DIR]\n\
                      usage: experiments recover-ingest --journal PATH [--batches N]\n\
                      usage: experiments recover-verify --journal PATH"
                         .to_string(),
@@ -161,8 +133,6 @@ fn parse_args() -> Result<Args, String> {
         scale,
         seed,
         csv_dir,
-        parallelism,
-        align_mode,
         journal,
         batches,
     })
@@ -195,24 +165,15 @@ fn maybe_write_csv(csv_dir: &Option<String>, name: &str, table: &report::Table) 
 }
 
 fn run_fig3(args: &Args) {
-    let rows = with_concrete_backend!(&args.backend, |b| fig3::run_with(
-        b,
-        &args.scale,
-        args.seed,
-        args.parallelism
-    ));
+    let rows = with_concrete_backend!(&args.backend, |b| fig3::run(b, &args.scale, args.seed));
     let table = fig3::to_table(&rows);
     println!("{}", table.render());
     maybe_write_csv(&args.csv_dir, "fig3", &table);
 }
 
 fn run_fig4(args: &Args) {
-    let results = with_concrete_backend!(&args.backend, |b| fig4::run_all_with(
-        b,
-        &args.scale,
-        args.seed,
-        args.parallelism
-    ));
+    let results =
+        with_concrete_backend!(&args.backend, |b| fig4::run_all(b, &args.scale, args.seed));
     for r in &results {
         let table = fig4::to_table(r);
         println!("{}", table.render());
@@ -222,12 +183,8 @@ fn run_fig4(args: &Args) {
 }
 
 fn run_fig5(args: &Args) {
-    let results = with_concrete_backend!(&args.backend, |b| fig5::run_all_with(
-        b,
-        &args.scale,
-        args.seed,
-        args.parallelism
-    ));
+    let results =
+        with_concrete_backend!(&args.backend, |b| fig5::run_all(b, &args.scale, args.seed));
     for r in &results {
         let table = fig5::to_table(r);
         println!("{}", table.render());
@@ -241,49 +198,28 @@ fn run_fig5(args: &Args) {
 }
 
 fn run_fig6(args: &Args) {
-    let rows = with_concrete_backend!(&args.backend, |b| fig6::run_with(
-        b,
-        &args.scale,
-        args.seed,
-        args.parallelism
-    ));
+    let rows = with_concrete_backend!(&args.backend, |b| fig6::run(b, &args.scale, args.seed));
     let table = fig6::to_table(&rows);
     println!("{}", table.render());
     maybe_write_csv(&args.csv_dir, "fig6", &table);
 }
 
 fn run_fig7(args: &Args) {
-    let rows = with_concrete_backend!(&args.backend, |b| fig7::run_all_with_mode(
-        b,
-        &args.scale,
-        args.seed,
-        args.parallelism,
-        args.align_mode
-    ));
+    let rows = with_concrete_backend!(&args.backend, |b| fig7::run_all(b, &args.scale, args.seed));
     let table = fig7::to_table(&rows);
     println!("{}", table.render());
     maybe_write_csv(&args.csv_dir, "fig7", &table);
 }
 
 fn run_ablation(args: &Args) {
-    let rows = with_concrete_backend!(&args.backend, |b| ablation::run_with(
-        b,
-        &args.scale,
-        args.seed,
-        args.parallelism
-    ));
+    let rows = with_concrete_backend!(&args.backend, |b| ablation::run(b, &args.scale, args.seed));
     let table = ablation::to_table(&rows);
     println!("{}", table.render());
     maybe_write_csv(&args.csv_dir, "ablation", &table);
 }
 
 fn run_table1(args: &Args) {
-    let entries = with_concrete_backend!(&args.backend, |b| table1::run_with(
-        b,
-        &args.scale,
-        args.seed,
-        args.parallelism
-    ));
+    let entries = with_concrete_backend!(&args.backend, |b| table1::run(b, &args.scale, args.seed));
     let table = table1::to_table(&entries);
     println!("{}", table.render());
     maybe_write_csv(&args.csv_dir, "table1", &table);
@@ -356,13 +292,10 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "# adaptive-storage-views experiments (backend: {}, scale: {}, seed: {}, threads: {}, \
-         align mode: {}, kernel: {})",
+        "# adaptive-storage-views experiments (backend: {}, scale: {}, seed: {}, kernel: {})",
         args.backend.name(),
         args.scale.name,
         args.seed,
-        args.parallelism,
-        args.align_mode.name(),
         asv_storage::simd::selected_variant().name()
     );
     println!(

@@ -11,7 +11,7 @@ use asv_baselines::{
     BitmapIndex, PageIdVectorIndex, PhysicalScanBaseline, RangeIndex, VirtualViewIndex,
     ZoneMapIndex,
 };
-use asv_core::{CreationOptions, Parallelism};
+use asv_core::CreationOptions;
 use asv_util::{average_runtime, ValueRange};
 use asv_vmem::Backend;
 use asv_workloads::{Distribution, UpdateWorkload, DEFAULT_MAX_VALUE};
@@ -43,21 +43,6 @@ pub struct Fig3Row {
 /// Runs the Figure 3 experiment on `backend` and returns one row per
 /// (k, variant).
 pub fn run<B: Backend>(backend: &B, scale: &Scale, seed: u64) -> Vec<Fig3Row> {
-    run_with(backend, scale, seed, Parallelism::Sequential)
-}
-
-/// [`run`] with an explicit scan parallelism.
-///
-/// Parallelism applies to the virtual-view variant (the paper's own
-/// approach), whose query scan shards the view's page range across the
-/// fork-join pool. The explicit baselines keep their single-threaded scan
-/// loops — they model fixed reference implementations.
-pub fn run_with<B: Backend>(
-    backend: &B,
-    scale: &Scale,
-    seed: u64,
-    parallelism: Parallelism,
-) -> Vec<Fig3Row> {
     let dist = Distribution::Uniform {
         max_value: DEFAULT_MAX_VALUE,
     };
@@ -129,8 +114,7 @@ pub fn run_with<B: Backend>(
                 index_range,
                 &CreationOptions::ALL,
             )
-            .expect("virtual view column")
-            .with_parallelism(parallelism);
+            .expect("virtual view column");
             rows.push(measure(&mut idx));
         }
     }

@@ -7,7 +7,7 @@
 //! query, the response time and the number of scanned physical pages are
 //! reported; the baseline answers every query with a full column scan.
 
-use asv_core::{AdaptiveColumn, AdaptiveConfig, Parallelism, RangeQuery};
+use asv_core::{AdaptiveColumn, AdaptiveConfig, RangeQuery};
 use asv_vmem::Backend;
 use asv_workloads::{Distribution, QueryWorkload, SweepSpec};
 
@@ -51,18 +51,6 @@ pub fn run_distribution<B: Backend>(
     scale: &Scale,
     seed: u64,
 ) -> Fig4Result {
-    run_distribution_with(backend, dist, scale, seed, Parallelism::Sequential)
-}
-
-/// [`run_distribution`] with an explicit scan parallelism (applied to both
-/// the adaptive queries and the full-scan baseline).
-pub fn run_distribution_with<B: Backend>(
-    backend: &B,
-    dist: &Distribution,
-    scale: &Scale,
-    seed: u64,
-    parallelism: Parallelism,
-) -> Fig4Result {
     let values = dist.generate_pages(scale.fig45_pages, seed);
     let spec = SweepSpec {
         num_queries: scale.num_queries,
@@ -70,7 +58,7 @@ pub fn run_distribution_with<B: Backend>(
     };
     let queries = QueryWorkload::new(seed ^ 0xF164).selectivity_sweep(&spec);
 
-    let config = AdaptiveConfig::paper_single_view().with_parallelism(parallelism);
+    let config = AdaptiveConfig::paper_single_view();
     let mut adaptive = AdaptiveColumn::from_values(backend.clone(), &values, config)
         .expect("column materialization");
 
@@ -108,23 +96,13 @@ pub fn run_distribution_with<B: Backend>(
 /// Runs Figure 4 for all three clustered distributions (4a sine, 4b linear,
 /// 4c sparse).
 pub fn run_all<B: Backend>(backend: &B, scale: &Scale, seed: u64) -> Vec<Fig4Result> {
-    run_all_with(backend, scale, seed, Parallelism::Sequential)
-}
-
-/// [`run_all`] with an explicit scan parallelism.
-pub fn run_all_with<B: Backend>(
-    backend: &B,
-    scale: &Scale,
-    seed: u64,
-    parallelism: Parallelism,
-) -> Vec<Fig4Result> {
     [
         Distribution::sine(),
         Distribution::linear(),
         Distribution::sparse(),
     ]
     .iter()
-    .map(|d| run_distribution_with(backend, d, scale, seed, parallelism))
+    .map(|d| run_distribution(backend, d, scale, seed))
     .collect()
 }
 

@@ -6,7 +6,7 @@
 //! selected range in conjunction. Reported per query: response time and the
 //! number of views considered.
 
-use asv_core::{AdaptiveColumn, AdaptiveConfig, Parallelism, RangeQuery};
+use asv_core::{AdaptiveColumn, AdaptiveConfig, RangeQuery};
 use asv_vmem::Backend;
 use asv_workloads::{Distribution, QueryWorkload};
 
@@ -56,26 +56,6 @@ pub fn run_config<B: Backend>(
     scale: &Scale,
     seed: u64,
 ) -> Fig5Result {
-    run_config_with(
-        backend,
-        selectivity,
-        max_views,
-        scale,
-        seed,
-        Parallelism::Sequential,
-    )
-}
-
-/// [`run_config`] with an explicit scan parallelism (applied to both the
-/// adaptive queries and the full-scan baseline).
-pub fn run_config_with<B: Backend>(
-    backend: &B,
-    selectivity: f64,
-    max_views: usize,
-    scale: &Scale,
-    seed: u64,
-    parallelism: Parallelism,
-) -> Fig5Result {
     let dist = Distribution::sine();
     let values = dist.generate_pages(scale.fig45_pages, seed);
     let queries = QueryWorkload::new(seed ^ 0xF165).fixed_selectivity(
@@ -83,7 +63,7 @@ pub fn run_config_with<B: Backend>(
         selectivity,
         dist.max_value(),
     );
-    let config = AdaptiveConfig::paper_multi_view(max_views).with_parallelism(parallelism);
+    let config = AdaptiveConfig::paper_multi_view(max_views);
     let mut adaptive = AdaptiveColumn::from_values(backend.clone(), &values, config)
         .expect("column materialization");
 
@@ -125,19 +105,9 @@ pub fn run_config_with<B: Backend>(
 /// Runs both paper configurations: 1 % selectivity (≤ 200 views, Figure 5a)
 /// and 10 % selectivity (≤ 20 views, Figure 5b).
 pub fn run_all<B: Backend>(backend: &B, scale: &Scale, seed: u64) -> Vec<Fig5Result> {
-    run_all_with(backend, scale, seed, Parallelism::Sequential)
-}
-
-/// [`run_all`] with an explicit scan parallelism.
-pub fn run_all_with<B: Backend>(
-    backend: &B,
-    scale: &Scale,
-    seed: u64,
-    parallelism: Parallelism,
-) -> Vec<Fig5Result> {
     vec![
-        run_config_with(backend, 0.01, 200, scale, seed, parallelism),
-        run_config_with(backend, 0.10, 20, scale, seed, parallelism),
+        run_config(backend, 0.01, 200, scale, seed),
+        run_config(backend, 0.10, 20, scale, seed),
     ]
 }
 

@@ -10,7 +10,7 @@
 //! * Figure 6b: sine distribution over `[0, 2^64 - 1]`, view `v[0, 2^63]`
 //!   (≈ 52 % of all pages qualify, heavily clustered).
 
-use asv_core::{build_view_for_range_with, CreationOptions, Parallelism};
+use asv_core::{build_view_for_range, CreationOptions};
 use asv_storage::Column;
 use asv_util::{average_runtime, ValueRange};
 use asv_vmem::Backend;
@@ -42,18 +42,6 @@ pub const VARIANTS: [(&str, CreationOptions); 4] = [
 
 /// Runs Figure 6 for both distributions on `backend`.
 pub fn run<B: Backend>(backend: &B, scale: &Scale, seed: u64) -> Vec<Fig6Row> {
-    run_with(backend, scale, seed, Parallelism::Sequential)
-}
-
-/// [`run`] with an explicit scan parallelism: the qualifying-page detection
-/// scan of view creation is sharded across the fork-join pool (the mapping
-/// calls themselves stay governed by the [`CreationOptions`] under test).
-pub fn run_with<B: Backend>(
-    backend: &B,
-    scale: &Scale,
-    seed: u64,
-    parallelism: Parallelism,
-) -> Vec<Fig6Row> {
     let mut rows = Vec::new();
     // Figure 6a: uniform distribution, view [0, 100k].
     {
@@ -67,7 +55,6 @@ pub fn run_with<B: Backend>(
             "uniform",
             &ValueRange::new(0, 100_000),
             scale,
-            parallelism,
         ));
     }
     // Figure 6b: sine distribution over the full u64 domain, view [0, 2^63].
@@ -83,7 +70,6 @@ pub fn run_with<B: Backend>(
             "sine",
             &ValueRange::new(0, 1u64 << 63),
             scale,
-            parallelism,
         ));
     }
     rows
@@ -94,7 +80,6 @@ fn run_column<B: Backend>(
     distribution: &str,
     view_range: &ValueRange,
     scale: &Scale,
-    parallelism: Parallelism,
 ) -> Vec<Fig6Row> {
     VARIANTS
         .iter()
@@ -102,8 +87,7 @@ fn run_column<B: Backend>(
             let mut mapped_pages = 0usize;
             let elapsed = average_runtime(scale.repetitions, || {
                 let (view, pages) =
-                    build_view_for_range_with(column, view_range, options, parallelism)
-                        .expect("view creation");
+                    build_view_for_range(column, view_range, options).expect("view creation");
                 mapped_pages = pages;
                 drop(view);
             });

@@ -16,15 +16,11 @@
 //! it, outside the aligned region, through the kernel oracle
 //! (`proc_maps_parse_ms`).
 
-use asv_core::{
-    align_views_after_updates_with, apply_chunked_plan, build_view_for_range_with,
-    snapshot_alignment, spawn_alignment_chunked, CreationOptions, Parallelism,
-    UpdateAlignmentStats, ViewSet,
-};
-use asv_storage::{Column, Update};
+use asv_core::{align_views_after_updates, build_view_for_range, CreationOptions, ViewSet};
+use asv_storage::Column;
 use asv_util::{Timer, ValueRange};
 use asv_vmem::maps::kernel_mapping_tables;
-use asv_vmem::{Backend, ViewBuffer, VmemError};
+use asv_vmem::{Backend, ViewBuffer};
 use asv_workloads::{Distribution, UpdateWorkload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,57 +32,6 @@ use crate::scale::Scale;
 pub const NUM_VIEWS: usize = 5;
 /// Each view covers a 1/1024-th of the value range (as in the paper).
 pub const RANGE_FRACTION: u64 = 1024;
-
-/// How the views are aligned with the update batch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum AlignMode {
-    /// Stop-the-world alignment on the calling thread (the paper's setup;
-    /// the default, bit-identical to the pre-background harness).
-    #[default]
-    Sync,
-    /// Epoch-handoff alignment: snapshot on the caller, plan on a
-    /// background worker, publish on the caller.
-    Background,
-}
-
-impl AlignMode {
-    /// Parses a `--align-mode` value.
-    pub fn by_name(name: &str) -> Option<Self> {
-        match name {
-            "sync" => Some(AlignMode::Sync),
-            "background" => Some(AlignMode::Background),
-            _ => None,
-        }
-    }
-
-    /// The mode's display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AlignMode::Sync => "sync",
-            AlignMode::Background => "background",
-        }
-    }
-}
-
-/// Aligns `views` with `batch` in the given mode, returning the usual
-/// alignment stats. In background mode the caller blocks until the worker
-/// finishes (the figure measures alignment cost, not overlap).
-pub fn align_with_mode<B: Backend>(
-    column: &Column<B>,
-    views: &mut ViewSet<B>,
-    batch: &[Update],
-    parallelism: Parallelism,
-    mode: AlignMode,
-) -> Result<UpdateAlignmentStats, VmemError> {
-    match mode {
-        AlignMode::Sync => align_views_after_updates_with(column, views, batch, parallelism),
-        AlignMode::Background => {
-            let snapshot = snapshot_alignment(column, views.mappings(), batch);
-            let plan = spawn_alignment_chunked(snapshot, parallelism, 0).join();
-            apply_chunked_plan(column, views, &plan)
-        }
-    }
-}
 
 /// One measured (distribution, batch size) cell of Figure 7.
 #[derive(Clone, Debug)]
@@ -128,16 +73,11 @@ pub fn draw_view_ranges(seed: u64) -> Vec<ValueRange> {
         .collect()
 }
 
-fn setup_views<B: Backend>(
-    column: &Column<B>,
-    ranges: &[ValueRange],
-    parallelism: Parallelism,
-) -> ViewSet<B> {
+fn setup_views<B: Backend>(column: &Column<B>, ranges: &[ValueRange]) -> ViewSet<B> {
     let mut views = ViewSet::new(ranges.len());
     for range in ranges {
         let (buffer, _) =
-            build_view_for_range_with(column, range, &CreationOptions::ALL, parallelism)
-                .expect("view creation");
+            build_view_for_range(column, range, &CreationOptions::ALL).expect("view creation");
         views.insert_unchecked(*range, buffer);
     }
     views
@@ -150,34 +90,6 @@ pub fn run_distribution<B: Backend>(
     scale: &Scale,
     seed: u64,
 ) -> Vec<Fig7Row> {
-    run_distribution_with(backend, dist, scale, seed, Parallelism::Sequential)
-}
-
-/// [`run_distribution`] with an explicit scan parallelism (applied to the
-/// source scans of view creation and rebuild, and to the per-view planning
-/// fork-join of the alignment itself).
-pub fn run_distribution_with<B: Backend>(
-    backend: &B,
-    dist: &Distribution,
-    scale: &Scale,
-    seed: u64,
-    parallelism: Parallelism,
-) -> Vec<Fig7Row> {
-    run_distribution_with_mode(backend, dist, scale, seed, parallelism, AlignMode::Sync)
-}
-
-/// [`run_distribution_with`] with an explicit [`AlignMode`]: `Background`
-/// plans the alignment on the epoch-handoff worker instead of the calling
-/// thread. Pages added/removed are identical across modes by construction;
-/// only the timings differ.
-pub fn run_distribution_with_mode<B: Backend>(
-    backend: &B,
-    dist: &Distribution,
-    scale: &Scale,
-    seed: u64,
-    parallelism: Parallelism,
-    mode: AlignMode,
-) -> Vec<Fig7Row> {
     let values = dist.generate_pages(scale.fig7_pages, seed);
     let ranges = draw_view_ranges(seed ^ 0xF167);
     let mut rows = Vec::new();
@@ -185,7 +97,7 @@ pub fn run_distribution_with_mode<B: Backend>(
         // Fresh column and fresh views per batch size so measurements are
         // independent of previous batches.
         let mut column = Column::from_values(backend.clone(), &values).expect("column");
-        let mut views = setup_views(&column, &ranges, parallelism);
+        let mut views = setup_views(&column, &ranges);
         let indexed_pages_before: usize = views.partial_views().iter().map(|v| v.num_pages()).sum();
 
         let writes = UpdateWorkload::new(seed ^ batch_size as u64).uniform_writes(
@@ -194,8 +106,8 @@ pub fn run_distribution_with_mode<B: Backend>(
             u64::MAX,
         );
         let updates = column.write_batch(&writes);
-        let stats = align_with_mode(&column, &mut views, &updates, parallelism, mode)
-            .expect("view alignment");
+        let stats =
+            align_views_after_updates(&column, &mut views, &updates).expect("view alignment");
 
         // What the paper's design would have paid for this batch, and a
         // check that the tables the views own are the kernel's.
@@ -211,7 +123,7 @@ pub fn run_distribution_with_mode<B: Backend>(
 
         // Rebuild-from-scratch comparison, measured on the updated column.
         let rebuild_timer = Timer::start();
-        let rebuilt = setup_views(&column, &ranges, parallelism);
+        let rebuilt = setup_views(&column, &ranges);
         let rebuild_ms = rebuild_timer.elapsed_ms();
         drop(rebuilt);
 
@@ -233,27 +145,6 @@ pub fn run_distribution_with_mode<B: Backend>(
 /// Runs Figure 7 for both distributions (7a uniform, 7b sine), over the
 /// full `[0, 2^64 - 1]` domain as in the paper.
 pub fn run_all<B: Backend>(backend: &B, scale: &Scale, seed: u64) -> Vec<Fig7Row> {
-    run_all_with(backend, scale, seed, Parallelism::Sequential)
-}
-
-/// [`run_all`] with an explicit scan parallelism.
-pub fn run_all_with<B: Backend>(
-    backend: &B,
-    scale: &Scale,
-    seed: u64,
-    parallelism: Parallelism,
-) -> Vec<Fig7Row> {
-    run_all_with_mode(backend, scale, seed, parallelism, AlignMode::Sync)
-}
-
-/// [`run_all_with`] with an explicit [`AlignMode`].
-pub fn run_all_with_mode<B: Backend>(
-    backend: &B,
-    scale: &Scale,
-    seed: u64,
-    parallelism: Parallelism,
-    mode: AlignMode,
-) -> Vec<Fig7Row> {
     let uniform = Distribution::Uniform {
         max_value: u64::MAX,
     };
@@ -261,15 +152,8 @@ pub fn run_all_with_mode<B: Backend>(
         max_value: u64::MAX,
         period_pages: 100,
     };
-    let mut rows = run_distribution_with_mode(backend, &uniform, scale, seed, parallelism, mode);
-    rows.extend(run_distribution_with_mode(
-        backend,
-        &sine,
-        scale,
-        seed,
-        parallelism,
-        mode,
-    ));
+    let mut rows = run_distribution(backend, &uniform, scale, seed);
+    rows.extend(run_distribution(backend, &sine, scale, seed));
     rows
 }
 
@@ -337,45 +221,6 @@ mod tests {
         );
         let table = to_table(&rows);
         assert_eq!(table.num_rows(), rows.len());
-    }
-
-    #[test]
-    fn background_mode_matches_sync_page_counts() {
-        let scale = Scale::tiny();
-        let dist = Distribution::Uniform {
-            max_value: u64::MAX,
-        };
-        let b = asv_vmem::SimBackend::new();
-        let sync = run_distribution_with_mode(
-            &b,
-            &dist,
-            &scale,
-            9,
-            Parallelism::Sequential,
-            AlignMode::Sync,
-        );
-        let bg = run_distribution_with_mode(
-            &b,
-            &dist,
-            &scale,
-            9,
-            Parallelism::Threads(2),
-            AlignMode::Background,
-        );
-        assert_eq!(sync.len(), bg.len());
-        for (s, g) in sync.iter().zip(&bg) {
-            assert_eq!(s.batch_size, g.batch_size);
-            assert_eq!(s.pages_added, g.pages_added, "batch {}", s.batch_size);
-            assert_eq!(s.pages_removed, g.pages_removed, "batch {}", s.batch_size);
-            assert_eq!(s.indexed_pages_before, g.indexed_pages_before);
-        }
-        assert_eq!(
-            AlignMode::by_name("background"),
-            Some(AlignMode::Background)
-        );
-        assert_eq!(AlignMode::by_name("sync"), Some(AlignMode::Sync));
-        assert!(AlignMode::by_name("nope").is_none());
-        assert_eq!(AlignMode::default().name(), "sync");
     }
 
     #[test]

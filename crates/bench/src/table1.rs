@@ -5,7 +5,6 @@
 //! query is answered with a full scan, and when the adaptive view selection
 //! is used.
 
-use asv_core::Parallelism;
 use asv_vmem::Backend;
 
 use crate::fig4;
@@ -34,19 +33,8 @@ impl Table1Entry {
 /// Runs all five configurations on `backend` and returns one entry per
 /// column of Table 1.
 pub fn run<B: Backend>(backend: &B, scale: &Scale, seed: u64) -> Vec<Table1Entry> {
-    run_with(backend, scale, seed, Parallelism::Sequential)
-}
-
-/// [`run`] with an explicit scan parallelism, forwarded to the Figure 4/5
-/// drivers it aggregates.
-pub fn run_with<B: Backend>(
-    backend: &B,
-    scale: &Scale,
-    seed: u64,
-    parallelism: Parallelism,
-) -> Vec<Table1Entry> {
-    let fig4_results = fig4::run_all_with(backend, scale, seed, parallelism);
-    let fig5_results = fig5::run_all_with(backend, scale, seed, parallelism);
+    let fig4_results = fig4::run_all(backend, scale, seed);
+    let fig5_results = fig5::run_all(backend, scale, seed);
     let mut entries = Vec::new();
     let fig4_labels = ["Fig 4a (sine)", "Fig 4b (linear)", "Fig 4c (sparse)"];
     for (r, label) in fig4_results.iter().zip(fig4_labels) {

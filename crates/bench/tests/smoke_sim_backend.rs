@@ -8,7 +8,7 @@
 //! against a scalar rescan of the (updated) raw values.
 
 use asv_bench::{ablation, fig3, fig4, fig5, fig6, fig7, table1, Scale};
-use asv_util::{Parallelism, ValueRange};
+use asv_util::ValueRange;
 use asv_vmem::AnyBackend;
 use asv_workloads::{Distribution, UpdateWorkload, DEFAULT_MAX_VALUE};
 
@@ -127,33 +127,6 @@ fn fig7_alignment_touches_pages_and_reports_timings() {
 }
 
 #[test]
-fn fig7_background_alignment_matches_sync_results() {
-    // Same figure, aligned via the epoch-handoff worker: identical page
-    // movements and view sizes, only the timings may differ.
-    let scale = Scale::tiny();
-    let sync = fig7::run_all(&backend(), &scale, SEED);
-    let bg = fig7::run_all_with_mode(
-        &backend(),
-        &scale,
-        SEED,
-        Parallelism::Threads(2),
-        fig7::AlignMode::Background,
-    );
-    assert_eq!(sync.len(), bg.len());
-    for (s, b) in sync.iter().zip(&bg) {
-        assert_eq!(s.distribution, b.distribution);
-        assert_eq!(s.batch_size, b.batch_size);
-        assert_eq!(
-            s.pages_added, b.pages_added,
-            "{}/{}",
-            s.distribution, s.batch_size
-        );
-        assert_eq!(s.pages_removed, b.pages_removed);
-        assert_eq!(s.indexed_pages_before, b.indexed_pages_before);
-    }
-}
-
-#[test]
 fn table1_aggregates_all_five_experiments() {
     let entries = table1::run(&backend(), &Scale::tiny(), SEED);
     assert_eq!(entries.len(), 5);
@@ -169,35 +142,6 @@ fn ablation_covers_every_configuration() {
     assert_eq!(rows.len(), ablation::configurations().len());
     for r in &rows {
         assert!(r.total_s > 0.0, "{} produced no measurement", r.label);
-    }
-}
-
-#[test]
-fn parallel_drivers_agree_with_sequential_drivers() {
-    // Every figure driver must produce the same *results* (counts, view
-    // counts, mapped pages) regardless of the scan parallelism; only the
-    // timings may differ.
-    let scale = Scale::tiny();
-    let threads = Parallelism::Threads(2);
-
-    let seq = fig4::run_all(&backend(), &scale, SEED);
-    let par = fig4::run_all_with(&backend(), &scale, SEED, threads);
-    for (s, p) in seq.iter().zip(&par) {
-        assert_eq!(s.distribution, p.distribution);
-        assert_eq!(s.final_views, p.final_views);
-        let seq_pages: Vec<usize> = s.rows.iter().map(|r| r.scanned_pages).collect();
-        let par_pages: Vec<usize> = p.rows.iter().map(|r| r.scanned_pages).collect();
-        assert_eq!(seq_pages, par_pages, "{}", s.distribution);
-    }
-
-    let seq = fig6::run(&backend(), &scale, SEED);
-    let par = fig6::run_with(&backend(), &scale, SEED, threads);
-    for (s, p) in seq.iter().zip(&par) {
-        assert_eq!(
-            s.mapped_pages, p.mapped_pages,
-            "{}/{}",
-            s.distribution, s.variant
-        );
     }
 }
 

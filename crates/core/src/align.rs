@@ -1,12 +1,13 @@
-//! Background (epoch-handoff) view alignment.
+//! View alignment in three phases: snapshot, plan, publish.
 //!
-//! [`crate::updates::align_views_after_updates`] is a stop-the-world call:
-//! no query can run on the column while a whole batch is aligned. This
-//! module decomposes alignment into three phases so the expensive decision
-//! work can leave the query path entirely (related work: *Virtual-Memory
-//! Assisted Buffer Management* overlaps mapping changes with query
-//! execution; *The Virtual Block Interface* decouples mapping management
-//! from access latency):
+//! [`crate::updates::align_views_after_updates`] (the §2.4 call behind
+//! [`crate::AdaptiveColumn::align_views`]) runs the three phases
+//! back-to-back on the calling thread. [`crate::ServeTable`] runs the plan
+//! phase on a worker thread while readers keep answering from the
+//! pre-batch views (related work: *Virtual-Memory Assisted Buffer
+//! Management* overlaps mapping changes with query execution; *The
+//! Virtual Block Interface* decouples mapping management from access
+//! latency):
 //!
 //! 1. **Snapshot** ([`snapshot_alignment`]) — on the caller thread, one
 //!    sort deduplicates the batch and groups it by page
@@ -23,43 +24,33 @@
 //!    replayed at the groups its range meets against a *shadow copy* of its
 //!    mapping table, recording the page-table manipulations as
 //!    [`ViewOp`]s. Because the snapshot is owned, this phase can run on a
-//!    background worker ([`spawn_alignment_chunked`]) while queries keep
-//!    executing against the untouched pre-batch views — and the
-//!    independent per-view work is fork-joined across the
-//!    [`asv_util::ThreadPool`].
+//!    worker thread ([`spawn_alignment_chunked`]), and the independent
+//!    per-view work is fork-joined across the [`asv_util::ThreadPool`].
 //! 3. **Publish** ([`apply_plan`]) — back on the owning thread, the
-//!    recorded ops are replayed onto the real view buffers (the only part
-//!    that must exclude queries: a handful of `mmap(MAP_FIXED)` /
-//!    truncate calls) and the [`ViewSet`] generation is bumped, moving the
-//!    column into the next view epoch.
+//!    recorded ops are replayed onto the real view buffers (a handful of
+//!    `mmap(MAP_FIXED)` / truncate calls) and the [`ViewSet`] generation is
+//!    bumped, moving the column into the next view epoch.
 //!
-//! The synchronous path runs the exact same three phases back-to-back, so
-//! background and synchronous alignment produce bit-identical slot ↔ page
-//! layouts by construction. Pages are planned in ascending page-id order —
-//! never in `HashMap` iteration order — which pins the layout of newly
-//! mapped slots to a single deterministic outcome across runs.
+//! Pages are planned in ascending page-id order — never in `HashMap`
+//! iteration order — which pins the layout of newly mapped slots to a
+//! single deterministic outcome across runs, threads and chunk sizes.
 //!
-//! # Write ingestion and chunked publishing
+//! # Chunked publishing and the pending-writes queue
 //!
-//! Two additions lift the remaining stop-the-world costs off the write and
-//! publish paths:
+//! Two pieces serve [`crate::ServeTable`]'s maintenance loop:
 //!
 //! * **Chunked alignment** ([`plan_alignment_chunked`]) splits a large
 //!   batch into consecutive chunks of bounded update count (whole page
-//!   groups are never split) and plans *all* of them in one background
-//!   pass against the same evolving shadow mapping tables. Each chunk then
-//!   publishes as its own [`ViewSet`] epoch, so the query-excluding publish
-//!   step is bounded by the chunk size — concatenating the chunks of a
-//!   [`ChunkedAlignmentPlan`] reproduces the one-chunk plan op-for-op, so
-//!   every chunk size ends in bit-identical layouts.
-//! * **A pending-writes queue** ([`WriteOverlay`]) lets
-//!   [`crate::AdaptiveColumn`] accept `write` / `write_batch` while a plan
-//!   is in flight: the writes are queued instead of hitting the physical
-//!   column, reads resolve through the overlay (scans mask the queued rows
-//!   via [`asv_storage::ScanKernel::with_excluded_rows`] and the query
-//!   layer substitutes the queued values), and the queue drains into the
-//!   next alignment round automatically when the current round's last
-//!   chunk publishes.
+//!   groups are never split) and plans *all* of them in one pass against
+//!   the same evolving shadow mapping tables. Each chunk then publishes as
+//!   its own epoch, so the publish step is bounded by the chunk size —
+//!   concatenating the chunks of a [`ChunkedAlignmentPlan`] reproduces the
+//!   one-chunk plan op-for-op, so every chunk size ends in bit-identical
+//!   layouts.
+//! * **A pending-writes queue** ([`WriteOverlay`]) holds the writes that
+//!   arrive while a round is in flight: reads mask the queued rows and
+//!   substitute the queued values, and the queue drains into the next
+//!   alignment round.
 //!
 //! # Only affected views are aligned
 //!
@@ -84,10 +75,11 @@
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use asv_storage::{Column, ExclusionMasks, PageGroups, Update};
+use asv_storage::{Column, PageGroups, Update};
 use asv_util::{Parallelism, ThreadPool, Timer, ValueRange};
 use asv_vmem::{Backend, MappingTable, VmemError};
 
@@ -564,60 +556,107 @@ pub fn apply_chunked_plan<B: Backend>(
     Ok(stats)
 }
 
-/// A chunked batch alignment planning on a background worker thread.
+/// A chunked batch alignment planning on a background worker thread (or
+/// already planned, if no worker could be spawned).
 ///
-/// Produced by [`spawn_alignment_chunked`]; the owning column keeps serving
+/// Produced by [`spawn_alignment_chunked`]; the owning table keeps serving
 /// queries on the pre-batch view epoch until the plan is joined, then
 /// publishes the chunks one epoch at a time.
 #[derive(Debug)]
 pub struct PendingChunkedAlignment {
-    handle: JoinHandle<ChunkedAlignmentPlan>,
+    state: PendingState,
 }
+
+#[derive(Debug)]
+enum PendingState {
+    /// A worker thread is planning.
+    Spawned(JoinHandle<ChunkedAlignmentPlan>),
+    /// No worker could be spawned: the plan was made on the calling thread.
+    Planned(ChunkedAlignmentPlan),
+}
+
+/// The planning closure a worker thread runs.
+type PlanJob = Box<dyn FnOnce() -> ChunkedAlignmentPlan + Send>;
 
 /// Ships an [`AlignmentSnapshot`] to a dedicated worker thread that plans
 /// the alignment off the query path as a [`ChunkedAlignmentPlan`] with at
 /// most `chunk_updates` updates per chunk (`0` = one chunk). Within the
 /// pass, the per-view planning fork-joins across a pool sized by
 /// `parallelism`.
+///
+/// If the OS refuses the thread (e.g. `EAGAIN` under a pid limit), the
+/// same plan is made sequentially on the calling thread instead: plans do
+/// not depend on `parallelism`, so every later answer is unchanged.
 pub fn spawn_alignment_chunked(
     snapshot: AlignmentSnapshot,
     parallelism: Parallelism,
     chunk_updates: usize,
 ) -> PendingChunkedAlignment {
-    let handle = std::thread::Builder::new()
-        .name("asv-align".into())
-        .spawn(move || plan_alignment_chunked(&snapshot, parallelism, chunk_updates))
-        .expect("spawn alignment worker thread");
-    PendingChunkedAlignment { handle }
+    start_alignment(snapshot, parallelism, chunk_updates, |job| {
+        std::thread::Builder::new()
+            .name("asv-align".into())
+            .spawn(job)
+    })
+}
+
+/// [`spawn_alignment_chunked`] over an explicit `spawn`, so the fallback
+/// for a refused thread is testable without exhausting threads.
+fn start_alignment(
+    snapshot: AlignmentSnapshot,
+    parallelism: Parallelism,
+    chunk_updates: usize,
+    spawn: impl FnOnce(PlanJob) -> std::io::Result<JoinHandle<ChunkedAlignmentPlan>>,
+) -> PendingChunkedAlignment {
+    let snapshot = Arc::new(snapshot);
+    let job_snapshot = Arc::clone(&snapshot);
+    let job: PlanJob =
+        Box::new(move || plan_alignment_chunked(&job_snapshot, parallelism, chunk_updates));
+    let state = match spawn(job) {
+        Ok(handle) => PendingState::Spawned(handle),
+        // The refused job was dropped with its snapshot handle. Planning
+        // sequentially spawns no pool workers either.
+        Err(_) => PendingState::Planned(plan_alignment_chunked(
+            &snapshot,
+            Parallelism::Sequential,
+            chunk_updates,
+        )),
+    };
+    PendingChunkedAlignment { state }
 }
 
 impl PendingChunkedAlignment {
-    /// Returns `true` once the worker has finished planning (joining will
-    /// not block).
+    /// Returns `true` once the plan is ready (joining will not block).
     pub fn is_finished(&self) -> bool {
-        self.handle.is_finished()
+        match &self.state {
+            PendingState::Spawned(handle) => handle.is_finished(),
+            PendingState::Planned(_) => true,
+        }
     }
 
     /// Waits for the worker and returns the finished chunked plan.
     ///
+    /// # Panics
     /// A panic on the worker thread is propagated to the caller.
     pub fn join(self) -> ChunkedAlignmentPlan {
-        match self.handle.join() {
-            Ok(plan) => plan,
-            Err(panic) => std::panic::resume_unwind(panic),
+        match self.state {
+            PendingState::Spawned(handle) => match handle.join() {
+                Ok(plan) => plan,
+                Err(panic) => std::panic::resume_unwind(panic),
+            },
+            PendingState::Planned(plan) => plan,
         }
     }
 }
 
-/// The pending-writes queue of an adaptive column: rows written while an
-/// alignment round is in flight, visible to reads through an overlay.
+/// The pending-writes queue of a served column ([`crate::ServeTable`]):
+/// rows written while an alignment round is in flight, visible to reads
+/// through an overlay.
 ///
 /// Entries live through two stages:
 ///
 /// 1. **Queued** — the write has *not* reached the physical column yet; the
-///    overlay value is the only copy. Scans mask the row (via
-///    [`asv_storage::ScanKernel::with_excluded_rows`]) and the query layer
-///    answers it from the overlay.
+///    overlay value is the only copy. Scans mask the row and the query
+///    layer answers it from the overlay.
 /// 2. **Aligning** — the queue was drained into an alignment round
 ///    ([`WriteOverlay::take_queued`]): the value now lives in the physical
 ///    column too, but the partial views are not yet re-aligned with it, so
@@ -638,12 +677,6 @@ pub struct WriteOverlay {
     rows: RefCell<Vec<u64>>,
     /// `true` while `rows` may be out of ascending order.
     rows_dirty: Cell<bool>,
-    /// Per-page exclusion bitmasks derived from `rows`, built lazily on the
-    /// first masked scan of an overlay epoch and reused until the row set
-    /// changes (a newly-overlaid row or a retire). Value-only rewrites keep
-    /// the cache — the masks depend on *which* rows are overlaid, not on
-    /// their values.
-    masks: RefCell<Option<ExclusionMasks>>,
     /// Arrival-ordered log of queued `(row, value)` writes, drained into
     /// the next alignment round. Repeated writes to a row appear once per
     /// write here (the alignment's last-write-wins dedup collapses them),
@@ -689,22 +722,6 @@ impl WriteOverlay {
         self.rows.borrow()
     }
 
-    /// The per-page exclusion bitmasks over the overlaid rows, for
-    /// [`asv_storage::ScanKernel::with_exclusion_masks`]. Built once per
-    /// overlay epoch — the first masked scan after the row set changed pays
-    /// the build, every further scan of the epoch reuses it. With no writes
-    /// queued the overlay is empty and callers never reach this path, so
-    /// the read-only fast path stays zero-cost.
-    pub fn exclusion_masks(&self) -> Ref<'_, ExclusionMasks> {
-        if self.masks.borrow().is_none() {
-            let rows = self.rows().clone();
-            *self.masks.borrow_mut() = Some(ExclusionMasks::from_rows(rows));
-        }
-        Ref::map(self.masks.borrow(), |m| {
-            m.as_ref().expect("exclusion masks built above")
-        })
-    }
-
     /// Every overlaid `(row, acknowledged value)` pair, ascending by row.
     pub fn sorted_pairs(&self) -> Vec<(u64, u64)> {
         let mut pairs: Vec<(u64, u64)> = self
@@ -714,11 +731,6 @@ impl WriteOverlay {
             .collect();
         pairs.sort_unstable_by_key(|&(row, _)| row);
         pairs
-    }
-
-    /// The acknowledged value of `row`, if the row is overlaid.
-    pub fn value(&self, row: u64) -> Option<u64> {
-        self.entries.get(&row).map(|e| e.value)
     }
 
     /// Queues a write of `value` into `row`. Returns `true` if the row was
@@ -740,7 +752,6 @@ impl WriteOverlay {
         if newly_overlaid {
             self.rows.get_mut().push(key);
             self.rows_dirty.set(true);
-            *self.masks.get_mut() = None;
         }
         self.log.push((row, value));
         newly_overlaid
@@ -764,19 +775,6 @@ impl WriteOverlay {
         self.entries.retain(|_, e| e.queued);
         let rows = self.rows.get_mut();
         rows.retain(|r| self.entries.contains_key(r));
-        *self.masks.get_mut() = None;
-    }
-
-    /// Folds the overlaid values qualifying under `range` into an answer:
-    /// calls `f(row, value)` for every overlaid row whose acknowledged
-    /// value falls into `range`, in ascending row order.
-    pub fn for_each_qualifying(&self, range: &ValueRange, mut f: impl FnMut(u64, u64)) {
-        for &row in self.rows().iter() {
-            let value = self.entries[&row].value;
-            if range.contains(value) {
-                f(row, value);
-            }
-        }
     }
 }
 
@@ -1030,14 +1028,7 @@ mod tests {
             &[3, 10],
             "ascending exclusion list"
         );
-        assert_eq!(overlay.value(10), Some(111));
-        assert_eq!(overlay.value(3), Some(30));
-        assert_eq!(overlay.value(4), None);
         assert_eq!(overlay.sorted_pairs(), [(3, 30), (10, 111)]);
-
-        let mut seen = Vec::new();
-        overlay.for_each_qualifying(&ValueRange::new(50, 200), |row, v| seen.push((row, v)));
-        assert_eq!(seen, vec![(10, 111)]);
 
         // Drain into a round: entries stay visible, log empties.
         let writes = overlay.take_queued();
@@ -1048,11 +1039,53 @@ mod tests {
         overlay.push(3, 33);
         overlay.retire_aligned();
         assert_eq!(overlay.rows().as_slice(), &[3]);
-        assert_eq!(overlay.value(3), Some(33));
         assert_eq!(overlay.sorted_pairs(), [(3, 33)]);
         overlay.take_queued();
         overlay.retire_aligned();
         assert!(overlay.is_empty());
+    }
+
+    /// A refused worker thread falls back to planning on the calling
+    /// thread, and that plan equals the one a worker makes.
+    #[test]
+    fn refused_spawn_plans_inline_to_the_same_plan() {
+        let ranges = [
+            ValueRange::new(5_000, 9_400),
+            ValueRange::new(12_000, 20_510),
+        ];
+        let (mut column, views) = column_with_views(32, &ranges);
+        let mut writes: Vec<(usize, u64)> = (20..30)
+            .map(|p| (p * VALUES_PER_PAGE + p, 6_000 + p as u64))
+            .collect();
+        writes.extend((0..VALUES_PER_PAGE).map(|s| (13 * VALUES_PER_PAGE + s, 1 + s as u64)));
+        let updates = column.write_batch(&writes);
+        let snapshot = || snapshot_alignment(&column, views.mappings(), &updates);
+        let spawned = spawn_alignment_chunked(snapshot(), Parallelism::Threads(2), 3);
+        let refused = start_alignment(snapshot(), Parallelism::Threads(2), 3, |_job| {
+            Err(std::io::Error::from(std::io::ErrorKind::WouldBlock))
+        });
+        assert!(matches!(refused.state, PendingState::Planned(_)));
+        assert!(refused.is_finished(), "an inline plan never blocks a join");
+        let (spawned, inline) = (spawned.join(), refused.join());
+        assert!(inline.num_chunks() > 1 && inline.pages_removed() > 0);
+        assert_eq!(
+            (inline.batch_size, inline.deduped_size),
+            (spawned.batch_size, spawned.deduped_size)
+        );
+        assert_eq!(inline.num_chunks(), spawned.num_chunks());
+        for (a, b) in inline.chunks.iter().zip(&spawned.chunks) {
+            assert_eq!(a.deduped_size, b.deduped_size);
+            let shape = |plan: &AlignmentPlan| -> Vec<(usize, u64, Vec<ViewOp>, usize, usize)> {
+                plan.views
+                    .iter()
+                    .map(|v| {
+                        let ops = v.ops.clone();
+                        (v.view_idx, v.view_id, ops, v.pages_added, v.pages_removed)
+                    })
+                    .collect()
+            };
+            assert_eq!(shape(a), shape(b));
+        }
     }
 
     #[test]

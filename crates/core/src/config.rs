@@ -56,15 +56,16 @@ impl Default for CreationOptions {
     }
 }
 
-/// Chunking and write-queue knobs of background view alignment (the write
-/// ingestion subsystem of [`crate::align`]).
+/// Chunking and write-queue knobs of [`crate::ServeTable`]'s alignment
+/// rounds and pending-writes queue ([`crate::align::WriteOverlay`]). An
+/// [`crate::AdaptiveColumn`] reads none of them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AlignChunking {
     /// Maximum number of *deduplicated* updates folded into one published
     /// alignment chunk. A batch larger than this splits into consecutive
     /// chunks (whole page groups are never split), each planned and
-    /// published as its own [`crate::ViewSet`] epoch — so the query-blocking
-    /// publish step is bounded by the chunk size, not the batch size. A
+    /// published as its own epoch — so the publish step is bounded by the
+    /// chunk size, not the batch size. A
     /// chunk may exceed the bound only when a *single page's* update group
     /// already does.
     ///
@@ -74,14 +75,12 @@ pub struct AlignChunking {
     /// The serving layer ([`crate::serve`]) publishes one chunk per
     /// maintenance tick, so this also bounds the alignment work of a tick.
     pub chunk_updates: usize,
-    /// Soft bound on the rows the pending-writes queue may hold while
-    /// alignment work is in flight. A write hitting the bound applies
-    /// *backpressure without blocking*: the in-flight round is nudged
-    /// forward (one non-blocking publish poll) so its completion can fold
-    /// the queue into the next round, and the write is queued regardless —
-    /// acknowledged writes are never dropped and the writer never stalls on
-    /// a full queue. Queue size is counted in *distinct rows* (repeated
-    /// writes to a row overwrite its queue entry).
+    /// Soft bound on the rows the pending-writes queue may hold: an idle
+    /// maintenance tick folds the queue once any ingest shard holds its
+    /// share of this many distinct rows, whatever `group_commit_idle` says.
+    /// Writes are never dropped and the writer never stalls on a full
+    /// queue. Queue size is counted in *distinct rows* (repeated writes to
+    /// a row overwrite its queue entry).
     pub max_queued_writes: usize,
     /// Group-commit threshold of the serving layer's maintenance loop
     /// ([`crate::serve`]): an *idle* maintenance tick (no alignment round
@@ -115,7 +114,7 @@ pub struct AlignChunking {
     /// `n > 0`, a column that has been fully idle (no alignment round in
     /// flight, empty overlay) for `n` consecutive maintenance ticks and
     /// whose bands widened since the last rebuild gets its
-    /// [`crate::plan::ZoneStats`] rebuilt from live data. `0` (the default)
+    /// [`crate::zones::ZoneStats`] rebuilt from live data. `0` (the default)
     /// disables the pass.
     pub retighten_idle_ticks: usize,
 }
@@ -175,7 +174,8 @@ impl Default for AlignChunking {
 
 /// Configuration of an [`crate::AdaptiveColumn`] or a
 /// [`crate::ServeTable`]. A serving table reads only `chunking` and
-/// `parallelism`; its views are installed explicitly and never mapped.
+/// `parallelism`, and an adaptive column reads neither; a serving table's
+/// views are installed explicitly and never mapped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AdaptiveConfig {
     /// Query routing mode. Ignored by [`crate::ServeTable`].
@@ -202,14 +202,13 @@ pub struct AdaptiveConfig {
     pub adaptive_creation: bool,
     /// View-creation optimizations. Ignored by [`crate::ServeTable`].
     pub creation: CreationOptions,
-    /// Degree of parallelism of the scan path (queries and the full-scan
-    /// baseline). Defaults to [`Parallelism::Sequential`], which keeps every
-    /// result bit-identical to the single-threaded code path; `Threads(n)` /
-    /// `Auto` shard scans fork-join style across worker threads. A
-    /// [`crate::ServeTable`] sizes its alignment planner's pool by it.
+    /// Size of the pool a [`crate::ServeTable`] fork-joins its per-view
+    /// alignment planning over. Defaults to [`Parallelism::Sequential`].
+    /// Plans do not depend on it. Ignored by [`crate::AdaptiveColumn`],
+    /// which runs on its caller's thread.
     pub parallelism: Parallelism,
-    /// Chunking and write-queue knobs of background alignment, read by
-    /// [`crate::ServeTable`] too.
+    /// Chunking and write-queue knobs of [`crate::ServeTable`]'s alignment
+    /// rounds. Ignored by [`crate::AdaptiveColumn`].
     pub chunking: AlignChunking,
 }
 
@@ -282,13 +281,14 @@ impl AdaptiveConfig {
         self
     }
 
-    /// Builder-style setter for the scan parallelism.
+    /// Builder-style setter for the serving table's planner parallelism.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self
     }
 
-    /// Builder-style setter for the alignment chunking / write-queue knobs.
+    /// Builder-style setter for the serving table's chunking / write-queue
+    /// knobs.
     pub fn with_chunking(mut self, chunking: AlignChunking) -> Self {
         self.chunking = chunking;
         self

@@ -16,7 +16,7 @@
 use std::sync::mpsc::{channel, Receiver, Sender};
 
 use asv_storage::Column;
-use asv_util::{split_ranges, Parallelism, Run, RunBuilder, ThreadPool};
+use asv_util::{Run, RunBuilder};
 use asv_vmem::{Backend, MapRequest, VmemError};
 
 use crate::config::CreationOptions;
@@ -210,40 +210,10 @@ pub fn build_view_for_range<B: Backend>(
     range: &asv_util::ValueRange,
     options: &CreationOptions,
 ) -> Result<(B::View, usize), VmemError> {
-    build_view_for_range_with(column, range, options, Parallelism::Sequential)
-}
-
-/// Like [`build_view_for_range`], but with the qualifying-page detection
-/// scan sharded across a fork-join pool.
-///
-/// With [`Parallelism::Sequential`] the behaviour (and mapping order) is
-/// identical to [`build_view_for_range`]. With more than one worker, the
-/// physical page range is split into balanced shards whose qualifying page
-/// ids are detected concurrently and then fed to the sink in ascending page
-/// order — the resulting view maps exactly the same pages.
-pub fn build_view_for_range_with<B: Backend>(
-    column: &Column<B>,
-    range: &asv_util::ValueRange,
-    options: &CreationOptions,
-    parallelism: Parallelism,
-) -> Result<(B::View, usize), VmemError> {
-    let pool = ThreadPool::new(parallelism);
-    let qualifies = |page_idx: usize| page_meets_range(column, page_idx, range);
-    let detected: Option<Vec<usize>> = (pool.workers() > 1 && column.num_pages() >= 2).then(|| {
-        let qualifies = &qualifies;
-        let shards = split_ranges(column.num_pages(), pool.workers())
-            .into_iter()
-            .map(|pages| move || pages.filter(|&p| qualifies(p)).collect::<Vec<usize>>());
-        pool.scoped_map(shards.collect()).concat()
-    });
     create_while_scanning(column, options, |sink| {
-        let add = |page: usize| sink.add_page(page as u64);
-        match detected {
-            Some(pages) => pages.into_iter().try_for_each(add)?,
-            None => (0..column.num_pages())
-                .filter(|&p| qualifies(p))
-                .try_for_each(add)?,
-        }
+        (0..column.num_pages())
+            .filter(|&p| page_meets_range(column, p, range))
+            .try_for_each(|page| sink.add_page(page as u64))?;
         Ok(sink.pages_added())
     })
 }
@@ -319,33 +289,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(view_page_ids(&column, &view), vec![2, 3, 10]);
-    }
-
-    #[test]
-    fn parallel_detection_builds_the_same_view() {
-        let column = clustered_column(SimBackend::new(), 32);
-        let range = ValueRange::new(4000, 9500);
-        let (seq_view, seq_pages) = build_view_for_range_with(
-            &column,
-            &range,
-            &CreationOptions::ALL,
-            Parallelism::Sequential,
-        )
-        .unwrap();
-        for threads in [2usize, 4] {
-            let (par_view, par_pages) = build_view_for_range_with(
-                &column,
-                &range,
-                &CreationOptions::ALL,
-                Parallelism::Threads(threads),
-            )
-            .unwrap();
-            assert_eq!(par_pages, seq_pages);
-            assert_eq!(
-                view_page_ids(&column, &par_view),
-                view_page_ids(&column, &seq_view)
-            );
-        }
     }
 
     #[test]

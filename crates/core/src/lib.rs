@@ -17,27 +17,25 @@
 //! * **optimized view creation** with consecutive-run coalescing and a
 //!   background mapping thread (paper §2.3, [`creation`]),
 //! * **batched update alignment** of partial views driven by the
-//!   materialized memory mapping (paper §2.4–2.5, [`updates`]),
-//! * **background (epoch-handoff) alignment** that plans a batch's
-//!   alignment for the views it meets on a worker thread while queries keep
-//!   running against the pre-batch views, publishing the aligned set
-//!   atomically by bumping the view-set generation ([`align`]),
+//!   materialized memory mapping (paper §2.4–2.5, [`updates`]), as three
+//!   phases — snapshot, plan, publish ([`align`]),
 //! * a **concurrent multi-column serving layer** in which reader threads
 //!   pin epoch-consistent snapshots (userspace RCU) and run range and
 //!   conjunctive queries lock-free while one maintenance thread ingests
-//!   writes and publishes re-aligned view epochs ([`serve`]); conjunctions
-//!   intersect the predicates' page sets and apply the predicates in the
-//!   order of their zone-statistics estimates ([`plan`]).
+//!   writes, plans each batch's alignment on a worker thread and publishes
+//!   re-aligned view epochs ([`serve`]); conjunctions intersect the
+//!   predicates' page sets and apply the predicates in the order of their
+//!   zone-statistics estimates ([`zones`]).
 //!
-//! The entry points are [`AdaptiveColumn`], one column's adaptive layer,
-//! and [`ServeTable`], the multi-column engine.
+//! The entry points are [`AdaptiveColumn`], one column's adaptive layer
+//! (the paper's Listing 1: synchronous, on the caller's thread), and
+//! [`ServeTable`], the concurrent multi-column engine.
 
 pub mod adaptive;
 pub mod align;
 pub mod config;
 pub mod creation;
 pub mod exec;
-pub mod plan;
 pub mod query;
 pub mod router;
 pub mod serve;
@@ -46,6 +44,7 @@ pub mod updates;
 pub mod view;
 pub mod viewset;
 pub mod wal;
+pub mod zones;
 
 pub use adaptive::AdaptiveColumn;
 pub use align::{
@@ -57,19 +56,16 @@ pub use config::{AdaptiveConfig, AlignChunking, CreationOptions, RoutingMode};
 // Re-exported so downstream crates can configure the parallel execution
 // layer without depending on asv-util directly.
 pub use asv_util::{Parallelism, ThreadPool};
-pub use creation::{build_view_for_range, build_view_for_range_with, create_while_scanning};
-pub use plan::{CardinalityEstimate, ZoneStats};
+pub use creation::{build_view_for_range, create_while_scanning};
 pub use query::{QueryExecution, QueryOutcome, RangeQuery, ViewMaintenance};
 pub use router::{route, RouteSelection, ViewId};
 pub use serve::{
     writer_shard_of, AlignActivity, ColumnEpoch, ConjunctiveAnswer, DurabilityConfig, RangeAnswer,
     RecoveryInfo, ServeTable, Snapshot, TableEpoch, TableHandle, TableWriter, ViewMeta,
 };
-pub use stats::{ChunkPublishRecord, QueryRecord, SequenceStats};
-pub use updates::{
-    align_views_after_updates, align_views_after_updates_with, rebuild_all_views,
-    UpdateAlignmentStats,
-};
+pub use stats::{QueryRecord, SequenceStats};
+pub use updates::{align_views_after_updates, rebuild_all_views, UpdateAlignmentStats};
 pub use view::PartialView;
 pub use viewset::ViewSet;
 pub use wal::{FaultKind, FaultPlan, Journal, ReplayOutcome, WalRecord};
+pub use zones::{CardinalityEstimate, ZoneStats};

@@ -41,10 +41,6 @@ impl RangeQuery {
 
     /// Marks this query as count-only: the answer's `sum` stays 0 and the
     /// per-value checksum accumulation is skipped on the scan hot path.
-    ///
-    /// Row collection takes precedence: when such a query is answered via
-    /// `AdaptiveColumn::query_collect`, the rows (and the checksum, which
-    /// is a by-product of the collecting scan) are produced as usual.
     pub fn count_only(mut self) -> Self {
         self.count_only = true;
         self
@@ -79,22 +75,18 @@ impl From<ValueRange> for RangeQuery {
 
 /// The result of answering one [`RangeQuery`].
 ///
-/// Besides the aggregate answer (count and checksum of qualifying values,
-/// plus optionally the qualifying row ids) the outcome records the
-/// execution characteristics the paper's figures plot: how many physical
-/// pages were scanned, which and how many views were used, and whether a
-/// new partial view was retained.
+/// Besides the aggregate answer (count and checksum of qualifying values)
+/// the outcome records the execution characteristics the paper's figures
+/// plot: how many physical pages were scanned, which and how many views
+/// were used, and whether a new partial view was retained.
 #[derive(Clone, Debug, Default)]
 pub struct QueryOutcome {
     /// Number of qualifying values.
     pub count: u64,
     /// Sum of qualifying values (checksum used to validate equivalence with
-    /// the full-scan baseline). Stays 0 for count-only queries — which skip
-    /// the checksum accumulation on the hot path — unless row collection
-    /// was requested, which computes the checksum as a by-product.
+    /// the full-scan baseline). Stays 0 for count-only queries, which skip
+    /// the checksum accumulation on the hot path.
     pub sum: u128,
-    /// Qualifying row ids, if collection was requested.
-    pub rows: Option<Vec<u64>>,
     /// Number of distinct physical pages scanned to answer the query
     /// (plotted in Figure 4).
     pub scanned_pages: usize,

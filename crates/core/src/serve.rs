@@ -180,9 +180,9 @@ use crate::align::{
 };
 use crate::config::AdaptiveConfig;
 use crate::creation::page_meets_range;
-use crate::plan::ZoneStats;
 use crate::router::{greedy_cover, smallest_cover};
 use crate::wal::{self, FaultPlan, Journal, WalRecord};
+use crate::zones::ZoneStats;
 
 /// Frozen metadata of one partial view inside an epoch: its covered range
 /// and the set of physical pages it holds, ascending.
@@ -2367,9 +2367,10 @@ mod tests {
     }
 
     /// Hot-zone churn over 64 views partitioning the domain: at every chunk
-    /// size, epochs pinned mid-round answer like the writes' mirror while
-    /// later chunks publish, and after each round every view's page list
-    /// equals a rebuild from scratch.
+    /// size and planner thread count, epochs pinned mid-round answer like
+    /// the writes' mirror while later chunks publish and a second burst
+    /// queues behind the round in flight, and after each round every
+    /// view's page list equals a rebuild from scratch.
     fn check_churn_matches_rebuild<B: Backend>(make_backend: impl Fn() -> B) {
         use asv_workloads::{Distribution, UpdateWorkload};
         const PAGES: usize = 64;
@@ -2390,12 +2391,21 @@ mod tests {
             0.05,
             MAX_VALUE,
         );
-        for chunk_updates in [1usize, 64, 0] {
-            let config = AdaptiveConfig::default().with_chunking(
-                crate::config::AlignChunking::default()
-                    .with_chunk_updates(chunk_updates)
-                    .with_group_commit_idle(0),
-            );
+        let cells = [
+            (1usize, Parallelism::Sequential),
+            (64, Parallelism::Sequential),
+            (0, Parallelism::Sequential),
+            (1, Parallelism::Threads(2)),
+            (0, Parallelism::Threads(2)),
+        ];
+        for (chunk_updates, parallelism) in cells {
+            let config = AdaptiveConfig::default()
+                .with_parallelism(parallelism)
+                .with_chunking(
+                    crate::config::AlignChunking::default()
+                        .with_chunk_updates(chunk_updates)
+                        .with_group_commit_idle(0),
+                );
             let mut table = ServeTable::new(make_backend(), config);
             let col = table.add_column(&values).unwrap();
             for range in &ranges {
@@ -2412,15 +2422,28 @@ mod tests {
             let handle = table.handle();
             let mut mirror = values.clone();
             for (k, round) in churn.iter().enumerate() {
-                let case = format!("chunk{chunk_updates}/round{k}");
+                let case = format!("chunk{chunk_updates}/{parallelism}/round{k}");
                 table.write_batch(col, &round.writes);
                 for &(row, value) in &round.writes {
                     mirror[row] = value;
                 }
+                let mut applied = round.writes.clone();
+                // The next round's writes arrive once this round is in
+                // flight: acknowledged into the overlay, folded afterwards.
+                let mut burst = Some(&churn[(k + 1) % churn.len()].writes);
                 // The pin of one tick is held across the next, so chunks
                 // publish while a reader sits on an older epoch.
                 let mut held = None;
                 loop {
+                    if table.round_in_flight(col) {
+                        if let Some(writes) = burst.take() {
+                            table.write_batch(col, writes);
+                            for &(row, value) in writes {
+                                mirror[row] = value;
+                            }
+                            applied.extend_from_slice(writes);
+                        }
+                    }
                     table.tick().unwrap();
                     if !table.round_in_flight(col) && table.queued_writes(col) == 0 {
                         break;
@@ -2437,7 +2460,8 @@ mod tests {
                 }
                 drop(held);
                 table.quiesce().unwrap();
-                rebuilt.write_batch(&round.writes);
+                assert!(burst.is_none(), "{case}: the burst queued mid-round");
+                rebuilt.write_batch(&applied);
                 crate::updates::rebuild_all_views(
                     &rebuilt,
                     &mut rebuilt_views,
@@ -2461,7 +2485,7 @@ mod tests {
             let activity = table.align_activity();
             assert!(
                 activity.planned_views < activity.candidate_views,
-                "chunk{chunk_updates}: hot-zone churn leaves most views unplanned"
+                "chunk{chunk_updates}/{parallelism}: hot-zone churn leaves most views unplanned"
             );
         }
     }

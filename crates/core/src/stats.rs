@@ -117,30 +117,6 @@ impl SequenceStats {
     }
 }
 
-/// The measurements of one published alignment chunk.
-///
-/// Chunked background alignment ([`crate::align`]) publishes a batch as a
-/// sequence of bounded chunks, each its own view epoch. The per-chunk
-/// publish time is the quantity the chunking exists to bound: it is the
-/// only part of alignment that excludes queries. [`crate::AdaptiveColumn`]
-/// records one of these per published chunk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChunkPublishRecord {
-    /// Position of the chunk within its alignment round (0-based).
-    pub chunk_index: usize,
-    /// Deduplicated updates folded by this chunk.
-    pub updates: usize,
-    /// `(view, page)` additions performed by this chunk.
-    pub pages_added: usize,
-    /// `(view, page)` removals performed by this chunk.
-    pub pages_removed: usize,
-    /// Wall time of the publish step (replaying the chunk's ops onto the
-    /// real view buffers) — the query-excluding window.
-    pub publish_time: Duration,
-    /// The view epoch entered by this publish.
-    pub generation: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,7 +127,6 @@ mod tests {
         QueryOutcome {
             count: 42,
             sum: 0,
-            rows: None,
             scanned_pages: pages,
             views_used: vec![ViewId::Full; views],
             view_maintenance: if retained {

@@ -17,11 +17,10 @@
 //!    `/proc/PID/maps` for it, §2.5) and maintained in user-space while
 //!    pages are added and removed.
 //!
-//! The synchronous entry points here run the three alignment phases of
-//! [`crate::align`] (snapshot → plan → publish) back-to-back; the same
-//! phases power the background (epoch-handoff) alignment of
-//! [`crate::AdaptiveColumn::align_views_async`], so both paths produce
-//! identical view layouts by construction.
+//! [`align_views_after_updates`] runs the three alignment phases of
+//! [`crate::align`] (snapshot → plan → publish) back-to-back on the calling
+//! thread; [`crate::ServeTable`] runs the same phases with the plan on a
+//! worker thread, so both produce identical view layouts by construction.
 
 use std::time::Duration;
 
@@ -69,8 +68,8 @@ impl UpdateAlignmentStats {
     }
 
     /// Folds another run's measurements into this one, field-wise. Used to
-    /// aggregate the per-chunk stats of a chunked alignment round (and the
-    /// per-round stats of a queue flush) into one record.
+    /// aggregate the per-chunk stats of a chunked alignment round into one
+    /// record.
     pub fn absorb(&mut self, other: &UpdateAlignmentStats) {
         self.batch_size += other.batch_size;
         self.deduped_size += other.deduped_size;
@@ -94,19 +93,6 @@ pub fn align_views_after_updates<B: Backend>(
     views: &mut ViewSet<B>,
     batch: &[Update],
 ) -> Result<UpdateAlignmentStats, VmemError> {
-    align_views_after_updates_with(column, views, batch, Parallelism::Sequential)
-}
-
-/// [`align_views_after_updates`] with an explicit degree of parallelism:
-/// the independent per-view planning work is fork-joined across a pool of
-/// `parallelism` workers (the buffer manipulations are applied on the
-/// calling thread afterwards).
-pub fn align_views_after_updates_with<B: Backend>(
-    column: &Column<B>,
-    views: &mut ViewSet<B>,
-    batch: &[Update],
-    parallelism: Parallelism,
-) -> Result<UpdateAlignmentStats, VmemError> {
     if batch.is_empty() || views.is_empty() {
         return Ok(UpdateAlignmentStats {
             batch_size: batch.len(),
@@ -114,7 +100,7 @@ pub fn align_views_after_updates_with<B: Backend>(
         });
     }
     let snapshot = snapshot_alignment(column, views.mappings(), batch);
-    let plan = plan_alignment_chunked(&snapshot, parallelism, 0);
+    let plan = plan_alignment_chunked(&snapshot, Parallelism::Sequential, 0);
     apply_chunked_plan(column, views, &plan)
 }
 
@@ -416,32 +402,6 @@ mod tests {
         // Rebuilds are epoch changes, too.
         rebuild_all_views(&column, &mut views, &CreationOptions::ALL).unwrap();
         assert_eq!(views.generation(), 2);
-    }
-
-    #[test]
-    fn parallel_sync_alignment_matches_sequential() {
-        let range = ValueRange::new(5_000, 9_400);
-        let writes: Vec<(usize, u64)> = (10..30)
-            .map(|p| (p * VALUES_PER_PAGE + p, 6_000 + p as u64))
-            .collect();
-        let (mut seq_col, mut seq_views) = column_with_view(SimBackend::new(), 32, range);
-        let seq_updates = seq_col.write_batch(&writes);
-        let seq_stats = align_views_after_updates(&seq_col, &mut seq_views, &seq_updates).unwrap();
-        let (mut par_col, mut par_views) = column_with_view(SimBackend::new(), 32, range);
-        let par_updates = par_col.write_batch(&writes);
-        let par_stats = align_views_after_updates_with(
-            &par_col,
-            &mut par_views,
-            &par_updates,
-            asv_util::Parallelism::Threads(4),
-        )
-        .unwrap();
-        assert_eq!(seq_stats.pages_added, par_stats.pages_added);
-        assert_eq!(seq_stats.pages_removed, par_stats.pages_removed);
-        assert_eq!(
-            slot_layout(&seq_col, &seq_views, 0),
-            slot_layout(&par_col, &par_views, 0)
-        );
     }
 
     #[test]

@@ -21,8 +21,7 @@ pub struct ViewSet<B: Backend> {
     generation_stopped: bool,
     /// The view epoch: bumped every time an update alignment (or rebuild)
     /// publishes a re-aligned view set. Queries observe a single epoch for
-    /// their whole execution; a background alignment leaves the epoch
-    /// untouched until it is published.
+    /// their whole execution.
     generation: u64,
 }
 

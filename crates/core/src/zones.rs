@@ -318,7 +318,7 @@ mod tests {
     /// order of this estimate, so the narrower range must estimate fewer
     /// rows and pages than the wider one.
     #[test]
-    fn plan_orders_by_estimated_cardinality() {
+    fn estimates_rank_narrow_ranges_below_wide_ones() {
         let col = column(16);
         let stats = ZoneStats::build(col.column());
         let wide = stats.estimate(&ValueRange::new(0, 12_000)); // 13 pages

@@ -1,19 +1,15 @@
-//! Property test: background (epoch-handoff) alignment, synchronous
-//! alignment and a rebuild-from-scratch are semantically identical.
+//! Property test: synchronous alignment and a rebuild-from-scratch are
+//! semantically identical, and replaying a plan equals aligning in place.
 //!
 //! Seeded-RNG property loops (the workspace's offline replacement for
-//! proptest) drive random update batches through three twin columns per
-//! case — one aligned in the background, one aligned synchronously, one
-//! rebuilt from scratch — and assert, on both backends:
+//! proptest) drive random update batches through two twin columns per
+//! case — one aligned with the batch (§2.4), one rebuilt from scratch — and
+//! assert, on both backends:
 //!
-//! * all three answer random range queries identically after the batch is
-//!   visible (checked against a scalar rescan of the raw values);
-//! * background and synchronous alignment publish *identical slot ↔ page
-//!   layouts* (the epoch handoff replays the exact ops the synchronous
-//!   path executes — bit-identical by construction, verified here);
-//! * queries issued mid-alignment are answered on the pre-batch view epoch
-//!   (same answers as right before the alignment started) and the view
-//!   generation only advances at publish time.
+//! * both answer random range queries identically after the batch, and
+//!   equal to a scalar rescan of the raw values;
+//! * both views index exactly the same physical pages, after batches that
+//!   add pages to views and remove pages from them.
 
 use asv_core::{
     build_view_for_range, AdaptiveColumn, AdaptiveConfig, CreationOptions, Parallelism, RangeQuery,
@@ -108,89 +104,58 @@ fn scalar_answer(values: &[u64], q: &RangeQuery) -> (u64, u128) {
     (count, sum)
 }
 
+/// The physical pages every partial view maps, ascending.
+fn view_page_sets<B: Backend>(col: &AdaptiveColumn<B>) -> Vec<Vec<usize>> {
+    view_layouts(col)
+        .into_iter()
+        .map(|mut pages| {
+            pages.sort_unstable();
+            pages
+        })
+        .collect()
+}
+
 fn check_backend<B: Backend>(make_backend: impl Fn() -> B, label: &str) {
     for case_seed in 0u64..3 {
         let mut rng = StdRng::seed_from_u64(0xA116_4E55 + case_seed);
         let mut values = clustered_values(&mut rng);
-        let writes = random_writes(&mut rng);
+        let mut writes = random_writes(&mut rng);
+        // Last, move every row of one page of the first view's range out of
+        // every view, so the batch removes pages as well as adding them.
+        let wiped = 4 + case_seed as usize;
+        writes.extend((0..VALUES_PER_PAGE).map(|slot| (wiped * VALUES_PER_PAGE + slot, 10_000)));
         let queries = random_queries(&mut rng);
 
-        let mut background = column_with_views(make_backend(), &values);
         let mut sync = column_with_views(make_backend(), &values);
         let mut rebuilt = column_with_views(make_backend(), &values);
 
-        let bg_updates = background.write_batch(&writes);
         let sync_updates = sync.write_batch(&writes);
         rebuilt.write_batch(&writes);
         for &(row, value) in &writes {
             values[row] = value;
         }
 
-        // Freeze the pre-publish epoch: answers of all queries against the
-        // stale (pre-batch) views.
-        let stale: Vec<(u64, u128)> = queries
-            .iter()
-            .map(|q| {
-                let out = background.query(q).expect("stale query");
-                (out.count, out.sum)
-            })
-            .collect();
-
-        // Kick off the background alignment and interleave the query
-        // sequence with the in-flight worker: every answer must come from
-        // the pre-batch epoch.
-        let generation_before = background.view_generation();
-        background.align_views_async(&bg_updates).expect("async");
-        assert!(background.alignment_pending(), "{label}/case{case_seed}");
-        for (q, &(count, sum)) in queries.iter().zip(&stale) {
-            let out = background.query(q).expect("mid-alignment query");
-            assert_eq!(
-                (out.count, out.sum),
-                (count, sum),
-                "{label}/case{case_seed}: mid-alignment answer left the pre-batch epoch"
-            );
-        }
-        assert_eq!(background.view_generation(), generation_before);
-
-        // Publish; align the synchronous twin (planning fork-joined over 3
-        // workers — parallel and sequential planning must agree too);
-        // rebuild the third twin from scratch.
-        let bg_stats = background
-            .publish_aligned_views()
-            .expect("publish")
-            .expect("a plan was pending");
-        assert_eq!(background.view_generation(), generation_before + 1);
-        let sync_config_stats = {
-            let col = &mut sync;
-            col.align_views(&sync_updates).expect("sync align")
-        };
-        assert_eq!(
-            (bg_stats.pages_added, bg_stats.pages_removed),
-            (
-                sync_config_stats.pages_added,
-                sync_config_stats.pages_removed
-            ),
-            "{label}/case{case_seed}: background and sync stats diverge"
+        let generation_before = sync.view_generation();
+        let stats = sync.align_views(&sync_updates).expect("sync align");
+        assert_eq!(sync.view_generation(), generation_before + 1);
+        assert!(
+            stats.pages_added > 0 && stats.pages_removed > 0,
+            "{label}/case{case_seed}: the batch must add and remove pages"
         );
         rebuilt.rebuild_views().expect("rebuild");
-
-        // Background == sync: identical slot ↔ page layouts, not just
-        // identical page sets.
         assert_eq!(
-            view_layouts(&background),
-            view_layouts(&sync),
-            "{label}/case{case_seed}: background and sync layouts diverge"
+            view_page_sets(&sync),
+            view_page_sets(&rebuilt),
+            "{label}/case{case_seed}: aligned and rebuilt views index different pages"
         );
 
-        // All three twins answer every query identically, and correctly.
+        // Both twins answer every query identically, and correctly.
         for q in &queries {
             let expected = scalar_answer(&values, q);
-            let b = background.query(q).expect("background query");
             let s = sync.query(q).expect("sync query");
             let r = rebuilt.query(q).expect("rebuilt query");
-            let f = background.full_scan(q);
+            let f = sync.full_scan(q);
             for (who, out) in [
-                ("background", (b.count, b.sum)),
                 ("sync", (s.count, s.sum)),
                 ("rebuilt", (r.count, r.sum)),
                 ("full-scan", (f.count, f.sum)),
@@ -205,13 +170,13 @@ fn check_backend<B: Backend>(make_backend: impl Fn() -> B, label: &str) {
 }
 
 #[test]
-fn background_sync_and_rebuild_agree_on_sim_backend() {
+fn sync_and_rebuild_agree_on_sim_backend() {
     check_backend(SimBackend::new, "sim");
 }
 
 #[cfg(target_os = "linux")]
 #[test]
-fn background_sync_and_rebuild_agree_on_mmap_backend() {
+fn sync_and_rebuild_agree_on_mmap_backend() {
     check_backend(asv_vmem::MmapBackend::new, "mmap");
 }
 

@@ -218,38 +218,6 @@ impl<B: Backend> Column<B> {
         self.scan_full_view(&ScanKernel::new(*range, mode), parallelism)
     }
 
-    /// Like [`Self::full_scan_with`], but masking `excluded_rows` (ascending
-    /// global row ids) from the scan: their stored values contribute nothing
-    /// to the result. This is the storage half of the overlay-aware read
-    /// path — the adaptive layer excludes the rows of queued (not yet
-    /// aligned) writes and substitutes the queued values itself, so answers
-    /// reflect every acknowledged write exactly once.
-    pub fn full_scan_excluding(
-        &self,
-        range: &ValueRange,
-        mode: ScanMode,
-        parallelism: Parallelism,
-        excluded_rows: &[u64],
-    ) -> ScanOutput {
-        let kernel = ScanKernel::new(*range, mode).with_excluded_rows(excluded_rows);
-        self.scan_full_view(&kernel, parallelism)
-    }
-
-    /// Like [`Self::full_scan_excluding`], but reusing per-page exclusion
-    /// bitmasks the caller precomputed once per overlay epoch
-    /// ([`crate::ExclusionMasks`]) instead of re-deriving each visited
-    /// page's excluded slots.
-    pub fn full_scan_excluding_masks(
-        &self,
-        range: &ValueRange,
-        mode: ScanMode,
-        parallelism: Parallelism,
-        masks: &crate::ExclusionMasks,
-    ) -> ScanOutput {
-        let kernel = ScanKernel::new(*range, mode).with_exclusion_masks(masks);
-        self.scan_full_view(&kernel, parallelism)
-    }
-
     /// Runs `kernel` over the full view.
     fn scan_full_view(&self, kernel: &ScanKernel<'_>, parallelism: Parallelism) -> ScanOutput {
         scan_view_with(

@@ -153,8 +153,8 @@ impl<'a> ScanKernel<'a> {
     /// excluded rows contribute neither to the aggregate nor to the
     /// widening bounds nor to the collected row ids.
     ///
-    /// This powers the overlay-aware read path of the adaptive layer: while
-    /// writes are queued during a background alignment, scans skip the
+    /// This powers the serving layer's overlay-aware read path: while
+    /// writes are queued during an alignment round, scans skip the
     /// stored (stale or not-yet-written) values of the queued rows and the
     /// query layer adds the queued values back afterwards, so every
     /// acknowledged write is reflected exactly once. Probes
@@ -229,8 +229,7 @@ impl<'a> ScanKernel<'a> {
     /// changes the answer. A sequential loop passes its successor and
     /// resolves each page once: the slice fetched as `next` is the next
     /// iteration's `page` ([`Self::scan_pages`] is that loop). A loop that
-    /// cannot tell which page it scans next — a sharded worker skipping
-    /// other shards' pages — passes `None`.
+    /// cannot tell which page it scans next passes `None`.
     pub fn scan_page(
         &self,
         page: PageRef<'_>,
@@ -344,8 +343,7 @@ impl<'a> ScanKernel<'a> {
 ///
 /// Slot-sharding assumes the view maps every physical page at most once
 /// (true for the full view and for every view the creation path builds);
-/// for multi-view scans with shared pages use the page-id-sharded scan in
-/// `asv-core::exec`.
+/// multi-view scans with shared pages deduplicate them in `asv-core::exec`.
 pub fn scan_view<'a, V, W>(
     kernel: &ScanKernel<'_>,
     view: &'a V,

@@ -171,7 +171,7 @@ impl<'a> PageRef<'a> {
     /// `exclusion` as *absent*: excluded slots contribute neither to the
     /// aggregate nor to the widening bounds nor to the collected rows.
     ///
-    /// This is the overlay-aware read path: while an adaptive column holds
+    /// This is the overlay-aware read path: while a served column holds
     /// queued (not yet aligned) writes, the scan skips the stored values of
     /// the affected rows entirely and the query layer substitutes the
     /// queued values afterwards — so answers reflect every acknowledged

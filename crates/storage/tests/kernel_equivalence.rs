@@ -5,8 +5,8 @@
 //! The build environment has no crates.io access, so instead of `proptest`
 //! each test draws randomized cases from a hand-rolled xorshift generator
 //! (fully deterministic for the hard-coded seeds) and checks the production
-//! scan path — `Column::full_scan_with`, `full_scan_excluding[_masks]`,
-//! `probe_rows_with` — against a per-page scalar model built from the
+//! scan path — `Column::full_scan_with`, `scan_view` under an excluding
+//! `ScanKernel`, `probe_rows_with` — against a per-page scalar model built from the
 //! `PageRef::*_scalar` reference loops. Cases cover all scan modes, wide
 //! and narrow selectivities, partially filled final pages, empty/dense
 //! exclusion sets and sparse/clustered probe patterns.
@@ -16,8 +16,10 @@
 
 use asv_storage::page::write_page;
 use asv_storage::simd::{supported_variants, PageExclusionMask};
-use asv_storage::{Column, ExclusionMasks, PageRef, PageScanResult, ScanMode, ScanOutput};
-use asv_util::{Parallelism, ValueRange};
+use asv_storage::{
+    scan_view, Column, ExclusionMasks, PageRef, PageScanResult, ScanKernel, ScanMode, ScanOutput,
+};
+use asv_util::{Parallelism, ThreadPool, ValueRange};
 use asv_vmem::{Backend, MmapBackend, SimBackend, SLOTS_PER_PAGE, VALUES_PER_PAGE};
 
 fn xorshift(state: &mut u64) -> u64 {
@@ -196,14 +198,21 @@ fn check_excluding_scans_match<B: Backend>(backend: &B, seed: u64) {
         let keep_one_in = [u64::MAX, 97, 11, 2][case % 4];
         let excluded = random_rows(&mut state, values.len(), keep_one_in);
         let masks = ExclusionMasks::from_rows(excluded.clone());
+        let pool = ThreadPool::new(Parallelism::Sequential);
+        let scan = |kernel: ScanKernel<'_>| {
+            scan_view(
+                &kernel,
+                column.full_view(),
+                |raw| column.wrap_view_page(raw),
+                &pool,
+            )
+        };
         for _ in 0..3 {
             let range = random_range(&mut state, max_value);
             for mode in MODES {
                 let scalar = scalar_full_scan(&column, &range, mode, &excluded);
-                let from_rows =
-                    column.full_scan_excluding(&range, mode, Parallelism::Sequential, &excluded);
-                let from_masks =
-                    column.full_scan_excluding_masks(&range, mode, Parallelism::Sequential, &masks);
+                let from_rows = scan(ScanKernel::new(range, mode).with_excluded_rows(&excluded));
+                let from_masks = scan(ScanKernel::new(range, mode).with_exclusion_masks(&masks));
                 let what = format!(
                     "case {case}, {mode:?}, {} excluded of {}",
                     excluded.len(),

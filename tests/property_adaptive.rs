@@ -6,13 +6,16 @@
 //!
 //! 1. For *any* data and *any* query sequence, the adaptive layer returns
 //!    exactly the same answers as a naive filter over the raw values — in
-//!    both routing modes, with and without the creation optimizations.
-//! 2. For *any* update batch, batched view alignment leaves every partial
+//!    both routing modes, with and without the creation optimizations, and
+//!    on clustered data whose overlapping views share pages.
+//! 2. A served snapshot collects exactly the rows a naive filter selects.
+//! 3. For *any* update batch, batched view alignment leaves every partial
 //!    view indexing exactly the pages a from-scratch rebuild would index.
-//! 3. The retention policy never exceeds the configured view limit.
+//! 4. The retention policy never exceeds the configured view limit.
 
 use adaptive_storage_views::core::{
-    align_views_after_updates, build_view_for_range, CreationOptions, RoutingMode, ViewSet,
+    align_views_after_updates, build_view_for_range, CreationOptions, RoutingMode, ServeTable,
+    ViewSet,
 };
 use adaptive_storage_views::prelude::*;
 use adaptive_storage_views::storage::VALUES_PER_PAGE;
@@ -86,6 +89,82 @@ fn adaptive_answers_equal_naive_filter() {
             assert!(adaptive.views().num_partial_views() <= max_views);
         }
     }
+
+    // Clustered columns: overlapping queries leave overlapping views that
+    // share boundary pages, and multi-view routing combines them.
+    let mut rng = StdRng::seed_from_u64(0xE00D);
+    let mut most_views_used = 0;
+    for case in 0..3 {
+        let (values, queries) = clustered_case(&mut rng);
+        for routing in [RoutingMode::SingleView, RoutingMode::MultiView] {
+            let config = AdaptiveConfig::default()
+                .with_routing(routing)
+                .with_max_views(8);
+            let what = format!("clustered case {case}, {routing:?}");
+            let used =
+                answers_equal_naive_filter(SimBackend::new(), &values, &queries, config, &what);
+            most_views_used = most_views_used.max(used);
+            #[cfg(all(feature = "mmap", target_os = "linux"))]
+            answers_equal_naive_filter(MmapBackend::new(), &values, &queries, config, &what);
+        }
+    }
+    assert!(most_views_used >= 2, "no query combined views");
+
+    // Two overlapping views, then a query spanning both: multi-view
+    // routing scans their shared pages once.
+    let values: Vec<u64> = (0..CLUSTERED_PAGES * VALUES_PER_PAGE)
+        .map(|i| ((i / VALUES_PER_PAGE) * 1000 + i % VALUES_PER_PAGE) as u64)
+        .collect();
+    let queries = [
+        ValueRange::new(5_000, 12_000),
+        ValueRange::new(11_000, 20_000),
+        ValueRange::new(6_000, 19_000),
+    ];
+    let config = AdaptiveConfig::paper_multi_view(8);
+    let used = answers_equal_naive_filter(SimBackend::new(), &values, &queries, config, "shared");
+    assert!(used >= 2, "the spanning query combines both views");
+}
+
+const CLUSTERED_PAGES: usize = 48;
+
+/// A clustered column with seeded jitter (page `p` holds values around
+/// `p * 1000`) and overlapping queries of varying widths.
+fn clustered_case(rng: &mut StdRng) -> (Vec<u64>, Vec<ValueRange>) {
+    let values = (0..CLUSTERED_PAGES * VALUES_PER_PAGE)
+        .map(|i| (i / VALUES_PER_PAGE) as u64 * 1000 + rng.gen_range(0u64..1500))
+        .collect();
+    let domain_max = CLUSTERED_PAGES as u64 * 1000 + 1500;
+    let queries = (0..14)
+        .map(|_| {
+            let lo = rng.gen_range(0..domain_max - 1);
+            let width = rng.gen_range(500..domain_max / 3);
+            ValueRange::new(lo, (lo + width).min(domain_max))
+        })
+        .collect();
+    (values, queries)
+}
+
+/// Runs `queries` through an adaptive column, asserting every answer
+/// against a naive filter. Returns the most views one query used.
+fn answers_equal_naive_filter<B: Backend>(
+    backend: B,
+    values: &[u64],
+    queries: &[ValueRange],
+    config: AdaptiveConfig,
+    what: &str,
+) -> usize {
+    let mut adaptive = AdaptiveColumn::from_values(backend, values, config).unwrap();
+    let mut most_views_used = 0;
+    for range in queries {
+        let outcome = adaptive.query(&RangeQuery::from_range(*range)).unwrap();
+        assert_eq!(
+            (outcome.count, outcome.sum),
+            reference(values, range),
+            "{what}, query {range}"
+        );
+        most_views_used = most_views_used.max(outcome.num_views_used());
+    }
+    most_views_used
 }
 
 #[test]
@@ -94,21 +173,18 @@ fn collected_rows_are_exactly_the_matching_rows() {
     for case in 0..48 {
         let values = arb_values(&mut rng);
         let range = normalize(rng.gen_range(0..=MAX_VALUE), rng.gen_range(0..=MAX_VALUE));
-        let mut adaptive =
-            AdaptiveColumn::from_values(SimBackend::new(), &values, AdaptiveConfig::default())
-                .unwrap();
-        let outcome = adaptive
-            .query_collect(&RangeQuery::from_range(range))
-            .unwrap();
-        let mut rows = outcome.rows.unwrap();
-        rows.sort_unstable();
+        let view = normalize(rng.gen_range(0..=MAX_VALUE), rng.gen_range(0..=MAX_VALUE));
+        let mut table = ServeTable::new(SimBackend::new(), AdaptiveConfig::default());
+        let col = table.add_column(&values).unwrap();
+        table.install_view(col, view).unwrap();
+        let rows = table.handle().pin().collect_rows(col, &range);
         let expected: Vec<u64> = values
             .iter()
             .enumerate()
             .filter(|(_, v)| range.contains(**v))
             .map(|(i, _)| i as u64)
             .collect();
-        assert_eq!(rows, expected, "case {case}, query {range}");
+        assert_eq!(rows, expected, "case {case}, query {range}, view {view}");
     }
 }
 
