@@ -35,7 +35,7 @@ impl IndexAnswer {
         wrap: impl Fn(&'p [u64]) -> PageRef<'p>,
     ) -> Self {
         let kernel = ScanKernel::new(*query, ScanMode::Aggregate);
-        let mut out = ScanOutput::new(kernel.mode(), false);
+        let mut out = ScanOutput::new(kernel.mode());
         kernel.scan_pages(pages, wrap, &mut out);
         Self::from(&out)
     }

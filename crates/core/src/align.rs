@@ -733,28 +733,19 @@ impl WriteOverlay {
         pairs
     }
 
-    /// Queues a write of `value` into `row`. Returns `true` if the row was
-    /// not overlaid before (a new distinct row), `false` on a re-write of an
-    /// already-overlaid row — the signal per-shard backpressure accounting
-    /// needs to mirror [`Self::len`] without rescanning.
-    pub fn push(&mut self, row: usize, value: u64) -> bool {
+    /// Queues a write of `value` into `row`; a re-write of an overlaid row
+    /// replaces its value.
+    pub fn push(&mut self, row: usize, value: u64) {
         let key = row as u64;
-        let newly_overlaid = self
-            .entries
-            .insert(
-                key,
-                OverlayEntry {
-                    value,
-                    queued: true,
-                },
-            )
-            .is_none();
-        if newly_overlaid {
+        let entry = OverlayEntry {
+            value,
+            queued: true,
+        };
+        if self.entries.insert(key, entry).is_none() {
             self.rows.get_mut().push(key);
             self.rows_dirty.set(true);
         }
         self.log.push((row, value));
-        newly_overlaid
     }
 
     /// Drains the queued write log for the next alignment round, moving

@@ -76,11 +76,10 @@ pub struct AlignChunking {
     /// maintenance tick, so this also bounds the alignment work of a tick.
     pub chunk_updates: usize,
     /// Soft bound on the rows the pending-writes queue may hold: an idle
-    /// maintenance tick folds the queue once any ingest shard holds its
-    /// share of this many distinct rows, whatever `group_commit_idle` says.
-    /// Writes are never dropped and the writer never stalls on a full
-    /// queue. Queue size is counted in *distinct rows* (repeated writes to
-    /// a row overwrite its queue entry).
+    /// maintenance tick folds the queue once it holds this many distinct
+    /// rows, whatever `group_commit_idle` says. Writes are never dropped and
+    /// the writer never stalls on a full queue. Queue size is counted in
+    /// *distinct rows* (repeated writes to a row overwrite its queue entry).
     pub max_queued_writes: usize,
     /// Group-commit threshold of the serving layer's maintenance loop
     /// ([`crate::serve`]): an *idle* maintenance tick (no alignment round
@@ -90,33 +89,6 @@ pub struct AlignChunking {
     /// tick after any write; [`crate::serve::ServeTable::quiesce`] and a
     /// queue at `max_queued_writes` fold regardless of the threshold.
     pub group_commit_idle: usize,
-    /// Number of MPSC ingest lanes of the serving layer's sharded
-    /// multi-writer front door ([`crate::serve::ServeTable::writer`]):
-    /// writes are hashed to a lane by their row's page group and drained
-    /// into the overlay at tick boundaries. The group-commit backpressure
-    /// check folds when the *fullest shard* reaches
-    /// `max_queued_writes / writer_shards` distinct overlaid rows, so a hot
-    /// shard cannot starve behind cold ones. The default of `1` is the
-    /// single-lane (pre-sharding) behaviour.
-    pub writer_shards: usize,
-    /// Optional capacity bound per ingest lane. With `n > 0` each lane is a
-    /// *bounded* channel holding at most `n` in-flight writes: a writer
-    /// thread whose lane is full **blocks** in
-    /// [`crate::serve::TableWriter::write`] until the maintenance thread
-    /// drains the lane, turning backpressure into real flow control (the
-    /// non-blocking probe [`crate::serve::TableWriter::try_write`] returns
-    /// `false` instead). `0` (the default) keeps the unbounded pre-existing
-    /// lanes, in which writers never stall.
-    pub writer_lane_capacity: usize,
-    /// Idle-tick band re-tightening of the serving layer's zone statistics:
-    /// zone bands only ever *widen* under writes, so a column whose hot
-    /// rows move around accumulates pessimistic bands. With this set to
-    /// `n > 0`, a column that has been fully idle (no alignment round in
-    /// flight, empty overlay) for `n` consecutive maintenance ticks and
-    /// whose bands widened since the last rebuild gets its
-    /// [`crate::zones::ZoneStats`] rebuilt from live data. `0` (the default)
-    /// disables the pass.
-    pub retighten_idle_ticks: usize,
 }
 
 impl AlignChunking {
@@ -137,26 +109,6 @@ impl AlignChunking {
         self.group_commit_idle = group_commit_idle;
         self
     }
-
-    /// Builder-style setter for the number of ingest lanes (clamped to at
-    /// least 1).
-    pub fn with_writer_shards(mut self, writer_shards: usize) -> Self {
-        self.writer_shards = writer_shards.max(1);
-        self
-    }
-
-    /// Builder-style setter for the idle-tick band re-tightening threshold.
-    pub fn with_retighten_idle_ticks(mut self, retighten_idle_ticks: usize) -> Self {
-        self.retighten_idle_ticks = retighten_idle_ticks;
-        self
-    }
-
-    /// Builder-style setter for the per-lane capacity bound (`0` keeps the
-    /// lanes unbounded).
-    pub fn with_writer_lane_capacity(mut self, writer_lane_capacity: usize) -> Self {
-        self.writer_lane_capacity = writer_lane_capacity;
-        self
-    }
 }
 
 impl Default for AlignChunking {
@@ -165,9 +117,6 @@ impl Default for AlignChunking {
             chunk_updates: 0,
             max_queued_writes: 1 << 20,
             group_commit_idle: 0,
-            writer_shards: 1,
-            writer_lane_capacity: 0,
-            retighten_idle_ticks: 0,
         }
     }
 }
@@ -312,9 +261,6 @@ mod tests {
         assert_eq!(c.chunking.chunk_updates, 0, "chunking off by default");
         assert!(c.chunking.max_queued_writes >= 1 << 20);
         assert_eq!(c.chunking.group_commit_idle, 0, "fold on first idle tick");
-        assert_eq!(c.chunking.writer_shards, 1, "single ingest lane");
-        assert_eq!(c.chunking.writer_lane_capacity, 0, "unbounded lanes");
-        assert_eq!(c.chunking.retighten_idle_ticks, 0, "re-tightening off");
     }
 
     #[test]
@@ -323,19 +269,11 @@ mod tests {
             AlignChunking::default()
                 .with_chunk_updates(128)
                 .with_max_queued_writes(4_096)
-                .with_group_commit_idle(32)
-                .with_writer_shards(4)
-                .with_writer_lane_capacity(256)
-                .with_retighten_idle_ticks(16),
+                .with_group_commit_idle(32),
         );
         assert_eq!(c.chunking.chunk_updates, 128);
         assert_eq!(c.chunking.max_queued_writes, 4_096);
         assert_eq!(c.chunking.group_commit_idle, 32);
-        assert_eq!(c.chunking.writer_shards, 4);
-        assert_eq!(c.chunking.writer_lane_capacity, 256);
-        assert_eq!(c.chunking.retighten_idle_ticks, 16);
-        let clamped = AlignChunking::default().with_writer_shards(0);
-        assert_eq!(clamped.writer_shards, 1, "shard count clamps to 1");
     }
 
     #[test]

@@ -63,7 +63,7 @@ fn scan_sequential<B: Backend>(
 ) -> Result<ScanOutput, VmemError> {
     let num_pages = column.num_pages();
     let mut processed = BitVec::new(num_pages);
-    let mut out = ScanOutput::new(kernel.mode(), false);
+    let mut out = ScanOutput::new(kernel.mode());
     let mut pages = buffers.iter().flat_map(|view| view.iter_pages()).peekable();
     while let Some(raw) = pages.next() {
         let page_id = raw[0] as usize;

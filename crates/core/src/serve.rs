@@ -48,7 +48,7 @@
 //!
 //! # The maintenance loop
 //!
-//! [`ServeTable::write`] stages a write: the value enters the overlay, the
+//! [`ServeTable::try_write`] stages a write: the value enters the overlay, the
 //! row's page is frozen into the copy set, the column's zone bands widen to
 //! cover the new value, and the acknowledgement becomes visible to *new*
 //! pins at the next [`ServeTable::tick`] (which publishes a new epoch).
@@ -108,10 +108,8 @@
 //! * commit comes before fold: the store only ever receives values the
 //!   current epoch's bands cover, every older epoch is unpinned (grace),
 //!   and epochs pinned mid-round read the folded pages from their copies;
-//! * bands narrow only when the maintainer rebuilds them from the live
-//!   store, on an idle column with an empty overlay — no queued write can
-//!   land outside the rebuilt bands, and epochs pinned earlier keep their
-//!   own, wider ones.
+//! * bands never narrow: once the column loads they only widen, so a
+//!   later epoch's band covers everything an earlier one's did.
 //!
 //! Overlaid rows are masked on their pages and answered from the overlay,
 //! so skipping a page loses none of them. A full scan (no route) visits
@@ -129,36 +127,18 @@
 //! list is built and no row is probed; overlaid rows are evaluated one by
 //! one.
 //!
-//! # Morsel-parallel reads
+//! # The ingest front door
 //!
-//! A pinned snapshot can additionally fork-join its *own* queries across
-//! an [`asv_util::ThreadPool`]: [`TableHandle::with_parallelism`] sets a
-//! per-handle [`Parallelism`] knob and every routed scan and conjunctive
-//! page pass then splits its ascending page list into contiguous page-id
-//! morsels ([`asv_util::split_ranges`], one per worker), runs them on
-//! worker threads, and merges the shard outputs back in ascending shard
-//! order — the same merge discipline the sharded executor in
-//! [`crate::exec`] uses, so rows stay ascending and answers are
-//! bit-identical to the sequential path for every worker count. The epoch
-//! stays pinned for the duration; workers only read frozen state (`Arc`ed
-//! views, copies, masks), so no coordination with the maintenance thread
-//! is needed.
-//!
-//! # The sharded ingest front door
-//!
-//! Multi-writer ingest goes through cloneable [`TableWriter`] handles
-//! ([`ServeTable::writer`]): `writer_shards` MPSC lanes, hashed by the
-//! row's page group ([`writer_shard_of`]), carry acknowledged writes from
-//! any number of writer threads to the maintenance thread, which drains
-//! every lane at the top of each [`ServeTable::tick`] — so staged writes
-//! become readable at the same tick boundary as direct maintenance-thread
-//! writes, and commit-before-fold / grace-before-fold are untouched
-//! (draining happens strictly before the tick's first publish). Each lane
-//! is a FIFO channel and a row always hashes to the same lane, so writes
-//! from one writer thread to one row apply in send order. Backpressure is
-//! per-shard: a fold triggers when any one shard's distinct overlaid rows
-//! reach `max_queued_writes / writer_shards` instead of waiting for the
-//! global total.
+//! Writer threads send writes through cloneable [`TableWriter`] handles
+//! ([`ServeTable::writer`]): one MPSC lane carries acknowledged writes from
+//! any number of writer threads to the maintenance thread, which drains it
+//! at the top of each [`ServeTable::tick`] — so staged writes become
+//! readable at the same tick boundary as direct maintenance-thread writes,
+//! and commit-before-fold / grace-before-fold are untouched (draining
+//! happens strictly before the tick's first publish). The lane is a FIFO
+//! channel, so writes from one writer thread apply in send order. An
+//! idle tick folds the queue once the overlay holds `max_queued_writes`
+//! distinct rows.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
@@ -169,9 +149,7 @@ use asv_storage::{
     copy_values_chunked, Column, ExclusionMasks, PageRef, QualifyMask, ScanKernel, ScanMode,
     ScanOutput,
 };
-use asv_util::{
-    split_ranges, EpochCell, Parallelism, Pinned, Reader, ThreadPool, Timer, ValueRange,
-};
+use asv_util::{EpochCell, Pinned, Reader, Timer, ValueRange};
 use asv_vmem::{Backend, MappingTable, ViewBuffer, VmemError, VALUES_PER_PAGE};
 
 use crate::align::{
@@ -288,7 +266,7 @@ impl<B: Backend> ColumnEpoch<B> {
         mode: ScanMode,
         phys: impl Iterator<Item = usize>,
     ) -> ScanOutput {
-        let mut out = ScanOutput::new(mode, false);
+        let mut out = ScanOutput::new(mode);
         let mut copies = self.copies.iter().peekable();
         let mut prev = None;
         let resolve = |phys: usize| {
@@ -318,37 +296,20 @@ impl<B: Backend> ColumnEpoch<B> {
     /// value its pages hold outside the masked rows (see the
     /// [module docs](self)). A full scan visits every page.
     ///
-    /// With more than one pool worker the (pruned or full) page list
-    /// splits into contiguous morsels ([`split_ranges`], one per worker)
-    /// that scan concurrently; the shard outputs merge back in ascending
-    /// shard order, so collected rows append in the same page order the
-    /// sequential loop produces and the answer is bit-identical for every
-    /// worker count. The sequential loop, and each morsel within its
-    /// shard, hands every page its successor to prefetch
+    /// The page loop hands every page its successor to prefetch
     /// ([`ScanKernel::scan_pages`]).
-    fn scan(&self, range: &ValueRange, mode: ScanMode, pool: &ThreadPool) -> ScanOutput {
+    fn scan(&self, range: &ValueRange, mode: ScanMode) -> ScanOutput {
         let mut kernel = ScanKernel::new(*range, mode);
         if !self.masks.is_empty() {
             kernel = kernel.with_exclusion_masks(&self.masks);
         }
-        let parts = match self.route(range) {
+        let mut out = match self.route(range) {
             Some(pages) => {
-                let may_match = |page| self.stats.page_may_match(page, range);
-                let scan =
-                    |pages: &mut dyn Iterator<Item = usize>| self.scan_phys(&kernel, mode, pages);
-                routed_morsels(pool, &pages, may_match, scan)
+                let may_match = |&page: &usize| self.stats.page_may_match(page, range);
+                self.scan_phys(&kernel, mode, pages.iter().copied().filter(may_match))
             }
-            None => morsels(pool, self.num_pages, |shard| {
-                self.scan_phys(&kernel, mode, shard)
-            }),
+            None => self.scan_phys(&kernel, mode, 0..self.num_pages),
         };
-        let mut out = parts
-            .into_iter()
-            .reduce(|mut out, partial| {
-                out.merge(partial);
-                out
-            })
-            .unwrap_or_else(|| ScanOutput::new(mode, false));
         self.merge_overlay(range, mode, &mut out);
         out
     }
@@ -395,41 +356,6 @@ fn valid_rows(num_rows: usize, page: usize) -> usize {
     num_rows
         .saturating_sub(page * VALUES_PER_PAGE)
         .min(VALUES_PER_PAGE)
-}
-
-/// Runs `run` over `0..len` in one call, or on a multi-worker pool over
-/// one contiguous morsel per worker ([`split_ranges`]), in ascending order.
-fn morsels<T: Send>(
-    pool: &ThreadPool,
-    len: usize,
-    run: impl Fn(std::ops::Range<usize>) -> T + Sync,
-) -> Vec<T> {
-    if pool.workers() <= 1 || len < 2 {
-        return vec![run(0..len)];
-    }
-    let run = &run;
-    let shards = split_ranges(len, pool.workers()).into_iter();
-    pool.scoped_map(shards.map(|shard| move || run(shard)).collect())
-}
-
-/// Runs `run` over the routed `pages` that `may_match` accepts, split as
-/// [`morsels`] splits a page range. One worker streams the pages through
-/// `may_match` without building a list; more workers collect the accepted
-/// pages first, so the morsels split the pruned list evenly.
-fn routed_morsels<T: Send>(
-    pool: &ThreadPool,
-    pages: &[usize],
-    may_match: impl Fn(usize) -> bool,
-    run: impl Fn(&mut dyn Iterator<Item = usize>) -> T + Sync,
-) -> Vec<T> {
-    let mut accepted = pages.iter().copied().filter(|&page| may_match(page));
-    if pool.workers() <= 1 {
-        return vec![run(&mut accepted)];
-    }
-    let accepted: Vec<usize> = accepted.collect();
-    morsels(pool, accepted.len(), |shard| {
-        run(&mut accepted[shard].iter().copied())
-    })
 }
 
 /// The ascending intersection of two ascending, duplicate-free page sets,
@@ -554,12 +480,6 @@ impl ConjunctiveAnswer {
         let mix = splitmix64(row.wrapping_add(1));
         self.rows_checksum = self.rows_checksum.wrapping_add(mix);
     }
-
-    fn merge(mut self, other: Self) -> Self {
-        self.count += other.count;
-        self.rows_checksum = self.rows_checksum.wrapping_add(other.rows_checksum);
-        self
-    }
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -575,28 +495,16 @@ fn splitmix64(mut x: u64) -> u64 {
 /// carry its own handle.
 pub struct TableHandle<B: Backend> {
     reader: Reader<TableEpoch<B>>,
-    parallelism: Parallelism,
 }
 
 impl<B: Backend> TableHandle<B> {
     /// Pins the latest published epoch: two atomic stores, no lock, never
     /// blocked by the maintenance thread. The snapshot stays valid (and
-    /// its epoch unreclaimed) until dropped, and inherits the handle's
-    /// [`Parallelism`] knob.
+    /// its epoch unreclaimed) until dropped.
     pub fn pin(&self) -> Snapshot<B> {
         Snapshot {
             pinned: self.reader.pin(),
-            parallelism: self.parallelism,
         }
-    }
-
-    /// Sets the intra-query fork-join parallelism of snapshots pinned
-    /// through this handle. Defaults to [`Parallelism::Sequential`];
-    /// answers are bit-identical for every setting (see the
-    /// [module docs](self)).
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
     }
 }
 
@@ -604,7 +512,6 @@ impl<B: Backend> Clone for TableHandle<B> {
     fn clone(&self) -> Self {
         Self {
             reader: self.reader.clone(),
-            parallelism: self.parallelism,
         }
     }
 }
@@ -621,20 +528,12 @@ impl<B: Backend> std::fmt::Debug for TableHandle<B> {
 /// ([`TableHandle::pin`]) observes later commits.
 pub struct Snapshot<B: Backend> {
     pinned: Pinned<TableEpoch<B>>,
-    parallelism: Parallelism,
 }
 
 impl<B: Backend> Snapshot<B> {
     /// The table generation of the pinned epoch.
     pub fn generation(&self) -> u64 {
         self.pinned.generation()
-    }
-
-    /// Sets the intra-query fork-join parallelism of this snapshot's
-    /// queries (overriding what the handle set at pin time).
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
     }
 
     /// Number of columns in the pinned epoch.
@@ -669,8 +568,7 @@ impl<B: Backend> Snapshot<B> {
     /// # Panics
     /// Panics if `col` is not a column of the pinned epoch.
     pub fn query_range(&self, col: usize, range: &ValueRange) -> RangeAnswer {
-        let pool = ThreadPool::new(self.parallelism);
-        let out = self.column(col).scan(range, ScanMode::Aggregate, &pool);
+        let out = self.column(col).scan(range, ScanMode::Aggregate);
         RangeAnswer {
             count: out.result.count,
             sum: out.result.sum,
@@ -682,9 +580,8 @@ impl<B: Backend> Snapshot<B> {
     /// # Panics
     /// Panics if `col` is not a column of the pinned epoch.
     pub fn collect_rows(&self, col: usize, range: &ValueRange) -> Vec<u64> {
-        let pool = ThreadPool::new(self.parallelism);
         self.column(col)
-            .scan(range, ScanMode::CollectRows, &pool)
+            .scan(range, ScanMode::CollectRows)
             .rows
             .unwrap_or_default()
     }
@@ -698,8 +595,7 @@ impl<B: Backend> Snapshot<B> {
     /// (see the [module docs](self)); a predicate no view covers
     /// contributes every page. Predicates apply in ascending order of
     /// estimated cardinality, input order breaking ties. A row past the
-    /// end of any predicate column qualifies for nothing. Page morsels add
-    /// up by wrapping sums, so every worker count gives the same answer.
+    /// end of any predicate column qualifies for nothing.
     ///
     /// # Panics
     /// Panics if `predicates` is empty or names an out-of-range column.
@@ -721,24 +617,19 @@ impl<B: Backend> Snapshot<B> {
             .iter()
             .filter_map(|(column, range)| column.route(range))
             .reduce(|a, b| Cow::Owned(intersect_sorted(&a, &b)));
-        let pool = ThreadPool::new(self.parallelism);
-        let parts = match routed.as_deref() {
+        let mut answer = match routed.as_deref() {
             Some(pages) => {
                 let pages = &pages[..pages.partition_point(|&page| page < num_pages)];
-                let may_match = |page| {
+                let may_match = |&page: &usize| {
                     let hits = |&(column, range): &(&ColumnEpoch<B>, _)| {
                         column.stats.page_may_match(page, range)
                     };
                     preds.iter().all(hits)
                 };
-                let filter = |pages: &mut dyn Iterator<Item = usize>| {
-                    filter_conjunctive_pages(&preds, num_rows, pages)
-                };
-                routed_morsels(&pool, pages, may_match, filter)
+                let pages = pages.iter().copied().filter(may_match);
+                filter_conjunctive_pages(&preds, num_rows, pages)
             }
-            None => morsels(&pool, num_pages, |shard| {
-                filter_conjunctive_pages(&preds, num_rows, shard)
-            }),
+            None => filter_conjunctive_pages(&preds, num_rows, 0..num_pages),
         };
         let mut overlaid: Vec<u64> = preds
             .iter()
@@ -752,10 +643,8 @@ impl<B: Backend> Snapshot<B> {
             preds.iter().all(|(col, range)| range.contains(value(col)))
         };
         overlaid.retain(qualifies);
-        let overlay_answer = ConjunctiveAnswer::from_rows(overlaid);
-        parts
-            .into_iter()
-            .fold(overlay_answer, ConjunctiveAnswer::merge)
+        overlaid.into_iter().for_each(|row| answer.add_row(row));
+        answer
     }
 }
 
@@ -796,7 +685,6 @@ impl<B: Backend> Clone for Snapshot<B> {
     fn clone(&self) -> Self {
         Self {
             pinned: self.pinned.clone(),
-            parallelism: self.parallelism,
         }
     }
 }
@@ -809,15 +697,7 @@ impl<B: Backend> std::fmt::Debug for Snapshot<B> {
     }
 }
 
-/// Hashes a row to its ingest lane: page-group sharding. All writes to
-/// one page travel one lane, so per-row write order is preserved end to
-/// end (a writer thread sends a given row's writes through one FIFO
-/// channel and the maintainer drains lanes in receive order).
-pub fn writer_shard_of(row: usize, shards: usize) -> usize {
-    (row / VALUES_PER_PAGE) % shards.max(1)
-}
-
-/// One acknowledged write travelling an ingest lane.
+/// One acknowledged write travelling the ingest lane.
 #[derive(Clone, Copy, Debug)]
 struct IngestWrite {
     col: usize,
@@ -826,16 +706,15 @@ struct IngestWrite {
 }
 
 /// A cloneable multi-producer write handle onto a [`ServeTable`]
-/// ([`ServeTable::writer`]): the sharded ingest front door.
+/// ([`ServeTable::writer`]): the ingest front door.
 ///
 /// Any number of threads may hold clones and call [`TableWriter::write`]
-/// concurrently — each write is routed to one of the table's
-/// `writer_shards` MPSC lanes by its row's page group
-/// ([`writer_shard_of`]) and staged by the maintenance thread at the next
-/// [`ServeTable::tick`]. Writes from one writer thread to one row apply
-/// in send order (per-writer FIFO); writes to different rows from
-/// different writers may interleave arbitrarily, which is
-/// answer-preserving because the overlay is last-write-wins *per row*.
+/// concurrently — each write travels the table's one MPSC lane and is
+/// staged by the maintenance thread at the next [`ServeTable::tick`].
+/// Writes from one writer thread apply in send order (per-writer FIFO);
+/// writes to different rows from different writers may interleave
+/// arbitrarily, which is answer-preserving because the overlay is
+/// last-write-wins *per row*.
 ///
 /// A write naming a missing column or a row past its column's end is
 /// rejected before it is sent. The writer checks against the table's
@@ -847,90 +726,29 @@ struct IngestWrite {
 /// can always re-stage new work.
 #[derive(Clone, Debug)]
 pub struct TableWriter {
-    senders: Vec<LaneSender>,
+    sender: mpsc::Sender<IngestWrite>,
     column_rows: Arc<RwLock<Vec<usize>>>,
 }
 
 impl TableWriter {
-    /// Number of ingest lanes (the table's `writer_shards`).
-    pub fn shards(&self) -> usize {
-        self.senders.len()
-    }
-
     /// Sends an acknowledged write of `value` into `(col, row)` through
-    /// the row's lane. On an unbounded lane (the default) this never
-    /// blocks; on a bounded lane (`AlignChunking::writer_lane_capacity`)
-    /// it blocks while the lane is full, until the maintenance thread
-    /// drains it — backpressure as real flow control.
+    /// the ingest lane. Never blocks.
     ///
     /// Returns [`VmemError::OutOfBounds`], and sends nothing, for a missing
-    /// column or a row past its end.
-    ///
-    /// # Panics
-    /// Panics if the [`ServeTable`] was dropped while this writer is
-    /// still active.
+    /// column or a row past its end, and a [`VmemError::Io`] of kind
+    /// [`std::io::ErrorKind::BrokenPipe`] once the [`ServeTable`] has been
+    /// dropped.
     pub fn write(&self, col: usize, row: usize, value: u64) -> Result<(), VmemError> {
-        self.lane(col, row)?
-            .send(IngestWrite { col, row, value })
-            .expect("serve table dropped while writers are active");
-        Ok(())
-    }
-
-    /// Non-blocking variant of [`TableWriter::write`]: returns `Ok(false)`
-    /// if the row's (bounded) lane is full, in which case the write was
-    /// *not* staged and the caller must retry. Unbounded lanes always
-    /// accept. Bad input is rejected as by [`TableWriter::write`].
-    ///
-    /// # Panics
-    /// Panics if the [`ServeTable`] was dropped while this writer is
-    /// still active.
-    pub fn try_write(&self, col: usize, row: usize, value: u64) -> Result<bool, VmemError> {
-        match self
-            .lane(col, row)?
-            .try_send(IngestWrite { col, row, value })
-        {
-            Ok(()) => Ok(true),
-            Err(mpsc::TrySendError::Full(_)) => Ok(false),
-            Err(mpsc::TrySendError::Disconnected(_)) => {
-                panic!("serve table dropped while writers are active")
-            }
-        }
-    }
-
-    /// The lane of a write to `(col, row)`, or an error for a missing
-    /// column or a row past its column's end.
-    fn lane(&self, col: usize, row: usize) -> Result<&LaneSender, VmemError> {
         let rows = self.column_rows.read();
         let rows = rows.unwrap_or_else(PoisonError::into_inner);
         check_rows(std::iter::once(row), rows[column_index(col, rows.len())?])?;
-        Ok(&self.senders[writer_shard_of(row, self.senders.len())])
-    }
-}
-
-/// The sending half of one ingest lane: unbounded (writers never stall)
-/// or bounded by `AlignChunking::writer_lane_capacity` (writers block on
-/// a full lane until the maintainer drains it).
-#[derive(Clone, Debug)]
-enum LaneSender {
-    Unbounded(mpsc::Sender<IngestWrite>),
-    Bounded(mpsc::SyncSender<IngestWrite>),
-}
-
-impl LaneSender {
-    fn send(&self, write: IngestWrite) -> Result<(), mpsc::SendError<IngestWrite>> {
-        match self {
-            LaneSender::Unbounded(tx) => tx.send(write),
-            LaneSender::Bounded(tx) => tx.send(write),
-        }
-    }
-
-    fn try_send(&self, write: IngestWrite) -> Result<(), mpsc::TrySendError<IngestWrite>> {
-        match self {
-            LaneSender::Unbounded(tx) => tx
-                .send(write)
-                .map_err(|mpsc::SendError(w)| mpsc::TrySendError::Disconnected(w)),
-            LaneSender::Bounded(tx) => tx.try_send(write),
-        }
+        drop(rows);
+        self.sender
+            .send(IngestWrite { col, row, value })
+            .map_err(|_| {
+                let kind = std::io::ErrorKind::BrokenPipe;
+                VmemError::Io(std::io::Error::new(kind, "serve table dropped"))
+            })
     }
 }
 
@@ -1015,16 +833,6 @@ struct ColumnState<B: Backend> {
     publish_micros: Vec<u64>,
     /// Cached epoch of the column, invalidated on any change.
     cached: Option<Arc<ColumnEpoch<B>>>,
-    /// Distinct overlaid rows per ingest shard (indexed by
-    /// [`writer_shard_of`]) — sums to `overlay.len()`. Drives per-shard
-    /// backpressure in [`ServeTable::maybe_fold`].
-    shard_overlaid: Vec<usize>,
-    /// Consecutive fully-idle ticks (no round in flight, empty overlay),
-    /// for the idle-tick band re-tightening pass.
-    idle_ticks: usize,
-    /// `true` if a write widened a zone band since the last
-    /// [`ZoneStats`] rebuild.
-    stats_widened: bool,
 }
 
 impl<B: Backend> ColumnState<B> {
@@ -1146,8 +954,8 @@ impl AlignActivity {
 /// loads, view installs, acknowledged write batches — to a write-ahead
 /// journal ([`crate::wal`]) *before* acknowledging it, and seals each
 /// published epoch that journaled one with a [`WalRecord::Seal`]. Epochs
-/// that journal nothing (alignment chunks, round retirements, zone
-/// re-tightening) publish unsealed: there is nothing new to make durable.
+/// that journal nothing (alignment chunks, round retirements) publish
+/// unsealed: there is nothing new to make durable.
 /// [`ServeTable::recover`] rebuilds the table from the journal alone: the
 /// physical store is reconstructed from the sealed records, so store
 /// flushing is an optimization, never a correctness requirement.
@@ -1220,7 +1028,8 @@ struct DurableState {
 /// See the [module docs](self) for the epoch protocol. The serving
 /// behaviour is driven by three methods:
 ///
-/// * [`ServeTable::write`] / [`ServeTable::write_batch`] stage writes,
+/// * [`ServeTable::try_write`] / [`ServeTable::try_write_batch`] (and
+///   [`TableWriter`]s) stage writes,
 /// * [`ServeTable::tick`] publishes staged acknowledgements, advances
 ///   alignment rounds one chunk at a time and folds the queue when the
 ///   group-commit threshold and the grace condition allow,
@@ -1238,10 +1047,10 @@ pub struct ServeTable<B: Backend> {
     /// `true` while un-published changes (staged writes, applied chunks,
     /// retirements) exist.
     staged: bool,
-    /// Receiving ends of the ingest lanes, drained at each tick.
-    lanes: Vec<mpsc::Receiver<IngestWrite>>,
-    /// Sending ends, cloned into every [`TableWriter`].
-    lane_senders: Vec<LaneSender>,
+    /// Receiving end of the ingest lane, drained at each tick.
+    lane: mpsc::Receiver<IngestWrite>,
+    /// Sending end, cloned into every [`TableWriter`].
+    lane_sender: mpsc::Sender<IngestWrite>,
     /// Row count per column, shared with every [`TableWriter`] so it can
     /// reject bad writes before sending them; only `add_column` grows it.
     column_rows: Arc<RwLock<Vec<usize>>>,
@@ -1251,29 +1060,14 @@ pub struct ServeTable<B: Backend> {
 }
 
 impl<B: Backend> ServeTable<B> {
-    /// Creates an empty serving table on `backend`, with
-    /// `config.chunking.writer_shards` ingest lanes.
+    /// Creates an empty serving table on `backend`.
     pub fn new(backend: B, config: AdaptiveConfig) -> Self {
         let cell = Arc::new(EpochCell::new(TableEpoch {
             columns: Vec::new(),
             generation: 0,
         }));
         let history = vec![cell.latest()];
-        let shards = config.chunking.writer_shards.max(1);
-        let capacity = config.chunking.writer_lane_capacity;
-        let mut lanes = Vec::with_capacity(shards);
-        let mut lane_senders = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            if capacity > 0 {
-                let (tx, rx) = mpsc::sync_channel(capacity);
-                lane_senders.push(LaneSender::Bounded(tx));
-                lanes.push(rx);
-            } else {
-                let (tx, rx) = mpsc::channel();
-                lane_senders.push(LaneSender::Unbounded(tx));
-                lanes.push(rx);
-            }
-        }
+        let (lane_sender, lane) = mpsc::channel();
         Self {
             backend,
             config,
@@ -1282,8 +1076,8 @@ impl<B: Backend> ServeTable<B> {
             history,
             generation: 0,
             staged: false,
-            lanes,
-            lane_senders,
+            lane,
+            lane_sender,
             column_rows: Arc::default(),
             durable: None,
         }
@@ -1410,9 +1204,6 @@ impl<B: Backend> ServeTable<B> {
             activity: AlignActivity::default(),
             publish_micros: Vec::new(),
             cached: None,
-            shard_overlaid: vec![0; self.lanes.len()],
-            idle_ticks: 0,
-            stats_widened: false,
             column,
         };
         self.columns.push(state);
@@ -1455,28 +1246,20 @@ impl<B: Backend> ServeTable<B> {
     }
 
     /// A reader handle onto this table. Clone it (or call this again) for
-    /// every reader thread. Queries run sequentially by default —
-    /// [`TableHandle::with_parallelism`] turns on intra-query fork-join.
+    /// every reader thread.
     pub fn handle(&self) -> TableHandle<B> {
         TableHandle {
             reader: self.cell.reader(),
-            parallelism: Parallelism::Sequential,
         }
     }
 
-    /// A sharded multi-producer write handle (the ingest front door).
-    /// Clone it for every writer thread; see [`TableWriter`].
+    /// A multi-producer write handle (the ingest front door). Clone it for
+    /// every writer thread; see [`TableWriter`].
     pub fn writer(&self) -> TableWriter {
         TableWriter {
-            senders: self.lane_senders.clone(),
+            sender: self.lane_sender.clone(),
             column_rows: Arc::clone(&self.column_rows),
         }
-    }
-
-    /// Number of ingest lanes of the sharded front door
-    /// (`AlignChunking::writer_shards`).
-    pub fn writer_shards(&self) -> usize {
-        self.lanes.len()
     }
 
     /// Number of columns.
@@ -1516,8 +1299,8 @@ impl<B: Backend> ServeTable<B> {
     /// The live zone statistics of column `col`. They order conjunctive
     /// predicates and, copied into each epoch, prune the routed pages of
     /// its reads. Bands are widened eagerly at write acknowledgement
-    /// (before the fold) and rebuilt only on an idle column with an empty
-    /// overlay, so they always cover every readable value.
+    /// (before the fold) and never narrow, so they always cover every
+    /// readable value.
     ///
     /// # Panics
     /// Panics if `col` is not a column of the table.
@@ -1534,38 +1317,20 @@ impl<B: Backend> ServeTable<B> {
         !self.columns[col].is_idle()
     }
 
-    /// Stages a write of `value` into `(col, row)`. The acknowledgement
-    /// becomes visible to *new* pins at the next [`ServeTable::tick`];
-    /// the writer itself never blocks.
-    ///
-    /// # Panics
-    /// Panics if the write is rejected — use [`ServeTable::try_write`].
-    pub fn write(&mut self, col: usize, row: usize, value: u64) {
-        self.try_write(col, row, value)
-            .expect("write rejected (use try_write to handle the error)");
-    }
-
-    /// Stages a batch of `(row, value)` writes into column `col`.
-    ///
-    /// # Panics
-    /// Panics if the batch is rejected — use [`ServeTable::try_write_batch`].
-    pub fn write_batch(&mut self, col: usize, writes: &[(usize, u64)]) {
-        self.try_write_batch(col, writes)
-            .expect("write batch rejected (use try_write_batch to handle the error)");
-    }
-
-    /// Fallible single write: [`ServeTable::try_write_batch`] of one
-    /// write.
+    /// Stages a write of `value` into `(col, row)`:
+    /// [`ServeTable::try_write_batch`] of one write.
     pub fn try_write(&mut self, col: usize, row: usize, value: u64) -> Result<(), VmemError> {
         self.try_write_batch(col, &[(row, value)])
     }
 
-    /// Fallible batch write. On a durable table the batch is appended to
-    /// the journal as one [`WalRecord::Batch`] *before* any of it is
-    /// staged (write-ahead): an `Err` (a missing column, a row past its
-    /// end, a failed append) means nothing was acknowledged and the serving
-    /// state is unchanged, so recovery and the live table agree on exactly
-    /// which writes exist.
+    /// Stages a batch of `(row, value)` writes into column `col`. The
+    /// acknowledgement becomes visible to *new* pins at the next
+    /// [`ServeTable::tick`]; the writer itself never blocks. On a durable
+    /// table the batch is appended to the journal as one
+    /// [`WalRecord::Batch`] *before* any of it is staged (write-ahead): an
+    /// `Err` (a missing column, a row past its end, a failed append) means
+    /// nothing was acknowledged and the serving state is unchanged, so
+    /// recovery and the live table agree on exactly which writes exist.
     pub fn try_write_batch(
         &mut self,
         col: usize,
@@ -1585,15 +1350,11 @@ impl<B: Backend> ServeTable<B> {
 
     /// The journal-free staging path shared by every write front door.
     fn stage_write(&mut self, col: usize, row: usize, value: u64) {
-        let shards = self.lanes.len();
         let state = &mut self.columns[col];
         debug_assert!(row < state.column.num_rows(), "row {row} out of bounds");
         state.stats.note_write(row, value);
-        state.stats_widened = true;
         state.freeze_page_of(row);
-        if state.overlay.push(row, value) {
-            state.shard_overlaid[writer_shard_of(row, shards)] += 1;
-        }
+        state.overlay.push(row, value);
         state.mark_dirty();
         self.staged = true;
     }
@@ -1608,7 +1369,7 @@ impl<B: Backend> ServeTable<B> {
     }
 
     fn tick_inner(&mut self, force_fold: bool) -> Result<(), VmemError> {
-        // Drain the ingest lanes first: writes sent through TableWriters
+        // Drain the ingest lane first: writes sent through TableWriters
         // stage exactly like direct writes and are published by the
         // commit below — the tick boundary is the acknowledgement point
         // for both front doors.
@@ -1621,9 +1382,6 @@ impl<B: Backend> ServeTable<B> {
         for idx in 0..self.columns.len() {
             self.advance_column(idx);
         }
-        for idx in 0..self.columns.len() {
-            self.maybe_retighten(idx);
-        }
         self.commit()?;
         if self.grace_elapsed() {
             for idx in 0..self.columns.len() {
@@ -1633,23 +1391,20 @@ impl<B: Backend> ServeTable<B> {
         Ok(())
     }
 
-    /// Drains every ingest lane into the staging path
-    /// ([`Self::stage_write`]). Lanes drain fully and in receive order,
-    /// so writes from one writer thread apply FIFO (a row always hashes
-    /// to the same lane). On a durable table the drained writes are
-    /// journaled first (one batch record per column, in drain order), so
-    /// lane-ingested writes get the same write-ahead guarantee as direct
-    /// ones.
+    /// Drains the ingest lane into the staging path
+    /// ([`Self::stage_write`]). The lane drains fully and in receive
+    /// order, so writes from one writer thread apply FIFO. On a durable
+    /// table the drained writes are journaled first (one batch record per
+    /// column, in drain order), so lane-ingested writes get the same
+    /// write-ahead guarantee as direct ones.
     fn drain_ingest(&mut self) -> Result<(), VmemError> {
         // The drained writes of each column, in arrival order.
         let mut drained: Vec<Vec<(usize, u64)>> = Vec::new();
-        for lane in &self.lanes {
-            for write in lane.try_iter() {
-                if drained.len() <= write.col {
-                    drained.resize_with(write.col + 1, Vec::new);
-                }
-                drained[write.col].push((write.row, write.value));
+        for write in self.lane.try_iter() {
+            if drained.len() <= write.col {
+                drained.resize_with(write.col + 1, Vec::new);
             }
+            drained[write.col].push((write.row, write.value));
         }
         // Writers reject a bad `(col, row)` before sending it
         // (`TableWriter::write`), so every drained write names a live row.
@@ -1664,36 +1419,6 @@ impl<B: Backend> ServeTable<B> {
             }
         }
         Ok(())
-    }
-
-    /// Idle-tick band re-tightening (the counterpart of eager widening):
-    /// after `AlignChunking::retighten_idle_ticks` consecutive fully-idle
-    /// ticks on a column whose bands widened since the last rebuild, the
-    /// [`ZoneStats`] are rebuilt from the live column. The overlay is
-    /// empty and no round is in flight at that point, so the rebuilt
-    /// bands exactly cover the stored data, and every later value reaches
-    /// the store through a write that widens them first. Reads prune
-    /// routed pages with the bands, so this condition is what keeps
-    /// answers exact; epochs pinned before the rebuild keep their own
-    /// bands.
-    fn maybe_retighten(&mut self, idx: usize) {
-        let ticks = self.config.chunking.retighten_idle_ticks;
-        if ticks == 0 {
-            return;
-        }
-        let state = &mut self.columns[idx];
-        if !(state.is_idle() && state.overlay.is_empty()) {
-            state.idle_ticks = 0;
-            return;
-        }
-        state.idle_ticks += 1;
-        if state.stats_widened && state.idle_ticks >= ticks {
-            state.stats = ZoneStats::build(&state.column);
-            state.stats_widened = false;
-            state.idle_ticks = 0;
-            state.mark_dirty();
-            self.staged = true;
-        }
     }
 
     /// Ticks until every queued write has been folded, aligned and
@@ -1857,12 +1582,9 @@ impl<B: Backend> ServeTable<B> {
         for page in state.folded_pages.drain(..) {
             state.copies.remove(&page);
         }
-        let shards = state.shard_overlaid.len();
-        state.shard_overlaid.iter_mut().for_each(|c| *c = 0);
         let rows: Vec<u64> = state.overlay.rows().clone();
         for row in rows {
             state.freeze_page_of(row as usize);
-            state.shard_overlaid[writer_shard_of(row as usize, shards)] += 1;
         }
         state.round_active = false;
         state.mark_dirty();
@@ -1879,16 +1601,9 @@ impl<B: Backend> ServeTable<B> {
         if !state.is_idle() || state.overlay.queued_writes() == 0 {
             return;
         }
-        // Backpressure is per ingest shard: any one lane filling its
-        // share of the global budget forces a fold, so a skewed writer
-        // cannot grow its shard's overlay unboundedly while the global
-        // total stays below the old threshold. With one shard this is
-        // exactly the former global `max_queued_writes` clause.
-        let shards = state.shard_overlaid.len().max(1);
-        let max_shard = state.shard_overlaid.iter().copied().max().unwrap_or(0);
         let threshold_met = force
             || state.overlay.len() >= chunking.group_commit_idle.max(1)
-            || max_shard >= chunking.max_queued_writes.div_ceil(shards);
+            || state.overlay.len() >= chunking.max_queued_writes;
         if !threshold_met {
             return;
         }
@@ -2018,6 +1733,7 @@ mod tests {
     use super::*;
     use crate::creation::build_view_for_range;
     use crate::viewset::ViewSet;
+    use asv_util::Parallelism;
     use asv_vmem::{MmapBackend, SimBackend};
 
     /// Clustered data: page p holds values in [p*1000, p*1000 + 510].
@@ -2065,7 +1781,7 @@ mod tests {
             .map(|i| (i * 17 % mirror.len(), 900_000 + i as u64))
             .collect();
         for chunk in writes.chunks(7) {
-            table.write_batch(col, chunk);
+            table.try_write_batch(col, chunk).unwrap();
             for &(row, value) in chunk {
                 mirror[row] = value;
             }
@@ -2105,7 +1821,7 @@ mod tests {
         let old = handle.pin();
         let before = old.query_range(col, &range);
 
-        table.write(col, 0, 999_999);
+        table.try_write(col, 0, 999_999).unwrap();
         table.tick().unwrap();
         let new = handle.pin();
         assert!(new.generation() > old.generation());
@@ -2226,9 +1942,11 @@ mod tests {
 
         // Move a value of page 20 into the view's range and wipe page 7
         // out of it.
-        table.write(col, 20 * VALUES_PER_PAGE + 3, 6_000);
+        table
+            .try_write(col, 20 * VALUES_PER_PAGE + 3, 6_000)
+            .unwrap();
         for slot in 0..VALUES_PER_PAGE {
-            table.write(col, 7 * VALUES_PER_PAGE + slot, 1);
+            table.try_write(col, 7 * VALUES_PER_PAGE + slot, 1).unwrap();
         }
         table.quiesce().unwrap();
 
@@ -2254,8 +1972,8 @@ mod tests {
         let b: Vec<u64> = a.iter().map(|&v| v % 4_096).collect();
         let col_a = table.add_column(&a).unwrap();
         let col_b = table.add_column(&b).unwrap();
-        table.write(col_a, 42, 5_100);
-        table.write(col_b, 42, 7);
+        table.try_write(col_a, 42, 5_100).unwrap();
+        table.try_write(col_b, 42, 7).unwrap();
         table.tick().unwrap();
 
         let ra = ValueRange::new(5_000, 9_400);
@@ -2285,14 +2003,14 @@ mod tests {
         let mut table = ServeTable::new(SimBackend::new(), config);
         let col = table.add_column(&clustered_values(8)).unwrap();
         for i in 0..3 {
-            table.write(col, i, 700_000 + i as u64);
+            table.try_write(col, i, 700_000 + i as u64).unwrap();
             table.tick().unwrap();
             assert!(
                 !table.round_in_flight(col),
                 "below the group-commit threshold no round starts"
             );
         }
-        table.write(col, 3, 700_003);
+        table.try_write(col, 3, 700_003).unwrap();
         table.tick().unwrap();
         assert!(table.round_in_flight(col), "threshold reached: queue folds");
         // Acknowledged-but-unfolded writes were readable the whole time.
@@ -2350,7 +2068,9 @@ mod tests {
                 }));
             }
             for i in 0..200usize {
-                table.write(col, (i * 31) % values.len(), 800_000 + i as u64);
+                table
+                    .try_write(col, (i * 31) % values.len(), 800_000 + i as u64)
+                    .unwrap();
                 table.tick().unwrap();
             }
             table.quiesce().unwrap();
@@ -2423,7 +2143,7 @@ mod tests {
             let mut mirror = values.clone();
             for (k, round) in churn.iter().enumerate() {
                 let case = format!("chunk{chunk_updates}/{parallelism}/round{k}");
-                table.write_batch(col, &round.writes);
+                table.try_write_batch(col, &round.writes).unwrap();
                 for &(row, value) in &round.writes {
                     mirror[row] = value;
                 }
@@ -2437,7 +2157,7 @@ mod tests {
                 loop {
                     if table.round_in_flight(col) {
                         if let Some(writes) = burst.take() {
-                            table.write_batch(col, writes);
+                            table.try_write_batch(col, writes).unwrap();
                             for &(row, value) in writes {
                                 mirror[row] = value;
                             }
@@ -2525,7 +2245,7 @@ mod tests {
                         (row, base + (step * 10 + i) as u64)
                     })
                     .collect();
-                table.write_batch(col, &batch);
+                table.try_write_batch(col, &batch).unwrap();
                 for &(row, value) in &batch {
                     model[row] = value;
                 }
@@ -2619,7 +2339,7 @@ mod tests {
     fn install_view_rejects_busy_columns() {
         let mut table = ServeTable::new(SimBackend::new(), serve_config());
         let col = table.add_column(&clustered_values(8)).unwrap();
-        table.write(col, 0, 1);
+        table.try_write(col, 0, 1).unwrap();
         assert!(table.install_view(col, ValueRange::new(0, 10)).is_err());
         table.quiesce().unwrap();
         assert!(table.install_view(col, ValueRange::new(0, 10)).is_ok());
@@ -2637,7 +2357,7 @@ mod tests {
         let before = stats.zone_band(zone).unwrap();
         assert!(!before.contains(5_000_000));
 
-        table.write(col, 3, 5_000_000);
+        table.try_write(col, 3, 5_000_000).unwrap();
         // No tick yet: the write is only staged, but the band already
         // reflects it.
         let after = table.zone_stats(col).zone_band(zone).unwrap();
@@ -2650,76 +2370,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_snapshots_match_sequential_answers() {
+    fn concurrent_writers_apply_per_writer_fifo() {
         let mut table = ServeTable::new(SimBackend::new(), serve_config());
-        let values = clustered_values(24);
-        let col_a = table.add_column(&values).unwrap();
-        let b: Vec<u64> = values.iter().map(|&v| v % 4_096).collect();
-        let col_b = table.add_column(&b).unwrap();
-        table
-            .install_view(col_a, ValueRange::new(5_000, 9_400))
-            .unwrap();
-        // Stage writes without quiescing, so the overlay, masks and frozen
-        // copies are all live on the scanned epoch.
-        for i in 0..40usize {
-            table.write(col_a, (i * 17) % values.len(), 900_000 + i as u64);
-        }
-        table.tick().unwrap();
-        let handle = table.handle();
-        let ranges = [
-            ValueRange::new(5_000, 9_400),
-            ValueRange::new(0, 2_000),
-            ValueRange::new(890_000, 1_000_000),
-        ];
-        let predicates = [
-            (col_a, ValueRange::new(5_000, 9_400)),
-            (col_b, ValueRange::new(0, 1_000)),
-        ];
-        let seq = handle.pin();
-        for threads in [2usize, 3, 4] {
-            let par = handle
-                .clone()
-                .with_parallelism(Parallelism::from_threads(threads))
-                .pin();
-            assert_eq!(par.generation(), seq.generation());
-            for range in &ranges {
-                assert_eq!(
-                    par.query_range(col_a, range),
-                    seq.query_range(col_a, range),
-                    "threads {threads}"
-                );
-                assert_eq!(
-                    par.collect_rows(col_a, range),
-                    seq.collect_rows(col_a, range),
-                    "threads {threads}"
-                );
-            }
-            assert_eq!(
-                par.query_conjunctive(&predicates),
-                seq.query_conjunctive(&predicates),
-                "threads {threads}"
-            );
-        }
-        table.quiesce().unwrap();
-    }
-
-    #[test]
-    fn sharded_writers_apply_per_writer_fifo() {
-        let config = AdaptiveConfig::default().with_chunking(
-            crate::config::AlignChunking::default()
-                .with_chunk_updates(4)
-                .with_group_commit_idle(0)
-                .with_writer_shards(3),
-        );
-        let mut table = ServeTable::new(SimBackend::new(), config);
         let values = clustered_values(12);
         let col = table.add_column(&values).unwrap();
-        assert_eq!(table.writer_shards(), 3);
         let writer = table.writer();
-        assert_eq!(writer.shards(), 3);
         // Two writer threads over disjoint rows, each re-writing its rows
         // five times. Per-writer FIFO means the last sent value (k == 4)
-        // wins for every row, no matter how the lanes interleave.
+        // wins for every row, no matter how the writers interleave.
         std::thread::scope(|scope| {
             for w in 0..2usize {
                 let writer = writer.clone();
@@ -2734,7 +2392,7 @@ mod tests {
                 });
             }
         });
-        // Writers joined: drain the lanes, fold and retire everything.
+        // Writers joined: drain the lane, fold and retire everything.
         table.quiesce().unwrap();
         let snap = table.handle().pin();
         for w in 0..2usize {
@@ -2749,86 +2407,55 @@ mod tests {
     }
 
     #[test]
-    fn per_shard_backpressure_folds_skewed_lanes() {
-        // Global budget 8 over 2 shards: one lane folds at 4 distinct rows
-        // even though the global threshold is nowhere near.
+    fn queue_bound_folds_below_the_group_commit_threshold() {
+        // The group-commit threshold is far away, so only the queue bound
+        // of 4 distinct rows can start a round.
         let config = AdaptiveConfig::default().with_chunking(
             crate::config::AlignChunking::default()
                 .with_chunk_updates(4)
                 .with_group_commit_idle(1_000)
-                .with_max_queued_writes(8)
-                .with_writer_shards(2),
+                .with_max_queued_writes(4),
         );
         let mut table = ServeTable::new(SimBackend::new(), config);
         let col = table.add_column(&clustered_values(8)).unwrap();
-        // Rows 0..3 live in page 0, which hashes to shard 0.
-        for row in 0..3usize {
-            table.write(col, row, 700_000 + row as u64);
+        // Rows on two pages: the bound counts distinct rows of the whole
+        // column, and a repeated row does not count twice.
+        for row in [0, VALUES_PER_PAGE, 1, VALUES_PER_PAGE] {
+            table.try_write(col, row, 700_000 + row as u64).unwrap();
             table.tick().unwrap();
             assert!(
                 !table.round_in_flight(col),
-                "below the per-shard threshold no round starts"
+                "below the queue bound no round starts"
             );
         }
-        table.write(col, 3, 700_003);
+        table.try_write(col, 2 * VALUES_PER_PAGE, 700_003).unwrap();
         table.tick().unwrap();
         assert!(
             table.round_in_flight(col),
-            "the skewed lane reached its share of the budget"
+            "the queue reached its bound of distinct rows"
         );
         table.quiesce().unwrap();
     }
 
     #[test]
-    fn idle_ticks_retighten_zone_bands() {
-        let config = AdaptiveConfig::default().with_chunking(
-            crate::config::AlignChunking::default()
-                .with_chunk_updates(4)
-                .with_group_commit_idle(0)
-                .with_retighten_idle_ticks(2),
+    fn writers_outliving_their_table_get_an_error() {
+        let mut table = ServeTable::new(SimBackend::new(), serve_config());
+        let col = table.add_column(&clustered_values(2)).unwrap();
+        let writer = table.writer();
+        writer.write(col, 0, 1).unwrap();
+        drop(table);
+        let error = writer.write(col, 1, 2).unwrap_err();
+        assert!(
+            matches!(&error, VmemError::Io(e) if e.kind() == std::io::ErrorKind::BrokenPipe),
+            "{error}"
         );
-        let mut table = ServeTable::new(SimBackend::new(), config);
-        let col = table.add_column(&clustered_values(24)).unwrap();
-        let zone = table.zone_stats(col).zone_of_row(3);
-        // Widen the band with an outlier, then restore the original value
-        // and fold everything: the store no longer holds 5_000_000 but the
-        // band (which never retracts during operation) still covers it.
-        table.write(col, 3, 5_000_000);
-        table.write(col, 3, 3);
-        table.quiesce().unwrap();
-        assert!(table
-            .zone_stats(col)
-            .zone_band(zone)
-            .unwrap()
-            .contains(5_000_000));
-        // Idle ticks accumulate and trigger the rebuild.
-        let mut ticks = 0;
-        while table
-            .zone_stats(col)
-            .zone_band(zone)
-            .unwrap()
-            .contains(5_000_000)
-        {
-            assert!(ticks < 10, "band should retighten within a few idle ticks");
-            table.tick().unwrap();
-            ticks += 1;
-        }
-        let band = table.zone_stats(col).zone_band(zone).unwrap();
-        assert!(band.contains(3), "rebuilt band covers the live data");
-        let snap = table.handle().pin();
-        assert_eq!(snap.value(col, 3), 3, "answers are unaffected");
-    }
-
-    #[test]
-    fn writer_shard_hashing_groups_by_page() {
-        assert_eq!(
-            writer_shard_of(0, 4),
-            writer_shard_of(VALUES_PER_PAGE - 1, 4),
-            "one page, one lane"
+        assert!(
+            matches!(
+                writer.write(col + 1, 0, 1),
+                Err(VmemError::OutOfBounds { .. })
+            ),
+            "bad input is still rejected first"
         );
-        assert_ne!(writer_shard_of(0, 4), writer_shard_of(VALUES_PER_PAGE, 4));
-        assert_eq!(writer_shard_of(123, 1), 0);
-        assert_eq!(writer_shard_of(123, 0), 0, "zero shards clamps to one lane");
     }
 
     #[test]
@@ -2865,7 +2492,7 @@ mod tests {
             let col = table.add_column(&mirror).unwrap();
             table.install_view(col, range).unwrap();
             for (i, row) in [3usize, 700, 1_400, 9_001].into_iter().enumerate() {
-                table.write(col, row, 1_000_000 + i as u64);
+                table.try_write(col, row, 1_000_000 + i as u64).unwrap();
                 mirror[row] = 1_000_000 + i as u64;
             }
             table.quiesce().unwrap();
@@ -2908,7 +2535,7 @@ mod tests {
             )
             .unwrap();
             let col = table.add_column(&mirror).unwrap();
-            table.write(col, 42, 123_456);
+            table.try_write(col, 42, 123_456).unwrap();
             mirror[42] = 123_456;
             table.quiesce().unwrap();
             // Acknowledged but never sealed: the batch hits the journal,
@@ -2991,8 +2618,10 @@ mod tests {
                 .install_view(0, ValueRange::new(5_000, 9_400))
                 .unwrap();
             table.install_view(1, ValueRange::new(0, 1_200)).unwrap();
-            table.write_batch(0, &[(3, 77), (big.len() - 1, 1), (9_000, 31_000)]);
-            table.write_batch(1, &[(0, 2_500)]);
+            table
+                .try_write_batch(0, &[(3, 77), (big.len() - 1, 1), (9_000, 31_000)])
+                .unwrap();
+            table.try_write_batch(1, &[(0, 2_500)]).unwrap();
             table.tick().unwrap();
             table.quiesce().unwrap();
             let bytes = std::fs::read(&path).unwrap();
@@ -3028,7 +2657,7 @@ mod tests {
         for (col, row, value) in lane_writes {
             writer.write(col, row, value).unwrap();
         }
-        table.write_batch(0, &[(4, 88), (20_000, 5)]);
+        table.try_write_batch(0, &[(4, 88), (20_000, 5)]).unwrap();
         table.tick().unwrap();
         drop(table);
         let crashed_inode = inode(&path);
@@ -3139,7 +2768,7 @@ mod tests {
             let col = table.add_column(&mirror).unwrap();
             table.install_view(col, range).unwrap();
             for row in [10usize, 600, 1_200, 5_555] {
-                table.write(col, row, (row as u64) * 7 + 1);
+                table.try_write(col, row, (row as u64) * 7 + 1).unwrap();
                 mirror[row] = (row as u64) * 7 + 1;
             }
             table.quiesce().unwrap();
@@ -3163,72 +2792,6 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
         let _ = std::fs::remove_dir_all(dir);
         let _ = std::fs::remove_dir_all(recovered_dir);
-    }
-
-    #[test]
-    fn bounded_lanes_reject_writes_beyond_capacity() {
-        let config = AdaptiveConfig::default().with_chunking(
-            crate::config::AlignChunking::default()
-                .with_chunk_updates(4)
-                .with_writer_lane_capacity(2),
-        );
-        let mut table = ServeTable::new(SimBackend::new(), config);
-        let col = table.add_column(&clustered_values(8)).unwrap();
-        let writer = table.writer();
-        assert!(writer.try_write(col, 0, 100).unwrap());
-        assert!(writer.try_write(col, 1, 101).unwrap());
-        assert!(
-            !writer.try_write(col, 2, 102).unwrap(),
-            "the third write exceeds the lane capacity"
-        );
-        table.tick().unwrap();
-        assert!(
-            writer.try_write(col, 2, 102).unwrap(),
-            "draining the lane frees capacity"
-        );
-        table.quiesce().unwrap();
-        let snap = table.handle().pin();
-        assert_eq!(snap.value(col, 0), 100);
-        assert_eq!(snap.value(col, 1), 101);
-        assert_eq!(snap.value(col, 2), 102);
-    }
-
-    #[test]
-    fn bounded_lane_blocks_writer_until_the_maintainer_drains() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let config = AdaptiveConfig::default().with_chunking(
-            crate::config::AlignChunking::default()
-                .with_chunk_updates(4)
-                .with_writer_lane_capacity(1),
-        );
-        let mut table = ServeTable::new(SimBackend::new(), config);
-        let col = table.add_column(&clustered_values(8)).unwrap();
-        let writer = table.writer();
-        let done = Arc::new(AtomicBool::new(false));
-        let done_in_thread = Arc::clone(&done);
-        let total = 64usize;
-        let thread = std::thread::spawn(move || {
-            // All writes hit row pages of one lane; with capacity 1 the
-            // writer must block until the maintenance thread drains.
-            for i in 0..total {
-                writer
-                    .write(col, i % VALUES_PER_PAGE, 7_000 + i as u64)
-                    .unwrap();
-            }
-            done_in_thread.store(true, Ordering::Release);
-        });
-        while !done.load(Ordering::Acquire) {
-            table.tick().unwrap();
-            std::thread::yield_now();
-        }
-        thread.join().unwrap();
-        table.quiesce().unwrap();
-        let snap = table.handle().pin();
-        assert_eq!(
-            snap.value(col, (total - 1) % VALUES_PER_PAGE),
-            7_000 + (total as u64) - 1,
-            "the last blocked write landed"
-        );
     }
 
     #[test]
@@ -3266,7 +2829,7 @@ mod tests {
             .step_by(2)
             .map(|p| (p * VALUES_PER_PAGE + 7, 3_000 + p as u64))
             .collect();
-        table.write_batch(col, &overlaid);
+        table.try_write_batch(col, &overlaid).unwrap();
         table.tick().unwrap();
         let snap = table.handle().pin();
         let epoch = snap.column(col);
@@ -3297,21 +2860,18 @@ mod tests {
                 .filter(|&row| range.contains(model[row as usize]))
                 .collect();
             let sum: u128 = rows.iter().map(|&row| model[row as usize] as u128).sum();
-            for workers in [1, 2] {
-                let pool = ThreadPool::with_workers(workers);
-                for mode in [
-                    ScanMode::CountOnly,
-                    ScanMode::Aggregate,
-                    ScanMode::CollectRows,
-                ] {
-                    let what = format!("{range:?} {mode:?} workers {workers}");
-                    let out = epoch.scan(&range, mode, &pool);
-                    assert_eq!(out.result.count, rows.len() as u64, "{what}");
-                    let want_sum = if mode == ScanMode::CountOnly { 0 } else { sum };
-                    assert_eq!(out.result.sum, want_sum, "{what}");
-                    if mode == ScanMode::CollectRows {
-                        assert_eq!(out.rows.as_deref(), Some(&rows[..]), "{what}");
-                    }
+            for mode in [
+                ScanMode::CountOnly,
+                ScanMode::Aggregate,
+                ScanMode::CollectRows,
+            ] {
+                let what = format!("{range:?} {mode:?}");
+                let out = epoch.scan(&range, mode);
+                assert_eq!(out.result.count, rows.len() as u64, "{what}");
+                let want_sum = if mode == ScanMode::CountOnly { 0 } else { sum };
+                assert_eq!(out.result.sum, want_sum, "{what}");
+                if mode == ScanMode::CollectRows {
+                    assert_eq!(out.rows.as_deref(), Some(&rows[..]), "{what}");
                 }
             }
         }

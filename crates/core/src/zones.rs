@@ -28,8 +28,7 @@ pub const MAX_ZONES: usize = 4096;
 /// served read skips every routed page [`ZoneStats::page_may_match`]
 /// rejects (see [`crate::serve`]). That is sound only while a band covers
 /// every value its pages hold, which the serving layer keeps true by
-/// widening at write acknowledgement and rebuilding only from a store no
-/// queued write is about to change.
+/// widening at write acknowledgement and never narrowing.
 #[derive(Clone, Debug)]
 pub struct ZoneStats {
     /// Per-zone `(min, max)` over the zone's valid values; `None` for zones

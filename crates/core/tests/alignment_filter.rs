@@ -437,7 +437,7 @@ fn check_batch_touching_no_view<B: Backend>(make_backend: impl Fn() -> B) {
             }
         }
         let before = table.generation();
-        table.write_batch(col, writes);
+        table.try_write_batch(col, writes).unwrap();
         table.quiesce().expect("quiesce");
         (
             table.generation() - before,

@@ -471,8 +471,8 @@ fn record_kind(record: &WalRecord) -> &'static str {
 
 /// Journal shape: exactly one `Seal` per commit that journaled a record,
 /// right behind that record. Ticks that only publish an alignment chunk,
-/// retire a round, re-tighten zone bands or idle journal nothing, so no
-/// `Seal` ever follows another.
+/// retire a round or idle journal nothing, so no `Seal` ever follows
+/// another.
 fn check_journal_shape<B: Backend>(make_backend: impl Fn() -> B, with_view: bool, tag: &str) {
     let path = temp_journal(tag);
     let values = clustered_values(PAGES);
@@ -481,8 +481,7 @@ fn check_journal_shape<B: Backend>(make_backend: impl Fn() -> B, with_view: bool
     let config = AdaptiveConfig::default().with_chunking(
         AlignChunking::default()
             .with_chunk_updates(1)
-            .with_group_commit_idle(0)
-            .with_retighten_idle_ticks(2),
+            .with_group_commit_idle(0),
     );
     let mut table =
         ServeTable::with_durability(make_backend(), config, DurabilityConfig::new(&path)).unwrap();
@@ -519,8 +518,8 @@ fn check_journal_shape<B: Backend>(make_backend: impl Fn() -> B, with_view: bool
         expected.extend(["batch", "seal"]);
         assert_eq!(sealed_kinds(), expected, "{tag}: batch {k}");
         if k % 3 == 0 {
-            // Tick the round to its end, then idle past the re-tightening
-            // threshold: none of it journals or seals anything.
+            // Tick the round to its end, then idle for a few ticks: none
+            // of it journals or seals anything.
             while table.round_in_flight(0) {
                 table.tick().unwrap();
                 chunk_only_ticks += usize::from(!table.drain_publish_micros().is_empty());

@@ -16,7 +16,7 @@
 //! * **Conjunctive reads equal a model**: seeded predicate sets over
 //!   columns of unequal length, with views, overlays and frozen page
 //!   copies live, answer exactly what a plain row-by-row model answers, on
-//!   both backends, sequentially and on two threads. The sets hold one to
+//!   both backends. The sets hold one to
 //!   four predicates, over up to four columns (two of them mirrored
 //!   against the first) and repeating a column. A row past any predicate
 //!   column's end qualifies for nothing. After a write batch and its fold,
@@ -28,9 +28,8 @@
 //! * **Zone-band pruning keeps answers exact**: narrow range and
 //!   conjunctive reads over views three pages wide, which skip the routed
 //!   pages whose zone band misses the range, answer like a model while
-//!   writes move values across view bands (and back), pins are held across
-//!   folds and retires, and idle ticks re-tighten the bands under older
-//!   pins.
+//!   writes move values across view bands (and back) and pins are held
+//!   across folds and retires.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -39,8 +38,7 @@ use std::sync::{Arc, Mutex};
 
 use asv_core::wal::{Journal, WalRecord};
 use asv_core::{
-    AdaptiveConfig, AlignChunking, ConjunctiveAnswer, DurabilityConfig, Parallelism, ServeTable,
-    Snapshot,
+    AdaptiveConfig, AlignChunking, ConjunctiveAnswer, DurabilityConfig, ServeTable, Snapshot,
 };
 use asv_storage::Column;
 use asv_util::ValueRange;
@@ -170,7 +168,7 @@ fn serving_makes_no_view_calls_after_the_column_loads() {
         let batches = churn.iter().map(|round| &round.writes[..]);
         for writes in batches.chain([&wipe[..]]) {
             for col in 0..2 {
-                table.write_batch(col, writes);
+                table.try_write_batch(col, writes).unwrap();
             }
             for _ in 0..4 {
                 table.tick().unwrap();
@@ -289,14 +287,13 @@ fn table_writers_reject_bad_columns_and_rows_before_sending() {
     let rejected = [
         writer.write(col + 1, 0, 1),
         writer.write(col, rows, 1),
-        writer.try_write(col + 1, 0, 1).map(drop),
-        writer.try_write(col, rows + 100, 1).map(drop),
+        writer.write(col, rows + 100, 1),
     ];
     for result in rejected {
         assert!(matches!(result, Err(VmemError::OutOfBounds { .. })));
     }
     writer.write(col, rows - 1, 9).unwrap();
-    assert!(writer.try_write(col, 0, 8).unwrap());
+    writer.write(col, 0, 8).unwrap();
     table.tick().unwrap();
     table.quiesce().unwrap();
     let answer = table.handle().pin().query_range(col, &ValueRange::full());
@@ -353,19 +350,17 @@ fn conjunctive_reads_stop_at_the_shortest_predicate_column() {
         ],
         vec![(0, ValueRange::full()), (1, ValueRange::full())],
     ];
-    for parallelism in [Parallelism::Sequential, Parallelism::from_threads(2)] {
-        let snap = table.handle().with_parallelism(parallelism).pin();
-        for predicates in &cases {
-            let expected = model_conjunctive(&columns, predicates);
-            assert_eq!(
-                snap.query_conjunctive(predicates),
-                expected,
-                "{predicates:?}"
-            );
-        }
-        let stranded = snap.query_conjunctive(&cases[0]);
-        assert_eq!(stranded, ConjunctiveAnswer::default(), "no row qualifies");
+    let snap = table.handle().pin();
+    for predicates in &cases {
+        let expected = model_conjunctive(&columns, predicates);
+        assert_eq!(
+            snap.query_conjunctive(predicates),
+            expected,
+            "{predicates:?}"
+        );
     }
+    let stranded = snap.query_conjunctive(&cases[0]);
+    assert_eq!(stranded, ConjunctiveAnswer::default(), "no row qualifies");
 }
 
 /// Four columns of unequal length: `a` clustered over 12 pages, `b` the
@@ -452,14 +447,10 @@ fn scattering_batch() -> Vec<(usize, u64)> {
         .collect()
 }
 
-fn check_conjunctive_model<B: Backend>(
-    make_backend: impl Fn() -> B,
-    parallelism: Parallelism,
-    seed: u64,
-) {
+fn check_conjunctive_model<B: Backend>(make_backend: impl Fn() -> B, seed: u64) {
     let mut columns = conjunctive_columns();
     let mut table = conjunctive_table(make_backend(), &columns);
-    let handle = table.handle().with_parallelism(parallelism);
+    let handle = table.handle();
     let fixed = [
         // The views' page sets intersect to nothing: only the rows
         // overlaid in `a` below can qualify.
@@ -515,7 +506,7 @@ fn check_conjunctive_model<B: Backend>(
                 (row, value)
             };
             let col = if i % 8 == 0 { 0 } else { col };
-            table.write(col, row, value);
+            table.try_write(col, row, value).unwrap();
             columns[col][row] = value;
         }
         // This tick publishes the writes and folds them into the store;
@@ -550,14 +541,14 @@ fn check_conjunctive_model<B: Backend>(
         assert!(four.count > 0, "four columns still share rows");
     }
     let batch = scattering_batch();
-    table.write_batch(0, &batch);
+    table.try_write_batch(0, &batch).unwrap();
     for &(row, value) in &batch {
         columns[0][row] = value;
     }
     table.quiesce().unwrap();
     // A table loaded from the post-batch values never saw a write.
     let rebuilt = conjunctive_table(make_backend(), &columns);
-    let rebuilt = rebuilt.handle().with_parallelism(parallelism).pin();
+    let rebuilt = rebuilt.handle().pin();
     let snap = handle.pin();
     let random = (0..24).map(|_| random_predicates(&mut state));
     for predicates in fixed.iter().cloned().chain(random) {
@@ -572,13 +563,13 @@ fn check_conjunctive_model<B: Backend>(
 /// domain, one table per [`ColumnCorrelation`], carrying
 /// [`CONJUNCTIVE_VIEWS`]. Each generated query is cut to its first one to
 /// four predicates and also asked with a second range on column 0.
-fn check_workload_tables<B: Backend>(make_backend: impl Fn() -> B, parallelism: Parallelism) {
+fn check_workload_tables<B: Backend>(make_backend: impl Fn() -> B) {
     const MAX: u64 = 11_999;
     let workload = TableWorkload::new(0x007A_B1E5);
     for correlation in ColumnCorrelation::all() {
         let columns = workload.clustered_columns(4, 12, correlation, MAX);
         let table = conjunctive_table(make_backend(), &columns);
-        let snap = table.handle().with_parallelism(parallelism).pin();
+        let snap = table.handle().pin();
         let mut answered = [0u64; 4];
         for selectivity in [0.02, 0.25] {
             let queries = workload.conjunctive_queries(8, 4, selectivity, correlation, MAX);
@@ -611,21 +602,17 @@ fn check_workload_tables<B: Backend>(make_backend: impl Fn() -> B, parallelism: 
 
 #[test]
 fn conjunctive_reads_match_the_model_sim() {
-    for parallelism in [Parallelism::Sequential, Parallelism::from_threads(2)] {
-        for seed in [0x9E37_79B9_u64, 0x5EED_0C0D] {
-            check_conjunctive_model(SimBackend::new, parallelism, seed);
-        }
-        check_workload_tables(SimBackend::new, parallelism);
+    for seed in [0x9E37_79B9_u64, 0x5EED_0C0D] {
+        check_conjunctive_model(SimBackend::new, seed);
     }
+    check_workload_tables(SimBackend::new);
 }
 
 #[cfg(target_os = "linux")]
 #[test]
 fn conjunctive_reads_match_the_model_mmap() {
-    for parallelism in [Parallelism::Sequential, Parallelism::from_threads(2)] {
-        check_conjunctive_model(asv_vmem::MmapBackend::new, parallelism, 0xC0FF_EE11);
-        check_workload_tables(asv_vmem::MmapBackend::new, parallelism);
-    }
+    check_conjunctive_model(asv_vmem::MmapBackend::new, 0xC0FF_EE11);
+    check_workload_tables(asv_vmem::MmapBackend::new);
 }
 
 /// Pages of each clustered column in the pruning test; eight views of
@@ -720,19 +707,13 @@ fn check_pruned_reads<B: Backend>(
     }
 }
 
-fn check_pruned_reads_match_the_model<B: Backend>(backend: B, parallelism: Parallelism, seed: u64) {
+fn check_pruned_reads_match_the_model<B: Backend>(backend: B, seed: u64) {
     let n = PRUNE_PAGES * VALUES_PER_PAGE;
     let loaded: Vec<Vec<u64>> = vec![
         (0..n).map(clustered).collect(),
         (0..n).map(|row| clustered(n - 1 - row)).collect(),
     ];
-    let config = AdaptiveConfig::default().with_chunking(
-        AlignChunking::default()
-            .with_chunk_updates(8)
-            .with_group_commit_idle(0)
-            .with_retighten_idle_ticks(2),
-    );
-    let mut table = ServeTable::new(backend, config);
+    let mut table = ServeTable::new(backend, serve_config(8));
     for (col, values) in loaded.iter().enumerate() {
         table.add_column(values).unwrap();
         for band in 0..8 {
@@ -742,23 +723,19 @@ fn check_pruned_reads_match_the_model<B: Backend>(backend: B, parallelism: Paral
                 .unwrap();
         }
     }
-    let handle = table.handle().with_parallelism(parallelism);
-    let bands = |table: &ServeTable<B>, col: usize| -> Vec<Option<ValueRange>> {
-        let stats = table.zone_stats(col);
-        (0..stats.num_zones()).map(|z| stats.zone_band(z)).collect()
-    };
+    let handle = table.handle();
     let mut model = loaded.clone();
     let mut moved: VecDeque<(usize, usize)> = VecDeque::new();
     let mut state = seed;
     let mut held: Vec<(Snapshot<B>, Vec<Vec<u64>>)> = Vec::new();
-    let (mut folds_under_pin, mut retires_under_pin, mut narrowed_under_pin) = (0, 0, 0);
+    let (mut folds_under_pin, mut retires_under_pin) = (0, 0);
     let mut skipped_view_pages = 0;
     for step in 0..40usize {
         let mut recent = Vec::new();
         if step % 10 < 3 {
             // Each write moves a row's value into a random page's band;
             // every third one moves the oldest moved row back to its
-            // loaded value, so its page's band can narrow again.
+            // loaded value.
             for i in 0..6 {
                 let back = if i % 3 == 2 { moved.pop_front() } else { None };
                 let (col, row, value) = match back {
@@ -771,24 +748,18 @@ fn check_pruned_reads_match_the_model<B: Backend>(backend: B, parallelism: Paral
                         (col, row, page * 1_000 + xorshift(&mut state) % 511)
                     }
                 };
-                table.write(col, row, value);
+                table.try_write(col, row, value).unwrap();
                 model[col][row] = value;
                 recent.push((col, value));
             }
         }
         let rounds = table.align_activity().rounds;
         let in_flight = [0, 1].map(|col| table.round_in_flight(col));
-        let before = [bands(&table, 0), bands(&table, 1)];
         table.tick().unwrap();
         if !held.is_empty() {
             folds_under_pin += table.align_activity().rounds - rounds;
-            for col in 0..2 {
-                retires_under_pin += usize::from(in_flight[col] && !table.round_in_flight(col));
-                let after = bands(&table, col);
-                let narrowed = before[col].iter().zip(&after).any(|(old, new)| {
-                    matches!((old, new), (Some(old), Some(new)) if old != new && old.covers(new))
-                });
-                narrowed_under_pin += usize::from(narrowed);
+            for (col, was_in_flight) in in_flight.into_iter().enumerate() {
+                retires_under_pin += usize::from(was_in_flight && !table.round_in_flight(col));
             }
         }
         let fresh = handle.pin();
@@ -822,10 +793,6 @@ fn check_pruned_reads_match_the_model<B: Backend>(backend: B, parallelism: Paral
     assert!(skipped_view_pages > 0, "reads skip pages of their views");
     assert!(folds_under_pin > 0, "some fold ran under a held pin");
     assert!(retires_under_pin > 0, "some retire ran under a held pin");
-    assert!(
-        narrowed_under_pin > 0,
-        "some band narrowed under a held pin"
-    );
     held.clear();
     table.quiesce().unwrap();
     let reads = pruned_reads(&mut state, &[]);
@@ -834,17 +801,13 @@ fn check_pruned_reads_match_the_model<B: Backend>(backend: B, parallelism: Paral
 
 #[test]
 fn pruned_reads_match_the_model_sim() {
-    for parallelism in [Parallelism::Sequential, Parallelism::from_threads(2)] {
-        for seed in [0x2545_F491_u64, 0x0DDB_1A5E] {
-            check_pruned_reads_match_the_model(SimBackend::new(), parallelism, seed);
-        }
+    for seed in [0x2545_F491_u64, 0x0DDB_1A5E] {
+        check_pruned_reads_match_the_model(SimBackend::new(), seed);
     }
 }
 
 #[cfg(target_os = "linux")]
 #[test]
 fn pruned_reads_match_the_model_mmap() {
-    for parallelism in [Parallelism::Sequential, Parallelism::from_threads(2)] {
-        check_pruned_reads_match_the_model(asv_vmem::MmapBackend::new(), parallelism, 0xB5AD_4ECE);
-    }
+    check_pruned_reads_match_the_model(asv_vmem::MmapBackend::new(), 0xB5AD_4ECE);
 }

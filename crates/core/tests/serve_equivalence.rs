@@ -5,11 +5,10 @@
 //! round's zipfian write burst, then N client threads pin epoch snapshots
 //! and answer the round's range/conjunctive reads while maintenance keeps
 //! ticking (publishing alignment chunks, folding the queue when grace
-//! allows). Cells additionally vary the snapshot [`Parallelism`] (morsel
-//! fan-out inside each read) and the number of writer threads feeding the
-//! sharded ingest lanes instead of the direct maintenance write path. The
+//! allows). Cells additionally vary the number of writer threads feeding
+//! the ingest lane instead of the direct maintenance write path. The
 //! properties, checked on both backends across seeds, client counts,
-//! thread counts, writer counts and chunk sizes:
+//! writer counts and chunk sizes:
 //!
 //! * **Concurrent == sequential, bit-identical**: every client-computed
 //!   answer (count, sum, collected-row and conjunctive row checksums)
@@ -36,9 +35,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use asv_core::{
-    AdaptiveConfig, AlignChunking, ConjunctiveAnswer, Parallelism, ServeTable, Snapshot,
-};
+use asv_core::{AdaptiveConfig, AlignChunking, ConjunctiveAnswer, ServeTable, Snapshot};
 use asv_util::ValueRange;
 use asv_vmem::{Backend, SimBackend, VALUES_PER_PAGE};
 use asv_workloads::{ServeReadOp, ServeRound, ServeSpec, ServeWorkload};
@@ -86,21 +83,16 @@ fn column_values(col: usize) -> Vec<u64> {
         .collect()
 }
 
-fn config(chunk_updates: usize, writer_shards: usize) -> AdaptiveConfig {
+fn config(chunk_updates: usize) -> AdaptiveConfig {
     AdaptiveConfig::default().with_chunking(
         AlignChunking::default()
             .with_chunk_updates(chunk_updates)
-            .with_group_commit_idle(0)
-            .with_writer_shards(writer_shards.max(1)),
+            .with_group_commit_idle(0),
     )
 }
 
-fn build_table<B: Backend>(
-    backend: B,
-    chunk_updates: usize,
-    writer_shards: usize,
-) -> ServeTable<B> {
-    let mut table = ServeTable::new(backend, config(chunk_updates, writer_shards));
+fn build_table<B: Backend>(backend: B, chunk_updates: usize) -> ServeTable<B> {
+    let mut table = ServeTable::new(backend, config(chunk_updates));
     for col in 0..2 {
         table.add_column(&column_values(col)).expect("column");
         for &(lo, hi) in &VIEW_RANGES {
@@ -202,14 +194,14 @@ fn run_sequential<B: Backend>(
     chunk_updates: usize,
     quiesce_rounds: bool,
 ) -> Vec<Vec<Answer>> {
-    let mut table = build_table(backend, chunk_updates, 1);
+    let mut table = build_table(backend, chunk_updates);
     let handle = table.handle();
     let mut mirrors = vec![column_values(0), column_values(1)];
     rounds
         .iter()
         .map(|round| {
             for &(col, row, value) in &round.writes {
-                table.write(col, row, value);
+                table.try_write(col, row, value).expect("write");
                 mirrors[col][row] = value;
             }
             if quiesce_rounds {
@@ -254,19 +246,19 @@ fn run_sequential<B: Backend>(
 /// keeps ticking while `num_clients` reader threads answer the round's
 /// reads (read `i` belongs to client `i % num_clients`) from freshly
 /// pinned snapshots. With `num_writers > 0` the round's writes arrive via
-/// that many writer threads pushing through the sharded [`TableWriter`]
-/// front door (writer `w` owns shard `w`'s rows) instead of direct
-/// maintenance-thread writes; reads run at `parallelism` morsel fan-out.
+/// that many writer threads pushing through the [`TableWriter`] front door
+/// instead of direct maintenance-thread writes; writer `w` sends the rows
+/// of the page groups [`ServeRound::writes_for_shard`] gives it, so each
+/// row keeps one writer and its writes stay in order.
 fn run_concurrent<B: Backend>(
     backend: B,
     rounds: &[ServeRound],
     chunk_updates: usize,
     num_clients: usize,
-    parallelism: Parallelism,
     num_writers: usize,
 ) -> Vec<Vec<Answer>> {
-    let mut table = build_table(backend, chunk_updates, num_writers.max(1));
-    let handle = table.handle().with_parallelism(parallelism);
+    let mut table = build_table(backend, chunk_updates);
+    let handle = table.handle();
     let writer = table.writer();
     let num_rows = PAGES * VALUES_PER_PAGE;
     // Rounds the maintenance thread has committed and opened for reading.
@@ -345,12 +337,12 @@ fn run_concurrent<B: Backend>(
         for (k, round) in rounds.iter().enumerate() {
             if num_writers == 0 {
                 for &(col, row, value) in &round.writes {
-                    table.write(col, row, value);
+                    table.try_write(col, row, value).expect("write");
                 }
             } else {
                 // Open the round's ingest window and wait until every
-                // writer thread has pushed its shard's writes into the
-                // lanes; the next tick drains them before committing, so
+                // writer thread has pushed its share of the writes into the
+                // lane; the next tick drains them before committing, so
                 // the committed epoch is identical to the direct path.
                 write_round_open.store(k + 1, Ordering::Release);
                 while writes_done.load(Ordering::Acquire) < (k + 1) * num_writers {
@@ -390,17 +382,9 @@ fn run_concurrent<B: Backend>(
     answers
 }
 
-/// `(clients, reader threads, writer threads)` cells; `threads == 0`
-/// means sequential snapshot execution, `writers == 0` means direct
+/// `(clients, writer threads)` cells; `writers == 0` means direct
 /// maintenance-thread writes.
-const CELLS: [(usize, usize, usize); 6] = [
-    (1, 0, 0),
-    (2, 0, 0),
-    (4, 0, 0),
-    (2, 2, 0),
-    (2, 0, 2),
-    (4, 2, 2),
-];
+const CELLS: [(usize, usize); 5] = [(1, 0), (2, 0), (4, 0), (2, 2), (4, 2)];
 
 fn check_backend<B: Backend>(make_backend: impl Fn() -> B, label: &str, seeds: u64) {
     for seed in 0..seeds {
@@ -437,23 +421,17 @@ fn check_backend<B: Backend>(make_backend: impl Fn() -> B, label: &str, seeds: u
                 sequential, quiesced,
                 "{ctx}: overlay-serving and fully-folded twins diverge"
             );
-            for &(num_clients, threads, num_writers) in &CELLS {
-                let parallelism = if threads == 0 {
-                    Parallelism::Sequential
-                } else {
-                    Parallelism::from_threads(threads)
-                };
+            for &(num_clients, num_writers) in &CELLS {
                 let concurrent = run_concurrent(
                     make_backend(),
                     &rounds,
                     chunk_updates,
                     num_clients,
-                    parallelism,
                     num_writers,
                 );
                 assert_eq!(
                     concurrent, sequential,
-                    "{ctx}/clients={num_clients}/threads={threads}/writers={num_writers}: \
+                    "{ctx}/clients={num_clients}/writers={num_writers}: \
                      concurrent answers diverge"
                 );
             }

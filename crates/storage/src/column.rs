@@ -196,12 +196,6 @@ impl<B: Backend> Column<B> {
             .result
     }
 
-    /// Full scan that also collects the qualifying row ids.
-    pub fn full_scan_collect(&self, range: &ValueRange) -> (PageScanResult, Vec<u64>) {
-        let out = self.full_scan_with(range, ScanMode::CollectRows, Parallelism::Sequential);
-        (out.result, out.rows.unwrap_or_default())
-    }
-
     /// Full scan through the unified page-range [`ScanKernel`], with an
     /// explicit accumulation mode and degree of parallelism.
     ///
@@ -340,15 +334,6 @@ mod tests {
             .collect();
         assert_eq!(res.count, expected.len() as u64);
         assert_eq!(res.sum, expected.iter().map(|&v| v as u128).sum::<u128>());
-    }
-
-    #[test]
-    fn full_scan_collect_returns_row_ids() {
-        let values = vec![5u64, 50, 500, 5000, 50];
-        let col = Column::from_values(SimBackend::new(), &values).unwrap();
-        let (res, rows) = col.full_scan_collect(&ValueRange::new(10, 100));
-        assert_eq!(res.count, 2);
-        assert_eq!(rows, vec![1, 4]);
     }
 
     #[test]

@@ -76,27 +76,21 @@ pub struct ScanOutput {
     pub below: Option<u64>,
     /// Smallest value `> range.high()` observed on *non-qualifying* pages.
     pub above: Option<u64>,
-    /// Physical page ids (in scan order) of pages with at least one
-    /// qualifying value, if tracking was requested — the input of adaptive
-    /// candidate-view creation.
-    pub qualifying_pages: Option<Vec<u64>>,
 }
 
 impl ScanOutput {
-    /// An empty output configured for `mode`, optionally tracking the
-    /// qualifying page ids.
-    pub fn new(mode: ScanMode, track_qualifying_pages: bool) -> Self {
+    /// An empty output configured for `mode`.
+    pub fn new(mode: ScanMode) -> Self {
         Self {
             rows: matches!(mode, ScanMode::CollectRows).then(Vec::new),
-            qualifying_pages: track_qualifying_pages.then(Vec::new),
             ..Self::default()
         }
     }
 
     /// Folds another (shard's) output into this one. All fields merge
-    /// order-independently except `rows` / `qualifying_pages`, which append
-    /// in call order — parallel callers merge shards in ascending page-range
-    /// order to keep the output deterministic.
+    /// order-independently except `rows`, which append in call order —
+    /// parallel callers merge shards in ascending page-range order to keep
+    /// the output deterministic.
     pub fn merge(&mut self, other: ScanOutput) {
         self.result.merge(&other.result);
         self.scanned_pages += other.scanned_pages;
@@ -109,11 +103,6 @@ impl ScanOutput {
             (a, b) => a.or(b),
         };
         match (&mut self.rows, other.rows) {
-            (Some(mine), Some(theirs)) => mine.extend(theirs),
-            (mine @ None, theirs @ Some(_)) => *mine = theirs,
-            _ => {}
-        }
-        match (&mut self.qualifying_pages, other.qualifying_pages) {
             (Some(mine), Some(theirs)) => mine.extend(theirs),
             (mine @ None, theirs @ Some(_)) => *mine = theirs,
             _ => {}
@@ -249,11 +238,7 @@ impl<'a> ScanKernel<'a> {
             .then(|| out.rows.get_or_insert_with(Vec::new));
         let res = page.filter(next, &self.range, exclusion, count_only, rows);
         out.scanned_pages += 1;
-        if res.count > 0 {
-            if let Some(pages) = out.qualifying_pages.as_mut() {
-                pages.push(page.page_id());
-            }
-        } else {
+        if res.count == 0 {
             if let Some(b) = res.below_max {
                 out.below = Some(out.below.map_or(b, |cur| cur.max(b)));
             }
@@ -308,11 +293,6 @@ impl<'a> ScanKernel<'a> {
             .then(|| out.rows.get_or_insert_with(Vec::new));
         let res = page.probe_rows(&self.range, rows, count_only, rows_out);
         out.scanned_pages += 1;
-        if res.count > 0 {
-            if let Some(pages) = out.qualifying_pages.as_mut() {
-                pages.push(page.page_id());
-            }
-        }
         out.result.merge(&res);
     }
 
@@ -355,9 +335,8 @@ where
     W: Fn(&'a [u64]) -> PageRef<'a> + Sync,
 {
     let mapped = view.mapped_pages();
-    let track = false;
     if pool.workers() <= 1 || mapped < 2 {
-        let mut out = ScanOutput::new(kernel.mode(), track);
+        let mut out = ScanOutput::new(kernel.mode());
         kernel.scan_view_slots(view, 0..mapped, &wrap, &mut out);
         return out;
     }
@@ -368,14 +347,14 @@ where
             .into_iter()
             .map(|slots| {
                 move || {
-                    let mut out = ScanOutput::new(kernel.mode(), track);
+                    let mut out = ScanOutput::new(kernel.mode());
                     kernel.scan_view_slots(view, slots, wrap, &mut out);
                     out
                 }
             })
             .collect(),
     );
-    let mut merged = ScanOutput::new(kernel.mode(), track);
+    let mut merged = ScanOutput::new(kernel.mode());
     for partial in partials {
         merged.merge(partial);
     }
@@ -429,7 +408,7 @@ pub fn probe_rows<B: Backend>(
     pool: &ThreadPool,
 ) -> ScanOutput {
     debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows must ascend");
-    let mut merged = ScanOutput::new(kernel.mode(), false);
+    let mut merged = ScanOutput::new(kernel.mode());
     if rows.is_empty() {
         return merged;
     }
@@ -451,7 +430,7 @@ pub fn probe_rows<B: Backend>(
             .into_iter()
             .map(|shard| {
                 move || {
-                    let mut out = ScanOutput::new(kernel.mode(), false);
+                    let mut out = ScanOutput::new(kernel.mode());
                     probe_runs(&runs[shard], &mut out);
                     out
                 }
@@ -535,18 +514,17 @@ mod tests {
     }
 
     #[test]
-    fn qualifying_pages_and_widening_bounds_are_tracked() {
+    fn widening_bounds_come_from_non_qualifying_pages() {
         let column = clustered_column(SimBackend::new(), 16);
         // Pages 5..=9 qualify for [5000, 9400].
         let kernel = ScanKernel::new(ValueRange::new(5_000, 9_400), ScanMode::Aggregate);
-        let mut out = ScanOutput::new(kernel.mode(), true);
+        let mut out = ScanOutput::new(kernel.mode());
         kernel.scan_view_slots(
             column.full_view(),
             0..column.num_pages(),
             |raw| column.wrap_view_page(raw),
             &mut out,
         );
-        assert_eq!(out.qualifying_pages.as_deref(), Some(&[5, 6, 7, 8, 9][..]));
         // Non-qualifying neighbours: page 4 tops out at 4510, page 10
         // starts at 10000.
         assert_eq!(out.below, Some(4_000 + VALUES_PER_PAGE as u64 - 1));
@@ -714,7 +692,6 @@ mod tests {
             scanned_pages: 3,
             below: Some(5),
             above: Some(100),
-            qualifying_pages: Some(vec![0]),
         };
         let b = ScanOutput {
             result: PageScanResult {
@@ -727,7 +704,6 @@ mod tests {
             scanned_pages: 2,
             below: Some(8),
             above: Some(90),
-            qualifying_pages: Some(vec![4]),
         };
         a.merge(b);
         assert_eq!(a.result.count, 3);
@@ -736,6 +712,5 @@ mod tests {
         assert_eq!(a.below, Some(8));
         assert_eq!(a.above, Some(90));
         assert_eq!(a.rows.as_deref(), Some(&[1, 2, 9][..]));
-        assert_eq!(a.qualifying_pages.as_deref(), Some(&[0, 4][..]));
     }
 }

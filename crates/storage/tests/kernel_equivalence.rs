@@ -68,7 +68,7 @@ fn scalar_full_scan<B: Backend>(
     mode: ScanMode,
     excluded_rows: &[u64],
 ) -> ScanOutput {
-    let mut out = ScanOutput::new(mode, false);
+    let mut out = ScanOutput::new(mode);
     for p in 0..column.num_pages() {
         let page = column.page_ref(p);
         let base = (p * VALUES_PER_PAGE) as u64;
@@ -107,7 +107,7 @@ fn scalar_probe<B: Backend>(
     mode: ScanMode,
     rows: &[u64],
 ) -> ScanOutput {
-    let mut out = ScanOutput::new(mode, false);
+    let mut out = ScanOutput::new(mode);
     let mut start = 0usize;
     while start < rows.len() {
         let page_id = rows[start] / VALUES_PER_PAGE as u64;

@@ -40,12 +40,10 @@ pub struct ServeRound {
 }
 
 impl ServeRound {
-    /// The subset of this round's writes routed to ingest lane `shard` of
-    /// `num_shards`, preserving their relative order. Uses the serving
-    /// layer's page-group hash (`row / VALUES_PER_PAGE % num_shards`, the
-    /// same function as `asv_core::serve::writer_shard_of`), so the
-    /// partitions drive one writer thread per lane while every row's
-    /// writes stay in one FIFO sequence.
+    /// The subset of this round's writes whose row lies on a page `p` with
+    /// `p % num_shards == shard`, in their relative order: the partitions
+    /// drive one writer thread each, and every row's writes stay in one
+    /// FIFO sequence.
     pub fn writes_for_shard(&self, shard: usize, num_shards: usize) -> Vec<(usize, usize, u64)> {
         self.writes
             .iter()

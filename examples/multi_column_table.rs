@@ -94,7 +94,7 @@ fn main() {
         .step_by(997)
         .map(|row| (row, 55_000_000 + row as u64))
         .collect();
-    table.write_batch(1, &writes);
+    table.try_write_batch(1, &writes).expect("write batch");
     for &(row, value) in &writes {
         columns[1][row] = value;
     }
