@@ -7,8 +7,8 @@
 //! `asv-core`.
 
 use asv_core::{align_views_after_updates, build_view_for_range, CreationOptions, ViewSet};
-use asv_storage::{scan_view_with, Column, ScanKernel, ScanMode};
-use asv_util::{Parallelism, ValueRange};
+use asv_storage::{Column, ScanKernel, ScanMode};
+use asv_util::ValueRange;
 use asv_vmem::Backend;
 
 use crate::index::{IndexAnswer, RangeIndex};
@@ -64,13 +64,8 @@ impl<B: Backend> RangeIndex for VirtualViewIndex<B> {
         // The scan is a linear pass over the view's (virtually contiguous)
         // pages — no per-page indirection in user-space. It runs through
         // the unified page-range kernel.
-        let kernel = ScanKernel::new(*query, ScanMode::Aggregate);
-        let out = scan_view_with(
-            &kernel,
-            view.buffer(),
-            |raw| self.column.wrap_view_page(raw),
-            Parallelism::Sequential,
-        );
+        let out = ScanKernel::new(*query, ScanMode::Aggregate)
+            .scan_view(view.buffer(), |raw| self.column.wrap_view_page(raw));
         IndexAnswer::from(&out)
     }
 

@@ -11,7 +11,7 @@
 //! concurrent engine is [`crate::ServeTable`].
 
 use asv_storage::{Column, ScanKernel, ScanMode, Update};
-use asv_util::{Parallelism, Timer, ValueRange};
+use asv_util::{Timer, ValueRange};
 use asv_vmem::{Backend, ViewBuffer, VmemError};
 
 use crate::config::{AdaptiveConfig, RoutingMode};
@@ -172,9 +172,7 @@ impl<B: Backend> AdaptiveColumn<B> {
     /// adaptivity — the baseline of the paper's evaluation (§3.2).
     pub fn full_scan(&self, query: &RangeQuery) -> QueryOutcome {
         let timer = Timer::start();
-        let out =
-            self.column
-                .full_scan_with(query.range(), scan_mode(query), Parallelism::Sequential);
+        let out = self.column.full_scan_with(query.range(), scan_mode(query));
         QueryOutcome {
             count: out.result.count,
             sum: out.result.sum,

@@ -24,8 +24,8 @@
 //!    replayed at the groups its range meets against a *shadow copy* of its
 //!    mapping table, recording the page-table manipulations as
 //!    [`ViewOp`]s. Because the snapshot is owned, this phase can run on a
-//!    worker thread ([`spawn_alignment_chunked`]), and the independent
-//!    per-view work is fork-joined across the [`asv_util::ThreadPool`].
+//!    worker thread ([`spawn_alignment_chunked`]), which plans the views
+//!    one after another.
 //! 3. **Publish** ([`apply_plan`]) — back on the owning thread, the
 //!    recorded ops are replayed onto the real view buffers (a handful of
 //!    `mmap(MAP_FIXED)` / truncate calls) and the [`ViewSet`] generation is
@@ -80,7 +80,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use asv_storage::{Column, PageGroups, Update};
-use asv_util::{Parallelism, ThreadPool, Timer, ValueRange};
+use asv_util::{Timer, ValueRange};
 use asv_vmem::{Backend, MappingTable, VmemError};
 
 use crate::updates::UpdateAlignmentStats;
@@ -428,58 +428,40 @@ impl ChunkedAlignmentPlan {
 /// chunks of at most `chunk_updates` updates each (phase 2; `0` = one
 /// chunk).
 ///
-/// The whole pass runs once — per view, fork-joined across a pool sized by
-/// `parallelism` — against shadow mapping tables that persist across chunk
-/// boundaries, so the concatenation of all chunks equals the one-chunk
-/// plan op-for-op. Publishing chunk-by-chunk therefore walks through
-/// intermediate epochs towards the *same* final layout. Each chunk lists
-/// only the views it changes.
+/// The whole pass runs once, view by view on the calling thread, against
+/// shadow mapping tables that persist across chunk boundaries, so the
+/// concatenation of all chunks equals the one-chunk plan op-for-op.
+/// Publishing chunk-by-chunk therefore walks through intermediate epochs
+/// towards the *same* final layout. Each chunk lists only the views it
+/// changes, in snapshot order.
 pub fn plan_alignment_chunked(
     snapshot: &AlignmentSnapshot,
-    parallelism: Parallelism,
     chunk_updates: usize,
 ) -> ChunkedAlignmentPlan {
     let plan_timer = Timer::start();
     let boundaries = chunk_boundaries(&snapshot.groups, chunk_updates);
-    let pool = ThreadPool::new(parallelism);
-    let tasks: Vec<_> = snapshot
-        .views
-        .iter()
-        .map(|view| {
-            let boundaries = &boundaries;
-            move || plan_view_chunks(view, boundaries)
-        })
-        .collect();
-    let per_view: Vec<Vec<ViewPlan>> = pool.scoped_map(tasks);
-    let plan_time = plan_timer.elapsed();
-
     let mut chunks: Vec<AlignmentPlan> = boundaries
         .iter()
-        .enumerate()
-        .map(|(k, boundary)| {
+        .map(|boundary| {
             let updates_in_chunk = snapshot.groups.num_updates(boundary.clone());
             AlignmentPlan {
                 batch_size: updates_in_chunk,
                 deduped_size: updates_in_chunk,
-                parse_time: if k == 0 {
-                    snapshot.parse_time
-                } else {
-                    Duration::ZERO
-                },
-                plan_time: if k == 0 { plan_time } else { Duration::ZERO },
+                parse_time: Duration::ZERO,
+                plan_time: Duration::ZERO,
                 views: Vec::new(),
             }
         })
         .collect();
-    // Transpose view-major into chunk-major, moving every non-empty plan
-    // (views stay in snapshot order within each chunk).
-    for view_chunks in per_view {
-        for (chunk, plan) in chunks.iter_mut().zip(view_chunks) {
+    for view in &snapshot.views {
+        for (chunk, plan) in chunks.iter_mut().zip(plan_view_chunks(view, &boundaries)) {
             if !plan.ops.is_empty() {
                 chunk.views.push(plan);
             }
         }
     }
+    chunks[0].parse_time = snapshot.parse_time;
+    chunks[0].plan_time = plan_timer.elapsed();
     ChunkedAlignmentPlan {
         batch_size: snapshot.batch_size,
         deduped_size: snapshot.groups.deduped_size(),
@@ -580,19 +562,16 @@ type PlanJob = Box<dyn FnOnce() -> ChunkedAlignmentPlan + Send>;
 
 /// Ships an [`AlignmentSnapshot`] to a dedicated worker thread that plans
 /// the alignment off the query path as a [`ChunkedAlignmentPlan`] with at
-/// most `chunk_updates` updates per chunk (`0` = one chunk). Within the
-/// pass, the per-view planning fork-joins across a pool sized by
-/// `parallelism`.
+/// most `chunk_updates` updates per chunk (`0` = one chunk).
 ///
 /// If the OS refuses the thread (e.g. `EAGAIN` under a pid limit), the
-/// same plan is made sequentially on the calling thread instead: plans do
-/// not depend on `parallelism`, so every later answer is unchanged.
+/// same plan is made on the calling thread instead, so every later answer
+/// is unchanged.
 pub fn spawn_alignment_chunked(
     snapshot: AlignmentSnapshot,
-    parallelism: Parallelism,
     chunk_updates: usize,
 ) -> PendingChunkedAlignment {
-    start_alignment(snapshot, parallelism, chunk_updates, |job| {
+    start_alignment(snapshot, chunk_updates, |job| {
         std::thread::Builder::new()
             .name("asv-align".into())
             .spawn(job)
@@ -603,23 +582,16 @@ pub fn spawn_alignment_chunked(
 /// for a refused thread is testable without exhausting threads.
 fn start_alignment(
     snapshot: AlignmentSnapshot,
-    parallelism: Parallelism,
     chunk_updates: usize,
     spawn: impl FnOnce(PlanJob) -> std::io::Result<JoinHandle<ChunkedAlignmentPlan>>,
 ) -> PendingChunkedAlignment {
     let snapshot = Arc::new(snapshot);
     let job_snapshot = Arc::clone(&snapshot);
-    let job: PlanJob =
-        Box::new(move || plan_alignment_chunked(&job_snapshot, parallelism, chunk_updates));
+    let job: PlanJob = Box::new(move || plan_alignment_chunked(&job_snapshot, chunk_updates));
     let state = match spawn(job) {
         Ok(handle) => PendingState::Spawned(handle),
-        // The refused job was dropped with its snapshot handle. Planning
-        // sequentially spawns no pool workers either.
-        Err(_) => PendingState::Planned(plan_alignment_chunked(
-            &snapshot,
-            Parallelism::Sequential,
-            chunk_updates,
-        )),
+        // The refused job was dropped with its snapshot handle.
+        Err(_) => PendingState::Planned(plan_alignment_chunked(&snapshot, chunk_updates)),
     };
     PendingChunkedAlignment { state }
 }
@@ -797,8 +769,8 @@ mod tests {
     }
 
     /// The one-chunk plan of `snap`.
-    fn plan_whole(snap: &AlignmentSnapshot, parallelism: Parallelism) -> AlignmentPlan {
-        let mut plan = plan_alignment_chunked(snap, parallelism, 0);
+    fn plan_whole(snap: &AlignmentSnapshot) -> AlignmentPlan {
+        let mut plan = plan_alignment_chunked(snap, 0);
         assert_eq!(plan.num_chunks(), 1);
         plan.chunks.pop().unwrap()
     }
@@ -863,7 +835,7 @@ mod tests {
         let before = views.partial_view(0).unwrap().num_pages();
         let updates = column.write_batch(&[(20 * VALUES_PER_PAGE, 6_000)]);
         let snap = snapshot_alignment(&column, views.mappings(), &updates);
-        let plan = plan_whole(&snap, Parallelism::Sequential);
+        let plan = plan_whole(&snap);
         assert_eq!(plan.pages_added(), 1);
         assert_eq!(plan.pages_removed(), 0);
         assert_eq!(plan.views.len(), 1);
@@ -882,7 +854,7 @@ mod tests {
         let (mut column, mut views) = column_with_views(32, &[range]);
         let updates = column.write_batch(&[(20 * VALUES_PER_PAGE, 6_000)]);
         let snap = snapshot_alignment(&column, views.mappings(), &updates);
-        let plan = plan_whole(&snap, Parallelism::Sequential);
+        let plan = plan_whole(&snap);
         // Replace the view set's only view: ids no longer match.
         views.clear();
         let (buffer, _) = build_view_for_range(&column, &range, &CreationOptions::ALL).unwrap();
@@ -927,9 +899,9 @@ mod tests {
         writes.extend((0..VALUES_PER_PAGE).map(|s| (13 * VALUES_PER_PAGE + s, 1 + s as u64)));
         let updates = column.write_batch(&writes);
         let snap = snapshot_alignment(&column, views.mappings(), &updates);
-        let flat = plan_whole(&snap, Parallelism::Sequential);
+        let flat = plan_whole(&snap);
         for chunk_updates in [1usize, 3, 64, 1_000] {
-            let chunked = plan_alignment_chunked(&snap, Parallelism::Sequential, chunk_updates);
+            let chunked = plan_alignment_chunked(&snap, chunk_updates);
             assert_eq!(chunked.batch_size, snap.batch_size);
             assert_eq!(chunked.deduped_size, flat.deduped_size);
             assert_eq!(chunked.pages_added(), flat.pages_added());
@@ -954,16 +926,6 @@ mod tests {
                 assert_eq!(concat, flat_ops, "chunk_updates={chunk_updates}");
             }
         }
-        // Chunked planning fork-joined matches sequential planning.
-        let par = plan_alignment_chunked(&snap, Parallelism::Threads(4), 3);
-        let seq = plan_alignment_chunked(&snap, Parallelism::Sequential, 3);
-        assert_eq!(par.num_chunks(), seq.num_chunks());
-        for (a, b) in par.chunks.iter().zip(&seq.chunks) {
-            assert_eq!(a.views.len(), b.views.len());
-            for (va, vb) in a.views.iter().zip(&b.views) {
-                assert_eq!(va.ops, vb.ops);
-            }
-        }
     }
 
     #[test]
@@ -976,7 +938,7 @@ mod tests {
         let (mut column, mut views) = column_with_views(32, &[range]);
         let updates = column.write_batch(&writes);
         let snap = snapshot_alignment(&column, views.mappings(), &updates);
-        let chunked = plan_alignment_chunked(&snap, Parallelism::Sequential, 4);
+        let chunked = plan_alignment_chunked(&snap, 4);
         assert_eq!(chunked.num_chunks(), 5);
         let generation_before = views.generation();
         for chunk in &chunked.chunks {
@@ -1051,8 +1013,8 @@ mod tests {
         writes.extend((0..VALUES_PER_PAGE).map(|s| (13 * VALUES_PER_PAGE + s, 1 + s as u64)));
         let updates = column.write_batch(&writes);
         let snapshot = || snapshot_alignment(&column, views.mappings(), &updates);
-        let spawned = spawn_alignment_chunked(snapshot(), Parallelism::Threads(2), 3);
-        let refused = start_alignment(snapshot(), Parallelism::Threads(2), 3, |_job| {
+        let spawned = spawn_alignment_chunked(snapshot(), 3);
+        let refused = start_alignment(snapshot(), 3, |_job| {
             Err(std::io::Error::from(std::io::ErrorKind::WouldBlock))
         });
         assert!(matches!(refused.state, PendingState::Planned(_)));
@@ -1086,7 +1048,7 @@ mod tests {
         let updates = column.write_batch(&[(20 * VALUES_PER_PAGE, 6_000)]);
         let snap = snapshot_alignment(&column, views.mappings(), &updates);
         let generation_before = views.generation();
-        let pending = spawn_alignment_chunked(snap, Parallelism::Threads(2), 0);
+        let pending = spawn_alignment_chunked(snap, 0);
         // The snapshot is owned by the worker: the column stays fully
         // usable here (this is the whole point of the handoff).
         assert!(column.full_scan(&range).count > 0);

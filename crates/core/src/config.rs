@@ -122,9 +122,9 @@ impl Default for AlignChunking {
 }
 
 /// Configuration of an [`crate::AdaptiveColumn`] or a
-/// [`crate::ServeTable`]. A serving table reads only `chunking` and
-/// `parallelism`, and an adaptive column reads neither; a serving table's
-/// views are installed explicitly and never mapped.
+/// [`crate::ServeTable`]. A serving table reads only `chunking`, and an
+/// adaptive column everything else; a serving table's views are installed
+/// explicitly and never mapped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AdaptiveConfig {
     /// Query routing mode. Ignored by [`crate::ServeTable`].
@@ -151,11 +151,6 @@ pub struct AdaptiveConfig {
     pub adaptive_creation: bool,
     /// View-creation optimizations. Ignored by [`crate::ServeTable`].
     pub creation: CreationOptions,
-    /// Size of the pool a [`crate::ServeTable`] fork-joins its per-view
-    /// alignment planning over. Defaults to [`Parallelism::Sequential`].
-    /// Plans do not depend on it. Ignored by [`crate::AdaptiveColumn`],
-    /// which runs on its caller's thread.
-    pub parallelism: Parallelism,
     /// Chunking and write-queue knobs of [`crate::ServeTable`]'s alignment
     /// rounds. Ignored by [`crate::AdaptiveColumn`].
     pub chunking: AlignChunking,
@@ -170,7 +165,6 @@ impl Default for AdaptiveConfig {
             replacement_tolerance: 0,
             adaptive_creation: true,
             creation: CreationOptions::default(),
-            parallelism: Parallelism::Sequential,
             chunking: AlignChunking::default(),
         }
     }
@@ -230,9 +224,10 @@ impl AdaptiveConfig {
         self
     }
 
-    /// Builder-style setter for the serving table's planner parallelism.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
+    /// Returns `self` unchanged: scans and alignment plans run on one
+    /// thread, and `Parallelism` has no other value. Stays only because
+    /// `benchmark/src/sut.rs` calls it; ROADMAP item 12(a) deletes it.
+    pub fn with_parallelism(self, _: Parallelism) -> Self {
         self
     }
 
@@ -257,7 +252,6 @@ mod tests {
         assert_eq!(c.replacement_tolerance, 0);
         assert!(c.adaptive_creation);
         assert_eq!(c.creation, CreationOptions::ALL);
-        assert_eq!(c.parallelism, Parallelism::Sequential);
         assert_eq!(c.chunking.chunk_updates, 0, "chunking off by default");
         assert!(c.chunking.max_queued_writes >= 1 << 20);
         assert_eq!(c.chunking.group_commit_idle, 0, "fold on first idle tick");
@@ -284,15 +278,14 @@ mod tests {
             .with_discard_tolerance(3)
             .with_replacement_tolerance(5)
             .with_creation(CreationOptions::NONE)
-            .with_adaptive_creation(false)
-            .with_parallelism(Parallelism::Threads(4));
+            .with_adaptive_creation(false);
         assert_eq!(c.routing, RoutingMode::MultiView);
         assert_eq!(c.max_views, 20);
         assert_eq!(c.discard_tolerance, 3);
         assert_eq!(c.replacement_tolerance, 5);
         assert_eq!(c.creation, CreationOptions::NONE);
         assert!(!c.adaptive_creation);
-        assert_eq!(c.parallelism, Parallelism::Threads(4));
+        assert_eq!(c.with_parallelism(Parallelism::Sequential), c);
     }
 
     #[test]

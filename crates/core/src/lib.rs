@@ -53,9 +53,6 @@ pub use align::{
     PendingChunkedAlignment, ViewOp, ViewPlan, WriteOverlay,
 };
 pub use config::{AdaptiveConfig, AlignChunking, CreationOptions, RoutingMode};
-// Re-exported so downstream crates can configure the parallel execution
-// layer without depending on asv-util directly.
-pub use asv_util::{Parallelism, ThreadPool};
 pub use creation::{build_view_for_range, create_while_scanning};
 pub use query::{QueryExecution, QueryOutcome, RangeQuery, ViewMaintenance};
 pub use router::{route, RouteSelection, ViewId};

@@ -1621,11 +1621,7 @@ impl<B: Backend> ServeTable<B> {
             state.activity.planned_views += snapshot.num_planned_views() as u64;
             state.activity.candidate_views += state.views.len() as u64;
             if snapshot.num_planned_views() > 0 {
-                state.pending = Some(spawn_alignment_chunked(
-                    snapshot,
-                    self.config.parallelism,
-                    chunking.chunk_updates,
-                ));
+                state.pending = Some(spawn_alignment_chunked(snapshot, chunking.chunk_updates));
             }
         }
         state.round_active = true;
@@ -1733,7 +1729,6 @@ mod tests {
     use super::*;
     use crate::creation::build_view_for_range;
     use crate::viewset::ViewSet;
-    use asv_util::Parallelism;
     use asv_vmem::{MmapBackend, SimBackend};
 
     /// Clustered data: page p holds values in [p*1000, p*1000 + 510].
@@ -2111,21 +2106,12 @@ mod tests {
             0.05,
             MAX_VALUE,
         );
-        let cells = [
-            (1usize, Parallelism::Sequential),
-            (64, Parallelism::Sequential),
-            (0, Parallelism::Sequential),
-            (1, Parallelism::Threads(2)),
-            (0, Parallelism::Threads(2)),
-        ];
-        for (chunk_updates, parallelism) in cells {
-            let config = AdaptiveConfig::default()
-                .with_parallelism(parallelism)
-                .with_chunking(
-                    crate::config::AlignChunking::default()
-                        .with_chunk_updates(chunk_updates)
-                        .with_group_commit_idle(0),
-                );
+        for chunk_updates in [1usize, 64, 0] {
+            let config = AdaptiveConfig::default().with_chunking(
+                crate::config::AlignChunking::default()
+                    .with_chunk_updates(chunk_updates)
+                    .with_group_commit_idle(0),
+            );
             let mut table = ServeTable::new(make_backend(), config);
             let col = table.add_column(&values).unwrap();
             for range in &ranges {
@@ -2142,7 +2128,7 @@ mod tests {
             let handle = table.handle();
             let mut mirror = values.clone();
             for (k, round) in churn.iter().enumerate() {
-                let case = format!("chunk{chunk_updates}/{parallelism}/round{k}");
+                let case = format!("chunk{chunk_updates}/round{k}");
                 table.try_write_batch(col, &round.writes).unwrap();
                 for &(row, value) in &round.writes {
                     mirror[row] = value;
@@ -2205,7 +2191,7 @@ mod tests {
             let activity = table.align_activity();
             assert!(
                 activity.planned_views < activity.candidate_views,
-                "chunk{chunk_updates}/{parallelism}: hot-zone churn leaves most views unplanned"
+                "chunk{chunk_updates}: hot-zone churn leaves most views unplanned"
             );
         }
     }

@@ -25,7 +25,7 @@
 use std::time::Duration;
 
 use asv_storage::{Column, Update};
-use asv_util::{Parallelism, Timer};
+use asv_util::Timer;
 use asv_vmem::{Backend, VmemError};
 
 use crate::align::{apply_chunked_plan, plan_alignment_chunked, snapshot_alignment};
@@ -100,7 +100,7 @@ pub fn align_views_after_updates<B: Backend>(
         });
     }
     let snapshot = snapshot_alignment(column, views.mappings(), batch);
-    let plan = plan_alignment_chunked(&snapshot, Parallelism::Sequential, 0);
+    let plan = plan_alignment_chunked(&snapshot, 0);
     apply_chunked_plan(column, views, &plan)
 }
 

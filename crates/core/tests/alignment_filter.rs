@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use asv_core::{
     apply_chunked_plan, build_view_for_range, plan_alignment_chunked, snapshot_alignment,
     AdaptiveColumn, AdaptiveConfig, AlignChunking, ChunkedAlignmentPlan, CreationOptions,
-    Parallelism, ServeTable, ViewOp, ViewSet,
+    ServeTable, ViewOp, ViewSet,
 };
 use asv_storage::{Column, PageGroups, Update};
 use asv_util::ValueRange;
@@ -236,7 +236,7 @@ fn check_plan<B: Backend>(
     let oracle = full_replan_oracle(column, views, updates);
     let snapshot = snapshot_alignment(column, views.mappings(), updates);
     for &chunk_updates in chunk_sizes {
-        let plan = plan_alignment_chunked(&snapshot, Parallelism::Sequential, chunk_updates);
+        let plan = plan_alignment_chunked(&snapshot, chunk_updates);
         assert_eq!(
             filtered_plan(&plan),
             oracle,
@@ -244,7 +244,7 @@ fn check_plan<B: Backend>(
         );
     }
 
-    let plan = plan_alignment_chunked(&snapshot, Parallelism::Sequential, 0);
+    let plan = plan_alignment_chunked(&snapshot, 0);
     apply_chunked_plan(column, views, &plan).expect("apply");
     for (idx, view) in views.iter() {
         assert_eq!(

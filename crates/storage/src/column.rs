@@ -7,10 +7,10 @@
 
 use std::sync::Arc;
 
-use asv_util::{Parallelism, ThreadPool, ValueRange};
+use asv_util::{Parallelism, ValueRange};
 use asv_vmem::{Backend, MapRequest, PhysicalStore, VALUES_PER_PAGE};
 
-use crate::kernel::{scan_view_with, ScanKernel, ScanMode, ScanOutput};
+use crate::kernel::{ScanKernel, ScanMode, ScanOutput};
 use crate::page::{PageRef, PageScanResult, PAGE_ID_SLOT};
 use crate::updates::Update;
 
@@ -192,48 +192,27 @@ impl<B: Backend> Column<B> {
     /// Scans the *full view* and filters against `range` — the paper's
     /// full-scan baseline for query answering (§3.2).
     pub fn full_scan(&self, range: &ValueRange) -> PageScanResult {
-        self.full_scan_with(range, ScanMode::Aggregate, Parallelism::Sequential)
-            .result
+        self.full_scan_with(range, ScanMode::Aggregate).result
     }
 
     /// Full scan through the unified page-range [`ScanKernel`], with an
-    /// explicit accumulation mode and degree of parallelism.
-    ///
-    /// With more than one worker, the full view's slot range is split into
-    /// balanced shards, scanned fork-join style on scoped threads, and the
-    /// partial [`ScanOutput`]s are merged in slot order — so the output is
-    /// identical to the sequential scan for every mode.
-    pub fn full_scan_with(
-        &self,
-        range: &ValueRange,
-        mode: ScanMode,
-        parallelism: Parallelism,
-    ) -> ScanOutput {
-        self.scan_full_view(&ScanKernel::new(*range, mode), parallelism)
-    }
-
-    /// Runs `kernel` over the full view.
-    fn scan_full_view(&self, kernel: &ScanKernel<'_>, parallelism: Parallelism) -> ScanOutput {
-        scan_view_with(
-            kernel,
-            self.full_view(),
-            |raw| self.wrap_view_page(raw),
-            parallelism,
-        )
+    /// explicit accumulation mode.
+    pub fn full_scan_with(&self, range: &ValueRange, mode: ScanMode) -> ScanOutput {
+        ScanKernel::new(*range, mode).scan_view(self.full_view(), |raw| self.wrap_view_page(raw))
     }
 
     /// Probes `rows` (ascending global row ids) against `range`, touching
     /// only the physical pages that contain candidates (see
-    /// [`crate::kernel::probe_rows`]).
+    /// [`crate::kernel::probe_rows`]). The probe runs on the calling
+    /// thread; `benchmark/src/sut.rs` still passes a [`Parallelism`].
     pub fn probe_rows_with(
         &self,
         range: &ValueRange,
         mode: ScanMode,
         rows: &[u64],
-        parallelism: Parallelism,
+        _: Parallelism,
     ) -> ScanOutput {
-        let kernel = ScanKernel::new(*range, mode);
-        crate::kernel::probe_rows(&kernel, self, rows, &ThreadPool::new(parallelism))
+        crate::kernel::probe_rows(&ScanKernel::new(*range, mode), self, rows)
     }
 
     /// Copies all values out of the column (test / debugging helper; the

@@ -5,8 +5,7 @@
 //! `asv-baselines` — boils down to the same loop: walk the mapped pages of a
 //! view buffer, filter each page against a value range, and fold the
 //! per-page results into an accumulated answer. [`ScanKernel`] is that loop,
-//! extracted once so that sequential and parallel execution share a single
-//! code path:
+//! written once and run on the calling thread:
 //!
 //! * [`ScanKernel::scan_page`] — the per-page step (filter + merge),
 //!   parameterized by [`ScanMode`] (count-only fast path, count+sum
@@ -14,16 +13,12 @@
 //!   next so the filter can prefetch it;
 //! * [`ScanKernel::scan_pages`] — the sequential page loop over any page
 //!   sequence, handing each page its successor;
-//! * [`ScanKernel::scan_view_slots`] — evaluates an arbitrary slot range of
-//!   any view buffer, the shard primitive of parallel execution;
-//! * [`scan_view`] — shards a whole view across a [`ThreadPool`] and merges
-//!   the partial [`ScanOutput`]s (slot-sharded: correct whenever the view
-//!   maps every physical page at most once, which holds for the full view
-//!   and for all partial views the creation path produces).
+//! * [`ScanKernel::scan_view`] — that loop over every mapped slot of one
+//!   view buffer, in slot order.
 //!
 //! Multi-view scans with *shared* physical pages additionally need
 //! cross-view deduplication; `asv-core::exec` builds that on top of
-//! [`ScanKernel::scan_view_slots`] with page-id-sharding.
+//! [`ScanKernel::scan_page`].
 //!
 //! Besides full page-range scans the kernel offers a **probe mode**
 //! ([`ScanKernel::probe_page_rows`] / [`probe_rows`]): given a set of
@@ -36,7 +31,7 @@
 
 use std::ops::Range;
 
-use asv_util::{split_ranges, Parallelism, ThreadPool, ValueRange};
+use asv_util::{ThreadPool, ValueRange};
 use asv_vmem::{Backend, ViewBuffer, VALUES_PER_PAGE};
 
 use crate::column::Column;
@@ -56,7 +51,7 @@ pub enum ScanMode {
     CollectRows,
 }
 
-/// The mergeable result of scanning a set of pages against a query range.
+/// The result of scanning a set of pages against a query range.
 ///
 /// `result` folds the count and checksum of *all* scanned pages;
 /// `below` / `above` fold the bounds that *non-qualifying* pages report
@@ -84,28 +79,6 @@ impl ScanOutput {
         Self {
             rows: matches!(mode, ScanMode::CollectRows).then(Vec::new),
             ..Self::default()
-        }
-    }
-
-    /// Folds another (shard's) output into this one. All fields merge
-    /// order-independently except `rows`, which append in call order —
-    /// parallel callers merge shards in ascending page-range order to keep
-    /// the output deterministic.
-    pub fn merge(&mut self, other: ScanOutput) {
-        self.result.merge(&other.result);
-        self.scanned_pages += other.scanned_pages;
-        self.below = match (self.below, other.below) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        self.above = match (self.above, other.above) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        match (&mut self.rows, other.rows) {
-            (Some(mine), Some(theirs)) => mine.extend(theirs),
-            (mine @ None, theirs @ Some(_)) => *mine = theirs,
-            _ => {}
         }
     }
 }
@@ -238,13 +211,13 @@ impl<'a> ScanKernel<'a> {
             .then(|| out.rows.get_or_insert_with(Vec::new));
         let res = page.filter(next, &self.range, exclusion, count_only, rows);
         out.scanned_pages += 1;
-        if res.count == 0 {
-            if let Some(b) = res.below_max {
-                out.below = Some(out.below.map_or(b, |cur| cur.max(b)));
-            }
-            if let Some(a) = res.above_min {
-                out.above = Some(out.above.map_or(a, |cur| cur.min(a)));
-            }
+        // The filter reports bounds only for a page without qualifying
+        // values, so these fold only non-qualifying pages.
+        if let Some(b) = res.below_max {
+            out.below = Some(out.below.map_or(b, |cur| cur.max(b)));
+        }
+        if let Some(a) = res.above_min {
+            out.above = Some(out.above.map_or(a, |cur| cur.min(a)));
         }
         out.result.merge(&res);
         res
@@ -296,83 +269,35 @@ impl<'a> ScanKernel<'a> {
         out.result.merge(&res);
     }
 
-    /// Evaluates the view slots `slots` of `view`, wrapping each raw page
-    /// via `wrap` (which supplies the valid-value count; see
-    /// [`crate::Column::wrap_view_page`]).
-    ///
-    /// This is the shard primitive: a parallel scan hands each worker a
-    /// disjoint slot range of the same view. The slots are consecutive, so
+    /// Scans every mapped slot of `view` in slot order, wrapping each raw
+    /// page via `wrap` (which supplies the valid-value count; see
+    /// [`crate::Column::wrap_view_page`]). The slots are consecutive, so
     /// each page prefetches the next slot's page ([`Self::scan_pages`]).
-    pub fn scan_view_slots<'p, V, W>(
-        &self,
-        view: &'p V,
-        slots: Range<usize>,
-        wrap: W,
-        out: &mut ScanOutput,
-    ) where
+    pub fn scan_view<'p, V, W>(&self, view: &'p V, wrap: W) -> ScanOutput
+    where
         V: ViewBuffer,
         W: Fn(&'p [u64]) -> PageRef<'p>,
     {
-        debug_assert!(slots.end <= view.mapped_pages());
-        self.scan_pages(slots.map(|slot| view.page(slot)), wrap, out);
+        let mut out = ScanOutput::new(self.mode);
+        let pages = (0..view.mapped_pages()).map(|slot| view.page(slot));
+        self.scan_pages(pages, wrap, &mut out);
+        out
     }
 }
 
-/// Scans all mapped pages of `view` with `kernel`, sharding the slot range
-/// across `pool` and merging the partial outputs in slot order.
-///
-/// Slot-sharding assumes the view maps every physical page at most once
-/// (true for the full view and for every view the creation path builds);
-/// multi-view scans with shared pages deduplicate them in `asv-core::exec`.
+/// [`ScanKernel::scan_view`] in the form `benchmark/src/sut.rs` calls; the
+/// pool has no workers, so the scan runs on the calling thread.
 pub fn scan_view<'a, V, W>(
     kernel: &ScanKernel<'_>,
     view: &'a V,
     wrap: W,
-    pool: &ThreadPool,
+    _pool: &ThreadPool,
 ) -> ScanOutput
 where
     V: ViewBuffer,
-    W: Fn(&'a [u64]) -> PageRef<'a> + Sync,
+    W: Fn(&'a [u64]) -> PageRef<'a>,
 {
-    let mapped = view.mapped_pages();
-    if pool.workers() <= 1 || mapped < 2 {
-        let mut out = ScanOutput::new(kernel.mode());
-        kernel.scan_view_slots(view, 0..mapped, &wrap, &mut out);
-        return out;
-    }
-    let shards = split_ranges(mapped, pool.workers());
-    let wrap = &wrap;
-    let partials = pool.scoped_map(
-        shards
-            .into_iter()
-            .map(|slots| {
-                move || {
-                    let mut out = ScanOutput::new(kernel.mode());
-                    kernel.scan_view_slots(view, slots, wrap, &mut out);
-                    out
-                }
-            })
-            .collect(),
-    );
-    let mut merged = ScanOutput::new(kernel.mode());
-    for partial in partials {
-        merged.merge(partial);
-    }
-    merged
-}
-
-/// Convenience wrapper: [`scan_view`] driven by a [`Parallelism`] setting.
-pub fn scan_view_with<'a, V, W>(
-    kernel: &ScanKernel<'_>,
-    view: &'a V,
-    wrap: W,
-    parallelism: Parallelism,
-) -> ScanOutput
-where
-    V: ViewBuffer,
-    W: Fn(&'a [u64]) -> PageRef<'a> + Sync,
-{
-    scan_view(kernel, view, wrap, &ThreadPool::new(parallelism))
+    kernel.scan_view(view, wrap)
 }
 
 /// Groups ascending candidate rows into per-page runs: each run is a
@@ -396,56 +321,27 @@ fn group_rows_by_page(rows: &[u64]) -> Vec<(usize, Range<usize>)> {
 /// against `kernel`'s range, touching only the physical pages that contain
 /// candidates.
 ///
-/// The per-page runs are sharded across `pool` and the partial outputs are
-/// merged in ascending page order, so `rows` in the output (with
-/// [`ScanMode::CollectRows`]) stay ascending and the result is identical
-/// for every worker count. `scanned_pages` reports the number of *distinct*
-/// pages touched, which is the probe's entire page effort.
+/// Pages are probed in ascending order, so `rows` in the output (with
+/// [`ScanMode::CollectRows`]) stay ascending. `scanned_pages` reports the
+/// number of *distinct* pages touched, which is the probe's entire page
+/// effort.
 pub fn probe_rows<B: Backend>(
     kernel: &ScanKernel<'_>,
     column: &Column<B>,
     rows: &[u64],
-    pool: &ThreadPool,
 ) -> ScanOutput {
     debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows must ascend");
-    let mut merged = ScanOutput::new(kernel.mode());
-    if rows.is_empty() {
-        return merged;
+    let mut out = ScanOutput::new(kernel.mode());
+    for (page, idx) in group_rows_by_page(rows) {
+        kernel.probe_page_rows(column.page_ref(page), &rows[idx], &mut out);
     }
-    let runs = group_rows_by_page(rows);
-    let probe_runs = |slice: &[(usize, Range<usize>)], out: &mut ScanOutput| {
-        for (page, idx) in slice {
-            kernel.probe_page_rows(column.page_ref(*page), &rows[idx.clone()], out);
-        }
-    };
-    if pool.workers() <= 1 || runs.len() < 2 {
-        probe_runs(&runs, &mut merged);
-        return merged;
-    }
-    let shards = split_ranges(runs.len(), pool.workers());
-    let runs = &runs;
-    let probe_runs = &probe_runs;
-    let partials = pool.scoped_map(
-        shards
-            .into_iter()
-            .map(|shard| {
-                move || {
-                    let mut out = ScanOutput::new(kernel.mode());
-                    probe_runs(&runs[shard], &mut out);
-                    out
-                }
-            })
-            .collect(),
-    );
-    for partial in partials {
-        merged.merge(partial);
-    }
-    merged
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asv_util::Parallelism;
     use asv_vmem::{MmapBackend, SimBackend};
 
     fn clustered_column<B: Backend>(backend: B, pages: usize) -> Column<B> {
@@ -455,59 +351,11 @@ mod tests {
         Column::from_values(backend, &values).unwrap()
     }
 
-    fn check_parallel_matches_sequential<B: Backend>(backend: B) {
-        let column = clustered_column(backend, 37);
-        let range = ValueRange::new(4_000, 21_300);
-        for mode in [
-            ScanMode::CountOnly,
-            ScanMode::Aggregate,
-            ScanMode::CollectRows,
-        ] {
-            let kernel = ScanKernel::new(range, mode);
-            let seq = scan_view(
-                &kernel,
-                column.full_view(),
-                |raw| column.wrap_view_page(raw),
-                &ThreadPool::with_workers(1),
-            );
-            for workers in [2usize, 3, 8] {
-                let par = scan_view(
-                    &kernel,
-                    column.full_view(),
-                    |raw| column.wrap_view_page(raw),
-                    &ThreadPool::with_workers(workers),
-                );
-                assert_eq!(par.result.count, seq.result.count, "{mode:?}/{workers}");
-                assert_eq!(par.result.sum, seq.result.sum, "{mode:?}/{workers}");
-                assert_eq!(par.scanned_pages, seq.scanned_pages, "{mode:?}/{workers}");
-                assert_eq!(par.below, seq.below, "{mode:?}/{workers}");
-                assert_eq!(par.above, seq.above, "{mode:?}/{workers}");
-                // Shards merge in slot order, so even row ids line up.
-                assert_eq!(par.rows, seq.rows, "{mode:?}/{workers}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_scan_matches_sequential_sim() {
-        check_parallel_matches_sequential(SimBackend::new());
-    }
-
-    #[test]
-    fn parallel_scan_matches_sequential_mmap() {
-        check_parallel_matches_sequential(MmapBackend::new());
-    }
-
     #[test]
     fn count_only_mode_skips_sum() {
         let column = clustered_column(SimBackend::new(), 8);
         let kernel = ScanKernel::new(ValueRange::new(1_000, 3_400), ScanMode::CountOnly);
-        let out = scan_view_with(
-            &kernel,
-            column.full_view(),
-            |raw| column.wrap_view_page(raw),
-            Parallelism::Sequential,
-        );
+        let out = kernel.scan_view(column.full_view(), |raw| column.wrap_view_page(raw));
         assert!(out.result.count > 0);
         assert_eq!(out.result.sum, 0);
         assert!(out.rows.is_none());
@@ -518,13 +366,7 @@ mod tests {
         let column = clustered_column(SimBackend::new(), 16);
         // Pages 5..=9 qualify for [5000, 9400].
         let kernel = ScanKernel::new(ValueRange::new(5_000, 9_400), ScanMode::Aggregate);
-        let mut out = ScanOutput::new(kernel.mode());
-        kernel.scan_view_slots(
-            column.full_view(),
-            0..column.num_pages(),
-            |raw| column.wrap_view_page(raw),
-            &mut out,
-        );
+        let out = kernel.scan_view(column.full_view(), |raw| column.wrap_view_page(raw));
         // Non-qualifying neighbours: page 4 tops out at 4510, page 10
         // starts at 10000.
         assert_eq!(out.below, Some(4_000 + VALUES_PER_PAGE as u64 - 1));
@@ -551,24 +393,16 @@ mod tests {
         let candidate_pages = 21 - 4; // distinct pages holding candidates
 
         let kernel = ScanKernel::new(range, ScanMode::CollectRows);
-        let seq = probe_rows(&kernel, &column, &rows, &ThreadPool::with_workers(1));
-        assert_eq!(seq.rows.as_deref(), Some(&expected[..]));
-        assert_eq!(seq.result.count, expected.len() as u64);
-        assert_eq!(seq.result.sum, expected_sum);
+        let out = probe_rows(&kernel, &column, &rows);
+        assert_eq!(out.rows.as_deref(), Some(&expected[..]));
+        assert_eq!(out.result.count, expected.len() as u64);
+        assert_eq!(out.result.sum, expected_sum);
         assert_eq!(
-            seq.scanned_pages, candidate_pages,
+            out.scanned_pages, candidate_pages,
             "touches only candidate pages"
         );
-        assert_eq!(seq.below, None);
-        assert_eq!(seq.above, None);
-
-        for workers in [2usize, 3, 8] {
-            let par = probe_rows(&kernel, &column, &rows, &ThreadPool::with_workers(workers));
-            assert_eq!(par.rows, seq.rows, "workers={workers}");
-            assert_eq!(par.result.count, seq.result.count, "workers={workers}");
-            assert_eq!(par.result.sum, seq.result.sum, "workers={workers}");
-            assert_eq!(par.scanned_pages, seq.scanned_pages, "workers={workers}");
-        }
+        assert_eq!(out.below, None);
+        assert_eq!(out.above, None);
 
         // Count-only probes skip the checksum.
         let count_only =
@@ -592,7 +426,7 @@ mod tests {
     fn probe_with_no_candidates_is_free() {
         let column = clustered_column(SimBackend::new(), 4);
         let kernel = ScanKernel::new(ValueRange::new(0, 10), ScanMode::CollectRows);
-        let out = probe_rows(&kernel, &column, &[], &ThreadPool::with_workers(4));
+        let out = probe_rows(&kernel, &column, &[]);
         assert_eq!(out.scanned_pages, 0);
         assert_eq!(out.result.count, 0);
     }
@@ -631,21 +465,14 @@ mod tests {
             ScanMode::CollectRows,
         ] {
             let kernel = ScanKernel::new(range, mode).with_excluded_rows(&excluded);
-            for workers in [1usize, 3] {
-                let out = scan_view(
-                    &kernel,
-                    column.full_view(),
-                    |raw| column.wrap_view_page(raw),
-                    &ThreadPool::with_workers(workers),
-                );
-                assert_eq!(out.result.count, expected.len() as u64, "{mode:?}");
-                match mode {
-                    ScanMode::CountOnly => assert_eq!(out.result.sum, 0),
-                    _ => assert_eq!(out.result.sum, expected_sum, "{mode:?}"),
-                }
-                if mode == ScanMode::CollectRows {
-                    assert_eq!(out.rows.as_deref(), Some(&expected[..]), "{mode:?}");
-                }
+            let out = kernel.scan_view(column.full_view(), |raw| column.wrap_view_page(raw));
+            assert_eq!(out.result.count, expected.len() as u64, "{mode:?}");
+            match mode {
+                ScanMode::CountOnly => assert_eq!(out.result.sum, 0),
+                _ => assert_eq!(out.result.sum, expected_sum, "{mode:?}"),
+            }
+            if mode == ScanMode::CollectRows {
+                assert_eq!(out.rows.as_deref(), Some(&expected[..]), "{mode:?}");
             }
         }
     }
@@ -669,48 +496,8 @@ mod tests {
         let kernel = ScanKernel::new(ValueRange::new(5_000, 9_400), ScanMode::Aggregate)
             .with_excluded_rows(std::slice::from_ref(&top_of_page_4));
         assert_eq!(kernel.excluded_rows(), &[top_of_page_4]);
-        let out = scan_view(
-            &kernel,
-            column.full_view(),
-            |raw| column.wrap_view_page(raw),
-            &ThreadPool::with_workers(1),
-        );
+        let out = kernel.scan_view(column.full_view(), |raw| column.wrap_view_page(raw));
         assert_eq!(out.below, Some(4_509));
         assert_eq!(out.above, Some(10_000));
-    }
-
-    #[test]
-    fn merge_combines_all_fields() {
-        let mut a = ScanOutput {
-            result: PageScanResult {
-                count: 2,
-                sum: 10,
-                below_max: None,
-                above_min: None,
-            },
-            rows: Some(vec![1, 2]),
-            scanned_pages: 3,
-            below: Some(5),
-            above: Some(100),
-        };
-        let b = ScanOutput {
-            result: PageScanResult {
-                count: 1,
-                sum: 7,
-                below_max: Some(3),
-                above_min: None,
-            },
-            rows: Some(vec![9]),
-            scanned_pages: 2,
-            below: Some(8),
-            above: Some(90),
-        };
-        a.merge(b);
-        assert_eq!(a.result.count, 3);
-        assert_eq!(a.result.sum, 17);
-        assert_eq!(a.scanned_pages, 5);
-        assert_eq!(a.below, Some(8));
-        assert_eq!(a.above, Some(90));
-        assert_eq!(a.rows.as_deref(), Some(&[1, 2, 9][..]));
     }
 }

@@ -17,7 +17,7 @@ pub mod simd;
 pub mod updates;
 
 pub use column::Column;
-pub use kernel::{probe_rows, scan_view, scan_view_with, ScanKernel, ScanMode, ScanOutput};
+pub use kernel::{probe_rows, scan_view, ScanKernel, ScanMode, ScanOutput};
 pub use page::{PageRef, PageScanResult};
 pub use simd::{
     copy_values_chunked, fold_min_max_chunked, ExclusionMasks, PageExclusionMask, QualifyMask,

@@ -172,7 +172,7 @@ fn check_full_scans_match<B: Backend>(backend: &B, seed: u64) {
         for _ in 0..4 {
             let range = random_range(&mut state, max_value);
             for mode in MODES {
-                let chunked = column.full_scan_with(&range, mode, Parallelism::Sequential);
+                let chunked = column.full_scan_with(&range, mode);
                 let scalar = scalar_full_scan(&column, &range, mode, &[]);
                 assert_outputs_match(
                     &chunked,
@@ -288,7 +288,7 @@ fn partial_final_page_is_scanned_exactly() {
     let values: Vec<u64> = (0..VALUES_PER_PAGE as u64 + 1).collect();
     let column = Column::from_values(SimBackend::new(), &values).unwrap();
     let range = ValueRange::new(VALUES_PER_PAGE as u64, u64::MAX);
-    let out = column.full_scan_with(&range, ScanMode::CollectRows, Parallelism::Sequential);
+    let out = column.full_scan_with(&range, ScanMode::CollectRows);
     assert_eq!(out.result.count, 1);
     assert_eq!(out.result.sum, VALUES_PER_PAGE as u128);
     assert_eq!(out.rows.as_deref(), Some(&[VALUES_PER_PAGE as u64][..]));

@@ -18,9 +18,7 @@
 //! [`VmemError::Unsupported`].
 
 use crate::backend::{Backend, MapRequest, PhysicalStore, ViewBuffer};
-use crate::error::Result;
-#[cfg(all(feature = "mmap", target_os = "linux"))]
-use crate::error::VmemError;
+use crate::error::{Result, VmemError};
 #[cfg(all(feature = "mmap", target_os = "linux"))]
 use crate::file::{FileBackend, FileStore};
 use crate::maps::MappingTable;
@@ -105,26 +103,24 @@ impl AnyBackend {
     /// an example or tool — to a backend: `None` selects the platform
     /// default, `Some(name)` must be one of [`AnyBackend::available_names`].
     ///
-    /// The error is a ready-to-print message naming the valid choices.
-    pub fn from_optional_name(name: Option<&str>) -> std::result::Result<Self, String> {
+    /// # Errors
+    /// [`VmemError::UnknownBackend`] for any other name; its message names
+    /// the valid choices.
+    pub fn from_optional_name(name: Option<&str>) -> Result<Self> {
         match name {
             None => Ok(Self::default_backend()),
-            Some(n) => Self::from_name(n).ok_or_else(|| {
-                format!(
-                    "unknown backend '{n}' (available: {})",
-                    Self::available_names().join(", ")
-                )
-            }),
+            Some(n) => Self::from_name(n).ok_or_else(|| VmemError::UnknownBackend(n.to_owned())),
         }
     }
 
     /// Reads the backend choice from the process's first CLI argument —
-    /// the convention of this workspace's examples: no argument selects
-    /// the platform default, an unknown name panics with a message
-    /// listing the valid choices.
-    pub fn from_cli_arg() -> Self {
-        let arg = std::env::args().nth(1);
-        Self::from_optional_name(arg.as_deref()).unwrap_or_else(|e| panic!("{e}"))
+    /// the convention of this workspace's examples (see
+    /// [`Self::from_optional_name`]).
+    ///
+    /// # Errors
+    /// [`VmemError::UnknownBackend`] if the argument names no backend.
+    pub fn from_cli_arg() -> Result<Self> {
+        Self::from_optional_name(std::env::args().nth(1).as_deref())
     }
 
     /// Names accepted by [`AnyBackend::from_name`] on this platform.
@@ -432,6 +428,15 @@ mod tests {
             assert_eq!(b.name(), name);
         }
         assert!(AnyBackend::from_name("quantum").is_none());
+    }
+
+    #[test]
+    fn unknown_backend_names_are_errors() {
+        let err = AnyBackend::from_optional_name(Some("quantum")).unwrap_err();
+        assert!(matches!(&err, VmemError::UnknownBackend(n) if n == "quantum"));
+        assert!(err.to_string().contains("available: sim"), "{err}");
+        let default = AnyBackend::from_optional_name(None).unwrap();
+        assert_eq!(default.name(), AnyBackend::default_backend().name());
     }
 
     #[test]

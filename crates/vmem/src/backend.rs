@@ -63,7 +63,9 @@ pub trait ViewBuffer: Send + Sync {
     /// Read access to the `slot`-th mapped page of the view.
     ///
     /// # Panics
-    /// Panics if `slot >= self.mapped_pages()`.
+    /// Panics if `slot >= self.mapped_pages()`. The simulation also panics
+    /// for a slot below that which no page was ever mapped to (the kernel
+    /// backends read zeros there).
     fn page(&self, slot: usize) -> &[u64];
 
     /// The view's slot → physical-page table.

@@ -26,6 +26,8 @@ pub enum VmemError {
     Unsupported(&'static str),
     /// `/proc/self/maps` could not be interpreted.
     MapsParse(String),
+    /// No backend of this name exists on this platform.
+    UnknownBackend(String),
 }
 
 impl fmt::Display for VmemError {
@@ -36,6 +38,11 @@ impl fmt::Display for VmemError {
             VmemError::OutOfBounds { what } => write!(f, "out of bounds: {what}"),
             VmemError::Unsupported(what) => write!(f, "unsupported: {what}"),
             VmemError::MapsParse(line) => write!(f, "cannot parse /proc/self/maps line: {line}"),
+            VmemError::UnknownBackend(name) => write!(
+                f,
+                "unknown backend '{name}' (available: {})",
+                crate::AnyBackend::available_names().join(", ")
+            ),
         }
     }
 }

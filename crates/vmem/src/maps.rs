@@ -261,6 +261,10 @@ impl MappingTable {
 
     /// Records that view slot `slot` maps physical page `phys_page`,
     /// replacing whatever the slot mapped before.
+    ///
+    /// # Panics
+    /// Panics if `slot` or `phys_page` is `u32::MAX` or more (a 16 TiB
+    /// column).
     pub fn insert(&mut self, slot: usize, phys_page: usize) {
         let (slot32, phys32) = (narrow(slot), narrow(phys_page));
         self.remove_slot(slot);
@@ -276,6 +280,9 @@ impl MappingTable {
 
     /// Records a run: slots `slot..slot + len` map the consecutive physical
     /// pages `phys_page..phys_page + len` (what one `map_run` call rewires).
+    ///
+    /// # Panics
+    /// As [`Self::insert`], for the run's last slot or page.
     pub fn insert_run(&mut self, slot: usize, phys_page: usize, len: usize) {
         // One allocation per array for the whole run, not one per doubling.
         if slot + len > self.slot_to_phys.len() {
@@ -384,11 +391,15 @@ impl Eq for MappingTable {}
 /// reservation. Every *shared file* mapping inside that window contributes
 /// its pages: the slot index is derived from the virtual address, the
 /// physical page from the file offset.
+///
+/// # Errors
+/// [`VmemError::MapsParse`] if an entry's file offset lies beyond the
+/// pages a [`MappingTable`] can hold.
 pub fn mapping_table_for_window(
     entries: &[ProcMapsEntry],
     view_base: usize,
     view_capacity_bytes: usize,
-) -> MappingTable {
+) -> Result<MappingTable> {
     let view_end = view_base + view_capacity_bytes;
     let mut table = MappingTable::new();
     for e in entries {
@@ -400,11 +411,18 @@ pub fn mapping_table_for_window(
         let end = e.end.min(view_end);
         for addr in (start..end).step_by(PAGE_SIZE_BYTES) {
             let slot = (addr - view_base) / PAGE_SIZE_BYTES;
-            let file_off = e.offset as usize + (addr - e.start);
-            table.insert(slot, file_off / PAGE_SIZE_BYTES);
+            let phys_page = e
+                .offset
+                .checked_add((addr - e.start) as u64)
+                .map(|off| off / PAGE_SIZE_BYTES as u64)
+                .filter(|&page| page < u64::from(NONE))
+                .ok_or_else(|| {
+                    VmemError::MapsParse(format!("file offset {:#x} too large", e.offset))
+                })?;
+            table.insert(slot, phys_page as usize);
         }
     }
-    table
+    Ok(table)
 }
 
 /// The kernel oracle: the mapping tables of `views` as `/proc/self/maps`
@@ -429,7 +447,7 @@ pub fn kernel_mapping_tables<V: ViewBuffer>(views: &[&V]) -> Result<Option<Vec<M
             .map(|(v, base)| {
                 mapping_table_for_window(&entries, base, v.capacity_pages() * PAGE_SIZE_BYTES)
             })
-            .collect(),
+            .collect::<Result<_>>()?,
     ))
 }
 
@@ -626,7 +644,7 @@ mod tests {
     fn window_extraction_derives_slots_and_phys_pages() {
         let entries = parse_maps(SAMPLE).unwrap();
         let base = 0x7f0000000000usize;
-        let table = mapping_table_for_window(&entries, base, 16 * PAGE_SIZE_BYTES);
+        let table = mapping_table_for_window(&entries, base, 16 * PAGE_SIZE_BYTES).unwrap();
         // First entry: 3 pages at slots 0..3 mapping phys pages 2..5.
         // Third entry: 1 page at slot 5 mapping phys page 16.
         assert_eq!(table.len(), 4);
@@ -642,7 +660,19 @@ mod tests {
     fn window_extraction_ignores_out_of_window_entries() {
         let entries = parse_maps(SAMPLE).unwrap();
         // Window positioned after all entries.
-        let table = mapping_table_for_window(&entries, 0x7f1000000000, 16 * PAGE_SIZE_BYTES);
+        let table =
+            mapping_table_for_window(&entries, 0x7f1000000000, 16 * PAGE_SIZE_BYTES).unwrap();
         assert!(table.is_empty());
+    }
+
+    #[test]
+    fn window_extraction_rejects_offsets_beyond_the_table() {
+        let base = 0x7f0000000000usize;
+        for offset in ["fffffffff000", "ffffffffffffffff"] {
+            let line = format!("7f0000000000-7f0000002000 rw-s {offset} 00:01 7 /memfd:c");
+            let entries = parse_maps(&line).unwrap();
+            let err = mapping_table_for_window(&entries, base, 4 * PAGE_SIZE_BYTES).unwrap_err();
+            assert!(matches!(err, VmemError::MapsParse(_)), "{offset}: {err}");
+        }
     }
 }

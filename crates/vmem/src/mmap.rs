@@ -74,10 +74,9 @@ impl MmapBackend {
     fn create_memory_file(&self, bytes: usize) -> Result<libc::c_int> {
         let fd = match &self.kind {
             MemoryFileKind::Memfd => {
-                let name = CString::new("asv-column").expect("static name");
-                // SAFETY: `name` is a NUL-terminated string that outlives
-                // the call; memfd_create reads it and touches nothing else.
-                let fd = unsafe { libc::memfd_create(name.as_ptr(), 0) };
+                // SAFETY: the name is a NUL-terminated static string;
+                // memfd_create reads it and touches nothing else.
+                let fd = unsafe { libc::memfd_create(c"asv-column".as_ptr(), 0) };
                 if fd >= 0 {
                     fd
                 } else {

@@ -36,7 +36,7 @@ fn measure(label: &str, index: &mut dyn RangeIndex, writes: &[(usize, u64)], que
 }
 
 fn main() {
-    let backend = AnyBackend::from_cli_arg();
+    let backend = AnyBackend::from_cli_arg().unwrap_or_else(|e| panic!("{e}"));
     let pages = 8_192;
     let dist = Distribution::Uniform {
         max_value: DEFAULT_MAX_VALUE,

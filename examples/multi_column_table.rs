@@ -25,7 +25,7 @@ fn filter(columns: &[Vec<u64>], predicates: &[(usize, ValueRange)]) -> Conjuncti
 }
 
 fn main() {
-    let backend = AnyBackend::from_cli_arg();
+    let backend = AnyBackend::from_cli_arg().unwrap_or_else(|e| panic!("{e}"));
     let pages = 2_048;
     // Three "sensor" columns over the same rows: a sine-shaped temperature
     // curve, a linearly drifting pressure reading and a sparse error code.

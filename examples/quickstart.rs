@@ -9,7 +9,7 @@
 use adaptive_storage_views::prelude::*;
 
 fn main() {
-    let backend = AnyBackend::from_cli_arg();
+    let backend = AnyBackend::from_cli_arg().unwrap_or_else(|e| panic!("{e}"));
     // 1. Generate some clustered data (values correlated with their page) —
     //    the kind of time-series/sensor data the paper targets — and
     //    materialize it as a physical column backed by a main-memory file.

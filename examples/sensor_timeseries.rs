@@ -17,7 +17,7 @@ use adaptive_storage_views::prelude::*;
 use adaptive_storage_views::workloads::SweepSpec;
 
 fn main() {
-    let backend = AnyBackend::from_cli_arg();
+    let backend = AnyBackend::from_cli_arg().unwrap_or_else(|e| panic!("{e}"));
     let pages = 8_192; // ≈ 32 MiB of sensor readings
     let dist = Distribution::sine();
     let values = dist.generate_pages(pages, 7);

@@ -29,7 +29,7 @@ fn build_views<B: Backend>(column: &Column<B>, ranges: &[ValueRange]) -> ViewSet
 }
 
 fn main() {
-    let backend = AnyBackend::from_cli_arg();
+    let backend = AnyBackend::from_cli_arg().unwrap_or_else(|e| panic!("{e}"));
     let pages = 8_192;
     let dist = Distribution::Sine {
         max_value: u64::MAX,

@@ -19,7 +19,7 @@
 //! | [`core`] | `asv-core` | virtual views, query routing, adaptive view maintenance, optimized view creation, batched update alignment; [`AdaptiveColumn`](core::AdaptiveColumn) for one column, [`ServeTable`](core::ServeTable) for a multi-column table served to concurrent readers |
 //! | [`baselines`] | `asv-baselines` | explicit-index baselines (zone map, bitmap, page-id vector) and scan baselines |
 //! | [`workloads`] | `asv-workloads` | data distributions, query sequences and update batches used in the paper's evaluation |
-//! | [`util`] | `asv-util` | bitvector, value ranges, fork-join pool, epoch-pinned cell |
+//! | [`util`] | `asv-util` | bitvector, value ranges, epoch-pinned cell |
 //!
 //! ## Quick start
 //!
