@@ -654,6 +654,8 @@ pub struct WriteOverlay {
     /// write here (the alignment's last-write-wins dedup collapses them),
     /// while `entries` always carries the latest value.
     log: Vec<(usize, u64)>,
+    /// Entries still queued: the distinct rows of `log`.
+    queued_rows: usize,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -678,10 +680,11 @@ impl WriteOverlay {
         self.entries.len()
     }
 
-    /// Number of queued writes not yet drained into a round (counts every
-    /// write, including repeated writes to the same row).
-    pub fn queued_writes(&self) -> usize {
-        self.log.len()
+    /// Number of distinct rows with a write not yet drained into a round
+    /// (repeated writes to one row count once; a row whose earlier write
+    /// is aligning counts again once re-written).
+    pub fn queued_rows(&self) -> usize {
+        self.queued_rows
     }
 
     /// The overlaid rows, ascending — the scan exclusion list. Sorts the
@@ -713,9 +716,13 @@ impl WriteOverlay {
             value,
             queued: true,
         };
-        if self.entries.insert(key, entry).is_none() {
-            self.rows.get_mut().push(key);
-            self.rows_dirty.set(true);
+        match self.entries.insert(key, entry) {
+            None => {
+                self.rows.get_mut().push(key);
+                self.rows_dirty.set(true);
+                self.queued_rows += 1;
+            }
+            Some(previous) => self.queued_rows += usize::from(!previous.queued),
         }
         self.log.push((row, value));
     }
@@ -728,6 +735,7 @@ impl WriteOverlay {
         for entry in self.entries.values_mut() {
             entry.queued = false;
         }
+        self.queued_rows = 0;
         std::mem::take(&mut self.log)
     }
 
@@ -975,7 +983,7 @@ mod tests {
         overlay.push(3, 30);
         overlay.push(10, 111); // overwrite: same row, newer value
         assert_eq!(overlay.len(), 2);
-        assert_eq!(overlay.queued_writes(), 3, "log keeps every write");
+        assert_eq!(overlay.queued_rows(), 2, "a repeated row counts once");
         assert_eq!(
             overlay.rows().as_slice(),
             &[3, 10],
@@ -986,13 +994,16 @@ mod tests {
         // Drain into a round: entries stay visible, log empties.
         let writes = overlay.take_queued();
         assert_eq!(writes, vec![(10, 100), (3, 30), (10, 111)]);
-        assert_eq!(overlay.queued_writes(), 0);
+        assert_eq!(overlay.queued_rows(), 0);
         assert_eq!(overlay.len(), 2, "aligning entries stay overlaid");
         // A re-queued row survives retirement; the rest retire.
         overlay.push(3, 33);
+        overlay.push(3, 34);
+        assert_eq!(overlay.queued_rows(), 1, "an aligning row queues again");
         overlay.retire_aligned();
         assert_eq!(overlay.rows().as_slice(), &[3]);
-        assert_eq!(overlay.sorted_pairs(), [(3, 33)]);
+        assert_eq!(overlay.sorted_pairs(), [(3, 34)]);
+        assert_eq!(overlay.queued_rows(), 1);
         overlay.take_queued();
         overlay.retire_aligned();
         assert!(overlay.is_empty());

@@ -159,7 +159,7 @@ use crate::align::{
 use crate::config::AdaptiveConfig;
 use crate::creation::page_meets_range;
 use crate::router::{greedy_cover, smallest_cover};
-use crate::wal::{self, FaultPlan, Journal, WalRecord};
+use crate::wal::{self, FaultPlan, Head, Journal, JournalReader, JournalScan, WalRecord};
 use crate::zones::ZoneStats;
 
 /// Frozen metadata of one partial view inside an epoch: its covered range
@@ -959,6 +959,11 @@ impl AlignActivity {
 /// [`ServeTable::recover`] rebuilds the table from the journal alone: the
 /// physical store is reconstructed from the sealed records, so store
 /// flushing is an optimization, never a correctness requirement.
+/// Recovery reads the journal in two passes through one bounded buffer,
+/// streams each column load into its store and writes nothing the
+/// journal already holds (it only cuts an unsealed tail);
+/// [`ServeTable::quiesce`] is the one place the journal is compacted to
+/// a checkpoint.
 #[derive(Clone, Debug)]
 pub struct DurabilityConfig {
     /// Path of the journal file.
@@ -1110,71 +1115,54 @@ impl<B: Backend> ServeTable<B> {
     /// loads, view installs and acknowledged write batches; everything
     /// past that seal (the unsealed tail a crash may leave) is discarded.
     /// The physical store is rebuilt from the journal, never read back:
-    /// the journal alone is the source of truth. The journal is then
-    /// compacted to a checkpoint, reopened for appends, and the table
-    /// serves again at an epoch no older than the last sealed one. A
-    /// journal that already is that checkpoint (as `quiesce` leaves it) is
-    /// reopened as it is.
+    /// the journal alone is the source of truth.
+    ///
+    /// The journal is read twice through one bounded buffer. The first
+    /// pass validates its frames and finds the sealed prefix. The second
+    /// streams each column load straight into its column's store (one
+    /// [`asv_vmem::PhysicalStore::fill_pages`] per column) and applies
+    /// each sealed batch to the store in place, so nothing that grows with
+    /// the journal or with a column is allocated on the way. Views are
+    /// built, and the table published, once the prefix is applied.
+    ///
+    /// Recovery writes nothing the journal already holds: the sealed
+    /// prefix stays as it is (same file, same bytes), an unsealed tail is
+    /// cut off in place and fsynced, and appends continue behind the
+    /// prefix. Only [`ServeTable::quiesce`] compacts. A kept prefix is not
+    /// fsynced again: seals that reached the file but not yet the disk
+    /// when the process died become durable at the recovered table's next
+    /// sync, as they would have at the crashed table's. The recovered
+    /// epochs are numbered above the last seal, so the seals appended
+    /// later continue above it.
     pub fn recover(
         backend: B,
         config: AdaptiveConfig,
         durability: DurabilityConfig,
     ) -> Result<(Self, RecoveryInfo), VmemError> {
-        let outcome = wal::replay(&durability.journal_path)?;
-        let checkpoint_epoch = match outcome.discarded_bytes() {
-            0 => checkpoint_seal(&outcome.sealed_records),
-            _ => None,
-        };
-        let mut info = RecoveryInfo {
-            sealed_epoch: outcome.sealed_epoch.unwrap_or(0),
-            records_replayed: outcome.sealed_records.len(),
-            batches_applied: 0,
-            discarded_bytes: outcome.discarded_bytes(),
-        };
-        let mut columns: Vec<Vec<u64>> = Vec::new();
-        let mut views: Vec<(usize, ValueRange)> = Vec::new();
-        for record in outcome.sealed_records {
-            match record {
-                WalRecord::AddColumn { col, values } => {
-                    if col as usize != columns.len() {
-                        let error = format!("column {col} added as column {}", columns.len());
-                        return Err(VmemError::out_of_bounds(error));
-                    }
-                    columns.push(values);
-                }
-                WalRecord::InstallView { col, min, max } => {
-                    let col = column_index(col as usize, columns.len())?;
-                    let error = || VmemError::out_of_bounds(format!("view range [{min}, {max}]"));
-                    views.push((col, ValueRange::try_new(min, max).ok_or_else(error)?));
-                }
-                WalRecord::Batch { col, writes } => {
-                    let col = column_index(col as usize, columns.len())?;
-                    let column = &mut columns[col];
-                    check_rows(writes.iter().map(|&(row, _)| row as usize), column.len())?;
-                    for (row, value) in writes {
-                        column[row as usize] = value;
-                    }
-                    info.batches_applied += 1;
-                }
-                WalRecord::Seal { .. } => {}
-            }
-        }
-        // Rebuild in memory first (journal-free), then attach a compacted
-        // journal: recovery must not append replayed operations back onto
-        // the tail it just replayed.
+        let file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&durability.journal_path)?;
+        let mut reader = JournalReader::new(file);
+        let scan = reader.scan()?;
         let mut table = Self::new(backend, config);
-        for values in columns {
-            table.add_column(&values)?;
-        }
-        for (col, range) in views {
-            table.install_view(col, range)?;
-        }
         // Epoch numbering continues across the crash.
-        table.generation = table.generation.max(info.sealed_epoch);
-        if checkpoint_epoch != Some(table.generation) {
-            write_checkpoint(&durability.journal_path, &table.columns, table.generation)?;
-        }
-        let journal = Journal::open_append(durability.journal_path.clone(), durability.fault)?;
+        table.generation = scan.sealed_epoch.unwrap_or(0);
+        let batches_applied = table.replay_sealed(&mut reader, &scan)?;
+        let info = RecoveryInfo {
+            sealed_epoch: scan.sealed_epoch.unwrap_or(0),
+            records_replayed: scan.sealed_records,
+            batches_applied,
+            discarded_bytes: scan.discarded_bytes(),
+        };
+        let journal = Journal::resume(
+            reader.into_inner(),
+            durability.journal_path.clone(),
+            scan.sealed_len,
+            durability.fault,
+        )?;
         table.durable = Some(DurableState {
             journal,
             config: durability,
@@ -1184,13 +1172,77 @@ impl<B: Backend> ServeTable<B> {
         Ok((table, info))
     }
 
+    /// The second pass of recovery over the sealed prefix `scan` found:
+    /// loads each column straight from the journal into its store, applies
+    /// each batch to its column in place, then publishes the columns and
+    /// installs the views. Returns the number of batches applied.
+    fn replay_sealed<R: std::io::Read + std::io::Seek>(
+        &mut self,
+        journal: &mut JournalReader<R>,
+        scan: &JournalScan,
+    ) -> Result<usize, VmemError> {
+        let mut columns: Vec<Column<B>> = Vec::new();
+        let mut views: Vec<(usize, ValueRange)> = Vec::new();
+        // One batch at a time, the buffer reused.
+        let mut batch: Vec<(u64, u64)> = Vec::new();
+        let mut batches = 0;
+        journal.rewind_sealed(scan)?;
+        while let Some(head) = journal.next_sealed()? {
+            match head {
+                Head::AddColumn { col, rows } => {
+                    if col as usize != columns.len() {
+                        let error = format!("column {col} added as column {}", columns.len());
+                        return Err(VmemError::out_of_bounds(error));
+                    }
+                    let pages = rows.div_ceil(VALUES_PER_PAGE);
+                    let column = Column::from_fill(self.backend.clone(), rows, pages, |slots| {
+                        Ok(journal.read_values(slots)?)
+                    })?;
+                    columns.push(column);
+                }
+                Head::InstallView { col, min, max } => {
+                    let col = column_index(col as usize, columns.len())?;
+                    let error = || VmemError::out_of_bounds(format!("view range [{min}, {max}]"));
+                    views.push((col, ValueRange::try_new(min, max).ok_or_else(error)?));
+                }
+                Head::Batch { col, writes } => {
+                    let col = column_index(col as usize, columns.len())?;
+                    let column = &mut columns[col];
+                    // Read whole, then applied: the stores' cache misses
+                    // overlap rather than wait on the decoding between them.
+                    batch.resize(writes, (0, 0));
+                    journal.read_writes(&mut batch)?;
+                    let rows = batch.iter().map(|&(row, _)| usize::try_from(row));
+                    check_rows(rows.map(|row| row.unwrap_or(usize::MAX)), column.num_rows())?;
+                    for &(row, value) in &batch {
+                        column.write(row as usize, value); // checked above
+                    }
+                    batches += 1;
+                }
+                Head::Seal { .. } => {}
+            }
+        }
+        for column in columns {
+            self.push_column(column)?;
+        }
+        for (col, range) in views {
+            self.install_view(col, range)?;
+        }
+        Ok(batches)
+    }
+
     /// Adds a column holding `values` and publishes the widened epoch.
     /// Returns the column's index. On a durable table the column load is
     /// journaled before the store is built.
     pub fn add_column(&mut self, values: &[u64]) -> Result<usize, VmemError> {
         let col = self.columns.len() as u32;
         self.journal_append(|journal| journal.append_column(col, &[values]))?;
-        let column = Column::from_values(self.backend.clone(), values)?;
+        self.push_column(Column::from_values(self.backend.clone(), values)?)
+    }
+
+    /// Serves `column` as the next column and publishes the widened epoch.
+    fn push_column(&mut self, column: Column<B>) -> Result<usize, VmemError> {
+        let rows = column.num_rows();
         let stats = ZoneStats::build(&column);
         let state = ColumnState {
             views: Vec::new(),
@@ -1210,7 +1262,7 @@ impl<B: Backend> ServeTable<B> {
         self.column_rows
             .write()
             .unwrap_or_else(PoisonError::into_inner)
-            .push(values.len());
+            .push(rows);
         self.staged = true;
         self.commit()?;
         Ok(self.columns.len() - 1)
@@ -1288,12 +1340,16 @@ impl<B: Backend> ServeTable<B> {
         self.history.len()
     }
 
-    /// Number of writes queued on column `col` awaiting the next fold.
+    /// Number of distinct rows of column `col` with a write awaiting the
+    /// next fold — the depth the fold thresholds (`group_commit_idle`,
+    /// `max_queued_writes`) compare. Repeated writes to one row count
+    /// once; writes a fold already took count no more, even while their
+    /// alignment round is in flight.
     ///
     /// # Panics
     /// Panics if `col` is not a column of the table.
     pub fn queued_writes(&self, col: usize) -> usize {
-        self.columns[col].overlay.queued_writes()
+        self.columns[col].overlay.queued_rows()
     }
 
     /// The live zone statistics of column `col`. They order conjunctive
@@ -1425,6 +1481,8 @@ impl<B: Backend> ServeTable<B> {
     /// retired, then publishes the final epoch. Waits (yielding) for
     /// readers to unpin superseded epochs, since folds require the grace
     /// condition — a reader that never drops its pin blocks quiescence.
+    /// On a durable table this is the one place the journal is compacted:
+    /// it is rewritten as a checkpoint of the quiescent table.
     pub fn quiesce(&mut self) -> Result<(), VmemError> {
         loop {
             self.tick_inner(true)?;
@@ -1492,9 +1550,9 @@ impl<B: Backend> ServeTable<B> {
     }
 
     /// Compacts the journal of a durable, quiescent table down to a
-    /// checkpoint (atomic rewrite, then reopen for appends). An unfired
-    /// fault plan carries over with its op counter adjusted for the
-    /// operations already performed.
+    /// checkpoint (an atomic rewrite; appends continue on the new file).
+    /// An unfired fault plan carries over with its op counter adjusted for
+    /// the operations already performed.
     fn compact_journal(&mut self) -> Result<(), VmemError> {
         let Some(durable) = self.durable.as_mut() else {
             return Ok(());
@@ -1503,9 +1561,13 @@ impl<B: Backend> ServeTable<B> {
         // `fsync_every_chunks == 0` this is the one sync point, and it is
         // where a `FailFsync` plan fires.
         durable.journal.sync()?;
-        write_checkpoint(&durable.config.journal_path, &self.columns, self.generation)?;
         let fault = durable.journal.carryover_fault();
-        durable.journal = Journal::open_append(durable.config.journal_path.clone(), fault)?;
+        durable.journal = write_checkpoint(
+            &durable.config.journal_path,
+            fault,
+            &self.columns,
+            self.generation,
+        )?;
         durable.seals_since_sync = 0;
         durable.unsealed = false;
         Ok(())
@@ -1598,7 +1660,7 @@ impl<B: Backend> ServeTable<B> {
         debug_assert!(!self.staged, "fold requires committed acknowledgements");
         let chunking = self.config.chunking;
         let state = &mut self.columns[idx];
-        if !state.is_idle() || state.overlay.queued_writes() == 0 {
+        if !state.is_idle() || state.overlay.queued_rows() == 0 {
             return;
         }
         let threshold_met = force
@@ -1652,14 +1714,16 @@ impl<B: Backend> ServeTable<B> {
 /// quiescent table's `columns` at `generation`: column loads, view
 /// installs and one seal of the generation. Replaying exactly these
 /// records rebuilds the table. Each column load streams from the column's
-/// pages through the journal's bounded encode buffer. The one checkpoint
-/// writer of both [`ServeTable::quiesce`] and [`ServeTable::recover`].
+/// pages through the journal's bounded encode buffer. Returns the new
+/// journal, open for appends under `fault`. Only [`ServeTable::quiesce`]
+/// writes one: recovery keeps the journal it replays.
 fn write_checkpoint<B: Backend>(
     path: &Path,
+    fault: Option<FaultPlan>,
     columns: &[ColumnState<B>],
     generation: u64,
-) -> std::io::Result<()> {
-    wal::rewrite(path, |journal| {
+) -> std::io::Result<Journal> {
+    wal::rewrite(path, fault, |journal| {
         for (idx, state) in columns.iter().enumerate() {
             debug_assert!(
                 state.overlay.is_empty(),
@@ -1682,24 +1746,6 @@ fn write_checkpoint<B: Backend>(
         }
         journal.append(&WalRecord::Seal { epoch: generation })
     })
-}
-
-/// The epoch of the one seal ending `records` if they have the shape
-/// [`write_checkpoint`] writes: column loads, then view installs, then that
-/// seal, with no write batch.
-fn checkpoint_seal(records: &[WalRecord]) -> Option<u64> {
-    let Some((WalRecord::Seal { epoch }, rest)) = records.split_last() else {
-        return None;
-    };
-    let mut views_begun = false;
-    for record in rest {
-        match record {
-            WalRecord::AddColumn { .. } if !views_begun => {}
-            WalRecord::InstallView { .. } => views_begun = true,
-            _ => return None,
-        }
-    }
-    Some(*epoch)
 }
 
 /// `col` if it names one of `len` columns, else an out-of-bounds error.
@@ -2424,6 +2470,36 @@ mod tests {
     }
 
     #[test]
+    fn queued_writes_counts_distinct_rows_awaiting_a_fold() {
+        let config = AdaptiveConfig::default().with_chunking(
+            crate::config::AlignChunking::default()
+                .with_chunk_updates(1)
+                .with_group_commit_idle(1_000),
+        );
+        let mut table = ServeTable::new(SimBackend::new(), config);
+        let col = table.add_column(&clustered_values(8)).unwrap();
+        table.install_view(col, ValueRange::new(0, 3_000)).unwrap();
+        table.try_write(col, 5, 1).unwrap();
+        table.try_write(col, 5, 2).unwrap();
+        table.tick().unwrap();
+        assert_eq!(table.queued_writes(col), 1, "two writes to one row");
+        table.try_write(col, 9, 3).unwrap();
+        table.tick().unwrap();
+        assert_eq!(table.queued_writes(col), 2);
+        assert!(!table.round_in_flight(col), "below the threshold");
+        // A forced fold takes both rows into a round; while it is in
+        // flight nothing is queued, and a new write queues one row.
+        table.tick_inner(true).unwrap();
+        assert!(table.round_in_flight(col), "the fold started a round");
+        assert_eq!(table.queued_writes(col), 0, "the fold took the queue");
+        table.try_write(col, 5, 4).unwrap();
+        assert_eq!(table.queued_writes(col), 1, "re-written while aligning");
+        table.quiesce().unwrap();
+        assert_eq!(table.queued_writes(col), 0);
+        assert_eq!(table.handle().pin().value(col, 5), 4);
+    }
+
+    #[test]
     fn writers_outliving_their_table_get_an_error() {
         let mut table = ServeTable::new(SimBackend::new(), serve_config());
         let col = table.add_column(&clustered_values(2)).unwrap();
@@ -2546,10 +2622,10 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// The checkpoint oracle: the records a checkpoint of `table` holds,
-    /// built from `Column::to_vec` and collected in memory (what
-    /// compaction encoded before it streamed from the pages).
-    fn checkpoint_records<B: Backend>(table: &ServeTable<B>) -> Vec<WalRecord> {
+    /// The checkpoint oracle: the records a checkpoint of `table` sealed
+    /// at `epoch` holds, built from `Column::to_vec` and collected in
+    /// memory (what compaction encoded before it streamed from the pages).
+    fn checkpoint_records<B: Backend>(table: &ServeTable<B>, epoch: u64) -> Vec<WalRecord> {
         let mut records = Vec::new();
         for (idx, state) in table.columns.iter().enumerate() {
             records.push(WalRecord::AddColumn {
@@ -2566,9 +2642,7 @@ mod tests {
                 });
             }
         }
-        records.push(WalRecord::Seal {
-            epoch: table.generation,
-        });
+        records.push(WalRecord::Seal { epoch });
         records
     }
 
@@ -2587,14 +2661,42 @@ mod tests {
         std::os::unix::fs::MetadataExt::ino(&std::fs::metadata(path).unwrap())
     }
 
-    /// `quiesce` and `recover` compact to one checkpoint: for the same
-    /// state both write the same bytes, and those are the oracle's. The
-    /// first column is larger than the journal's stream buffer.
-    fn check_checkpoints_agree<B: Backend>(make_backend: impl Fn() -> B, tag: &str) {
+    /// The epochs of the sealed journal at `path`, in journal order.
+    fn seal_epochs(path: &Path) -> Vec<u64> {
+        let records = wal::replay(path).unwrap().sealed_records;
+        let seals = records.iter().filter_map(|record| match record {
+            WalRecord::Seal { epoch } => Some(*epoch),
+            _ => None,
+        });
+        seals.collect()
+    }
+
+    /// Writes one value into column 0, ticks and checks that the seal the
+    /// tick appended continues above the seals before it (`kept` last).
+    fn check_seals_continue<B: Backend>(table: &mut ServeTable<B>, path: &Path, kept: u64) {
+        table.try_write(0, 1, 4_321).unwrap();
+        table.tick().unwrap();
+        let epochs = seal_epochs(path);
+        assert!(epochs.windows(2).all(|w| w[0] < w[1]), "{epochs:?}");
+        let [.., before, last] = epochs[..] else {
+            panic!("a seal was appended: {epochs:?}")
+        };
+        assert_eq!(before, kept);
+        assert_eq!(last, table.generation);
+    }
+
+    /// `quiesce` is the one compaction: it writes the oracle checkpoint,
+    /// and recovery writes nothing the journal already holds. After a
+    /// crash the journal is its sealed prefix, in the same file; the
+    /// recovered generation exceeds the kept seal and later seals continue
+    /// above it; a quiesce of the recovered table writes the oracle
+    /// checkpoint again. The first column is larger than the journal's
+    /// stream buffer.
+    fn check_quiesce_is_the_one_compaction<B: Backend>(make_backend: impl Fn() -> B, tag: &str) {
         let path = temp_journal(tag);
         let big = clustered_values(40);
         assert!(big.len() * 8 > wal::STREAM_BUF);
-        let quiesced = {
+        let (quiesced, quiesced_epoch) = {
             let durability = DurabilityConfig::new(&path);
             let mut table =
                 ServeTable::with_durability(make_backend(), serve_config(), durability).unwrap();
@@ -2612,13 +2714,13 @@ mod tests {
             table.quiesce().unwrap();
             let bytes = std::fs::read(&path).unwrap();
             assert!(
-                bytes == journal_of(&checkpoint_records(&table)),
+                bytes == journal_of(&checkpoint_records(&table, table.generation)),
                 "{tag}: quiesce"
             );
-            bytes
+            (bytes, table.generation)
         };
         let quiesced_inode = inode(&path);
-        let (mut table, _) =
+        let (mut table, info) =
             ServeTable::recover(make_backend(), serve_config(), DurabilityConfig::new(&path))
                 .unwrap();
         let recovered = std::fs::read(&path).unwrap();
@@ -2629,15 +2731,17 @@ mod tests {
         assert_eq!(
             inode(&path),
             quiesced_inode,
-            "{tag}: a journal in checkpoint shape is not rewritten"
+            "{tag}: recovery rewrites nothing"
         );
+        assert_eq!(info.sealed_epoch, quiesced_epoch, "{tag}");
         assert!(
-            recovered == journal_of(&checkpoint_records(&table)),
-            "{tag}: recover"
+            recovered == journal_of(&checkpoint_records(&table, info.sealed_epoch)),
+            "{tag}: the recovered table is the checkpointed one"
         );
-        // Sealed but never quiesced: recovery folds the batches into its
-        // checkpoint, and a quiesce of the recovered table rewrites it.
-        // The writer's lane journals one batch per column it wrote.
+        assert!(table.generation > info.sealed_epoch, "{tag}");
+        // Sealed but never quiesced, with an unsealed batch behind the
+        // last seal. The writer's lane journals one batch per column it
+        // wrote.
         let writer = table.writer();
         let lane_writes = [(1, 2, 2_222), (0, 5, 5_555), (1, 3, 3_333)];
         for (col, row, value) in lane_writes {
@@ -2645,31 +2749,45 @@ mod tests {
         }
         table.try_write_batch(0, &[(4, 88), (20_000, 5)]).unwrap();
         table.tick().unwrap();
+        let kept_seal = table.generation;
+        table.try_write_batch(0, &[(6, 66)]).unwrap();
         drop(table);
+        let crashed = std::fs::read(&path).unwrap();
         let crashed_inode = inode(&path);
         let (mut table, info) =
             ServeTable::recover(make_backend(), serve_config(), DurabilityConfig::new(&path))
                 .unwrap();
         assert_eq!(info.batches_applied, 3, "{tag}");
+        assert_eq!(info.sealed_epoch, kept_seal, "{tag}");
         let snap = table.handle().pin();
         for (col, row, value) in lane_writes.into_iter().chain([(0, 4, 88)]) {
             assert_eq!(snap.value(col, row), value, "{tag}: {col} {row}");
         }
-        drop(snap);
-        assert_ne!(inode(&path), crashed_inode, "{tag}: recovery compacts");
-        let recovered = std::fs::read(&path).unwrap();
-        assert!(
-            recovered == journal_of(&checkpoint_records(&table)),
-            "{tag}: batch"
+        assert_eq!(
+            snap.value(0, 6),
+            big[6],
+            "{tag}: the unsealed write is gone"
         );
+        drop(snap);
+        let sealed_len = crashed.len() - info.discarded_bytes as usize;
+        assert!(info.discarded_bytes > 0, "{tag}");
+        assert!(
+            std::fs::read(&path).unwrap() == crashed[..sealed_len],
+            "{tag}: the journal is its sealed prefix"
+        );
+        assert_eq!(inode(&path), crashed_inode, "{tag}: cut in place");
+        assert!(table.generation > kept_seal, "{tag}: epochs above the seal");
+        check_seals_continue(&mut table, &path, kept_seal);
         table.quiesce().unwrap();
         assert!(
-            std::fs::read(&path).unwrap() == recovered,
+            std::fs::read(&path).unwrap()
+                == journal_of(&checkpoint_records(&table, table.generation)),
             "{tag}: quiesce again"
         );
         drop(table);
         // Checkpoint-shaped but sealed below the generation its records
-        // rebuild: the rewrite changes the seal, so recovery writes it.
+        // rebuild: recovery keeps the seal as it is, and numbers its epochs
+        // (and the later seals) above it.
         let stale = [
             WalRecord::AddColumn {
                 col: 0,
@@ -2679,28 +2797,38 @@ mod tests {
         ];
         std::fs::write(&path, journal_of(&stale)).unwrap();
         let stale_inode = inode(&path);
-        let (table, _) =
+        let (mut table, _) =
             ServeTable::recover(make_backend(), serve_config(), DurabilityConfig::new(&path))
                 .unwrap();
         assert!(table.generation > 0, "{tag}");
-        assert_ne!(
-            inode(&path),
-            stale_inode,
-            "{tag}: a stale seal is rewritten"
-        );
+        assert_eq!(inode(&path), stale_inode, "{tag}: a stale seal is kept");
         assert!(
-            std::fs::read(&path).unwrap() == journal_of(&checkpoint_records(&table)),
+            std::fs::read(&path).unwrap() == journal_of(&stale),
             "{tag}: stale seal"
+        );
+        check_seals_continue(&mut table, &path, 0);
+        table.quiesce().unwrap();
+        assert!(
+            std::fs::read(&path).unwrap()
+                == journal_of(&checkpoint_records(&table, table.generation)),
+            "{tag}: quiesce after a stale seal"
         );
         drop(table);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn quiesce_and_recover_write_the_oracle_checkpoint() {
-        check_checkpoints_agree(SimBackend::new, "checkpoint-sim");
+    fn quiesce_compacts_and_recover_keeps_the_sealed_prefix() {
+        check_quiesce_is_the_one_compaction(SimBackend::new, "checkpoint-sim");
         #[cfg(target_os = "linux")]
-        check_checkpoints_agree(MmapBackend::new, "checkpoint-mmap");
+        check_quiesce_is_the_one_compaction(MmapBackend::new, "checkpoint-mmap");
+        #[cfg(target_os = "linux")]
+        {
+            let backend = asv_vmem::FileBackend::temp();
+            let dir = backend.dir().to_path_buf();
+            check_quiesce_is_the_one_compaction(|| backend.clone(), "checkpoint-file");
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! invariant is: **exactly the records up to the last valid seal are
 //! replayed; everything after it (acknowledged or torn) is discarded.**
 //!
-//! ## One pass per byte
+//! ## One pass per byte on append, two bounded passes on replay
 //!
 //! The checksum is CRC-32C, computed with the CPU's `crc32` instruction
 //! where there is one (`crc32c`). A record is framed straight into one
@@ -40,8 +40,19 @@
 //! [`STREAM_BUF`] bytes of the frame. A column load therefore streams from
 //! the caller's slice, and a compacting checkpoint (`rewrite`) streams
 //! each column's pages, through that bounded buffer — no record, and no
-//! copy of the column, is built. Replay reads the file once, verifies each
-//! checksum and decodes each value or write array in one bounded take.
+//! copy of the column, is built.
+//!
+//! Replay reads the journal twice through one [`STREAM_BUF`]-byte buffer
+//! (`JournalReader`). The first pass validates every frame — its length
+//! against the file's length, its checksum, and its head: an array's item
+//! count must fill its frame exactly — and finds the sealed prefix. The
+//! second pass reads that prefix again and hands each record over a head
+//! at a time; a column's values and a batch's writes are pulled from the
+//! buffer straight into the caller's memory (a column's store, in
+//! `ServeTable::recover`). So a count only sizes anything after the first
+//! pass has checked it, and nothing that grows with the journal is
+//! allocated by the reader. [`replay`] is a collector over the same two
+//! passes: it builds the sealed records in memory.
 //!
 //! ## Fault injection
 //!
@@ -144,39 +155,6 @@ impl WalRecord {
                 frame.put(&epoch.to_le_bytes())
             }
         }
-    }
-
-    fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
-        let mut cur = Cursor { buf: payload };
-        let record = match cur.u8()? {
-            KIND_ADD_COLUMN => {
-                let col = cur.u32()?;
-                let count = cur.u64()?;
-                let values = cur.array(count, |word: &[u8; 8]| Some(u64::from_le_bytes(*word)))?;
-                WalRecord::AddColumn { col, values }
-            }
-            KIND_INSTALL_VIEW => WalRecord::InstallView {
-                col: cur.u32()?,
-                min: cur.u64()?,
-                max: cur.u64()?,
-            },
-            KIND_BATCH => {
-                let col = cur.u32()?;
-                let count = cur.u64()?;
-                let writes = cur.array(count, |pair: &[u8; 16]| {
-                    let row = u64::from_le_bytes(*pair.first_chunk()?);
-                    let value = u64::from_le_bytes(*pair.last_chunk()?);
-                    Some((row, value))
-                })?;
-                WalRecord::Batch { col, writes }
-            }
-            KIND_SEAL => WalRecord::Seal { epoch: cur.u64()? },
-            _ => return None,
-        };
-        if !cur.buf.is_empty() {
-            return None; // trailing garbage inside a framed payload
-        }
-        Some(record)
     }
 
     /// The full framed encoding of this record (length prefix + payload +
@@ -338,55 +316,354 @@ impl<'a> Frame<'a> {
     }
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
+/// The fixed fields that open a record's payload: everything but the
+/// array of an `AddColumn` or a `Batch`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Head {
+    /// A column load of `rows` values, which follow.
+    AddColumn { col: u32, rows: usize },
+    /// A view install (the record is all head).
+    InstallView { col: u32, min: u64, max: u64 },
+    /// A batch of `writes` `(row, value)` pairs, which follow.
+    Batch { col: u32, writes: usize },
+    /// An epoch seal (the record is all head).
+    Seal { epoch: u64 },
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.buf.len() < n {
-            return None;
+/// The longest head: an `InstallView` payload.
+const MAX_HEAD: usize = 1 + 4 + 8 + 8;
+
+impl Head {
+    /// Payload bytes of the head of a record of `kind` (0: no such kind).
+    fn len_of(kind: u8) -> usize {
+        match kind {
+            KIND_ADD_COLUMN | KIND_BATCH => ARRAY_HEADER,
+            KIND_INSTALL_VIEW => MAX_HEAD,
+            KIND_SEAL => 1 + 8,
+            _ => 0,
         }
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Some(head)
     }
 
-    fn chunk<const N: usize>(&mut self) -> Option<[u8; N]> {
-        let (head, rest) = self.buf.split_first_chunk::<N>()?;
-        self.buf = rest;
-        Some(*head)
+    /// Decodes the head at the front of `bytes` of a payload of
+    /// `payload_len` bytes. `None` unless the payload is exactly the head
+    /// and the items its count announces — so a count is checked against
+    /// its frame before anything is sized by it.
+    fn decode(bytes: &[u8; MAX_HEAD], payload_len: u64) -> Option<Head> {
+        let u32_at = |at: usize| u32::from_le_bytes(array_at(bytes, at));
+        let u64_at = |at: usize| u64::from_le_bytes(array_at(bytes, at));
+        let kind = bytes[0];
+        let items = |item: u64| {
+            let count = u64_at(5);
+            let fits = count.checked_mul(item)?.checked_add(ARRAY_HEADER as u64)? == payload_len;
+            fits.then(|| usize::try_from(count).ok()).flatten()
+        };
+        let head = match kind {
+            KIND_ADD_COLUMN => Head::AddColumn {
+                col: u32_at(1),
+                rows: items(8)?,
+            },
+            KIND_BATCH => Head::Batch {
+                col: u32_at(1),
+                writes: items(16)?,
+            },
+            KIND_INSTALL_VIEW => Head::InstallView {
+                col: u32_at(1),
+                min: u64_at(5),
+                max: u64_at(13),
+            },
+            KIND_SEAL => Head::Seal { epoch: u64_at(1) },
+            _ => return None,
+        };
+        // An all-head record carries nothing after its head.
+        let array = matches!(head, Head::AddColumn { .. } | Head::Batch { .. });
+        (array || payload_len == Self::len_of(kind) as u64).then_some(head)
+    }
+}
+
+/// What the first pass of a [`JournalReader`] found.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct JournalScan {
+    /// Epoch of the last seal (`None` if the journal never sealed).
+    pub(crate) sealed_epoch: Option<u64>,
+    /// Byte offset just past the last seal record (0 without a magic).
+    pub(crate) sealed_len: u64,
+    /// Byte offset just past the last *valid* record (>= `sealed_len`).
+    pub(crate) valid_len: u64,
+    /// Total journal size in bytes, including any torn tail.
+    pub(crate) total_len: u64,
+    /// Records up to and including the last seal.
+    pub(crate) sealed_records: usize,
+    /// Valid records after the last seal.
+    pub(crate) unsealed_records: usize,
+}
+
+impl JournalScan {
+    /// Bytes past the last seal that recovery discards.
+    pub(crate) fn discarded_bytes(&self) -> u64 {
+        self.total_len - self.sealed_len
+    }
+}
+
+/// A journal read front to back through one [`STREAM_BUF`]-byte buffer,
+/// in the two passes the module docs describe: [`JournalReader::scan`]
+/// validates it and finds the sealed prefix, then
+/// [`JournalReader::next_sealed`] walks that prefix record by record,
+/// with the values and writes of each pulled by the caller.
+pub(crate) struct JournalReader<R> {
+    src: R,
+    buf: Vec<u8>,
+    /// The unread buffered bytes are `buf[at..end]`.
+    at: usize,
+    end: usize,
+    /// Bytes read from `src` so far: the file offset of `buf[end]`.
+    read: u64,
+    /// No byte at or past this offset is read (the sealed prefix's end in
+    /// the second pass).
+    limit: u64,
+    /// Bytes from the current offset to the next frame in the second
+    /// pass: the unread payload of the current record and its checksum.
+    to_next: u64,
+}
+
+impl<R: Read + Seek> JournalReader<R> {
+    /// A reader over `src`, a whole journal.
+    pub(crate) fn new(src: R) -> Self {
+        JournalReader {
+            src,
+            buf: vec![0; STREAM_BUF],
+            at: 0,
+            end: 0,
+            read: 0,
+            limit: u64::MAX,
+            to_next: 0,
+        }
     }
 
-    fn u8(&mut self) -> Option<u8> {
-        self.chunk().map(|[byte]| byte)
+    /// The source, for whatever follows the reading.
+    pub(crate) fn into_inner(self) -> R {
+        self.src
     }
 
-    fn u32(&mut self) -> Option<u32> {
-        self.chunk().map(u32::from_le_bytes)
+    /// Offset of the next unread byte.
+    fn offset(&self) -> u64 {
+        self.read - (self.end - self.at) as u64
     }
 
-    fn u64(&mut self) -> Option<u64> {
-        self.chunk().map(u64::from_le_bytes)
+    /// Moves to offset `to`, reading nothing at or past `limit`.
+    fn seek_to(&mut self, to: u64, limit: u64) -> io::Result<()> {
+        self.read = self.src.seek(SeekFrom::Start(to))?;
+        (self.at, self.end, self.limit, self.to_next) = (0, 0, limit, 0);
+        Ok(())
     }
 
-    /// `count` items of `N` bytes, decoded by `item`. A count the payload
-    /// cannot hold is rejected before anything is allocated, so a hostile
-    /// count allocates no more than the payload holds.
-    fn array<const N: usize, T>(
+    /// Buffers at least `want` (<= `STREAM_BUF`) unread bytes, if the
+    /// source holds them below the limit.
+    fn fill(&mut self, want: usize) -> io::Result<bool> {
+        if self.end - self.at >= want {
+            return Ok(true);
+        }
+        self.buf.copy_within(self.at..self.end, 0);
+        (self.end, self.at) = (self.end - self.at, 0);
+        while self.end < want {
+            let room = (self.buf.len() - self.end) as u64;
+            let room = room.min(self.limit.saturating_sub(self.read)) as usize;
+            let n = match self.src.read(&mut self.buf[self.end..self.end + room]) {
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if n == 0 {
+                return Ok(false);
+            }
+            self.end += n;
+            self.read += n as u64;
+        }
+        Ok(true)
+    }
+
+    /// The next `N` bytes, if the source holds them.
+    fn take<const N: usize>(&mut self) -> io::Result<Option<[u8; N]>> {
+        if !self.fill(N)? {
+            return Ok(None);
+        }
+        let bytes = array_at(&self.buf, self.at);
+        self.at += N;
+        Ok(Some(bytes))
+    }
+
+    /// The first pass: validates every frame from the front — length,
+    /// checksum, head — and returns where the sealed prefix ends. It stops
+    /// at the first invalid record. Any input, however damaged, yields a
+    /// sealed prefix of the records it was written with, or an error for a
+    /// foreign magic.
+    pub(crate) fn scan(&mut self) -> io::Result<JournalScan> {
+        let total_len = self.src.seek(SeekFrom::End(0))?;
+        self.seek_to(0, u64::MAX)?;
+        let mut scan = JournalScan {
+            sealed_epoch: None,
+            sealed_len: 0,
+            valid_len: 0,
+            total_len,
+            sealed_records: 0,
+            unsealed_records: 0,
+        };
+        match self.take::<8>()? {
+            // Crash before the magic hit the disk: an empty journal.
+            None => return Ok(scan),
+            Some(magic) if &magic != WAL_MAGIC => {
+                return Err(io::Error::other("not an asv journal (bad magic)"))
+            }
+            Some(_) => (scan.sealed_len, scan.valid_len) = (8, 8),
+        }
+        let mut records = 0;
+        while let Some(len) = self.take::<4>()? {
+            let payload_len = u32::from_le_bytes(len) as u64;
+            let frame_end = self.offset() + payload_len + 4;
+            if payload_len == 0 || payload_len > MAX_PAYLOAD as u64 || frame_end > total_len {
+                break; // hostile length or truncated record
+            }
+            let Some((head, crc)) = self.checksum_payload(payload_len)? else {
+                break; // the file shrank under the reader
+            };
+            if self.take::<4>()? != Some(crc.to_le_bytes()) {
+                break; // torn record
+            }
+            let Some(head) = Head::decode(&head, payload_len) else {
+                break; // checksummed but undecodable: treat as end of journal
+            };
+            records += 1;
+            scan.valid_len = frame_end;
+            if let Head::Seal { epoch } = head {
+                scan.sealed_epoch = Some(epoch);
+                scan.sealed_len = frame_end;
+                scan.sealed_records = records;
+            }
+        }
+        scan.unsealed_records = records - scan.sealed_records;
+        Ok(scan)
+    }
+
+    /// Reads a payload of `len` bytes, returning its first bytes (zeros
+    /// past a shorter payload) and its checksum.
+    fn checksum_payload(&mut self, len: u64) -> io::Result<Option<([u8; MAX_HEAD], u32)>> {
+        let (mut head, mut crc, mut done) = ([0; MAX_HEAD], 0, 0u64);
+        while done < len {
+            if !self.fill(1)? {
+                return Ok(None);
+            }
+            let n = ((self.end - self.at) as u64).min(len - done) as usize;
+            let bytes = &self.buf[self.at..self.at + n];
+            crc = crc32c::update(crc, bytes);
+            if let Some(room) = head.get_mut(done as usize..) {
+                let copy = room.len().min(n);
+                room[..copy].copy_from_slice(&bytes[..copy]);
+            }
+            self.at += n;
+            done += n as u64;
+        }
+        Ok(Some((head, crc)))
+    }
+
+    /// Starts the second pass over the `scan.sealed_len` bytes the first
+    /// pass sealed.
+    pub(crate) fn rewind_sealed(&mut self, scan: &JournalScan) -> io::Result<()> {
+        self.seek_to(0, scan.sealed_len)?;
+        self.to_next = scan.sealed_len.min(WAL_MAGIC.len() as u64);
+        Ok(())
+    }
+
+    /// The head of the next sealed record, `None` past the sealed prefix.
+    /// Whatever the caller left unread of the previous record is skipped.
+    pub(crate) fn next_sealed(&mut self) -> io::Result<Option<Head>> {
+        let next = self.offset() + self.to_next;
+        if next >= self.limit {
+            return Ok(None);
+        }
+        let buffered = (self.end - self.at) as u64;
+        if self.to_next <= buffered {
+            self.at += self.to_next as usize;
+        } else {
+            self.seek_to(next, self.limit)?;
+        }
+        let (Some(len), Some([kind])) = (self.take::<4>()?, self.take::<1>()?) else {
+            return Err(changed());
+        };
+        let payload_len = u32::from_le_bytes(len) as u64;
+        let head_len = Head::len_of(kind);
+        let mut bytes = [0; MAX_HEAD];
+        bytes[0] = kind;
+        if head_len < 1 || !self.fill(head_len - 1)? {
+            return Err(changed());
+        }
+        bytes[1..head_len].copy_from_slice(&self.buf[self.at..self.at + head_len - 1]);
+        self.at += head_len - 1;
+        let head = Head::decode(&bytes, payload_len).ok_or_else(changed)?;
+        self.to_next = payload_len - head_len as u64 + 4;
+        Ok(Some(head))
+    }
+
+    /// Reads the next `out.len()` values of the current `AddColumn`.
+    pub(crate) fn read_values(&mut self, out: &mut [u64]) -> io::Result<()> {
+        self.read_items(out, |word: &[u8; 8]| u64::from_le_bytes(*word))
+    }
+
+    /// Reads the next `out.len()` `(row, value)` writes of the current
+    /// `Batch`.
+    pub(crate) fn read_writes(&mut self, out: &mut [(u64, u64)]) -> io::Result<()> {
+        self.read_items(out, |pair: &[u8; 16]| {
+            let word = |at| u64::from_le_bytes(array_at(pair, at));
+            (word(0), word(8))
+        })
+    }
+
+    /// Fills `out` with the next items of the current record, `N` bytes
+    /// each as `decode` reads them, a buffer-full at a time.
+    fn read_items<const N: usize, T>(
         &mut self,
-        count: u64,
-        item: impl Fn(&[u8; N]) -> Option<T>,
-    ) -> Option<Vec<T>> {
-        let len = usize::try_from(count).ok()?.checked_mul(N)?;
-        let mut bytes = self.take(len)?;
-        let mut items = Vec::with_capacity(len / N);
-        while let Some((head, rest)) = bytes.split_first_chunk::<N>() {
-            items.push(item(head)?);
-            bytes = rest;
+        mut out: &mut [T],
+        decode: impl Fn(&[u8; N]) -> T,
+    ) -> io::Result<()> {
+        let bytes = (N * out.len()) as u64;
+        if bytes + 4 > self.to_next {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "read past the items of a journal record",
+            ));
         }
-        Some(items)
+        self.to_next -= bytes;
+        while !out.is_empty() {
+            if !self.fill(N)? {
+                return Err(changed());
+            }
+            let n = ((self.end - self.at) / N).min(out.len());
+            let (now, later) = std::mem::take(&mut out).split_at_mut(n);
+            let (items, _) = self.buf[self.at..self.at + N * n].as_chunks::<N>();
+            for (item, bytes) in now.iter_mut().zip(items) {
+                *item = decode(bytes);
+            }
+            self.at += N * n;
+            out = later;
+        }
+        Ok(())
     }
+}
+
+/// The `N` bytes of `bytes` from `at` on.
+///
+/// # Panics
+/// Panics if `bytes` holds fewer than `at + N` bytes.
+fn array_at<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
+    let mut array = [0; N];
+    array.copy_from_slice(&bytes[at..at + N]);
+    array
+}
+
+/// The error of a second pass that finds other bytes than the first.
+fn changed() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        "the journal changed between the passes of its replay",
+    )
 }
 
 /// Which journal operation a [`FaultPlan`] targets.
@@ -509,23 +786,36 @@ impl Journal {
         ))
     }
 
-    /// Opens an existing journal for appending. The file must carry the
-    /// journal magic; the write position is the end of the file (callers
-    /// recover/compact first, so the file ends at a sealed record).
-    pub fn open_append(path: impl Into<PathBuf>, fault: Option<FaultPlan>) -> io::Result<Journal> {
-        let path = path.into();
-        let mut file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&path)?;
-        let mut magic = [0u8; 8];
-        file.read_exact(&mut magic)
-            .map_err(|_| io::Error::other("journal shorter than its magic"))?;
-        if &magic != WAL_MAGIC {
-            return Err(io::Error::other("not an asv journal (bad magic)"));
+    /// Continues the journal in `file`, the one at `path`, after the
+    /// sealed prefix of `sealed_len` bytes that a [`JournalReader::scan`]
+    /// found in it. Nothing the prefix holds is written again: a longer
+    /// file is cut back to the prefix in place and fsynced, and only a
+    /// file too short to hold the magic starts afresh with one.
+    pub(crate) fn resume(
+        mut file: std::fs::File,
+        path: PathBuf,
+        sealed_len: u64,
+        fault: Option<FaultPlan>,
+    ) -> io::Result<Journal> {
+        if sealed_len < WAL_MAGIC.len() as u64 {
+            file.set_len(0)?;
+            file.seek(SeekFrom::Start(0))?;
+            file.write_all(WAL_MAGIC)?;
+            file.sync_data()?;
+            sync_parent_dir(&path);
+            return Ok(Journal::with_file(
+                file,
+                path,
+                fault,
+                WAL_MAGIC.len() as u64,
+            ));
         }
-        let len = file.seek(SeekFrom::End(0))?;
-        Ok(Journal::with_file(file, path, fault, len))
+        if file.seek(SeekFrom::End(0))? != sealed_len {
+            file.set_len(sealed_len)?;
+            file.sync_data()?;
+            file.seek(SeekFrom::Start(sealed_len))?;
+        }
+        Ok(Journal::with_file(file, path, fault, sealed_len))
     }
 
     /// A journal over `file`, positioned at its end, `len` bytes long and
@@ -569,11 +859,11 @@ impl Journal {
         self.fsyncs
     }
 
-    /// The not-yet-fired fault plan adjusted for a journal reopened after
+    /// The not-yet-fired fault plan adjusted for a journal that replaces
     /// this one: the targeted op index is reduced by the operations this
-    /// journal already counted, so `Journal::open_append(path,
-    /// journal.carryover_fault())` fires at the same absolute operation
-    /// the original plan targeted.
+    /// journal already counted, so the compacted journal `rewrite` returns
+    /// under `journal.carryover_fault()` fires at the same absolute
+    /// operation the original plan targeted.
     pub fn carryover_fault(&self) -> Option<FaultPlan> {
         self.fault.map(|plan| {
             let done = match plan.kind {
@@ -717,95 +1007,71 @@ impl ReplayOutcome {
 
 /// Replays the journal at `path`: validates framing and checksums, stops
 /// at the first invalid record, and returns everything up to the last
-/// seal. A missing-or-empty file replays as an empty journal.
+/// seal. A missing-or-empty file replays as an empty journal. The records
+/// are collected from the two passes of a `JournalReader`, the reader
+/// recovery runs.
 pub fn replay(path: impl AsRef<Path>) -> io::Result<ReplayOutcome> {
-    match std::fs::read(path.as_ref()) {
-        Ok(bytes) => replay_bytes(&bytes),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => replay_bytes(&[]),
+    match std::fs::File::open(path.as_ref()) {
+        Ok(file) => collect(JournalReader::new(file)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => collect(JournalReader::new(io::empty())),
         Err(e) => Err(e),
     }
 }
 
-/// [`replay`] over the journal's bytes. Any input, however damaged,
-/// yields a sealed prefix of the records it was written with, or an error
-/// for a foreign magic.
-fn replay_bytes(bytes: &[u8]) -> io::Result<ReplayOutcome> {
-    let total_len = bytes.len() as u64;
-    if bytes.len() < WAL_MAGIC.len() {
-        // Crash before the magic hit the disk: an empty journal.
-        return Ok(ReplayOutcome {
-            sealed_records: Vec::new(),
-            sealed_epoch: None,
-            sealed_len: 0,
-            valid_len: 0,
-            total_len,
-            unsealed_records: 0,
+/// The sealed records of `journal`, built in memory.
+fn collect<R: Read + Seek>(mut journal: JournalReader<R>) -> io::Result<ReplayOutcome> {
+    let scan = journal.scan()?;
+    journal.rewind_sealed(&scan)?;
+    let mut records = Vec::with_capacity(scan.sealed_records);
+    while let Some(head) = journal.next_sealed()? {
+        records.push(match head {
+            Head::AddColumn { col, rows } => {
+                let mut values = vec![0; rows];
+                journal.read_values(&mut values)?;
+                WalRecord::AddColumn { col, values }
+            }
+            Head::InstallView { col, min, max } => WalRecord::InstallView { col, min, max },
+            Head::Batch { col, writes } => {
+                let mut pairs = vec![(0, 0); writes];
+                journal.read_writes(&mut pairs)?;
+                WalRecord::Batch { col, writes: pairs }
+            }
+            Head::Seal { epoch } => WalRecord::Seal { epoch },
         });
     }
-    let Some(mut rest) = bytes.strip_prefix(WAL_MAGIC.as_slice()) else {
-        return Err(io::Error::other("not an asv journal (bad magic)"));
-    };
-    let mut records = Vec::new();
-    let mut sealed_upto = 0usize; // record count up to last seal
-    let mut sealed_epoch = None;
-    let mut sealed_len = WAL_MAGIC.len() as u64;
-    let mut valid_len = WAL_MAGIC.len() as u64;
-    while let Some((len, body)) = rest.split_first_chunk::<4>() {
-        let payload_len = u32::from_le_bytes(*len) as usize;
-        if payload_len == 0 || payload_len > MAX_PAYLOAD || payload_len > body.len() {
-            break; // hostile length or truncated record
-        }
-        let (payload, body) = body.split_at(payload_len);
-        let Some((stored, tail)) = body.split_first_chunk::<4>() else {
-            break; // truncated checksum
-        };
-        if crc32c::update(0, payload) != u32::from_le_bytes(*stored) {
-            break; // torn record
-        }
-        let Some(record) = WalRecord::decode_payload(payload) else {
-            break; // checksummed but undecodable: treat as end of journal
-        };
-        rest = tail;
-        valid_len += (payload_len + FRAME_OVERHEAD) as u64;
-        let is_seal = matches!(record, WalRecord::Seal { .. });
-        if let WalRecord::Seal { epoch } = record {
-            sealed_epoch = Some(epoch);
-        }
-        records.push(record);
-        if is_seal {
-            sealed_upto = records.len();
-            sealed_len = valid_len;
-        }
-    }
-    let unsealed_records = records.len() - sealed_upto;
-    records.truncate(sealed_upto);
     Ok(ReplayOutcome {
         sealed_records: records,
-        sealed_epoch,
-        sealed_len,
-        valid_len,
-        total_len,
-        unsealed_records,
+        sealed_epoch: scan.sealed_epoch,
+        sealed_len: scan.sealed_len,
+        valid_len: scan.valid_len,
+        total_len: scan.total_len,
+        unsealed_records: scan.unsealed_records,
     })
 }
 
 /// Atomically replaces the journal at `path` with the records `write`
 /// appends to a fresh, fault-free journal (compaction): they go to a temp
 /// file beside it, which is fsynced, renamed over `path`, and the
-/// directory fsynced.
+/// directory fsynced. Returns the new journal, open for appends under
+/// `fault`.
 pub(crate) fn rewrite(
     path: &Path,
+    fault: Option<FaultPlan>,
     write: impl FnOnce(&mut Journal) -> io::Result<()>,
-) -> io::Result<()> {
+) -> io::Result<Journal> {
     let tmp = path.with_extension("wal.tmp");
     let file = create_with_magic(&tmp)?;
     let mut journal = Journal::with_file(file, tmp.clone(), None, WAL_MAGIC.len() as u64);
     write(&mut journal)?;
     journal.sync()?;
-    drop(journal);
     std::fs::rename(&tmp, path)?;
     sync_parent_dir(path);
-    Ok(())
+    Ok(Journal::with_file(
+        journal.file,
+        path.to_path_buf(),
+        fault,
+        journal.len,
+    ))
 }
 
 /// Creates (truncating) the file at `path` and writes the journal magic.
@@ -865,13 +1131,32 @@ mod tests {
         ]
     }
 
+    /// The two passes of the streaming reader over a journal's bytes,
+    /// collected as [`replay`] collects a file's.
+    fn read_journal(bytes: &[u8]) -> io::Result<ReplayOutcome> {
+        collect(JournalReader::new(io::Cursor::new(bytes)))
+    }
+
+    /// The journal bytes of exactly `records`.
+    fn journal_of(records: &[WalRecord]) -> Vec<u8> {
+        let mut bytes = WAL_MAGIC.to_vec();
+        for record in records {
+            bytes.extend_from_slice(&record.encode());
+        }
+        bytes
+    }
+
     #[test]
     fn records_roundtrip_through_encode_decode() {
+        let seal = WalRecord::Seal { epoch: 9 };
         for record in sample_records() {
-            let encoded = record.encode();
+            let records = [record, seal.clone()];
+            let encoded = records[0].encode();
             let payload_len = u32::from_le_bytes(encoded[..4].try_into().unwrap()) as usize;
-            let payload = &encoded[4..4 + payload_len];
-            assert_eq!(WalRecord::decode_payload(payload), Some(record));
+            assert_eq!(payload_len, records[0].payload_len());
+            assert_eq!(encoded.len(), payload_len + FRAME_OVERHEAD);
+            let outcome = read_journal(&journal_of(&records)).unwrap();
+            assert_eq!(outcome.sealed_records, records);
         }
     }
 
@@ -1035,16 +1320,18 @@ mod tests {
             },
             WalRecord::Seal { epoch: 1 },
         ];
-        rewrite(&path, |journal| {
+        let mut journal = rewrite(&path, None, |journal| {
             checkpoint
                 .iter()
                 .try_for_each(|record| journal.append(record))
         })
         .unwrap();
+        assert_eq!(journal.path(), path);
+        assert_eq!(std::fs::read(&path).unwrap(), journal_of(&checkpoint));
+        assert!(!path.with_extension("wal.tmp").exists());
         let outcome = replay(&path).unwrap();
         assert_eq!(outcome.sealed_records, checkpoint);
         // Appends continue after the checkpoint.
-        let mut journal = Journal::open_append(&path, None).unwrap();
         journal
             .append(&WalRecord::Batch {
                 col: 0,
@@ -1085,7 +1372,7 @@ mod tests {
     /// prefix of `records` or — only when the magic is damaged — an error.
     /// Returns the number of sealed records recovered.
     fn replay_hostile(bytes: &[u8], records: &[WalRecord], what: &str) -> usize {
-        match replay_bytes(bytes) {
+        match read_journal(bytes) {
             Ok(outcome) => {
                 let n = outcome.sealed_records.len();
                 assert!(
@@ -1133,7 +1420,7 @@ mod tests {
             flipped[bit / 8] ^= 1 << (bit % 8);
             let n = replay_hostile(&flipped, &records, &format!("flip {bit}"));
             if bit / 8 >= WAL_MAGIC.len() {
-                assert!(replay_bytes(&flipped).is_ok(), "flip {bit}");
+                assert!(read_journal(&flipped).is_ok(), "flip {bit}");
                 assert_eq!(n, sealed_before(bit / 8), "flip {bit}");
             }
         }
@@ -1150,15 +1437,192 @@ mod tests {
         }
     }
 
+    /// A frame around `payload` with a matching checksum.
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = (payload.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(payload);
+        bytes.extend_from_slice(&crc32c::update(0, payload).to_le_bytes());
+        bytes
+    }
+
     #[test]
     fn hostile_counts_allocate_no_more_than_the_payload() {
-        for kind in [KIND_ADD_COLUMN, KIND_BATCH] {
-            let mut payload = vec![kind];
-            payload.extend_from_slice(&0u32.to_le_bytes());
-            payload.extend_from_slice(&u64::MAX.to_le_bytes());
-            payload.extend_from_slice(&7u64.to_le_bytes());
-            assert_eq!(WalRecord::decode_payload(&payload), None);
+        // Checksummed array records whose count does not fill the frame:
+        // far past it, one item past it, one item short of it. The first
+        // pass ends the journal there, so the count sizes nothing.
+        for (kind, item) in [(KIND_ADD_COLUMN, 8), (KIND_BATCH, 16)] {
+            for count in [u64::MAX, u64::MAX / item + 1, 3, 1] {
+                let mut payload = array_header(kind, 0, 0).to_vec();
+                payload[5..].copy_from_slice(&count.to_le_bytes());
+                payload.extend_from_slice(&[7; 32]);
+                let mut bytes = journal_of(&[WalRecord::Seal { epoch: 1 }]);
+                let sealed_len = bytes.len() as u64;
+                bytes.extend_from_slice(&frame(&payload));
+                bytes.extend_from_slice(&WalRecord::Seal { epoch: 2 }.encode());
+                let outcome = read_journal(&bytes).unwrap();
+                assert_eq!(
+                    outcome.sealed_records,
+                    [WalRecord::Seal { epoch: 1 }],
+                    "kind {kind} count {count}"
+                );
+                assert_eq!(outcome.valid_len, sealed_len, "kind {kind} count {count}");
+                assert_eq!(outcome.unsealed_records, 0);
+            }
         }
+        // A count that fills its frame exactly is read.
+        let mut payload = array_header(KIND_BATCH, 0, 2).to_vec();
+        payload.extend_from_slice(&[7; 32]);
+        let mut bytes = journal_of(&[]);
+        bytes.extend_from_slice(&frame(&payload));
+        bytes.extend_from_slice(&WalRecord::Seal { epoch: 2 }.encode());
+        let seven = u64::from_le_bytes([7; 8]);
+        assert_eq!(
+            read_journal(&bytes).unwrap().sealed_records[0],
+            WalRecord::Batch {
+                col: 0,
+                writes: vec![(seven, seven); 2]
+            }
+        );
+    }
+
+    /// A journal of a column load of `rows` values (several stream
+    /// buffers), a batch and a seal, then a valid unsealed batch.
+    fn load_journal(rows: usize) -> (Vec<u8>, Vec<WalRecord>) {
+        let sealed = vec![
+            WalRecord::AddColumn {
+                col: 0,
+                values: streamed_values(rows),
+            },
+            WalRecord::Batch {
+                col: 0,
+                writes: vec![(1, 2), (3, 4)],
+            },
+            WalRecord::Seal { epoch: 5 },
+        ];
+        let mut bytes = journal_of(&sealed);
+        bytes.extend_from_slice(
+            &WalRecord::Batch {
+                col: 0,
+                writes: vec![(5, 6)],
+            }
+            .encode(),
+        );
+        (bytes, sealed)
+    }
+
+    #[test]
+    fn second_pass_reads_the_sealed_prefix_and_skips_what_is_left_unread() {
+        let rows = 2 * STREAM_BUF / 8 + 13;
+        let (bytes, sealed) = load_journal(rows);
+        let mut reader = JournalReader::new(io::Cursor::new(&bytes[..]));
+        let scan = reader.scan().unwrap();
+        assert_eq!(
+            (scan.sealed_records, scan.unsealed_records),
+            (3, 1),
+            "the first pass counts the tail"
+        );
+        assert_eq!(scan.sealed_len, journal_of(&sealed).len() as u64);
+        // Read every item, in odd-sized pieces that straddle the buffer.
+        reader.rewind_sealed(&scan).unwrap();
+        assert_eq!(
+            reader.next_sealed().unwrap(),
+            Some(Head::AddColumn { col: 0, rows })
+        );
+        let mut values = vec![0; rows];
+        for piece in values.chunks_mut(511) {
+            reader.read_values(piece).unwrap();
+        }
+        assert!(
+            reader.read_values(&mut [0]).is_err(),
+            "no value past the count"
+        );
+        let WalRecord::AddColumn {
+            values: written, ..
+        } = &sealed[0]
+        else {
+            unreachable!()
+        };
+        assert!(&values == written);
+        assert_eq!(
+            reader.next_sealed().unwrap(),
+            Some(Head::Batch { col: 0, writes: 2 })
+        );
+        let mut writes = [(0, 0); 2];
+        reader.read_writes(&mut writes[..1]).unwrap();
+        reader.read_writes(&mut writes[1..]).unwrap();
+        assert_eq!(writes, [(1, 2), (3, 4)]);
+        assert!(
+            reader.read_writes(&mut writes[..1]).is_err(),
+            "no write past the count"
+        );
+        assert_eq!(reader.next_sealed().unwrap(), Some(Head::Seal { epoch: 5 }));
+        assert_eq!(reader.next_sealed().unwrap(), None, "the tail stays unread");
+        // Heads alone: every unread item is skipped.
+        reader.rewind_sealed(&scan).unwrap();
+        let heads: Vec<Head> = std::iter::from_fn(|| reader.next_sealed().unwrap()).collect();
+        assert_eq!(
+            heads,
+            [
+                Head::AddColumn { col: 0, rows },
+                Head::Batch { col: 0, writes: 2 },
+                Head::Seal { epoch: 5 }
+            ]
+        );
+        // Bytes that change between the passes are an error, not a record.
+        let mut reader = JournalReader::new(io::Cursor::new(&bytes[..]));
+        let scan = reader.scan().unwrap();
+        let mut shorter = JournalReader::new(io::Cursor::new(&bytes[..bytes.len() / 2]));
+        shorter.rewind_sealed(&scan).unwrap();
+        assert_eq!(
+            shorter.next_sealed().unwrap(),
+            Some(Head::AddColumn { col: 0, rows })
+        );
+        let mut values = vec![0; rows];
+        let err = shorter.read_values(&mut values).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn resume_keeps_the_sealed_prefix_and_cuts_only_the_tail() {
+        let (bytes, sealed) = load_journal(100);
+        let sealed_bytes = journal_of(&sealed);
+        for tail in [false, true] {
+            let path = temp_path("resume");
+            let written = if tail { &bytes[..] } else { &sealed_bytes[..] };
+            std::fs::write(&path, written).unwrap();
+            let ino = std::os::unix::fs::MetadataExt::ino(&std::fs::metadata(&path).unwrap());
+            let file = std::fs::OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(&path)
+                .unwrap();
+            let mut reader = JournalReader::new(file);
+            let scan = reader.scan().unwrap();
+            assert_eq!(scan.discarded_bytes() > 0, tail);
+            let mut journal =
+                Journal::resume(reader.into_inner(), path.clone(), scan.sealed_len, None).unwrap();
+            assert_eq!(journal.len_bytes(), scan.sealed_len);
+            assert!(std::fs::read(&path).unwrap() == sealed_bytes, "tail {tail}");
+            let meta = std::fs::metadata(&path).unwrap();
+            assert_eq!(std::os::unix::fs::MetadataExt::ino(&meta), ino, "in place");
+            journal.append(&WalRecord::Seal { epoch: 6 }).unwrap();
+            let outcome = replay(&path).unwrap();
+            assert_eq!(outcome.sealed_records.len(), sealed.len() + 1);
+            assert_eq!(outcome.sealed_epoch, Some(6));
+            std::fs::remove_file(&path).unwrap();
+        }
+        // Without a whole magic the journal starts afresh with one.
+        let path = temp_path("resume-short");
+        std::fs::write(&path, b"ASVW").unwrap();
+        let file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&path)
+            .unwrap();
+        let journal = Journal::resume(file, path.clone(), 0, None).unwrap();
+        assert_eq!(journal.len_bytes(), WAL_MAGIC.len() as u64);
+        assert_eq!(std::fs::read(&path).unwrap(), WAL_MAGIC);
+        std::fs::remove_file(&path).unwrap();
     }
 
     /// `rows` distinct values for the streamed-record tests.
@@ -1217,7 +1681,7 @@ mod tests {
                 "{from_slice}"
             );
             assert_eq!(
-                replay_bytes(&bytes).unwrap().unsealed_records,
+                read_journal(&bytes).unwrap().unsealed_records,
                 1,
                 "the streamed batch replays"
             );
@@ -1270,7 +1734,7 @@ mod tests {
                     *expected.last_mut().unwrap() ^= 0xFF;
                 }
                 assert!(bytes == expected, "torn {torn} seed {seed} cut {keep}");
-                assert!(replay_bytes(&bytes).unwrap().sealed_records.is_empty());
+                assert!(read_journal(&bytes).unwrap().sealed_records.is_empty());
                 std::fs::remove_file(&path).unwrap();
             }
         }

@@ -1,5 +1,6 @@
 //! Property test: synchronous alignment and a rebuild-from-scratch are
-//! semantically identical, and replaying a plan equals aligning in place.
+//! semantically identical, and replaying a plan equals aligning in place
+//! and indexes what a view built afresh on the updated column indexes.
 //!
 //! Seeded-RNG property loops (the workspace's offline replacement for
 //! proptest) drive random update batches through two twin columns per
@@ -179,7 +180,10 @@ fn sync_and_rebuild_agree_on_mmap_backend() {
 }
 
 /// The raw (non-AdaptiveColumn) pipeline: replaying a plan on a twin
-/// column must equal in-place synchronous alignment.
+/// column must equal in-place synchronous alignment, and both must index
+/// what a view built from scratch on the updated column indexes. That last
+/// side shares no planning code with the other two, so a planner fault
+/// (one that skips a view, say) shows there.
 #[test]
 fn plan_replay_equals_in_place_alignment() {
     let mut rng = StdRng::seed_from_u64(0x5EED);
@@ -199,6 +203,11 @@ fn plan_replay_equals_in_place_alignment() {
     };
 
     let (mut col_a, mut views_a) = build();
+    assert_eq!(views_a.num_partial_views(), VIEW_RANGES.len());
+    let pages_before: Vec<Vec<usize>> = views_a
+        .mappings()
+        .map(|(_, _, _, table)| table.phys_pages_sorted())
+        .collect();
     let updates = col_a.write_batch(&writes);
     let snapshot = asv_core::snapshot_alignment(&col_a, views_a.mappings(), &updates);
     let plan = asv_core::plan_alignment_chunked(&snapshot, 0);
@@ -208,7 +217,7 @@ fn plan_replay_equals_in_place_alignment() {
     let updates_b = col_b.write_batch(&writes);
     asv_core::align_views_after_updates(&col_b, &mut views_b, &updates_b).expect("sync");
 
-    for idx in 0..views_a.num_partial_views() {
+    for (idx, before) in pages_before.iter().enumerate() {
         let table_a = col_a
             .backend()
             .mapping_table(col_a.store(), views_a.partial_view(idx).unwrap().buffer())
@@ -223,5 +232,23 @@ fn plan_replay_equals_in_place_alignment() {
         let n = views_a.partial_view(idx).unwrap().num_pages();
         assert_eq!(n, views_b.partial_view(idx).unwrap().num_pages());
         assert_eq!(layout(&table_a, n), layout(&table_b, n), "view {idx}");
+        // The independent side: the view built afresh over its range.
+        let range = *views_a.partial_view(idx).unwrap().range();
+        let (fresh, _) =
+            build_view_for_range(&col_a, &range, &CreationOptions::ALL).expect("fresh view");
+        let fresh = col_a
+            .backend()
+            .mapping_table(col_a.store(), &fresh)
+            .unwrap();
+        assert_ne!(
+            fresh.phys_pages_sorted(),
+            *before,
+            "view {idx}: the batch changes the view's pages"
+        );
+        assert_eq!(
+            table_a.phys_pages_sorted(),
+            fresh.phys_pages_sorted(),
+            "view {idx}: aligned and built-afresh views index different pages"
+        );
     }
 }

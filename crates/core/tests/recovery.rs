@@ -25,13 +25,20 @@
 //! acknowledged and committed, and the table is dropped without a quiesce
 //! under each fsync policy. Recovery must then replay every acknowledged
 //! batch and answer exactly as the live table did before the drop.
+//!
+//! Recovery writes nothing the journal already holds, so the last cells
+//! check what it leaves behind: a column load damaged inside its values
+//! is dropped with everything after it, a recovered table killed again
+//! recovers the batches of both runs, and a second recovery of the same
+//! journal changes no byte of it.
 
+use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use asv_core::{
-    wal, AdaptiveConfig, AlignChunking, DurabilityConfig, FaultPlan, RangeAnswer, ServeTable,
-    WalRecord,
+    wal, AdaptiveConfig, AlignChunking, DurabilityConfig, FaultPlan, RangeAnswer, RecoveryInfo,
+    ServeTable, WalRecord,
 };
 use asv_util::ValueRange;
 use asv_vmem::{Backend, SimBackend, VALUES_PER_PAGE};
@@ -587,4 +594,221 @@ fn recovery_of_an_unsealed_journal_is_empty() {
     assert_eq!(info.sealed_epoch, 0);
     assert_eq!(info.records_replayed, 0);
     let _ = std::fs::remove_file(&path);
+}
+
+/// The inode of the file at `path`: recovery cuts a tail in place, so it
+/// never changes.
+fn inode(path: &Path) -> u64 {
+    std::fs::metadata(path).unwrap().ino()
+}
+
+/// Runs `cell` with a backend maker for the simulation and, on Linux, for
+/// the file backend (one store directory per cell, removed afterwards).
+fn on_each_backend(tag: &str, cell: impl Fn(&dyn Fn() -> asv_vmem::AnyBackend, &str)) {
+    cell(&asv_vmem::AnyBackend::sim, &format!("{tag}-sim"));
+    #[cfg(target_os = "linux")]
+    {
+        let dir = std::env::temp_dir().join(format!("asv-{tag}-stores-{}", std::process::id()));
+        cell(
+            &|| asv_vmem::AnyBackend::file_in(&dir),
+            &format!("{tag}-file"),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Recovery answers exactly as `mirror` over the probe ranges and rows.
+fn check_answers<B: Backend>(table: &ServeTable<B>, mirror: &[u64], label: &str) {
+    let snap = table.handle().pin();
+    for range in [
+        ValueRange::full(),
+        ValueRange::new(2_000, 9_400),
+        ValueRange::new(0, 3_000),
+        ValueRange::new(6_000, u64::MAX),
+    ] {
+        assert_eq!(
+            snap.query_range(0, &range),
+            reference_answer(mirror, &range),
+            "{label}: range {range:?}"
+        );
+    }
+    for row in [0usize, 5, mirror.len() / 2, mirror.len() - 1] {
+        assert_eq!(snap.value(0, row), mirror[row], "{label}: row {row}");
+    }
+}
+
+/// `count` seeded batches of column writes, applied to `mirror`.
+fn seeded_batches(rng: &mut u64, count: usize, mirror: &mut [u64]) -> Vec<Vec<(usize, u64)>> {
+    let batches: Vec<Vec<(usize, u64)>> = (0..count)
+        .map(|_| {
+            (0..WRITES_PER_BATCH)
+                .map(|_| {
+                    let row = (splitmix(rng) as usize) % mirror.len();
+                    (row, splitmix(rng) % 12_000)
+                })
+                .collect()
+        })
+        .collect();
+    for &(row, value) in batches.iter().flatten() {
+        mirror[row] = value;
+    }
+    batches
+}
+
+/// Acknowledges and seals each batch, then acknowledges one more that no
+/// seal covers (the kill comes before the next tick).
+fn write_then_die<B: Backend>(mut table: ServeTable<B>, batches: &[Vec<(usize, u64)>]) {
+    for batch in batches {
+        table.try_write_batch(0, batch).unwrap();
+        table.tick().unwrap();
+    }
+    table.try_write_batch(0, &[(1, 999_999)]).unwrap();
+}
+
+#[test]
+fn a_column_damaged_inside_its_values_recovers_without_it() {
+    on_each_backend("damaged-column", |make_backend, tag| {
+        let small = clustered_values(PAGES);
+        let big = clustered_values(BIG_PAGES);
+        // Bytes into the big column's values: its first, one across the
+        // first stream-buffer boundary of its frame, and its last.
+        let values_at = 4 + 1 + 4 + 8;
+        let values_len = 8 * big.len();
+        for at in [0, wal::STREAM_BUF - values_at, values_len - 1] {
+            let label = format!("{tag}-byte{at}");
+            let path = temp_journal(&label);
+            let sealed_len = {
+                let durability = DurabilityConfig::new(&path);
+                let mut table =
+                    ServeTable::with_durability(make_backend(), config(4), durability).unwrap();
+                table.add_column(&small).unwrap();
+                let sealed_len = std::fs::metadata(&path).unwrap().len();
+                table.add_column(&big).unwrap();
+                table.try_write_batch(0, &[(3, 7)]).unwrap();
+                table.tick().unwrap();
+                sealed_len
+            };
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[sealed_len as usize + values_at + at] ^= 0x10;
+            std::fs::write(&path, &bytes).unwrap();
+            let before = inode(&path);
+            let (table, info) =
+                ServeTable::recover(make_backend(), config(4), DurabilityConfig::new(&path))
+                    .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
+            assert_eq!(table.num_columns(), 1, "{label}: only the sealed column");
+            assert_eq!(info.batches_applied, 0, "{label}: nothing past the damage");
+            assert_eq!(info.records_replayed, 2, "{label}: one load, one seal");
+            assert_eq!(info.discarded_bytes, bytes.len() as u64 - sealed_len);
+            check_answers(&table, &small, &label);
+            assert!(
+                std::fs::read(&path).unwrap() == bytes[..sealed_len as usize],
+                "{label}: the journal is cut to its sealed prefix"
+            );
+            assert_eq!(inode(&path), before, "{label}: in place");
+            drop(table);
+            let _ = std::fs::remove_file(&path);
+        }
+    });
+}
+
+#[test]
+fn a_recovered_table_killed_again_recovers_both_runs() {
+    on_each_backend("killed-twice", |make_backend, tag| {
+        for chunk_updates in [0usize, 4] {
+            let label = format!("{tag}-c{chunk_updates}");
+            let path = temp_journal(&label);
+            let values = clustered_values(PAGES);
+            let mut mirror = values.clone();
+            let mut rng = 0x7A1C_E5E5u64;
+            let first = seeded_batches(&mut rng, BATCHES / 2, &mut mirror);
+            let durability = DurabilityConfig::new(&path);
+            let mut table =
+                ServeTable::with_durability(make_backend(), config(chunk_updates), durability)
+                    .unwrap();
+            table.add_column(&values).unwrap();
+            table
+                .install_view(0, ValueRange::new(2_000, 9_400))
+                .unwrap();
+            write_then_die(table, &first);
+            let (table, info) = ServeTable::recover(
+                make_backend(),
+                config(chunk_updates),
+                DurabilityConfig::new(&path),
+            )
+            .unwrap();
+            assert_eq!(info.batches_applied, first.len(), "{label}: first run");
+            check_answers(&table, &mirror, &format!("{label}-first"));
+            let kept_seal = info.sealed_epoch;
+            let second = seeded_batches(&mut rng, BATCHES / 2, &mut mirror);
+            write_then_die(table, &second);
+            let (table, info) = ServeTable::recover(
+                make_backend(),
+                config(chunk_updates),
+                DurabilityConfig::new(&path),
+            )
+            .unwrap();
+            assert_eq!(
+                info.batches_applied,
+                first.len() + second.len(),
+                "{label}: the batches of both runs"
+            );
+            assert!(info.sealed_epoch > kept_seal, "{label}: seals continue");
+            check_answers(&table, &mirror, &format!("{label}-second"));
+            let epochs: Vec<u64> = wal::replay(&path)
+                .unwrap()
+                .sealed_records
+                .iter()
+                .filter_map(|record| match record {
+                    WalRecord::Seal { epoch } => Some(*epoch),
+                    _ => None,
+                })
+                .collect();
+            assert!(
+                epochs.windows(2).all(|w| w[0] < w[1]),
+                "{label}: seal epochs ascend across both runs: {epochs:?}"
+            );
+            drop(table);
+            let _ = std::fs::remove_file(&path);
+        }
+    });
+}
+
+#[test]
+fn recovering_twice_leaves_the_journal_unchanged() {
+    on_each_backend("recover-twice", |make_backend, tag| {
+        let path = temp_journal(tag);
+        let values = clustered_values(PAGES);
+        let mut mirror = values.clone();
+        let batches = seeded_batches(&mut 0x2EC0_7E2Eu64, BATCHES, &mut mirror);
+        let mut table =
+            ServeTable::with_durability(make_backend(), config(4), DurabilityConfig::new(&path))
+                .unwrap();
+        table.add_column(&values).unwrap();
+        write_then_die(table, &batches);
+        let (table, first) =
+            ServeTable::recover(make_backend(), config(4), DurabilityConfig::new(&path)).unwrap();
+        assert!(first.discarded_bytes > 0, "{tag}: the tail is cut");
+        drop(table);
+        let bytes = std::fs::read(&path).unwrap();
+        let before = inode(&path);
+        let (table, second) =
+            ServeTable::recover(make_backend(), config(4), DurabilityConfig::new(&path)).unwrap();
+        assert!(
+            std::fs::read(&path).unwrap() == bytes,
+            "{tag}: the second recovery writes nothing"
+        );
+        assert_eq!(inode(&path), before, "{tag}: same file");
+        assert_eq!(
+            second,
+            RecoveryInfo {
+                discarded_bytes: 0,
+                ..first
+            },
+            "{tag}: the same sealed prefix"
+        );
+        assert_eq!(second.batches_applied, BATCHES);
+        check_answers(&table, &mirror, tag);
+        drop(table);
+        let _ = std::fs::remove_file(&path);
+    });
 }

@@ -55,28 +55,51 @@ impl<B: Backend> Column<B> {
         values: &[u64],
         capacity_pages: usize,
     ) -> asv_vmem::Result<Self> {
-        let needed = values.len().div_ceil(VALUES_PER_PAGE);
+        let mut rest = values;
+        Self::from_fill(backend, values.len(), capacity_pages, |slots| {
+            let (now, later) = rest.split_at(slots.len());
+            slots.copy_from_slice(now);
+            rest = later;
+            Ok(())
+        })
+    }
+
+    /// Materializes a column of `num_rows` rows in `capacity_pages`
+    /// physical pages whose values `fill` writes: it gets, page by page in
+    /// order, the value slots of each page that holds rows
+    /// ([`VALUES_PER_PAGE`] of them, fewer on the last). Every page gets
+    /// its pageID embedded in slot 0, and the full view is created
+    /// immediately. The store receives all of it through one
+    /// [`PhysicalStore::fill_pages`], so `fill` may stream the values from
+    /// anywhere — a slice, or a journal being replayed.
+    ///
+    /// # Panics
+    /// Panics if `capacity_pages` cannot hold `num_rows` rows.
+    pub fn from_fill(
+        backend: B,
+        num_rows: usize,
+        capacity_pages: usize,
+        mut fill: impl FnMut(&mut [u64]) -> asv_vmem::Result<()>,
+    ) -> asv_vmem::Result<Self> {
         assert!(
-            capacity_pages >= needed,
-            "capacity of {capacity_pages} pages cannot hold {} values",
-            values.len()
+            capacity_pages >= num_rows.div_ceil(VALUES_PER_PAGE),
+            "capacity of {capacity_pages} pages cannot hold {num_rows} values"
         );
         let mut store = backend.create_store(capacity_pages)?;
-        for page_idx in 0..capacity_pages {
-            let start = page_idx * VALUES_PER_PAGE;
-            let end = (start + VALUES_PER_PAGE).min(values.len());
-            let page = store.page_mut(page_idx);
+        store.fill_pages(&mut |page_idx, page| {
             page[PAGE_ID_SLOT] = page_idx as u64;
-            if start < values.len() {
-                page[1..1 + (end - start)].copy_from_slice(&values[start..end]);
+            let rows = num_rows.saturating_sub(page_idx * VALUES_PER_PAGE);
+            match rows.min(VALUES_PER_PAGE) {
+                0 => Ok(()),
+                valid => fill(&mut page[1..1 + valid]),
             }
-        }
+        })?;
         let full_view = Arc::new(backend.create_full_view(&store)?);
         Ok(Self {
             backend,
             store,
             full_view,
-            num_rows: values.len(),
+            num_rows,
         })
     }
 

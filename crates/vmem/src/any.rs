@@ -218,6 +218,16 @@ impl PhysicalStore for AnyStore {
             AnyStore::File(s) => s.page_mut(phys_page),
         }
     }
+
+    fn fill_pages(&mut self, fill: &mut dyn FnMut(usize, &mut [u64]) -> Result<()>) -> Result<()> {
+        match self {
+            AnyStore::Sim(s) => s.fill_pages(fill),
+            #[cfg(all(feature = "mmap", target_os = "linux"))]
+            AnyStore::Mmap(s) => s.fill_pages(fill),
+            #[cfg(all(feature = "mmap", target_os = "linux"))]
+            AnyStore::File(s) => s.fill_pages(fill),
+        }
+    }
 }
 
 /// A view buffer created by an [`AnyBackend`].

@@ -41,6 +41,24 @@ pub trait PhysicalStore: Send + Sync {
     /// # Panics
     /// Panics if `phys_page >= self.num_pages()`.
     fn page_mut(&mut self, phys_page: usize) -> &mut [u64];
+
+    /// Gives a store as [`Backend::create_store`] made it its first
+    /// bytes: for each page in order, `fill(page, slots)` writes the
+    /// page's [`crate::SLOTS_PER_PAGE`] slots, which it gets zeroed. The
+    /// one fill path of every column load, whether the values come from
+    /// memory or stream from a journal.
+    ///
+    /// By default each page is filled in place through
+    /// [`PhysicalStore::page_mut`]. [`crate::FileStore`] fills a bounded
+    /// buffer and writes it to its file instead, so no page is faulted in
+    /// one trap at a time. An error from `fill` stops the fill and is
+    /// returned; the pages it reached hold whatever it wrote.
+    fn fill_pages(&mut self, fill: &mut dyn FnMut(usize, &mut [u64]) -> Result<()>) -> Result<()> {
+        for page in 0..self.num_pages() {
+            fill(page, self.page_mut(page))?;
+        }
+        Ok(())
+    }
 }
 
 /// An over-allocated virtual memory area whose page slots map to physical

@@ -13,6 +13,11 @@
 //! * [`FileStore::sync_all`] — `fsync` the backing file, the commit-point
 //!   barrier used by the write-ahead journal in `asv_core::wal`.
 //!
+//! A store gets its first bytes in bulk ([`PhysicalStore::fill_pages`]):
+//! 64 KiB `pwrite`s into the file, then one
+//! `madvise(MADV_POPULATE_WRITE)` that maps every page writable, rather
+//! than one page fault per page of the load.
+//!
 //! The view type is shared with the mmap backend ([`MmapView`]): views are
 //! process-local virtual memory either way and are rebuilt on recovery.
 //! Reserving, rewiring and truncating — and the mapping table each view
@@ -21,6 +26,7 @@
 
 use std::fs::OpenOptions;
 use std::os::fd::AsRawFd;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -28,6 +34,10 @@ use crate::backend::{Backend, MapRequest, PhysicalStore};
 use crate::error::{Result, VmemError};
 use crate::layout::{PAGE_SIZE_BYTES, SLOTS_PER_PAGE};
 use crate::mmap::MmapView;
+
+/// Bytes of each `pwrite` that fills a [`FileStore`]: the size of its
+/// fill buffer.
+const FILL_CHUNK_BYTES: usize = 64 * 1024;
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 static STORE_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -63,6 +73,12 @@ impl FileBackend {
 }
 
 /// A physical column materialized in a named file on disk.
+///
+/// The store's pages are a full `MAP_SHARED` mapping of the file. Its
+/// first bytes reach the file through [`PhysicalStore::fill_pages`] in
+/// 64 KiB writes, after which one populate call maps
+/// every page writable, so neither the load nor a later fold takes a
+/// page fault per page.
 pub struct FileStore {
     file: std::fs::File,
     path: PathBuf,
@@ -134,6 +150,41 @@ impl FileStore {
         self.file.sync_all()?;
         Ok(())
     }
+
+    /// Maps every page of the store writable in one
+    /// `madvise(MADV_POPULATE_WRITE)`. A kernel older than 5.14 refuses
+    /// the advice with `EINVAL`; then one slot per page is written back
+    /// in place, which takes the same faults one page at a time.
+    fn populate(&mut self) -> Result<()> {
+        if self.base.is_null() {
+            return Ok(());
+        }
+        // SAFETY: `base` maps exactly `bytes()` bytes of the file, owned by
+        // this store; populating neither moves nor changes their contents.
+        let rc = unsafe {
+            libc::madvise(
+                self.base as *mut libc::c_void,
+                self.bytes(),
+                libc::MADV_POPULATE_WRITE,
+            )
+        };
+        if rc == 0 {
+            return Ok(());
+        }
+        let source = std::io::Error::last_os_error();
+        if source.raw_os_error() != Some(libc::EINVAL) {
+            let call = "madvise(MADV_POPULATE_WRITE)";
+            return Err(VmemError::Syscall { call, source });
+        }
+        for page in 0..self.num_pages {
+            let slot = self.page_mut(page).as_mut_ptr();
+            // SAFETY: `slot` is the first slot of a page of the mapping,
+            // valid for reads and writes through `&mut self`; the volatile
+            // pair writes back the value it read, so only the fault shows.
+            unsafe { slot.write_volatile(slot.read_volatile()) };
+        }
+        Ok(())
+    }
 }
 
 impl PhysicalStore for FileStore {
@@ -171,6 +222,34 @@ impl PhysicalStore for FileStore {
                 SLOTS_PER_PAGE,
             )
         }
+    }
+
+    /// Fills 64 KiB of pages at a time in one buffer and
+    /// `pwrite`s it into the file, then populates the mapping: the pages
+    /// arrive in the page cache in bulk, and no page faults one at a time.
+    fn fill_pages(&mut self, fill: &mut dyn FnMut(usize, &mut [u64]) -> Result<()>) -> Result<()> {
+        const CHUNK_PAGES: usize = FILL_CHUNK_BYTES / PAGE_SIZE_BYTES;
+        let mut chunk = vec![0u64; CHUNK_PAGES.min(self.num_pages) * SLOTS_PER_PAGE];
+        for first in (0..self.num_pages).step_by(CHUNK_PAGES) {
+            let pages = CHUNK_PAGES.min(self.num_pages - first);
+            let slots = &mut chunk[..pages * SLOTS_PER_PAGE];
+            slots.fill(0);
+            for (page, page_slots) in slots.chunks_exact_mut(SLOTS_PER_PAGE).enumerate() {
+                fill(first + page, page_slots)?;
+            }
+            // SAFETY: the bytes of an initialised `u64` slice, read for as
+            // long as it is borrowed; `u8` has no alignment to keep. They
+            // reach the file in the native byte order the mapping reads.
+            let bytes = unsafe {
+                std::slice::from_raw_parts(
+                    slots.as_ptr().cast::<u8>(),
+                    std::mem::size_of_val(slots),
+                )
+            };
+            self.file
+                .write_all_at(bytes, (first * PAGE_SIZE_BYTES) as u64)?;
+        }
+        self.populate()
     }
 }
 
@@ -315,6 +394,66 @@ mod tests {
             let slot1 = u64::from_le_bytes(bytes[off1..off1 + 8].try_into().unwrap());
             assert_eq!(slot1, (p * 1000 + 1) as u64);
         }
+        cleanup(&b);
+    }
+
+    #[test]
+    fn bulk_fill_reaches_the_file_and_the_mapping_in_every_chunk() {
+        // Two full fill chunks and a short last one.
+        let chunk_pages = FILL_CHUNK_BYTES / PAGE_SIZE_BYTES;
+        let pages = 2 * chunk_pages + 5;
+        let b = temp_backend();
+        let mut store = b.create_store(pages).unwrap();
+        let mut order = Vec::new();
+        store
+            .fill_pages(&mut |page, slots| {
+                assert!(slots.iter().all(|&slot| slot == 0), "page {page} zeroed");
+                order.push(page);
+                slots[0] = page as u64;
+                slots[SLOTS_PER_PAGE - 1] = (page * 1000 + 7) as u64;
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(order, (0..pages).collect::<Vec<_>>());
+        let bytes = std::fs::read(store.path()).unwrap();
+        assert_eq!(bytes.len(), pages * PAGE_SIZE_BYTES);
+        let last = (SLOTS_PER_PAGE - 1) * 8;
+        for p in 0..pages {
+            let page = store.page(p);
+            assert_eq!(
+                (page[0], page[SLOTS_PER_PAGE - 1]),
+                (p as u64, (p * 1000 + 7) as u64)
+            );
+            assert!(page[1..SLOTS_PER_PAGE - 1].iter().all(|&slot| slot == 0));
+            let raw = &bytes[p * PAGE_SIZE_BYTES..(p + 1) * PAGE_SIZE_BYTES];
+            let slot = |at: usize| u64::from_ne_bytes(raw[at..at + 8].try_into().unwrap());
+            assert_eq!(
+                (slot(0), slot(last)),
+                (p as u64, (p * 1000 + 7) as u64),
+                "page {p}"
+            );
+        }
+        // The populated mapping is the file: a write shows in a view.
+        let mut view = b.reserve_view(&store, 1).unwrap();
+        b.map_run(&store, &mut view, MapRequest::single(0, pages - 1))
+            .unwrap();
+        store.page_mut(pages - 1)[3] = 0xF111;
+        assert_eq!(view.page(0)[3], 0xF111);
+        drop(view);
+        // A failing fill stops at its page.
+        let mut fresh = b.create_store(pages).unwrap();
+        let mut reached = 0;
+        let err = fresh.fill_pages(&mut |page, _| {
+            reached = page;
+            match page {
+                20 => Err(VmemError::out_of_bounds("page 20")),
+                _ => Ok(()),
+            }
+        });
+        assert!(err.is_err());
+        assert_eq!(reached, 20);
+        drop(fresh);
+        drop(store);
         cleanup(&b);
     }
 
