@@ -1,20 +1,21 @@
 //! View alignment in three phases: snapshot, plan, publish.
 //!
-//! [`crate::updates::align_views_after_updates`] (the §2.4 call behind
-//! [`crate::AdaptiveColumn::align_views`]) runs the three phases
-//! back-to-back on the calling thread. [`crate::ServeTable`] runs the plan
-//! phase on a worker thread while readers keep answering from the
-//! pre-batch views (related work: *Virtual-Memory Assisted Buffer
-//! Management* overlaps mapping changes with query execution; *The
-//! Virtual Block Interface* decouples mapping management from access
-//! latency):
+//! Both callers run the three phases on the one thread that owns the
+//! column, as the paper's Listing 1 does (§2.4).
+//! [`crate::updates::align_views_after_updates`] (the call behind
+//! [`crate::AdaptiveColumn::align_views`]) runs them back-to-back.
+//! [`crate::ServeTable`]'s maintenance loop snapshots and plans a round
+//! when it folds the write queue and publishes one chunk per tick, while
+//! readers keep answering from the epochs they pinned (related work:
+//! *Virtual-Memory Assisted Buffer Management* overlaps mapping changes
+//! with query execution; *The Virtual Block Interface* decouples mapping
+//! management from access latency):
 //!
-//! 1. **Snapshot** ([`snapshot_alignment`]) — on the caller thread, one
-//!    sort deduplicates the batch and groups it by page
-//!    ([`asv_storage::PageGroups`]). Each partial view then gets the
-//!    ascending list of groups its range meets (see "Only affected views
-//!    are aligned" below); the slot ↔ page mapping table each kept view
-//!    owns is copied (where the paper parses `/proc/PID/maps`, §2.5); and
+//! 1. **Snapshot** ([`snapshot_alignment`]) — one sort deduplicates the
+//!    batch and groups it by page ([`asv_storage::PageGroups`]). Each
+//!    partial view then gets the ascending list of groups its range meets
+//!    (see "Only affected views are aligned" below); the slot ↔ page
+//!    mapping table each kept view owns is copied (where the paper parses `/proc/PID/maps`, §2.5); and
 //!    every case-(2) page — indexed, an old value in range, no new value in
 //!    it — is re-inspected against the post-batch column. The snapshot
 //!    records the verdicts, not the pages. It is plain owned data: it
@@ -23,17 +24,17 @@
 //!    snapshot: for every kept view, the §2.4 add/remove decisions are
 //!    replayed at the groups its range meets against a *shadow copy* of its
 //!    mapping table, recording the page-table manipulations as
-//!    [`ViewOp`]s. Because the snapshot is owned, this phase can run on a
-//!    worker thread ([`spawn_alignment_chunked`]), which plans the views
-//!    one after another.
-//! 3. **Publish** ([`apply_plan`]) — back on the owning thread, the
-//!    recorded ops are replayed onto the real view buffers (a handful of
-//!    `mmap(MAP_FIXED)` / truncate calls) and the [`ViewSet`] generation is
-//!    bumped, moving the column into the next view epoch.
+//!    [`ViewOp`]s, one view after another. The plan reads only the
+//!    snapshot, never the column or its views.
+//! 3. **Publish** ([`apply_plan`]) — the recorded ops are replayed onto
+//!    the real view buffers (a handful of `mmap(MAP_FIXED)` / truncate
+//!    calls) and the [`ViewSet`] generation is bumped, moving the column
+//!    into the next view epoch. A [`crate::ServeTable`] replays them onto
+//!    its views' mapping tables instead, one chunk per tick.
 //!
 //! Pages are planned in ascending page-id order — never in `HashMap`
 //! iteration order — which pins the layout of newly mapped slots to a
-//! single deterministic outcome across runs, threads and chunk sizes.
+//! single deterministic outcome across runs and chunk sizes.
 //!
 //! # Chunked publishing and the pending-writes queue
 //!
@@ -75,8 +76,6 @@
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use asv_storage::{Column, PageGroups, Update};
@@ -129,7 +128,7 @@ pub struct AlignmentPlan {
     /// Time spent materializing the snapshot after grouping the batch
     /// (see [`UpdateAlignmentStats::parse_time`]).
     pub parse_time: Duration,
-    /// Time spent planning (the phase that runs off the query path).
+    /// Time spent planning.
     pub plan_time: Duration,
     /// Per-view plans; views whose mapping is unaffected are omitted.
     pub views: Vec<ViewPlan>,
@@ -147,11 +146,10 @@ impl AlignmentPlan {
     }
 }
 
-/// The owned state a background worker needs to plan an alignment: the
-/// grouped batch, and per kept view its mapping table and the page groups
-/// its range meets, with the case-(2) re-inspections already decided.
-/// Borrows nothing — queries can keep scanning the column while a worker
-/// chews on this.
+/// The owned state the planner needs to plan an alignment: the grouped
+/// batch, and per kept view its mapping table and the page groups its
+/// range meets, with the case-(2) re-inspections already decided. Borrows
+/// nothing from the column or its views.
 #[derive(Clone, Debug)]
 pub struct AlignmentSnapshot {
     batch_size: usize,
@@ -428,7 +426,7 @@ impl ChunkedAlignmentPlan {
 /// chunks of at most `chunk_updates` updates each (phase 2; `0` = one
 /// chunk).
 ///
-/// The whole pass runs once, view by view on the calling thread, against
+/// The whole pass runs once, view by view, against
 /// shadow mapping tables that persist across chunk boundaries, so the
 /// concatenation of all chunks equals the one-chunk plan op-for-op.
 /// Publishing chunk-by-chunk therefore walks through intermediate epochs
@@ -536,88 +534,6 @@ pub fn apply_chunked_plan<B: Backend>(
     }
     stats.batch_size = plan.batch_size;
     Ok(stats)
-}
-
-/// A chunked batch alignment planning on a background worker thread (or
-/// already planned, if no worker could be spawned).
-///
-/// Produced by [`spawn_alignment_chunked`]; the owning table keeps serving
-/// queries on the pre-batch view epoch until the plan is joined, then
-/// publishes the chunks one epoch at a time.
-#[derive(Debug)]
-pub struct PendingChunkedAlignment {
-    state: PendingState,
-}
-
-#[derive(Debug)]
-enum PendingState {
-    /// A worker thread is planning.
-    Spawned(JoinHandle<ChunkedAlignmentPlan>),
-    /// No worker could be spawned: the plan was made on the calling thread.
-    Planned(ChunkedAlignmentPlan),
-}
-
-/// The planning closure a worker thread runs.
-type PlanJob = Box<dyn FnOnce() -> ChunkedAlignmentPlan + Send>;
-
-/// Ships an [`AlignmentSnapshot`] to a dedicated worker thread that plans
-/// the alignment off the query path as a [`ChunkedAlignmentPlan`] with at
-/// most `chunk_updates` updates per chunk (`0` = one chunk).
-///
-/// If the OS refuses the thread (e.g. `EAGAIN` under a pid limit), the
-/// same plan is made on the calling thread instead, so every later answer
-/// is unchanged.
-pub fn spawn_alignment_chunked(
-    snapshot: AlignmentSnapshot,
-    chunk_updates: usize,
-) -> PendingChunkedAlignment {
-    start_alignment(snapshot, chunk_updates, |job| {
-        std::thread::Builder::new()
-            .name("asv-align".into())
-            .spawn(job)
-    })
-}
-
-/// [`spawn_alignment_chunked`] over an explicit `spawn`, so the fallback
-/// for a refused thread is testable without exhausting threads.
-fn start_alignment(
-    snapshot: AlignmentSnapshot,
-    chunk_updates: usize,
-    spawn: impl FnOnce(PlanJob) -> std::io::Result<JoinHandle<ChunkedAlignmentPlan>>,
-) -> PendingChunkedAlignment {
-    let snapshot = Arc::new(snapshot);
-    let job_snapshot = Arc::clone(&snapshot);
-    let job: PlanJob = Box::new(move || plan_alignment_chunked(&job_snapshot, chunk_updates));
-    let state = match spawn(job) {
-        Ok(handle) => PendingState::Spawned(handle),
-        // The refused job was dropped with its snapshot handle.
-        Err(_) => PendingState::Planned(plan_alignment_chunked(&snapshot, chunk_updates)),
-    };
-    PendingChunkedAlignment { state }
-}
-
-impl PendingChunkedAlignment {
-    /// Returns `true` once the plan is ready (joining will not block).
-    pub fn is_finished(&self) -> bool {
-        match &self.state {
-            PendingState::Spawned(handle) => handle.is_finished(),
-            PendingState::Planned(_) => true,
-        }
-    }
-
-    /// Waits for the worker and returns the finished chunked plan.
-    ///
-    /// # Panics
-    /// A panic on the worker thread is propagated to the caller.
-    pub fn join(self) -> ChunkedAlignmentPlan {
-        match self.state {
-            PendingState::Spawned(handle) => match handle.join() {
-                Ok(plan) => plan,
-                Err(panic) => std::panic::resume_unwind(panic),
-            },
-            PendingState::Planned(plan) => plan,
-        }
-    }
 }
 
 /// The pending-writes queue of a served column ([`crate::ServeTable`]):
@@ -1007,66 +923,5 @@ mod tests {
         overlay.take_queued();
         overlay.retire_aligned();
         assert!(overlay.is_empty());
-    }
-
-    /// A refused worker thread falls back to planning on the calling
-    /// thread, and that plan equals the one a worker makes.
-    #[test]
-    fn refused_spawn_plans_inline_to_the_same_plan() {
-        let ranges = [
-            ValueRange::new(5_000, 9_400),
-            ValueRange::new(12_000, 20_510),
-        ];
-        let (mut column, views) = column_with_views(32, &ranges);
-        let mut writes: Vec<(usize, u64)> = (20..30)
-            .map(|p| (p * VALUES_PER_PAGE + p, 6_000 + p as u64))
-            .collect();
-        writes.extend((0..VALUES_PER_PAGE).map(|s| (13 * VALUES_PER_PAGE + s, 1 + s as u64)));
-        let updates = column.write_batch(&writes);
-        let snapshot = || snapshot_alignment(&column, views.mappings(), &updates);
-        let spawned = spawn_alignment_chunked(snapshot(), 3);
-        let refused = start_alignment(snapshot(), 3, |_job| {
-            Err(std::io::Error::from(std::io::ErrorKind::WouldBlock))
-        });
-        assert!(matches!(refused.state, PendingState::Planned(_)));
-        assert!(refused.is_finished(), "an inline plan never blocks a join");
-        let (spawned, inline) = (spawned.join(), refused.join());
-        assert!(inline.num_chunks() > 1 && inline.pages_removed() > 0);
-        assert_eq!(
-            (inline.batch_size, inline.deduped_size),
-            (spawned.batch_size, spawned.deduped_size)
-        );
-        assert_eq!(inline.num_chunks(), spawned.num_chunks());
-        for (a, b) in inline.chunks.iter().zip(&spawned.chunks) {
-            assert_eq!(a.deduped_size, b.deduped_size);
-            let shape = |plan: &AlignmentPlan| -> Vec<(usize, u64, Vec<ViewOp>, usize, usize)> {
-                plan.views
-                    .iter()
-                    .map(|v| {
-                        let ops = v.ops.clone();
-                        (v.view_idx, v.view_id, ops, v.pages_added, v.pages_removed)
-                    })
-                    .collect()
-            };
-            assert_eq!(shape(a), shape(b));
-        }
-    }
-
-    #[test]
-    fn background_planning_runs_off_thread() {
-        let range = ValueRange::new(5_000, 9_400);
-        let (mut column, mut views) = column_with_views(32, &[range]);
-        let updates = column.write_batch(&[(20 * VALUES_PER_PAGE, 6_000)]);
-        let snap = snapshot_alignment(&column, views.mappings(), &updates);
-        let generation_before = views.generation();
-        let pending = spawn_alignment_chunked(snap, 0);
-        // The snapshot is owned by the worker: the column stays fully
-        // usable here (this is the whole point of the handoff).
-        assert!(column.full_scan(&range).count > 0);
-        let plan = pending.join();
-        assert_eq!(plan.num_chunks(), 1);
-        let stats = apply_plan(&column, &mut views, &plan.chunks[0]).unwrap();
-        assert_eq!(stats.pages_added, 1);
-        assert_eq!(views.generation(), generation_before + 1);
     }
 }

@@ -59,7 +59,7 @@ impl Default for CreationOptions {
 /// Chunking and write-queue knobs of [`crate::ServeTable`]'s alignment
 /// rounds and pending-writes queue ([`crate::align::WriteOverlay`]). An
 /// [`crate::AdaptiveColumn`] reads none of them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AlignChunking {
     /// Maximum number of *deduplicated* updates folded into one published
     /// alignment chunk. A batch larger than this splits into consecutive
@@ -72,22 +72,18 @@ pub struct AlignChunking {
     /// `0` disables chunking: the whole batch publishes as one epoch (the
     /// pre-chunking behaviour, and the default).
     ///
-    /// The serving layer ([`crate::serve`]) publishes one chunk per
-    /// maintenance tick, so this also bounds the alignment work of a tick.
+    /// The serving layer ([`crate::serve`]) plans a round's chunks on the
+    /// tick that folds it and publishes one chunk per later tick, so this
+    /// bounds the publish work of a tick.
     pub chunk_updates: usize,
-    /// Soft bound on the rows the pending-writes queue may hold: an idle
-    /// maintenance tick folds the queue once it holds this many distinct
-    /// rows, whatever `group_commit_idle` says. Writes are never dropped and
-    /// the writer never stalls on a full queue. Queue size is counted in
-    /// *distinct rows* (repeated writes to a row overwrite its queue entry).
-    pub max_queued_writes: usize,
     /// Group-commit threshold of the serving layer's maintenance loop
     /// ([`crate::serve`]): an *idle* maintenance tick (no alignment round
     /// in flight) folds the queued writes into a new round only once at
-    /// least this many distinct rows are queued, batching small writes into
-    /// fewer alignment rounds. `0` (the default) folds on the first idle
-    /// tick after any write; [`crate::serve::ServeTable::quiesce`] and a
-    /// queue at `max_queued_writes` fold regardless of the threshold.
+    /// least this many distinct rows are queued (repeated writes to a row
+    /// count once), batching small writes into fewer alignment rounds. `0`
+    /// (the default) folds on the first idle tick after any write;
+    /// [`crate::serve::ServeTable::quiesce`] folds regardless of the
+    /// threshold. Writes are never dropped and the writer never stalls.
     pub group_commit_idle: usize,
 }
 
@@ -98,26 +94,10 @@ impl AlignChunking {
         self
     }
 
-    /// Builder-style setter for the queue bound.
-    pub fn with_max_queued_writes(mut self, max_queued_writes: usize) -> Self {
-        self.max_queued_writes = max_queued_writes;
-        self
-    }
-
     /// Builder-style setter for the idle group-commit threshold.
     pub fn with_group_commit_idle(mut self, group_commit_idle: usize) -> Self {
         self.group_commit_idle = group_commit_idle;
         self
-    }
-}
-
-impl Default for AlignChunking {
-    fn default() -> Self {
-        Self {
-            chunk_updates: 0,
-            max_queued_writes: 1 << 20,
-            group_commit_idle: 0,
-        }
     }
 }
 
@@ -253,7 +233,6 @@ mod tests {
         assert!(c.adaptive_creation);
         assert_eq!(c.creation, CreationOptions::ALL);
         assert_eq!(c.chunking.chunk_updates, 0, "chunking off by default");
-        assert!(c.chunking.max_queued_writes >= 1 << 20);
         assert_eq!(c.chunking.group_commit_idle, 0, "fold on first idle tick");
     }
 
@@ -262,11 +241,9 @@ mod tests {
         let c = AdaptiveConfig::default().with_chunking(
             AlignChunking::default()
                 .with_chunk_updates(128)
-                .with_max_queued_writes(4_096)
                 .with_group_commit_idle(32),
         );
         assert_eq!(c.chunking.chunk_updates, 128);
-        assert_eq!(c.chunking.max_queued_writes, 4_096);
         assert_eq!(c.chunking.group_commit_idle, 32);
     }
 

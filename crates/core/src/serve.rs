@@ -10,9 +10,9 @@
 //!   queries — routed range scans, page-by-page conjunctive queries,
 //!   point reads — without taking any lock, and
 //! * **one maintenance thread** owns the [`ServeTable`]: it ingests
-//!   writes, folds the write queue into background alignment rounds,
-//!   publishes re-aligned view epochs chunk by chunk, and reclaims
-//!   superseded epochs once the last pinned reader lets go.
+//!   writes, folds the write queue into alignment rounds, publishes
+//!   re-aligned view epochs chunk by chunk, and reclaims superseded epochs
+//!   once the last pinned reader lets go.
 //!
 //! # The epoch protocol
 //!
@@ -55,17 +55,19 @@
 //! When a fold starts, the round is snapshotted with
 //! [`crate::align::snapshot_alignment`], which keeps only the views whose
 //! range contains an old or a new value of the batch — every other view
-//! keeps its epoch verbatim — and planned in the background in chunks of at
-//! most `AlignChunking::chunk_updates` updates. Each tick then replays
-//! **one planned chunk** onto the views' tables and publishes the re-sorted
-//! page sets, so the per-tick publish work is bounded by the chunk size and
-//! interleaves with group-commit folding; a chunk that changes no view
-//! publishes nothing and costs no tick; a round with no view to plan starts
-//! no planner thread at all. When the round's last chunk lands, the folded
-//! rows retire from the overlay and exactly the pages the fold wrote drop
-//! their frozen copies; a page of those that still holds an overlaid row is
-//! re-frozen from the post-fold store, and every other copy, taken after
-//! the fold, already equals the store. New rounds fold the queue only after
+//! keeps its epoch verbatim — and planned on the spot, on the maintenance
+//! thread (the loop of the paper's Listing 1 plans inline too, §2.4), in
+//! chunks of at most `AlignChunking::chunk_updates` updates. Readers never
+//! wait on the plan: they keep answering from the epochs they pinned. Each
+//! later tick replays **one planned chunk** onto the views' tables and
+//! publishes the re-sorted page sets, so the per-tick publish work is
+//! bounded by the chunk size and interleaves with group-commit folding; a
+//! chunk that changes no view publishes nothing and costs no tick. When the
+//! round's last chunk lands (at once, for a round with no view to plan),
+//! the folded rows retire from the overlay and exactly the pages the fold
+//! wrote drop their frozen copies; a page of those that still holds an
+//! overlaid row is re-frozen from the post-fold store, and every other
+//! copy, taken after the fold, already equals the store. New rounds fold the queue only after
 //! a **grace check**: every epoch except the current one must be unpinned,
 //! because older epochs may lack page copies for the rows about to be
 //! folded. The fold itself never blocks the writer — if grace has not
@@ -136,9 +138,7 @@
 //! readable at the same tick boundary as direct maintenance-thread writes,
 //! and commit-before-fold / grace-before-fold are untouched (draining
 //! happens strictly before the tick's first publish). The lane is a FIFO
-//! channel, so writes from one writer thread apply in send order. An
-//! idle tick folds the queue once the overlay holds `max_queued_writes`
-//! distinct rows.
+//! channel, so writes from one writer thread apply in send order.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
@@ -153,8 +153,7 @@ use asv_util::{EpochCell, Pinned, Reader, Timer, ValueRange};
 use asv_vmem::{Backend, MappingTable, ViewBuffer, VmemError, VALUES_PER_PAGE};
 
 use crate::align::{
-    snapshot_alignment, spawn_alignment_chunked, AlignmentPlan, PendingChunkedAlignment, ViewOp,
-    WriteOverlay,
+    plan_alignment_chunked, snapshot_alignment, AlignmentPlan, ViewOp, WriteOverlay,
 };
 use crate::config::AdaptiveConfig;
 use crate::creation::page_meets_range;
@@ -819,8 +818,6 @@ struct ColumnState<B: Backend> {
     /// fold time (a fold needs an idle column, so every overlaid row is
     /// queued and the fold writes all of them). Empty between rounds.
     folded_pages: Vec<usize>,
-    /// In-flight background planning of the current round.
-    pending: Option<PendingChunkedAlignment>,
     /// Planned chunks of the current round awaiting publication, in
     /// publication order; one is published per tick.
     ready: VecDeque<AlignmentPlan>,
@@ -841,7 +838,7 @@ impl<B: Backend> ColumnState<B> {
     }
 
     fn is_idle(&self) -> bool {
-        self.pending.is_none() && self.ready.is_empty() && !self.round_active
+        self.ready.is_empty() && !self.round_active
     }
 
     /// Freezes the current page content of `row`'s page into the copy set
@@ -1250,7 +1247,6 @@ impl<B: Backend> ServeTable<B> {
             stats,
             copies: BTreeMap::new(),
             folded_pages: Vec::new(),
-            pending: None,
             ready: VecDeque::new(),
             round_active: false,
             activity: AlignActivity::default(),
@@ -1341,10 +1337,10 @@ impl<B: Backend> ServeTable<B> {
     }
 
     /// Number of distinct rows of column `col` with a write awaiting the
-    /// next fold — the depth the fold thresholds (`group_commit_idle`,
-    /// `max_queued_writes`) compare. Repeated writes to one row count
-    /// once; writes a fold already took count no more, even while their
-    /// alignment round is in flight.
+    /// next fold — the depth the fold threshold (`group_commit_idle`)
+    /// compares. Repeated writes to one row count once; writes a fold
+    /// already took count no more, even while their alignment round is in
+    /// flight.
     ///
     /// # Panics
     /// Panics if `col` is not a column of the table.
@@ -1419,7 +1415,7 @@ impl<B: Backend> ServeTable<B> {
     /// every column's alignment round by at most one chunk, retires
     /// completed rounds and folds queued writes into new rounds when the
     /// group-commit threshold is reached and the grace condition holds.
-    /// Never blocks on readers or on the background planner.
+    /// Never blocks on readers.
     pub fn tick(&mut self) -> Result<(), VmemError> {
         self.tick_inner(false)
     }
@@ -1594,11 +1590,10 @@ impl<B: Backend> ServeTable<B> {
         self.history.len() <= 1
     }
 
-    /// Advances column `idx`'s alignment round: joins a finished
-    /// background plan and publishes its next chunk that changes a view,
-    /// retiring the round once no chunk is left. Publishing replays the
-    /// chunk's ops onto each changed view's table and rebuilds its sorted
-    /// page set; nothing is remapped.
+    /// Advances column `idx`'s alignment round: publishes its next planned
+    /// chunk that changes a view, retiring the round once no chunk is left.
+    /// Publishing replays the chunk's ops onto each changed view's table
+    /// and rebuilds its sorted page set; nothing is remapped.
     ///
     /// Chunks publish strictly in order — a view's ops in chunk `k+1`
     /// assume chunk `k`'s layout. A chunk publish only changes which pages
@@ -1606,14 +1601,6 @@ impl<B: Backend> ServeTable<B> {
     /// and overlaid until retirement.
     fn advance_column(&mut self, idx: usize) {
         let state = &mut self.columns[idx];
-        if state
-            .pending
-            .as_ref()
-            .is_some_and(|pending| pending.is_finished())
-        {
-            let plan = state.pending.take().expect("pending checked above").join();
-            state.ready.extend(plan.chunks);
-        }
         // A chunk that changes no view publishes nothing and costs no tick.
         let next = std::iter::from_fn(|| state.ready.pop_front()).find(|c| !c.views.is_empty());
         if let Some(chunk) = next {
@@ -1627,7 +1614,7 @@ impl<B: Backend> ServeTable<B> {
             state.mark_dirty();
             self.staged = true;
         }
-        if state.round_active && state.pending.is_none() && state.ready.is_empty() {
+        if state.round_active && state.ready.is_empty() {
             Self::retire_round(state);
             self.staged = true;
         }
@@ -1663,9 +1650,7 @@ impl<B: Backend> ServeTable<B> {
         if !state.is_idle() || state.overlay.queued_rows() == 0 {
             return;
         }
-        let threshold_met = force
-            || state.overlay.len() >= chunking.group_commit_idle.max(1)
-            || state.overlay.len() >= chunking.max_queued_writes;
+        let threshold_met = force || state.overlay.len() >= chunking.group_commit_idle.max(1);
         if !threshold_met {
             return;
         }
@@ -1674,8 +1659,8 @@ impl<B: Backend> ServeTable<B> {
         let folded = state.overlay.take_queued();
         let updates = state.column.write_batch(&folded);
         state.activity.rounds += 1;
-        // A round with nothing to plan starts no planner: the next tick's
-        // `advance_column` finds no pending plan and retires it.
+        // A round with nothing to plan leaves `ready` empty: the next
+        // tick's `advance_column` retires it.
         if !state.views.is_empty() {
             let views = state.views.iter().enumerate();
             let views = views.map(|(idx, view)| (idx, idx as u64, view.meta.range, &view.table));
@@ -1683,7 +1668,8 @@ impl<B: Backend> ServeTable<B> {
             state.activity.planned_views += snapshot.num_planned_views() as u64;
             state.activity.candidate_views += state.views.len() as u64;
             if snapshot.num_planned_views() > 0 {
-                state.pending = Some(spawn_alignment_chunked(snapshot, chunking.chunk_updates));
+                let plan = plan_alignment_chunked(&snapshot, chunking.chunk_updates);
+                state.ready.extend(plan.chunks);
             }
         }
         state.round_active = true;
@@ -2128,10 +2114,10 @@ mod tests {
     }
 
     /// Hot-zone churn over 64 views partitioning the domain: at every chunk
-    /// size and planner thread count, epochs pinned mid-round answer like
-    /// the writes' mirror while later chunks publish and a second burst
-    /// queues behind the round in flight, and after each round every
-    /// view's page list equals a rebuild from scratch.
+    /// size, epochs pinned mid-round answer like the writes' mirror while
+    /// later chunks publish and a second burst queues behind the round in
+    /// flight, and after each round every view's page list equals a
+    /// rebuild from scratch.
     fn check_churn_matches_rebuild<B: Backend>(make_backend: impl Fn() -> B) {
         use asv_workloads::{Distribution, UpdateWorkload};
         const PAGES: usize = 64;
@@ -2282,15 +2268,6 @@ mod tests {
                     model[row] = value;
                 }
             }
-            // Let the background planner finish first, so folds and
-            // retires land on the same ticks in every build profile.
-            while table.columns[col]
-                .pending
-                .as_ref()
-                .is_some_and(|pending| !pending.is_finished())
-            {
-                std::thread::yield_now();
-            }
             let rounds = table.align_activity().rounds;
             let was_in_flight = table.round_in_flight(col);
             table.tick().unwrap();
@@ -2439,32 +2416,29 @@ mod tests {
     }
 
     #[test]
-    fn queue_bound_folds_below_the_group_commit_threshold() {
-        // The group-commit threshold is far away, so only the queue bound
-        // of 4 distinct rows can start a round.
+    fn group_commit_idle_counts_distinct_rows_across_pages() {
         let config = AdaptiveConfig::default().with_chunking(
             crate::config::AlignChunking::default()
                 .with_chunk_updates(4)
-                .with_group_commit_idle(1_000)
-                .with_max_queued_writes(4),
+                .with_group_commit_idle(4),
         );
         let mut table = ServeTable::new(SimBackend::new(), config);
         let col = table.add_column(&clustered_values(8)).unwrap();
-        // Rows on two pages: the bound counts distinct rows of the whole
-        // column, and a repeated row does not count twice.
+        // Rows on two pages: the threshold counts distinct rows of the
+        // whole column, and a repeated row does not count twice.
         for row in [0, VALUES_PER_PAGE, 1, VALUES_PER_PAGE] {
             table.try_write(col, row, 700_000 + row as u64).unwrap();
             table.tick().unwrap();
             assert!(
                 !table.round_in_flight(col),
-                "below the queue bound no round starts"
+                "below the threshold no round starts"
             );
         }
         table.try_write(col, 2 * VALUES_PER_PAGE, 700_003).unwrap();
         table.tick().unwrap();
         assert!(
             table.round_in_flight(col),
-            "the queue reached its bound of distinct rows"
+            "the queue reached the threshold of distinct rows"
         );
         table.quiesce().unwrap();
     }

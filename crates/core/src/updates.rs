@@ -18,9 +18,10 @@
 //!    pages are added and removed.
 //!
 //! [`align_views_after_updates`] runs the three alignment phases of
-//! [`crate::align`] (snapshot → plan → publish) back-to-back on the calling
-//! thread; [`crate::ServeTable`] runs the same phases with the plan on a
-//! worker thread, so both produce identical view layouts by construction.
+//! [`crate::align`] (snapshot → plan → publish) back-to-back;
+//! [`crate::ServeTable`] runs the same phases, planning when it folds a
+//! batch and publishing the plan one chunk per tick, so both produce
+//! identical view layouts by construction.
 
 use std::time::Duration;
 

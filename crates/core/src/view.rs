@@ -52,28 +52,6 @@ impl<B: Backend> PartialView<B> {
     pub fn covers(&self, query_range: &ValueRange) -> bool {
         self.range.covers(query_range)
     }
-
-    /// Returns `true` if this view's covered range is a subset of `other`'s.
-    pub fn covers_subset_of(&self, other: &ValueRange) -> bool {
-        self.range.is_subset_of(other)
-    }
-
-    /// Returns `true` if this view's covered range is a superset of
-    /// `other`'s.
-    pub fn covers_superset_of(&self, other: &ValueRange) -> bool {
-        self.range.covers(other)
-    }
-
-    /// Replaces the covered range (used when a view is re-purposed during
-    /// rebuilds; regular adaptive processing never mutates ranges).
-    pub fn set_range(&mut self, range: ValueRange) {
-        self.range = range;
-    }
-
-    /// Consumes the view, returning its buffer.
-    pub fn into_buffer(self) -> B::View {
-        self.buffer
-    }
 }
 
 impl<B: Backend> std::fmt::Debug for PartialView<B> {
@@ -119,18 +97,5 @@ mod tests {
         assert!(v.covers(&ValueRange::new(20, 30)));
         assert!(v.covers(&ValueRange::new(10, 50)));
         assert!(!v.covers(&ValueRange::new(5, 30)));
-        assert!(v.covers_subset_of(&ValueRange::new(0, 100)));
-        assert!(!v.covers_subset_of(&ValueRange::new(20, 100)));
-        assert!(v.covers_superset_of(&ValueRange::new(20, 30)));
-        assert!(!v.covers_superset_of(&ValueRange::new(0, 30)));
-    }
-
-    #[test]
-    fn range_can_be_replaced_and_buffer_extracted() {
-        let mut v = make_view(ValueRange::new(10, 50), &[1, 2]);
-        v.set_range(ValueRange::new(5, 60));
-        assert_eq!(v.range(), &ValueRange::new(5, 60));
-        let buf = v.into_buffer();
-        assert_eq!(buf.mapped_pages(), 2);
     }
 }

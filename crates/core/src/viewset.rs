@@ -161,17 +161,6 @@ impl<B: Backend> ViewSet<B> {
         }
         ViewMaintenance::Inserted
     }
-
-    /// Total number of physical pages indexed across all partial views
-    /// (pages shared between views are counted once per view).
-    pub fn total_indexed_pages(&self) -> usize {
-        self.partials.iter().map(|v| v.num_pages()).sum()
-    }
-
-    /// The partial view with the given id, if it still exists.
-    pub fn find_by_id(&self, id: u64) -> Option<&PartialView<B>> {
-        self.partials.iter().find(|v| v.id() == id)
-    }
 }
 
 impl<B: Backend> std::fmt::Debug for ViewSet<B> {
@@ -211,7 +200,6 @@ mod tests {
         assert_eq!(set.num_partial_views(), 0);
         assert_eq!(set.max_views(), 10);
         assert!(set.can_create_views());
-        assert_eq!(set.total_indexed_pages(), 0);
         assert!(format!("{set:?}").contains("max_views"));
     }
 
@@ -234,8 +222,6 @@ mod tests {
         assert_eq!(m, ViewMaintenance::Inserted);
         assert_eq!(set.num_partial_views(), 1);
         assert_eq!(set.partial_view(0).unwrap().num_pages(), 3);
-        assert_eq!(set.total_indexed_pages(), 3);
-        assert!(set.find_by_id(0).is_some());
     }
 
     #[test]

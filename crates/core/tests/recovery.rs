@@ -12,9 +12,10 @@
 //! The property, swept across fault kinds × operation indices × torn/short
 //! seeds × chunk sizes × backends: the recovered table's answers are
 //! **bit-identical** to a never-crashed reference execution replaying
-//! exactly the acknowledged batches the journal sealed —
-//! `RecoveryInfo::batches_applied` is always a prefix of the acknowledged
-//! batch log, never a reordering, never a partial batch.
+//! exactly the committed batches — those whose `tick` sealed and fsynced
+//! them — and `RecoveryInfo::batches_applied` is their count: a prefix of
+//! the acknowledged batch log, never a reordering, never a partial batch,
+//! never an acknowledged batch whose seal did not reach disk.
 //!
 //! Streamed-column cells load a column larger than the journal's stream
 //! buffer, whose record reaches the file in several writes, and cut or
@@ -105,6 +106,11 @@ fn crash_and_recover<B: Backend>(
     // enters the log only if `try_write_batch` returned Ok — the
     // write-ahead contract says an Err stages nothing.
     let mut acked: Vec<Vec<(usize, u64)>> = Vec::new();
+    // The acknowledged batches whose tick returned Ok. Every commit seals
+    // and fsyncs (one fsync per seal by default), so these and only these
+    // are on disk behind a seal: a failed seal append leaves no valid seal
+    // and a failed fsync loses everything since the last one.
+    let mut committed = 0usize;
     {
         let durability = DurabilityConfig::new(path).with_fault(fault);
         let mut table =
@@ -136,6 +142,7 @@ fn crash_and_recover<B: Backend>(
                     crashed = true;
                     break;
                 }
+                committed += 1;
             }
         }
         assert!(
@@ -158,12 +165,12 @@ fn crash_and_recover<B: Backend>(
         );
         return;
     }
-    assert!(
-        info.batches_applied <= acked.len(),
-        "{label}: replay can never exceed the acknowledged log"
+    assert_eq!(
+        info.batches_applied, committed,
+        "{label}: recovery replays exactly the committed batches"
     );
     let mut mirror = values.clone();
-    for batch in &acked[..info.batches_applied] {
+    for batch in &acked[..committed] {
         for &(row, value) in batch {
             mirror[row] = value;
         }

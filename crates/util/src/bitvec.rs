@@ -35,13 +35,6 @@ impl BitVec {
         Self { words, len }
     }
 
-    /// Creates a bitvector with `len` bits, all set.
-    pub fn new_all_set(len: usize) -> Self {
-        let mut bv = Self::new(len);
-        bv.set_all();
-        bv
-    }
-
     /// Number of bits in the vector.
     #[inline]
     pub fn len(&self) -> usize {
@@ -103,31 +96,6 @@ impl BitVec {
         let prev = self.get(idx);
         self.set(idx);
         prev
-    }
-
-    /// Sets all bits to one.
-    pub fn set_all(&mut self) {
-        for w in &mut self.words {
-            *w = u64::MAX;
-        }
-        self.mask_tail();
-    }
-
-    /// Clears all bits.
-    pub fn clear_all(&mut self) {
-        for w in &mut self.words {
-            *w = 0;
-        }
-    }
-
-    /// Zeroes the unused bits of the last word so popcounts stay correct.
-    fn mask_tail(&mut self) {
-        let used = self.len % WORD_BITS;
-        if used != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << used) - 1;
-            }
-        }
     }
 
     /// Number of set bits. `O(len / 64)`.
@@ -261,21 +229,6 @@ mod tests {
         assert!(!bv.test_and_set(3));
         assert!(bv.test_and_set(3));
         assert!(bv.get(3));
-    }
-
-    #[test]
-    fn set_all_respects_tail_bits() {
-        let mut bv = BitVec::new(70);
-        bv.set_all();
-        assert_eq!(bv.count_ones(), 70);
-        bv.clear_all();
-        assert_eq!(bv.count_ones(), 0);
-    }
-
-    #[test]
-    fn all_set_constructor() {
-        let bv = BitVec::new_all_set(5);
-        assert_eq!(bv.count_ones(), 5);
     }
 
     #[test]

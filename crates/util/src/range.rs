@@ -130,17 +130,6 @@ impl ValueRange {
         (self.high - self.low).saturating_add(1)
     }
 
-    /// Widens the range so that it additionally covers `v`.
-    #[inline]
-    pub fn extend_to(&mut self, v: u64) {
-        if v < self.low {
-            self.low = v;
-        }
-        if v > self.high {
-            self.high = v;
-        }
-    }
-
     /// Computes the widened covered range of a candidate partial view.
     ///
     /// During adaptive view creation the system records the largest
@@ -237,17 +226,6 @@ mod tests {
         assert!(!a.overlaps(&c));
         assert_eq!(a.intersect(&c), None);
         assert_eq!(a.hull(&c), ValueRange::new(0, 20));
-    }
-
-    #[test]
-    fn extend_to_grows_range() {
-        let mut r = ValueRange::new(10, 20);
-        r.extend_to(15);
-        assert_eq!(r, ValueRange::new(10, 20));
-        r.extend_to(5);
-        assert_eq!(r, ValueRange::new(5, 20));
-        r.extend_to(30);
-        assert_eq!(r, ValueRange::new(5, 30));
     }
 
     #[test]

@@ -103,11 +103,6 @@ impl RunBuilder {
     pub fn finish(&mut self) -> Option<Run> {
         self.current.take()
     }
-
-    /// Returns `true` if a run is currently open.
-    pub fn has_open_run(&self) -> bool {
-        self.current.is_some()
-    }
 }
 
 /// Convenience helper: groups an iterator of page numbers into runs.
@@ -135,9 +130,7 @@ mod tests {
     #[test]
     fn empty_input_produces_no_runs() {
         assert!(group_into_runs(std::iter::empty()).is_empty());
-        let mut rb = RunBuilder::new();
-        assert!(!rb.has_open_run());
-        assert!(rb.finish().is_none());
+        assert!(RunBuilder::new().finish().is_none());
     }
 
     #[test]

@@ -39,13 +39,6 @@ impl Timer {
     pub fn elapsed_ms(&self) -> f64 {
         self.elapsed().as_secs_f64() * 1e3
     }
-
-    /// Restarts the timer and returns the elapsed time up to this point.
-    pub fn lap(&mut self) -> Duration {
-        let e = self.start.elapsed();
-        self.start = Instant::now();
-        e
-    }
 }
 
 /// Running summary statistics over a sequence of samples.
@@ -163,12 +156,10 @@ mod tests {
 
     #[test]
     fn timer_measures_nonzero_time() {
-        let mut t = Timer::start();
+        let t = Timer::start();
         std::hint::black_box((0..1000).sum::<u64>());
         assert!(t.elapsed() >= Duration::ZERO);
         assert!(t.elapsed_ms() >= 0.0);
-        let lap = t.lap();
-        assert!(lap >= Duration::ZERO);
     }
 
     #[test]

@@ -30,27 +30,9 @@ use crate::error::{Result, VmemError};
 use crate::layout::{PAGE_SIZE_BYTES, SLOTS_PER_PAGE};
 use crate::maps::MappingTable;
 
-/// How the backing main-memory file is created.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MemoryFileKind {
-    /// `memfd_create(2)` — an anonymous main-memory file (preferred).
-    Memfd,
-    /// A file created (and immediately unlinked) inside a tmpfs directory,
-    /// e.g. `/dev/shm` (the paper's setup uses a tmpfs mount, §3).
-    Tmpfs(std::path::PathBuf),
-}
-
 /// The mmap-based rewiring backend.
-#[derive(Clone, Debug)]
-pub struct MmapBackend {
-    kind: MemoryFileKind,
-}
-
-impl Default for MmapBackend {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Clone, Debug, Default)]
+pub struct MmapBackend;
 
 static FILE_COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -58,33 +40,19 @@ impl MmapBackend {
     /// Creates a backend that uses `memfd_create`, falling back to `/dev/shm`
     /// if the syscall is unavailable.
     pub fn new() -> Self {
-        Self {
-            kind: MemoryFileKind::Memfd,
-        }
-    }
-
-    /// Creates a backend that places main-memory files in the given tmpfs
-    /// directory (the files are unlinked right after creation).
-    pub fn with_tmpfs_dir(dir: impl Into<std::path::PathBuf>) -> Self {
-        Self {
-            kind: MemoryFileKind::Tmpfs(dir.into()),
-        }
+        Self
     }
 
     fn create_memory_file(&self, bytes: usize) -> Result<libc::c_int> {
-        let fd = match &self.kind {
-            MemoryFileKind::Memfd => {
-                // SAFETY: the name is a NUL-terminated static string;
-                // memfd_create reads it and touches nothing else.
-                let fd = unsafe { libc::memfd_create(c"asv-column".as_ptr(), 0) };
-                if fd >= 0 {
-                    fd
-                } else {
-                    // Kernel without memfd support: fall back to tmpfs.
-                    Self::create_tmpfs_file(std::path::Path::new("/dev/shm"))?
-                }
-            }
-            MemoryFileKind::Tmpfs(dir) => Self::create_tmpfs_file(dir)?,
+        // SAFETY: the name is a NUL-terminated static string; memfd_create
+        // reads it and touches nothing else.
+        let fd = unsafe { libc::memfd_create(c"asv-column".as_ptr(), 0) };
+        let fd = if fd >= 0 {
+            fd
+        } else {
+            // Kernel without memfd support: fall back to an unlinked file
+            // in tmpfs (the paper's setup uses a tmpfs mount, §3).
+            Self::create_tmpfs_file(std::path::Path::new("/dev/shm"))?
         };
         // SAFETY: `fd` is the descriptor opened above, owned by this
         // function until it is returned; ftruncate takes no pointers.
@@ -667,19 +635,22 @@ mod tests {
         assert_eq!(view.mapped_pages(), 1);
     }
 
+    /// The file the backend falls back to where `memfd_create` fails.
     #[test]
     fn tmpfs_backend_works_when_dev_shm_exists() {
-        if !std::path::Path::new("/dev/shm").is_dir() {
+        use std::os::fd::FromRawFd;
+        use std::os::unix::fs::MetadataExt;
+        let dir = std::path::Path::new("/dev/shm");
+        if !dir.is_dir() {
             return; // environment without tmpfs mount
         }
-        let b = MmapBackend::with_tmpfs_dir("/dev/shm");
-        let mut store = b.create_store(2).unwrap();
-        fill_page(&mut store, 1);
-        let mut view = b.reserve_view(&store, 2).unwrap();
-        b.map_run(&store, &mut view, MapRequest::single(0, 1))
-            .unwrap();
-        assert_eq!(view.page(0)[0], 1);
-        assert_eq!(b.name(), "mmap");
+        let fd = MmapBackend::create_tmpfs_file(dir).unwrap();
+        // SAFETY: `fd` was just opened and nothing else owns it.
+        let file = unsafe { std::fs::File::from_raw_fd(fd) };
+        file.set_len(2 * PAGE_SIZE_BYTES as u64).unwrap();
+        let meta = file.metadata().unwrap();
+        assert_eq!(meta.nlink(), 0, "unlinked right after creation");
+        assert_eq!(meta.len(), 2 * PAGE_SIZE_BYTES as u64);
     }
 
     #[test]
