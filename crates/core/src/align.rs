@@ -36,22 +36,18 @@
 //! iteration order — which pins the layout of newly mapped slots to a
 //! single deterministic outcome across runs and chunk sizes.
 //!
-//! # Chunked publishing and the pending-writes queue
+//! # Chunked publishing
 //!
-//! Two pieces serve [`crate::ServeTable`]'s maintenance loop:
-//!
-//! * **Chunked alignment** ([`plan_alignment_chunked`]) splits a large
-//!   batch into consecutive chunks of bounded update count (whole page
-//!   groups are never split) and plans *all* of them in one pass against
-//!   the same evolving shadow mapping tables. Each chunk then publishes as
-//!   its own epoch, so the publish step is bounded by the chunk size —
-//!   concatenating the chunks of a [`ChunkedAlignmentPlan`] reproduces the
-//!   one-chunk plan op-for-op, so every chunk size ends in bit-identical
-//!   layouts.
-//! * **A pending-writes queue** ([`WriteOverlay`]) holds the writes that
-//!   arrive while a round is in flight: reads mask the queued rows and
-//!   substitute the queued values, and the queue drains into the next
-//!   alignment round.
+//! **Chunked alignment** ([`plan_alignment_chunked`]) serves
+//! [`crate::ServeTable`]'s maintenance loop: it splits a large batch into
+//! consecutive chunks of bounded update count (whole page groups are never
+//! split) and plans *all* of them in one pass against the same evolving
+//! shadow mapping tables. Each chunk then publishes as its own epoch, so
+//! the publish step is bounded by the chunk size — concatenating the
+//! chunks of a [`ChunkedAlignmentPlan`] reproduces the one-chunk plan
+//! op-for-op, so every chunk size ends in bit-identical layouts. The
+//! writes that arrive while a round is in flight land in their pages'
+//! copies and queue for the next round (see [`crate::serve`]).
 //!
 //! # Only affected views are aligned
 //!
@@ -73,8 +69,6 @@
 //! still holds the page exactly when the snapshotted table did, and the
 //! column already holds the values the planner would have read.
 
-use std::cell::{Cell, Ref, RefCell};
-use std::collections::HashMap;
 use std::ops::Range;
 use std::time::Duration;
 
@@ -536,135 +530,6 @@ pub fn apply_chunked_plan<B: Backend>(
     Ok(stats)
 }
 
-/// The pending-writes queue of a served column ([`crate::ServeTable`]):
-/// rows written while an alignment round is in flight, visible to reads
-/// through an overlay.
-///
-/// Entries live through two stages:
-///
-/// 1. **Queued** — the write has *not* reached the physical column yet; the
-///    overlay value is the only copy. Scans mask the row and the query
-///    layer answers it from the overlay.
-/// 2. **Aligning** — the queue was drained into an alignment round
-///    ([`WriteOverlay::take_queued`]): the value now lives in the physical
-///    column too, but the partial views are not yet re-aligned with it, so
-///    the row stays masked-and-overlaid until the round's last chunk
-///    publishes ([`WriteOverlay::retire_aligned`]).
-///
-/// In both stages the overlay carries the acknowledged value, so a read
-/// issued any time between the `write` acknowledgement and the publish of
-/// the round that folds it sees the written value exactly once.
-#[derive(Debug, Default)]
-pub struct WriteOverlay {
-    /// Row → acknowledged value plus stage (`true` = still queued).
-    entries: HashMap<u64, OverlayEntry>,
-    /// Cached mirror of `entries`' keys — the scan exclusion list. New
-    /// rows append unsorted and the cache re-sorts lazily when read
-    /// ([`Self::rows`]), so write ingestion stays O(1) amortized per
-    /// newly-queued row instead of O(queue) for a sorted insert.
-    rows: RefCell<Vec<u64>>,
-    /// `true` while `rows` may be out of ascending order.
-    rows_dirty: Cell<bool>,
-    /// Arrival-ordered log of queued `(row, value)` writes, drained into
-    /// the next alignment round. Repeated writes to a row appear once per
-    /// write here (the alignment's last-write-wins dedup collapses them),
-    /// while `entries` always carries the latest value.
-    log: Vec<(usize, u64)>,
-    /// Entries still queued: the distinct rows of `log`.
-    queued_rows: usize,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct OverlayEntry {
-    value: u64,
-    queued: bool,
-}
-
-impl WriteOverlay {
-    /// Creates an empty overlay.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns `true` if no rows are overlaid.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Number of distinct overlaid rows (queued + aligning).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Number of distinct rows with a write not yet drained into a round
-    /// (repeated writes to one row count once; a row whose earlier write
-    /// is aligning counts again once re-written).
-    pub fn queued_rows(&self) -> usize {
-        self.queued_rows
-    }
-
-    /// The overlaid rows, ascending — the scan exclusion list. Sorts the
-    /// cache lazily if writes arrived since the last read.
-    pub fn rows(&self) -> Ref<'_, Vec<u64>> {
-        if self.rows_dirty.get() {
-            self.rows.borrow_mut().sort_unstable();
-            self.rows_dirty.set(false);
-        }
-        self.rows.borrow()
-    }
-
-    /// Every overlaid `(row, acknowledged value)` pair, ascending by row.
-    pub fn sorted_pairs(&self) -> Vec<(u64, u64)> {
-        let mut pairs: Vec<(u64, u64)> = self
-            .entries
-            .iter()
-            .map(|(&row, entry)| (row, entry.value))
-            .collect();
-        pairs.sort_unstable_by_key(|&(row, _)| row);
-        pairs
-    }
-
-    /// Queues a write of `value` into `row`; a re-write of an overlaid row
-    /// replaces its value.
-    pub fn push(&mut self, row: usize, value: u64) {
-        let key = row as u64;
-        let entry = OverlayEntry {
-            value,
-            queued: true,
-        };
-        match self.entries.insert(key, entry) {
-            None => {
-                self.rows.get_mut().push(key);
-                self.rows_dirty.set(true);
-                self.queued_rows += 1;
-            }
-            Some(previous) => self.queued_rows += usize::from(!previous.queued),
-        }
-        self.log.push((row, value));
-    }
-
-    /// Drains the queued write log for the next alignment round, moving
-    /// every queued entry into the *aligning* stage (it stays overlaid
-    /// until [`Self::retire_aligned`]). Returns the writes in arrival
-    /// order, ready for `Column::write_batch`.
-    pub fn take_queued(&mut self) -> Vec<(usize, u64)> {
-        for entry in self.entries.values_mut() {
-            entry.queued = false;
-        }
-        self.queued_rows = 0;
-        std::mem::take(&mut self.log)
-    }
-
-    /// Retires every *aligning* entry: their rows are now covered by the
-    /// just-published alignment round, so reads no longer need the overlay.
-    /// Entries re-queued since the drain stay.
-    pub fn retire_aligned(&mut self) {
-        self.entries.retain(|_, e| e.queued);
-        let rows = self.rows.get_mut();
-        rows.retain(|r| self.entries.contains_key(r));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -889,39 +754,5 @@ mod tests {
             layout(&sync_col, &sync_views),
             "chunked publishes end bit-identical to one synchronous pass"
         );
-    }
-
-    #[test]
-    fn write_overlay_stages_and_retirement() {
-        let mut overlay = WriteOverlay::new();
-        assert!(overlay.is_empty());
-        overlay.push(10, 100);
-        overlay.push(3, 30);
-        overlay.push(10, 111); // overwrite: same row, newer value
-        assert_eq!(overlay.len(), 2);
-        assert_eq!(overlay.queued_rows(), 2, "a repeated row counts once");
-        assert_eq!(
-            overlay.rows().as_slice(),
-            &[3, 10],
-            "ascending exclusion list"
-        );
-        assert_eq!(overlay.sorted_pairs(), [(3, 30), (10, 111)]);
-
-        // Drain into a round: entries stay visible, log empties.
-        let writes = overlay.take_queued();
-        assert_eq!(writes, vec![(10, 100), (3, 30), (10, 111)]);
-        assert_eq!(overlay.queued_rows(), 0);
-        assert_eq!(overlay.len(), 2, "aligning entries stay overlaid");
-        // A re-queued row survives retirement; the rest retire.
-        overlay.push(3, 33);
-        overlay.push(3, 34);
-        assert_eq!(overlay.queued_rows(), 1, "an aligning row queues again");
-        overlay.retire_aligned();
-        assert_eq!(overlay.rows().as_slice(), &[3]);
-        assert_eq!(overlay.sorted_pairs(), [(3, 34)]);
-        assert_eq!(overlay.queued_rows(), 1);
-        overlay.take_queued();
-        overlay.retire_aligned();
-        assert!(overlay.is_empty());
     }
 }

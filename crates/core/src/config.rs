@@ -57,7 +57,7 @@ impl Default for CreationOptions {
 }
 
 /// Chunking and write-queue knobs of [`crate::ServeTable`]'s alignment
-/// rounds and pending-writes queue ([`crate::align::WriteOverlay`]). An
+/// rounds and its queue of writes awaiting a fold. An
 /// [`crate::AdaptiveColumn`] reads none of them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AlignChunking {

@@ -49,7 +49,7 @@ pub mod zones;
 pub use adaptive::AdaptiveColumn;
 pub use align::{
     apply_chunked_plan, apply_plan, chunk_boundaries, plan_alignment_chunked, snapshot_alignment,
-    AlignmentPlan, AlignmentSnapshot, ChunkedAlignmentPlan, ViewOp, ViewPlan, WriteOverlay,
+    AlignmentPlan, AlignmentSnapshot, ChunkedAlignmentPlan, ViewOp, ViewPlan,
 };
 pub use config::{AdaptiveConfig, AlignChunking, CreationOptions, RoutingMode};
 pub use creation::{build_view_for_range, create_while_scanning};

@@ -34,25 +34,27 @@
 //!   view maps nothing: it is a [`MappingTable`] the maintainer replays
 //!   each published alignment chunk's ops onto, so after the column loads
 //!   serving makes no virtual-memory call,
-//! * the write overlay of the epoch: queued `(row, value)` pairs plus the
-//!   precomputed scan [`ExclusionMasks`] over them,
-//! * **frozen page copies** for every page holding an overlaid row: the
-//!   maintainer folds queued writes into the physical store *while
-//!   readers are scanning*, so any page a fold may write is snapshotted
-//!   into the epoch first and readers substitute the copy for the live
-//!   page ([`ColumnEpoch`] keeps answers identical either way — folded
-//!   rows stay masked-and-overlaid until the round retires them),
+//! * **page copies**: every page written since its last retirement has a
+//!   copy, and a staged write lands in it, so the copy holds the page's
+//!   acknowledged content. Each copy carries the band of the values
+//!   written to the page since it was taken. Readers substitute the copy
+//!   for the live page, which the maintainer folds queued writes into
+//!   *while readers are scanning*. A copy an epoch holds is never written
+//!   again: the next write to the page clones it first, so the epoch
+//!   decides which version of a page a reader sees,
 //! * a [`ZoneStats`] clone: per-zone value bands that order conjunctive
 //!   predicates and let routed reads skip pages (see "Zone bands skip
 //!   routed pages" below).
 //!
 //! # The maintenance loop
 //!
-//! [`ServeTable::try_write`] stages a write: the value enters the overlay, the
-//! row's page is frozen into the copy set, the column's zone bands widen to
-//! cover the new value, and the acknowledgement becomes visible to *new*
-//! pins at the next [`ServeTable::tick`] (which publishes a new epoch).
-//! When a fold starts, the round is snapshotted with
+//! [`ServeTable::try_write`] stages a write: the value lands in its page's
+//! copy (taken from the store on the page's first write since its last
+//! retirement), the copy's band and the column's zone band widen to cover
+//! it, the write queues for the next fold, and the acknowledgement becomes
+//! visible to *new* pins at the next [`ServeTable::tick`] (which publishes
+//! a new epoch). When a fold starts, the queued writes are written to the
+//! store and the round is snapshotted with
 //! [`crate::align::snapshot_alignment`], which keeps only the views whose
 //! range contains an old or a new value of the batch — every other view
 //! keeps its epoch verbatim — and planned on the spot, on the maintenance
@@ -64,22 +66,23 @@
 //! bounded by the chunk size and interleaves with group-commit folding; a
 //! chunk that changes no view publishes nothing and costs no tick. When the
 //! round's last chunk lands (at once, for a round with no view to plan),
-//! the folded rows retire from the overlay and exactly the pages the fold
-//! wrote drop their frozen copies; a page of those that still holds an
-//! overlaid row is re-frozen from the post-fold store, and every other
-//! copy, taken after the fold, already equals the store. New rounds fold the queue only after
+//! the round retires: every page without a write queued since the fold
+//! drops its copy, because the store holds its values and the views are
+//! aligned to them. A page with a queued write keeps its copy, which holds
+//! the writes the store lacks. New rounds fold the queue only after
 //! a **grace check**: every epoch except the current one must be unpinned,
-//! because older epochs may lack page copies for the rows about to be
+//! because older epochs may lack copies of the pages about to be
 //! folded. The fold itself never blocks the writer — if grace has not
 //! elapsed the fold is simply retried on a later tick while writes keep
 //! queueing.
 //!
 //! Within one round all published epochs give bit-identical answers: a
-//! chunk publish only changes *which* pages a view scans (rows folded by
-//! the round stay masked until retirement, and the retire epoch swaps
-//! their source from overlay to store without changing values). This is
-//! what makes the serving layer deterministic: concurrent readers pinning
-//! *different* mid-round epochs still compute identical results.
+//! chunk publish only changes *which* pages a view scans (every page the
+//! round wrote keeps its copy, and joins the routed reads its band meets,
+//! until retirement), and the retire epoch swaps a dropped copy for a store
+//! page holding the same values. This is what makes the serving layer
+//! deterministic: concurrent readers pinning *different* mid-round epochs
+//! still compute identical results.
 //!
 //! # Reads in physical page order
 //!
@@ -88,12 +91,13 @@
 //! multi-view cover (`router::greedy_cover`, the rule [`crate::router`]'s
 //! multi-view mode uses) if it indexes fewer pages than the column,
 //! else every page. The union is a linear merge of the views' sorted page
-//! sets, so a page two views share is scanned once. It is exact because a
-//! view holds every page with a stored value in its range, so the cover's
-//! union holds every qualifying page. Before the page pass the routed list
-//! drops the pages whose zone band misses the range (next section). Row
-//! ids therefore come out of the page scan ascending, and the ascending
-//! overlay hits merge into them in place — no read sorts its rows.
+//! sets, so a page two views share is scanned once. The copied pages whose
+//! band meets the range join the list by the same merge. The list is
+//! exact: a view holds every page with a value in its range as of its last
+//! alignment, and every value written since lies on a copied page, inside
+//! its copy's band. Before the page pass the routed list drops the pages
+//! whose zone band misses the range (next section). Row ids therefore come
+//! out of the page scan ascending — no read sorts or merges its rows.
 //!
 //! # Zone bands skip routed pages
 //!
@@ -103,7 +107,7 @@
 //! the values of every page group, and a routed read skips each page
 //! whose zone band misses the range ([`ZoneStats::page_may_match`])
 //! before touching it. The bands are answer-critical, and sound because
-//! an epoch's bands cover every value it reads from a page:
+//! an epoch's bands cover every value it reads from a page, copy or not:
 //!
 //! * a write widens its zone's band when it is staged, so the epoch that
 //!   acknowledges it already covers the new value;
@@ -113,21 +117,20 @@
 //! * bands never narrow: once the column loads they only widen, so a
 //!   later epoch's band covers everything an earlier one's did.
 //!
-//! Overlaid rows are masked on their pages and answered from the overlay,
-//! so skipping a page loses none of them. A full scan (no route) visits
-//! every page.
+//! A full scan (no route) visits every page.
 //!
 //! # Conjunctive reads, page by page
 //!
 //! Page `i` of every column holds rows `[511 i, 511 i + 511)`, so a
 //! conjunctive read intersects its predicates' routed page sets (a linear
-//! merge) and drops every page of the intersection that some predicate
-//! column's zone band rejects, before it reads a value. It then filters
-//! each remaining page once: the page's slots, minus the rows any
-//! predicate column overlays, narrow by one [`asv_storage::QualifyMask`]
-//! per predicate and the survivors fold straight into the answer. No row
-//! list is built and no row is probed; overlaid rows are evaluated one by
-//! one.
+//! merge; each set holds its column's copied pages the predicate meets)
+//! and drops every page of the intersection that some predicate column's
+//! zone band rejects, before it reads a value. It then filters each
+//! remaining page once: the page's valid slots narrow by one
+//! [`asv_storage::QualifyMask`] per predicate, each read from the column's
+//! copy of the page if it has one, and the survivors fold straight into
+//! the answer. No row list is built and no row is probed or evaluated on
+//! its own.
 //!
 //! # The ingest front door
 //!
@@ -141,20 +144,17 @@
 //! channel, so writes from one writer thread apply in send order.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc, PoisonError, RwLock};
 
 use asv_storage::{
-    copy_values_chunked, Column, ExclusionMasks, PageRef, QualifyMask, ScanKernel, ScanMode,
-    ScanOutput,
+    copy_values_chunked, Column, PageRef, QualifyMask, ScanKernel, ScanMode, ScanOutput,
 };
 use asv_util::{EpochCell, Pinned, Reader, Timer, ValueRange};
 use asv_vmem::{Backend, MappingTable, ViewBuffer, VmemError, VALUES_PER_PAGE};
 
-use crate::align::{
-    plan_alignment_chunked, snapshot_alignment, AlignmentPlan, ViewOp, WriteOverlay,
-};
+use crate::align::{plan_alignment_chunked, snapshot_alignment, AlignmentPlan, ViewOp};
 use crate::config::AdaptiveConfig;
 use crate::creation::page_meets_range;
 use crate::router::{greedy_cover, smallest_cover};
@@ -186,16 +186,14 @@ pub struct ColumnEpoch<B: Backend> {
     /// Partial-view metadata, one entry per installed view; views a chunk
     /// left untouched share their `Arc` across epochs.
     views: Vec<Arc<ViewMeta>>,
-    /// Overlaid `(row, value)` pairs, ascending by row.
-    overlay: Arc<Vec<(u64, u64)>>,
-    /// Scan exclusion masks over the overlaid rows.
-    masks: Arc<ExclusionMasks>,
-    /// Frozen copies of every page holding an overlaid row, as
-    /// `(physical page id, slots)` sorted by page id. A fold may write these
-    /// pages concurrently with readers of this epoch; the copy is the
+    /// The copy of every page written since its last retirement, as
+    /// `(physical page id, band, slots)` sorted by page id. The slots are
+    /// the page's acknowledged content; the band covers every value
+    /// written to the page since the copy was taken. A fold may write
+    /// these pages concurrently with readers of this epoch; the copy is the
     /// race-free source. Sorted so an ascending page walk finds its copies
     /// with a cursor and a point read with a binary search.
-    copies: Vec<(usize, Arc<Vec<u64>>)>,
+    copies: Vec<(usize, ValueRange, Arc<Vec<u64>>)>,
     /// Zone statistics: they order conjunctive predicates and decide which
     /// routed pages a read skips, so they must cover every value this
     /// epoch reads from a page (see the [module docs](self)).
@@ -208,36 +206,48 @@ impl<B: Backend> ColumnEpoch<B> {
         self.num_rows
     }
 
-    /// Number of overlaid (queued or aligning) rows in this epoch.
-    pub fn overlaid_rows(&self) -> usize {
-        self.overlay.len()
-    }
-
-    /// The raw slots of physical page `phys`: the epoch's frozen copy if
-    /// the page holds an overlaid row, the live store page otherwise.
+    /// The raw slots of physical page `phys`: the epoch's copy if the
+    /// page has one, the live store page otherwise.
     fn page_raw(&self, phys: usize) -> &[u64] {
-        match self.copies.binary_search_by_key(&phys, |&(page, _)| page) {
-            Ok(idx) => self.copies[idx].1.as_slice(),
+        match self
+            .copies
+            .binary_search_by_key(&phys, |&(page, _, _)| page)
+        {
+            Ok(idx) => self.copies[idx].2.as_slice(),
             Err(_) => self.full_view.page(phys),
         }
     }
 
-    /// The overlaid value of `row`, if the row is overlaid in this epoch.
-    fn overlay_value(&self, row: u64) -> Option<u64> {
-        self.overlay
-            .binary_search_by_key(&row, |&(r, _)| r)
-            .ok()
-            .map(|idx| self.overlay[idx].1)
-    }
-
-    /// Routing over the frozen view metadata: the ascending physical pages
-    /// a scan of `range` visits, or `None` for a full scan.
+    /// Routing over the frozen view metadata and page copies: the
+    /// ascending physical pages a scan of `range` visits, or `None` for a
+    /// full scan.
     ///
     /// The smallest view covering `range` on its own wins if it beats the
     /// full scan. Otherwise a greedy multi-view cover is used if the union
     /// of its page sets is smaller than the column; the union is a linear
-    /// merge, so a page shared by two views is listed once.
+    /// merge, so a page shared by two views is listed once. Every copied
+    /// page whose band meets `range` joins the views' pages by the same
+    /// merge: the views hold the pages with a value in `range` as of their
+    /// last alignment, and each value written since lies on a copied page,
+    /// inside its band.
     fn route(&self, range: &ValueRange) -> Option<Cow<'_, [usize]>> {
+        let views = self.view_pages(range)?;
+        let written: Vec<usize> = self
+            .copies
+            .iter()
+            .filter(|(_, band, _)| band.overlaps(range))
+            .map(|&(page, _, _)| page)
+            .collect();
+        if written.is_empty() {
+            return Some(views);
+        }
+        Some(Cow::Owned(union_sorted(&views, &written)))
+    }
+
+    /// The views' half of [`Self::route`]: the ascending pages of the
+    /// smallest view covering `range`, else of a greedy multi-view cover,
+    /// or `None` if neither beats a full scan.
+    fn view_pages(&self, range: &ValueRange) -> Option<Cow<'_, [usize]>> {
         let candidates = self.views.iter().map(|v| (v.range, v.phys.len()));
         if let Some((idx, pages)) = smallest_cover(candidates.clone(), range) {
             return (pages < self.num_pages)
@@ -258,7 +268,7 @@ impl<B: Backend> ColumnEpoch<B> {
     /// alongside the pages, so the walk costs one comparison per page plus
     /// one per copy. The slice resolved as one page's successor, to
     /// prefetch, is the page scanned next. Its valid count follows from
-    /// its pageID slot, which frozen copies keep, once it is scanned.
+    /// its pageID slot, which copies keep, once it is scanned.
     fn scan_phys(
         &self,
         kernel: &ScanKernel<'_>,
@@ -271,9 +281,9 @@ impl<B: Backend> ColumnEpoch<B> {
         let resolve = |phys: usize| {
             debug_assert!(prev < Some(phys), "pages are scanned ascending");
             prev = Some(phys);
-            while copies.next_if(|&&(page, _)| page < phys).is_some() {}
-            match copies.next_if(|&&(page, _)| page == phys) {
-                Some((_, copy)) => copy.as_slice(),
+            while copies.next_if(|&&(page, _, _)| page < phys).is_some() {}
+            match copies.next_if(|&&(page, _, _)| page == phys) {
+                Some((_, _, copy)) => copy.as_slice(),
                 None => self.full_view.page(phys),
             }
         };
@@ -285,66 +295,34 @@ impl<B: Backend> ColumnEpoch<B> {
         out
     }
 
-    /// Routed range scan: overlaid rows are masked out of the page scan
-    /// and answered from the overlay, so every acknowledged write counts
-    /// exactly once. Pages are visited in ascending physical order, so
-    /// collected rows come out ascending without a sort.
+    /// Routed range scan. A written page is read from its copy, so every
+    /// acknowledged write counts exactly once. Pages are visited in
+    /// ascending physical order, so collected rows come out ascending
+    /// without a sort.
     ///
     /// A routed page whose zone band misses `range` is skipped
     /// ([`ZoneStats::page_may_match`]): the epoch's bands cover every
-    /// value its pages hold outside the masked rows (see the
-    /// [module docs](self)). A full scan visits every page.
+    /// value its pages and copies hold (see the [module docs](self)). A
+    /// full scan visits every page.
     ///
     /// The page loop hands every page its successor to prefetch
     /// ([`ScanKernel::scan_pages`]).
     fn scan(&self, range: &ValueRange, mode: ScanMode) -> ScanOutput {
-        let mut kernel = ScanKernel::new(*range, mode);
-        if !self.masks.is_empty() {
-            kernel = kernel.with_exclusion_masks(&self.masks);
-        }
-        let mut out = match self.route(range) {
+        let kernel = ScanKernel::new(*range, mode);
+        match self.route(range) {
             Some(pages) => {
                 let may_match = |&page: &usize| self.stats.page_may_match(page, range);
                 self.scan_phys(&kernel, mode, pages.iter().copied().filter(may_match))
             }
             None => self.scan_phys(&kernel, mode, 0..self.num_pages),
-        };
-        self.merge_overlay(range, mode, &mut out);
-        out
-    }
-
-    /// Adds the overlaid rows qualifying under `range` to the masked page
-    /// scan's `out`. The hits are ascending and the scan masked them, so
-    /// collected rows merge in place and stay strictly ascending.
-    fn merge_overlay(&self, range: &ValueRange, mode: ScanMode, out: &mut ScanOutput) {
-        let hits = || {
-            self.overlay
-                .iter()
-                .filter(|&&(_, value)| range.contains(value))
-        };
-        let mut count = 0usize;
-        for &(_, value) in hits() {
-            count += 1;
-            if !matches!(mode, ScanMode::CountOnly) {
-                out.result.sum += value as u128;
-            }
-        }
-        out.result.count += count as u64;
-        if let Some(rows) = out.rows.as_mut() {
-            merge_rows_from_back(rows, count, hits().rev().map(|&(row, _)| row));
         }
     }
 
-    /// Point read of `row`: the overlaid value if queued, the (copy-aware)
-    /// stored value otherwise.
-    fn value(&self, row: usize) -> u64 {
-        assert!(row < self.num_rows, "row {row} out of bounds");
-        if let Some(value) = self.overlay_value(row as u64) {
-            return value;
-        }
-        let page = row / VALUES_PER_PAGE;
-        let slot = row % VALUES_PER_PAGE;
-        self.page_raw(page)[1 + slot]
+    /// Point read of `row` through its page's copy, if it has one; `None`
+    /// past the column's end.
+    fn value(&self, row: usize) -> Option<u64> {
+        let (page, slot) = (row / VALUES_PER_PAGE, row % VALUES_PER_PAGE);
+        (row < self.num_rows).then(|| self.page_raw(page)[1 + slot])
     }
 }
 
@@ -383,36 +361,12 @@ fn union_sorted(a: &[usize], b: &[usize]) -> Vec<usize> {
     out
 }
 
-/// Merges `extra` into the ascending `rows` in place: `extra` yields `n`
-/// ascending row ids, none of them in `rows`, in *descending* order. The
-/// vector grows by `n` and fills from the back, each scanned row moving at
-/// most once, so no second row buffer is needed.
-fn merge_rows_from_back(rows: &mut Vec<u64>, n: usize, extra: impl Iterator<Item = u64>) {
-    let mut unmerged = rows.len();
-    rows.resize(unmerged + n, 0);
-    let mut write = rows.len();
-    for row in extra {
-        let keep = rows[..unmerged].partition_point(|&r| r < row);
-        let moved = unmerged - keep;
-        rows.copy_within(keep..unmerged, write - moved);
-        write -= moved + 1;
-        rows[write] = row;
-        unmerged = keep;
-    }
-    debug_assert_eq!(write, unmerged, "extra yielded exactly n rows");
-    debug_assert!(
-        rows.windows(2).all(|w| w[0] < w[1]),
-        "merged rows strictly ascend"
-    );
-}
-
 impl<B: Backend> std::fmt::Debug for ColumnEpoch<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ColumnEpoch")
             .field("num_rows", &self.num_rows)
             .field("num_views", &self.views.len())
-            .field("overlaid_rows", &self.overlay.len())
-            .field("frozen_pages", &self.copies.len())
+            .field("copied_pages", &self.copies.len())
             .finish()
     }
 }
@@ -552,13 +506,11 @@ impl<B: Backend> Snapshot<B> {
         &self.pinned.columns[col]
     }
 
-    /// Point read of `(col, row)` — overlay-aware and copy-aware.
-    ///
-    /// # Panics
-    /// Panics if `col` is not a column of the pinned epoch or `row` is past
+    /// Point read of `(col, row)`, through the page's copy if it has one:
+    /// `None` if `col` is not a column of the pinned epoch or `row` is past
     /// its end.
-    pub fn value(&self, col: usize, row: usize) -> u64 {
-        self.column(col).value(row)
+    pub fn value(&self, col: usize, row: usize) -> Option<u64> {
+        self.pinned.columns.get(col)?.value(row)
     }
 
     /// Routed range scan of column `col`: count and value checksum of the
@@ -590,9 +542,10 @@ impl<B: Backend> Snapshot<B> {
     /// row checksum ([`ConjunctiveAnswer::from_rows`]).
     ///
     /// One page pass over the intersection of the predicates' routed page
-    /// sets, minus the pages some predicate column's zone band rejects
-    /// (see the [module docs](self)); a predicate no view covers
-    /// contributes every page. Predicates apply in ascending order of
+    /// sets, each holding its column's copied pages the predicate meets,
+    /// minus the pages some predicate column's zone band rejects (see the
+    /// [module docs](self)); a predicate no view covers contributes every
+    /// page. Predicates apply in ascending order of
     /// estimated cardinality, input order breaking ties. A row past the
     /// end of any predicate column qualifies for nothing.
     ///
@@ -616,7 +569,7 @@ impl<B: Backend> Snapshot<B> {
             .iter()
             .filter_map(|(column, range)| column.route(range))
             .reduce(|a, b| Cow::Owned(intersect_sorted(&a, &b)));
-        let mut answer = match routed.as_deref() {
+        match routed.as_deref() {
             Some(pages) => {
                 let pages = &pages[..pages.partition_point(|&page| page < num_pages)];
                 let may_match = |&page: &usize| {
@@ -629,27 +582,14 @@ impl<B: Backend> Snapshot<B> {
                 filter_conjunctive_pages(&preds, num_rows, pages)
             }
             None => filter_conjunctive_pages(&preds, num_rows, 0..num_pages),
-        };
-        let mut overlaid: Vec<u64> = preds
-            .iter()
-            .flat_map(|(column, _)| column.overlay.iter().map(|&(row, _)| row))
-            .filter(|&row| row < num_rows as u64)
-            .collect();
-        overlaid.sort_unstable();
-        overlaid.dedup();
-        let qualifies = |&row: &u64| {
-            let value = |column: &ColumnEpoch<B>| column.value(row as usize);
-            preds.iter().all(|(col, range)| range.contains(value(col)))
-        };
-        overlaid.retain(qualifies);
-        overlaid.into_iter().for_each(|row| answer.add_row(row));
-        answer
+        }
     }
 }
 
 /// The page pass of [`Snapshot::query_conjunctive`] over the ascending
-/// `pages`, all holding rows below `num_rows`. Each predicate column's
-/// next page is prefetched while its current one is filtered.
+/// `pages`, all holding rows below `num_rows`, each read from its copy
+/// where the column has one. Each predicate column's next page is
+/// prefetched while its current one is filtered.
 fn filter_conjunctive_pages<B: Backend>(
     preds: &[(&ColumnEpoch<B>, &ValueRange)],
     num_rows: usize,
@@ -661,11 +601,6 @@ fn filter_conjunctive_pages<B: Backend>(
         let first_row = page * VALUES_PER_PAGE;
         let valid = valid_rows(num_rows, page);
         let mut mask = QualifyMask::valid(valid);
-        for (column, _) in preds {
-            if let Some(overlaid) = column.masks.mask_for(page as u64) {
-                mask.remove(overlaid);
-            }
-        }
         let next = pages.peek().copied();
         for (column, range) in preds {
             if mask.is_empty() {
@@ -712,8 +647,8 @@ struct IngestWrite {
 /// staged by the maintenance thread at the next [`ServeTable::tick`].
 /// Writes from one writer thread apply in send order (per-writer FIFO);
 /// writes to different rows from different writers may interleave
-/// arbitrarily, which is answer-preserving because the overlay is
-/// last-write-wins *per row*.
+/// arbitrarily, which is answer-preserving because a write replaces its
+/// row's value in the page copy: the last write *per row* wins.
 ///
 /// A write naming a missing column or a row past its column's end is
 /// rejected before it is sent. The writer checks against the table's
@@ -802,22 +737,26 @@ struct ColumnState<B: Backend> {
     /// Installed partial views; a view's position is its id in alignment
     /// plans (views are only ever appended).
     views: Vec<ServeView>,
-    overlay: WriteOverlay,
+    /// Writes awaiting the next fold, in arrival order: the fold hands
+    /// them to [`Column::write_batch`], whose last write per row wins.
+    queued: Vec<(usize, u64)>,
+    /// The distinct rows of `queued`: the depth
+    /// [`ServeTable::queued_writes`] reports and the fold threshold
+    /// (`group_commit_idle`) compares.
+    queued_rows: HashSet<usize>,
     stats: ZoneStats,
-    /// Frozen copies of every page holding an overlaid row, mirrored into
-    /// each published epoch (see the copies field of [`ColumnEpoch`]).
+    /// The copy of every page written since its last retirement, with the
+    /// band of the values written to it since, mirrored into each published
+    /// epoch (see the copies field of [`ColumnEpoch`]). A staged write
+    /// lands in its page's copy ([`Self::write_copy`]).
     ///
-    /// Invariant: a copy differs from its live store page only at rows the
-    /// current round folded, and those rows stay overlaid (masked) until
-    /// the round retires. A copy taken before a fold holds pre-fold
-    /// content; one taken after it equals the store, because no other
-    /// fold runs before the round retires. So retirement drops exactly
-    /// the pages of `folded_pages` and keeps every other copy.
-    copies: BTreeMap<usize, Arc<Vec<u64>>>,
-    /// Pages the in-flight round's fold wrote: the keys of `copies` at
-    /// fold time (a fold needs an idle column, so every overlaid row is
-    /// queued and the fold writes all of them). Empty between rounds.
-    folded_pages: Vec<usize>,
+    /// Invariant: a copy differs from its live store page only at queued
+    /// rows. Before a fold the store lacks every queued write; the fold
+    /// writes all of them, so afterwards it lacks only the writes queued
+    /// since. Retirement therefore drops the copy of every page without a
+    /// queued row: the store holds its values and the round has aligned
+    /// the views to them.
+    copies: BTreeMap<usize, (ValueRange, Arc<Vec<u64>>)>,
     /// Planned chunks of the current round awaiting publication, in
     /// publication order; one is published per tick.
     ready: VecDeque<AlignmentPlan>,
@@ -841,14 +780,19 @@ impl<B: Backend> ColumnState<B> {
         self.ready.is_empty() && !self.round_active
     }
 
-    /// Freezes the current page content of `row`'s page into the copy set
-    /// (first write to the page since the last retirement wins — later
-    /// folds must not be visible through an already-published epoch).
-    fn freeze_page_of(&mut self, row: usize) {
+    /// Writes `value` into the copy of `row`'s page and widens the copy's
+    /// band to cover it. The page is copied from the store on its first
+    /// write since its last retirement. A copy a published epoch still
+    /// holds is cloned before the write (`Arc::make_mut`), so no pinned
+    /// reader sees it.
+    fn write_copy(&mut self, row: usize, value: u64) {
         let page = row / VALUES_PER_PAGE;
-        self.copies
-            .entry(page)
-            .or_insert_with(|| Arc::new(copy_values_chunked(self.column.page_ref(page).raw())));
+        let (band, copy) = self.copies.entry(page).or_insert_with(|| {
+            let slots = copy_values_chunked(self.column.page_ref(page).raw());
+            (ValueRange::point(value), Arc::new(slots))
+        });
+        *band = band.hull(&ValueRange::point(value));
+        Arc::make_mut(copy)[1 + row % VALUES_PER_PAGE] = value;
     }
 
     /// The column's frozen epoch, rebuilt only if something changed since
@@ -857,19 +801,15 @@ impl<B: Backend> ColumnState<B> {
         if let Some(cached) = &self.cached {
             return Arc::clone(cached);
         }
-        let overlay = self.overlay.sorted_pairs();
-        let rows: Vec<u64> = overlay.iter().map(|&(row, _)| row).collect();
         let epoch = Arc::new(ColumnEpoch {
             full_view: self.column.shared_full_view(),
             num_rows: self.column.num_rows(),
             num_pages: self.column.num_pages(),
             views: self.views.iter().map(|v| Arc::clone(&v.meta)).collect(),
-            overlay: Arc::new(overlay),
-            masks: Arc::new(ExclusionMasks::from_rows(rows)),
             copies: self
                 .copies
                 .iter()
-                .map(|(&page, copy)| (page, Arc::clone(copy)))
+                .map(|(&page, (band, copy))| (page, *band, Arc::clone(copy)))
                 .collect(),
             stats: Arc::new(self.stats.clone()),
         });
@@ -877,38 +817,40 @@ impl<B: Backend> ColumnState<B> {
         epoch
     }
 
-    /// Pages whose frozen copy breaks the `copies` invariant: it differs
-    /// from the live store page in the pageID slot or at a row that is not
-    /// overlaid.
+    /// Pages whose copy breaks the `copies` invariant: it differs from the
+    /// live store page in the pageID slot or at a row that is not queued,
+    /// or its band misses the value a queued row holds.
     #[cfg(test)]
     fn inexact_copies(&self) -> Vec<usize> {
-        let overlaid = self.overlay.rows();
         self.copies
             .iter()
-            .filter(|(&page, copy)| {
+            .filter(|(&page, (band, copy))| {
                 let live = self.column.page_ref(page).raw();
-                let first_row = (page * VALUES_PER_PAGE) as u64;
-                copy[0] != live[0]
-                    || (1..live.len()).any(|slot| {
-                        let row = first_row + slot as u64 - 1;
-                        copy[slot] != live[slot] && overlaid.binary_search(&row).is_err()
-                    })
+                let first_row = page * VALUES_PER_PAGE;
+                let inexact = |slot: usize| {
+                    if self.queued_rows.contains(&(first_row + slot - 1)) {
+                        !band.contains(copy[slot])
+                    } else {
+                        copy[slot] != live[slot]
+                    }
+                };
+                copy[0] != live[0] || (1..live.len()).any(inexact)
             })
             .map(|(&page, _)| page)
             .collect()
     }
 
     /// Pages breaking the soundness of the zone bands reads prune with: a
-    /// valid slot of what the next epoch reads for the page — its frozen
-    /// copy if it has one, else the live store page — holds a value its
-    /// zone's band misses. Masked (overlaid) slots count too.
+    /// valid slot of what the next epoch reads for the page — its copy if
+    /// it has one, else the live store page — holds a value its zone's
+    /// band misses.
     #[cfg(test)]
     fn inexact_bands(&self) -> Vec<usize> {
         let num_rows = self.column.num_rows();
         (0..self.column.num_pages())
             .filter(|&page| {
                 let raw = match self.copies.get(&page) {
-                    Some(copy) => copy.as_slice(),
+                    Some((_, copy)) => copy.as_slice(),
                     None => self.column.page_ref(page).raw(),
                 };
                 let zone = self.stats.zone_of_row(page * VALUES_PER_PAGE);
@@ -1243,10 +1185,10 @@ impl<B: Backend> ServeTable<B> {
         let stats = ZoneStats::build(&column);
         let state = ColumnState {
             views: Vec::new(),
-            overlay: WriteOverlay::new(),
+            queued: Vec::new(),
+            queued_rows: HashSet::new(),
             stats,
             copies: BTreeMap::new(),
-            folded_pages: Vec::new(),
             ready: VecDeque::new(),
             round_active: false,
             activity: AlignActivity::default(),
@@ -1274,7 +1216,7 @@ impl<B: Backend> ServeTable<B> {
     /// round's plan predates the view and would leave it misaligned.
     pub fn install_view(&mut self, col: usize, range: ValueRange) -> Result<(), VmemError> {
         let state = &self.columns[column_index(col, self.columns.len())?];
-        if !state.is_idle() || !state.overlay.is_empty() {
+        if !state.is_idle() || !state.queued.is_empty() {
             return Err(VmemError::Unsupported(
                 "install_view requires an idle column (no round in flight, no queued writes)",
             ));
@@ -1345,7 +1287,7 @@ impl<B: Backend> ServeTable<B> {
     /// # Panics
     /// Panics if `col` is not a column of the table.
     pub fn queued_writes(&self, col: usize) -> usize {
-        self.columns[col].overlay.queued_rows()
+        self.columns[col].queued_rows.len()
     }
 
     /// The live zone statistics of column `col`. They order conjunctive
@@ -1404,10 +1346,11 @@ impl<B: Backend> ServeTable<B> {
     fn stage_write(&mut self, col: usize, row: usize, value: u64) {
         let state = &mut self.columns[col];
         debug_assert!(row < state.column.num_rows(), "row {row} out of bounds");
-        state.stats.note_write(row, value);
-        state.freeze_page_of(row);
-        state.overlay.push(row, value);
         state.mark_dirty();
+        state.stats.note_write(row, value);
+        state.write_copy(row, value);
+        state.queued.push((row, value));
+        state.queued_rows.insert(row);
         self.staged = true;
     }
 
@@ -1428,8 +1371,8 @@ impl<B: Backend> ServeTable<B> {
         self.drain_ingest()?;
         self.cell.try_reclaim();
         // Commit-before-fold invariant: every staged acknowledgement is
-        // published (with its masks and page copies) before any fold may
-        // write the store.
+        // published (with its page copies) before any fold may write the
+        // store.
         self.commit()?;
         for idx in 0..self.columns.len() {
             self.advance_column(idx);
@@ -1486,7 +1429,7 @@ impl<B: Backend> ServeTable<B> {
                 && self
                     .columns
                     .iter()
-                    .all(|c| c.is_idle() && c.overlay.is_empty());
+                    .all(|c| c.is_idle() && c.queued.is_empty());
             if drained {
                 break;
             }
@@ -1581,9 +1524,9 @@ impl<B: Backend> ServeTable<B> {
     }
 
     /// The grace condition of a fold: every epoch except the current one
-    /// has been dropped by all readers. Older epochs may lack page copies
-    /// for the rows a fold is about to write, so folding before they die
-    /// would race their readers.
+    /// has been dropped by all readers. Older epochs may lack copies of the
+    /// pages a fold is about to write, so folding before they die would
+    /// race their readers.
     fn grace_elapsed(&mut self) -> bool {
         self.cell.try_reclaim();
         self.prune_history();
@@ -1597,8 +1540,9 @@ impl<B: Backend> ServeTable<B> {
     ///
     /// Chunks publish strictly in order — a view's ops in chunk `k+1`
     /// assume chunk `k`'s layout. A chunk publish only changes which pages
-    /// a view scans, never an answer: rows folded by the round stay masked
-    /// and overlaid until retirement.
+    /// a view scans, never an answer: every page the round folded keeps
+    /// its copy, which routed reads join where its band meets their range,
+    /// until retirement.
     fn advance_column(&mut self, idx: usize) {
         let state = &mut self.columns[idx];
         // A chunk that changes no view publishes nothing and costs no tick.
@@ -1620,21 +1564,18 @@ impl<B: Backend> ServeTable<B> {
         }
     }
 
-    /// Completes a round: folded rows leave the overlay (their values are
-    /// now served from the store through fully aligned views) and the
-    /// pages the fold wrote drop their pre-fold copies. Pages of rows that
-    /// remain overlaid are then frozen from the post-fold store — a no-op
-    /// for a page whose copy was taken after the fold, which already
-    /// equals the store (see the `copies` invariant of [`ColumnState`]).
+    /// Completes a round: every page without a write queued since the
+    /// fold drops its copy, because the store holds its values and the
+    /// views are now aligned to them. A page with a queued write keeps its
+    /// copy, which holds the writes the store lacks (see the `copies`
+    /// invariant of [`ColumnState`]).
     fn retire_round(state: &mut ColumnState<B>) {
-        state.overlay.retire_aligned();
-        for page in state.folded_pages.drain(..) {
-            state.copies.remove(&page);
-        }
-        let rows: Vec<u64> = state.overlay.rows().clone();
-        for row in rows {
-            state.freeze_page_of(row as usize);
-        }
+        let queued_pages: HashSet<usize> = state
+            .queued_rows
+            .iter()
+            .map(|row| row / VALUES_PER_PAGE)
+            .collect();
+        state.copies.retain(|page, _| queued_pages.contains(page));
         state.round_active = false;
         state.mark_dirty();
     }
@@ -1647,16 +1588,15 @@ impl<B: Backend> ServeTable<B> {
         debug_assert!(!self.staged, "fold requires committed acknowledgements");
         let chunking = self.config.chunking;
         let state = &mut self.columns[idx];
-        if !state.is_idle() || state.overlay.queued_rows() == 0 {
+        if !state.is_idle() || state.queued.is_empty() {
             return;
         }
-        let threshold_met = force || state.overlay.len() >= chunking.group_commit_idle.max(1);
+        let threshold_met = force || state.queued_rows.len() >= chunking.group_commit_idle.max(1);
         if !threshold_met {
             return;
         }
-        debug_assert!(state.folded_pages.is_empty(), "one round at a time");
-        state.folded_pages.extend(state.copies.keys());
-        let folded = state.overlay.take_queued();
+        let folded = std::mem::take(&mut state.queued);
+        state.queued_rows.clear();
         let updates = state.column.write_batch(&folded);
         state.activity.rounds += 1;
         // A round with nothing to plan leaves `ready` empty: the next
@@ -1711,10 +1651,7 @@ fn write_checkpoint<B: Backend>(
 ) -> std::io::Result<Journal> {
     wal::rewrite(path, fault, |journal| {
         for (idx, state) in columns.iter().enumerate() {
-            debug_assert!(
-                state.overlay.is_empty(),
-                "checkpoint requires folded overlays"
-            );
+            debug_assert!(state.queued.is_empty(), "checkpoint requires folded writes");
             let column = &state.column;
             let pages: Vec<&[u64]> = (0..column.num_pages())
                 .map(|page| column.page_ref(page).values())
@@ -1822,7 +1759,7 @@ mod tests {
                 );
             }
             for &(row, value) in chunk {
-                assert_eq!(snap.value(col, row), value);
+                assert_eq!(snap.value(col, row), Some(value));
             }
         }
         table.quiesce().unwrap();
@@ -1833,9 +1770,9 @@ mod tests {
                 reference_answer(&mirror, range)
             );
         }
-        // After quiescence nothing is overlaid: answers come from the
+        // After quiescence no page has a copy: answers come from the
         // aligned views and store alone.
-        assert_eq!(snap.column(col).overlaid_rows(), 0);
+        assert!(snap.column(col).copies.is_empty());
     }
 
     #[test]
@@ -1858,8 +1795,8 @@ mod tests {
             "pinned epoch keeps serving the pre-write answer"
         );
         assert_eq!(new.query_range(col, &range).count, before.count - 1);
-        assert_eq!(old.value(col, 0), values[0]);
-        assert_eq!(new.value(col, 0), 999_999);
+        assert_eq!(old.value(col, 0), Some(values[0]));
+        assert_eq!(new.value(col, 0), Some(999_999));
 
         // Superseded epochs reclaim once their pins drop.
         drop(old);
@@ -1945,16 +1882,77 @@ mod tests {
     }
 
     #[test]
+    fn routed_reads_add_the_copied_pages_their_range_meets() {
+        // Page p holds [p*1000, p*1000 + 510]; the view holds pages 5..=9.
+        let mut table = ServeTable::new(SimBackend::new(), serve_config());
+        let values = clustered_values(32);
+        table.add_column(&values).unwrap();
+        let view = ValueRange::new(5_000, 9_400);
+        table.install_view(0, view).unwrap();
+        // Page 20 is written into the view's range, page 21 far past it and
+        // page 7, which the view holds, out of it.
+        let writes = [
+            (20 * VALUES_PER_PAGE + 3, 6_000),
+            (21 * VALUES_PER_PAGE + 9, 900_000),
+            (7 * VALUES_PER_PAGE + 1, 1),
+        ];
+        let mut model = values.clone();
+        for (row, value) in writes {
+            table.try_write(0, row, value).unwrap();
+            model[row] = value;
+        }
+        let check_answers = |table: &ServeTable<SimBackend>, ranges: &[ValueRange]| {
+            let snap = table.handle().pin();
+            for range in ranges {
+                assert_eq!(snap.query_range(0, range), reference_answer(&model, range));
+                let rows: Vec<u64> = (0..model.len() as u64)
+                    .filter(|&row| range.contains(model[row as usize]))
+                    .collect();
+                assert_eq!(snap.collect_rows(0, range), rows, "{range:?}");
+            }
+        };
+        let narrow = ValueRange::new(5_500, 5_999);
+        // Published, not yet folded: page 20's band [6000, 6000] meets the
+        // view's range and joins it; page 21's misses every range here.
+        table.tick().unwrap();
+        assert_eq!(
+            routed_pages(&table, view).as_deref(),
+            Some(&[5, 6, 7, 8, 9, 20][..])
+        );
+        assert_eq!(
+            routed_pages(&table, narrow).as_deref(),
+            Some(&[5, 6, 7, 8, 9][..]),
+            "the band of page 20 misses the range"
+        );
+        check_answers(&table, &[view, narrow]);
+        // Once the round retires, the view holds page 20 itself and no page
+        // keeps a copy.
+        table.quiesce().unwrap();
+        assert!(table.columns[0].copies.is_empty());
+        assert_eq!(
+            routed_pages(&table, view).as_deref(),
+            Some(&[5, 6, 7, 8, 9, 20][..])
+        );
+        check_answers(&table, &[view, narrow]);
+    }
+
+    #[test]
+    fn point_reads_outside_the_table_are_none() {
+        let mut table = ServeTable::new(SimBackend::new(), serve_config());
+        let values: Vec<u64> = (0..VALUES_PER_PAGE as u64 + 5).collect();
+        let col = table.add_column(&values).unwrap();
+        table.try_write(col, values.len() - 1, 77).unwrap();
+        table.tick().unwrap();
+        let snap = table.handle().pin();
+        assert_eq!(snap.value(col, 0), Some(0));
+        assert_eq!(snap.value(col, values.len() - 1), Some(77), "last row");
+        assert_eq!(snap.value(col, values.len()), None, "past the column");
+        assert_eq!(snap.value(col, VALUES_PER_PAGE * 2), None, "past the store");
+        assert_eq!(snap.value(col + 1, 0), None, "missing column");
+    }
+
+    #[test]
     fn sorted_merges_stay_ascending() {
-        let mut rows = vec![2, 5, 9, 14];
-        merge_rows_from_back(&mut rows, 4, [20, 10, 3, 0].into_iter());
-        assert_eq!(rows, [0, 2, 3, 5, 9, 10, 14, 20]);
-        let mut empty = Vec::new();
-        merge_rows_from_back(&mut empty, 2, [7, 1].into_iter());
-        assert_eq!(empty, [1, 7]);
-        let mut untouched = vec![4, 8];
-        merge_rows_from_back(&mut untouched, 0, std::iter::empty());
-        assert_eq!(untouched, [4, 8]);
         assert_eq!(union_sorted(&[1, 3, 5], &[2, 3, 6, 7]), [1, 2, 3, 5, 6, 7]);
         assert_eq!(union_sorted(&[], &[4]), [4]);
     }
@@ -2042,7 +2040,7 @@ mod tests {
         assert!(table.round_in_flight(col), "threshold reached: queue folds");
         // Acknowledged-but-unfolded writes were readable the whole time.
         let snap = table.handle().pin();
-        assert_eq!(snap.value(col, 0), 700_000);
+        assert_eq!(snap.value(col, 0), Some(700_000));
         table.quiesce().unwrap();
     }
 
@@ -2167,7 +2165,8 @@ mod tests {
                 }
                 let mut applied = round.writes.clone();
                 // The next round's writes arrive once this round is in
-                // flight: acknowledged into the overlay, folded afterwards.
+                // flight: acknowledged into their pages' copies, folded
+                // afterwards.
                 let mut burst = Some(&churn[(k + 1) % churn.len()].writes);
                 // The pin of one tick is held across the next, so chunks
                 // publish while a reader sits on an older epoch.
@@ -2230,9 +2229,9 @@ mod tests {
 
     /// Consecutive batches that share a page with the batch before them
     /// and none with the one after, some ticks idle, pins held across fold
-    /// and retire ticks: after every tick each frozen copy equals its live
-    /// store page outside the overlaid rows, and every held pin answers
-    /// like the model of its epoch.
+    /// and retire ticks: after every tick each page copy equals its live
+    /// store page outside the queued rows, and every held pin answers like
+    /// the model of its epoch.
     fn check_copies_stay_exact_across_retire<B: Backend>(backend: B) {
         const PAGES: usize = 16;
         let mut table = ServeTable::new(backend, serve_config());
@@ -2358,7 +2357,7 @@ mod tests {
     fn zone_bands_widen_at_write_acknowledgement() {
         // The band of a written zone covers both the old and the new value
         // *before* the write is folded, so planning and page pruning on any
-        // epoch can rely on the live stats without consulting the overlay.
+        // epoch can rely on the live stats without consulting the copies.
         let mut table = ServeTable::new(SimBackend::new(), serve_config());
         let col = table.add_column(&clustered_values(24)).unwrap();
         let stats = table.zone_stats(col);
@@ -2408,7 +2407,7 @@ mod tests {
             for row in (w..24).step_by(2) {
                 assert_eq!(
                     snap.value(col, row),
-                    1_000_000 * (w as u64 + 1) + 10 * row as u64 + 4,
+                    Some(1_000_000 * (w as u64 + 1) + 10 * row as u64 + 4),
                     "row {row} serves its writer's last write"
                 );
             }
@@ -2470,7 +2469,7 @@ mod tests {
         assert_eq!(table.queued_writes(col), 1, "re-written while aligning");
         table.quiesce().unwrap();
         assert_eq!(table.queued_writes(col), 0);
-        assert_eq!(table.handle().pin().value(col, 5), 4);
+        assert_eq!(table.handle().pin().value(col, 5), Some(4));
     }
 
     #[test]
@@ -2554,7 +2553,7 @@ mod tests {
             snap.query_range(0, &range),
             reference_answer(&mirror, &range)
         );
-        assert_eq!(snap.value(0, 700), mirror[700]);
+        assert_eq!(snap.value(0, 700), Some(mirror[700]));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -2587,8 +2586,8 @@ mod tests {
         assert_eq!(info.batches_applied, 0, "the tail batch is not replayed");
         assert!(info.discarded_bytes > 0, "the tail bytes were discarded");
         let snap = table.handle().pin();
-        assert_eq!(snap.value(0, 42), 123_456, "sealed writes survive");
-        assert_eq!(snap.value(0, 7), mirror[7], "unsealed writes do not");
+        assert_eq!(snap.value(0, 42), Some(123_456), "sealed writes survive");
+        assert_eq!(snap.value(0, 7), Some(mirror[7]), "unsealed writes do not");
         assert_eq!(
             snap.query_range(0, &range),
             reference_answer(&mirror, &range)
@@ -2735,11 +2734,11 @@ mod tests {
         assert_eq!(info.sealed_epoch, kept_seal, "{tag}");
         let snap = table.handle().pin();
         for (col, row, value) in lane_writes.into_iter().chain([(0, 4, 88)]) {
-            assert_eq!(snap.value(col, row), value, "{tag}: {col} {row}");
+            assert_eq!(snap.value(col, row), Some(value), "{tag}: {col} {row}");
         }
         assert_eq!(
             snap.value(0, 6),
-            big[6],
+            Some(big[6]),
             "{tag}: the unsealed write is gone"
         );
         drop(snap);
@@ -2838,7 +2837,7 @@ mod tests {
         )
         .unwrap();
         let snap = table.handle().pin();
-        assert_eq!(snap.value(0, 5), 555, "the sealed write survives");
+        assert_eq!(snap.value(0, 5), Some(555), "the sealed write survives");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -2905,30 +2904,29 @@ mod tests {
 
     #[test]
     fn scans_alternating_frozen_copies_and_live_pages_match_the_model() {
-        // Overlaid rows on every other page: a scan walks frozen copy,
-        // live page, copy, ... and resolves each page's slots once, as
-        // its predecessor's successor. Each page must be scanned from its
-        // own source.
+        // Written rows on every other page: a scan walks page copy, live
+        // page, copy, ... and resolves each page's slots once, as its
+        // predecessor's successor. Each page must be scanned from its own
+        // source.
         let mut table = ServeTable::new(SimBackend::new(), serve_config());
         let pages = 9;
         let values = clustered_values(pages);
         let col = table.add_column(&values).unwrap();
-        let overlaid: Vec<(usize, u64)> = (0..pages)
+        let written: Vec<(usize, u64)> = (0..pages)
             .step_by(2)
             .map(|p| (p * VALUES_PER_PAGE + 7, 3_000 + p as u64))
             .collect();
-        table.try_write_batch(col, &overlaid).unwrap();
+        table.try_write_batch(col, &written).unwrap();
         table.tick().unwrap();
         let snap = table.handle().pin();
         let epoch = snap.column(col);
-        assert_eq!(epoch.overlaid_rows(), overlaid.len());
-        let copied: Vec<usize> = epoch.copies.iter().map(|&(page, _)| page).collect();
+        let copied: Vec<usize> = epoch.copies.iter().map(|&(page, _, _)| page).collect();
         assert_eq!(copied, [0, 2, 4, 6, 8]);
 
-        // Move every live page on under the pinned epoch at a slot it does
-        // not mask: the copied pages must not see it, the others must.
+        // Move every live page on under the pinned epoch at a slot nobody
+        // wrote: the copied pages must not see it, the others must.
         let mut model = values.clone();
-        for &(row, value) in &overlaid {
+        for &(row, value) in &written {
             model[row] = value;
         }
         for page in 0..pages {

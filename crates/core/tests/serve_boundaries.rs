@@ -14,8 +14,8 @@
 //!   rejects the same writes before sending them, also for columns added
 //!   after it was created.
 //! * **Conjunctive reads equal a model**: seeded predicate sets over
-//!   columns of unequal length, with views, overlays and frozen page
-//!   copies live, answer exactly what a plain row-by-row model answers, on
+//!   columns of unequal length, with views and written page copies
+//!   live, answer exactly what a plain row-by-row model answers, on
 //!   both backends. The sets hold one to
 //!   four predicates, over up to four columns (two of them mirrored
 //!   against the first) and repeating a column. A row past any predicate
@@ -214,7 +214,7 @@ fn bad_writes_and_installs_fail_before_journaling() {
     );
     assert_eq!(table.queued_writes(col), 0, "nothing was staged");
     table.tick().unwrap();
-    assert_eq!(table.handle().pin().value(col, 0), values[0]);
+    assert_eq!(table.handle().pin().value(col, 0), Some(values[0]));
     drop(table);
     std::fs::remove_file(&path).unwrap();
 }
@@ -452,8 +452,9 @@ fn check_conjunctive_model<B: Backend>(make_backend: impl Fn() -> B, seed: u64) 
     let mut table = conjunctive_table(make_backend(), &columns);
     let handle = table.handle();
     let fixed = [
-        // The views' page sets intersect to nothing: only the rows
-        // overlaid in `a` below can qualify.
+        // The installed views' page sets intersect to nothing: only the
+        // rows written into `a` below can qualify, found through their
+        // page copies until their round re-aligns the views.
         vec![
             (0, ValueRange::new(0, 2_999)),
             (1, ValueRange::new(0, 2_999)),
@@ -490,7 +491,7 @@ fn check_conjunctive_model<B: Backend>(make_backend: impl Fn() -> B, seed: u64) 
     ];
     let mut state = seed;
     for round in 0..4 {
-        // Most writes go to `a` alone, so most overlaid rows are overlaid
+        // Most writes go to `a` alone, so most written pages have a copy
         // in one predicate column only; some move rows of `a`'s pages 9–11
         // into `a`'s first view range.
         for i in 0..40 {
@@ -510,7 +511,7 @@ fn check_conjunctive_model<B: Backend>(make_backend: impl Fn() -> B, seed: u64) 
             columns[col][row] = value;
         }
         // This tick publishes the writes and folds them into the store;
-        // the pinned epoch reads the folded pages from its frozen copies.
+        // the pinned epoch reads the folded pages from its page copies.
         table.tick().unwrap();
         let pinned = handle.pin();
         for _ in 0..4 {
@@ -535,7 +536,7 @@ fn check_conjunctive_model<B: Backend>(make_backend: impl Fn() -> B, seed: u64) 
         let empty = model_conjunctive(&columns, &fixed[0]);
         assert!(
             empty.count > 0,
-            "the overlay answers the empty intersection"
+            "the written rows answer the empty intersection"
         );
         let four = model_conjunctive(&columns, &fixed[5]);
         assert!(four.count > 0, "four columns still share rows");

@@ -25,9 +25,10 @@
 //!   union of a view cover while writes, alignment and mid-round pins are
 //!   in flight. Collected rows always come out strictly ascending.
 //! * **Round-phase invariance**: a twin that fully quiesces after every
-//!   round (overlay empty, all folds retired) produces the same answers
-//!   as the overlay-serving twin — committed acknowledgements answer
-//!   identically whether they are still overlaid or already folded.
+//!   round (no write queued, all folds retired) produces the same answers
+//!   as the twin serving from page copies — committed acknowledgements
+//!   answer identically whether they still sit in page copies or are
+//!   already folded.
 //! * **Pin consistency**: snapshots pinned mid-round never observe a
 //!   partially published epoch — column count and row counts are always
 //!   complete, per-client generations only move forward, and repeating a
@@ -186,8 +187,8 @@ fn model_answer(mirrors: &[Vec<u64>], read: &ServeReadOp) -> ModelAnswer {
 
 /// Single-threaded twin: stage + commit each round's writes, then answer
 /// every read from one pinned snapshot. With `quiesce_rounds` the twin
-/// additionally drains the overlay completely before reading, so its
-/// answers come from the folded store instead of the overlay.
+/// additionally folds and retires every write before reading, so its
+/// answers come from the folded store instead of the page copies.
 fn run_sequential<B: Backend>(
     backend: B,
     rounds: &[ServeRound],
@@ -419,7 +420,7 @@ fn check_backend<B: Backend>(make_backend: impl Fn() -> B, label: &str, seeds: u
             let quiesced = run_sequential(make_backend(), &rounds, chunk_updates, true);
             assert_eq!(
                 sequential, quiesced,
-                "{ctx}: overlay-serving and fully-folded twins diverge"
+                "{ctx}: copy-serving and fully-folded twins diverge"
             );
             for &(num_clients, num_writers) in &CELLS {
                 let concurrent = run_concurrent(

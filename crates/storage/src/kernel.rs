@@ -36,7 +36,7 @@ use asv_vmem::{Backend, ViewBuffer, VALUES_PER_PAGE};
 
 use crate::column::Column;
 use crate::page::{PageRef, PageScanResult};
-use crate::simd::{ExclusionMasks, PageExclusionMask};
+use crate::simd::ExclusionMasks;
 
 /// What a scan accumulates per qualifying value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -84,19 +84,13 @@ impl ScanOutput {
 }
 
 /// The page-range scan kernel: a query range plus an accumulation mode,
-/// optionally masking a set of *excluded rows* (the overlay-aware read
-/// path: rows with queued-but-unaligned writes are skipped by the scan and
-/// answered from the write queue by the caller).
+/// optionally masking the rows of prebuilt [`ExclusionMasks`].
 #[derive(Clone, Copy, Debug)]
 pub struct ScanKernel<'a> {
     range: ValueRange,
     mode: ScanMode,
-    /// Ascending global row ids the scan must treat as absent. Empty on
+    /// Per-page bitmasks of the rows the scan treats as absent. `None` on
     /// every ordinary scan — the per-page fast paths are untouched then.
-    excluded_rows: &'a [u64],
-    /// Precomputed per-page exclusion bitmasks for `excluded_rows`, when
-    /// the caller holds them (built once per overlay epoch). Without them
-    /// the kernel derives each visited page's mask on the fly.
     excluded_masks: Option<&'a ExclusionMasks>,
 }
 
@@ -106,38 +100,19 @@ impl<'a> ScanKernel<'a> {
         Self {
             range,
             mode,
-            excluded_rows: &[],
             excluded_masks: None,
         }
     }
 
-    /// Masks `rows` (ascending global row ids) from every scanned page:
-    /// excluded rows contribute neither to the aggregate nor to the
-    /// widening bounds nor to the collected row ids.
+    /// Masks the rows of `masks` from every scanned page: excluded rows
+    /// contribute neither to the aggregate nor to the widening bounds nor
+    /// to the collected row ids. Probes ([`Self::probe_page_rows`]) ignore
+    /// the mask.
     ///
-    /// This powers the serving layer's overlay-aware read path: while
-    /// writes are queued during an alignment round, scans skip the
-    /// stored (stale or not-yet-written) values of the queued rows and the
-    /// query layer adds the queued values back afterwards, so every
-    /// acknowledged write is reflected exactly once. Probes
-    /// ([`Self::probe_page_rows`]) ignore the mask — their candidate lists
-    /// are filtered by the caller instead.
-    ///
-    /// Callers that scan the same exclusion set repeatedly should build an
-    /// [`ExclusionMasks`] once and pass it via
-    /// [`Self::with_exclusion_masks`] instead.
-    pub fn with_excluded_rows(mut self, rows: &'a [u64]) -> Self {
-        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows must ascend");
-        self.excluded_rows = rows;
-        self.excluded_masks = None;
-        self
-    }
-
-    /// Like [`Self::with_excluded_rows`], but reusing per-page exclusion
-    /// bitmasks the caller precomputed (once per overlay epoch) instead of
-    /// re-deriving them on every page visit.
+    /// No engine read path masks rows: a served write lands in its page's
+    /// copy (`asv_core::serve`). The masked mode stays because the
+    /// benchmark measures it (`kernel_scan` in `benchmark/src/sut.rs`).
     pub fn with_exclusion_masks(mut self, masks: &'a ExclusionMasks) -> Self {
-        self.excluded_rows = masks.rows();
         self.excluded_masks = Some(masks);
         self
     }
@@ -150,33 +125,6 @@ impl<'a> ScanKernel<'a> {
     /// The accumulation mode.
     pub fn mode(&self) -> ScanMode {
         self.mode
-    }
-
-    /// The rows masked from every scan (empty unless the overlay-aware read
-    /// path is active).
-    pub fn excluded_rows(&self) -> &'a [u64] {
-        self.excluded_rows
-    }
-
-    /// Derives the exclusion bitmask of `page` from the excluded row list,
-    /// if any of its slots are excluded — the path of kernels that carry no
-    /// precomputed [`ExclusionMasks`].
-    fn derive_exclusion_mask(&self, page: &PageRef<'_>) -> Option<PageExclusionMask> {
-        if self.excluded_rows.is_empty() {
-            return None;
-        }
-        let base = page.page_id() * VALUES_PER_PAGE as u64;
-        let end = base + VALUES_PER_PAGE as u64;
-        let lo = self.excluded_rows.partition_point(|&r| r < base);
-        let hi = self.excluded_rows.partition_point(|&r| r < end);
-        if lo == hi {
-            return None;
-        }
-        Some(PageExclusionMask::from_slots(
-            self.excluded_rows[lo..hi]
-                .iter()
-                .map(|&r| (r - base) as usize),
-        ))
     }
 
     /// Scans one page into `out` and returns the page's own result (so
@@ -198,14 +146,9 @@ impl<'a> ScanKernel<'a> {
         next: Option<&[u64]>,
         out: &mut ScanOutput,
     ) -> PageScanResult {
-        let derived;
-        let exclusion = match self.excluded_masks {
-            Some(masks) => masks.mask_for(page.page_id()),
-            None => {
-                derived = self.derive_exclusion_mask(&page);
-                derived.as_ref()
-            }
-        };
+        let exclusion = self
+            .excluded_masks
+            .and_then(|masks| masks.mask_for(page.page_id()));
         let count_only = matches!(self.mode, ScanMode::CountOnly);
         let rows = matches!(self.mode, ScanMode::CollectRows)
             .then(|| out.rows.get_or_insert_with(Vec::new));
@@ -459,12 +402,13 @@ mod tests {
             .filter(|r| !excluded.contains(r) && range.contains(values[*r as usize]))
             .collect();
         let expected_sum: u128 = expected.iter().map(|&r| values[r as usize] as u128).sum();
+        let masks = ExclusionMasks::from_rows(excluded);
         for mode in [
             ScanMode::CountOnly,
             ScanMode::Aggregate,
             ScanMode::CollectRows,
         ] {
-            let kernel = ScanKernel::new(range, mode).with_excluded_rows(&excluded);
+            let kernel = ScanKernel::new(range, mode).with_exclusion_masks(&masks);
             let out = kernel.scan_view(column.full_view(), |raw| column.wrap_view_page(raw));
             assert_eq!(out.result.count, expected.len() as u64, "{mode:?}");
             match mode {
@@ -493,9 +437,9 @@ mod tests {
         // Page 4's maximum (4510) is the widening bound below [5000, 9400];
         // excluding that row must push the bound down to 4509.
         let top_of_page_4 = (4 * VALUES_PER_PAGE + VALUES_PER_PAGE - 1) as u64;
+        let masks = ExclusionMasks::from_rows(vec![top_of_page_4]);
         let kernel = ScanKernel::new(ValueRange::new(5_000, 9_400), ScanMode::Aggregate)
-            .with_excluded_rows(std::slice::from_ref(&top_of_page_4));
-        assert_eq!(kernel.excluded_rows(), &[top_of_page_4]);
+            .with_exclusion_masks(&masks);
         let out = kernel.scan_view(column.full_view(), |raw| column.wrap_view_page(raw));
         assert_eq!(out.below, Some(4_509));
         assert_eq!(out.above, Some(10_000));

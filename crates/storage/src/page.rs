@@ -167,31 +167,7 @@ impl<'a> PageRef<'a> {
         self.filter(None, range, None, false, Some(rows_out))
     }
 
-    /// Filters the page against `range` while treating the slots set in
-    /// `exclusion` as *absent*: excluded slots contribute neither to the
-    /// aggregate nor to the widening bounds nor to the collected rows.
-    ///
-    /// This is the overlay-aware read path: while a served column holds
-    /// queued (not yet aligned) writes, the scan skips the stored values of
-    /// the affected rows entirely and the query layer substitutes the
-    /// queued values afterwards — so answers reflect every acknowledged
-    /// write exactly once. `count_only` skips the checksum accumulation
-    /// (the [`Self::scan_filter_count`] equivalent); `rows_out` enables
-    /// row-id collection (the [`Self::scan_filter_collect`] equivalent).
-    ///
-    /// Exclusion bits beyond the valid value count are ignored (the scan
-    /// never reads those slots).
-    pub fn scan_filter_excluding(
-        &self,
-        range: &ValueRange,
-        exclusion: &PageExclusionMask,
-        count_only: bool,
-        rows_out: Option<&mut Vec<u64>>,
-    ) -> PageScanResult {
-        self.filter(None, range, Some(exclusion), count_only, rows_out)
-    }
-
-    /// All four scan entry points above, and [`crate::ScanKernel`], are
+    /// All three scan entry points above, and [`crate::ScanKernel`], are
     /// this one call into the build of the page filter selected for the
     /// running CPU. The single-page entry points above have no successor;
     /// [`crate::ScanKernel::scan_page`] passes the raw slots of the page a
@@ -320,9 +296,10 @@ impl PageRef<'_> {
         res
     }
 
-    /// Scalar reference of [`Self::scan_filter_excluding`], taking the
-    /// exclusions as ascending value-slot indexes and skipping them with a
-    /// peekable iterator — the shape of the pre-kernel implementation.
+    /// Scalar reference of the masked page filter
+    /// ([`crate::ScanKernel::with_exclusion_masks`]), taking the exclusions
+    /// as ascending value-slot indexes and skipping them with a peekable
+    /// iterator — the shape of the pre-kernel implementation.
     pub fn scan_filter_excluding_scalar(
         &self,
         range: &ValueRange,

@@ -30,9 +30,8 @@
 //!
 //! A conjunctive read filters a page against several columns' predicates
 //! and keeps the slots where all of them hold. [`QualifyMask`] carries those
-//! slots, one bit per value slot in the word layout of
-//! [`PageExclusionMask`], and [`KernelVariant::retain_qualifying`] narrows it
-//! by one predicate. It starts with the lean pass, count only: a page where
+//! slots, one bit per value slot, and [`KernelVariant::retain_qualifying`]
+//! narrows it by one predicate. It starts with the lean pass, count only: a page where
 //! nothing qualifies clears the mask and a page where everything qualifies
 //! keeps it, so only a page in between pays for its bits. Those come out of
 //! a plain loop per 64-slot word (`bits |= qualifies(v) << slot`), which
@@ -65,12 +64,14 @@
 //! The lean pass runs over the page slice *including* its pageID slot, so a
 //! full page is one aligned 512-slot loop without a remainder. What must
 //! not count — the pageID slot, and the slots of a [`PageExclusionMask`]
-//! on the overlay-aware read path — is evaluated again one slot at a time
+//! in the masked scan mode — is evaluated again one slot at a time
 //! afterwards and taken back out of the count and the checksum. Both are
 //! exact integer sums, so adding a contribution and subtracting the same
-//! contribution cancels without error. Exclusions are a handful of slots
-//! on the few pages that carry queued writes; the bounds and compaction
-//! loops, which cannot take anything back, test the mask per value.
+//! contribution cancels without error. The bounds and compaction loops,
+//! which cannot take anything back, test the mask per value. No engine
+//! read path masks slots: a served write lands in its page's copy
+//! (`asv_core::serve`). The masked mode stays because the benchmark
+//! measures it (`kernel_scan` in `benchmark/src/sut.rs`).
 //!
 //! # Exactness
 //!
@@ -123,11 +124,11 @@ pub const LANES: usize = 8;
 const MASK_WORDS: usize = VALUES_PER_PAGE.div_ceil(64);
 
 /// A per-page exclusion bitmask: one bit per value slot, set = the slot is
-/// treated as absent by [`crate::PageRef::scan_filter_excluding`].
+/// treated as absent by a masked scan
+/// ([`crate::ScanKernel::with_exclusion_masks`]).
 ///
-/// This replaces the sorted-slot-list walk of the overlay-aware read path:
-/// the page filter scans the page as if nothing were excluded and takes the
-/// masked slots' contributions back out (see the module docs).
+/// The page filter scans the page as if nothing were excluded and takes
+/// the masked slots' contributions back out (see the module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PageExclusionMask {
     words: [u64; MASK_WORDS],
@@ -169,11 +170,6 @@ impl PageExclusionMask {
         (self.words[slot / 64] >> (slot % 64)) & 1 == 1
     }
 
-    /// Returns `true` if no slot is excluded.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
     /// The excluded slots, ascending.
     pub fn slots(&self) -> impl Iterator<Item = usize> + '_ {
         set_bits(&self.words)
@@ -182,12 +178,10 @@ impl PageExclusionMask {
 
 /// The surviving value slots of one page under a conjunction of range
 /// predicates: one bit per value slot, set = every predicate applied so far
-/// holds there. Same word layout as [`PageExclusionMask`], so clearing a
-/// page's excluded slots is one `AND NOT` per word.
+/// holds there.
 ///
-/// A conjunctive read starts each page from [`Self::valid`], removes the
-/// slots the write overlay answers ([`Self::remove`]) and narrows the mask
-/// once per predicate with [`KernelVariant::retain_qualifying`].
+/// A conjunctive read starts each page from [`Self::valid`] and narrows
+/// the mask once per predicate with [`KernelVariant::retain_qualifying`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QualifyMask {
     words: [u64; MASK_WORDS],
@@ -209,14 +203,6 @@ impl QualifyMask {
             *word = u64::MAX.checked_shr(64 - bits as u32).unwrap_or(0);
         }
         Self { words }
-    }
-
-    /// Clears every slot `excluded` holds.
-    #[inline]
-    pub fn remove(&mut self, excluded: &PageExclusionMask) {
-        for (word, &gone) in self.words.iter_mut().zip(&excluded.words) {
-            *word &= !gone;
-        }
     }
 
     /// Returns `true` if no slot survives.
@@ -246,16 +232,15 @@ fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 }
 
 /// Precomputed per-page exclusion bitmasks for a set of excluded global row
-/// ids — built **once per overlay epoch** instead of re-deriving slot lists
-/// on every page visit of every scan.
-///
-/// The overlay's excluded row set only changes when a write queues a new
-/// row or an alignment round retires rows, so the adaptive layer caches one
-/// `ExclusionMasks` per overlay generation and hands scans a reference
+/// ids, built once and handed to scans by reference
 /// (`ScanKernel::with_exclusion_masks`).
+///
+/// No engine read path excludes rows: a served write lands in its page's
+/// copy (`asv_core::serve`). The masks stay because the benchmark measures
+/// the masked scan mode (`kernel_scan` and `exclusion_masks` in
+/// `benchmark/src/sut.rs`).
 #[derive(Clone, Debug, Default)]
 pub struct ExclusionMasks {
-    rows: Vec<u64>,
     pages: Vec<u64>,
     masks: Vec<PageExclusionMask>,
 }
@@ -276,17 +261,7 @@ impl ExclusionMasks {
             }
             masks.last_mut().expect("pushed above").set(slot);
         }
-        Self { rows, pages, masks }
-    }
-
-    /// The excluded rows, ascending.
-    pub fn rows(&self) -> &[u64] {
-        &self.rows
-    }
-
-    /// Returns `true` if no row is excluded.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        Self { pages, masks }
     }
 
     /// The exclusion mask of `page_id`, if any of its slots are excluded.
@@ -907,16 +882,23 @@ mod tests {
                 let values = random_values(len, &mut state);
                 let raw = raw_page(3, &values);
                 let page = PageRef::new(&raw, len);
-                // Includes slots past `len`, which must clear as well.
-                let excluded = PageExclusionMask::from_slots(
-                    (0..VALUES_PER_PAGE).filter(|_| xorshift(&mut state).is_multiple_of(4)),
+                // A sparse start: the slots of another full page whose value
+                // passes a wide filter, so it includes slots past `len`,
+                // which must clear as well.
+                let other = random_values(VALUES_PER_PAGE, &mut state);
+                let other = raw_page(4, &other);
+                let mut sparse = QualifyMask::valid(VALUES_PER_PAGE);
+                let wide = ValueRange::new(0, 400);
+                variant.retain_qualifying(
+                    &PageRef::new(&other, VALUES_PER_PAGE),
+                    None,
+                    &wide,
+                    &mut sparse,
                 );
-                let mut overlaid = QualifyMask::valid(VALUES_PER_PAGE);
-                overlaid.remove(&excluded);
                 let starts = [
                     QualifyMask::valid(VALUES_PER_PAGE),
                     QualifyMask::valid(len),
-                    overlaid,
+                    sparse,
                     QualifyMask::default(),
                 ];
                 for range in [
@@ -955,10 +937,6 @@ mod tests {
                 (0..len).collect::<Vec<_>>()
             );
         }
-        let mut mask = QualifyMask::valid(100);
-        mask.remove(&PageExclusionMask::from_slots([0, 64, 99, 300]));
-        assert_eq!(mask.slots().count(), 97);
-        assert!(mask.slots().all(|slot| ![0, 64, 99].contains(&slot)));
     }
 
     #[test]
@@ -1112,16 +1090,14 @@ mod tests {
     fn exclusion_masks_index_per_page() {
         let vpp = VALUES_PER_PAGE as u64;
         let rows = vec![3, 5, vpp, 2 * vpp + 7, 2 * vpp + 8];
-        let masks = ExclusionMasks::from_rows(rows.clone());
-        assert_eq!(masks.rows(), &rows[..]);
-        assert!(!masks.is_empty());
+        let masks = ExclusionMasks::from_rows(rows);
         assert!(masks.mask_for(0).unwrap().excluded(3));
         assert!(masks.mask_for(0).unwrap().excluded(5));
         assert!(!masks.mask_for(0).unwrap().excluded(4));
         assert!(masks.mask_for(1).unwrap().excluded(0));
         assert!(masks.mask_for(2).unwrap().excluded(7));
         assert!(masks.mask_for(3).is_none());
-        assert!(ExclusionMasks::from_rows(Vec::new()).is_empty());
+        assert!(ExclusionMasks::from_rows(Vec::new()).mask_for(0).is_none());
     }
 
     #[test]

@@ -40,8 +40,8 @@ struct SimBuffer {
 }
 
 // SAFETY: the upper layers never access the *same page* mutably and in any
-// other way at the same time (the serving layer hands readers frozen copies
-// of pages a fold is about to write; single-threaded code separates scan and
+// other way at the same time (the serving layer hands readers copies of the
+// pages a fold is about to write; single-threaded code separates scan and
 // update phases). Disjoint pages are distinct memory: the buffer never
 // reallocates, so page slices stay valid for its whole lifetime.
 unsafe impl Send for SimBuffer {}

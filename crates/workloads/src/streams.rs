@@ -93,8 +93,9 @@ impl Default for ServeSpec {
 /// zipfian-skewed write bursts.
 ///
 /// The skew models the serving-layer stress case: a hot set of rows keeps
-/// re-queueing into the write overlay while readers scan, so overlay
-/// masking, page freezing and fold retirement all stay exercised.
+/// re-writing pages that already have a copy while readers scan, so copy
+/// clones under pinned epochs, routed reads through copies and fold
+/// retirement all stay exercised.
 #[derive(Clone, Debug)]
 pub struct ServeWorkload {
     seed: u64,
