@@ -4,7 +4,12 @@
 //! Listing 1 (`answerQueryAndMaintainViews`): every range query is routed to
 //! the most fitting view(s), answered by scanning them (skipping shared
 //! pages), and — as a side-product — a new candidate partial view covering
-//! (at least) the query range is materialized and offered to the view index.
+//! (at least) the query range is collected and judged by the view index's
+//! retention policy. On the synchronous creation path the scan only records
+//! the candidate's page runs; the view is reserved and mapped once the
+//! policy admits it, so a discarded candidate makes no `mmap` call. The
+//! concurrent path (Fig. 6's mapping thread) maps during the scan and drops
+//! a discarded candidate after it.
 //! Writes go through the full view, and [`AdaptiveColumn::align_views`]
 //! re-aligns the partial views with a batch of them afterwards (§2.4). The
 //! column has one owner and runs everything on the calling thread; the
@@ -12,7 +17,7 @@
 
 use asv_storage::{Column, ScanKernel, ScanMode, Update};
 use asv_util::{Timer, ValueRange};
-use asv_vmem::{Backend, ViewBuffer, VmemError};
+use asv_vmem::{Backend, VmemError};
 
 use crate::config::{AdaptiveConfig, RoutingMode};
 use crate::creation::create_while_scanning;
@@ -113,6 +118,13 @@ impl<B: Backend> AdaptiveColumn<B> {
 
     /// Answers `query`, adaptively maintaining partial views as a
     /// side-product (Listing 1). Returns the aggregate answer.
+    ///
+    /// The scan collects the candidate view's qualifying pages. Once it
+    /// ends, the candidate's range is widened and the retention policy
+    /// judges it; only a candidate the policy keeps is reserved and mapped
+    /// (synchronous creation), so a discarded one costs no `mmap`. With
+    /// concurrent mapping the candidate is mapped during the scan and a
+    /// discarded one is dropped afterwards.
     pub fn query(&mut self, query: &RangeQuery) -> Result<QueryOutcome, VmemError> {
         let timer = Timer::start();
         let selection = route(
@@ -125,36 +137,52 @@ impl<B: Backend> AdaptiveColumn<B> {
 
         let column = &self.column;
         let views = &self.views;
+        let config = &self.config;
         let kernel = ScanKernel::new(*query.range(), scan_mode(query));
 
+        // The widened range and the policy's verdict on the candidate.
+        let mut judged = None;
         let (candidate, scan) = if create_candidate {
-            let (buffer, scan) = create_while_scanning(column, &self.config.creation, |sink| {
-                scan_selected_views(column, views, &selection, &kernel, Some(sink))
-            })?;
-            (Some(buffer), scan)
+            create_while_scanning(
+                column,
+                &config.creation,
+                |sink| scan_selected_views(column, views, &selection, &kernel, Some(sink)),
+                |scan, candidate_pages| {
+                    // Range widening (Listing 1 lines 13-20): the candidate
+                    // view covers everything strictly between the closest
+                    // non-qualifying values observed around the query
+                    // range, clamped to the covered range of the source
+                    // views.
+                    let widened = widen_candidate_range(
+                        query.range(),
+                        &selection.covered,
+                        scan.below,
+                        scan.above,
+                    );
+                    let verdict = views.judge(
+                        &widened,
+                        candidate_pages,
+                        column.num_pages(),
+                        config.discard_tolerance,
+                        config.replacement_tolerance,
+                    );
+                    judged = Some((widened, verdict));
+                    verdict.admits()
+                },
+            )?
         } else {
             let scan = scan_selected_views(column, views, &selection, &kernel, None)?;
             (None, scan)
         };
 
-        // Range widening (Listing 1 lines 13-20): the candidate view covers
-        // everything strictly between the closest non-qualifying values
-        // observed around the query range, clamped to the covered range of
-        // the source views.
-        let maintenance = if let Some(buffer) = candidate {
-            let widened =
-                widen_candidate_range(query.range(), &selection.covered, scan.below, scan.above);
-            let candidate_pages = buffer.mapped_pages();
-            self.views.offer_candidate(
-                widened,
-                buffer,
-                candidate_pages,
-                self.column.num_pages(),
-                self.config.discard_tolerance,
-                self.config.replacement_tolerance,
-            )
-        } else {
-            ViewMaintenance::NotAttempted
+        let maintenance = match judged {
+            Some((widened, verdict)) => {
+                if let Some(buffer) = candidate {
+                    self.views.admit(verdict, widened, buffer);
+                }
+                verdict.outcome()
+            }
+            None => ViewMaintenance::NotAttempted,
         };
 
         Ok(QueryOutcome {

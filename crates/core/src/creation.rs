@@ -1,8 +1,8 @@
 //! Optimized partial-view creation (paper §2.3).
 //!
 //! View creation happens *while* the source views are scanned: every
-//! qualifying physical page is handed to a [`PageSink`], which materializes
-//! the mapping of the new view. Two optimizations are supported, matching
+//! qualifying physical page is handed to a [`PageSink`], which collects
+//! the pages of the new view. Two optimizations are supported, matching
 //! the paper:
 //!
 //! 1. **Consecutive mapping** — consecutive qualifying physical pages are
@@ -12,8 +12,16 @@
 //!    mapping with scanning. The new view is only handed back (and can only
 //!    be published to the view index) once the mapping thread has drained
 //!    the queue, mirroring the paper's completion signal.
+//!
+//! Once the scan ends, an admission check decides whether the view is kept
+//! (for a query's candidate, the retention policy of Listing 1). The
+//! synchronous path records the runs during the scan and reserves and maps
+//! the view only after admission, so a rejected candidate makes no
+//! `mmap` call at all. The concurrent path maps during the scan — that
+//! overlap is its point — and drops a rejected view after the mapping
+//! thread joins.
 
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Sender};
 
 use asv_storage::Column;
 use asv_util::{Run, RunBuilder};
@@ -21,28 +29,33 @@ use asv_vmem::{Backend, MapRequest, VmemError};
 
 use crate::config::CreationOptions;
 
-/// Receives qualifying physical pages during a scan and materializes the
-/// mapping of the view under construction.
-pub struct PageSink<'a, B: Backend> {
-    mode: SinkMode<'a, B>,
+/// Receives qualifying physical pages during a scan and hands the runs they
+/// form to the view under construction.
+pub struct PageSink {
+    mode: SinkMode,
     runs: RunBuilder,
     coalesce: bool,
     pages_added: usize,
 }
 
-enum SinkMode<'a, B: Backend> {
-    /// Map synchronously on the scanning thread.
-    Sync {
-        backend: &'a B,
-        store: &'a B::Store,
-        view: B::View,
-        next_slot: usize,
-    },
+enum SinkMode {
+    /// Record the runs; they are mapped on the scanning thread once the
+    /// view is admitted.
+    Sync { runs: Vec<Run> },
     /// Send runs to the background mapping thread.
     Concurrent { tx: Sender<Run> },
 }
 
-impl<B: Backend> PageSink<'_, B> {
+impl PageSink {
+    fn new(mode: SinkMode, options: &CreationOptions) -> Self {
+        Self {
+            mode,
+            runs: RunBuilder::new(),
+            coalesce: options.coalesce_runs,
+            pages_added: 0,
+        }
+    }
+
     /// Registers the next qualifying physical page (in scan order).
     pub fn add_page(&mut self, phys_page: u64) -> Result<(), VmemError> {
         self.pages_added += 1;
@@ -66,22 +79,8 @@ impl<B: Backend> PageSink<'_, B> {
 
     fn emit(&mut self, run: Run) -> Result<(), VmemError> {
         match &mut self.mode {
-            SinkMode::Sync {
-                backend,
-                store,
-                view,
-                next_slot,
-            } => {
-                backend.map_run(
-                    store,
-                    view,
-                    MapRequest {
-                        slot: *next_slot,
-                        phys_page: run.start as usize,
-                        len: run.len as usize,
-                    },
-                )?;
-                *next_slot += run.len as usize;
+            SinkMode::Sync { runs } => {
+                runs.push(run);
                 Ok(())
             }
             SinkMode::Concurrent { tx } => tx
@@ -98,18 +97,19 @@ impl<B: Backend> PageSink<'_, B> {
     }
 }
 
-/// Runs the mapping loop of the background mapping thread.
-fn mapping_thread_loop<B: Backend>(
+/// Maps `runs` into consecutive slots of `view` from slot 0, in order: one
+/// `map_run` per run.
+fn map_runs<B: Backend>(
     backend: &B,
     store: &B::Store,
-    mut view: B::View,
-    rx: Receiver<Run>,
-) -> Result<B::View, VmemError> {
+    view: &mut B::View,
+    runs: impl IntoIterator<Item = Run>,
+) -> Result<(), VmemError> {
     let mut next_slot = 0usize;
-    for run in rx {
+    for run in runs {
         backend.map_run(
             store,
-            &mut view,
+            view,
             MapRequest {
                 slot: next_slot,
                 phys_page: run.start as usize,
@@ -118,45 +118,50 @@ fn mapping_thread_loop<B: Backend>(
         )?;
         next_slot += run.len as usize;
     }
-    Ok(view)
+    Ok(())
 }
 
 /// Creates a new partial-view buffer over `column` while the caller scans
-/// the source views.
+/// the source views, and keeps it only if `admit` says so.
 ///
 /// The closure `scan` receives a [`PageSink`]; it must call
 /// [`PageSink::add_page`] for every *qualifying* physical page it
 /// encounters, in scan order, and may return an arbitrary result (typically
-/// the accumulated query answer). The function returns the fully mapped view
-/// buffer together with the closure's result.
+/// the accumulated query answer). Once the scan ends, `admit` sees that
+/// result and the number of pages added and decides whether the view is
+/// kept. The function returns the fully mapped view buffer if it was
+/// admitted, together with the scan's result.
 ///
 /// Depending on `options`, pages are mapped one-by-one or coalesced into
-/// runs, on the scanning thread or on a dedicated mapping thread.
-pub fn create_while_scanning<B, T, F>(
+/// runs. Without concurrent mapping the runs are only recorded during the
+/// scan and mapped on the calling thread after admission, so a rejected
+/// view costs no reservation and no `map_run`. With concurrent mapping a
+/// dedicated thread maps them during the scan, and a rejected view is
+/// dropped once that thread has finished.
+pub fn create_while_scanning<B, T, F, A>(
     column: &Column<B>,
     options: &CreationOptions,
     scan: F,
-) -> Result<(B::View, T), VmemError>
+    admit: A,
+) -> Result<(Option<B::View>, T), VmemError>
 where
     B: Backend,
-    F: FnOnce(&mut PageSink<'_, B>) -> Result<T, VmemError>,
+    F: FnOnce(&mut PageSink) -> Result<T, VmemError>,
+    A: FnOnce(&T, usize) -> bool,
 {
     let backend = column.backend();
     let store = column.store();
-    let view = column.reserve_partial_view()?;
 
     if options.concurrent_mapping {
+        let mut view = column.reserve_partial_view()?;
         let (tx, rx) = channel::<Run>();
-        std::thread::scope(|scope| {
-            let mapper = scope.spawn(move || mapping_thread_loop(backend, store, view, rx));
-            let mut sink = PageSink {
-                mode: SinkMode::Concurrent { tx },
-                runs: RunBuilder::new(),
-                coalesce: options.coalesce_runs,
-                pages_added: 0,
-            };
+        let (view, scanned, pages) = std::thread::scope(|scope| {
+            let mapper =
+                scope.spawn(move || map_runs(backend, store, &mut view, rx).map(|()| view));
+            let mut sink = PageSink::new(SinkMode::Concurrent { tx }, options);
             let scan_result = scan(&mut sink);
             let flush_result = sink.flush();
+            let pages = sink.pages_added;
             // Close the queue so the mapping thread drains and terminates;
             // joining it is the "view is completely mapped" signal.
             drop(sink);
@@ -164,27 +169,23 @@ where
                 .join()
                 .map_err(|_| VmemError::Unsupported("mapping thread panicked"))??;
             flush_result?;
-            Ok((view, scan_result?))
-        })
+            Ok::<_, VmemError>((view, scan_result?, pages))
+        })?;
+        let admitted = admit(&scanned, pages);
+        Ok((admitted.then_some(view), scanned))
     } else {
-        let mut sink = PageSink {
-            mode: SinkMode::Sync {
-                backend,
-                store,
-                view,
-                next_slot: 0,
-            },
-            runs: RunBuilder::new(),
-            coalesce: options.coalesce_runs,
-            pages_added: 0,
-        };
-        let scan_result = scan(&mut sink);
+        let mut sink = PageSink::new(SinkMode::Sync { runs: Vec::new() }, options);
+        let scanned = scan(&mut sink)?;
         sink.flush()?;
-        let view = match sink.mode {
-            SinkMode::Sync { view, .. } => view,
-            SinkMode::Concurrent { .. } => unreachable!("sync sink"),
+        if !admit(&scanned, sink.pages_added) {
+            return Ok((None, scanned));
+        }
+        let SinkMode::Sync { runs } = sink.mode else {
+            unreachable!("sync sink")
         };
-        Ok((view, scan_result?))
+        let mut view = column.reserve_partial_view()?;
+        map_runs(backend, store, &mut view, runs)?;
+        Ok((Some(view), scanned))
     }
 }
 
@@ -210,12 +211,21 @@ pub fn build_view_for_range<B: Backend>(
     range: &asv_util::ValueRange,
     options: &CreationOptions,
 ) -> Result<(B::View, usize), VmemError> {
-    create_while_scanning(column, options, |sink| {
-        (0..column.num_pages())
-            .filter(|&p| page_meets_range(column, p, range))
-            .try_for_each(|page| sink.add_page(page as u64))?;
-        Ok(sink.pages_added())
-    })
+    let (view, pages) = create_while_scanning(
+        column,
+        options,
+        |sink| {
+            (0..column.num_pages())
+                .filter(|&p| page_meets_range(column, p, range))
+                .try_for_each(|page| sink.add_page(page as u64))?;
+            Ok(sink.pages_added())
+        },
+        |_, _| true,
+    )?;
+    Ok((
+        view.expect("an admission that always says yes keeps the view"),
+        pages,
+    ))
 }
 
 #[cfg(test)]
@@ -274,21 +284,26 @@ mod tests {
         let column = clustered_column(SimBackend::new(), 16);
         // Pages 2, 3 and 10 qualify.
         let ranges = [ValueRange::new(2000, 3500), ValueRange::new(10_100, 10_200)];
-        let (view, _) = create_while_scanning(&column, &CreationOptions::ALL, |sink| {
-            for page_idx in 0..column.num_pages() {
-                let page = column.page_ref(page_idx);
-                if page
-                    .values()
-                    .iter()
-                    .any(|v| ranges.iter().any(|r| r.contains(*v)))
-                {
-                    sink.add_page(page_idx as u64)?;
+        let (view, _) = create_while_scanning(
+            &column,
+            &CreationOptions::ALL,
+            |sink| {
+                for page_idx in 0..column.num_pages() {
+                    let page = column.page_ref(page_idx);
+                    if page
+                        .values()
+                        .iter()
+                        .any(|v| ranges.iter().any(|r| r.contains(*v)))
+                    {
+                        sink.add_page(page_idx as u64)?;
+                    }
                 }
-            }
-            Ok(sink.pages_added())
-        })
+                Ok(sink.pages_added())
+            },
+            |_, _| true,
+        )
         .unwrap();
-        assert_eq!(view_page_ids(&column, &view), vec![2, 3, 10]);
+        assert_eq!(view_page_ids(&column, &view.unwrap()), vec![2, 3, 10]);
     }
 
     #[test]
@@ -307,14 +322,46 @@ mod tests {
     #[test]
     fn scan_closure_errors_propagate() {
         let column = clustered_column(SimBackend::new(), 4);
-        let err = create_while_scanning::<_, (), _>(&column, &CreationOptions::NONE, |_| {
-            Err(VmemError::Unsupported("injected failure"))
-        });
-        assert!(err.is_err());
-        let err = create_while_scanning::<_, (), _>(&column, &CreationOptions::CONCURRENT, |_| {
-            Err(VmemError::Unsupported("injected failure"))
-        });
-        assert!(err.is_err());
+        for options in [CreationOptions::NONE, CreationOptions::CONCURRENT] {
+            let err = create_while_scanning::<_, (), _, _>(
+                &column,
+                &options,
+                |_| Err(VmemError::Unsupported("injected failure")),
+                |_, _| true,
+            );
+            assert!(err.is_err(), "options {options:?}");
+        }
+    }
+
+    #[test]
+    fn admission_sees_the_scan_and_a_rejected_view_is_not_returned() {
+        let column = clustered_column(SimBackend::new(), 8);
+        for options in [
+            CreationOptions::NONE,
+            CreationOptions::COALESCED,
+            CreationOptions::CONCURRENT,
+            CreationOptions::ALL,
+        ] {
+            let mut seen = None;
+            let (view, result) = create_while_scanning(
+                &column,
+                &options,
+                |sink| {
+                    for page in [1, 2, 5] {
+                        sink.add_page(page)?;
+                    }
+                    Ok("scanned")
+                },
+                |result, pages| {
+                    seen = Some((*result, pages));
+                    false
+                },
+            )
+            .unwrap();
+            assert!(view.is_none(), "options {options:?}");
+            assert_eq!(result, "scanned", "options {options:?}");
+            assert_eq!(seen, Some(("scanned", 3)), "options {options:?}");
+        }
     }
 
     #[test]
@@ -324,17 +371,22 @@ mod tests {
         let column = clustered_column(SimBackend::new(), 20);
         let pick = |p: u64| p % 3 != 2; // pages 0,1,3,4,6,7,... qualify
         for options in [CreationOptions::NONE, CreationOptions::COALESCED] {
-            let (view, _) = create_while_scanning(&column, &options, |sink| {
-                for page_idx in 0..column.num_pages() as u64 {
-                    if pick(page_idx) {
-                        sink.add_page(page_idx)?;
+            let (view, ()) = create_while_scanning(
+                &column,
+                &options,
+                |sink| {
+                    for page_idx in 0..column.num_pages() as u64 {
+                        if pick(page_idx) {
+                            sink.add_page(page_idx)?;
+                        }
                     }
-                }
-                Ok(())
-            })
+                    Ok(())
+                },
+                |_, _| true,
+            )
             .unwrap();
             let expected: Vec<u64> = (0..20u64).filter(|&p| pick(p)).collect();
-            assert_eq!(view_page_ids(&column, &view), expected);
+            assert_eq!(view_page_ids(&column, &view.unwrap()), expected);
         }
     }
 }

@@ -42,7 +42,7 @@ pub(crate) fn scan_selected_views<B: Backend>(
     views: &ViewSet<B>,
     selection: &RouteSelection,
     kernel: &ScanKernel<'_>,
-    sink: Option<&mut PageSink<'_, B>>,
+    sink: Option<&mut PageSink>,
 ) -> Result<ScanOutput, VmemError> {
     let buffers = selected_buffers(column, views, selection);
     scan_sequential(column, &buffers, kernel, sink)
@@ -59,7 +59,7 @@ fn scan_sequential<B: Backend>(
     column: &Column<B>,
     buffers: &[&B::View],
     kernel: &ScanKernel<'_>,
-    mut sink: Option<&mut PageSink<'_, B>>,
+    mut sink: Option<&mut PageSink>,
 ) -> Result<ScanOutput, VmemError> {
     let num_pages = column.num_pages();
     let mut processed = BitVec::new(num_pages);

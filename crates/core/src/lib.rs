@@ -56,8 +56,8 @@ pub use creation::{build_view_for_range, create_while_scanning};
 pub use query::{QueryExecution, QueryOutcome, RangeQuery, ViewMaintenance};
 pub use router::{route, RouteSelection, ViewId};
 pub use serve::{
-    AlignActivity, ColumnEpoch, ConjunctiveAnswer, DurabilityConfig, RangeAnswer, RecoveryInfo,
-    ServeTable, Snapshot, TableEpoch, TableHandle, TableWriter, ViewMeta,
+    AlignActivity, ConjunctiveAnswer, DurabilityConfig, RangeAnswer, RecoveryInfo, ServeTable,
+    Snapshot, TableHandle, TableWriter, ViewMeta,
 };
 pub use stats::{QueryRecord, SequenceStats};
 pub use updates::{align_views_after_updates, rebuild_all_views, UpdateAlignmentStats};

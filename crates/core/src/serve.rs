@@ -201,11 +201,6 @@ pub struct ColumnEpoch<B: Backend> {
 }
 
 impl<B: Backend> ColumnEpoch<B> {
-    /// Number of rows of the column.
-    pub fn num_rows(&self) -> usize {
-        self.num_rows
-    }
-
     /// The raw slots of physical page `phys`: the epoch's copy if the
     /// page has one, the live store page otherwise.
     fn page_raw(&self, phys: usize) -> &[u64] {
@@ -382,11 +377,6 @@ impl<B: Backend> TableEpoch<B> {
     /// The table generation this epoch was published as.
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Number of columns.
-    pub fn num_columns(&self) -> usize {
-        self.columns.len()
     }
 }
 

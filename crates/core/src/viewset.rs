@@ -111,17 +111,11 @@ impl<B: Backend> ViewSet<B> {
 
     /// Offers a candidate view (covered `range`, mapped `buffer` with
     /// `candidate_pages` pages) to the view index, applying the retention
-    /// policy of Listing 1 lines 21-32.
-    ///
-    /// * The candidate must index strictly fewer pages than the full view
-    ///   (`full_view_pages`), otherwise it is discarded.
-    /// * If it covers a *subset* of an existing partial view while indexing
-    ///   at least `existing - discard_tolerance` pages, it is discarded.
-    /// * If it covers a *superset* of an existing partial view while
-    ///   indexing at most `existing + replacement_tolerance` pages, it
-    ///   replaces that view.
-    /// * Otherwise it is inserted, provided the view limit has not been
-    ///   reached; reaching the limit permanently stops view generation.
+    /// policy of Listing 1 lines 21-32: the candidate is discarded,
+    /// replaces an existing view of similar size that it covers, or is
+    /// inserted while the view limit allows. The decision needs no buffer;
+    /// [`crate::AdaptiveColumn::query`] makes it before mapping its
+    /// candidate.
     #[allow(clippy::too_many_arguments)]
     pub fn offer_candidate(
         &mut self,
@@ -132,34 +126,105 @@ impl<B: Backend> ViewSet<B> {
         discard_tolerance: usize,
         replacement_tolerance: usize,
     ) -> ViewMaintenance {
+        let verdict = self.judge(
+            &range,
+            candidate_pages,
+            full_view_pages,
+            discard_tolerance,
+            replacement_tolerance,
+        );
+        self.admit(verdict, range, buffer);
+        verdict.outcome()
+    }
+
+    /// The retention policy's verdict on a candidate covering `range` and
+    /// indexing `candidate_pages` pages. It needs no buffer, so a candidate
+    /// can be judged before it is mapped.
+    ///
+    /// * The candidate must index strictly fewer pages than the full view
+    ///   (`full_view_pages`), otherwise it is discarded.
+    /// * If it covers a *subset* of an existing partial view while indexing
+    ///   at least `existing - discard_tolerance` pages, it is discarded.
+    /// * If it covers a *superset* of an existing partial view while
+    ///   indexing at most `existing + replacement_tolerance` pages, it
+    ///   replaces that view.
+    /// * Otherwise it is inserted, provided the view limit has not been
+    ///   reached; reaching the limit permanently stops view generation.
+    pub(crate) fn judge(
+        &self,
+        range: &ValueRange,
+        candidate_pages: usize,
+        full_view_pages: usize,
+        discard_tolerance: usize,
+        replacement_tolerance: usize,
+    ) -> Verdict {
         if candidate_pages >= full_view_pages {
-            return ViewMaintenance::DiscardedNotSmaller;
+            return Verdict::Reject(ViewMaintenance::DiscardedNotSmaller);
         }
-        for existing in &mut self.partials {
+        for (idx, existing) in self.partials.iter().enumerate() {
             // Candidate ⊆ existing but not (sufficiently) smaller: reject.
             if range.is_subset_of(existing.range())
                 && candidate_pages + discard_tolerance >= existing.num_pages()
             {
-                return ViewMaintenance::DiscardedSubsumed;
+                return Verdict::Reject(ViewMaintenance::DiscardedSubsumed);
             }
             // Candidate ⊇ existing and of similar size: replace.
             if range.covers(existing.range())
                 && candidate_pages <= existing.num_pages() + replacement_tolerance
             {
-                let id = self.next_id;
-                self.next_id += 1;
-                *existing = PartialView::new(id, range, buffer);
-                return ViewMaintenance::ReplacedExisting;
+                return Verdict::Replace(idx);
             }
         }
         if !self.can_create_views() {
-            return ViewMaintenance::NotAttempted;
+            return Verdict::Reject(ViewMaintenance::NotAttempted);
         }
-        self.insert_unchecked(range, buffer);
-        if self.partials.len() >= self.max_views {
-            self.generation_stopped = true;
+        Verdict::Insert
+    }
+
+    /// Applies `verdict`, which [`Self::judge`] gave on this set, to the
+    /// candidate (`range`, `buffer`). A rejected buffer is dropped.
+    pub(crate) fn admit(&mut self, verdict: Verdict, range: ValueRange, buffer: B::View) {
+        match verdict {
+            Verdict::Reject(_) => {}
+            Verdict::Replace(idx) => {
+                let id = self.next_id;
+                self.next_id += 1;
+                self.partials[idx] = PartialView::new(id, range, buffer);
+            }
+            Verdict::Insert => {
+                self.insert_unchecked(range, buffer);
+                if self.partials.len() >= self.max_views {
+                    self.generation_stopped = true;
+                }
+            }
         }
-        ViewMaintenance::Inserted
+    }
+}
+
+/// The retention policy's decision on a candidate view ([`ViewSet::judge`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Verdict {
+    /// The candidate is not kept; the outcome says why.
+    Reject(ViewMaintenance),
+    /// The candidate replaces the partial view at this position.
+    Replace(usize),
+    /// The candidate becomes a new partial view.
+    Insert,
+}
+
+impl Verdict {
+    /// `true` if the candidate is kept (replaces or is inserted).
+    pub(crate) fn admits(self) -> bool {
+        !matches!(self, Verdict::Reject(_))
+    }
+
+    /// The [`ViewMaintenance`] outcome a query reports for this verdict.
+    pub(crate) fn outcome(self) -> ViewMaintenance {
+        match self {
+            Verdict::Reject(outcome) => outcome,
+            Verdict::Replace(_) => ViewMaintenance::ReplacedExisting,
+            Verdict::Insert => ViewMaintenance::Inserted,
+        }
     }
 }
 

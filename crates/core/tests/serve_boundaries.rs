@@ -31,10 +31,11 @@
 //!   writes move values across view bands (and back) and pins are held
 //!   across folds and retires.
 
+mod common;
+
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 use asv_core::wal::{Journal, WalRecord};
 use asv_core::{
@@ -42,74 +43,9 @@ use asv_core::{
 };
 use asv_storage::Column;
 use asv_util::ValueRange;
-use asv_vmem::{Backend, MapRequest, SimBackend, VmemError, VALUES_PER_PAGE};
+use asv_vmem::{Backend, SimBackend, VmemError, VALUES_PER_PAGE};
 use asv_workloads::{ColumnCorrelation, Distribution, TableWorkload, UpdateWorkload};
-
-/// A [`SimBackend`] that counts the view calls made through it:
-/// `[reserve_view, map_run, truncate_view]`.
-#[derive(Clone)]
-struct CountingBackend {
-    inner: SimBackend,
-    calls: Arc<Mutex<[usize; 3]>>,
-}
-
-impl CountingBackend {
-    fn new() -> Self {
-        Self {
-            inner: SimBackend::new(),
-            calls: Arc::default(),
-        }
-    }
-
-    fn calls(&self) -> [usize; 3] {
-        *self.calls.lock().unwrap()
-    }
-
-    fn count(&self, call: usize) {
-        self.calls.lock().unwrap()[call] += 1;
-    }
-}
-
-impl Backend for CountingBackend {
-    type Store = <SimBackend as Backend>::Store;
-    type View = <SimBackend as Backend>::View;
-
-    fn name(&self) -> &'static str {
-        "counting-sim"
-    }
-
-    fn create_store(&self, num_pages: usize) -> Result<Self::Store, VmemError> {
-        self.inner.create_store(num_pages)
-    }
-
-    fn reserve_view(
-        &self,
-        store: &Self::Store,
-        capacity_pages: usize,
-    ) -> Result<Self::View, VmemError> {
-        self.count(0);
-        self.inner.reserve_view(store, capacity_pages)
-    }
-
-    fn map_run(
-        &self,
-        store: &Self::Store,
-        view: &mut Self::View,
-        req: MapRequest,
-    ) -> Result<(), VmemError> {
-        self.count(1);
-        self.inner.map_run(store, view, req)
-    }
-
-    fn truncate_view(
-        &self,
-        view: &mut Self::View,
-        new_mapped_pages: usize,
-    ) -> Result<(), VmemError> {
-        self.count(2);
-        self.inner.truncate_view(view, new_mapped_pages)
-    }
-}
+use common::CountingBackend;
 
 fn serve_config(chunk_updates: usize) -> AdaptiveConfig {
     AdaptiveConfig::default().with_chunking(
