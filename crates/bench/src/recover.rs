@@ -9,15 +9,13 @@
 //! sealed batch prefix from the same seed and answers a fixed probe-query
 //! set both on the recovered table and on the regenerated values.
 //!
-//! The in-process sweep over fsync policies and chunk sizes lives in
+//! The in-process sweep over fsync policies and fault points lives in
 //! `asv_core`'s `recovery` integration test; the recovery cost is
 //! measured by `benchmark/`'s `durable_ingest` workload.
 
 use std::path::Path;
 
-use asv_core::{
-    AdaptiveConfig, AlignChunking, DurabilityConfig, RecoveryInfo, ServeTable, Snapshot,
-};
+use asv_core::{AdaptiveConfig, DurabilityConfig, RecoveryInfo, ServeTable, Snapshot};
 use asv_util::ValueRange;
 use asv_vmem::{Backend, VmemError, VALUES_PER_PAGE};
 
@@ -124,14 +122,6 @@ fn reference_answers(values: &[u64], domain: u64) -> Vec<RecoverAnswer> {
         .collect()
 }
 
-fn config() -> AdaptiveConfig {
-    AdaptiveConfig::default().with_chunking(
-        AlignChunking::default()
-            .with_chunk_updates(64)
-            .with_group_commit_idle(0),
-    )
-}
-
 fn build_table<B: Backend>(table: &mut ServeTable<B>, scale: &Scale) -> Result<(), VmemError> {
     let values = base_values(scale);
     table.add_column(&values)?;
@@ -165,8 +155,9 @@ pub fn run_ingest<B: Backend>(
     mut on_seal: impl FnMut(usize),
 ) {
     let durability = DurabilityConfig::new(journal);
-    let mut table = ServeTable::with_durability(backend.clone(), config(), durability)
-        .expect("journal creation");
+    let mut table =
+        ServeTable::with_durability(backend.clone(), AdaptiveConfig::default(), durability)
+            .expect("journal creation");
     build_table(&mut table, scale).expect("durable column load");
     let num_rows = scale.recover_pages * VALUES_PER_PAGE;
     for k in 0..batches {
@@ -191,9 +182,12 @@ pub fn run_verify<B: Backend>(
     seed: u64,
     journal: &Path,
 ) -> VerifyOutcome {
-    let (table, info) =
-        ServeTable::recover(backend.clone(), config(), DurabilityConfig::new(journal))
-            .expect("recovery");
+    let (table, info) = ServeTable::recover(
+        backend.clone(),
+        AdaptiveConfig::default(),
+        DurabilityConfig::new(journal),
+    )
+    .expect("recovery");
     let dom = domain(scale);
     let recovered = snapshot_answers(&table.handle().pin(), dom);
     let mut mirror = base_values(scale);

@@ -56,25 +56,15 @@ impl Default for CreationOptions {
     }
 }
 
-/// Chunking and write-queue knobs of [`crate::ServeTable`]'s alignment
-/// rounds and its queue of writes awaiting a fold. An
-/// [`crate::AdaptiveColumn`] reads none of them.
+/// The write-queue knob of [`crate::ServeTable`]: when its queue of
+/// writes awaiting a fold becomes an alignment round. An
+/// [`crate::AdaptiveColumn`] reads none of it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AlignChunking {
-    /// Maximum number of *deduplicated* updates folded into one published
-    /// alignment chunk. A batch larger than this splits into consecutive
-    /// chunks (whole page groups are never split), each planned and
-    /// published as its own epoch — so the publish step is bounded by the
-    /// chunk size, not the batch size. A
-    /// chunk may exceed the bound only when a *single page's* update group
-    /// already does.
-    ///
-    /// `0` disables chunking: the whole batch publishes as one epoch (the
-    /// pre-chunking behaviour, and the default).
-    ///
-    /// The serving layer ([`crate::serve`]) plans a round's chunks on the
-    /// tick that folds it and publishes one chunk per later tick, so this
-    /// bounds the publish work of a tick.
+    /// Read by nothing: a serving table's fold re-aligns every affected
+    /// view's page set at once, and its next tick publishes them in one
+    /// epoch, whatever the batch's size. Stays only because
+    /// `benchmark/src/sut.rs` sets it; ROADMAP item 12(a) deletes it.
     pub chunk_updates: usize,
     /// Group-commit threshold of the serving layer's maintenance loop
     /// ([`crate::serve`]): an *idle* maintenance tick (no alignment round
@@ -88,7 +78,9 @@ pub struct AlignChunking {
 }
 
 impl AlignChunking {
-    /// Builder-style setter for the per-chunk update bound.
+    /// Sets [`Self::chunk_updates`], which nothing reads. Stays only
+    /// because `benchmark/src/sut.rs` calls it; ROADMAP item 12(a) deletes
+    /// it.
     pub fn with_chunk_updates(mut self, chunk_updates: usize) -> Self {
         self.chunk_updates = chunk_updates;
         self
@@ -102,9 +94,10 @@ impl AlignChunking {
 }
 
 /// Configuration of an [`crate::AdaptiveColumn`] or a
-/// [`crate::ServeTable`]. A serving table reads only `chunking`, and an
-/// adaptive column everything else; a serving table's views are installed
-/// explicitly and never mapped.
+/// [`crate::ServeTable`]. A serving table reads only
+/// `chunking.group_commit_idle`, and an adaptive column everything but
+/// `chunking`; a serving table's views are installed explicitly and never
+/// mapped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AdaptiveConfig {
     /// Query routing mode. Ignored by [`crate::ServeTable`].
@@ -131,8 +124,8 @@ pub struct AdaptiveConfig {
     pub adaptive_creation: bool,
     /// View-creation optimizations. Ignored by [`crate::ServeTable`].
     pub creation: CreationOptions,
-    /// Chunking and write-queue knobs of [`crate::ServeTable`]'s alignment
-    /// rounds. Ignored by [`crate::AdaptiveColumn`].
+    /// The write-queue knob of [`crate::ServeTable`]. Ignored by
+    /// [`crate::AdaptiveColumn`].
     pub chunking: AlignChunking,
 }
 
@@ -211,8 +204,7 @@ impl AdaptiveConfig {
         self
     }
 
-    /// Builder-style setter for the serving table's chunking / write-queue
-    /// knobs.
+    /// Builder-style setter for the serving table's write-queue knob.
     pub fn with_chunking(mut self, chunking: AlignChunking) -> Self {
         self.chunking = chunking;
         self
@@ -232,7 +224,7 @@ mod tests {
         assert_eq!(c.replacement_tolerance, 0);
         assert!(c.adaptive_creation);
         assert_eq!(c.creation, CreationOptions::ALL);
-        assert_eq!(c.chunking.chunk_updates, 0, "chunking off by default");
+        assert_eq!(c.chunking.chunk_updates, 0);
         assert_eq!(c.chunking.group_commit_idle, 0, "fold on first idle tick");
     }
 

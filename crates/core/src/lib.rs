@@ -22,8 +22,8 @@
 //! * a **concurrent multi-column serving layer** in which reader threads
 //!   pin epoch-consistent snapshots (userspace RCU) and run range and
 //!   conjunctive queries lock-free while one maintenance thread ingests
-//!   writes, plans each batch's alignment and publishes re-aligned view
-//!   epochs ([`serve`]); conjunctions intersect the
+//!   writes, re-aligns each batch's views' page sets and publishes them
+//!   in the next epoch ([`serve`]); conjunctions intersect the
 //!   predicates' page sets and apply the predicates in the order of their
 //!   zone-statistics estimates ([`zones`]).
 //!
@@ -48,8 +48,8 @@ pub mod zones;
 
 pub use adaptive::AdaptiveColumn;
 pub use align::{
-    apply_chunked_plan, apply_plan, chunk_boundaries, plan_alignment_chunked, snapshot_alignment,
-    AlignmentPlan, AlignmentSnapshot, ChunkedAlignmentPlan, ViewOp, ViewPlan,
+    apply_plan, plan_alignment, snapshot_alignment, AlignmentPlan, AlignmentSnapshot, ViewOp,
+    ViewPlan,
 };
 pub use config::{AdaptiveConfig, AlignChunking, CreationOptions, RoutingMode};
 pub use creation::{build_view_for_range, create_while_scanning};

@@ -11,8 +11,8 @@
 //!   point reads — without taking any lock, and
 //! * **one maintenance thread** owns the [`ServeTable`]: it ingests
 //!   writes, folds the write queue into alignment rounds, publishes
-//!   re-aligned view epochs chunk by chunk, and reclaims superseded epochs
-//!   once the last pinned reader lets go.
+//!   each round's re-aligned views in one epoch, and reclaims superseded
+//!   epochs once the last pinned reader lets go.
 //!
 //! # The epoch protocol
 //!
@@ -31,9 +31,9 @@
 //!   [`Column::from_values`], never remapped: slot `i` is physical page `i`),
 //! * per partial view the **ascending physical page set** it holds
 //!   ([`ViewMeta`]), which readers scan *through the full view*. A served
-//!   view maps nothing: it is a [`MappingTable`] the maintainer replays
-//!   each published alignment chunk's ops onto, so after the column loads
-//!   serving makes no virtual-memory call,
+//!   view maps nothing: it is that page set, which each fold re-aligns in
+//!   place, so after the column loads serving makes no virtual-memory
+//!   call,
 //! * **page copies**: every page written since its last retirement has a
 //!   copy, and a staged write lands in it, so the copy holds the page's
 //!   acknowledged content. Each copy carries the band of the values
@@ -54,50 +54,48 @@
 //! it, the write queues for the next fold, and the acknowledgement becomes
 //! visible to *new* pins at the next [`ServeTable::tick`] (which publishes
 //! a new epoch). When a fold starts, the queued writes are written to the
-//! store and the round is snapshotted with
-//! [`crate::align::snapshot_alignment`], which keeps only the views whose
-//! range contains an old or a new value of the batch — every other view
-//! keeps its epoch verbatim — and planned on the spot, on the maintenance
-//! thread (the loop of the paper's Listing 1 plans inline too, §2.4), in
-//! chunks of at most `AlignChunking::chunk_updates` updates. Readers never
-//! wait on the plan: they keep answering from the epochs they pinned. Each
-//! later tick replays **one planned chunk** onto the views' tables and
-//! publishes the re-sorted page sets, so the per-tick publish work is
-//! bounded by the chunk size and interleaves with group-commit folding; a
-//! chunk that changes no view publishes nothing and costs no tick. When the
-//! round's last chunk lands (at once, for a round with no view to plan),
-//! the round retires: every page without a write queued since the fold
-//! drops its copy, because the store holds its values and the views are
-//! aligned to them. A page with a queued write keeps its copy, which holds
-//! the writes the store lacks. New rounds fold the queue only after
+//! store and, on the maintenance thread (the loop of the paper's Listing 1
+//! aligns inline too, §2.4), every view whose range contains an old or a
+//! new value of the batch re-aligns its page set in place with §2.4's two
+//! page rules ([`crate::align`]): a page that gains a value in the range
+//! joins, a page that loses its last one leaves. Every other view keeps its
+//! set verbatim, and a view that changed gets a fresh [`ViewMeta`], so
+//! pinned epochs keep theirs. Readers never wait on the fold: they keep
+//! answering from the epochs they pinned. The next tick retires the round
+//! and publishes the re-aligned sets with it, in one epoch, so a round
+//! costs two epochs whatever its size: the acknowledgement and the retire.
+//! Retirement drops the copy of every page without a write queued since
+//! the fold, because the store holds its values and the views are aligned
+//! to them. A page with a queued write keeps its copy, which holds the
+//! writes the store lacks. New rounds fold the queue only after
 //! a **grace check**: every epoch except the current one must be unpinned,
 //! because older epochs may lack copies of the pages about to be
 //! folded. The fold itself never blocks the writer — if grace has not
 //! elapsed the fold is simply retried on a later tick while writes keep
 //! queueing.
 //!
-//! Within one round all published epochs give bit-identical answers: a
-//! chunk publish only changes *which* pages a view scans (every page the
+//! Within one round all published epochs give bit-identical answers: the
+//! re-aligned sets only change *which* pages a view scans (every page the
 //! round wrote keeps its copy, and joins the routed reads its band meets,
 //! until retirement), and the retire epoch swaps a dropped copy for a store
 //! page holding the same values. This is what makes the serving layer
 //! deterministic: concurrent readers pinning *different* mid-round epochs
 //! still compute identical results.
 //!
-//! # Reads in physical page order
+//! # Reads in ascending page order
 //!
 //! A routed read visits pages in ascending physical order: the smallest
 //! view covering the range on its own, else the union of a greedy
 //! multi-view cover (`router::greedy_cover`, the rule [`crate::router`]'s
 //! multi-view mode uses) if it indexes fewer pages than the column,
-//! else every page. The union is a linear merge of the views' sorted page
-//! sets, so a page two views share is scanned once. The copied pages whose
-//! band meets the range join the list by the same merge. The list is
-//! exact: a view holds every page with a value in its range as of its last
-//! alignment, and every value written since lies on a copied page, inside
-//! its copy's band. Before the page pass the routed list drops the pages
-//! whose zone band misses the range (next section). Row ids therefore come
-//! out of the page scan ascending — no read sorts or merges its rows.
+//! else every page. Each view's page set is kept sorted, so the union is a
+//! linear merge and a page two views share is scanned once. The copied
+//! pages whose band meets the range join the list by the same merge. The
+//! list is exact: a view holds every page with a value in its range as of
+//! its last alignment, and every value written since lies on a copied page,
+//! inside its copy's band. Before the page pass the routed list drops the
+//! pages whose zone band misses the range (next section). Row ids therefore
+//! come out of the page scan ascending — no read sorts or merges its rows.
 //!
 //! # Zone bands skip routed pages
 //!
@@ -144,17 +142,18 @@
 //! channel, so writes from one writer thread apply in send order.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc, PoisonError, RwLock};
 
 use asv_storage::{
-    copy_values_chunked, Column, PageRef, QualifyMask, ScanKernel, ScanMode, ScanOutput,
+    copy_values_chunked, Column, PageGroups, PageRef, QualifyMask, ScanKernel, ScanMode,
+    ScanOutput, Update,
 };
 use asv_util::{EpochCell, Pinned, Reader, Timer, ValueRange};
-use asv_vmem::{Backend, MappingTable, ViewBuffer, VmemError, VALUES_PER_PAGE};
+use asv_vmem::{Backend, ViewBuffer, VmemError, VALUES_PER_PAGE};
 
-use crate::align::{plan_alignment_chunked, snapshot_alignment, AlignmentPlan, ViewOp};
+use crate::align::realign_pages;
 use crate::config::AdaptiveConfig;
 use crate::creation::page_meets_range;
 use crate::router::{greedy_cover, smallest_cover};
@@ -176,6 +175,18 @@ pub struct ViewMeta {
     pub phys: Vec<usize>,
 }
 
+impl ViewMeta {
+    /// The view of `range` over `column`: every page holding a value in the
+    /// range.
+    fn build<B: Backend>(column: &Column<B>, range: ValueRange) -> Self {
+        let pages = (0..column.num_pages()).filter(|&page| page_meets_range(column, page, &range));
+        Self {
+            range,
+            phys: pages.collect(),
+        }
+    }
+}
+
 /// The frozen per-column state of one epoch.
 pub struct ColumnEpoch<B: Backend> {
     /// The column's own full view (slot `i` = physical page `i`), shared
@@ -183,8 +194,8 @@ pub struct ColumnEpoch<B: Backend> {
     full_view: Arc<B::View>,
     num_rows: usize,
     num_pages: usize,
-    /// Partial-view metadata, one entry per installed view; views a chunk
-    /// left untouched share their `Arc` across epochs.
+    /// Partial-view metadata, one entry per installed view; a view keeps
+    /// its `Arc` across epochs until a fold changes its page set.
     views: Vec<Arc<ViewMeta>>,
     /// The copy of every page written since its last retirement, as
     /// `(physical page id, band, slots)` sorted by page id. The slots are
@@ -676,57 +687,12 @@ impl TableWriter {
     }
 }
 
-/// A served partial view: the slot → page table the planner's ops keep (as
-/// a buffer keeps its own after each rewiring call) and the frozen page set
-/// readers route to. No view buffer is mapped for it.
-struct ServeView {
-    table: MappingTable,
-    meta: Arc<ViewMeta>,
-}
-
-impl ServeView {
-    /// The view of `range` over `column`: every page holding a value in the
-    /// range, in ascending slots.
-    fn build<B: Backend>(column: &Column<B>, range: ValueRange) -> Self {
-        let mut table = MappingTable::new();
-        let pages = (0..column.num_pages()).filter(|&page| page_meets_range(column, page, &range));
-        for (slot, page) in pages.enumerate() {
-            table.insert(slot, page);
-        }
-        let phys = table.iter().map(|(_, page)| page).collect();
-        Self {
-            table,
-            meta: Arc::new(ViewMeta { range, phys }),
-        }
-    }
-
-    /// Replays one chunk's planned `ops` onto the table and rebuilds the
-    /// sorted page set.
-    fn replay(&mut self, ops: &[ViewOp]) {
-        for op in ops {
-            match *op {
-                ViewOp::Map { slot, phys_page } => self.table.insert(slot, phys_page),
-                ViewOp::Truncate { mapped_pages } => self.table.truncate(mapped_pages),
-            }
-        }
-        debug_assert_eq!(
-            self.table.len(),
-            self.table.slot_span(),
-            "planned ops keep a view's slots dense"
-        );
-        self.meta = Arc::new(ViewMeta {
-            range: self.meta.range,
-            phys: self.table.phys_pages_sorted(),
-        });
-    }
-}
-
 /// The maintainer-owned mutable state of one column.
 struct ColumnState<B: Backend> {
     column: Column<B>,
-    /// Installed partial views; a view's position is its id in alignment
-    /// plans (views are only ever appended).
-    views: Vec<ServeView>,
+    /// Installed partial views, in installation order. A fold replaces the
+    /// `Arc` of every view whose page set it changes.
+    views: Vec<Arc<ViewMeta>>,
     /// Writes awaiting the next fold, in arrival order: the fold hands
     /// them to [`Column::write_batch`], whose last write per row wins.
     queued: Vec<(usize, u64)>,
@@ -747,15 +713,12 @@ struct ColumnState<B: Backend> {
     /// queued row: the store holds its values and the round has aligned
     /// the views to them.
     copies: BTreeMap<usize, (ValueRange, Arc<Vec<u64>>)>,
-    /// Planned chunks of the current round awaiting publication, in
-    /// publication order; one is published per tick.
-    ready: VecDeque<AlignmentPlan>,
     /// `true` between a fold and the retirement of its rows.
     round_active: bool,
     /// Cumulative alignment activity (see [`AlignActivity`]).
     activity: AlignActivity,
-    /// Publish latency samples (µs per published chunk), drained by
-    /// [`ServeTable::drain_publish_micros`].
+    /// Re-alignment latency samples (µs per round that changed a view),
+    /// drained by [`ServeTable::drain_publish_micros`].
     publish_micros: Vec<u64>,
     /// Cached epoch of the column, invalidated on any change.
     cached: Option<Arc<ColumnEpoch<B>>>,
@@ -766,8 +729,49 @@ impl<B: Backend> ColumnState<B> {
         self.cached = None;
     }
 
-    fn is_idle(&self) -> bool {
-        self.ready.is_empty() && !self.round_active
+    /// Re-aligns the page set of every view the folded `updates` meet to
+    /// the post-batch store (`realign_pages`, §2.4) and gives each view
+    /// that changed a fresh [`ViewMeta`]: pinned epochs keep the old one,
+    /// and the next published epoch carries the new one.
+    fn realign_views(&mut self, updates: &[Update]) {
+        if self.views.is_empty() {
+            return;
+        }
+        let timer = Timer::start();
+        let groups = PageGroups::new(updates, self.column.num_pages());
+        let mut changed = false;
+        for view in &mut self.views {
+            let range = view.range;
+            let Some(pages) = realign_pages(&self.column, &groups, &range, &view.phys) else {
+                continue;
+            };
+            self.activity.planned_views += 1;
+            if let Cow::Owned(phys) = pages {
+                *view = Arc::new(ViewMeta { range, phys });
+                changed = true;
+            }
+        }
+        self.activity.candidate_views += self.views.len() as u64;
+        if changed {
+            self.publish_micros.push(timer.elapsed().as_micros() as u64);
+            self.mark_dirty();
+        }
+    }
+
+    /// Completes the round in flight: every page without a write queued
+    /// since the fold drops its copy, because the store holds its values
+    /// and the views are aligned to them. A page with a queued write keeps
+    /// its copy, which holds the writes the store lacks (see the `copies`
+    /// invariant).
+    fn retire_round(&mut self) {
+        let queued_pages: HashSet<usize> = self
+            .queued_rows
+            .iter()
+            .map(|row| row / VALUES_PER_PAGE)
+            .collect();
+        self.copies.retain(|page, _| queued_pages.contains(page));
+        self.round_active = false;
+        self.mark_dirty();
     }
 
     /// Writes `value` into the copy of `row`'s page and widens the copy's
@@ -795,7 +799,7 @@ impl<B: Backend> ColumnState<B> {
             full_view: self.column.shared_full_view(),
             num_rows: self.column.num_rows(),
             num_pages: self.column.num_pages(),
-            views: self.views.iter().map(|v| Arc::clone(&v.meta)).collect(),
+            views: self.views.clone(),
             copies: self
                 .copies
                 .iter()
@@ -883,8 +887,9 @@ impl AlignActivity {
 /// loads, view installs, acknowledged write batches — to a write-ahead
 /// journal ([`crate::wal`]) *before* acknowledging it, and seals each
 /// published epoch that journaled one with a [`WalRecord::Seal`]. Epochs
-/// that journal nothing (alignment chunks, round retirements) publish
-/// unsealed: there is nothing new to make durable.
+/// that journal nothing (round retirements, which also publish the
+/// re-aligned views) publish unsealed: there is nothing new to make
+/// durable.
 /// [`ServeTable::recover`] rebuilds the table from the journal alone: the
 /// physical store is reconstructed from the sealed records, so store
 /// flushing is an optimization, never a correctness requirement.
@@ -964,9 +969,10 @@ struct DurableState {
 ///
 /// * [`ServeTable::try_write`] / [`ServeTable::try_write_batch`] (and
 ///   [`TableWriter`]s) stage writes,
-/// * [`ServeTable::tick`] publishes staged acknowledgements, advances
-///   alignment rounds one chunk at a time and folds the queue when the
-///   group-commit threshold and the grace condition allow,
+/// * [`ServeTable::tick`] publishes staged acknowledgements, retires the
+///   round in flight with its re-aligned views and folds the queue into a
+///   new round when the group-commit threshold and the grace condition
+///   allow,
 /// * [`ServeTable::quiesce`] ticks until every queued write is folded,
 ///   aligned and retired (it waits for readers to unpin old epochs).
 pub struct ServeTable<B: Backend> {
@@ -978,8 +984,8 @@ pub struct ServeTable<B: Backend> {
     /// entry is the current epoch.
     history: Vec<Arc<TableEpoch<B>>>,
     generation: u64,
-    /// `true` while un-published changes (staged writes, applied chunks,
-    /// retirements) exist.
+    /// `true` while un-published changes (staged writes, retirements)
+    /// exist.
     staged: bool,
     /// Receiving end of the ingest lane, drained at each tick.
     lane: mpsc::Receiver<IngestWrite>,
@@ -1179,7 +1185,6 @@ impl<B: Backend> ServeTable<B> {
             queued_rows: HashSet::new(),
             stats,
             copies: BTreeMap::new(),
-            ready: VecDeque::new(),
             round_active: false,
             activity: AlignActivity::default(),
             publish_micros: Vec::new(),
@@ -1202,11 +1207,10 @@ impl<B: Backend> ServeTable<B> {
     ///
     /// Views are installed during setup: the call is rejected, before
     /// anything is journaled, for a missing column and while an alignment
-    /// round is in flight or writes are queued, because the in-flight
-    /// round's plan predates the view and would leave it misaligned.
+    /// round is in flight or writes are queued.
     pub fn install_view(&mut self, col: usize, range: ValueRange) -> Result<(), VmemError> {
         let state = &self.columns[column_index(col, self.columns.len())?];
-        if !state.is_idle() || !state.queued.is_empty() {
+        if state.round_active || !state.queued.is_empty() {
             return Err(VmemError::Unsupported(
                 "install_view requires an idle column (no round in flight, no queued writes)",
             ));
@@ -1219,7 +1223,9 @@ impl<B: Backend> ServeTable<B> {
             })
         })?;
         let state = &mut self.columns[col];
-        state.views.push(ServeView::build(&state.column, range));
+        state
+            .views
+            .push(Arc::new(ViewMeta::build(&state.column, range)));
         state.mark_dirty();
         self.staged = true;
         self.commit()
@@ -1298,7 +1304,7 @@ impl<B: Backend> ServeTable<B> {
     /// # Panics
     /// Panics if `col` is not a column of the table.
     pub fn round_in_flight(&self, col: usize) -> bool {
-        !self.columns[col].is_idle()
+        self.columns[col].round_active
     }
 
     /// Stages a write of `value` into `(col, row)`:
@@ -1344,11 +1350,11 @@ impl<B: Backend> ServeTable<B> {
         self.staged = true;
     }
 
-    /// One maintenance step. Publishes staged acknowledgements, advances
-    /// every column's alignment round by at most one chunk, retires
-    /// completed rounds and folds queued writes into new rounds when the
-    /// group-commit threshold is reached and the grace condition holds.
-    /// Never blocks on readers.
+    /// One maintenance step. Publishes staged acknowledgements, retires
+    /// every column's round in flight together with its re-aligned views,
+    /// and folds queued writes into new rounds when the group-commit
+    /// threshold is reached and the grace condition holds. Never blocks on
+    /// readers.
     pub fn tick(&mut self) -> Result<(), VmemError> {
         self.tick_inner(false)
     }
@@ -1364,8 +1370,11 @@ impl<B: Backend> ServeTable<B> {
         // published (with its page copies) before any fold may write the
         // store.
         self.commit()?;
-        for idx in 0..self.columns.len() {
-            self.advance_column(idx);
+        for state in &mut self.columns {
+            if state.round_active {
+                state.retire_round();
+                self.staged = true;
+            }
         }
         self.commit()?;
         if self.grace_elapsed() {
@@ -1419,7 +1428,7 @@ impl<B: Backend> ServeTable<B> {
                 && self
                     .columns
                     .iter()
-                    .all(|c| c.is_idle() && c.queued.is_empty());
+                    .all(|c| !c.round_active && c.queued.is_empty());
             if drained {
                 break;
             }
@@ -1523,85 +1532,26 @@ impl<B: Backend> ServeTable<B> {
         self.history.len() <= 1
     }
 
-    /// Advances column `idx`'s alignment round: publishes its next planned
-    /// chunk that changes a view, retiring the round once no chunk is left.
-    /// Publishing replays the chunk's ops onto each changed view's table
-    /// and rebuilds its sorted page set; nothing is remapped.
-    ///
-    /// Chunks publish strictly in order — a view's ops in chunk `k+1`
-    /// assume chunk `k`'s layout. A chunk publish only changes which pages
-    /// a view scans, never an answer: every page the round folded keeps
-    /// its copy, which routed reads join where its band meets their range,
-    /// until retirement.
-    fn advance_column(&mut self, idx: usize) {
-        let state = &mut self.columns[idx];
-        // A chunk that changes no view publishes nothing and costs no tick.
-        let next = std::iter::from_fn(|| state.ready.pop_front()).find(|c| !c.views.is_empty());
-        if let Some(chunk) = next {
-            let timer = Timer::start();
-            for view_plan in &chunk.views {
-                state.views[view_plan.view_idx].replay(&view_plan.ops);
-            }
-            state
-                .publish_micros
-                .push(timer.elapsed().as_micros() as u64);
-            state.mark_dirty();
-            self.staged = true;
-        }
-        if state.round_active && state.ready.is_empty() {
-            Self::retire_round(state);
-            self.staged = true;
-        }
-    }
-
-    /// Completes a round: every page without a write queued since the
-    /// fold drops its copy, because the store holds its values and the
-    /// views are now aligned to them. A page with a queued write keeps its
-    /// copy, which holds the writes the store lacks (see the `copies`
-    /// invariant of [`ColumnState`]).
-    fn retire_round(state: &mut ColumnState<B>) {
-        let queued_pages: HashSet<usize> = state
-            .queued_rows
-            .iter()
-            .map(|row| row / VALUES_PER_PAGE)
-            .collect();
-        state.copies.retain(|page, _| queued_pages.contains(page));
-        state.round_active = false;
-        state.mark_dirty();
-    }
-
     /// Folds column `idx`'s queued writes into a new alignment round if
-    /// the column is idle and the group-commit threshold is met. The
-    /// fold writes the physical store — the caller must have verified the
-    /// grace condition and published all staged acknowledgements.
+    /// no round is in flight and the group-commit threshold is met: the
+    /// writes go to the store and the views re-align to it. The fold
+    /// writes the physical store — the caller must have verified the grace
+    /// condition and published all staged acknowledgements.
     fn maybe_fold(&mut self, idx: usize, force: bool) {
         debug_assert!(!self.staged, "fold requires committed acknowledgements");
-        let chunking = self.config.chunking;
+        let threshold = self.config.chunking.group_commit_idle.max(1);
         let state = &mut self.columns[idx];
-        if !state.is_idle() || state.queued.is_empty() {
+        if state.round_active || state.queued.is_empty() {
             return;
         }
-        let threshold_met = force || state.queued_rows.len() >= chunking.group_commit_idle.max(1);
-        if !threshold_met {
+        if !force && state.queued_rows.len() < threshold {
             return;
         }
         let folded = std::mem::take(&mut state.queued);
         state.queued_rows.clear();
         let updates = state.column.write_batch(&folded);
+        state.realign_views(&updates);
         state.activity.rounds += 1;
-        // A round with nothing to plan leaves `ready` empty: the next
-        // tick's `advance_column` retires it.
-        if !state.views.is_empty() {
-            let views = state.views.iter().enumerate();
-            let views = views.map(|(idx, view)| (idx, idx as u64, view.meta.range, &view.table));
-            let snapshot = snapshot_alignment(&state.column, views, &updates);
-            state.activity.planned_views += snapshot.num_planned_views() as u64;
-            state.activity.candidate_views += state.views.len() as u64;
-            if snapshot.num_planned_views() > 0 {
-                let plan = plan_alignment_chunked(&snapshot, chunking.chunk_updates);
-                state.ready.extend(plan.chunks);
-            }
-        }
         state.round_active = true;
     }
 
@@ -1615,8 +1565,9 @@ impl<B: Backend> ServeTable<B> {
         total
     }
 
-    /// Drains and returns the publish-latency samples (µs per published
-    /// alignment chunk) collected since the last call, across all columns.
+    /// Drains and returns the re-alignment latency samples (µs per folded
+    /// round that changed a view's page set) collected since the last
+    /// call, across all columns.
     pub fn drain_publish_micros(&mut self) -> Vec<u64> {
         let mut all = Vec::new();
         for state in &mut self.columns {
@@ -1652,8 +1603,8 @@ fn write_checkpoint<B: Backend>(
             for view in &state.views {
                 journal.append(&WalRecord::InstallView {
                     col: idx as u32,
-                    min: view.meta.range.low(),
-                    max: view.meta.range.high(),
+                    min: view.range.low(),
+                    max: view.range.high(),
                 })?;
             }
         }
@@ -1708,17 +1659,9 @@ mod tests {
         answer
     }
 
-    fn serve_config() -> AdaptiveConfig {
-        AdaptiveConfig::default().with_chunking(
-            crate::config::AlignChunking::default()
-                .with_chunk_updates(4)
-                .with_group_commit_idle(0),
-        )
-    }
-
     #[test]
     fn snapshot_answers_match_reference_through_writes() {
-        let mut table = ServeTable::new(SimBackend::new(), serve_config());
+        let mut table = ServeTable::new(SimBackend::new(), AdaptiveConfig::default());
         let mut mirror = clustered_values(24);
         let col = table.add_column(&mirror).unwrap();
         table
@@ -1767,7 +1710,7 @@ mod tests {
 
     #[test]
     fn pinned_snapshot_is_immutable_across_commits() {
-        let mut table = ServeTable::new(SimBackend::new(), serve_config());
+        let mut table = ServeTable::new(SimBackend::new(), AdaptiveConfig::default());
         let values = clustered_values(8);
         let col = table.add_column(&values).unwrap();
         let handle = table.handle();
@@ -1797,7 +1740,7 @@ mod tests {
 
     #[test]
     fn routed_scans_use_the_installed_view() {
-        let mut table = ServeTable::new(SimBackend::new(), serve_config());
+        let mut table = ServeTable::new(SimBackend::new(), AdaptiveConfig::default());
         let col = table.add_column(&clustered_values(32)).unwrap();
         let range = ValueRange::new(5_000, 9_400);
         table.install_view(col, range).unwrap();
@@ -1820,7 +1763,7 @@ mod tests {
     fn straddling_ranges_route_to_the_union_of_a_view_cover() {
         // Page p holds [p*1000, p*1000 + 510]; 32 pages.
         let table_with_views = |views: &[(u64, u64)]| {
-            let mut table = ServeTable::new(SimBackend::new(), serve_config());
+            let mut table = ServeTable::new(SimBackend::new(), AdaptiveConfig::default());
             table.add_column(&clustered_values(32)).unwrap();
             for &(lo, hi) in views {
                 table.install_view(0, ValueRange::new(lo, hi)).unwrap();
@@ -1874,7 +1817,7 @@ mod tests {
     #[test]
     fn routed_reads_add_the_copied_pages_their_range_meets() {
         // Page p holds [p*1000, p*1000 + 510]; the view holds pages 5..=9.
-        let mut table = ServeTable::new(SimBackend::new(), serve_config());
+        let mut table = ServeTable::new(SimBackend::new(), AdaptiveConfig::default());
         let values = clustered_values(32);
         table.add_column(&values).unwrap();
         let view = ValueRange::new(5_000, 9_400);
@@ -1928,7 +1871,7 @@ mod tests {
 
     #[test]
     fn point_reads_outside_the_table_are_none() {
-        let mut table = ServeTable::new(SimBackend::new(), serve_config());
+        let mut table = ServeTable::new(SimBackend::new(), AdaptiveConfig::default());
         let values: Vec<u64> = (0..VALUES_PER_PAGE as u64 + 5).collect();
         let col = table.add_column(&values).unwrap();
         table.try_write(col, values.len() - 1, 77).unwrap();
@@ -1947,9 +1890,90 @@ mod tests {
         assert_eq!(union_sorted(&[], &[4]), [4]);
     }
 
+    /// One batch per §2.4 case on a clustered column (page `p` holds
+    /// `[p*1000, p*1000 + 510]`): after each, every view's page set equals
+    /// a build from the store, and the fold re-aligned exactly the views
+    /// an alignment snapshot of a twin view set plans.
+    #[test]
+    fn each_page_rule_re_aligns_the_page_sets_in_place() {
+        const PAGES: usize = 16;
+        let row = |page: usize, slot: usize| page * VALUES_PER_PAGE + slot;
+        let values = clustered_values(PAGES);
+        // Pages 5..=9; page 7 through its slot-0 value alone; page 12.
+        let ranges = [
+            ValueRange::new(5_000, 9_400),
+            ValueRange::new(7_000, 7_000),
+            ValueRange::new(12_000, 12_510),
+        ];
+        let mut table = ServeTable::new(SimBackend::new(), AdaptiveConfig::default());
+        table.add_column(&values).unwrap();
+        let mut twin = Column::from_values(SimBackend::new(), &values).unwrap();
+        let mut twin_views = ViewSet::new(ranges.len());
+        for range in ranges {
+            table.install_view(0, range).unwrap();
+            let (buffer, _) =
+                build_view_for_range(&twin, &range, &crate::config::CreationOptions::ALL).unwrap();
+            twin_views.insert_unchecked(range, buffer);
+        }
+        let mut check = |case: &str, writes: &[(usize, u64)], expected: [&[usize]; 3]| {
+            let planned = table.align_activity().planned_views;
+            table.try_write_batch(0, writes).unwrap();
+            table.quiesce().unwrap();
+            let state = &table.columns[0];
+            for (view, pages) in state.views.iter().zip(expected) {
+                let built = ViewMeta::build(&state.column, view.range);
+                assert_eq!(view.phys, built.phys, "{case}: {:?}", view.range);
+                assert_eq!(view.phys, pages, "{case}: {:?}", view.range);
+            }
+            let updates = twin.write_batch(writes);
+            let snapshot = crate::align::snapshot_alignment(&twin, twin_views.mappings(), &updates);
+            assert_eq!(
+                table.align_activity().planned_views - planned,
+                snapshot.num_planned_views() as u64,
+                "{case}: re-aligned views"
+            );
+            crate::updates::align_views_after_updates(&twin, &mut twin_views, &updates).unwrap();
+        };
+        check(
+            "a page joins",
+            &[(row(14, 3), 6_000)],
+            [&[5, 6, 7, 8, 9, 14], &[7], &[12]],
+        );
+        // Page 6 keeps other values of the first view; page 7 loses the
+        // second view's only value.
+        check(
+            "another value keeps the page",
+            &[(row(6, 2), 900_000), (row(7, 0), 7_001)],
+            [&[5, 6, 7, 8, 9, 14], &[], &[12]],
+        );
+        let wipe: Vec<(usize, u64)> = (0..VALUES_PER_PAGE).map(|s| (row(12, s), 1)).collect();
+        check(
+            "a wiped page leaves",
+            &wipe,
+            [&[5, 6, 7, 8, 9, 14], &[], &[]],
+        );
+        // Only the last write of a row counts: page 3 passes through the
+        // first view's range, page 13 ends in it.
+        check(
+            "a row written twice",
+            &[
+                (row(3, 5), 6_500),
+                (row(13, 5), 900_000),
+                (row(3, 5), 3_900),
+                (row(13, 5), 8_000),
+            ],
+            [&[5, 6, 7, 8, 9, 13, 14], &[], &[]],
+        );
+        check(
+            "a batch that meets no view",
+            &[(row(2, 1), 3_333)],
+            [&[5, 6, 7, 8, 9, 13, 14], &[], &[]],
+        );
+    }
+
     #[test]
     fn view_page_lists_follow_alignment_rounds() {
-        let mut table = ServeTable::new(SimBackend::new(), serve_config());
+        let mut table = ServeTable::new(SimBackend::new(), AdaptiveConfig::default());
         let col = table.add_column(&clustered_values(32)).unwrap();
         let range = ValueRange::new(5_000, 9_400);
         table.install_view(col, range).unwrap();
@@ -1982,7 +2006,7 @@ mod tests {
 
     #[test]
     fn conjunctive_queries_match_naive_intersection() {
-        let mut table = ServeTable::new(SimBackend::new(), serve_config());
+        let mut table = ServeTable::new(SimBackend::new(), AdaptiveConfig::default());
         let a = clustered_values(16);
         let b: Vec<u64> = a.iter().map(|&v| v % 4_096).collect();
         let col_a = table.add_column(&a).unwrap();
@@ -2035,7 +2059,7 @@ mod tests {
     }
 
     fn concurrent_readers_match_sequential<B: Backend>(backend: B) {
-        let mut table = ServeTable::new(backend, serve_config());
+        let mut table = ServeTable::new(backend, AdaptiveConfig::default());
         let values = clustered_values(24);
         let col = table.add_column(&values).unwrap();
         table
@@ -2101,11 +2125,10 @@ mod tests {
         }
     }
 
-    /// Hot-zone churn over 64 views partitioning the domain: at every chunk
-    /// size, epochs pinned mid-round answer like the writes' mirror while
-    /// later chunks publish and a second burst queues behind the round in
-    /// flight, and after each round every view's page list equals a
-    /// rebuild from scratch.
+    /// Hot-zone churn over 64 views partitioning the domain: epochs pinned
+    /// mid-round answer like the writes' mirror while the round retires and
+    /// a second burst queues behind the round in flight, and after each
+    /// round every view's page set equals a rebuild from scratch.
     fn check_churn_matches_rebuild<B: Backend>(make_backend: impl Fn() -> B) {
         use asv_workloads::{Distribution, UpdateWorkload};
         const PAGES: usize = 64;
@@ -2126,95 +2149,88 @@ mod tests {
             0.05,
             MAX_VALUE,
         );
-        for chunk_updates in [1usize, 64, 0] {
-            let config = AdaptiveConfig::default().with_chunking(
-                crate::config::AlignChunking::default()
-                    .with_chunk_updates(chunk_updates)
-                    .with_group_commit_idle(0),
-            );
-            let mut table = ServeTable::new(make_backend(), config);
-            let col = table.add_column(&values).unwrap();
-            for range in &ranges {
-                table.install_view(col, *range).unwrap();
-            }
-            let mut rebuilt = Column::from_values(make_backend(), &values).unwrap();
-            let mut rebuilt_views = ViewSet::new(ranges.len());
-            for range in &ranges {
-                let (buffer, _) =
-                    build_view_for_range(&rebuilt, range, &crate::config::CreationOptions::ALL)
-                        .unwrap();
-                rebuilt_views.insert_unchecked(*range, buffer);
-            }
-            let handle = table.handle();
-            let mut mirror = values.clone();
-            for (k, round) in churn.iter().enumerate() {
-                let case = format!("chunk{chunk_updates}/round{k}");
-                table.try_write_batch(col, &round.writes).unwrap();
-                for &(row, value) in &round.writes {
-                    mirror[row] = value;
-                }
-                let mut applied = round.writes.clone();
-                // The next round's writes arrive once this round is in
-                // flight: acknowledged into their pages' copies, folded
-                // afterwards.
-                let mut burst = Some(&churn[(k + 1) % churn.len()].writes);
-                // The pin of one tick is held across the next, so chunks
-                // publish while a reader sits on an older epoch.
-                let mut held = None;
-                loop {
-                    if table.round_in_flight(col) {
-                        if let Some(writes) = burst.take() {
-                            table.try_write_batch(col, writes).unwrap();
-                            for &(row, value) in writes {
-                                mirror[row] = value;
-                            }
-                            applied.extend_from_slice(writes);
-                        }
-                    }
-                    table.tick().unwrap();
-                    if !table.round_in_flight(col) && table.queued_writes(col) == 0 {
-                        break;
-                    }
-                    let snap = handle.pin();
-                    for range in &ranges {
-                        assert_eq!(
-                            snap.query_range(col, range),
-                            reference_answer(&mirror, range),
-                            "{case}: mid-round answer"
-                        );
-                    }
-                    held = Some(snap);
-                }
-                drop(held);
-                table.quiesce().unwrap();
-                assert!(burst.is_none(), "{case}: the burst queued mid-round");
-                rebuilt.write_batch(&applied);
-                crate::updates::rebuild_all_views(
-                    &rebuilt,
-                    &mut rebuilt_views,
-                    &crate::config::CreationOptions::ALL,
-                )
-                .unwrap();
-                let snap = handle.pin();
-                for (idx, (_, view)) in rebuilt_views.iter().enumerate() {
-                    assert_eq!(
-                        table.columns[col].views[idx].meta.phys,
-                        view.buffer().mapping().phys_pages_sorted(),
-                        "{case}: view {idx} page set"
-                    );
-                    assert_eq!(
-                        snap.query_range(col, view.range()),
-                        reference_answer(&mirror, view.range()),
-                        "{case}: view {idx} answer"
-                    );
-                }
-            }
-            let activity = table.align_activity();
-            assert!(
-                activity.planned_views < activity.candidate_views,
-                "chunk{chunk_updates}: hot-zone churn leaves most views unplanned"
-            );
+        let mut table = ServeTable::new(make_backend(), AdaptiveConfig::default());
+        let col = table.add_column(&values).unwrap();
+        for range in &ranges {
+            table.install_view(col, *range).unwrap();
         }
+        let mut rebuilt = Column::from_values(make_backend(), &values).unwrap();
+        let mut rebuilt_views = ViewSet::new(ranges.len());
+        for range in &ranges {
+            let (buffer, _) =
+                build_view_for_range(&rebuilt, range, &crate::config::CreationOptions::ALL)
+                    .unwrap();
+            rebuilt_views.insert_unchecked(*range, buffer);
+        }
+        let handle = table.handle();
+        let mut mirror = values.clone();
+        for (k, round) in churn.iter().enumerate() {
+            let case = format!("round{k}");
+            table.try_write_batch(col, &round.writes).unwrap();
+            for &(row, value) in &round.writes {
+                mirror[row] = value;
+            }
+            let mut applied = round.writes.clone();
+            // The next round's writes arrive once this round is in flight:
+            // acknowledged into their pages' copies, folded afterwards.
+            let mut burst = Some(&churn[(k + 1) % churn.len()].writes);
+            // The pin of one tick is held across the next, so the
+            // re-aligned views publish while a reader sits on an older
+            // epoch.
+            let mut held = None;
+            loop {
+                if table.round_in_flight(col) {
+                    if let Some(writes) = burst.take() {
+                        table.try_write_batch(col, writes).unwrap();
+                        for &(row, value) in writes {
+                            mirror[row] = value;
+                        }
+                        applied.extend_from_slice(writes);
+                    }
+                }
+                table.tick().unwrap();
+                if !table.round_in_flight(col) && table.queued_writes(col) == 0 {
+                    break;
+                }
+                let snap = handle.pin();
+                for range in &ranges {
+                    assert_eq!(
+                        snap.query_range(col, range),
+                        reference_answer(&mirror, range),
+                        "{case}: mid-round answer"
+                    );
+                }
+                held = Some(snap);
+            }
+            drop(held);
+            table.quiesce().unwrap();
+            assert!(burst.is_none(), "{case}: the burst queued mid-round");
+            rebuilt.write_batch(&applied);
+            crate::updates::rebuild_all_views(
+                &rebuilt,
+                &mut rebuilt_views,
+                &crate::config::CreationOptions::ALL,
+            )
+            .unwrap();
+            let snap = handle.pin();
+            for (idx, (_, view)) in rebuilt_views.iter().enumerate() {
+                assert_eq!(
+                    table.columns[col].views[idx].phys,
+                    view.buffer().mapping().phys_pages_sorted(),
+                    "{case}: view {idx} page set"
+                );
+                assert_eq!(
+                    snap.query_range(col, view.range()),
+                    reference_answer(&mirror, view.range()),
+                    "{case}: view {idx} answer"
+                );
+            }
+        }
+        let activity = table.align_activity();
+        assert!(
+            activity.planned_views < activity.candidate_views,
+            "hot-zone churn leaves most views unplanned"
+        );
     }
 
     /// Consecutive batches that share a page with the batch before them
@@ -2224,7 +2240,7 @@ mod tests {
     /// the model of its epoch.
     fn check_copies_stay_exact_across_retire<B: Backend>(backend: B) {
         const PAGES: usize = 16;
-        let mut table = ServeTable::new(backend, serve_config());
+        let mut table = ServeTable::new(backend, AdaptiveConfig::default());
         let values = clustered_values(PAGES);
         let col = table.add_column(&values).unwrap();
         let view = ValueRange::new(3_000, 6_400);
@@ -2335,7 +2351,7 @@ mod tests {
 
     #[test]
     fn install_view_rejects_busy_columns() {
-        let mut table = ServeTable::new(SimBackend::new(), serve_config());
+        let mut table = ServeTable::new(SimBackend::new(), AdaptiveConfig::default());
         let col = table.add_column(&clustered_values(8)).unwrap();
         table.try_write(col, 0, 1).unwrap();
         assert!(table.install_view(col, ValueRange::new(0, 10)).is_err());
@@ -2348,7 +2364,7 @@ mod tests {
         // The band of a written zone covers both the old and the new value
         // *before* the write is folded, so planning and page pruning on any
         // epoch can rely on the live stats without consulting the copies.
-        let mut table = ServeTable::new(SimBackend::new(), serve_config());
+        let mut table = ServeTable::new(SimBackend::new(), AdaptiveConfig::default());
         let col = table.add_column(&clustered_values(24)).unwrap();
         let stats = table.zone_stats(col);
         let zone = stats.zone_of_row(3);
@@ -2369,7 +2385,7 @@ mod tests {
 
     #[test]
     fn concurrent_writers_apply_per_writer_fifo() {
-        let mut table = ServeTable::new(SimBackend::new(), serve_config());
+        let mut table = ServeTable::new(SimBackend::new(), AdaptiveConfig::default());
         let values = clustered_values(12);
         let col = table.add_column(&values).unwrap();
         let writer = table.writer();
@@ -2406,11 +2422,8 @@ mod tests {
 
     #[test]
     fn group_commit_idle_counts_distinct_rows_across_pages() {
-        let config = AdaptiveConfig::default().with_chunking(
-            crate::config::AlignChunking::default()
-                .with_chunk_updates(4)
-                .with_group_commit_idle(4),
-        );
+        let config = AdaptiveConfig::default()
+            .with_chunking(crate::config::AlignChunking::default().with_group_commit_idle(4));
         let mut table = ServeTable::new(SimBackend::new(), config);
         let col = table.add_column(&clustered_values(8)).unwrap();
         // Rows on two pages: the threshold counts distinct rows of the
@@ -2434,11 +2447,8 @@ mod tests {
 
     #[test]
     fn queued_writes_counts_distinct_rows_awaiting_a_fold() {
-        let config = AdaptiveConfig::default().with_chunking(
-            crate::config::AlignChunking::default()
-                .with_chunk_updates(1)
-                .with_group_commit_idle(1_000),
-        );
+        let config = AdaptiveConfig::default()
+            .with_chunking(crate::config::AlignChunking::default().with_group_commit_idle(1_000));
         let mut table = ServeTable::new(SimBackend::new(), config);
         let col = table.add_column(&clustered_values(8)).unwrap();
         table.install_view(col, ValueRange::new(0, 3_000)).unwrap();
@@ -2464,7 +2474,7 @@ mod tests {
 
     #[test]
     fn writers_outliving_their_table_get_an_error() {
-        let mut table = ServeTable::new(SimBackend::new(), serve_config());
+        let mut table = ServeTable::new(SimBackend::new(), AdaptiveConfig::default());
         let col = table.add_column(&clustered_values(2)).unwrap();
         let writer = table.writer();
         writer.write(col, 0, 1).unwrap();
@@ -2510,7 +2520,7 @@ mod tests {
         {
             let mut table = ServeTable::with_durability(
                 SimBackend::new(),
-                serve_config(),
+                AdaptiveConfig::default(),
                 DurabilityConfig::new(&path),
             )
             .unwrap();
@@ -2524,7 +2534,7 @@ mod tests {
         }
         let (table, info) = ServeTable::recover(
             SimBackend::new(),
-            serve_config(),
+            AdaptiveConfig::default(),
             DurabilityConfig::new(&path),
         )
         .unwrap();
@@ -2555,7 +2565,7 @@ mod tests {
         {
             let mut table = ServeTable::with_durability(
                 SimBackend::new(),
-                serve_config(),
+                AdaptiveConfig::default(),
                 DurabilityConfig::new(&path),
             )
             .unwrap();
@@ -2569,7 +2579,7 @@ mod tests {
         }
         let (table, info) = ServeTable::recover(
             SimBackend::new(),
-            serve_config(),
+            AdaptiveConfig::default(),
             DurabilityConfig::new(&path),
         )
         .unwrap();
@@ -2600,8 +2610,8 @@ mod tests {
             for view in &state.views {
                 records.push(WalRecord::InstallView {
                     col: idx as u32,
-                    min: view.meta.range.low(),
-                    max: view.meta.range.high(),
+                    min: view.range.low(),
+                    max: view.range.high(),
                 });
             }
         }
@@ -2662,7 +2672,8 @@ mod tests {
         let (quiesced, quiesced_epoch) = {
             let durability = DurabilityConfig::new(&path);
             let mut table =
-                ServeTable::with_durability(make_backend(), serve_config(), durability).unwrap();
+                ServeTable::with_durability(make_backend(), AdaptiveConfig::default(), durability)
+                    .unwrap();
             table.add_column(&big).unwrap();
             table.add_column(&clustered_values(3)).unwrap();
             table
@@ -2683,9 +2694,12 @@ mod tests {
             (bytes, table.generation)
         };
         let quiesced_inode = inode(&path);
-        let (mut table, info) =
-            ServeTable::recover(make_backend(), serve_config(), DurabilityConfig::new(&path))
-                .unwrap();
+        let (mut table, info) = ServeTable::recover(
+            make_backend(),
+            AdaptiveConfig::default(),
+            DurabilityConfig::new(&path),
+        )
+        .unwrap();
         let recovered = std::fs::read(&path).unwrap();
         assert!(
             recovered == quiesced,
@@ -2717,9 +2731,12 @@ mod tests {
         drop(table);
         let crashed = std::fs::read(&path).unwrap();
         let crashed_inode = inode(&path);
-        let (mut table, info) =
-            ServeTable::recover(make_backend(), serve_config(), DurabilityConfig::new(&path))
-                .unwrap();
+        let (mut table, info) = ServeTable::recover(
+            make_backend(),
+            AdaptiveConfig::default(),
+            DurabilityConfig::new(&path),
+        )
+        .unwrap();
         assert_eq!(info.batches_applied, 3, "{tag}");
         assert_eq!(info.sealed_epoch, kept_seal, "{tag}");
         let snap = table.handle().pin();
@@ -2760,9 +2777,12 @@ mod tests {
         ];
         std::fs::write(&path, journal_of(&stale)).unwrap();
         let stale_inode = inode(&path);
-        let (mut table, _) =
-            ServeTable::recover(make_backend(), serve_config(), DurabilityConfig::new(&path))
-                .unwrap();
+        let (mut table, _) = ServeTable::recover(
+            make_backend(),
+            AdaptiveConfig::default(),
+            DurabilityConfig::new(&path),
+        )
+        .unwrap();
         assert!(table.generation > 0, "{tag}");
         assert_eq!(inode(&path), stale_inode, "{tag}: a stale seal is kept");
         assert!(
@@ -2802,8 +2822,12 @@ mod tests {
             // The journal's first appends are AddColumn + Seal; fault the
             // append after the first write batch's seal.
             let durability = DurabilityConfig::new(&path).with_fault(FaultPlan::fail_append(4));
-            let mut table =
-                ServeTable::with_durability(SimBackend::new(), serve_config(), durability).unwrap();
+            let mut table = ServeTable::with_durability(
+                SimBackend::new(),
+                AdaptiveConfig::default(),
+                durability,
+            )
+            .unwrap();
             let col = table.add_column(&mirror).unwrap();
             table.try_write(col, 5, 555).unwrap();
             mirror[5] = 555;
@@ -2822,7 +2846,7 @@ mod tests {
         }
         let (table, _info) = ServeTable::recover(
             SimBackend::new(),
-            serve_config(),
+            AdaptiveConfig::default(),
             DurabilityConfig::new(&path),
         )
         .unwrap();
@@ -2839,9 +2863,12 @@ mod tests {
         let mut mirror = clustered_values(16);
         let range = ValueRange::new(2_000, 11_000);
         {
-            let mut table =
-                ServeTable::with_durability(backend, serve_config(), DurabilityConfig::new(&path))
-                    .unwrap();
+            let mut table = ServeTable::with_durability(
+                backend,
+                AdaptiveConfig::default(),
+                DurabilityConfig::new(&path),
+            )
+            .unwrap();
             let col = table.add_column(&mirror).unwrap();
             table.install_view(col, range).unwrap();
             for row in [10usize, 600, 1_200, 5_555] {
@@ -2854,7 +2881,7 @@ mod tests {
         let recovered_dir = recovered_backend.dir().to_path_buf();
         let (table, info) = ServeTable::recover(
             recovered_backend,
-            serve_config(),
+            AdaptiveConfig::default(),
             DurabilityConfig::new(&path),
         )
         .unwrap();
@@ -2876,7 +2903,7 @@ mod tests {
         // A column whose store has more pages than data: the epoch's
         // per-page valid count must clamp to zero past the last row
         // instead of wrapping to the partial-page remainder.
-        let mut table = ServeTable::new(SimBackend::new(), serve_config());
+        let mut table = ServeTable::new(SimBackend::new(), AdaptiveConfig::default());
         let values: Vec<u64> = (0..VALUES_PER_PAGE as u64 * 2 + 5).collect();
         let col = table.add_column(&values).unwrap();
         let snap = table.handle().pin();
@@ -2898,7 +2925,7 @@ mod tests {
         // page, copy, ... and resolves each page's slots once, as its
         // predecessor's successor. Each page must be scanned from its own
         // source.
-        let mut table = ServeTable::new(SimBackend::new(), serve_config());
+        let mut table = ServeTable::new(SimBackend::new(), AdaptiveConfig::default());
         let pages = 9;
         let values = clustered_values(pages);
         let col = table.add_column(&values).unwrap();

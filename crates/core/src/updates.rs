@@ -19,9 +19,9 @@
 //!
 //! [`align_views_after_updates`] runs the three alignment phases of
 //! [`crate::align`] (snapshot → plan → publish) back-to-back;
-//! [`crate::ServeTable`] runs the same phases, planning when it folds a
-//! batch and publishing the plan one chunk per tick, so both produce
-//! identical view layouts by construction.
+//! [`crate::ServeTable`] re-aligns its unmapped views' page sets with the
+//! same §2.4 decisions when it folds a batch, so both index the same pages
+//! by construction.
 
 use std::time::Duration;
 
@@ -29,7 +29,7 @@ use asv_storage::{Column, Update};
 use asv_util::Timer;
 use asv_vmem::{Backend, VmemError};
 
-use crate::align::{apply_chunked_plan, plan_alignment_chunked, snapshot_alignment};
+use crate::align::{apply_plan, plan_alignment, snapshot_alignment};
 use crate::config::CreationOptions;
 use crate::creation::build_view_for_range;
 use crate::viewset::ViewSet;
@@ -67,18 +67,6 @@ impl UpdateAlignmentStats {
     pub fn total_time(&self) -> Duration {
         self.parse_time + self.align_time
     }
-
-    /// Folds another run's measurements into this one, field-wise. Used to
-    /// aggregate the per-chunk stats of a chunked alignment round into one
-    /// record.
-    pub fn absorb(&mut self, other: &UpdateAlignmentStats) {
-        self.batch_size += other.batch_size;
-        self.deduped_size += other.deduped_size;
-        self.parse_time += other.parse_time;
-        self.align_time += other.align_time;
-        self.pages_added += other.pages_added;
-        self.pages_removed += other.pages_removed;
-    }
 }
 
 /// Aligns all partial views of `views` with an *already applied* batch of
@@ -101,8 +89,7 @@ pub fn align_views_after_updates<B: Backend>(
         });
     }
     let snapshot = snapshot_alignment(column, views.mappings(), batch);
-    let plan = plan_alignment_chunked(&snapshot, 0);
-    apply_chunked_plan(column, views, &plan)
+    apply_plan(column, views, &plan_alignment(&snapshot))
 }
 
 /// Rebuilds every partial view from scratch by re-scanning the column — the

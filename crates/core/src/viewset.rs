@@ -109,34 +109,6 @@ impl<B: Backend> ViewSet<B> {
         id
     }
 
-    /// Offers a candidate view (covered `range`, mapped `buffer` with
-    /// `candidate_pages` pages) to the view index, applying the retention
-    /// policy of Listing 1 lines 21-32: the candidate is discarded,
-    /// replaces an existing view of similar size that it covers, or is
-    /// inserted while the view limit allows. The decision needs no buffer;
-    /// [`crate::AdaptiveColumn::query`] makes it before mapping its
-    /// candidate.
-    #[allow(clippy::too_many_arguments)]
-    pub fn offer_candidate(
-        &mut self,
-        range: ValueRange,
-        buffer: B::View,
-        candidate_pages: usize,
-        full_view_pages: usize,
-        discard_tolerance: usize,
-        replacement_tolerance: usize,
-    ) -> ViewMaintenance {
-        let verdict = self.judge(
-            &range,
-            candidate_pages,
-            full_view_pages,
-            discard_tolerance,
-            replacement_tolerance,
-        );
-        self.admit(verdict, range, buffer);
-        verdict.outcome()
-    }
-
     /// The retention policy's verdict on a candidate covering `range` and
     /// indexing `candidate_pages` pages. It needs no buffer, so a candidate
     /// can be judged before it is mapped.
@@ -250,6 +222,28 @@ mod tests {
         (b, s)
     }
 
+    /// Offers a candidate to `set` as a query does: the retention policy
+    /// judges it, and the set admits the verdict.
+    fn offer(
+        set: &mut ViewSet<SimBackend>,
+        range: ValueRange,
+        buffer: SimView,
+        candidate_pages: usize,
+        full_view_pages: usize,
+        discard_tolerance: usize,
+        replacement_tolerance: usize,
+    ) -> ViewMaintenance {
+        let verdict = set.judge(
+            &range,
+            candidate_pages,
+            full_view_pages,
+            discard_tolerance,
+            replacement_tolerance,
+        );
+        set.admit(verdict, range, buffer);
+        verdict.outcome()
+    }
+
     fn buffer(b: &SimBackend, s: &SimStore, pages: &[usize]) -> SimView {
         let mut v = b.reserve_view(s, s.num_pages()).unwrap();
         for (slot, &p) in pages.iter().enumerate() {
@@ -273,7 +267,7 @@ mod tests {
         let (b, s) = store();
         let mut set: ViewSet<SimBackend> = ViewSet::new(10);
         let buf = buffer(&b, &s, &[0, 1, 2]);
-        let m = set.offer_candidate(ValueRange::new(0, 10), buf, 100, 100, 0, 0);
+        let m = offer(&mut set, ValueRange::new(0, 10), buf, 100, 100, 0, 0);
         assert_eq!(m, ViewMaintenance::DiscardedNotSmaller);
         assert!(set.is_empty());
     }
@@ -283,7 +277,7 @@ mod tests {
         let (b, s) = store();
         let mut set: ViewSet<SimBackend> = ViewSet::new(10);
         let buf = buffer(&b, &s, &[0, 1, 2]);
-        let m = set.offer_candidate(ValueRange::new(0, 10), buf, 3, 100, 0, 0);
+        let m = offer(&mut set, ValueRange::new(0, 10), buf, 3, 100, 0, 0);
         assert_eq!(m, ViewMaintenance::Inserted);
         assert_eq!(set.num_partial_views(), 1);
         assert_eq!(set.partial_view(0).unwrap().num_pages(), 3);
@@ -295,7 +289,8 @@ mod tests {
         let mut set: ViewSet<SimBackend> = ViewSet::new(10);
         set.insert_unchecked(ValueRange::new(0, 100), buffer(&b, &s, &[0, 1, 2, 3]));
         // Subset range, 4 pages >= 4 - 0: discard.
-        let m = set.offer_candidate(
+        let m = offer(
+            &mut set,
             ValueRange::new(10, 50),
             buffer(&b, &s, &[0, 1, 2, 3]),
             4,
@@ -313,7 +308,15 @@ mod tests {
         let mut set: ViewSet<SimBackend> = ViewSet::new(10);
         set.insert_unchecked(ValueRange::new(0, 100), buffer(&b, &s, &[0, 1, 2, 3]));
         // Subset range but indexes only 1 page < 4 - 0: useful, insert.
-        let m = set.offer_candidate(ValueRange::new(10, 50), buffer(&b, &s, &[7]), 1, 100, 0, 0);
+        let m = offer(
+            &mut set,
+            ValueRange::new(10, 50),
+            buffer(&b, &s, &[7]),
+            1,
+            100,
+            0,
+            0,
+        );
         assert_eq!(m, ViewMaintenance::Inserted);
         assert_eq!(set.num_partial_views(), 2);
     }
@@ -325,7 +328,8 @@ mod tests {
         set.insert_unchecked(ValueRange::new(0, 100), buffer(&b, &s, &[0, 1, 2, 3]));
         // Candidate indexes 2 pages; with d = 2 this is within the band
         // (2 >= 4 - 2) and gets rejected even though it is smaller.
-        let m = set.offer_candidate(
+        let m = offer(
+            &mut set,
             ValueRange::new(10, 50),
             buffer(&b, &s, &[0, 1]),
             2,
@@ -341,7 +345,8 @@ mod tests {
         let (b, s) = store();
         let mut set: ViewSet<SimBackend> = ViewSet::new(10);
         set.insert_unchecked(ValueRange::new(10, 50), buffer(&b, &s, &[0, 1, 2]));
-        let m = set.offer_candidate(
+        let m = offer(
+            &mut set,
             ValueRange::new(0, 100),
             buffer(&b, &s, &[0, 1, 2]),
             3,
@@ -363,7 +368,8 @@ mod tests {
         let mut set: ViewSet<SimBackend> = ViewSet::new(10);
         set.insert_unchecked(ValueRange::new(10, 50), buffer(&b, &s, &[0]));
         // Superset but 5 pages > 1 + 0: not a replacement candidate.
-        let m = set.offer_candidate(
+        let m = offer(
+            &mut set,
             ValueRange::new(0, 100),
             buffer(&b, &s, &[0, 1, 2, 3, 4]),
             5,
@@ -380,7 +386,8 @@ mod tests {
         let (b, s) = store();
         let mut set: ViewSet<SimBackend> = ViewSet::new(10);
         set.insert_unchecked(ValueRange::new(10, 50), buffer(&b, &s, &[0]));
-        let m = set.offer_candidate(
+        let m = offer(
+            &mut set,
             ValueRange::new(0, 100),
             buffer(&b, &s, &[0, 1, 2]),
             3,
@@ -398,17 +405,41 @@ mod tests {
         let (b, s) = store();
         let mut set: ViewSet<SimBackend> = ViewSet::new(2);
         assert_eq!(
-            set.offer_candidate(ValueRange::new(0, 10), buffer(&b, &s, &[0]), 1, 100, 0, 0),
+            offer(
+                &mut set,
+                ValueRange::new(0, 10),
+                buffer(&b, &s, &[0]),
+                1,
+                100,
+                0,
+                0
+            ),
             ViewMaintenance::Inserted
         );
         assert_eq!(
-            set.offer_candidate(ValueRange::new(20, 30), buffer(&b, &s, &[1]), 1, 100, 0, 0),
+            offer(
+                &mut set,
+                ValueRange::new(20, 30),
+                buffer(&b, &s, &[1]),
+                1,
+                100,
+                0,
+                0
+            ),
             ViewMaintenance::Inserted
         );
         assert!(!set.can_create_views());
         // Limit reached: further unrelated candidates are not inserted.
         assert_eq!(
-            set.offer_candidate(ValueRange::new(40, 60), buffer(&b, &s, &[2]), 1, 100, 0, 0),
+            offer(
+                &mut set,
+                ValueRange::new(40, 60),
+                buffer(&b, &s, &[2]),
+                1,
+                100,
+                0,
+                0
+            ),
             ViewMaintenance::NotAttempted
         );
         assert_eq!(set.num_partial_views(), 2);
@@ -432,11 +463,27 @@ mod tests {
     fn replacement_still_happens_after_limit() {
         let (b, s) = store();
         let mut set: ViewSet<SimBackend> = ViewSet::new(1);
-        set.offer_candidate(ValueRange::new(10, 50), buffer(&b, &s, &[0]), 1, 100, 0, 0);
+        offer(
+            &mut set,
+            ValueRange::new(10, 50),
+            buffer(&b, &s, &[0]),
+            1,
+            100,
+            0,
+            0,
+        );
         assert!(!set.can_create_views());
         // A superset candidate of similar size replaces the existing view
         // even though no *new* views may be created.
-        let m = set.offer_candidate(ValueRange::new(0, 60), buffer(&b, &s, &[1]), 1, 100, 0, 0);
+        let m = offer(
+            &mut set,
+            ValueRange::new(0, 60),
+            buffer(&b, &s, &[1]),
+            1,
+            100,
+            0,
+            0,
+        );
         assert_eq!(m, ViewMaintenance::ReplacedExisting);
     }
 }

@@ -1,6 +1,6 @@
 //! Crash-consistent write-ahead journal for the serving layer.
 //!
-//! The journal makes the chunked epoch publishes of [`crate::serve`] the
+//! The journal makes the epoch publishes of [`crate::serve`] the
 //! durability points the ROADMAP asks for: every update batch is appended
 //! as a length-prefixed, checksummed record *before* it is acknowledged,
 //! and every epoch publish that journaled a record appends a **seal**

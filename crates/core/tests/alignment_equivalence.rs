@@ -210,8 +210,8 @@ fn plan_replay_equals_in_place_alignment() {
         .collect();
     let updates = col_a.write_batch(&writes);
     let snapshot = asv_core::snapshot_alignment(&col_a, views_a.mappings(), &updates);
-    let plan = asv_core::plan_alignment_chunked(&snapshot, 0);
-    asv_core::apply_plan(&col_a, &mut views_a, &plan.chunks[0]).expect("apply");
+    let plan = asv_core::plan_alignment(&snapshot);
+    asv_core::apply_plan(&col_a, &mut views_a, &plan).expect("apply");
 
     let (mut col_b, mut views_b) = build();
     let updates_b = col_b.write_batch(&writes);

@@ -10,7 +10,7 @@
 //! batch wholly past the column, and uniform data where most page groups
 //! meet no view:
 //!
-//! * the filtered plan equals the oracle op for op, for every chunk size;
+//! * the filtered plan equals the oracle op for op;
 //! * publishing it leaves every view indexing exactly the pages a rebuild
 //!   would;
 //! * a batch past the column plans no view, and publishing it still moves
@@ -26,9 +26,8 @@
 use std::collections::HashMap;
 
 use asv_core::{
-    apply_chunked_plan, build_view_for_range, plan_alignment_chunked, snapshot_alignment,
-    AdaptiveColumn, AdaptiveConfig, AlignChunking, ChunkedAlignmentPlan, CreationOptions,
-    ServeTable, ViewOp, ViewSet,
+    apply_plan, build_view_for_range, plan_alignment, snapshot_alignment, AdaptiveColumn,
+    AdaptiveConfig, AlignmentPlan, CreationOptions, ServeTable, ViewOp, ViewSet,
 };
 use asv_storage::{Column, PageGroups, Update};
 use asv_util::ValueRange;
@@ -174,18 +173,13 @@ fn full_replan_oracle<B: Backend>(
         .collect()
 }
 
-/// A chunked plan with each view's ops concatenated across chunks, in view
-/// order.
-fn filtered_plan(plan: &ChunkedAlignmentPlan) -> Plan {
-    let mut out: Plan = Vec::new();
-    for chunk in &plan.chunks {
-        for view in &chunk.views {
-            match out.iter_mut().find(|(idx, _, _)| *idx == view.view_idx) {
-                Some((_, _, ops)) => ops.extend_from_slice(&view.ops),
-                None => out.push((view.view_idx, view.view_id, view.ops.clone())),
-            }
-        }
-    }
+/// A plan's per-view ops, in view order.
+fn filtered_plan(plan: &AlignmentPlan) -> Plan {
+    let mut out: Plan = plan
+        .views
+        .iter()
+        .map(|view| (view.view_idx, view.view_id, view.ops.clone()))
+        .collect();
     out.sort_by_key(|(idx, _, _)| *idx);
     out
 }
@@ -204,8 +198,8 @@ fn rebuilt_pages<B: Backend>(column: &Column<B>, range: &ValueRange) -> Vec<usiz
 }
 
 /// Runs one batch: the filtered plan must equal the oracle (which must
-/// change exactly `changed` views), for every chunk size, and publishing it
-/// must reach the rebuilt page sets.
+/// change exactly `changed` views), and publishing it must reach the
+/// rebuilt page sets.
 fn check_case<B: Backend>(
     make_backend: &impl Fn() -> B,
     case: &str,
@@ -214,7 +208,7 @@ fn check_case<B: Backend>(
 ) {
     let (mut column, mut views) = column_with_views(make_backend());
     let updates = column.write_batch(writes);
-    let oracle = check_plan(&column, &mut views, &updates, case, &[0, 1, 4]);
+    let oracle = check_plan(&column, &mut views, &updates, case);
     let oracle_views: Vec<usize> = oracle.iter().map(|(idx, _, _)| *idx).collect();
     assert_eq!(
         oracle_views, changed,
@@ -222,30 +216,24 @@ fn check_case<B: Backend>(
     );
 }
 
-/// Plans `updates` for every size in `chunk_sizes`, checks each plan op
-/// for op against the oracle (so the chunks concatenate to the one-chunk
-/// plan), publishes the one-chunk plan, checks that every view then
-/// indexes the pages a rebuild would, and returns the oracle.
+/// Plans `updates`, checks the plan op for op against the oracle,
+/// publishes it, checks that every view then indexes the pages a rebuild
+/// would, and returns the oracle.
 fn check_plan<B: Backend>(
     column: &Column<B>,
     views: &mut ViewSet<B>,
     updates: &[Update],
     case: &str,
-    chunk_sizes: &[usize],
 ) -> Plan {
     let oracle = full_replan_oracle(column, views, updates);
     let snapshot = snapshot_alignment(column, views.mappings(), updates);
-    for &chunk_updates in chunk_sizes {
-        let plan = plan_alignment_chunked(&snapshot, chunk_updates);
-        assert_eq!(
-            filtered_plan(&plan),
-            oracle,
-            "{case}/chunk{chunk_updates}: filtered plan differs from the full replan"
-        );
-    }
-
-    let plan = plan_alignment_chunked(&snapshot, 0);
-    apply_chunked_plan(column, views, &plan).expect("apply");
+    let plan = plan_alignment(&snapshot);
+    assert_eq!(
+        filtered_plan(&plan),
+        oracle,
+        "{case}: filtered plan differs from the full replan"
+    );
+    apply_plan(column, views, &plan).expect("apply");
     for (idx, view) in views.iter() {
         assert_eq!(
             view.buffer().mapping().phys_pages_sorted(),
@@ -331,7 +319,7 @@ fn check_past_the_column<B: Backend>(make_backend: &impl Fn() -> B) {
     let snapshot = snapshot_alignment(&column, views.mappings(), &updates);
     assert_eq!(snapshot.num_planned_views(), 0, "past-the-column");
     let generation = views.generation();
-    let plan = check_plan(&column, &mut views, &updates, "past-the-column", &[0, 1]);
+    let plan = check_plan(&column, &mut views, &updates, "past-the-column");
     assert!(plan.is_empty(), "past-the-column: the oracle plans nothing");
     assert_eq!(views.generation(), generation + 1);
 }
@@ -343,7 +331,7 @@ const UNIFORM_DOMAIN: u64 = 1 << 20;
 
 /// Uniform data under six views of 1/1024 of the domain each, and a batch
 /// of uniform writes of which at least 90 % of the page groups meet no
-/// view: the plans must still equal the oracle for every chunk size.
+/// view: the plan must still equal the oracle.
 fn check_uniform<B: Backend>(make_backend: &impl Fn() -> B) {
     let mut rng = StdRng::seed_from_u64(85_051);
     let values: Vec<u64> = (0..UNIFORM_PAGES * VALUES_PER_PAGE)
@@ -383,7 +371,7 @@ fn check_uniform<B: Backend>(make_backend: &impl Fn() -> B) {
         "uniform: {meeting} of {} groups meet a view",
         groups.len()
     );
-    let oracle = check_plan(&column, &mut views, &updates, "uniform", &[1, 3, 64, 0]);
+    let oracle = check_plan(&column, &mut views, &updates, "uniform");
     assert!(!oracle.is_empty(), "uniform: the batch changes some view");
 }
 
@@ -423,13 +411,11 @@ fn check_batch_touching_no_view<B: Backend>(make_backend: impl Fn() -> B) {
     assert_eq!(adaptive.view_generation(), generation + 1);
 
     // A quiesced batch on a serving table: (epochs published, views
-    // planned, alignment chunks published). The acknowledgement and the
-    // retirement are one epoch each; a round's last chunk publishes in the
+    // re-aligned, rounds that changed a view). The acknowledgement and the
+    // retirement are one epoch each; the re-aligned views publish in the
     // retirement's epoch.
     let epochs_for = |writes: &[(usize, u64)], with_views: bool| {
-        let config = AdaptiveConfig::default()
-            .with_chunking(AlignChunking::default().with_group_commit_idle(0));
-        let mut table = ServeTable::new(make_backend(), config);
+        let mut table = ServeTable::new(make_backend(), AdaptiveConfig::default());
         let col = table.add_column(&clustered_values()).expect("column");
         if with_views {
             for range in ranges() {
@@ -450,7 +436,16 @@ fn check_batch_touching_no_view<B: Backend>(make_backend: impl Fn() -> B) {
     assert_eq!(
         epochs_for(&addition_only(), true),
         (2, 2, 1),
-        "a batch that changes views publishes its chunk"
+        "a batch that changes views publishes them with the retirement"
+    );
+    // Every page gains a value of view 0 and loses one of the view
+    // holding it: a round of any size still costs two epochs and one
+    // publish.
+    let many_pages: Vec<(usize, u64)> = (0..PAGES).map(|p| (row(p, 0), 6_000)).collect();
+    assert_eq!(
+        epochs_for(&many_pages, true),
+        (2, RANGES.len() as u64, 1),
+        "a batch spanning every page publishes in one epoch"
     );
 }
 

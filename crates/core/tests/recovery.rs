@@ -10,7 +10,7 @@
 //! journal alone.
 //!
 //! The property, swept across fault kinds × operation indices × torn/short
-//! seeds × chunk sizes × backends: the recovered table's answers are
+//! seeds × backends: the recovered table's answers are
 //! **bit-identical** to a never-crashed reference execution replaying
 //! exactly the committed batches — those whose `tick` sealed and fsynced
 //! them — and `RecoveryInfo::batches_applied` is their count: a prefix of
@@ -38,8 +38,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use asv_core::{
-    wal, AdaptiveConfig, AlignChunking, DurabilityConfig, FaultPlan, RangeAnswer, RecoveryInfo,
-    ServeTable, WalRecord,
+    wal, AdaptiveConfig, DurabilityConfig, FaultPlan, RangeAnswer, RecoveryInfo, ServeTable,
+    WalRecord,
 };
 use asv_util::ValueRange;
 use asv_vmem::{Backend, SimBackend, VALUES_PER_PAGE};
@@ -80,14 +80,6 @@ fn temp_journal(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("asv-recovery-{}-{tag}-{n}.wal", std::process::id()))
 }
 
-fn config(chunk_updates: usize) -> AdaptiveConfig {
-    AdaptiveConfig::default().with_chunking(
-        AlignChunking::default()
-            .with_chunk_updates(chunk_updates)
-            .with_group_commit_idle(0),
-    )
-}
-
 /// Runs one crash cell: drive a durable table into the injected fault,
 /// recover from the journal, compare against the reference replay of the
 /// sealed batch prefix. Panics if the fault never fired: every cell's
@@ -96,7 +88,6 @@ fn crash_and_recover<B: Backend>(
     make_backend: impl Fn() -> B,
     fault: FaultPlan,
     workload_seed: u64,
-    chunk_updates: usize,
     path: &Path,
     label: &str,
 ) {
@@ -114,7 +105,7 @@ fn crash_and_recover<B: Backend>(
     {
         let durability = DurabilityConfig::new(path).with_fault(fault);
         let mut table =
-            ServeTable::with_durability(make_backend(), config(chunk_updates), durability)
+            ServeTable::with_durability(make_backend(), AdaptiveConfig::default(), durability)
                 .expect("journal creation performs no journal append");
         let mut rng = workload_seed;
         let mut crashed = table.add_column(&values).is_err();
@@ -153,7 +144,7 @@ fn crash_and_recover<B: Backend>(
     }
     let (table, info) = ServeTable::recover(
         make_backend(),
-        config(chunk_updates),
+        AdaptiveConfig::default(),
         DurabilityConfig::new(path),
     )
     .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
@@ -198,60 +189,53 @@ fn sweep_backend<B: Backend>(make_backend: impl Fn() -> B + Copy, backend_tag: &
     // their seals; from op 4 on, each acknowledged batch costs two appends
     // (the batch and its tick's seal) and one fsync, so the later ops land
     // on batches and seals throughout the 10-batch write phase (24 appends
-    // and 12 fsyncs in all). Alignment chunks and retirements append
-    // nothing.
+    // and 12 fsyncs in all). Retirements append nothing.
     let kill_ops = [0usize, 1, 2, 3, 5, 8, 13, 21];
-    for chunk_updates in [0usize, 4] {
-        for op in kill_ops {
-            let tag = format!("{backend_tag}-c{chunk_updates}-op{op}");
+    for op in kill_ops {
+        let tag = format!("{backend_tag}-op{op}");
+        let path = temp_journal(&tag);
+        crash_and_recover(
+            make_backend,
+            FaultPlan::fail_append(op),
+            0xA51CE ^ op as u64,
+            &path,
+            &format!("{tag}-fail"),
+        );
+        let _ = std::fs::remove_file(&path);
+        for seed in 0..3u64 {
             let path = temp_journal(&tag);
             crash_and_recover(
                 make_backend,
-                FaultPlan::fail_append(op),
+                FaultPlan::short_append(op, seed),
                 0xA51CE ^ op as u64,
-                chunk_updates,
                 &path,
-                &format!("{tag}-fail"),
+                &format!("{tag}-short-s{seed}"),
             );
             let _ = std::fs::remove_file(&path);
-            for seed in 0..3u64 {
-                let path = temp_journal(&tag);
-                crash_and_recover(
-                    make_backend,
-                    FaultPlan::short_append(op, seed),
-                    0xA51CE ^ op as u64,
-                    chunk_updates,
-                    &path,
-                    &format!("{tag}-short-s{seed}"),
-                );
-                let _ = std::fs::remove_file(&path);
-                let path = temp_journal(&tag);
-                crash_and_recover(
-                    make_backend,
-                    FaultPlan::torn_append(op, seed),
-                    0xA51CE ^ op as u64,
-                    chunk_updates,
-                    &path,
-                    &format!("{tag}-torn-s{seed}"),
-                );
-                let _ = std::fs::remove_file(&path);
-            }
-        }
-        // Fsync faults: with one fsync per sealing commit the op index is
-        // the seal index: the set-up's two, then one per batch.
-        for op in [0usize, 1, 3, 7] {
-            let tag = format!("{backend_tag}-c{chunk_updates}-fsync{op}");
             let path = temp_journal(&tag);
             crash_and_recover(
                 make_backend,
-                FaultPlan::fail_fsync(op),
-                0xA51CE ^ (op as u64) << 8,
-                chunk_updates,
+                FaultPlan::torn_append(op, seed),
+                0xA51CE ^ op as u64,
                 &path,
-                &tag,
+                &format!("{tag}-torn-s{seed}"),
             );
             let _ = std::fs::remove_file(&path);
         }
+    }
+    // Fsync faults: with one fsync per sealing commit the op index is the
+    // seal index: the set-up's two, then one per batch.
+    for op in [0usize, 1, 3, 7] {
+        let tag = format!("{backend_tag}-fsync{op}");
+        let path = temp_journal(&tag);
+        crash_and_recover(
+            make_backend,
+            FaultPlan::fail_fsync(op),
+            0xA51CE ^ (op as u64) << 8,
+            &path,
+            &tag,
+        );
+        let _ = std::fs::remove_file(&path);
     }
 }
 
@@ -320,8 +304,12 @@ fn cut_streamed_column<B: Backend>(make_backend: impl Fn() -> B, backend_tag: &s
             let path = temp_journal(&label);
             {
                 let durability = DurabilityConfig::new(&path).with_fault(fault);
-                let mut table =
-                    ServeTable::with_durability(make_backend(), config(4), durability).unwrap();
+                let mut table = ServeTable::with_durability(
+                    make_backend(),
+                    AdaptiveConfig::default(),
+                    durability,
+                )
+                .unwrap();
                 table.add_column(&small).unwrap();
                 let sealed_len = std::fs::metadata(&path).unwrap().len();
                 assert!(table.add_column(&big).is_err(), "{label}: the cut fires");
@@ -332,9 +320,12 @@ fn cut_streamed_column<B: Backend>(make_backend: impl Fn() -> B, backend_tag: &s
                     "{label}: the cut lands as aimed"
                 );
             }
-            let (table, info) =
-                ServeTable::recover(make_backend(), config(4), DurabilityConfig::new(&path))
-                    .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
+            let (table, info) = ServeTable::recover(
+                make_backend(),
+                AdaptiveConfig::default(),
+                DurabilityConfig::new(&path),
+            )
+            .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
             assert_eq!(info.discarded_bytes, at as u64, "{label}");
             assert_eq!(table.num_columns(), 1, "{label}: only the sealed column");
             let snap = table.handle().pin();
@@ -370,12 +361,7 @@ fn streamed_column_cuts_recover_the_sealed_prefix_on_file_backend() {
 /// live answers on a pinned snapshot, drop the table without a quiesce and
 /// recover. The recovered answers must equal the live answers and a
 /// reference replay of every acknowledged batch.
-fn drop_and_recover<B: Backend>(
-    make_backend: impl Fn() -> B,
-    fsync_every: usize,
-    chunk_updates: usize,
-    label: &str,
-) {
+fn drop_and_recover<B: Backend>(make_backend: impl Fn() -> B, fsync_every: usize, label: &str) {
     let path = temp_journal(label);
     let values = clustered_values(PAGES);
     let view_range = ValueRange::new(2_000, 9_400);
@@ -394,7 +380,8 @@ fn drop_and_recover<B: Backend>(
     let live: Vec<RangeAnswer> = {
         let durability = DurabilityConfig::new(&path).with_fsync_every_chunks(fsync_every);
         let mut table =
-            ServeTable::with_durability(make_backend(), config(chunk_updates), durability).unwrap();
+            ServeTable::with_durability(make_backend(), AdaptiveConfig::default(), durability)
+                .unwrap();
         table.add_column(&values).unwrap();
         table.install_view(0, view_range).unwrap();
         let mut rng = 0xD209u64;
@@ -419,7 +406,7 @@ fn drop_and_recover<B: Backend>(
     };
     let (table, info) = ServeTable::recover(
         make_backend(),
-        config(chunk_updates),
+        AdaptiveConfig::default(),
         DurabilityConfig::new(&path),
     )
     .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
@@ -445,18 +432,14 @@ fn drop_and_recover<B: Backend>(
     let _ = std::fs::remove_file(&path);
 }
 
-/// Fsync policies (a sync per commit, one per 8 commits, quiesce-only) ×
-/// chunk sizes.
+/// Fsync policies: a sync per commit, one per 8 commits, quiesce-only.
 fn sweep_clean_drops<B: Backend>(make_backend: impl Fn() -> B + Copy, backend_tag: &str) {
     for fsync_every in [1usize, 8, 0] {
-        for chunk_updates in [0usize, 4] {
-            drop_and_recover(
-                make_backend,
-                fsync_every,
-                chunk_updates,
-                &format!("{backend_tag}-drop-f{fsync_every}-c{chunk_updates}"),
-            );
-        }
+        drop_and_recover(
+            make_backend,
+            fsync_every,
+            &format!("{backend_tag}-drop-f{fsync_every}"),
+        );
     }
 }
 
@@ -484,19 +467,13 @@ fn record_kind(record: &WalRecord) -> &'static str {
 }
 
 /// Journal shape: exactly one `Seal` per commit that journaled a record,
-/// right behind that record. Ticks that only publish an alignment chunk,
-/// retire a round or idle journal nothing, so no `Seal` ever follows
-/// another.
+/// right behind that record. Ticks that only retire a round (publishing
+/// its re-aligned views) or idle journal nothing, so no `Seal` ever
+/// follows another.
 fn check_journal_shape<B: Backend>(make_backend: impl Fn() -> B, with_view: bool, tag: &str) {
     let path = temp_journal(tag);
     let values = clustered_values(PAGES);
-    // One update per chunk, so a round that meets the view publishes
-    // several chunks, one per tick.
-    let config = AdaptiveConfig::default().with_chunking(
-        AlignChunking::default()
-            .with_chunk_updates(1)
-            .with_group_commit_idle(0),
-    );
+    let config = AdaptiveConfig::default();
     let mut table =
         ServeTable::with_durability(make_backend(), config, DurabilityConfig::new(&path)).unwrap();
     table.add_column(&values).unwrap();
@@ -517,7 +494,7 @@ fn check_journal_shape<B: Backend>(make_backend: impl Fn() -> B, with_view: bool
     };
     assert_eq!(sealed_kinds(), expected, "{tag}: set-up");
     let mut rng = 0x5EA1u64;
-    let mut chunk_only_ticks = 0;
+    let mut realigning_retires = 0;
     for k in 0..BATCHES {
         let batch: Vec<(usize, u64)> = (0..WRITES_PER_BATCH)
             .map(|_| {
@@ -528,15 +505,20 @@ fn check_journal_shape<B: Backend>(make_backend: impl Fn() -> B, with_view: bool
             })
             .collect();
         table.try_write_batch(0, &batch).unwrap();
+        table.drain_publish_micros();
         table.tick().unwrap();
+        // The tick folded the batch; a sample means its round changed a
+        // view, which the round's retire tick publishes. That tick (the
+        // loop below, or the next batch's tick) is checked to journal
+        // nothing of its own.
+        realigning_retires += usize::from(!table.drain_publish_micros().is_empty());
         expected.extend(["batch", "seal"]);
         assert_eq!(sealed_kinds(), expected, "{tag}: batch {k}");
         if k % 3 == 0 {
-            // Tick the round to its end, then idle for a few ticks: none
-            // of it journals or seals anything.
+            // Tick the round to its retirement, then idle for a few ticks:
+            // none of it journals or seals anything.
             while table.round_in_flight(0) {
                 table.tick().unwrap();
-                chunk_only_ticks += usize::from(!table.drain_publish_micros().is_empty());
                 std::thread::yield_now();
             }
             for _ in 0..3 {
@@ -547,8 +529,8 @@ fn check_journal_shape<B: Backend>(make_backend: impl Fn() -> B, with_view: bool
     }
     if with_view {
         assert!(
-            chunk_only_ticks > 0,
-            "{tag}: some tick only published a chunk"
+            realigning_retires > 0,
+            "{tag}: some retire tick published re-aligned views"
         );
     }
     let epochs: Vec<u64> = wal::replay(&path)
@@ -592,11 +574,16 @@ fn recovery_of_an_unsealed_journal_is_empty() {
     {
         let durability = DurabilityConfig::new(&path).with_fault(FaultPlan::fail_append(0));
         let mut table =
-            ServeTable::with_durability(SimBackend::new(), config(4), durability).unwrap();
+            ServeTable::with_durability(SimBackend::new(), AdaptiveConfig::default(), durability)
+                .unwrap();
         assert!(table.add_column(&clustered_values(2)).is_err());
     }
-    let (table, info) =
-        ServeTable::recover(SimBackend::new(), config(4), DurabilityConfig::new(&path)).unwrap();
+    let (table, info) = ServeTable::recover(
+        SimBackend::new(),
+        AdaptiveConfig::default(),
+        DurabilityConfig::new(&path),
+    )
+    .unwrap();
     assert_eq!(table.num_columns(), 0);
     assert_eq!(info.sealed_epoch, 0);
     assert_eq!(info.records_replayed, 0);
@@ -686,8 +673,12 @@ fn a_column_damaged_inside_its_values_recovers_without_it() {
             let path = temp_journal(&label);
             let sealed_len = {
                 let durability = DurabilityConfig::new(&path);
-                let mut table =
-                    ServeTable::with_durability(make_backend(), config(4), durability).unwrap();
+                let mut table = ServeTable::with_durability(
+                    make_backend(),
+                    AdaptiveConfig::default(),
+                    durability,
+                )
+                .unwrap();
                 table.add_column(&small).unwrap();
                 let sealed_len = std::fs::metadata(&path).unwrap().len();
                 table.add_column(&big).unwrap();
@@ -699,9 +690,12 @@ fn a_column_damaged_inside_its_values_recovers_without_it() {
             bytes[sealed_len as usize + values_at + at] ^= 0x10;
             std::fs::write(&path, &bytes).unwrap();
             let before = inode(&path);
-            let (table, info) =
-                ServeTable::recover(make_backend(), config(4), DurabilityConfig::new(&path))
-                    .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
+            let (table, info) = ServeTable::recover(
+                make_backend(),
+                AdaptiveConfig::default(),
+                DurabilityConfig::new(&path),
+            )
+            .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
             assert_eq!(table.num_columns(), 1, "{label}: only the sealed column");
             assert_eq!(info.batches_applied, 0, "{label}: nothing past the damage");
             assert_eq!(info.records_replayed, 2, "{label}: one load, one seal");
@@ -721,62 +715,59 @@ fn a_column_damaged_inside_its_values_recovers_without_it() {
 #[test]
 fn a_recovered_table_killed_again_recovers_both_runs() {
     on_each_backend("killed-twice", |make_backend, tag| {
-        for chunk_updates in [0usize, 4] {
-            let label = format!("{tag}-c{chunk_updates}");
-            let path = temp_journal(&label);
-            let values = clustered_values(PAGES);
-            let mut mirror = values.clone();
-            let mut rng = 0x7A1C_E5E5u64;
-            let first = seeded_batches(&mut rng, BATCHES / 2, &mut mirror);
-            let durability = DurabilityConfig::new(&path);
-            let mut table =
-                ServeTable::with_durability(make_backend(), config(chunk_updates), durability)
-                    .unwrap();
-            table.add_column(&values).unwrap();
-            table
-                .install_view(0, ValueRange::new(2_000, 9_400))
+        let path = temp_journal(tag);
+        let values = clustered_values(PAGES);
+        let mut mirror = values.clone();
+        let mut rng = 0x7A1C_E5E5u64;
+        let first = seeded_batches(&mut rng, BATCHES / 2, &mut mirror);
+        let durability = DurabilityConfig::new(&path);
+        let mut table =
+            ServeTable::with_durability(make_backend(), AdaptiveConfig::default(), durability)
                 .unwrap();
-            write_then_die(table, &first);
-            let (table, info) = ServeTable::recover(
-                make_backend(),
-                config(chunk_updates),
-                DurabilityConfig::new(&path),
-            )
+        table.add_column(&values).unwrap();
+        table
+            .install_view(0, ValueRange::new(2_000, 9_400))
             .unwrap();
-            assert_eq!(info.batches_applied, first.len(), "{label}: first run");
-            check_answers(&table, &mirror, &format!("{label}-first"));
-            let kept_seal = info.sealed_epoch;
-            let second = seeded_batches(&mut rng, BATCHES / 2, &mut mirror);
-            write_then_die(table, &second);
-            let (table, info) = ServeTable::recover(
-                make_backend(),
-                config(chunk_updates),
-                DurabilityConfig::new(&path),
-            )
-            .unwrap();
-            assert_eq!(
-                info.batches_applied,
-                first.len() + second.len(),
-                "{label}: the batches of both runs"
-            );
-            assert!(info.sealed_epoch > kept_seal, "{label}: seals continue");
-            check_answers(&table, &mirror, &format!("{label}-second"));
-            let epochs: Vec<u64> = wal::replay(&path)
-                .unwrap()
-                .sealed_records
-                .iter()
-                .filter_map(|record| match record {
-                    WalRecord::Seal { epoch } => Some(*epoch),
-                    _ => None,
-                })
-                .collect();
-            assert!(
-                epochs.windows(2).all(|w| w[0] < w[1]),
-                "{label}: seal epochs ascend across both runs: {epochs:?}"
-            );
-            drop(table);
-            let _ = std::fs::remove_file(&path);
-        }
+        write_then_die(table, &first);
+        let (table, info) = ServeTable::recover(
+            make_backend(),
+            AdaptiveConfig::default(),
+            DurabilityConfig::new(&path),
+        )
+        .unwrap();
+        assert_eq!(info.batches_applied, first.len(), "{tag}: first run");
+        check_answers(&table, &mirror, &format!("{tag}-first"));
+        let kept_seal = info.sealed_epoch;
+        let second = seeded_batches(&mut rng, BATCHES / 2, &mut mirror);
+        write_then_die(table, &second);
+        let (table, info) = ServeTable::recover(
+            make_backend(),
+            AdaptiveConfig::default(),
+            DurabilityConfig::new(&path),
+        )
+        .unwrap();
+        assert_eq!(
+            info.batches_applied,
+            first.len() + second.len(),
+            "{tag}: the batches of both runs"
+        );
+        assert!(info.sealed_epoch > kept_seal, "{tag}: seals continue");
+        check_answers(&table, &mirror, &format!("{tag}-second"));
+        let epochs: Vec<u64> = wal::replay(&path)
+            .unwrap()
+            .sealed_records
+            .iter()
+            .filter_map(|record| match record {
+                WalRecord::Seal { epoch } => Some(*epoch),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            epochs.windows(2).all(|w| w[0] < w[1]),
+            "{tag}: seal epochs ascend across both runs: {epochs:?}"
+        );
+        drop(table);
+        let _ = std::fs::remove_file(&path);
     });
 }
 
@@ -787,19 +778,30 @@ fn recovering_twice_leaves_the_journal_unchanged() {
         let values = clustered_values(PAGES);
         let mut mirror = values.clone();
         let batches = seeded_batches(&mut 0x2EC0_7E2Eu64, BATCHES, &mut mirror);
-        let mut table =
-            ServeTable::with_durability(make_backend(), config(4), DurabilityConfig::new(&path))
-                .unwrap();
+        let mut table = ServeTable::with_durability(
+            make_backend(),
+            AdaptiveConfig::default(),
+            DurabilityConfig::new(&path),
+        )
+        .unwrap();
         table.add_column(&values).unwrap();
         write_then_die(table, &batches);
-        let (table, first) =
-            ServeTable::recover(make_backend(), config(4), DurabilityConfig::new(&path)).unwrap();
+        let (table, first) = ServeTable::recover(
+            make_backend(),
+            AdaptiveConfig::default(),
+            DurabilityConfig::new(&path),
+        )
+        .unwrap();
         assert!(first.discarded_bytes > 0, "{tag}: the tail is cut");
         drop(table);
         let bytes = std::fs::read(&path).unwrap();
         let before = inode(&path);
-        let (table, second) =
-            ServeTable::recover(make_backend(), config(4), DurabilityConfig::new(&path)).unwrap();
+        let (table, second) = ServeTable::recover(
+            make_backend(),
+            AdaptiveConfig::default(),
+            DurabilityConfig::new(&path),
+        )
+        .unwrap();
         assert!(
             std::fs::read(&path).unwrap() == bytes,
             "{tag}: the second recovery writes nothing"

@@ -38,22 +38,12 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use asv_core::wal::{Journal, WalRecord};
-use asv_core::{
-    AdaptiveConfig, AlignChunking, ConjunctiveAnswer, DurabilityConfig, ServeTable, Snapshot,
-};
+use asv_core::{AdaptiveConfig, ConjunctiveAnswer, DurabilityConfig, ServeTable, Snapshot};
 use asv_storage::Column;
 use asv_util::ValueRange;
 use asv_vmem::{Backend, SimBackend, VmemError, VALUES_PER_PAGE};
 use asv_workloads::{ColumnCorrelation, Distribution, TableWorkload, UpdateWorkload};
 use common::CountingBackend;
-
-fn serve_config(chunk_updates: usize) -> AdaptiveConfig {
-    AdaptiveConfig::default().with_chunking(
-        AlignChunking::default()
-            .with_chunk_updates(chunk_updates)
-            .with_group_commit_idle(0),
-    )
-}
 
 fn temp_journal(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -89,35 +79,33 @@ fn serving_makes_no_view_calls_after_the_column_loads() {
     let wipe: Vec<(usize, u64)> = (0..VALUES_PER_PAGE)
         .map(|slot| (5 * VALUES_PER_PAGE + slot, 1))
         .collect();
-    for chunk_updates in [1usize, 0] {
-        let backend = CountingBackend::new();
-        let mut table = ServeTable::new(backend.clone(), serve_config(chunk_updates));
-        for column in [&values, &other] {
-            table.add_column(column).unwrap();
-        }
-        assert_eq!(backend.calls(), loads, "chunk{chunk_updates}: loads");
-        for col in 0..2 {
-            for (lo, hi) in [(50_000, 59_999), (200_000, 209_999)] {
-                table.install_view(col, ValueRange::new(lo, hi)).unwrap();
-            }
-        }
-        let batches = churn.iter().map(|round| &round.writes[..]);
-        for writes in batches.chain([&wipe[..]]) {
-            for col in 0..2 {
-                table.try_write_batch(col, writes).unwrap();
-            }
-            for _ in 0..4 {
-                table.tick().unwrap();
-            }
-            assert_eq!(backend.calls(), loads, "chunk{chunk_updates}: churn");
-        }
-        table.quiesce().unwrap();
-        assert_eq!(backend.calls(), loads, "chunk{chunk_updates}: quiesce");
-        assert!(
-            !table.drain_publish_micros().is_empty(),
-            "chunk{chunk_updates}: the churn changed views"
-        );
+    let backend = CountingBackend::new();
+    let mut table = ServeTable::new(backend.clone(), AdaptiveConfig::default());
+    for column in [&values, &other] {
+        table.add_column(column).unwrap();
     }
+    assert_eq!(backend.calls(), loads, "loads");
+    for col in 0..2 {
+        for (lo, hi) in [(50_000, 59_999), (200_000, 209_999)] {
+            table.install_view(col, ValueRange::new(lo, hi)).unwrap();
+        }
+    }
+    let batches = churn.iter().map(|round| &round.writes[..]);
+    for writes in batches.chain([&wipe[..]]) {
+        for col in 0..2 {
+            table.try_write_batch(col, writes).unwrap();
+        }
+        for _ in 0..4 {
+            table.tick().unwrap();
+        }
+        assert_eq!(backend.calls(), loads, "churn");
+    }
+    table.quiesce().unwrap();
+    assert_eq!(backend.calls(), loads, "quiesce");
+    assert!(
+        !table.drain_publish_micros().is_empty(),
+        "the churn changed views"
+    );
 }
 
 #[test]
@@ -125,7 +113,7 @@ fn bad_writes_and_installs_fail_before_journaling() {
     let path = temp_journal("reject");
     let mut table = ServeTable::with_durability(
         SimBackend::new(),
-        serve_config(0),
+        AdaptiveConfig::default(),
         DurabilityConfig::new(&path),
     )
     .unwrap();
@@ -198,7 +186,7 @@ fn recovery_rejects_records_that_contradict_the_table() {
         drop(journal);
         let recovered = ServeTable::recover(
             SimBackend::new(),
-            serve_config(0),
+            AdaptiveConfig::default(),
             DurabilityConfig::new(&path),
         );
         assert!(
@@ -211,7 +199,7 @@ fn recovery_rejects_records_that_contradict_the_table() {
 
 #[test]
 fn table_writers_reject_bad_columns_and_rows_before_sending() {
-    let mut table = ServeTable::new(SimBackend::new(), serve_config(0));
+    let mut table = ServeTable::new(SimBackend::new(), AdaptiveConfig::default());
     let writer = table.writer();
     assert!(matches!(
         writer.write(0, 0, 1),
@@ -268,7 +256,7 @@ fn conjunctive_reads_stop_at_the_shortest_predicate_column() {
     let long: Vec<u64> = (0..8 * VALUES_PER_PAGE).map(clustered).collect();
     let short: Vec<u64> = (0..2 * VALUES_PER_PAGE).map(|row| row as u64 * 3).collect();
     let columns = [long, short];
-    let mut table = ServeTable::new(SimBackend::new(), serve_config(0));
+    let mut table = ServeTable::new(SimBackend::new(), AdaptiveConfig::default());
     for values in &columns {
         table.add_column(values).unwrap();
     }
@@ -359,7 +347,7 @@ fn random_predicates(state: &mut u64) -> Vec<(usize, ValueRange)> {
 
 /// A table over `columns` carrying [`CONJUNCTIVE_VIEWS`].
 fn conjunctive_table<B: Backend>(backend: B, columns: &[Vec<u64>]) -> ServeTable<B> {
-    let mut table = ServeTable::new(backend, serve_config(3));
+    let mut table = ServeTable::new(backend, AdaptiveConfig::default());
     for values in columns {
         table.add_column(values).unwrap();
     }
@@ -650,7 +638,7 @@ fn check_pruned_reads_match_the_model<B: Backend>(backend: B, seed: u64) {
         (0..n).map(clustered).collect(),
         (0..n).map(|row| clustered(n - 1 - row)).collect(),
     ];
-    let mut table = ServeTable::new(backend, serve_config(8));
+    let mut table = ServeTable::new(backend, AdaptiveConfig::default());
     for (col, values) in loaded.iter().enumerate() {
         table.add_column(values).unwrap();
         for band in 0..8 {

@@ -4,11 +4,12 @@
 //! barrier-phased rounds — the maintenance thread stages and commits each
 //! round's zipfian write burst, then N client threads pin epoch snapshots
 //! and answer the round's range/conjunctive reads while maintenance keeps
-//! ticking (publishing alignment chunks, folding the queue when grace
+//! ticking (retiring rounds with their re-aligned views, folding the
+//! queue when grace
 //! allows). Cells additionally vary the number of writer threads feeding
 //! the ingest lane instead of the direct maintenance write path. The
 //! properties, checked on both backends across seeds, client counts,
-//! writer counts and chunk sizes:
+//! and writer counts:
 //!
 //! * **Concurrent == sequential, bit-identical**: every client-computed
 //!   answer (count, sum, collected-row and conjunctive row checksums)
@@ -36,7 +37,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use asv_core::{AdaptiveConfig, AlignChunking, ConjunctiveAnswer, ServeTable, Snapshot};
+use asv_core::{AdaptiveConfig, ConjunctiveAnswer, ServeTable, Snapshot};
 use asv_util::ValueRange;
 use asv_vmem::{Backend, SimBackend, VALUES_PER_PAGE};
 use asv_workloads::{ServeReadOp, ServeRound, ServeSpec, ServeWorkload};
@@ -84,16 +85,8 @@ fn column_values(col: usize) -> Vec<u64> {
         .collect()
 }
 
-fn config(chunk_updates: usize) -> AdaptiveConfig {
-    AdaptiveConfig::default().with_chunking(
-        AlignChunking::default()
-            .with_chunk_updates(chunk_updates)
-            .with_group_commit_idle(0),
-    )
-}
-
-fn build_table<B: Backend>(backend: B, chunk_updates: usize) -> ServeTable<B> {
-    let mut table = ServeTable::new(backend, config(chunk_updates));
+fn build_table<B: Backend>(backend: B) -> ServeTable<B> {
+    let mut table = ServeTable::new(backend, AdaptiveConfig::default());
     for col in 0..2 {
         table.add_column(&column_values(col)).expect("column");
         for &(lo, hi) in &VIEW_RANGES {
@@ -192,10 +185,9 @@ fn model_answer(mirrors: &[Vec<u64>], read: &ServeReadOp) -> ModelAnswer {
 fn run_sequential<B: Backend>(
     backend: B,
     rounds: &[ServeRound],
-    chunk_updates: usize,
     quiesce_rounds: bool,
 ) -> Vec<Vec<Answer>> {
-    let mut table = build_table(backend, chunk_updates);
+    let mut table = build_table(backend);
     let handle = table.handle();
     let mut mirrors = vec![column_values(0), column_values(1)];
     rounds
@@ -254,11 +246,10 @@ fn run_sequential<B: Backend>(
 fn run_concurrent<B: Backend>(
     backend: B,
     rounds: &[ServeRound],
-    chunk_updates: usize,
     num_clients: usize,
     num_writers: usize,
 ) -> Vec<Vec<Answer>> {
-    let mut table = build_table(backend, chunk_updates);
+    let mut table = build_table(backend);
     let handle = table.handle();
     let writer = table.writer();
     let num_rows = PAGES * VALUES_PER_PAGE;
@@ -352,7 +343,7 @@ fn run_concurrent<B: Backend>(
             }
             // One tick commits the staged acknowledgements; every epoch a
             // client pins from here to the next round's commit answers
-            // identically (chunk publishes and retires are invariant).
+            // identically (re-aligned views and retires are invariant).
             table.tick().expect("tick");
             round_ready.store(k + 1, Ordering::Release);
             while finished.load(Ordering::Acquire) < (k + 1) * num_clients {
@@ -414,28 +405,20 @@ fn check_backend<B: Backend>(make_backend: impl Fn() -> B, label: &str, seeds: u
             "seed {seed}: the workload exercises the multi-view cover \
              ({straddling_ranges} range, {straddling_conjunctions} conjunctive reads)"
         );
-        for &chunk_updates in &[0usize, 5] {
-            let ctx = format!("{label}/seed={seed}/chunk={chunk_updates}");
-            let sequential = run_sequential(make_backend(), &rounds, chunk_updates, false);
-            let quiesced = run_sequential(make_backend(), &rounds, chunk_updates, true);
+        let ctx = format!("{label}/seed={seed}");
+        let sequential = run_sequential(make_backend(), &rounds, false);
+        let quiesced = run_sequential(make_backend(), &rounds, true);
+        assert_eq!(
+            sequential, quiesced,
+            "{ctx}: copy-serving and fully-folded twins diverge"
+        );
+        for &(num_clients, num_writers) in &CELLS {
+            let concurrent = run_concurrent(make_backend(), &rounds, num_clients, num_writers);
             assert_eq!(
-                sequential, quiesced,
-                "{ctx}: copy-serving and fully-folded twins diverge"
+                concurrent, sequential,
+                "{ctx}/clients={num_clients}/writers={num_writers}: \
+                 concurrent answers diverge"
             );
-            for &(num_clients, num_writers) in &CELLS {
-                let concurrent = run_concurrent(
-                    make_backend(),
-                    &rounds,
-                    chunk_updates,
-                    num_clients,
-                    num_writers,
-                );
-                assert_eq!(
-                    concurrent, sequential,
-                    "{ctx}/clients={num_clients}/writers={num_writers}: \
-                     concurrent answers diverge"
-                );
-            }
         }
     }
 }

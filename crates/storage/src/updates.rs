@@ -11,8 +11,6 @@
 //! array. Both steps live here because they are pure storage-layout
 //! concerns; the per-view decisions live in `asv-core::align`.
 
-use std::ops::Range;
-
 use asv_vmem::VALUES_PER_PAGE;
 
 /// One update record `(row, old value, new value)`.
@@ -131,11 +129,6 @@ impl PageGroups {
     /// The deduplicated updates of group `group`, ascending by row.
     pub fn updates(&self, group: usize) -> &[Update] {
         &self.updates[self.starts[group]..self.starts[group + 1]]
-    }
-
-    /// Number of deduplicated updates in the consecutive groups `groups`.
-    pub fn num_updates(&self, groups: Range<usize>) -> usize {
-        self.starts[groups.end] - self.starts[groups.start]
     }
 
     /// The groups holding an update for which `meets` holds, ascending,
@@ -265,8 +258,6 @@ mod tests {
         );
         assert_eq!(groups.updates(1), &[Update::new(vp + 1, 3, 4)]);
         assert_eq!(groups.updates(2), &[Update::new(vp * 2, 7, 8)]);
-        assert_eq!(groups.num_updates(0..3), 4);
-        assert_eq!(groups.num_updates(1..2), 1);
     }
 
     #[test]
